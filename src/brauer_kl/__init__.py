@@ -50,7 +50,6 @@ from .kl import (
     KLTable,
     canonical_basis,
     collapse_to_wall,
-    composition_matrix,
     lift_from_wall,
     partition_into_blocks,
     resolve_convention,
@@ -94,7 +93,6 @@ __all__ = [
     "canonical_basis",
     "collapse_to_wall",
     "compare",
-    "composition_matrix",
     "conjugate",
     "content_consistency_check",
     "content_sequence",

@@ -44,10 +44,11 @@ from .laurent import LaurentPoly
 from .weights import (
     Weight,
     WeightContext,
+    dominance_sort_key,
     pairing,
     positive_roots,
-    rho,
-    dominance_sort_key,
+    shift,
+    unshift,
 )
 
 NVector = dict[Weight, LaurentPoly]
@@ -194,12 +195,9 @@ class Block:
 
 def partition_into_blocks(F: list[Weight], ctx: WeightContext) -> list[Block]:
     """Group weights by linkage canonical form, dominance-sorted within."""
-    n = ctx.n
-    r = rho(n)
     grouped: dict[tuple, list[Weight]] = {}
     for mu in F:
-        x = tuple(a + b for a, b in zip(mu, r))
-        grouped.setdefault(canonical_form(x), []).append(mu)
+        grouped.setdefault(canonical_form(shift(mu)), []).append(mu)
     blocks = []
     for key, members in grouped.items():
         members = sorted(set(members), key=dominance_sort_key)
@@ -251,8 +249,7 @@ class CanonicalBasisEngine:
     def __init__(self, ctx: WeightContext, seed: Weight, max_weights: int = 200_000):
         self.ctx = ctx
         self.max_weights = max_weights
-        self._rho = rho(ctx.n)
-        seed_x = tuple(a + b for a, b in zip(seed, self._rho))
+        seed_x = shift(seed)
         self.key = canonical_form(seed_x)
         tokens = sorted((abs(a) for a in seed_x), reverse=True)
         if len(set(tokens)) != len(tokens):
@@ -290,12 +287,6 @@ class CanonicalBasisEngine:
         return tuple(moves)
 
     # -- state codec -------------------------------------------------------
-
-    def to_x(self, mu: Weight) -> Weight:
-        return tuple(a + b for a, b in zip(mu, self._rho))
-
-    def to_weight(self, x: Weight) -> Weight:
-        return tuple(a - b for a, b in zip(x, self._rho))
 
     def _placements(self, x: Weight) -> dict[Fraction, tuple[int, int]]:
         """token -> (levi block index, sign); hidden zero sign from parity."""
@@ -470,30 +461,6 @@ class KLTable:
     def composition_multiplicity(self, mu: Weight, lam: Weight) -> int:
         return self.entry(mu, lam).evaluate_at_one()
 
-    def to_json(self, cfg=None) -> dict:
-        from .weights import serialize_weight
-
-        def label(w: Weight):
-            if cfg is not None:
-                try:
-                    return serialize_weight(w, cfg)
-                except ValueError:
-                    pass
-            return {"coords_minus_chamber": None, "raw": [str(c) for c in w]}
-
-        return {
-            "weights": [label(w) for w in self.weights],
-            "entries": [
-                [self.weights.index(mu), self.weights.index(lam), p.to_pairs()]
-                for (mu, lam), p in sorted(
-                    self.polys.items(),
-                    key=lambda kv: (self.weights.index(kv[0][0]), self.weights.index(kv[0][1])),
-                )
-                if p
-            ],
-            "singular": self.singular,
-        }
-
 
 def canonical_basis(block: Block, engine: CanonicalBasisEngine | None = None) -> KLTable:
     """Compute the canonical basis table for every weight in a block.
@@ -511,7 +478,7 @@ def canonical_basis(block: Block, engine: CanonicalBasisEngine | None = None) ->
     touched: set[Weight] = set()
     singular = False
     for mu in block.weights:
-        x = engine.to_x(mu)
+        x = shift(mu)
         if engine.is_singular(x):
             singular = True
         b = engine.basis_element(x)
@@ -521,19 +488,12 @@ def canonical_basis(block: Block, engine: CanonicalBasisEngine | None = None) ->
         for z, p in b.items():
             if not p.has_nonnegative_coeffs():
                 raise AssertionError(f"negative coefficient in {p} at {z}")
-            lam = engine.to_weight(z)
+            lam = unshift(z)
             touched.add(lam)
             polys[(mu, lam)] = p
     all_weights = tuple(sorted(touched, key=dominance_sort_key))
     block.extended = all_weights
     return KLTable(ctx=ctx, weights=all_weights, polys=polys, singular=singular)
-
-
-def composition_matrix(block: Block, engine: CanonicalBasisEngine | None = None) -> tuple[KLTable, dict[tuple[Weight, Weight], int]]:
-    """Integer composition multiplicities: the table evaluated at v = 1."""
-    table = canonical_basis(block, engine)
-    ints = {key: p.evaluate_at_one() for key, p in table.polys.items() if p}
-    return table, ints
 
 
 def tilting_table(
@@ -566,9 +526,9 @@ def tilting_table(
         engine = CanonicalBasisEngine(ctx, block.weights[0])
     out: dict[tuple[Weight, Weight], int] = {}
     for w in block.weights:
-        b = engine.basis_element(engine.to_x(w))
+        b = engine.basis_element(shift(w))
         for z, p in b.items():
-            other = engine.to_weight(z)
+            other = unshift(z)
             if convention == "direct":
                 # basis index w plays mu; support z plays lam
                 out[(other, w)] = p.evaluate_at_one()
@@ -608,25 +568,16 @@ def singular_reduction_table(
     convention = resolve_convention(convention)
     if convention not in ("direct", "mirror"):
         raise ValueError(f"unknown tilting convention: {convention!r}")
-    ctx = block.ctx
-    r = rho(ctx.n)
-
-    def to_x(mu: Weight) -> Weight:
-        return tuple(a + b for a, b in zip(mu, r))
-
-    def to_weight(x: Weight) -> Weight:
-        return tuple(a - b for a, b in zip(x, r))
-
     pairs_by_weight: dict[Weight, tuple[int, int]] = {}
     for mu in block.weights:
-        pairs = singular_pairs(to_x(mu))
+        pairs = singular_pairs(shift(mu))
         if len(pairs) != 1:
             raise ValueError(
                 f"wall reduction supports exactly one vanishing pairing, found "
                 f"{len(pairs)} at {mu}"
             )
         pairs_by_weight[mu] = pairs[0]
-    doubled = {abs(to_x(mu)[i]) for mu, (i, _) in pairs_by_weight.items()}
+    doubled = {abs(shift(mu)[i]) for mu, (i, _) in pairs_by_weight.items()}
     assert len(doubled) == 1, f"wall block mixes doubled values {doubled}"
     a = doubled.pop()
 
@@ -635,11 +586,11 @@ def singular_reduction_table(
     # role under "mirror" (expand at the minimal lift, keep maximal supports)
     basis_upper = convention == "direct"
     base_x = {
-        mu: lift_from_wall(to_x(mu), pairs_by_weight[mu], basis_upper)
+        mu: lift_from_wall(shift(mu), pairs_by_weight[mu], basis_upper)
         for mu in block.weights
     }
     if engine is None:
-        engine = CanonicalBasisEngine(ctx, to_weight(next(iter(base_x.values()))))
+        engine = CanonicalBasisEngine(block.ctx, unshift(next(iter(base_x.values()))))
 
     out: dict[tuple[Weight, Weight], int] = {}
     for w0 in block.weights:
@@ -652,7 +603,7 @@ def singular_reduction_table(
             assert len(wall_pairs) == 1, f"collapsed support {wall_x} is not a simple wall weight"
             if z != lift_from_wall(wall_x, wall_pairs[0], not basis_upper):
                 continue  # wrong representative: not part of the dictionary
-            wall = to_weight(wall_x)
+            wall = unshift(wall_x)
             val = p.evaluate_at_one()
             if not val:
                 continue

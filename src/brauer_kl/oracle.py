@@ -27,6 +27,7 @@ from itertools import combinations
 
 from . import combinat
 from .linalg import mat_vec, nullspace, rank, solve
+from .params import delta_from_u
 from .specht import SpechtModule, specht_module
 
 Diagram = tuple[int, ...]  # partner array on 2r points; involution, no fixed point
@@ -434,26 +435,6 @@ class OracleMatrix:
     def entry(self, row, col) -> int:
         return self.entries.get((row, col), 0)
 
-    def to_json(self) -> dict:
-        def label(t):
-            f, lam = t
-            return f"f{f}:" + (",".join(str(c) for c in lam) or "-")
-
-        return {
-            "schema": "brauer-kl/1",
-            "oracle": {
-                "r": self.r,
-                "delta": str(self.delta),
-                "rows": [label(t) for t in self.rows],
-                "cols": [label(t) for t in self.cols],
-                "entries": sorted(
-                    [self.rows.index(a), self.cols.index(b), v]
-                    for (a, b), v in self.entries.items()
-                    if v
-                ),
-            },
-        }
-
 
 def cell_labels(r: int) -> list[tuple[int, tuple[int, ...]]]:
     """(f, partition) labels in enumeration order.
@@ -540,8 +521,7 @@ def compare(report: dict, oracle_matrix: OracleMatrix, conjugate_convention: str
         raise ValueError(f"unknown conjugate convention: {conjugate_convention!r}")
     params = report["params"]
     assert int(params["k"]) == 1, "oracle comparison is defined at level 1"
-    u1 = Fraction(params["u"][0])
-    delta = 1 - 2 * u1
+    delta = delta_from_u(params["u"][0])
     if delta != oracle_matrix.delta:
         return [{"kind": "delta-mismatch", "report": str(delta), "oracle": str(oracle_matrix.delta)}]
 

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import combinat
 from .combinat import LambdaIndex
 from .kl import (
     PINNED_CONJUGATE_CONVENTION,
     Block,
-    CanonicalBasisEngine,
     ConventionUnpinned,
     partition_into_blocks,
     resolve_convention,
@@ -47,7 +47,7 @@ from .weights import (
     pairing,
     phiA_condition,
     positive_roots,
-    rho,
+    shift,
     tilde,
 )
 
@@ -175,34 +175,52 @@ class DecompositionResult:
         return self.columns.get((lam, mu), 0)
 
 
-def _pick_maximal(candidates: list[Weight], reverse_ties: bool) -> Weight:
-    maximal = [
-        c
-        for c in candidates
-        if not any(dominance_less(c, d) for d in candidates if d != c)
-    ]
-    key = dominance_sort_key
-    return min(maximal, key=key) if reverse_ties else max(maximal, key=key)
+def _greedy_peel(
+    residual: dict[Weight, int],
+    column: Callable[[Weight], dict[Weight, int]],
+    check: Callable[[Weight, int], None],
+    reverse_ties: bool = False,
+) -> dict[Weight, int]:
+    """Greedy descent shared by the tilting peel and the simple dimensions.
+
+    Repeatedly take a dominance-maximal weight with nonzero residual m, let
+    ``check(weight, m)`` refuse it, record m, and subtract m copies of
+    ``column(weight)``.  ``reverse_ties`` picks a different maximal element
+    when several are incomparable.  Returns the recorded multiplicities.
+    """
+    residual = dict(residual)
+    out: dict[Weight, int] = {}
+    while True:
+        live = [w for w, val in residual.items() if val != 0]
+        if not live:
+            return out
+        maximal = [
+            c for c in live if not any(dominance_less(c, d) for d in live if d != c)
+        ]
+        lam0 = (min if reverse_ties else max)(maximal, key=dominance_sort_key)
+        m = residual[lam0]
+        check(lam0, m)
+        out[lam0] = m
+        for mu, val in column(lam0).items():
+            residual[mu] = residual.get(mu, 0) - m * val
 
 
 def tilting_decomposition(
-    cfg: ParamConfig,
-    convention: str | None = None,
-    flag: dict[Weight, int] | None = None,
-    reverse_ties: bool = False,
+    cfg: ParamConfig, convention: str | None = None
 ) -> DecompositionResult:
-    """Peel the flagged module into indecomposable tilting summands.
+    """Peel the standard-flagged module into indecomposable tilting summands.
 
-    Greedy descent: repeatedly take a dominance-maximal weight with nonzero
-    residual, record its multiplicity, and subtract that many copies of the
-    corresponding tilting column.  ``reverse_ties`` picks a different maximal
-    element when several are incomparable, which must not change the result.
-    ``convention`` None uses the frozen pin.
+    Each non-singleton linkage block's tilting table is built once and
+    peeled by greedy descent: repeatedly take a dominance-maximal weight with
+    nonzero residual, record its multiplicity, and subtract that many copies
+    of the corresponding tilting column.  The same table is then peeled again
+    with incomparable ties broken the other way; the two peels must agree,
+    or ``NegativeResidual`` is raised.  ``convention`` None uses the frozen
+    pin.
     """
     convention = resolve_convention(convention)
     ctx = context_of(cfg)
-    if flag is None:
-        flag = verma_flag(cfg)
+    flag = verma_flag(cfg)
     family = tuple(enumerate_F(cfg.r, cfg))
     family_set = set(family)
     blocks = partition_into_blocks(list(family), ctx)
@@ -210,10 +228,9 @@ def tilting_decomposition(
     columns: dict[tuple[Weight, Weight], int] = {}
     singular: list[Weight] = []
     reduced: list[tuple[Weight, ...]] = []
-    x_rho = rho(ctx.n)
     for block in blocks:
         for mu in block.weights:
-            x = tuple(a + b for a, b in zip(mu, x_rho))
+            x = shift(mu)
             if any(pairing(x, beta) == 0 for beta in positive_roots(ctx.n)):
                 singular.append(mu)
         if block.is_singleton:
@@ -224,39 +241,35 @@ def tilting_decomposition(
             if m:
                 n_out[lam] = m
             continue
-        x0 = tuple(a + b for a, b in zip(block.weights[0], x_rho))
-        if singular_pairs(x0):
+        if singular_pairs(shift(block.weights[0])):
             table = singular_reduction_table(block, convention)
             reduced.append(block.weights)
         else:
-            engine = CanonicalBasisEngine(ctx, block.weights[0])
-            table = tilting_table(block, convention, engine)
+            table = tilting_table(block, convention)
         columns.update(table)
-        residual: dict[Weight, int] = {}
+        by_column: dict[Weight, dict[Weight, int]] = {}
         for (mu, lam), val in table.items():
-            residual.setdefault(mu, 0)
-        for mu in block.weights:
-            residual[mu] = flag.get(mu, 0)
-        while True:
-            live = [w for w, val in residual.items() if val != 0]
-            if not live:
-                break
-            lam0 = _pick_maximal(live, reverse_ties)
+            if val:
+                by_column.setdefault(lam, {})[mu] = val
+        residual = {mu: flag.get(mu, 0) for mu in block.weights}
+
+        def check(lam0: Weight, m: int) -> None:
             if lam0 not in family_set:
                 raise NegativeResidual(
                     f"residual escapes the weight family at {lam0}"
                 )
-            m = residual[lam0]
             if m < 0:
                 raise NegativeResidual(f"negative residual {m} at {lam0}")
-            n_out[lam0] = m
-            for (mu, lam), val in table.items():
-                if lam == lam0 and val:
-                    residual[mu] = residual.get(mu, 0) - m * val
-            if residual.get(lam0) != 0:
+            if by_column.get(lam0, {}).get(lam0) != 1:
                 raise NegativeResidual(
                     f"tilting column at {lam0} lacks a unit diagonal"
                 )
+
+        column = by_column.__getitem__
+        peeled = _greedy_peel(residual, column, check)
+        if _greedy_peel(residual, column, check, reverse_ties=True) != peeled:
+            raise NegativeResidual("peel order changed the tilting multiplicities")
+        n_out.update(peeled)
     support = tuple(mu for mu in family if n_out.get(mu, 0) != 0)
     return DecompositionResult(
         cfg=cfg,
@@ -282,28 +295,20 @@ def simple_dimensions(result: DecompositionResult) -> dict[Weight, int]:
     the tilting peel.  Only meaningful when ``r`` is odd or some ``omega_i``
     is nonzero; the report suppresses this block otherwise.
     """
-    cfg = result.cfg
-    residual = dict(truncated_verma_flag(cfg))
-    level = list(residual)
-    dims: dict[Weight, int] = {}
-    while True:
-        live = [w for w, val in residual.items() if val != 0]
-        if not live:
-            break
-        lam0 = _pick_maximal(live, reverse_ties=False)
-        m = residual[lam0]
+    flag = truncated_verma_flag(result.cfg)
+
+    def check(lam0: Weight, m: int) -> None:
         if m < 0:
             raise NegativeResidual(f"negative simple dimension {m} at {lam0}")
         if result.multiplicities.get(lam0, 0) == 0:
             raise NegativeResidual(
                 f"level residual escapes the tilting support at {lam0}"
             )
-        dims[lam0] = m
-        for mu in level:
-            val = result.matrix_entry(mu, lam0)
-            if val:
-                residual[mu] -= m * val
-    return dims
+
+    def column(lam0: Weight) -> dict[Weight, int]:
+        return {mu: result.matrix_entry(mu, lam0) for mu in flag}
+
+    return _greedy_peel(flag, column, check)
 
 
 # -- report assembly -------------------------------------------------------
@@ -329,9 +334,13 @@ def decomposition_report(
 ) -> dict:
     """Full decomposition report as a JSON-serializable dictionary.
 
-    ``None`` conventions resolve through the frozen pins.  Raises
+    Runs :func:`tilting_decomposition` once (its tie-order check included)
+    and reads both matrices and the simple dimensions off that one result.
+    ``None`` conventions resolve through the frozen pins;
+    ``conjugate_convention`` only labels the report.  Raises
     ``SaturationNotEstablished`` when the chamber weight admits integral
-    cross-block pairings and the caller did not waive the check.
+    cross-block pairings and the caller did not waive the check, and
+    ``NegativeResidual`` when the peel fails.
     """
     convention = resolve_convention(convention)
     if conjugate_convention is None:
@@ -347,9 +356,6 @@ def decomposition_report(
             "pass assume_saturated to proceed"
         )
     result = tilting_decomposition(cfg, convention=convention)
-    check = tilting_decomposition(cfg, convention=convention, reverse_ties=True)
-    if check.multiplicities != result.multiplicities:
-        raise NegativeResidual("peel order changed the tilting multiplicities")
 
     labels = {mu: tilde(mu, cfg) for mu in result.family}
     rows_full = list(result.family)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterator, Literal, NamedTuple, Sequence
 
 from . import combinat
@@ -67,6 +68,7 @@ def context_of(cfg: ParamConfig) -> WeightContext:
     return WeightContext(cfg.n, cfg.p)
 
 
+@cache
 def rho(n: int) -> Weight:
     """(n-1, n-2, ..., 0): half the sum of the positive roots.
 
@@ -74,6 +76,16 @@ def rho(n: int) -> Weight:
     (Fraction(2, 1), Fraction(1, 1), Fraction(0, 1))
     """
     return tuple(Fraction(n - 1 - i) for i in range(n))
+
+
+def shift(mu: Weight) -> Weight:
+    """The shifted weight mu + rho."""
+    return tuple(a + b for a, b in zip(mu, rho(len(mu))))
+
+
+def unshift(x: Weight) -> Weight:
+    """Inverse of :func:`shift`: x - rho."""
+    return tuple(a - b for a, b in zip(x, rho(len(x))))
 
 
 def lambda_c(cfg: ParamConfig) -> Weight:
@@ -130,7 +142,7 @@ def psi_sets(lam: Weight, ctx: WeightContext) -> tuple[set[Root], set[Root]]:
     a positive integer; the second keeps those whose reflection of lam+rho
     still has pairwise-distinct entries within every block.
     """
-    x = tuple(a + b for a, b in zip(lam, rho(ctx.n)))
+    x = shift(lam)
     psi: set[Root] = set()
     psi_pp: set[Root] = set()
     for beta in positive_roots(ctx.n):
@@ -142,11 +154,6 @@ def psi_sets(lam: Weight, ctx: WeightContext) -> tuple[set[Root], set[Root]]:
             if blockwise_regular(reflect(x, beta), ctx):
                 psi_pp.add(beta)
     return psi, psi_pp
-
-
-def is_simple_tilting_sufficient(lam: Weight, ctx: WeightContext) -> bool:
-    """Sufficient criterion: no doubly-regular positively-paired root."""
-    return not psi_sets(lam, ctx)[1]
 
 
 def phiA_condition(lam_c_weight: Weight, ctx: WeightContext) -> bool:

@@ -119,15 +119,17 @@ def test_ac4_oracle_pinning(criterion):
         for r, delta in AC4_RUNS:
             cfg = params.build_config((params.u_from_delta(delta),), r)
             matrix = oracle.oracle_decomposition_matrix(r, delta)
+            reports = {}  # one per KL convention: conjugation only relabels
             for pair in CONVENTION_PAIRS:
                 if pair not in surviving and pair != ("mirror", "transpose"):
                     continue  # already eliminated; keep checking the pin
                 kl_conv, conj_conv = pair
                 try:
-                    rep = pipeline.decomposition_report(
-                        cfg, convention=kl_conv, conjugate_convention=conj_conv
-                    )
-                    diff = oracle.compare(rep, matrix, conj_conv)
+                    if kl_conv not in reports:
+                        reports[kl_conv] = pipeline.decomposition_report(
+                            cfg, convention=kl_conv, conjugate_convention=conj_conv
+                        )
+                    diff = oracle.compare(reports[kl_conv], matrix, conj_conv)
                 except Exception:
                     diff = [{"kind": "error"}]
                 if diff:
@@ -177,22 +179,19 @@ def test_ac7_canonical_basis_internals(criterion):
             cfg = params.build_config((params.u_from_delta(delta),), r)
             ctx = weights.context_of(cfg)
             family = weights.enumerate_F(r, cfg)
-            x_rho = weights.rho(ctx.n)
             for block in partition_into_blocks(family, ctx):
                 if block.is_singleton:
                     continue
-                x0 = tuple(a + b for a, b in zip(block.weights[0], x_rho))
-                if singular_pairs(x0):
+                if singular_pairs(weights.shift(block.weights[0])):
                     continue  # wall block: handled via the reduction dictionary
                 engine = CanonicalBasisEngine(ctx, block.weights[0])
                 for mu in block.weights:
-                    x = tuple(a + b for a, b in zip(mu, x_rho))
+                    x = weights.shift(mu)
                     element = engine.basis_element(x)
                     assert engine.is_bar_invariant(element)
                     for z, p in element.items():
                         assert p.has_nonnegative_coeffs()
                         if z != x:
                             assert p.in_positive_part()  # off-diagonal in v*Z[v]
-            forward = pipeline.tilting_decomposition(cfg)
-            backward = pipeline.tilting_decomposition(cfg, reverse_ties=True)
-            assert forward.multiplicities == backward.multiplicities
+            # the peel runs both tie orders itself and raises if they disagree
+            pipeline.tilting_decomposition(cfg)

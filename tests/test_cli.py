@@ -1,10 +1,17 @@
 """Exit codes and output formats of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+import brauer_kl
+from brauer_kl import kl, params, pipeline
 from brauer_kl.cli import main
+from brauer_kl.weights import context_of, enumerate_F
 
 
 def run(capsys, *argv):
@@ -151,6 +158,87 @@ def test_kl_selftest(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 4
     assert all(line.startswith("ok:") for line in lines)
+
+
+def test_kl_selftest_says_why_a_case_failed(capsys, monkeypatch):
+    def broken(cfg):
+        raise pipeline.NegativeResidual("peel order changed the tilting multiplicities")
+
+    monkeypatch.setattr(pipeline, "tilting_decomposition", broken)
+    code, out, _ = run(capsys, "kl-selftest")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert len(lines) == 8
+    assert all(line.startswith("FAIL:") for line in lines[::2])
+    assert set(lines[1::2]) == {
+        "  NegativeResidual: peel order changed the tilting multiplicities"
+    }
+
+
+@pytest.fixture
+def engines_built(monkeypatch):
+    """Counts CanonicalBasisEngine constructions."""
+    count = [0]
+    init = kl.CanonicalBasisEngine.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(kl.CanonicalBasisEngine, "__init__", counting)
+    return count
+
+
+def test_decompose_builds_each_block_engine_once(capsys, engines_built):
+    code, _, _ = run(capsys, "decompose", "--k", "1", "--r", "3", "--u", "3/2")
+    assert code == 0
+    assert engines_built[0] == 1  # one wall block
+
+
+def test_oracle_compare_builds_one_engine_per_block_and_convention(capsys, engines_built):
+    cfg = params.build_config((params.u_from_delta(Fraction(1)),), 3)
+    blocks = kl.partition_into_blocks(enumerate_F(3, cfg), context_of(cfg))
+    non_singleton = sum(not b.is_singleton for b in blocks)
+    code, _, _ = run(capsys, "oracle-compare", "--r", "3", "--delta", "1")
+    assert code == 0
+    assert 0 < engines_built[0] <= 2 * non_singleton
+
+
+MALFORMED = [
+    ("decompose", "--k", "1", "--r", "0", "--u", "1/3"),
+    ("decompose", "--k", "1", "--r", "-1", "--u", "1/3"),
+    ("decompose", "--k", "1", "--r", "2", "--u", "1/0"),
+    ("decompose", "--k", "1", "--r", "2", "--u", "1/3", "--q", "4,4"),
+    ("decompose", "--k", "1", "--r", "2", "--u", "1/3", "--q", "0"),
+    ("enumerate", "--k", "0", "--r", "2"),
+    ("admissible", "--k", "1", "--u", "1/0"),
+    ("admissible", "--k", "1", "--u", "0", "--N", "-1"),
+    ("oracle-compare", "--r", "0", "--delta", "1"),
+    ("oracle-compare", "--r", "2", "--delta", "1/0"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_exits_2_with_a_message(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects bad option values itself
+        code = exc.code
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_malformed_input_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "brauer_kl.cli", *MALFORMED[0]],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert "must be at least 1" in proc.stderr
 
 
 def test_unknown_command_is_a_usage_error():

@@ -251,16 +251,6 @@ def test_kl_table_is_upper_unitriangular_in_dominance():
                 assert dominance_less(mu, lam)
 
 
-def test_kl_table_to_json_shape():
-    engine = kl.CanonicalBasisEngine(D4, to_mu((3, 2, 1, 0)))
-    lo, hi = to_mu((3, 2, 0, -1)), to_mu((3, 2, 1, 0))
-    block = kl.Block(ctx=D4, key=engine.key, weights=(lo, hi))
-    data = kl.canonical_basis(block, engine).to_json()
-    assert set(data) == {"weights", "entries", "singular"}
-    assert data["singular"] is False
-    assert all(len(e) == 3 for e in data["entries"])
-
-
 def test_resolve_convention_pin_and_override(monkeypatch):
     assert kl.resolve_convention("direct") == "direct"
     assert kl.resolve_convention(None) == kl.PINNED_KL_CONVENTION

@@ -205,12 +205,6 @@ def test_oracle_refuses_r5():
         oracle_decomposition_matrix(5, F(1))
 
 
-def test_oracle_to_json_labels():
-    data = oracle_decomposition_matrix(2, F(1)).to_json()
-    assert data["oracle"]["rows"] == ["f0:2", "f0:1,1", "f1:-"]
-    assert data["oracle"]["entries"] == [[0, 0, 1], [1, 1, 1], [2, 2, 1]]
-
-
 def test_parse_level_label_roundtrip():
     for f, lam in cell_labels(4):
         text = f"f{f}:" + (",".join(str(c) for c in lam) or "-")

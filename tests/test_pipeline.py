@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from brauer_kl import pipeline
 from brauer_kl.combinat import LambdaIndex, enumerate_lambda, updown_count
 from brauer_kl.params import build_config, u_from_delta
 from brauer_kl.pipeline import (
+    NegativeResidual,
     SaturationNotEstablished,
     content_consistency_check,
     content_mismatches,
@@ -126,11 +128,31 @@ def test_delta_one_r3_tilting_multiplicities_frozen():
     assert labeled == FROZEN_TILTING_DELTA1_R3
 
 
-def test_peel_is_order_independent():
-    cfg = build_config([u_from_delta(F(1))], 3)
-    a = tilting_decomposition(cfg)
-    b = tilting_decomposition(cfg, reverse_ties=True)
-    assert a.multiplicities == b.multiplicities
+def test_peel_is_order_independent(monkeypatch):
+    # one call peels every non-singleton block's table with both tie orders
+    peel = pipeline._greedy_peel
+    peels = {False: [], True: []}
+
+    def recording(*args, reverse_ties=False):
+        out = peel(*args, reverse_ties=reverse_ties)
+        peels[reverse_ties].append(out)
+        return out
+
+    monkeypatch.setattr(pipeline, "_greedy_peel", recording)
+    tilting_decomposition(build_config([u_from_delta(F(1))], 3))
+    assert peels[False] and peels[False] == peels[True]
+
+
+def test_peel_order_disagreement_is_refused(monkeypatch):
+    peel = pipeline._greedy_peel
+
+    def skewed(*args, reverse_ties=False):
+        out = peel(*args, reverse_ties=reverse_ties)
+        return {mu: m + 1 for mu, m in out.items()} if reverse_ties else out
+
+    monkeypatch.setattr(pipeline, "_greedy_peel", skewed)
+    with pytest.raises(NegativeResidual, match="peel order changed"):
+        tilting_decomposition(build_config([u_from_delta(F(1))], 3))
 
 
 FROZEN_SIMPLE_DIMS = {
