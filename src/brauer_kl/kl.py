@@ -1,12 +1,12 @@
 """Exact antispherical Kazhdan-Lusztig engine for type D_n with type-A Levi.
 
-The recursion's state is weight coordinates, not Coxeter words: basis symbols
-N_x are indexed by shifted weights x = mu + rho, strictly decreasing within
-every Levi block.  A state is equivalently a placement of value tokens — the
-absolute values of the seed's coordinates — into Levi blocks, each carrying a
-sign.  The Hecke generators act on tokens, not on coordinate positions (the
-action is right multiplication on Levi cosets, so it reads through the base
-point):
+Basis symbols N_x are indexed by shifted weights x = mu + rho, strictly
+decreasing within every Levi block, but the recursion's state is not the
+weight: it is the placement of value tokens (the absolute values of the
+seed's coordinates, in falling order) into Levi blocks, each carrying a sign,
+stored as one small int per token and interned to an int id.  The Hecke
+generators act on tokens, not on coordinate positions (the action is right
+multiplication on Levi cosets, so it reads through the base point):
 
 * a swap generator exchanges the placements of two magnitude-adjacent tokens
   in the same integrality class;
@@ -30,6 +30,12 @@ the type-D flip-parity invariant of the orbit, which is what makes the
 generator tables match honest signed-permutation bookkeeping (they were
 frozen against brute-forced W(D_4) and W(D_5) coset modules in the tests).
 
+One move table per engine holds, per state id and generator, the image id
+and the exponent, or "fixed"; each entry is filled once, on first use.  The
+exponent compares the two states' prefix sums, on tokens scaled to integers
+by their common denominator.  The recursion and its memos run on ids;
+``Fraction`` weights appear only where callers pass or read them.
+
 Blocks are linkage classes: weights sharing, per integrality class of the
 token values, the multiset of absolute values of x = mu + rho together with
 the negative-entry parity when the class has no zero token.
@@ -39,6 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 from .laurent import LaurentPoly
 from .weights import (
@@ -137,7 +145,8 @@ def lift_from_wall(x: Weight, pair: tuple[int, int], upper: bool) -> Weight:
     """
     i, j = pair
     a = x[i]
-    assert a > 0 and x[j] == -a
+    if not (a > 0 and x[j] == -a):
+        raise ValueError(f"not a wall pair: x[{i}] = {a}, x[{j}] = {x[j]}")
     out = list(x)
     for idx, c in enumerate(x):
         if idx == i:
@@ -205,37 +214,24 @@ def partition_into_blocks(F: list[Weight], ctx: WeightContext) -> list[Block]:
     return blocks
 
 
-def _dominance_below(y: Weight, x: Weight) -> bool:
-    """True if y < x, False if y > x; asserts strict comparability.
-
-    States adjacent under one generator are always strictly comparable: all
-    prefix sums of x - y carry one sign (sign flips change the total, so the
-    total is not required to vanish).
-    """
-    total = 0
-    seen = set()
-    for a, b in zip(x, y):
-        total += a - b
-        if total > 0:
-            seen.add(1)
-        elif total < 0:
-            seen.add(-1)
-    assert len(seen) == 1, f"incomparable wall neighbours {x}, {y}"
-    return 1 in seen
-
-
 @dataclass(frozen=True)
 class TokenMove:
-    """A simple generator in token form.
+    """A simple generator in token form, on indices into the engine's tokens.
 
     ``negate`` False: exchange the placements (Levi block and sign) of the
     two tokens; True: exchange and flip both signs (the type-D node of the
     token class).
     """
 
-    high: Fraction
-    low: Fraction
+    high: int
+    low: int
     negate: bool
+
+
+State = tuple[int, ...]  # per token: 2 * Levi block + (1 if negative)
+IdVector = dict[int, LaurentPoly]  # N-basis expansion over interned state ids
+_UNSET = object()  # move-table entry not yet computed
+_V = {1: LaurentPoly.v(1), -1: LaurentPoly.v(-1)}
 
 
 class CanonicalBasisEngine:
@@ -258,94 +254,135 @@ class CanonicalBasisEngine:
         self.integral_roots = tuple(
             b for b in positive_roots(ctx.n) if pairing(seed_x, b).denominator == 1
         )
+        classes: dict[Fraction, list[int]] = {}
+        for i, t in enumerate(tokens):  # descending
+            classes.setdefault(_residue(t), []).append(i)
         # generators per integrality class: magnitude-adjacent swaps plus the
         # class's negating node on its two smallest tokens
-        self.moves: tuple[TokenMove, ...] = self._token_moves()
-        # per-class flip parity (None marks the class holding a zero token)
-        self._parity = {
-            res: (None if 0 in cls else sum(1 for t in cls if -t in seed_x) % 2)
-            for res, cls in self._classes().items()
-        }
-        self._b: dict[Weight, NVector] = {}
-        self._bar_n: dict[Weight, NVector] = {}
+        moves = []
+        for cls in classes.values():
+            moves.extend(TokenMove(hi, lo, False) for hi, lo in zip(cls, cls[1:]))
+            if len(cls) >= 2:
+                moves.append(TokenMove(cls[-2], cls[-1], True))
+        self.moves: tuple[TokenMove, ...] = tuple(moves)
+        # the zero token's hidden sign completes its class to even flip parity
+        self._zero_class = next((c for c in classes.values() if tokens[c[-1]] == 0), None)
+        self._index = {t: i for i, t in enumerate(tokens)}
+        self._signed = (self.tokens, tuple(-t for t in tokens))
+        scale = lcm(*(t.denominator for t in tokens))
+        scaled = tuple(int(t * scale) for t in tokens)
+        self._signed_scaled = (scaled, tuple(-t for t in scaled))
+        self._ids: dict[State, int] = {}
+        self._states: list[State] = []
+        self._prefix: list[tuple[int, ...]] = []  # dominance key per id
+        self._table: list[list] = []  # id -> per generator (image id, v-exponent) or None
+        self._b: dict[int, IdVector] = {}
+        self._bar_n: dict[int, IdVector] = {}
 
-    # -- token structure --------------------------------------------------
+    # -- state codec (the Weight boundary) -----------------------------------
 
-    def _classes(self) -> dict[Fraction, list[Fraction]]:
-        out: dict[Fraction, list[Fraction]] = {}
-        for t in self.tokens:  # descending
-            out.setdefault(_residue(t), []).append(t)
+    def _coords(self, state: State, values: tuple, negated: tuple) -> list:
+        """Signed token values of a state, descending within each Levi block:
+        its positive tokens by falling magnitude, then its negative ones by
+        rising magnitude (tokens are indexed by falling magnitude)."""
+        pos: list[list[int]] = [[] for _ in range(self.ctx.k)]
+        neg: list[list[int]] = [[] for _ in range(self.ctx.k)]
+        for i, code in enumerate(state):
+            (neg if code & 1 else pos)[code >> 1].append(i)
+        out = []
+        for up, down in zip(pos, neg):
+            out.extend(values[i] for i in up)
+            out.extend(negated[i] for i in reversed(down))
         return out
 
-    def _token_moves(self) -> tuple[TokenMove, ...]:
-        moves = []
-        for cls in self._classes().values():
-            for hi, lo in zip(cls, cls[1:]):
-                moves.append(TokenMove(high=hi, low=lo, negate=False))
-            if len(cls) >= 2:
-                moves.append(TokenMove(high=cls[-2], low=cls[-1], negate=True))
-        return tuple(moves)
+    def _intern(self, state: State) -> int:
+        sid = self._ids.get(state)
+        if sid is None:
+            sid = self._ids[state] = len(self._states)
+            self._states.append(state)
+            self._prefix.append(tuple(accumulate(self._coords(state, *self._signed_scaled))))
+            self._table.append([_UNSET] * len(self.moves))
+        return sid
 
-    # -- state codec -------------------------------------------------------
-
-    def _placements(self, x: Weight) -> dict[Fraction, tuple[int, int]]:
-        """token -> (levi block index, sign); hidden zero sign from parity."""
-        place: dict[Fraction, tuple[int, int]] = {}
+    def _state_id(self, x: Weight) -> int:
+        """Intern a shifted weight of this linkage class, sorted within blocks."""
+        if canonical_form(x) != self.key:
+            raise ValueError(f"state off the linkage class: {x}")
+        code = [0] * len(self.tokens)
         for bi, (start, end) in enumerate(self.ctx.blocks()):
+            if any(x[i] <= x[i + 1] for i in range(start, end - 1)):
+                raise ValueError(f"not sorted: {x}")
             for c in x[start:end]:
-                place[abs(c)] = (bi, 1 if c > 0 else -1)
-        for res, cls in self._classes().items():
-            if self._parity[res] is None:
-                # hidden zero sign: complete the class to even flip parity
-                minus = sum(1 for t in cls if t != 0 and place[t][1] < 0)
-                bi, _ = place[Fraction(0)]
-                place[Fraction(0)] = (bi, -1 if minus % 2 else 1)
-        return place
+                code[self._index[abs(c)]] = 2 * bi + (c < 0)
+        if self._zero_class is not None:
+            code[self._zero_class[-1]] |= sum(code[i] & 1 for i in self._zero_class) % 2
+        return self._intern(tuple(code))
 
-    def _assemble(self, place: dict[Fraction, tuple[int, int]]) -> Weight:
-        per: list[list] = [[] for _ in self.ctx.blocks()]
-        for t, (bi, sign) in place.items():
-            per[bi].append(sign * t)
-        out: list = []
-        for vals in per:
-            out.extend(sorted(vals, reverse=True))
-        return tuple(out)
+    def _weight(self, sid: int) -> Weight:
+        return tuple(self._coords(self._states[sid], *self._signed))
 
-    def _assert_state(self, x: Weight) -> None:
-        assert canonical_form(x) == self.key, f"state off the linkage class: {x}"
-        for start, end in self.ctx.blocks():
-            assert all(
-                x[i] > x[i + 1] for i in range(start, end - 1)
-            ), f"not sorted: {x}"
+    def _to_weights(self, vec: IdVector) -> NVector:
+        return {self._weight(z): p for z, p in vec.items()}
 
-    def apply_move(self, x: Weight, g: TokenMove) -> Weight:
-        """The image state of x under right multiplication by g (maybe x)."""
-        place = self._placements(x)
-        bh, sh = place[g.high]
-        bl, sl = place[g.low]
-        if g.negate:
-            place[g.high], place[g.low] = (bl, -sl), (bh, -sh)
-        else:
-            place[g.high], place[g.low] = (bl, sl), (bh, sh)
-        return self._assemble(place)
+    # -- move table -----------------------------------------------------------
+
+    def apply_move(self, s: int, g: int):
+        """Fill the move-table entry of state id s under generator index g.
+
+        The entry is None when g fixes the state (a Levi move); otherwise
+        (image id, e) with N_s . C_g = N_image + v^e N_s, where e = +1
+        exactly when the image is dominance-lower.  Adjacent states are
+        always strictly comparable: all nonzero prefix sums of their
+        difference carry one sign (sign flips change the total, so the total
+        is not required to vanish).
+        """
+        m = self.moves[g]
+        state = self._states[s]
+        image = list(state)
+        hi, lo = state[m.high], state[m.low]
+        if m.negate:
+            hi, lo = hi ^ 1, lo ^ 1
+        image[m.high], image[m.low] = lo, hi
+        entry = None
+        if tuple(image) != state:
+            t = self._intern(tuple(image))
+            signs = {(a > b) - (a < b) for a, b in zip(self._prefix[s], self._prefix[t])}
+            signs.discard(0)
+            if len(signs) != 1:
+                raise AssertionError(
+                    f"incomparable wall neighbours {self._weight(s)}, {self._weight(t)}"
+                )
+            entry = (t, signs.pop())
+        self._table[s][g] = entry
+        return entry
+
+    def _move(self, s: int, g: int):
+        entry = self._table[s][g]
+        return self.apply_move(s, g) if entry is _UNSET else entry
 
     # -- module structure ---------------------------------------------------
 
-    def generator_action(self, g: TokenMove, vec: NVector) -> NVector:
+    def generator_action(self, g: int, vec: IdVector) -> IdVector:
         """Apply the generator element C_g to an N-basis expansion."""
-        out: dict[Weight, LaurentPoly] = {}
-
-        def add(z: Weight, p: LaurentPoly) -> None:
-            cur = out.get(z)
-            out[z] = p if cur is None else cur + p
-
+        out: IdVector = {}
         for z, p in vec.items():
-            y = self.apply_move(z, g)
-            if y == z:
+            entry = self._move(z, g)
+            if entry is None:
                 continue
-            add(y, p)
-            add(z, p * LaurentPoly.v(1 if _dominance_below(y, z) else -1))
+            y, e = entry
+            cur = out.get(y)
+            out[y] = p if cur is None else cur + p
+            q = p * _V[e]
+            cur = out.get(z)
+            out[z] = q if cur is None else cur + q
         return {z: p for z, p in out.items() if p}
+
+    def _ascent(self, s: int) -> tuple[int, int] | None:
+        for g in range(len(self.moves)):
+            entry = self._move(s, g)
+            if entry is not None and entry[1] < 0:
+                return g, entry[0]
+        return None
 
     def ascent(self, x: Weight) -> tuple[TokenMove, Weight] | None:
         """First generator whose image lies strictly above x.
@@ -354,11 +391,8 @@ class CanonicalBasisEngine:
         (the identity coset); everywhere else the Coxeter geometry
         guarantees an ascent, which is what drives the recursion home.
         """
-        for g in self.moves:
-            y = self.apply_move(x, g)
-            if y != x and not _dominance_below(y, x):
-                return g, y
-        return None
+        asc = self._ascent(self._state_id(x))
+        return None if asc is None else (self.moves[asc[0]], self._weight(asc[1]))
 
     def _check_budget(self) -> None:
         if len(self._b) + len(self._bar_n) > self.max_weights:
@@ -373,35 +407,41 @@ class CanonicalBasisEngine:
         Off-diagonal support sits strictly above x in the dominance order,
         with coefficients in v*Z[v].
         """
+        return self._to_weights(self._element(self._state_id(x)))
+
+    def _element(self, x: int) -> IdVector:
         cached = self._b.get(x)
         if cached is not None:
             return cached
-        self._assert_state(x)
         self._check_budget()
-        asc = self.ascent(x)
+        asc = self._ascent(x)
         if asc is None:
-            result: NVector = {x: LaurentPoly.one()}
+            result: IdVector = {x: LaurentPoly.one()}
         else:
             g, y = asc
-            vec = dict(self.generator_action(g, self.basis_element(y)))
+            vec = self.generator_action(g, self._element(y))
             # strip degree-0 excesses; higher canonical elements have no
             # constant terms off their diagonal, so one pass suffices
             for z in [z for z in vec if z != x]:
                 m = vec.get(z, LaurentPoly.zero()).coeff(0)
                 if m == 0:
                     continue
-                for w, p in self.basis_element(z).items():
+                for w, p in self._element(z).items():
                     vec[w] = vec.get(w, LaurentPoly.zero()) - m * p
             result = {z: p for z, p in vec.items() if p}
             if result.get(x) != LaurentPoly.one():
-                raise AssertionError(f"canonical basis element at {x} is not unitriangular")
+                raise AssertionError(
+                    f"canonical basis element at {self._weight(x)} is not unitriangular"
+                )
             for z, p in result.items():
                 if z != x and not p.in_positive_part():
-                    raise AssertionError(f"off-diagonal entry {p} at {z} not in v*Z[v]")
+                    raise AssertionError(
+                        f"off-diagonal entry {p} at {self._weight(z)} not in v*Z[v]"
+                    )
         self._b[x] = result
         return result
 
-    def bar_of_standard(self, x: Weight) -> NVector:
+    def bar_of_standard(self, x: int) -> IdVector:
         """bar(N_x) expanded in the N basis (independent route, for checks).
 
         From N_y C_g = N_x + v N_y at an ascent (g, y) of x:
@@ -410,28 +450,26 @@ class CanonicalBasisEngine:
         cached = self._bar_n.get(x)
         if cached is not None:
             return cached
-        self._assert_state(x)
         self._check_budget()
-        asc = self.ascent(x)
+        asc = self._ascent(x)
         if asc is None:
-            result: NVector = {x: LaurentPoly.one()}
+            result: IdVector = {x: LaurentPoly.one()}
         else:
             g, y = asc
             bar_y = self.bar_of_standard(y)
-            vec = dict(self.generator_action(g, bar_y))
-            vinv = LaurentPoly.v(-1)
+            vec = self.generator_action(g, bar_y)
             for z, p in bar_y.items():
-                vec[z] = vec.get(z, LaurentPoly.zero()) - vinv * p
+                vec[z] = vec.get(z, LaurentPoly.zero()) - _V[-1] * p
             result = {z: p for z, p in vec.items() if p}
         self._bar_n[x] = result
         return result
 
     def bar_vector(self, vec: NVector) -> NVector:
-        out: dict[Weight, LaurentPoly] = {}
-        for z, p in vec.items():
-            for w, q in self.bar_of_standard(z).items():
+        out: IdVector = {}
+        for x, p in vec.items():
+            for w, q in self.bar_of_standard(self._state_id(x)).items():
                 out[w] = out.get(w, LaurentPoly.zero()) + p.bar() * q
-        return {z: p for z, p in out.items() if p}
+        return self._to_weights({z: p for z, p in out.items() if p})
 
     def is_bar_invariant(self, vec: NVector) -> bool:
         return self.bar_vector(vec) == {z: p for z, p in vec.items() if p}
@@ -578,7 +616,8 @@ def singular_reduction_table(
             )
         pairs_by_weight[mu] = pairs[0]
     doubled = {abs(shift(mu)[i]) for mu, (i, _) in pairs_by_weight.items()}
-    assert len(doubled) == 1, f"wall block mixes doubled values {doubled}"
+    if len(doubled) != 1:
+        raise ValueError(f"wall block mixes doubled values {sorted(doubled)}")
     a = doubled.pop()
 
     # the basis index plays the tilting role under "direct" (expand at the
@@ -600,7 +639,8 @@ def singular_reduction_table(
             if wall_x is None:
                 continue  # crosses a Levi wall: killed by translation
             wall_pairs = singular_pairs(wall_x)
-            assert len(wall_pairs) == 1, f"collapsed support {wall_x} is not a simple wall weight"
+            if len(wall_pairs) != 1:
+                raise AssertionError(f"collapsed support {wall_x} is not a simple wall weight")
             if z != lift_from_wall(wall_x, wall_pairs[0], not basis_upper):
                 continue  # wrong representative: not part of the dictionary
             wall = unshift(wall_x)

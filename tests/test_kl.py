@@ -6,11 +6,17 @@ type-A Levi, genuine bar involution, canonical basis by degree completion)
 and frozen here; the engine must reproduce them coefficient for coefficient.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 import pytest
 
-from brauer_kl import kl
+import brauer_kl
+from brauer_kl import kl, pipeline
 from brauer_kl.laurent import LaurentPoly
 from brauer_kl.params import build_config, u_from_delta
 from brauer_kl.weights import (
@@ -20,6 +26,7 @@ from brauer_kl.weights import (
     enumerate_F,
     lambda_c,
     rho,
+    unshift,
 )
 
 F = Fraction
@@ -96,11 +103,128 @@ D4_HALF_INTEGER_TABLE = freeze(
 )
 
 
-@pytest.fixture(params=["integer", "half-integer"])
+# two integrality classes at once: tokens {5/2, 3/2, 1/2} and {13/6, 7/6, 1/6}
+# in two Levi blocks of three, so dominance needs the common denominator 6.
+# Computed by the Fraction-placement engine that the integer token states
+# replaced; half[i] and sixth[j] are the four placements of each class in its
+# Levi block.
+MIXED = WeightContext(6, (0, 3, 6))
+half = [
+    (F(5, 2), F(3, 2), F(1, 2)),
+    (F(5, 2), F(-1, 2), F(-3, 2)),
+    (F(3, 2), F(-1, 2), F(-5, 2)),
+    (F(1, 2), F(-3, 2), F(-5, 2)),
+]
+sixth = [
+    (F(13, 6), F(7, 6), F(1, 6)),
+    (F(13, 6), F(-1, 6), F(-7, 6)),
+    (F(7, 6), F(-1, 6), F(-13, 6)),
+    (F(1, 6), F(-7, 6), F(-13, 6)),
+]
+MIXED_RESIDUE_TABLE = freeze(
+    {
+        half[0] + sixth[0]: {},
+        half[0] + sixth[1]: {
+            half[0] + sixth[0]: {1: 1},
+        },
+        half[0] + sixth[2]: {
+            half[0] + sixth[1]: {1: 1},
+        },
+        half[0] + sixth[3]: {
+            half[0] + sixth[2]: {1: 1},
+        },
+        half[1] + sixth[0]: {
+            half[0] + sixth[0]: {1: 1},
+        },
+        half[1] + sixth[1]: {
+            half[0] + sixth[1]: {1: 1},
+            half[1] + sixth[0]: {1: 1},
+            half[0] + sixth[0]: {2: 1},
+        },
+        half[1] + sixth[2]: {
+            half[0] + sixth[2]: {1: 1},
+            half[1] + sixth[1]: {1: 1},
+            half[0] + sixth[1]: {2: 1},
+        },
+        half[1] + sixth[3]: {
+            half[0] + sixth[3]: {1: 1},
+            half[1] + sixth[2]: {1: 1},
+            half[0] + sixth[2]: {2: 1},
+        },
+        half[2] + sixth[0]: {
+            half[1] + sixth[0]: {1: 1},
+        },
+        half[2] + sixth[1]: {
+            half[1] + sixth[1]: {1: 1},
+            half[2] + sixth[0]: {1: 1},
+            half[1] + sixth[0]: {2: 1},
+        },
+        half[2] + sixth[2]: {
+            half[1] + sixth[2]: {1: 1},
+            half[2] + sixth[1]: {1: 1},
+            half[1] + sixth[1]: {2: 1},
+        },
+        half[2] + sixth[3]: {
+            half[1] + sixth[3]: {1: 1},
+            half[2] + sixth[2]: {1: 1},
+            half[1] + sixth[2]: {2: 1},
+        },
+        half[3] + sixth[0]: {
+            half[2] + sixth[0]: {1: 1},
+        },
+        half[3] + sixth[1]: {
+            half[2] + sixth[1]: {1: 1},
+            half[3] + sixth[0]: {1: 1},
+            half[2] + sixth[0]: {2: 1},
+        },
+        half[3] + sixth[2]: {
+            half[2] + sixth[2]: {1: 1},
+            half[3] + sixth[1]: {1: 1},
+            half[2] + sixth[1]: {2: 1},
+        },
+        half[3] + sixth[3]: {
+            half[2] + sixth[3]: {1: 1},
+            half[3] + sixth[2]: {1: 1},
+            half[2] + sixth[2]: {2: 1},
+        },
+    }
+)
+
+ORBITS = {
+    "integer": (D4, D4_INTEGER_TABLE),
+    "half-integer": (D4, D4_HALF_INTEGER_TABLE),
+    "mixed-residue": (MIXED, MIXED_RESIDUE_TABLE),
+}
+
+
+def prefix_below(x, z):
+    """x < z in the engine's order: every prefix sum of z - x is >= 0."""
+    return x != z and all(d >= 0 for d in accumulate(b - a for a, b in zip(x, z)))
+
+
+def reference_move(ctx, x, high, low, negate):
+    """The token move on Fraction placements: token -> [Levi block, sign]."""
+    place = {}
+    for bi, (i, j) in enumerate(ctx.blocks()):
+        for c in x[i:j]:
+            place[abs(c)] = [bi, -1 if c < 0 else 1]
+    if 0 in place:  # the hidden zero sign completes the integral class to even parity
+        minus = sum(1 for t, (_, sg) in place.items() if t.denominator == 1 and sg < 0)
+        place[0][1] = (-1) ** minus
+    (bh, sh), (bl, sl) = place[high], place[low]
+    flip = -1 if negate else 1
+    place[high], place[low] = [bl, flip * sl], [bh, flip * sh]
+    out = []
+    for bi in range(ctx.k):
+        out.extend(sorted((sg * t for t, (b, sg) in place.items() if b == bi), reverse=True))
+    return tuple(out)
+
+
+@pytest.fixture(params=list(ORBITS))
 def frozen_orbit(request):
-    table = D4_INTEGER_TABLE if request.param == "integer" else D4_HALF_INTEGER_TABLE
-    seed = to_mu(next(iter(table)))
-    return kl.CanonicalBasisEngine(D4, seed), table
+    ctx, table = ORBITS[request.param]
+    seed = unshift(next(iter(table)))
+    return kl.CanonicalBasisEngine(ctx, seed), table
 
 
 def test_engine_matches_frozen_coxeter_tables(frozen_orbit):
@@ -138,7 +262,7 @@ def test_supports_climb_the_dominance_order(frozen_orbit):
             if z == x:
                 assert p == LaurentPoly.one()
             else:
-                assert kl._dominance_below(x, z)
+                assert prefix_below(x, z)
                 assert p.in_positive_part()
 
 
@@ -325,3 +449,95 @@ def test_singular_reduction_rejects_multi_wall_weights():
     block = kl.Block(ctx=ctx, key=(), weights=(mu,))
     with pytest.raises(ValueError, match="exactly one"):
         kl.singular_reduction_table(block, "mirror")
+
+
+@pytest.mark.parametrize("orbit", list(ORBITS))
+def test_move_table_matches_the_weight_level_moves(orbit):
+    ctx, table = ORBITS[orbit]
+    engine = kl.CanonicalBasisEngine(ctx, unshift(next(iter(table))))
+    scale = lcm(*(t.denominator for t in engine.tokens))
+    for x in table:
+        sid = engine._state_id(x)
+        # the dominance key is exact: prefix sums on integer-scaled tokens
+        assert engine._prefix[sid] == tuple(accumulate(int(c * scale) for c in x))
+        for gi, g in enumerate(engine.moves):
+            y = reference_move(ctx, x, engine.tokens[g.high], engine.tokens[g.low], g.negate)
+            entry = engine._move(sid, gi)
+            if y == x:
+                assert entry is None, (x, g)
+                continue
+            assert y in table  # the orbit is closed under the moves
+            assert engine._weight(entry[0]) == y, (x, g)
+            assert entry[1] == (1 if prefix_below(y, x) else -1), (x, g)
+            assert prefix_below(y, x) or prefix_below(x, y)  # strictly comparable
+
+
+def test_move_table_fills_each_entry_once(monkeypatch):
+    engines, asked, calls = [], [], [0]
+    init = kl.CanonicalBasisEngine.__init__
+    apply_move = kl.CanonicalBasisEngine.apply_move
+    basis_element = kl.CanonicalBasisEngine.basis_element
+
+    def recording_init(self, *args, **kwargs):
+        engines.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_move(self, s, g):
+        calls[0] += 1
+        return apply_move(self, s, g)
+
+    def recording_element(self, x):
+        asked.append(x)
+        return basis_element(self, x)
+
+    monkeypatch.setattr(kl.CanonicalBasisEngine, "__init__", recording_init)
+    monkeypatch.setattr(kl.CanonicalBasisEngine, "apply_move", counting_move)
+    monkeypatch.setattr(kl.CanonicalBasisEngine, "basis_element", recording_element)
+    # B_3(-2): one wall block
+    pipeline.decomposition_report(build_config([u_from_delta(F(-2))], 3))
+    (engine,) = engines
+    assert asked
+    assert 0 < calls[0] <= len(engine._states) * len(engine.moves)
+    before = calls[0]
+    for x in list(asked):
+        engine.basis_element(x)
+    assert calls[0] == before
+
+
+def test_boundary_input_is_refused():
+    engine = kl.CanonicalBasisEngine(D4, to_mu((3, 2, 1, 0)))
+    with pytest.raises(ValueError, match="off the linkage class"):
+        engine.basis_element((F(4), F(2), F(1), F(0)))
+    with pytest.raises(ValueError, match="not sorted"):
+        engine.basis_element((F(2), F(3), F(1), F(0)))
+    with pytest.raises(ValueError, match="off the linkage class"):
+        engine.ascent((F(7, 2), F(5, 2), F(3, 2), F(1, 2)))
+    with pytest.raises(ValueError, match="not a wall pair"):
+        kl.lift_from_wall((F(3), F(2), F(1), F(0)), (0, 3), True)
+    # two wall weights doubling different values are not one linkage class
+    block = kl.Block(ctx=D4, key=(), weights=(to_mu((3, 1, 0, -3)), to_mu((2, 1, 0, -2))))
+    with pytest.raises(ValueError, match="mixes doubled values"):
+        kl.singular_reduction_table(block, "mirror")
+
+
+def test_off_class_state_is_refused_under_python_O():
+    src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
+    code = (
+        "from fractions import Fraction as F\n"
+        "from brauer_kl import kl\n"
+        "from brauer_kl.weights import WeightContext, unshift\n"
+        "x = (F(3), F(2), F(1), F(0))\n"
+        "engine = kl.CanonicalBasisEngine(WeightContext(4, (0, 4)), unshift(x))\n"
+        "try:\n"
+        "    engine.basis_element((F(4), F(2), F(1), F(0)))\n"
+        "except ValueError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: state off the linkage class")
