@@ -48,6 +48,7 @@ from .kl import (
     ClosedWorldViolation,
     ConventionUnpinned,
     KLTable,
+    UnsupportedBlock,
     canonical_basis,
     collapse_to_wall,
     lift_from_wall,
@@ -88,6 +89,7 @@ __all__ = [
     "ParamConfig",
     "RetryExhausted",
     "SaturationNotEstablished",
+    "UnsupportedBlock",
     "WeightContext",
     "build_config",
     "canonical_basis",

@@ -3,7 +3,7 @@
 Subcommands: admissible | enumerate | decompose | oracle-compare | kl-selftest.
 All arithmetic is exact; rationals are written "p/q" on both input and
 output.  Exit codes: 0 success, 2 usage/parse error, 3 saturation not
-established (and not waived), 4 oracle mismatch.
+established (and not waived), 4 oracle mismatch, 5 unsupported linkage block.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import combinat, oracle, params, pipeline, weights
+from .kl import UnsupportedBlock
 from .pipeline import SaturationNotEstablished
 
 
@@ -118,6 +119,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     except SaturationNotEstablished as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except UnsupportedBlock as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     digest = hashlib.sha256(args.u.encode()).hexdigest()[:8]
     if args.format == "json":
         text = json.dumps(report, indent=2) + "\n"
@@ -153,6 +157,9 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
             report = pipeline.decomposition_report(
                 cfg, convention=kl_conv, conjugate_convention="identity"
             )
+        except UnsupportedBlock as exc:  # no convention can reconcile it
+            print(f"error: {exc}", file=sys.stderr)
+            return 5
         except Exception as exc:  # a wrong convention may fail structurally
             failure = [{"kind": "error", "detail": str(exc)}]
         for conj_conv in ("identity", "transpose"):

@@ -53,8 +53,7 @@ from .weights import (
     Weight,
     WeightContext,
     dominance_sort_key,
-    pairing,
-    positive_roots,
+    is_singular,
     shift,
     unshift,
 )
@@ -68,6 +67,10 @@ class ClosedWorldViolation(Exception):
 
 class ConventionUnpinned(Exception):
     """Strict-mode tilting query before the convention was pinned."""
+
+
+class UnsupportedBlock(ValueError):
+    """A wall block whose weights lie on more than one wall."""
 
 
 # Frozen by the level-one diagram-algebra cross-check (k = 1, r <= 3,
@@ -247,13 +250,10 @@ class CanonicalBasisEngine:
         self.max_weights = max_weights
         seed_x = shift(seed)
         self.key = canonical_form(seed_x)
-        tokens = sorted((abs(a) for a in seed_x), reverse=True)
-        if len(set(tokens)) != len(tokens):
+        if is_singular(seed_x):
             raise ValueError(f"seed weight is singular (repeated |value|): {seed_x}")
+        tokens = sorted((abs(a) for a in seed_x), reverse=True)
         self.tokens = tuple(tokens)
-        self.integral_roots = tuple(
-            b for b in positive_roots(ctx.n) if pairing(seed_x, b).denominator == 1
-        )
         classes: dict[Fraction, list[int]] = {}
         for i, t in enumerate(tokens):  # descending
             classes.setdefault(_residue(t), []).append(i)
@@ -474,9 +474,6 @@ class CanonicalBasisEngine:
     def is_bar_invariant(self, vec: NVector) -> bool:
         return self.bar_vector(vec) == {z: p for z, p in vec.items() if p}
 
-    def is_singular(self, x: Weight) -> bool:
-        return any(pairing(x, beta) == 0 for beta in self.integral_roots)
-
 
 @dataclass
 class KLTable:
@@ -514,12 +511,8 @@ def canonical_basis(block: Block, engine: CanonicalBasisEngine | None = None) ->
         engine = CanonicalBasisEngine(ctx, block.weights[0])
     polys: dict[tuple[Weight, Weight], LaurentPoly] = {}
     touched: set[Weight] = set()
-    singular = False
     for mu in block.weights:
-        x = shift(mu)
-        if engine.is_singular(x):
-            singular = True
-        b = engine.basis_element(x)
+        b = engine.basis_element(shift(mu))
         if not engine.is_bar_invariant(b):
             raise AssertionError(f"canonical basis element at {mu} is not bar-invariant")
         touched.add(mu)
@@ -531,6 +524,7 @@ def canonical_basis(block: Block, engine: CanonicalBasisEngine | None = None) ->
             polys[(mu, lam)] = p
     all_weights = tuple(sorted(touched, key=dominance_sort_key))
     block.extended = all_weights
+    singular = any(is_singular(shift(mu)) for mu in block.weights)
     return KLTable(ctx=ctx, weights=all_weights, polys=polys, singular=singular)
 
 
@@ -610,7 +604,7 @@ def singular_reduction_table(
     for mu in block.weights:
         pairs = singular_pairs(shift(mu))
         if len(pairs) != 1:
-            raise ValueError(
+            raise UnsupportedBlock(
                 f"wall reduction supports exactly one vanishing pairing, found "
                 f"{len(pairs)} at {mu}"
             )

@@ -474,7 +474,8 @@ def oracle_decomposition_matrix(r: int, delta: Fraction) -> OracleMatrix:
             for alpha in range(p):
                 image = cell.act(d, rad[alpha])
                 coords = solve(basis_matrix, image)
-                assert coords is not None, "radical is not invariant under the algebra"
+                if coords is None:
+                    raise AssertionError("radical is not invariant under the algebra")
                 tr += coords[alpha]
             rad_char.append(tr)
         chi_D[lab] = [a - b for a, b in zip(chi_C[lab], rad_char)]
@@ -483,13 +484,16 @@ def oracle_decomposition_matrix(r: int, delta: Fraction) -> OracleMatrix:
     entries: dict = {}
     for lab in labels:
         solution = solve(system, chi_C[lab])
-        assert solution is not None, "cell character outside the simple-character span"
+        if solution is None:
+            raise AssertionError("cell character outside the simple-character span")
         for col, val in zip(cols, solution):
-            assert val.denominator == 1 and val >= 0, f"bad multiplicity {val}"
+            if val.denominator != 1 or val < 0:
+                raise AssertionError(f"bad multiplicity {val}")
             if val:
                 entries[(lab, col)] = int(val)
     for col in cols:
-        assert entries.get((col, col)) == 1, "decomposition matrix lacks unit diagonal"
+        if entries.get((col, col)) != 1:
+            raise AssertionError("decomposition matrix lacks unit diagonal")
     return OracleMatrix(r=r, delta=delta, rows=labels, cols=cols, entries=entries)
 
 

@@ -5,7 +5,7 @@ Everything is a :class:`fractions.Fraction`.  The module provides
 * the admissibility generating series (``omega_series``),
 * the r-disjointness predicate on scalar pairs,
 * the "some low omega is nonzero" criterion (``simple_param_condition``),
-  computed along two independent routes that are asserted to agree,
+  computed along two independent routes that are checked to agree,
 * deterministic block-size selection with post-hoc verification
   (``select_block_sizes``), and
 * the parameter extension u_1..u_k -> u_1..u_2k (``extend_parameters``),
@@ -109,7 +109,7 @@ def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
 def simple_param_condition(u: Sequence[Fraction], k: int) -> bool:
     """True iff some omega_i with i < k is nonzero for the sign-twisted parameters.
 
-    Two independent routes are evaluated and asserted to agree: a polynomial
+    Two independent routes are evaluated and checked to agree: a polynomial
     identity in one variable must *fail*, equivalently the truncated series
     omega_0..omega_{k-1} of the sign-twisted parameters has a nonzero entry.
 
@@ -130,9 +130,10 @@ def simple_param_condition(u: Sequence[Fraction], k: int) -> bool:
     poly_route = lhs != rhs
     # series route
     series_route = any(w != 0 for w in omega_series([sign * ui for ui in u], k - 1))
-    assert poly_route == series_route, (
-        f"internal inconsistency between the polynomial and series criteria at u={u}"
-    )
+    if poly_route != series_route:
+        raise AssertionError(
+            f"internal inconsistency between the polynomial and series criteria at u={u}"
+        )
     return series_route
 
 
@@ -180,7 +181,7 @@ def extend_parameters(u: Sequence[Fraction], q: Sequence[int], p: Sequence[int],
 
     The extended parameters satisfy u_{k+m} = q_l - u_l with l = k - m + 1,
     so the zeroth series coefficient of the extension is 2*sum(q) = 2n; this
-    invariant is asserted.
+    invariant is checked.
     """
     u = tuple(Fraction(x) for x in u)
     q = tuple(int(x) for x in q)
@@ -194,7 +195,8 @@ def extend_parameters(u: Sequence[Fraction], q: Sequence[int], p: Sequence[int],
     c = tuple(u[j] + p[j] - n + Fraction(1, 2) for j in range(k))
     u_ext = u + tuple(-c[2 * k - j] + p[2 * k - j + 1] - n + Fraction(1, 2) for j in range(k + 1, 2 * k + 1))
     omega = tuple(omega_series(u_ext, 2 * k))
-    assert omega[0] == 2 * n, f"omega_0 = {omega[0]} != 2n = {2 * n}"
+    if omega[0] != 2 * n:
+        raise AssertionError(f"omega_0 = {omega[0]} != 2n = {2 * n}")
     return ParamConfig(k=k, r=int(r), u=u, q=q, p=p, n=n, c=c, u_ext=u_ext, omega=omega)
 
 

@@ -43,10 +43,9 @@ from .weights import (
     dominance_sort_key,
     enumerate_F,
     in_F_rk,
+    is_singular,
     lambda_c,
-    pairing,
     phiA_condition,
-    positive_roots,
     shift,
     tilde,
 )
@@ -155,7 +154,12 @@ def truncated_verma_flag(cfg: ParamConfig) -> dict[Weight, int]:
 
 @dataclass
 class DecompositionResult:
-    """Peel output: tilting multiplicities and the supporting tables."""
+    """Peel output: tilting multiplicities and the supporting tables.
+
+    ``columns[mu][lam]`` is the nonzero cell (T(mu) : M(lam)), the standard
+    lam inside the tilting mu: one dict per matrix column.  Every support
+    weight has a column with diagonal entry 1 (a singleton's is {mu: 1}).
+    """
 
     cfg: ParamConfig
     convention: str
@@ -163,16 +167,10 @@ class DecompositionResult:
     flag: dict[Weight, int]
     multiplicities: dict[Weight, int]
     support: tuple[Weight, ...]
-    columns: dict[tuple[Weight, Weight], int]
+    columns: dict[Weight, dict[Weight, int]]
     blocks: list[Block]
     singular_weights: tuple[Weight, ...]
     reduced_blocks: tuple[tuple[Weight, ...], ...] = ()
-
-    def matrix_entry(self, lam: Weight, mu: Weight) -> int:
-        """Decomposition-matrix cell: standard lam inside tilting mu."""
-        if lam == mu:
-            return 1
-        return self.columns.get((lam, mu), 0)
 
 
 def _greedy_peel(
@@ -225,14 +223,11 @@ def tilting_decomposition(
     family_set = set(family)
     blocks = partition_into_blocks(list(family), ctx)
     n_out: dict[Weight, int] = {}
-    columns: dict[tuple[Weight, Weight], int] = {}
+    columns: dict[Weight, dict[Weight, int]] = {}
     singular: list[Weight] = []
     reduced: list[tuple[Weight, ...]] = []
     for block in blocks:
-        for mu in block.weights:
-            x = shift(mu)
-            if any(pairing(x, beta) == 0 for beta in positive_roots(ctx.n)):
-                singular.append(mu)
+        singular.extend(mu for mu in block.weights if is_singular(shift(mu)))
         if block.is_singleton:
             lam = block.weights[0]
             m = flag.get(lam, 0)
@@ -240,17 +235,17 @@ def tilting_decomposition(
                 raise NegativeResidual(f"negative flag multiplicity at {lam}")
             if m:
                 n_out[lam] = m
+            columns[lam] = {lam: 1}
             continue
         if singular_pairs(shift(block.weights[0])):
             table = singular_reduction_table(block, convention)
             reduced.append(block.weights)
         else:
             table = tilting_table(block, convention)
-        columns.update(table)
-        by_column: dict[Weight, dict[Weight, int]] = {}
-        for (mu, lam), val in table.items():
+        # linkage blocks touch disjoint weights: their columns never collide
+        for (lam, mu), val in table.items():
             if val:
-                by_column.setdefault(lam, {})[mu] = val
+                columns.setdefault(mu, {})[lam] = val
         residual = {mu: flag.get(mu, 0) for mu in block.weights}
 
         def check(lam0: Weight, m: int) -> None:
@@ -260,12 +255,12 @@ def tilting_decomposition(
                 )
             if m < 0:
                 raise NegativeResidual(f"negative residual {m} at {lam0}")
-            if by_column.get(lam0, {}).get(lam0) != 1:
+            if columns.get(lam0, {}).get(lam0) != 1:
                 raise NegativeResidual(
                     f"tilting column at {lam0} lacks a unit diagonal"
                 )
 
-        column = by_column.__getitem__
+        column = columns.__getitem__
         peeled = _greedy_peel(residual, column, check)
         if _greedy_peel(residual, column, check, reverse_ties=True) != peeled:
             raise NegativeResidual("peel order changed the tilting multiplicities")
@@ -306,7 +301,7 @@ def simple_dimensions(result: DecompositionResult) -> dict[Weight, int]:
             )
 
     def column(lam0: Weight) -> dict[Weight, int]:
-        return {mu: result.matrix_entry(mu, lam0) for mu in flag}
+        return {mu: v for mu, v in result.columns[lam0].items() if mu in flag}
 
     return _greedy_peel(flag, column, check)
 
@@ -324,6 +319,20 @@ def family_label(idx: LambdaIndex) -> str:
     """Compact string form of a full (doubled-level) cell label."""
     parts = ["," .join(str(c) for c in comp) or "-" for comp in idx.shape]
     return f"f{idx.f}:" + "|".join(parts)
+
+
+def _sparse_entries(
+    columns: dict[Weight, dict[Weight, int]], rows: list[Weight], cols: list[Weight]
+) -> list[list[int]]:
+    """Nonzero cells [i, j, value] of the matrix on ``rows`` x ``cols``,
+    read off the sparse tilting columns, sorted by row and then column."""
+    row_index = {lam: i for i, lam in enumerate(rows)}
+    return sorted(
+        [row_index[lam], j, val]
+        for j, mu in enumerate(cols)
+        for lam, val in columns[mu].items()
+        if lam in row_index
+    )
 
 
 def decomposition_report(
@@ -360,23 +369,8 @@ def decomposition_report(
     labels = {mu: tilde(mu, cfg) for mu in result.family}
     rows_full = list(result.family)
     cols_full = list(result.support)
-    entries_full = []
-    for j, mu in enumerate(cols_full):
-        for i, lam in enumerate(rows_full):
-            val = result.matrix_entry(lam, mu)
-            if val:
-                entries_full.append([i, j, val])
-    entries_full.sort()
-
     rows_level = [mu for mu in rows_full if in_F_rk(mu, cfg)]
     cols_level = [mu for mu in cols_full if in_F_rk(mu, cfg)]
-    entries_level = []
-    for j, mu in enumerate(cols_level):
-        for i, lam in enumerate(rows_level):
-            val = result.matrix_entry(lam, mu)
-            if val:
-                entries_level.append([i, j, val])
-    entries_level.sort()
 
     omega_ok = simple_param_condition(cfg.u, cfg.k)
     flags = {
@@ -416,12 +410,12 @@ def decomposition_report(
         "matrix_full": {
             "rows": [family_label(labels[mu]) for mu in rows_full],
             "cols": [family_label(labels[mu]) for mu in cols_full],
-            "entries": entries_full,
+            "entries": _sparse_entries(result.columns, rows_full, cols_full),
         },
         "matrix_level": {
             "rows": [level_label(labels[mu], cfg.k) for mu in rows_level],
             "cols": [level_label(labels[mu], cfg.k) for mu in cols_level],
-            "entries": entries_level,
+            "entries": _sparse_entries(result.columns, rows_level, cols_level),
         },
         "simple_dims": simple_block,
     }

@@ -119,6 +119,13 @@ def positive_roots(n: int) -> Iterator[Root]:
             yield Root(i, j, "plus")
 
 
+def is_singular(x: Weight) -> bool:
+    """Some root pairs to zero with x: two coordinates share an absolute
+    value, since <x, e_i -+ e_j> = x_i -+ x_j.  A zero pairing is integral,
+    so this is also singularity for the integral Weyl group."""
+    return len({abs(a) for a in x}) != len(x)
+
+
 def blockwise_regular(x: Weight, ctx: WeightContext) -> bool:
     """Pairwise-distinct entries within every block."""
     for start, end in ctx.blocks():

@@ -115,6 +115,37 @@ def test_decompose_malformed_u(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--k", "1", "--r", "4", "--u", "5/2"),  # B_4(-4): two walls
+        ("decompose", "--k", "2", "--r", "3", "--u", "1,0", "--assume-saturated"),
+        ("oracle-compare", "--r", "4", "--delta=-4"),
+    ],
+)
+def test_unsupported_block_exits_5_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 5
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: wall reduction supports exactly one vanishing pairing")
+
+
+def test_decompose_output_is_the_same_under_python_O():
+    src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
+    argv = ["-m", "brauer_kl.cli", "decompose", "--k", "1", "--r", "3", "--u", "3/2"]
+    outputs = [
+        subprocess.run(
+            [sys.executable, *flags, *argv],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [proc.returncode for proc in outputs] == [0, 0]
+    assert outputs[0].stdout == outputs[1].stdout
+
+
 def test_oracle_compare_generic_r2(capsys):
     code, out, _ = run(capsys, "oracle-compare", "--r", "2", "--delta", "1/3")
     assert code == 0

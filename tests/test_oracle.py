@@ -1,11 +1,15 @@
 """Level-one Brauer diagram algebra: the independent ground truth."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import brauer_kl
 from brauer_kl.oracle import (
     CellModule,
     DimensionTooLarge,
@@ -203,6 +207,27 @@ def test_oracle_matrix_r4_delta1_frozen():
 def test_oracle_refuses_r5():
     with pytest.raises(DimensionTooLarge):
         oracle_decomposition_matrix(5, F(1))
+
+
+def test_span_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
+    code = (
+        "from fractions import Fraction as F\n"
+        "from brauer_kl import oracle\n"
+        "oracle.solve = lambda system, rhs: None  # no cell character is in the span\n"
+        "try:\n"
+        "    oracle.oracle_decomposition_matrix(2, F(1, 3))\n"
+        "except AssertionError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused: cell character outside the simple-character span\n"
 
 
 def test_parse_level_label_roundtrip():

@@ -1,10 +1,14 @@
 """Parameter admissibility and the disjoint block-size extension."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import brauer_kl
 from brauer_kl.params import (
     ParamConfig,
     build_config,
@@ -99,6 +103,28 @@ def test_extend_parameters_invariants():
     assert cfg.omega[0] == 2 * cfg.n
     assert cfg.c == (F(-19, 2),)
     assert verify_disjoint_extension(cfg)
+
+
+def test_omega_zero_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
+    code = (
+        "from fractions import Fraction as F\n"
+        "from brauer_kl import params\n"
+        "series = params.omega_series\n"
+        "params.omega_series = lambda v, N: [w + 1 for w in series(v, N)]\n"
+        "try:\n"
+        "    params.extend_parameters([F(0)], [4], [0, 4], 2)\n"
+        "except AssertionError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused: omega_0 = 9 != 2n = 8\n"
 
 
 def test_extend_parameters_rejects_bad_boundaries():

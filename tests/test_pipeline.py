@@ -191,9 +191,41 @@ def test_matrix_entry_orientation():
     res = tilting_decomposition(cfg)
     lam = next(mu for mu in res.family if tilde(mu, cfg) == LambdaIndex(1, ((1,), ())))
     mu_t = next(mu for mu in res.family if tilde(mu, cfg) == LambdaIndex(0, ((2, 1), ())))
-    assert res.matrix_entry(lam, mu_t) == 1  # (T(2,1) : M(f=1, (1)))
-    assert res.matrix_entry(mu_t, lam) == 0
-    assert res.matrix_entry(lam, lam) == 1
+    assert res.columns[mu_t][lam] == 1  # (T(2,1) : M(f=1, (1)))
+    assert mu_t not in res.columns[lam]
+    assert res.columns[lam][lam] == 1
+
+
+def _dense_entries(result, rows, cols):
+    """The report's [i, j, value] cells by probing every (lam, mu) pair."""
+    entries = []
+    for i, lam in enumerate(rows):
+        for j, mu in enumerate(cols):
+            val = 1 if lam == mu else result.columns.get(mu, {}).get(lam, 0)
+            if val:
+                entries.append([i, j, val])
+    return entries
+
+
+@pytest.mark.parametrize(
+    "u, r",
+    [
+        ([F(3, 2)], 3),  # B_3(-2): a wall block
+        ([u_from_delta(F(1))], 3),
+        ([F(0), F(1, 3)], 2),
+        ([F(1, 3)], 2),  # generic
+    ],
+)
+def test_sparse_matrices_match_a_dense_probe(u, r):
+    cfg = build_config(u, r)
+    res = tilting_decomposition(cfg)
+    rep = decomposition_report(cfg)
+    rows = list(res.family)
+    cols = list(res.support)
+    assert rep["matrix_full"]["entries"] == _dense_entries(res, rows, cols)
+    rows = [mu for mu in rows if in_F_rk(mu, cfg)]
+    cols = [mu for mu in cols if in_F_rk(mu, cfg)]
+    assert rep["matrix_level"]["entries"] == _dense_entries(res, rows, cols)
 
 
 def test_report_structure_and_frozen_level_matrix():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brauer_kl.combinat import LambdaIndex, double_factorial, enumerate_lambda
 from brauer_kl.params import build_config
@@ -21,6 +21,7 @@ from brauer_kl.weights import (
     hat,
     in_F_r,
     in_F_rk,
+    is_singular,
     lambda_c,
     pairing,
     phiA_condition,
@@ -57,6 +58,27 @@ def test_pairing_and_reflect():
     # reflections are involutions
     for beta in positive_roots(3):
         assert reflect(reflect(x, beta), beta) == x
+
+
+@st.composite
+def coordinates_with_collisions(draw):
+    """Small rational tuples, with copies, negations and zeros planted."""
+    x = draw(st.lists(st.fractions(-2, 2, max_denominator=2), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        a = draw(st.sampled_from(x))
+        x.insert(draw(st.integers(0, len(x))), draw(st.sampled_from([a, -a, F(0)])))
+    return tuple(x)
+
+
+@settings(max_examples=300)
+@given(coordinates_with_collisions())
+@example((F(0),))
+@example((F(0), F(0)))
+@example((F(1, 2), F(-1, 2)))
+@example((F(3, 2), F(1, 2), F(0)))
+def test_is_singular_means_some_root_pairs_to_zero(x):
+    expected = any(pairing(x, beta) == 0 for beta in positive_roots(len(x)))
+    assert is_singular(x) == expected
 
 
 def test_weight_context_blocks():
