@@ -70,7 +70,19 @@ class ConventionUnpinned(Exception):
 
 
 class UnsupportedBlock(ValueError):
-    """A wall block whose weights lie on more than one wall."""
+    """A wall block whose weights lie on more than one wall.
+
+    Carries the offending ``weight`` and its number of vanishing
+    ``pairings``; the message names the weight by ``name`` if given.
+    """
+
+    def __init__(self, weight: Weight, pairings: int, name: str | None = None):
+        super().__init__(
+            f"wall reduction supports exactly one vanishing pairing, found "
+            f"{pairings} at {weight if name is None else name}"
+        )
+        self.weight = weight
+        self.pairings = pairings
 
 
 # Frozen by the level-one diagram-algebra cross-check (k = 1, r <= 3,
@@ -604,10 +616,7 @@ def singular_reduction_table(
     for mu in block.weights:
         pairs = singular_pairs(shift(mu))
         if len(pairs) != 1:
-            raise UnsupportedBlock(
-                f"wall reduction supports exactly one vanishing pairing, found "
-                f"{len(pairs)} at {mu}"
-            )
+            raise UnsupportedBlock(mu, len(pairs))
         pairs_by_weight[mu] = pairs[0]
     doubled = {abs(shift(mu)[i]) for mu, (i, _) in pairs_by_weight.items()}
     if len(doubled) != 1:

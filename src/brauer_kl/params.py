@@ -238,18 +238,21 @@ def select_block_sizes(u: Sequence[Fraction], k: int, r: int) -> tuple[list[int]
     """Deterministically choose block sizes q_1..q_k (and boundaries p).
 
     Rule: every q is even (so n = sum q is automatically even) and at least
-    2r + 4; integer-valued positive parameter sums push the base up; within
-    each class of parameters linked by integral sums/differences the q's are
-    staggered (sorted by parameter value) so that differences of extended
-    parameters clear the +-r band.  The choice is verified post hoc — the
-    constant chamber weight must admit no doubly-regular reflection (its
-    psi-double-set must be empty) and the extension must be r-disjoint — and
-    uniformly inflated on failure, at most 8 times.
+    2r, so every shape fits (len(head) + len(tail) <= r).  Within each class
+    of parameters linked by integral sums/differences the q's are staggered
+    (sorted by parameter value) above a common base so that differences of
+    extended parameters clear the +-r band.  Each choice is verified post
+    hoc — the constant chamber weight must admit no doubly-regular
+    reflection (its psi-double-set must be empty) and the extension must be
+    r-disjoint — and the first base that verifies wins.  The bases tried are
+    2r, 2r + 2, ... below 2r + 4 + 2 * (largest integral positive parameter
+    sum), then that base and at most 8 uniform inflations of base and
+    stagger; q never exceeds the first of these that verifies.
 
     >>> select_block_sizes([Fraction(0)], 1, 3)
-    ([10], [0, 10])
+    ([6], [0, 6])
     >>> select_block_sizes([Fraction(1, 3)], 1, 2)
-    ([8], [0, 8])
+    ([4], [0, 4])
     """
     from . import weights  # deferred: weights needs ParamConfig from this module
 
@@ -262,9 +265,12 @@ def select_block_sizes(u: Sequence[Fraction], k: int, r: int) -> tuple[list[int]
             if tot.denominator == 1 and tot > 0:
                 int_sum_bound = max(int_sum_bound, int(tot))
     classes = _linkage_classes(u)
+    base0 = 2 * r + 4 + 2 * int_sum_bound
+    # (base, stagger inflation): the small bases first, then the retries
+    candidates = [(base, 0) for base in range(2 * r, base0, 2)]
+    candidates += [(base0 + 2 * a * (r + 2 + int_sum_bound), a) for a in range(9)]
 
-    for attempt in range(9):
-        base = 2 * r + 4 + 2 * int_sum_bound + 2 * attempt * (r + 2 + int_sum_bound)
+    for base, attempt in candidates:
         q = [0] * k
         for group in classes:
             members = sorted(group, key=lambda i: (u[i], i))

@@ -29,6 +29,7 @@ from .kl import (
     PINNED_CONJUGATE_CONVENTION,
     Block,
     ConventionUnpinned,
+    UnsupportedBlock,
     partition_into_blocks,
     resolve_convention,
     singular_pairs,
@@ -183,8 +184,11 @@ def _greedy_peel(
 
     Repeatedly take a dominance-maximal weight with nonzero residual m, let
     ``check(weight, m)`` refuse it, record m, and subtract m copies of
-    ``column(weight)``.  ``reverse_ties`` picks a different maximal element
-    when several are incomparable.  Returns the recorded multiplicities.
+    ``column(weight)``.  The sort key extends dominance linearly, so the
+    live weight with the largest key is maximal; ``reverse_ties`` instead
+    scans for the maximal set and takes its smallest key, a different
+    maximal element when several are incomparable.  Returns the recorded
+    multiplicities.
     """
     residual = dict(residual)
     out: dict[Weight, int] = {}
@@ -192,10 +196,13 @@ def _greedy_peel(
         live = [w for w, val in residual.items() if val != 0]
         if not live:
             return out
-        maximal = [
-            c for c in live if not any(dominance_less(c, d) for d in live if d != c)
-        ]
-        lam0 = (min if reverse_ties else max)(maximal, key=dominance_sort_key)
+        if reverse_ties:
+            maximal = [
+                c for c in live if not any(dominance_less(c, d) for d in live if d != c)
+            ]
+            lam0 = min(maximal, key=dominance_sort_key)
+        else:
+            lam0 = max(live, key=dominance_sort_key)
         m = residual[lam0]
         check(lam0, m)
         out[lam0] = m
@@ -238,7 +245,12 @@ def tilting_decomposition(
             columns[lam] = {lam: 1}
             continue
         if singular_pairs(shift(block.weights[0])):
-            table = singular_reduction_table(block, convention)
+            try:
+                table = singular_reduction_table(block, convention)
+            except UnsupportedBlock as exc:  # name the weight by its cell label
+                raise UnsupportedBlock(
+                    exc.weight, exc.pairings, family_label(tilde(exc.weight, cfg))
+                ) from None
             reduced.append(block.weights)
         else:
             table = tilting_table(block, convention)
@@ -369,8 +381,9 @@ def decomposition_report(
     labels = {mu: tilde(mu, cfg) for mu in result.family}
     rows_full = list(result.family)
     cols_full = list(result.support)
-    rows_level = [mu for mu in rows_full if in_F_rk(mu, cfg)]
-    cols_level = [mu for mu in cols_full if in_F_rk(mu, cfg)]
+    level = {mu for mu in rows_full if in_F_rk(mu, cfg)}
+    rows_level = [mu for mu in rows_full if mu in level]
+    cols_level = [mu for mu in cols_full if mu in level]
 
     omega_ok = simple_param_condition(cfg.u, cfg.k)
     flags = {

@@ -202,12 +202,8 @@ def _block_head_tail(dblock: Sequence[int]) -> tuple[Partition, Partition] | Non
     return head, tail
 
 
-def in_F_r(mu: Weight, cfg: ParamConfig) -> bool:
-    """Integral, blockwise weakly decreasing shift with |shift| of r-parity."""
-    try:
-        d = delta(mu, cfg)
-    except ValueError:
-        return False
+def _shift_in_F_r(d: tuple[int, ...], cfg: ParamConfig) -> bool:
+    """Blockwise weakly decreasing shift with |shift| of r-parity."""
     total = 0
     for start, end in context_of(cfg).blocks():
         ht = _block_head_tail(d[start:end])
@@ -217,9 +213,22 @@ def in_F_r(mu: Weight, cfg: ParamConfig) -> bool:
     return total <= cfg.r and (cfg.r - total) % 2 == 0
 
 
+def in_F_r(mu: Weight, cfg: ParamConfig) -> bool:
+    """Integral, blockwise weakly decreasing shift with |shift| of r-parity."""
+    try:
+        d = delta(mu, cfg)
+    except ValueError:
+        return False
+    return _shift_in_F_r(d, cfg)
+
+
 def in_F_rk(mu: Weight, cfg: ParamConfig) -> bool:
     """Member of F_r with an entrywise nonnegative shift."""
-    return in_F_r(mu, cfg) and all(x >= 0 for x in delta(mu, cfg))
+    try:
+        d = delta(mu, cfg)
+    except ValueError:
+        return False
+    return all(x >= 0 for x in d) and _shift_in_F_r(d, cfg)
 
 
 def hat(idx: LambdaIndex, cfg: ParamConfig) -> Weight:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -129,6 +130,8 @@ def test_unsupported_block_exits_5_with_one_error_line(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: wall reduction supports exactly one vanishing pairing")
+    assert re.search(r" at f\d+:[-\d,|]+$", err.rstrip())  # a cell label, not a tuple
+    assert len(err) < 200
 
 
 def test_decompose_output_is_the_same_under_python_O():

@@ -407,7 +407,7 @@ def test_tilting_table_conventions_are_transposes():
 
 def test_singular_reduction_frozen_wall_block():
     # delta = -2, r = 3: the two-weight wall block {e1, e1+e2+e3}
-    cfg = build_config([u_from_delta(F(-2))], 3)
+    cfg = build_config([u_from_delta(F(-2))], 3, q=[16])
     ctx = context_of(cfg)
     family = enumerate_F(3, cfg)
     r4 = rho(ctx.n)
@@ -441,7 +441,7 @@ def test_singular_reduction_frozen_wall_block():
 
 def test_singular_reduction_rejects_multi_wall_weights():
     # a doubly-singular weight has no single companion class
-    cfg = build_config([u_from_delta(F(-2))], 3)
+    cfg = build_config([u_from_delta(F(-2))], 3, q=[16])
     ctx = context_of(cfg)
     lc = lambda_c(cfg)
     d = (2, 1) + (0,) * 14

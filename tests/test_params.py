@@ -9,8 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import brauer_kl
+from brauer_kl import weights
+from brauer_kl.kl import UnsupportedBlock
 from brauer_kl.params import (
     ParamConfig,
+    _even_ceil,
+    _linkage_classes,
     build_config,
     delta_from_u,
     extend_parameters,
@@ -23,12 +27,45 @@ from brauer_kl.params import (
     u_from_delta,
     verify_disjoint_extension,
 )
+from brauer_kl.pipeline import SaturationNotEstablished, decomposition_report
 
 F = Fraction
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
+
+
+def reference_block_sizes(u, k, r):
+    """The block-size rule without the small-base sweep, kept as the
+    reference: base 2r + 4 + 2 * (largest integral positive parameter sum),
+    the same staggering and verification, inflated at most 8 times."""
+    u = [F(x) for x in u]
+    int_sum_bound = max(
+        [int(u[s] + u[t]) for s in range(k) for t in range(s, k)
+         if (u[s] + u[t]).denominator == 1 and u[s] + u[t] > 0],
+        default=0,
+    )
+    for attempt in range(9):
+        base = 2 * r + 4 + 2 * int_sum_bound + 2 * attempt * (r + 2 + int_sum_bound)
+        q = [0] * k
+        for group in _linkage_classes(u):
+            members = sorted(group, key=lambda i: (u[i], i))
+            offset = 0
+            for pos, idx in enumerate(members):
+                if pos > 0:
+                    gap = u[idx] - u[members[pos - 1]]
+                    offset += _even_ceil(gap + r + 2 + 2 * attempt)
+                q[idx] = base + offset
+        p = [0]
+        for qi in q:
+            p.append(p[-1] + qi)
+        cfg = extend_parameters(u, q, p, r)
+        ctx = weights.WeightContext(cfg.n, tuple(p))
+        _, psi_pp = weights.psi_sets(weights.lambda_c(cfg), ctx)
+        if not psi_pp and verify_disjoint_extension(cfg):
+            return q, p
+    raise AssertionError(f"the reference rule found no block sizes for u={u}, r={r}")
 
 
 def test_parse_format_roundtrip():
@@ -86,8 +123,8 @@ def test_simple_param_condition_routes_agree(u1):
 
 
 def test_select_block_sizes_examples():
-    assert select_block_sizes([F(0)], 1, 3) == ([10], [0, 10])
-    assert select_block_sizes([F(1, 3)], 1, 2) == ([8], [0, 8])
+    assert select_block_sizes([F(0)], 1, 3) == ([6], [0, 6])
+    assert select_block_sizes([F(1, 3)], 1, 2) == ([4], [0, 4])
 
 
 def test_extend_parameters_examples():
@@ -99,9 +136,9 @@ def test_extend_parameters_examples():
 
 def test_extend_parameters_invariants():
     cfg = build_config([F(0)], 3)
-    assert cfg.n == 10 and cfg.p == (0, 10)
+    assert cfg.n == 6 and cfg.p == (0, 6)
     assert cfg.omega[0] == 2 * cfg.n
-    assert cfg.c == (F(-19, 2),)
+    assert cfg.c == (F(-11, 2),)
     assert verify_disjoint_extension(cfg)
 
 
@@ -137,8 +174,8 @@ def test_serialize_is_json_ready():
     data = cfg.serialize()
     assert data["k"] == 1 and data["r"] == 2
     assert data["u"] == ["1/3"]
-    assert data["q"] == [8] and data["p"] == [0, 8]
-    assert data["u_ext"] == ["1/3", "23/3"]
+    assert data["q"] == [4] and data["p"] == [0, 4]
+    assert data["u_ext"] == ["1/3", "11/3"]
     import json
 
     json.dumps(data)  # everything plain
@@ -157,6 +194,7 @@ def test_selected_blocks_always_verify(u1, r):
     q, p = select_block_sizes([u1], 1, r)
     cfg = extend_parameters([u1], q, p, r)
     assert q[0] >= 2 * r and q[0] % 2 == 0
+    assert q[0] <= reference_block_sizes([u1], 1, r)[0][0]
     assert cfg.n % 2 == 0
     assert cfg.omega[0] == 2 * cfg.n
     assert verify_disjoint_extension(cfg)
@@ -168,9 +206,58 @@ def test_selected_blocks_verify_level_two(u1, u2, r):
     q, p = select_block_sizes([u1, u2], 2, r)
     cfg = extend_parameters([u1, u2], q, p, r)
     assert all(qi >= 2 * r and qi % 2 == 0 for qi in q)
+    reference, _ = reference_block_sizes([u1, u2], 2, r)
+    assert all(qi <= ri for qi, ri in zip(q, reference))
     assert cfg.n % 2 == 0
     assert cfg.omega[0] == 2 * cfg.n
     assert verify_disjoint_extension(cfg)
+
+
+# (u, r, assume_saturated): level one over integers, half-integers and
+# thirds, with wall blocks, an unsupported block and cell-data-only cases;
+# level two over linked pairs, with and without the saturation waiver
+Q_INVARIANCE_GRID = [
+    ((u,), r, False)
+    for r in (1, 2, 3, 4)
+    for u in ("-2", "0", "1", "1/2", "3/2", "5/2", "1/3")
+    if (u, r) != ("3/2", 4)  # 2.9 s under the reference rule
+] + [
+    (pair, r, saturated)
+    for r in (1, 2)
+    for pair in (
+        ("5", "1"), ("1", "0"), ("2", "1"), ("0", "0"), ("1/2", "-1/2"),
+        ("0", "1/3"), ("3/2", "1/3"), ("1/5", "9/7"),
+    )
+    for saturated in (False, True)
+] + [(("1", "1/2"), 1, True), (("0", "1/2"), 2, True)]
+
+
+def report_outcome(u, r, q, assume_saturated):
+    """The report without its ``params`` block, or the refusal it ends in."""
+    cfg = build_config(u, r, q=q)
+    try:
+        report = decomposition_report(cfg, assume_saturated=assume_saturated)
+    except (SaturationNotEstablished, UnsupportedBlock) as exc:
+        return type(exc).__name__, str(exc)
+    except ValueError as exc:  # its message lists q-dependent coordinates
+        return type(exc).__name__
+    del report["params"]
+    return report
+
+
+@pytest.mark.parametrize(
+    "u, r, assume_saturated",
+    Q_INVARIANCE_GRID,
+    ids=[f"{','.join(u)}-r{r}{'-saturated' * s}" for u, r, s in Q_INVARIANCE_GRID],
+)
+def test_reports_do_not_depend_on_the_block_sizes(u, r, assume_saturated):
+    u = [F(x) for x in u]
+    q, _ = select_block_sizes(u, len(u), r)
+    reference, _ = reference_block_sizes(u, len(u), r)
+    assert all(qi <= ri for qi, ri in zip(q, reference))
+    assert report_outcome(u, r, q, assume_saturated) == report_outcome(
+        u, r, reference, assume_saturated
+    )
 
 
 def test_delta_u_dictionary():

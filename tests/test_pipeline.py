@@ -105,6 +105,19 @@ def test_generic_k1_r2_simple_dimensions_are_ones():
     assert set(dims) == {mu for mu in verma_flag(cfg) if in_F_rk(mu, cfg)}
 
 
+def test_forward_peel_makes_no_dominance_scan(monkeypatch):
+    # generic parameters: every block is a singleton, so only the simple
+    # dimensions peel, forward only; the largest sort key is maximal
+    result = tilting_decomposition(build_config([F(1, 5), F(9, 7)], 2))
+    calls = []
+    less = pipeline.dominance_less
+    monkeypatch.setattr(
+        pipeline, "dominance_less", lambda a, b: calls.append((a, b)) or less(a, b)
+    )
+    assert len(simple_dimensions(result)) > 1
+    assert calls == []
+
+
 FROZEN_TILTING_DELTA1_R3 = {
     (0, ((3,), ())): 1,
     (0, ((2, 1), ())): 2,
