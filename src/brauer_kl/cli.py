@@ -137,16 +137,17 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
     if args.k != 1:
         print("error: the diagram oracle exists at k=1 only", file=sys.stderr)
         return 2
-    if args.r > 4:
-        print("error: oracle limited to r <= 4", file=sys.stderr)
-        return 2
     try:
         delta = _parse_rational(args.delta)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        matrix = oracle.oracle_decomposition_matrix(args.r, delta)
+    except oracle.DimensionTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     cfg = params.build_config((params.u_from_delta(delta),), args.r)
-    matrix = oracle.oracle_decomposition_matrix(args.r, delta)
     passing: list[tuple[str, str]] = []
     diffs_by_pair = {}
     for kl_conv in ("direct", "mirror"):

@@ -70,19 +70,19 @@ class ConventionUnpinned(Exception):
 
 
 class UnsupportedBlock(ValueError):
-    """A wall block whose weights lie on more than one wall.
+    """A singular linkage block that no table here can read.
 
-    Carries the offending ``weight`` and its number of vanishing
-    ``pairings``; the message names the weight by ``name`` if given.
+    Carries the offending ``weight`` and the ``reason`` it is refused; the
+    message names the weight by ``name`` if given.
     """
 
-    def __init__(self, weight: Weight, pairings: int, name: str | None = None):
-        super().__init__(
-            f"wall reduction supports exactly one vanishing pairing, found "
-            f"{pairings} at {weight if name is None else name}"
-        )
+    def __init__(self, weight: Weight, reason: str, name: str | None = None):
+        super().__init__(f"{reason} at {weight if name is None else name}")
         self.weight = weight
-        self.pairings = pairings
+        self.reason = reason
+
+
+_TIED_COORDINATES = "the engine supports no weight with two equal coordinates"
 
 
 # Frozen by the level-one diagram-algebra cross-check (k = 1, r <= 3,
@@ -566,6 +566,9 @@ def tilting_table(
     if convention not in ("direct", "mirror"):
         raise ValueError(f"unknown tilting convention: {convention!r}")
     ctx = block.ctx
+    x0 = shift(block.weights[0])
+    if len(set(x0)) < len(x0):
+        raise UnsupportedBlock(block.weights[0], _TIED_COORDINATES)
     if engine is None:
         engine = CanonicalBasisEngine(ctx, block.weights[0])
     out: dict[tuple[Weight, Weight], int] = {}
@@ -614,9 +617,18 @@ def singular_reduction_table(
         raise ValueError(f"unknown tilting convention: {convention!r}")
     pairs_by_weight: dict[Weight, tuple[int, int]] = {}
     for mu in block.weights:
-        pairs = singular_pairs(shift(mu))
+        x = shift(mu)
+        pairs = singular_pairs(x)
         if len(pairs) != 1:
-            raise UnsupportedBlock(mu, len(pairs))
+            raise UnsupportedBlock(
+                mu, f"wall reduction supports exactly one vanishing pairing, found {len(pairs)}"
+            )
+        if len(set(x)) < len(x):
+            raise UnsupportedBlock(mu, _TIED_COORDINATES)
+        if x[pairs[0][0]] < 0:
+            raise UnsupportedBlock(
+                mu, "wall reduction supports no wall pair with its negative member first"
+            )
         pairs_by_weight[mu] = pairs[0]
     doubled = {abs(shift(mu)[i]) for mu, (i, _) in pairs_by_weight.items()}
     if len(doubled) != 1:

@@ -1,10 +1,14 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are lists of lists of :class:`fractions.Fraction`.  Everything here
-is plain Gaussian elimination with exact pivoting — no floating point — which
-is as fast as we need for the small dense systems this package solves (Gram
-matrices, trace forms, character systems; dimensions stay in the low
-hundreds).
+Inputs are lists of rows of ints or :class:`fractions.Fraction`s; every
+returned entry is a ``Fraction``.  ``rref`` clears each row's denominators
+and runs fraction-free Gauss–Jordan elimination on integer rows: a row is
+eliminated as ``p*row - f*pivot_row`` and then divided by the gcd of its
+entries, so the work stays on machine-speed Python ints (Bareiss, Math.
+Comp. 22, 1968, for integer-preserving elimination).  ``Fraction``s are
+built once, for the returned reduced row-echelon form, which is unique, so
+the results are exact.  No floating point anywhere; the systems solved here
+(Gram matrices, trace forms, character systems) stay in the low hundreds.
 
 >>> from fractions import Fraction as F
 >>> rank([[F(1), F(2)], [F(2), F(4)]])
@@ -16,18 +20,21 @@ hundreds).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 
-def _as_fraction_rows(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def _integer_row(row) -> list[int]:
+    """The row times the lcm of its denominators."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
 
 
 def rref(rows) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form and the list of pivot column indices."""
-    m = _as_fraction_rows(rows)
+    m = [_integer_row(row) for row in rows]
     if not m:
         return [], []
     nrows, ncols = len(m), len(m[0])
@@ -44,15 +51,21 @@ def rref(rows) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         m[row], m[pivot_row] = m[pivot_row], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
+        prow = m[row]
+        p = prow[col]
         for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+            f = m[r][col]
+            if r != row and f != 0:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(m[r], prow)]
+                g = gcd(*new)
+                m[r] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
         row += 1
-    return m, pivots
+    reduced = [[Fraction(x, m[r][pc]) for x in m[r]] for r, pc in enumerate(pivots)]
+    reduced += [[Fraction(0)] * ncols for _ in range(nrows - len(pivots))]
+    return reduced, pivots
 
 
 def rank(rows) -> int:
@@ -61,11 +74,10 @@ def rank(rows) -> int:
 
 def nullspace(rows) -> list[Vector]:
     """A basis of the right null space {x : M x = 0}."""
-    m = _as_fraction_rows(rows)
-    if not m:
+    if not rows:
         return []
-    ncols = len(m[0])
-    red, pivots = rref(m)
+    ncols = len(rows[0])
+    red, pivots = rref(rows)
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
     for free in free_cols:
@@ -83,12 +95,10 @@ def solve(rows, rhs) -> Vector | None:
     When the solution is not unique an arbitrary representative (free
     variables set to zero) is returned.
     """
-    m = _as_fraction_rows(rows)
-    b = [Fraction(x) for x in rhs]
-    if not m:
-        return [] if all(x == 0 for x in b) else None
-    ncols = len(m[0])
-    aug = [row + [bi] for row, bi in zip(m, b)]
+    if not rows:
+        return [] if all(x == 0 for x in rhs) else None
+    ncols = len(rows[0])
+    aug = [[*row, bi] for row, bi in zip(rows, rhs)]
     red, pivots = rref(aug)
     if ncols in pivots:  # a pivot in the augmented column: inconsistent
         return None
@@ -99,8 +109,6 @@ def solve(rows, rhs) -> Vector | None:
 
 
 def mat_mul(a, b) -> Matrix:
-    a = _as_fraction_rows(a)
-    b = _as_fraction_rows(b)
     if not a or not b:
         return []
     ncols_b = len(b[0])

@@ -26,7 +26,7 @@ from functools import cache
 from itertools import combinations
 
 from . import combinat
-from .linalg import mat_vec, nullspace, rank, solve
+from .linalg import nullspace, solve
 from .params import delta_from_u
 from .specht import SpechtModule, specht_module
 
@@ -239,12 +239,14 @@ def free_points(r: int, S: Caps) -> tuple[int, ...]:
     return tuple(p for p in range(r) if p not in used)
 
 
+@cache
 def act_on_caps(d: Diagram, S: Caps) -> tuple[int, Caps, tuple[int, ...]] | None:
     """Act with diagram d on the half-diagram S glued below it.
 
     Returns (loops, S', perm) where perm[i] is the new label of old free
     label i, or None if two free labels merge (the term falls into the
-    higher-cap ideal).
+    higher-cap ideal).  Cached: every cell module with f = len(S) caps,
+    and both its ``act`` and its ``character``, share one result.
     """
     r = len(d) // 2
     arc_of = {}
@@ -377,17 +379,11 @@ class CellModule:
                 continue
             loops, S2, perm = hit
             scale = self.delta**loops
-            tab: dict = {}
-            for j, cj in enumerate(block):
-                if not cj:
-                    continue
-                for tb, coeff in self.specht.basis[j].items():
-                    tab[tb] = tab.get(tb, Fraction(0)) + cj * coeff
-            moved = self.specht.act_tabloid_vector(perm, tab)
-            coords = self.specht.coordinates(moved)
             base = self._cap_index[S2] * self.sdim
-            for j, cj in enumerate(coords):
-                out[base + j] += scale * cj
+            for i, row in enumerate(self.specht.action_matrix(perm)):
+                out[base + i] += scale * sum(
+                    (a * c for a, c in zip(row, block) if a and c), Fraction(0)
+                )
         return out
 
     def character(self, d: Diagram) -> Fraction:

@@ -187,10 +187,11 @@ def _greedy_peel(
     ``column(weight)``.  The sort key extends dominance linearly, so the
     live weight with the largest key is maximal; ``reverse_ties`` instead
     scans for the maximal set and takes its smallest key, a different
-    maximal element when several are incomparable.  Returns the recorded
-    multiplicities.
+    maximal element when several are incomparable.  Each weight's sort key
+    is computed once.  Returns the recorded multiplicities.
     """
     residual = dict(residual)
+    keys = {w: dominance_sort_key(w) for w in residual}
     out: dict[Weight, int] = {}
     while True:
         live = [w for w, val in residual.items() if val != 0]
@@ -200,14 +201,17 @@ def _greedy_peel(
             maximal = [
                 c for c in live if not any(dominance_less(c, d) for d in live if d != c)
             ]
-            lam0 = min(maximal, key=dominance_sort_key)
+            lam0 = min(maximal, key=keys.__getitem__)
         else:
-            lam0 = max(live, key=dominance_sort_key)
+            lam0 = max(live, key=keys.__getitem__)
         m = residual[lam0]
         check(lam0, m)
         out[lam0] = m
         for mu, val in column(lam0).items():
-            residual[mu] = residual.get(mu, 0) - m * val
+            if mu not in residual:
+                residual[mu] = 0
+                keys[mu] = dominance_sort_key(mu)
+            residual[mu] -= m * val
 
 
 def tilting_decomposition(
@@ -244,16 +248,16 @@ def tilting_decomposition(
                 n_out[lam] = m
             columns[lam] = {lam: 1}
             continue
-        if singular_pairs(shift(block.weights[0])):
-            try:
+        try:
+            if singular_pairs(shift(block.weights[0])):
                 table = singular_reduction_table(block, convention)
-            except UnsupportedBlock as exc:  # name the weight by its cell label
-                raise UnsupportedBlock(
-                    exc.weight, exc.pairings, family_label(tilde(exc.weight, cfg))
-                ) from None
-            reduced.append(block.weights)
-        else:
-            table = tilting_table(block, convention)
+                reduced.append(block.weights)
+            else:
+                table = tilting_table(block, convention)
+        except UnsupportedBlock as exc:  # name the weight by its cell label
+            raise UnsupportedBlock(
+                exc.weight, exc.reason, family_label(tilde(exc.weight, cfg))
+            ) from None
         # linkage blocks touch disjoint weights: their columns never collide
         for (lam, mu), val in table.items():
             if val:

@@ -6,9 +6,10 @@ orthonormal basis, a polytabloid is the signed column-group sum of a tabloid,
 and the Specht module is spanned by the polytabloids of standard tableaux.
 Permutations act by relabeling tabloid entries; the action matrix on the
 standard-polytabloid basis is recovered by exact linear solves against the
-polytabloid columns.  The bilinear form is the tabloid inner product
-restricted to the Specht span — degenerate exactly where the classical
-theory says it should be, which is what the diagram-algebra oracle consumes.
+polytabloid columns, once per permutation.  The bilinear form is the
+tabloid inner product restricted to the Specht span — degenerate exactly
+where the classical theory says it should be, which is what the
+diagram-algebra oracle consumes.
 
 Entries are 0-based throughout; a permutation is a tuple ``p`` with ``p[i]``
 the image of ``i``.
@@ -164,6 +165,7 @@ class SpechtModule:
             for tb in self.tabloid_list
         ]
         self._char_memo: dict[tuple[int, ...], Fraction] = {}
+        self._action_memo: dict[Perm, list[list[Fraction]]] = {}
 
     # -- vectors in the tabloid model ----------------------------------
 
@@ -178,12 +180,21 @@ class SpechtModule:
         """Exact expansion of a Specht-span vector in the standard basis."""
         rhs = [Fraction(vec.get(tb, 0)) for tb in self.tabloid_list]
         coords = solve(self._matrix, rhs)
-        assert coords is not None, "vector is not in the Specht span"
+        if coords is None:
+            raise AssertionError("vector is not in the Specht span")
         return coords
 
     def action_matrix(self, p: Perm) -> list[list[Fraction]]:
-        cols = [self.coordinates(self.act_tabloid_vector(p, vec)) for vec in self.basis]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        """Matrix of p on the standard basis, memoized per permutation.
+
+        The result is shared between callers and must not be mutated.
+        """
+        mat = self._action_memo.get(p)
+        if mat is None:
+            cols = [self.coordinates(self.act_tabloid_vector(p, vec)) for vec in self.basis]
+            mat = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+            self._action_memo[p] = mat
+        return mat
 
     def character(self, p: Perm) -> Fraction:
         """Trace of the permutation on the module, memoized by cycle type."""

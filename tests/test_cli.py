@@ -116,20 +116,27 @@ def test_decompose_malformed_u(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("decompose", "--k", "1", "--r", "4", "--u", "5/2"),  # B_4(-4): two walls
-        ("decompose", "--k", "2", "--r", "3", "--u", "1,0", "--assume-saturated"),
-        ("oracle-compare", "--r", "4", "--delta=-4"),
-    ],
-)
+MULTI_WALL = "wall reduction supports exactly one vanishing pairing"
+TIED = "the engine supports no weight with two equal coordinates"
+NEGATIVE_FIRST = "wall reduction supports no wall pair with its negative member first"
+UNSUPPORTED = {  # argv -> the reason its error line gives
+    ("decompose", "--k", "1", "--r", "4", "--u", "5/2"): MULTI_WALL,  # B_4(-4)
+    ("decompose", "--k", "2", "--r", "3", "--u", "1,0", "--assume-saturated"): MULTI_WALL,
+    ("oracle-compare", "--r", "4", "--delta=-4"): MULTI_WALL,
+    ("decompose", "--k", "2", "--r", "1", "--u", "0,0", "--assume-saturated"): TIED,
+    ("decompose", "--k", "2", "--r", "2", "--u", "1/2,-1/2", "--assume-saturated"): TIED,
+    ("decompose", "--k", "3", "--r", "3", "--u", "0,1/3,2/3", "--assume-saturated"):
+        NEGATIVE_FIRST,
+}
+
+
+@pytest.mark.parametrize("argv", list(UNSUPPORTED))
 def test_unsupported_block_exits_5_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 5
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: wall reduction supports exactly one vanishing pairing")
+    assert err.startswith(f"error: {UNSUPPORTED[argv]}")
     assert re.search(r" at f\d+:[-\d,|]+$", err.rstrip())  # a cell label, not a tuple
     assert len(err) < 200
 
@@ -179,6 +186,13 @@ def test_oracle_compare_rejects_large_r(capsys):
     code, _, err = run(capsys, "oracle-compare", "--r", "5", "--delta", "1")
     assert code == 2
     assert "r <= 4" in err
+
+
+def test_oracle_compare_over_budget_is_one_error_line(capsys):
+    code, out, err = run(capsys, "oracle-compare", "--r", "5", "--delta=1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: r=5 exceeds the brute-force budget of 105 diagrams (r <= 4)\n"
 
 
 def test_oracle_compare_malformed_delta(capsys):

@@ -14,6 +14,7 @@ from brauer_kl.oracle import (
     CellModule,
     DimensionTooLarge,
     _parse_level_label,
+    act_on_caps,
     all_diagrams,
     caps,
     cell_labels,
@@ -202,6 +203,74 @@ def test_oracle_matrix_r4_delta1_frozen():
     m = oracle_decomposition_matrix(4, F(1))
     off = {(a, b): v for (a, b), v in m.entries.items() if v and a != b}
     assert off == {((2, ()), (0, (2, 2))): 1}
+
+
+# cols and off-diagonal entries of B_4(delta), frozen from the Fraction
+# elimination; every column also has a unit diagonal and nothing else
+FROZEN_R4 = {
+    F(-4): (
+        [(0, (4,)), (0, (3, 1)), (0, (2, 2)), (0, (2, 1, 1)), (0, (1, 1, 1, 1)),
+         (1, (2,)), (1, (1, 1)), (2, ())],
+        {((1, (2,)), (0, (4,))): 1},
+    ),
+    F(-2): (
+        [(0, (4,)), (0, (3, 1)), (0, (2, 2)), (0, (2, 1, 1)), (0, (1, 1, 1, 1)),
+         (1, (2,)), (1, (1, 1)), (2, ())],
+        {((1, (1, 1)), (0, (3, 1))): 1, ((2, ()), (0, (4,))): 1},
+    ),
+    F(0): (
+        [(0, (4,)), (0, (3, 1)), (0, (2, 2)), (0, (2, 1, 1)), (0, (1, 1, 1, 1)),
+         (1, (2,)), (1, (1, 1))],
+        {((1, (2,)), (0, (3, 1))): 1, ((2, ()), (1, (2,))): 1},
+    ),
+    F(1, 2): (
+        [(0, (4,)), (0, (3, 1)), (0, (2, 2)), (0, (2, 1, 1)), (0, (1, 1, 1, 1)),
+         (1, (2,)), (1, (1, 1)), (2, ())],
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("delta", list(FROZEN_R4), ids=str)
+def test_oracle_matrix_r4_frozen(delta):
+    cols, off_diagonal = FROZEN_R4[delta]
+    m = oracle_decomposition_matrix(4, delta)
+    assert m.rows == cell_labels(4)
+    assert m.cols == cols
+    assert m.entries == {**{(c, c): 1 for c in cols}, **off_diagonal}
+
+
+def act_by_tabloids(cell, d, vec):
+    """The cell action the long way: expand each cap block into tabloids,
+    move them, and solve for Specht coordinates."""
+    specht, sdim = cell.specht, cell.sdim
+    out = [F(0)] * cell.dim
+    for ci, S in enumerate(cell.caps):
+        hit = act_on_caps(d, S)
+        if hit is None:
+            continue
+        loops, S2, perm = hit
+        tab = {}
+        for j, cj in enumerate(vec[ci * sdim : (ci + 1) * sdim]):
+            for tb, coeff in specht.basis[j].items():
+                tab[tb] = tab.get(tb, F(0)) + cj * coeff
+        coords = specht.coordinates(specht.act_tabloid_vector(perm, tab))
+        base = cell.caps.index(S2) * sdim
+        for j, cj in enumerate(coords):
+            out[base + j] += cell.delta**loops * cj
+    return out
+
+
+@pytest.mark.parametrize("delta", [F(1), F(-2, 3)], ids=str)
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_cell_action_matches_the_tabloid_route(r, delta):
+    for f, lam in cell_labels(r):
+        cell = CellModule(r, f, lam, delta)
+        vectors = [[F(int(i == j)) for i in range(cell.dim)] for j in range(cell.dim)]
+        vectors.append([F(i + 1, 2 * i + 3) for i in range(cell.dim)])
+        for d in all_diagrams(r):
+            for vec in vectors:
+                assert cell.act(d, vec) == act_by_tabloids(cell, d, vec)
 
 
 def test_oracle_refuses_r5():

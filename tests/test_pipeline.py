@@ -118,6 +118,34 @@ def test_forward_peel_makes_no_dominance_scan(monkeypatch):
     assert calls == []
 
 
+def test_peel_computes_each_sort_key_once(monkeypatch):
+    # B_3(1) has non-singleton blocks; each block is peeled forward and with
+    # ties reversed, and each peel keys every weight it meets exactly once
+    result = tilting_decomposition(build_config([u_from_delta(F(1))], 3))
+    (block, *_) = [b for b in result.blocks if not b.is_singleton]
+    residual = {mu: result.flag.get(mu, 0) for mu in block.weights}
+    keyed = []
+    key = pipeline.dominance_sort_key
+    monkeypatch.setattr(
+        pipeline, "dominance_sort_key", lambda w: keyed.append(w) or key(w)
+    )
+    for reverse_ties in (False, True):
+        keyed.clear()
+        peeled = pipeline._greedy_peel(
+            residual, result.columns.__getitem__, lambda w, m: None, reverse_ties
+        )
+        met = set(residual).union(*(result.columns[w] for w in peeled))
+        assert len(peeled) > 1
+        assert sorted(keyed) == sorted(met)
+    # generic parameters: the simple dimensions' one peel, 2 keys per weight
+    # before, one now
+    result = tilting_decomposition(build_config([F(1, 5), F(9, 7)], 2))
+    keyed.clear()
+    dims = simple_dimensions(result)
+    assert len(dims) > 1
+    assert len(keyed) == len(set(keyed)) == len(truncated_verma_flag(result.cfg))
+
+
 FROZEN_TILTING_DELTA1_R3 = {
     (0, ((3,), ())): 1,
     (0, ((2, 1), ())): 2,

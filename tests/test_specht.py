@@ -2,10 +2,14 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import brauer_kl
 from brauer_kl.linalg import mat_mul, rank
 from brauer_kl.specht import (
     cycle_type,
@@ -117,3 +121,29 @@ def test_form_is_invariant_under_the_action():
         for v2 in sm.basis:
             lhs = sm.pairing(sm.act_tabloid_vector(p, v1), sm.act_tabloid_vector(p, v2))
             assert lhs == sm.pairing(v1, v2)
+
+
+def test_action_matrix_is_memoised_per_permutation():
+    sm = specht_module((2, 1))
+    p = (1, 2, 0)
+    assert sm.action_matrix(p) is sm.action_matrix(p)
+
+
+def test_span_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
+    code = (
+        "from brauer_kl import specht\n"
+        "specht.solve = lambda matrix, rhs: None  # no vector is in the span\n"
+        "try:\n"
+        "    specht.specht_module((2, 1)).action_matrix((1, 0, 2))\n"
+        "except AssertionError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused: vector is not in the Specht span\n"
