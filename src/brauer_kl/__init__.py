@@ -33,8 +33,8 @@ from .params import (
 from .weights import (
     WeightContext,
     enumerate_F,
+    family_table,
     hat,
-    in_F_rk,
     lambda_c,
     phiA_condition,
     psi_sets,
@@ -65,8 +65,6 @@ from .pipeline import (
     decomposition_report,
     simple_dimensions,
     tilting_decomposition,
-    truncated_verma_flag,
-    verma_flag,
 )
 from .oracle import (
     DimensionTooLarge,
@@ -103,8 +101,8 @@ __all__ = [
     "enumerate_F",
     "enumerate_lambda",
     "extend_parameters",
+    "family_table",
     "hat",
-    "in_F_rk",
     "is_r_disjoint",
     "lambda_c",
     "lift_from_wall",
@@ -125,10 +123,8 @@ __all__ = [
     "tilde",
     "tilting_decomposition",
     "tilting_table",
-    "truncated_verma_flag",
     "updown_count",
     "updown_count_table",
     "updown_tableaux",
-    "verma_flag",
     "verify_disjoint_extension",
 ]

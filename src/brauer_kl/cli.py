@@ -179,7 +179,8 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_kl_selftest(args: argparse.Namespace) -> int:
-    """Built-in battery: bijections, content identity, peel stability."""
+    """Built-in battery: bijections and the family table, content identity,
+    peel stability."""
     battery = [
         ((Fraction(0),), 3),
         ((Fraction(1, 3),), 2),
@@ -191,9 +192,12 @@ def cmd_kl_selftest(args: argparse.Namespace) -> int:
         cfg = params.build_config(u, r)
         ok = True
         family = weights.enumerate_F(r, cfg)
+        table = weights.family_table(cfg)
         for i, mu in enumerate(family):
             idx = weights.tilde(mu, cfg)
             if weights.hat(idx, cfg) != mu:
+                ok = False
+            if (table.labels[i], table.weights[i]) != (idx, mu):
                 ok = False
         if not pipeline.content_consistency_check(cfg):
             ok = False

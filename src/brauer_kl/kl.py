@@ -44,14 +44,16 @@ the negative-entry parity when the class has no zero token.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from typing import Sequence
 
 from .laurent import LaurentPoly
 from .weights import (
+    Family,
     Weight,
     WeightContext,
+    context_of,
     dominance_sort_key,
     is_singular,
     shift,
@@ -104,30 +106,24 @@ def resolve_convention(convention: str | None) -> str:
     return PINNED_KL_CONVENTION
 
 
-def _residue(a) -> Fraction:
-    f = Fraction(a)
-    return f - f.__floor__()
+def canonical_form(x: Sequence[int], scale: int) -> tuple:
+    """Linkage invariant of a shifted weight x = mu + rho, given as integer
+    numerators over a common denominator ``scale``.
 
-
-def canonical_form(x: Weight) -> tuple:
-    """Linkage invariant of a shifted weight x = mu + rho.
-
-    Per integrality class (coordinates congruent mod 1 in absolute value):
-    the sorted absolute values, plus the parity of the class's negative-entry
-    count when the class contains no zero (flip parity is a type-D invariant
-    of each integral factor; a zero coordinate absorbs it).
+    Per integrality class (coordinates congruent mod 1 in absolute value,
+    i.e. numerators congruent mod ``scale``): the sorted absolute values,
+    plus the parity of the class's negative-entry count when the class
+    contains no zero (flip parity is a type-D invariant of each integral
+    factor; a zero coordinate absorbs it).  Keys taken at one scale compare.
     """
-    classes: dict[Fraction, list] = {}
+    classes: dict[int, list[int]] = {}
     for a in x:
-        classes.setdefault(_residue(abs(a)), []).append(a)
+        classes.setdefault(abs(a) % scale, []).append(a)
     key = []
     for res in sorted(classes):
         members = classes[res]
         abs_sorted = tuple(sorted(abs(a) for a in members))
-        if any(a == 0 for a in members):
-            parity = None
-        else:
-            parity = sum(1 for a in members if a < 0) % 2
+        parity = None if 0 in members else sum(1 for a in members if a < 0) % 2
         key.append((res, abs_sorted, parity))
     return tuple(key)
 
@@ -202,30 +198,35 @@ def collapse_to_wall(x_reg: Weight, a) -> Weight | None:
 class Block:
     """A linkage class of parabolically dominant weights.
 
-    ``weights`` holds the requested members sorted compatibly with dominance;
-    after a canonical-basis run, ``extended`` additionally holds every weight
-    the recursion touched (a superset of ``weights``).
+    ``weights`` holds the requested members sorted compatibly with dominance
+    and ``positions`` their places in the family table, when the block comes
+    from :func:`partition_into_blocks`; after a canonical-basis run,
+    ``extended`` holds every weight the recursion touched.
     """
 
     ctx: WeightContext
     key: tuple
     weights: tuple[Weight, ...]
     extended: tuple[Weight, ...] = ()
+    positions: tuple[int, ...] = ()
 
     @property
     def is_singleton(self) -> bool:
         return len(self.weights) == 1
 
 
-def partition_into_blocks(F: list[Weight], ctx: WeightContext) -> list[Block]:
-    """Group weights by linkage canonical form, dominance-sorted within."""
-    grouped: dict[tuple, list[Weight]] = {}
-    for mu in F:
-        grouped.setdefault(canonical_form(shift(mu)), []).append(mu)
+def partition_into_blocks(family: Family) -> list[Block]:
+    """Group family positions by linkage key, blocks in order of first
+    appearance and members dominance-sorted within."""
+    grouped: dict[tuple, list[int]] = {}
+    for i, x in enumerate(family.numerators):
+        grouped.setdefault(canonical_form(x, family.scale), []).append(i)
+    ctx = context_of(family.cfg)
     blocks = []
     for key, members in grouped.items():
-        members = sorted(set(members), key=dominance_sort_key)
-        blocks.append(Block(ctx=ctx, key=key, weights=tuple(members)))
+        members.sort(key=lambda i: dominance_sort_key(family.shifts[i]))
+        weights = tuple(family.weights[i] for i in members)
+        blocks.append(Block(ctx, key, weights, positions=tuple(members)))
     return blocks
 
 
@@ -261,14 +262,17 @@ class CanonicalBasisEngine:
         self.ctx = ctx
         self.max_weights = max_weights
         seed_x = shift(seed)
-        self.key = canonical_form(seed_x)
         if is_singular(seed_x):
             raise ValueError(f"seed weight is singular (repeated |value|): {seed_x}")
         tokens = sorted((abs(a) for a in seed_x), reverse=True)
         self.tokens = tuple(tokens)
-        classes: dict[Fraction, list[int]] = {}
-        for i, t in enumerate(tokens):  # descending
-            classes.setdefault(_residue(t), []).append(i)
+        # tokens scaled to integers by their common denominator
+        self.scale = scale = lcm(*(t.denominator for t in tokens))
+        scaled = tuple(int(t * scale) for t in tokens)
+        self.key = canonical_form([int(a * scale) for a in seed_x], scale)
+        classes: dict[int, list[int]] = {}
+        for i, t in enumerate(scaled):  # descending
+            classes.setdefault(t % scale, []).append(i)
         # generators per integrality class: magnitude-adjacent swaps plus the
         # class's negating node on its two smallest tokens
         moves = []
@@ -279,10 +283,8 @@ class CanonicalBasisEngine:
         self.moves: tuple[TokenMove, ...] = tuple(moves)
         # the zero token's hidden sign completes its class to even flip parity
         self._zero_class = next((c for c in classes.values() if tokens[c[-1]] == 0), None)
-        self._index = {t: i for i, t in enumerate(tokens)}
+        self._index = {t: i for i, t in enumerate(scaled)}
         self._signed = (self.tokens, tuple(-t for t in tokens))
-        scale = lcm(*(t.denominator for t in tokens))
-        scaled = tuple(int(t * scale) for t in tokens)
         self._signed_scaled = (scaled, tuple(-t for t in scaled))
         self._ids: dict[State, int] = {}
         self._states: list[State] = []
@@ -318,13 +320,15 @@ class CanonicalBasisEngine:
 
     def _state_id(self, x: Weight) -> int:
         """Intern a shifted weight of this linkage class, sorted within blocks."""
-        if canonical_form(x) != self.key:
+        scaled = [a * self.scale for a in x]
+        nums = [a.numerator for a in scaled]
+        if any(a.denominator != 1 for a in scaled) or canonical_form(nums, self.scale) != self.key:
             raise ValueError(f"state off the linkage class: {x}")
         code = [0] * len(self.tokens)
         for bi, (start, end) in enumerate(self.ctx.blocks()):
-            if any(x[i] <= x[i + 1] for i in range(start, end - 1)):
+            if any(nums[i] <= nums[i + 1] for i in range(start, end - 1)):
                 raise ValueError(f"not sorted: {x}")
-            for c in x[start:end]:
+            for c in nums[start:end]:
                 code[self._index[abs(c)]] = 2 * bi + (c < 0)
         if self._zero_class is not None:
             code[self._zero_class[-1]] |= sum(code[i] & 1 for i in self._zero_class) % 2
@@ -500,7 +504,6 @@ class KLTable:
     ctx: WeightContext
     weights: tuple[Weight, ...]
     polys: dict[tuple[Weight, Weight], LaurentPoly]
-    singular: bool
 
     def entry(self, mu: Weight, lam: Weight) -> LaurentPoly:
         return self.polys.get((mu, lam), LaurentPoly.zero())
@@ -534,10 +537,8 @@ def canonical_basis(block: Block, engine: CanonicalBasisEngine | None = None) ->
             lam = unshift(z)
             touched.add(lam)
             polys[(mu, lam)] = p
-    all_weights = tuple(sorted(touched, key=dominance_sort_key))
-    block.extended = all_weights
-    singular = any(is_singular(shift(mu)) for mu in block.weights)
-    return KLTable(ctx=ctx, weights=all_weights, polys=polys, singular=singular)
+    block.extended = tuple(sorted(touched, key=dominance_sort_key))
+    return KLTable(ctx=ctx, weights=block.extended, polys=polys)
 
 
 def tilting_table(

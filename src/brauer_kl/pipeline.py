@@ -1,11 +1,12 @@
 """End-to-end decomposition pipeline.
 
-The chain: pick block sizes for the given parameters, build the chamber
-weight, enumerate the weight family, attach standard-flag multiplicities
-(walk counts), run the canonical-basis engine per linkage class, peel the
-flagged module into indecomposable tilting summands, and assemble the
-decomposition matrices — the full one (rows the whole family) and the
-level-truncated one (rows and columns with empty tail parts).
+The chain: pick block sizes for the given parameters, build the family table
+(labels, integer shifts and standard-flag multiplicities), run the
+canonical-basis engine per non-singleton linkage class, peel the flagged
+module into indecomposable tilting summands, and assemble the decomposition
+matrices — the full one (rows the whole family) and the level-truncated one
+(rows and columns with empty tail parts).  The peel, the matrices and the
+report are keyed by family position; labels are read off the table.
 
 Exactness is enforced, not assumed: the peel keeps an integer residual ledger
 over every weight it touches and raises ``NegativeResidual`` the moment the
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import combinat
 from .combinat import LambdaIndex
@@ -36,19 +37,17 @@ from .kl import (
     singular_reduction_table,
     tilting_table,
 )
-from .params import ParamConfig, simple_param_condition
+from .params import ParamConfig, format_rational, simple_param_condition
 from .weights import (
+    Family,
     Weight,
     context_of,
     dominance_less,
     dominance_sort_key,
-    enumerate_F,
-    in_F_rk,
+    family_table,
     is_singular,
     lambda_c,
     phiA_condition,
-    shift,
-    tilde,
 )
 
 
@@ -58,17 +57,6 @@ class NegativeResidual(Exception):
 
 class SaturationNotEstablished(Exception):
     """Cross-block linkage cannot be ruled out and was not waived."""
-
-
-def verma_flag(cfg: ParamConfig) -> dict[Weight, int]:
-    """Standard-flag multiplicity of each family weight: the number of
-    down-up walks of the prescribed length from the empty shape."""
-    table = combinat.updown_count_table(2 * cfg.k, cfg.r)
-    out: dict[Weight, int] = {}
-    for mu in enumerate_F(cfg.r, cfg):
-        idx = tilde(mu, cfg)
-        out[mu] = table.get(idx.shape, 0)
-    return out
 
 
 # -- content / Casimir cross-check ---------------------------------------
@@ -133,23 +121,6 @@ def content_consistency_check(cfg: ParamConfig) -> bool:
     return not content_mismatches(cfg)
 
 
-def truncated_verma_flag(cfg: ParamConfig) -> dict[Weight, int]:
-    """Flag multiplicities counting only all-nonnegative paths.
-
-    A walk whose tail components stay empty throughout is the same thing as a
-    walk on the head components alone, so the count at a tail-free weight is
-    the level-k walk count of its head shape.
-    """
-    table = combinat.updown_count_table(cfg.k, cfg.r)
-    out: dict[Weight, int] = {}
-    for mu in enumerate_F(cfg.r, cfg):
-        if not in_F_rk(mu, cfg):
-            continue
-        idx = tilde(mu, cfg)
-        out[mu] = table.get(idx.shape[: cfg.k], 0)
-    return out
-
-
 # -- tilting peel ---------------------------------------------------------
 
 
@@ -157,61 +128,65 @@ def truncated_verma_flag(cfg: ParamConfig) -> dict[Weight, int]:
 class DecompositionResult:
     """Peel output: tilting multiplicities and the supporting tables.
 
-    ``columns[mu][lam]`` is the nonzero cell (T(mu) : M(lam)), the standard
-    lam inside the tilting mu: one dict per matrix column.  Every support
-    weight has a column with diagonal entry 1 (a singleton's is {mu: 1}).
+    Keys are ids: positions in the family table, or ids past its end for
+    weights a tilting table reaches outside the family, which no report
+    reads.  ``columns[mu][lam]`` is the nonzero cell (T(mu) : M(lam)), the
+    standard lam inside the tilting mu: one dict per matrix column.  Every
+    support position has a column with diagonal entry 1 (a singleton's is
+    {mu: 1}).
     """
 
-    cfg: ParamConfig
-    convention: str
-    family: tuple[Weight, ...]
-    flag: dict[Weight, int]
-    multiplicities: dict[Weight, int]
-    support: tuple[Weight, ...]
-    columns: dict[Weight, dict[Weight, int]]
+    family: Family
+    multiplicities: dict[int, int]
+    support: tuple[int, ...]
+    columns: dict[int, dict[int, int]]
     blocks: list[Block]
-    singular_weights: tuple[Weight, ...]
-    reduced_blocks: tuple[tuple[Weight, ...], ...] = ()
+    singular: tuple[int, ...]
+    reduced_blocks: tuple[tuple[int, ...], ...]
 
 
 def _greedy_peel(
-    residual: dict[Weight, int],
-    column: Callable[[Weight], dict[Weight, int]],
-    check: Callable[[Weight, int], None],
+    residual: dict[int, int],
+    column: Callable[[int], dict[int, int]],
+    check: Callable[[int, int], None],
+    shifts: Sequence[Sequence],
     reverse_ties: bool = False,
-) -> dict[Weight, int]:
+) -> dict[int, int]:
     """Greedy descent shared by the tilting peel and the simple dimensions.
 
-    Repeatedly take a dominance-maximal weight with nonzero residual m, let
-    ``check(weight, m)`` refuse it, record m, and subtract m copies of
-    ``column(weight)``.  The sort key extends dominance linearly, so the
-    live weight with the largest key is maximal; ``reverse_ties`` instead
-    scans for the maximal set and takes its smallest key, a different
-    maximal element when several are incomparable.  Each weight's sort key
-    is computed once.  Returns the recorded multiplicities.
+    Repeatedly take a dominance-maximal id with nonzero residual m, let
+    ``check(id, m)`` refuse it, record m, and subtract m copies of
+    ``column(id)``.  ``shifts[id]`` is the id's shift from the chamber
+    weight; its sort key extends dominance linearly, so the live id with the
+    largest key is maximal; ``reverse_ties`` instead scans for the maximal
+    set and takes its smallest key, a different maximal element when
+    several are incomparable.  Each id's sort key is computed once.  Returns
+    the recorded multiplicities.
     """
     residual = dict(residual)
-    keys = {w: dominance_sort_key(w) for w in residual}
-    out: dict[Weight, int] = {}
+    keys = {i: dominance_sort_key(shifts[i]) for i in residual}
+    out: dict[int, int] = {}
     while True:
-        live = [w for w, val in residual.items() if val != 0]
+        live = [i for i, val in residual.items() if val != 0]
         if not live:
             return out
         if reverse_ties:
             maximal = [
-                c for c in live if not any(dominance_less(c, d) for d in live if d != c)
+                c
+                for c in live
+                if not any(dominance_less(shifts[c], shifts[d]) for d in live if d != c)
             ]
-            lam0 = min(maximal, key=keys.__getitem__)
+            top = min(maximal, key=keys.__getitem__)
         else:
-            lam0 = max(live, key=keys.__getitem__)
-        m = residual[lam0]
-        check(lam0, m)
-        out[lam0] = m
-        for mu, val in column(lam0).items():
-            if mu not in residual:
-                residual[mu] = 0
-                keys[mu] = dominance_sort_key(mu)
-            residual[mu] -= m * val
+            top = max(live, key=keys.__getitem__)
+        m = residual[top]
+        check(top, m)
+        out[top] = m
+        for i, val in column(top).items():
+            if i not in residual:
+                residual[i] = 0
+                keys[i] = dominance_sort_key(shifts[i])
+            residual[i] -= m * val
 
 
 def tilting_decomposition(
@@ -225,79 +200,89 @@ def tilting_decomposition(
     of the corresponding tilting column.  The same table is then peeled again
     with incomparable ties broken the other way; the two peels must agree,
     or ``NegativeResidual`` is raised.  ``convention`` None uses the frozen
-    pin.
+    pin.  Only non-singleton blocks reach the engine; its ``Fraction``-keyed
+    tables are read back into ids here.
     """
     convention = resolve_convention(convention)
-    ctx = context_of(cfg)
-    flag = verma_flag(cfg)
-    family = tuple(enumerate_F(cfg.r, cfg))
-    family_set = set(family)
-    blocks = partition_into_blocks(list(family), ctx)
-    n_out: dict[Weight, int] = {}
-    columns: dict[Weight, dict[Weight, int]] = {}
-    singular: list[Weight] = []
-    reduced: list[tuple[Weight, ...]] = []
+    family = family_table(cfg)
+    flag = family.flag
+    size = len(family)
+    blocks = partition_into_blocks(family)
+    shifts = list(family.shifts)  # per id: ids past the family's end append
+    outside: list[Weight] = []  # the weight of id size + j
+    chamber = lambda_c(cfg)
+    n_out: dict[int, int] = {}
+    columns: dict[int, dict[int, int]] = {}
+    singular: list[int] = []
+    reduced: list[tuple[int, ...]] = []
+
+    def name(i: int) -> str:
+        if i < size:
+            return family_label(family.labels[i])
+        return "(" + ",".join(format_rational(a) for a in outside[i - size]) + ")"
+
+    def check(top: int, m: int) -> None:
+        if top >= size:
+            raise NegativeResidual(f"residual escapes the weight family at {name(top)}")
+        if m < 0:
+            raise NegativeResidual(f"negative residual {m} at {name(top)}")
+        if columns.get(top, {}).get(top) != 1:
+            raise NegativeResidual(f"tilting column at {name(top)} lacks a unit diagonal")
+
     for block in blocks:
-        singular.extend(mu for mu in block.weights if is_singular(shift(mu)))
+        singular.extend(i for i in block.positions if is_singular(family.numerators[i]))
         if block.is_singleton:
-            lam = block.weights[0]
-            m = flag.get(lam, 0)
-            if m < 0:
-                raise NegativeResidual(f"negative flag multiplicity at {lam}")
-            if m:
-                n_out[lam] = m
-            columns[lam] = {lam: 1}
+            (i,) = block.positions
+            if flag[i] < 0:
+                raise NegativeResidual(f"negative flag multiplicity at {name(i)}")
+            if flag[i]:
+                n_out[i] = flag[i]
+            columns[i] = {i: 1}
             continue
+        # a table's weights share the block's linkage key, so any family
+        # member among them is a block member; the rest get ids past the end
+        ids = dict(zip(block.weights, block.positions))
+
+        def id_of(mu: Weight) -> int:
+            i = ids.get(mu)
+            if i is None:
+                i = ids[mu] = size + len(outside)
+                outside.append(mu)
+                shifts.append(tuple(a - c for a, c in zip(mu, chamber)))
+            return i
+
         try:
-            if singular_pairs(shift(block.weights[0])):
+            if singular_pairs(family.numerators[block.positions[0]]):
                 table = singular_reduction_table(block, convention)
-                reduced.append(block.weights)
+                reduced.append(block.positions)
             else:
                 table = tilting_table(block, convention)
         except UnsupportedBlock as exc:  # name the weight by its cell label
-            raise UnsupportedBlock(
-                exc.weight, exc.reason, family_label(tilde(exc.weight, cfg))
-            ) from None
+            raise UnsupportedBlock(exc.weight, exc.reason, name(id_of(exc.weight))) from None
         # linkage blocks touch disjoint weights: their columns never collide
         for (lam, mu), val in table.items():
             if val:
-                columns.setdefault(mu, {})[lam] = val
-        residual = {mu: flag.get(mu, 0) for mu in block.weights}
-
-        def check(lam0: Weight, m: int) -> None:
-            if lam0 not in family_set:
-                raise NegativeResidual(
-                    f"residual escapes the weight family at {lam0}"
-                )
-            if m < 0:
-                raise NegativeResidual(f"negative residual {m} at {lam0}")
-            if columns.get(lam0, {}).get(lam0) != 1:
-                raise NegativeResidual(
-                    f"tilting column at {lam0} lacks a unit diagonal"
-                )
-
+                columns.setdefault(id_of(mu), {})[id_of(lam)] = val
+        residual = {i: flag[i] for i in block.positions}
         column = columns.__getitem__
-        peeled = _greedy_peel(residual, column, check)
-        if _greedy_peel(residual, column, check, reverse_ties=True) != peeled:
+        peeled = _greedy_peel(residual, column, check, shifts)
+        if _greedy_peel(residual, column, check, shifts, reverse_ties=True) != peeled:
             raise NegativeResidual("peel order changed the tilting multiplicities")
         n_out.update(peeled)
-    support = tuple(mu for mu in family if n_out.get(mu, 0) != 0)
+    support = tuple(i for i in range(size) if n_out.get(i, 0) != 0)
     return DecompositionResult(
-        cfg=cfg,
-        convention=convention,
         family=family,
-        flag=flag,
-        multiplicities={mu: n_out.get(mu, 0) for mu in family if n_out.get(mu, 0)},
+        multiplicities={i: n_out[i] for i in support},
         support=support,
         columns=columns,
         blocks=blocks,
-        singular_weights=tuple(singular),
+        singular=tuple(singular),
         reduced_blocks=tuple(reduced),
     )
 
 
-def simple_dimensions(result: DecompositionResult) -> dict[Weight, int]:
-    """Dimensions of the simple modules of the level-k algebra.
+def simple_dimensions(result: DecompositionResult) -> dict[int, int]:
+    """Dimensions of the simple modules of the level-k algebra, by position.
 
     The level-k cell module at a tail-free weight has dimension equal to the
     level-k walk count, and its composition factors are counted by the
@@ -306,20 +291,20 @@ def simple_dimensions(result: DecompositionResult) -> dict[Weight, int]:
     the tilting peel.  Only meaningful when ``r`` is odd or some ``omega_i``
     is nonzero; the report suppresses this block otherwise.
     """
-    flag = truncated_verma_flag(result.cfg)
+    family = result.family
+    flag = family.level_flag
 
-    def check(lam0: Weight, m: int) -> None:
+    def check(top: int, m: int) -> None:
+        label = family_label(family.labels[top])
         if m < 0:
-            raise NegativeResidual(f"negative simple dimension {m} at {lam0}")
-        if result.multiplicities.get(lam0, 0) == 0:
-            raise NegativeResidual(
-                f"level residual escapes the tilting support at {lam0}"
-            )
+            raise NegativeResidual(f"negative simple dimension {m} at {label}")
+        if result.multiplicities.get(top, 0) == 0:
+            raise NegativeResidual(f"level residual escapes the tilting support at {label}")
 
-    def column(lam0: Weight) -> dict[Weight, int]:
-        return {mu: v for mu, v in result.columns[lam0].items() if mu in flag}
+    def column(top: int) -> dict[int, int]:
+        return {i: v for i, v in result.columns[top].items() if i in flag}
 
-    return _greedy_peel(flag, column, check)
+    return _greedy_peel(flag, column, check, family.shifts)
 
 
 # -- report assembly -------------------------------------------------------
@@ -338,7 +323,7 @@ def family_label(idx: LambdaIndex) -> str:
 
 
 def _sparse_entries(
-    columns: dict[Weight, dict[Weight, int]], rows: list[Weight], cols: list[Weight]
+    columns: dict[int, dict[int, int]], rows: Sequence[int], cols: Sequence[int]
 ) -> list[list[int]]:
     """Nonzero cells [i, j, value] of the matrix on ``rows`` x ``cols``,
     read off the sparse tilting columns, sorted by row and then column."""
@@ -360,12 +345,12 @@ def decomposition_report(
     """Full decomposition report as a JSON-serializable dictionary.
 
     Runs :func:`tilting_decomposition` once (its tie-order check included)
-    and reads both matrices and the simple dimensions off that one result.
-    ``None`` conventions resolve through the frozen pins;
-    ``conjugate_convention`` only labels the report.  Raises
-    ``SaturationNotEstablished`` when the chamber weight admits integral
-    cross-block pairings and the caller did not waive the check, and
-    ``NegativeResidual`` when the peel fails.
+    and reads both matrices and the simple dimensions off that one result,
+    with every label read off the family table by position.  ``None``
+    conventions resolve through the frozen pins; ``conjugate_convention``
+    only labels the report.  Raises ``SaturationNotEstablished`` when the
+    chamber weight admits integral cross-block pairings and the caller did
+    not waive the check, and ``NegativeResidual`` when the peel fails.
     """
     convention = resolve_convention(convention)
     if conjugate_convention is None:
@@ -382,12 +367,13 @@ def decomposition_report(
         )
     result = tilting_decomposition(cfg, convention=convention)
 
-    labels = {mu: tilde(mu, cfg) for mu in result.family}
-    rows_full = list(result.family)
-    cols_full = list(result.support)
-    level = {mu for mu in rows_full if in_F_rk(mu, cfg)}
-    rows_level = [mu for mu in rows_full if mu in level]
-    cols_level = [mu for mu in cols_full if mu in level]
+    family = result.family
+    names = [family_label(idx) for idx in family.labels]
+    rows_full = range(len(family))
+    cols_full = result.support
+    levels = {i: level_label(family.labels[i], cfg.k) for i in family.level_flag}
+    rows_level = list(levels)
+    cols_level = [i for i in cols_full if i in levels]
 
     omega_ok = simple_param_condition(cfg.u, cfg.k)
     flags = {
@@ -396,9 +382,9 @@ def decomposition_report(
         "r_parity": cfg.r % 2,
         "saturated": phi_ok or assume_saturated,
         "generic": all(b.is_singleton for b in result.blocks),
-        "singular_blocks": [family_label(labels[mu]) for mu in result.singular_weights],
+        "singular_blocks": [names[i] for i in result.singular],
         "singular_reduced": [
-            "singular: reduced " + "+".join(family_label(labels[mu]) for mu in blk)
+            "singular: reduced " + "+".join(names[i] for i in blk)
             for blk in result.reduced_blocks
         ],
         "cell_data_only": cfg.r % 2 == 0 and not omega_ok,
@@ -407,10 +393,10 @@ def decomposition_report(
         simple_block = None
     else:
         dims = simple_dimensions(result)
-        dim_weights = [mu for mu in rows_level if dims.get(mu)]
+        dim_rows = [i for i in rows_level if dims.get(i)]
         simple_block = {
-            "labels": [level_label(labels[mu], cfg.k) for mu in dim_weights],
-            "dims": [dims[mu] for mu in dim_weights],
+            "labels": [levels[i] for i in dim_rows],
+            "dims": [dims[i] for i in dim_rows],
         }
     return {
         "schema": "brauer-kl/1",
@@ -418,20 +404,20 @@ def decomposition_report(
         "kl_convention": convention,
         "conjugate_convention": conjugate_convention,
         "flags": flags,
-        "family": [family_label(labels[mu]) for mu in rows_full],
-        "verma_flag": [result.flag.get(mu, 0) for mu in rows_full],
+        "family": names,
+        "verma_flag": list(family.flag),
         "tilting": {
-            "labels": [family_label(labels[mu]) for mu in cols_full],
-            "multiplicities": [result.multiplicities[mu] for mu in cols_full],
+            "labels": [names[i] for i in cols_full],
+            "multiplicities": [result.multiplicities[i] for i in cols_full],
         },
         "matrix_full": {
-            "rows": [family_label(labels[mu]) for mu in rows_full],
-            "cols": [family_label(labels[mu]) for mu in cols_full],
+            "rows": names,
+            "cols": [names[i] for i in cols_full],
             "entries": _sparse_entries(result.columns, rows_full, cols_full),
         },
         "matrix_level": {
-            "rows": [level_label(labels[mu], cfg.k) for mu in rows_level],
-            "cols": [level_label(labels[mu], cfg.k) for mu in cols_level],
+            "rows": [levels[i] for i in rows_level],
+            "cols": [levels[i] for i in cols_level],
             "entries": _sparse_entries(result.columns, rows_level, cols_level),
         },
         "simple_dims": simple_block,

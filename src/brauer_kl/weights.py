@@ -1,8 +1,15 @@
 """Type-D_n weight and root combinatorics with a type-A parabolic.
 
-Weights are length-n tuples of rationals (coordinates on the standard basis).
-A :class:`WeightContext` carries the block boundaries p_0 < ... < p_k; the
-parabolic subsystem consists of the "minus" roots e_i - e_j inside a block.
+A weight is a length-n tuple of ``Fraction`` coordinates on the standard
+basis.  A :class:`WeightContext` carries the block boundaries
+p_0 < ... < p_k; the parabolic subsystem consists of the "minus" roots
+e_i - e_j inside a block.
+
+The weight family F_r of a configuration is one integer table,
+:class:`Family`, built once per command: per position a cell label, the
+integer shift from the chamber weight and the shifted weight over one common
+denominator, off which linkage keys, singularity, dominance and the flags are
+read.  ``Fraction`` weights remain only for the canonical-basis engine.
 
 Conventions:
 
@@ -22,7 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, Literal, NamedTuple, Sequence
+from itertools import accumulate
+from math import lcm
+from typing import Iterator, Literal, NamedTuple
 
 from . import combinat
 from .combinat import LambdaIndex, Multipartition, Partition
@@ -45,8 +54,9 @@ class WeightContext:
     p: tuple[int, ...]
 
     def __post_init__(self):
-        assert self.p[0] == 0 and self.p[-1] == self.n
-        assert all(self.p[i] < self.p[i + 1] for i in range(len(self.p) - 1))
+        p = self.p
+        if not (p[0] == 0 and p[-1] == self.n and all(a < b for a, b in zip(p, p[1:]))):
+            raise ValueError(f"block boundaries {p} must rise strictly from 0 to n={self.n}")
 
     @property
     def k(self) -> int:
@@ -90,10 +100,7 @@ def unshift(x: Weight) -> Weight:
 
 def lambda_c(cfg: ParamConfig) -> Weight:
     """The chamber weight: constant c_j on block j."""
-    out: list[Fraction] = []
-    for t in range(cfg.k):
-        out.extend([cfg.c[t]] * cfg.q[t])
-    return tuple(out)
+    return tuple(c for c, q in zip(cfg.c, cfg.q) for _ in range(q))
 
 
 def reflect(x: Weight, beta: Root) -> Weight:
@@ -179,97 +186,68 @@ def phiA_condition(lam_c_weight: Weight, ctx: WeightContext) -> bool:
 
 def delta(mu: Weight, cfg: ParamConfig) -> tuple[int, ...]:
     """mu - lambda_c as an integer vector; raises if not integral."""
-    d = []
-    for a, b in zip(mu, lambda_c(cfg)):
-        diff = a - b
-        if diff.denominator != 1:
-            raise ValueError(f"weight is not an integral shift of the chamber weight: {mu}")
-        d.append(int(diff))
-    return tuple(d)
-
-
-def _block_head_tail(dblock: Sequence[int]) -> tuple[Partition, Partition] | None:
-    """Split one block of a shift vector into (head, tail) partitions.
-
-    The block must be weakly decreasing with positives at the start and
-    negatives at the end; returns None otherwise.  The tail partition is the
-    reversed, negated run of negative entries.
-    """
-    if any(dblock[i] < dblock[i + 1] for i in range(len(dblock) - 1)):
-        return None
-    head = tuple(x for x in dblock if x > 0)
-    tail = tuple(-x for x in reversed(dblock) if x < 0)
-    return head, tail
-
-
-def _shift_in_F_r(d: tuple[int, ...], cfg: ParamConfig) -> bool:
-    """Blockwise weakly decreasing shift with |shift| of r-parity."""
-    total = 0
-    for start, end in context_of(cfg).blocks():
-        ht = _block_head_tail(d[start:end])
-        if ht is None:
-            return False
-        total += sum(abs(x) for x in d[start:end])
-    return total <= cfg.r and (cfg.r - total) % 2 == 0
+    d = [a - b for a, b in zip(mu, lambda_c(cfg))]
+    if any(x.denominator != 1 for x in d):
+        raise ValueError(f"weight is not an integral shift of the chamber weight: {mu}")
+    return tuple(int(x) for x in d)
 
 
 def in_F_r(mu: Weight, cfg: ParamConfig) -> bool:
     """Integral, blockwise weakly decreasing shift with |shift| of r-parity."""
     try:
-        d = delta(mu, cfg)
+        tilde(mu, cfg)
     except ValueError:
         return False
-    return _shift_in_F_r(d, cfg)
+    return True
 
 
 def in_F_rk(mu: Weight, cfg: ParamConfig) -> bool:
-    """Member of F_r with an entrywise nonnegative shift."""
-    try:
-        d = delta(mu, cfg)
-    except ValueError:
-        return False
-    return all(x >= 0 for x in d) and _shift_in_F_r(d, cfg)
+    """Member of F_r with an entrywise nonnegative shift (empty tails)."""
+    return in_F_r(mu, cfg) and not any(tilde(mu, cfg).shape[cfg.k :])
 
 
-def hat(idx: LambdaIndex, cfg: ParamConfig) -> Weight:
-    """The weight whose shift realizes a level-2k shape index.
-
-    Component j <= k becomes the head of block j; component j > k becomes the
-    tail of block 2k - j + 1, reversed and negated.
-    """
+def _label_shift(idx: LambdaIndex, cfg: ParamConfig) -> tuple[int, ...]:
+    """The integer shift from the chamber weight realizing a level-2k shape
+    index: component j <= k is the head of block j, component j > k the tail
+    of block 2k - j + 1, reversed and negated."""
     f, shape = idx
     k = cfg.k
-    assert len(shape) == 2 * k, f"expected a level-{2 * k} multipartition"
-    assert combinat.size(shape) == cfg.r - 2 * f and f >= 0
-    lc = lambda_c(cfg)
-    out = list(lc)
+    if len(shape) != 2 * k:
+        raise ValueError(f"expected a level-{2 * k} multipartition")
+    if combinat.size(shape) != cfg.r - 2 * f or f < 0:
+        raise ValueError(f"shape {shape} with f={f} does not have size r - 2f for r={cfg.r}")
+    d = [0] * cfg.n
     for t in range(k):
         head = shape[t]
         tail = shape[2 * k - t - 1]
         start, end = cfg.p[t], cfg.p[t + 1]
         if len(head) + len(tail) > cfg.q[t]:
             raise ValueError(f"shape {shape} does not fit in block {t + 1} of size {cfg.q[t]}")
-        for row, part in enumerate(head):
-            out[start + row] += part
-        for row, part in enumerate(tail):
-            out[end - 1 - row] -= part
-    return tuple(out)
+        d[start : start + len(head)] = head
+        d[end - len(tail) : end] = [-part for part in reversed(tail)]
+    return tuple(d)
+
+
+def hat(idx: LambdaIndex, cfg: ParamConfig) -> Weight:
+    """The weight whose shift realizes a level-2k shape index."""
+    return tuple(a + x if x else a for a, x in zip(lambda_c(cfg), _label_shift(idx, cfg)))
 
 
 def tilde(mu: Weight, cfg: ParamConfig) -> LambdaIndex:
-    """The (f, shape) label of a weight in F_r; inverse of :func:`hat`."""
+    """The (f, shape) label of a weight in F_r; inverse of :func:`hat`.
+
+    Per block, the shift's positive entries are the head and its negative
+    ones, reversed and negated, the tail."""
     d = delta(mu, cfg)
-    k = cfg.k
     heads: list[Partition] = []
     tails: list[Partition] = []
-    total = 0
     for start, end in context_of(cfg).blocks():
-        ht = _block_head_tail(d[start:end])
-        if ht is None:
+        block = d[start:end]
+        if any(block[i] < block[i + 1] for i in range(len(block) - 1)):
             raise ValueError(f"weight is not in the r-shift family: {mu}")
-        heads.append(ht[0])
-        tails.append(ht[1])
-        total += sum(ht[0]) + sum(ht[1])
+        heads.append(tuple(x for x in block if x > 0))
+        tails.append(tuple(-x for x in reversed(block) if x < 0))
+    total = sum(abs(x) for x in d)
     if total > cfg.r or (cfg.r - total) % 2 != 0:
         raise ValueError(f"weight is not in the r-shift family: {mu}")
     shape: Multipartition = tuple(heads) + tuple(reversed(tails))
@@ -282,11 +260,57 @@ def enumerate_F(r: int, cfg: ParamConfig) -> list[Weight]:
 
     Order matches ``enumerate_lambda(2k, r)`` through the labeling bijection.
     """
-    assert r == cfg.r
-    out = []
-    for idx in combinat.enumerate_lambda(2 * cfg.k, r):
-        out.append(hat(idx, cfg))
-    return out
+    if r != cfg.r:
+        raise ValueError(f"r={r} is not the configuration's r={cfg.r}")
+    return [hat(idx, cfg) for idx in combinat.enumerate_lambda(2 * cfg.k, r)]
+
+
+@dataclass(frozen=True)
+class Family:
+    """The weight family F_r of one configuration, one row per position.
+
+    Position i holds the i-th cell label of ``enumerate_lambda(2k, r)`` (the
+    order of :func:`enumerate_F`), the integer shift d = mu - lambda_c that
+    :func:`hat` adds, the integers scale * (mu + rho), mu as a ``Fraction``
+    tuple, and the flag: the number of level-2k walks to the label's shape.
+    ``level_flag`` maps the positions of F_{r,k} (empty tails), in order, to
+    the truncated flag: the level-k walks to the head shape, since a walk
+    whose tails stay empty is a walk on the heads alone.
+    """
+
+    cfg: ParamConfig
+    labels: tuple[LambdaIndex, ...]
+    shifts: tuple[tuple[int, ...], ...]
+    scale: int
+    numerators: tuple[tuple[int, ...], ...]
+    weights: tuple[Weight, ...]
+    flag: tuple[int, ...]
+    level_flag: dict[int, int]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def family_table(cfg: ParamConfig) -> Family:
+    """The family table of ``cfg``, from one :func:`enumerate_F` call."""
+    k, r = cfg.k, cfg.r
+    weights = tuple(enumerate_F(r, cfg))
+    labels = tuple(combinat.enumerate_lambda(2 * k, r))
+    shifts = tuple(_label_shift(idx, cfg) for idx in labels)
+    scale = lcm(*(c.denominator for c in cfg.c))
+    base = [(scale * (a + b)).numerator for a, b in zip(lambda_c(cfg), rho(cfg.n))]
+    walks, heads = (combinat.updown_count_table(a, r) for a in (2 * k, k))
+    level = [i for i, idx in enumerate(labels) if not any(idx.shape[k:])]
+    return Family(
+        cfg=cfg,
+        labels=labels,
+        shifts=shifts,
+        scale=scale,
+        numerators=tuple(tuple(b + scale * x for b, x in zip(base, d)) for d in shifts),
+        weights=weights,
+        flag=tuple(walks.get(idx.shape, 0) for idx in labels),
+        level_flag={i: heads.get(labels[i].shape[:k], 0) for i in level},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,27 +322,25 @@ def dominance_leq(lam: Weight, mu: Weight) -> bool:
     """lam <= mu iff mu - lam is a nonnegative integer combination of the
     simple roots of D_n.
 
-    Solving for the coefficients: with d = mu - lam and prefix sums P_j,
-    the coefficients are c_j = P_j (j <= n-2), c_n = P_n / 2 and
-    c_{n-1} = (P_{n-1} - d_n) / 2, so the test is: P_j >= 0 for j <= n-2,
-    P_n >= 0 and even, and P_{n-1} - d_n >= 0.
+    Only the difference counts, so shift vectors from one chamber weight
+    compare exactly as their weights do.  Solving for the coefficients: with
+    d = mu - lam and prefix sums P_j, the coefficients are c_j = P_j
+    (j <= n-2), c_n = P_n / 2 and c_{n-1} = (P_{n-1} - d_n) / 2, so the test
+    is: P_j >= 0 for j <= n-2, P_n >= 0 and even, and P_{n-1} - d_n >= 0.
     """
     n = len(lam)
-    assert len(mu) == n
+    if len(mu) != n:
+        raise ValueError(f"weights of different lengths {n} and {len(mu)}")
     d = [m - l for l, m in zip(lam, mu)]
     if any(x.denominator != 1 for x in d):
         return False
-    d = [int(x) for x in d]
-    prefix = 0
-    prefixes = []
-    for x in d:
-        prefix += x
-        prefixes.append(prefix)
-    if any(p < 0 for p in prefixes[: n - 2]):
-        return False
-    if prefixes[-1] < 0 or prefixes[-1] % 2 != 0:
-        return False
-    return prefixes[-2] - d[-1] >= 0
+    prefixes = list(accumulate(int(x) for x in d))
+    return (
+        all(p >= 0 for p in prefixes[: n - 2])
+        and prefixes[-1] >= 0
+        and prefixes[-1] % 2 == 0
+        and prefixes[-2] - d[-1] >= 0
+    )
 
 
 def dominance_less(lam: Weight, mu: Weight) -> bool:
@@ -326,21 +348,9 @@ def dominance_less(lam: Weight, mu: Weight) -> bool:
 
 
 def dominance_sort_key(x: Weight) -> tuple:
-    """A linear extension of dominance: lexicographic on prefix sums."""
-    prefix = Fraction(0)
-    key = []
-    for val in x:
-        prefix += val
-        key.append(prefix)
-    return tuple(key)
+    """A linear extension of dominance: lexicographic on prefix sums.
 
-
-def serialize_weight(mu: Weight, cfg: ParamConfig) -> dict:
-    """Sparse shift vector plus the shape label, for reports."""
-    d = delta(mu, cfg)
-    f, shape = tilde(mu, cfg)
-    return {
-        "delta": [[i, v] for i, v in enumerate(d) if v != 0],
-        "f": f,
-        "shape": [list(p) for p in shape],
-    }
+    Shift vectors from one chamber weight sort as their weights do, since
+    the chamber weight adds the same prefix offset to every key.
+    """
+    return tuple(accumulate(x))

@@ -160,7 +160,7 @@ def test_ac5_bijections_and_counting(criterion):
             labels = combinat.enumerate_lambda(k, r)
             assert len(level) == len(labels)
             walk_table = combinat.updown_count_table(k, r)
-            flag = pipeline.truncated_verma_flag(cfg)
+            flag = weights.family_table(cfg).level_flag
             assert sum(flag.values()) == sum(
                 walk_table.get(idx.shape, 0) for idx in labels
             )
@@ -178,8 +178,7 @@ def test_ac7_canonical_basis_internals(criterion):
         for r, delta in AC4_RUNS:
             cfg = params.build_config((params.u_from_delta(delta),), r)
             ctx = weights.context_of(cfg)
-            family = weights.enumerate_F(r, cfg)
-            for block in partition_into_blocks(family, ctx):
+            for block in partition_into_blocks(weights.family_table(cfg)):
                 if block.is_singleton:
                     continue
                 if singular_pairs(weights.shift(block.weights[0])):

@@ -1,5 +1,6 @@
 """Exit codes and output formats of the command-line front end."""
 
+import dataclasses
 import json
 import os
 import re
@@ -10,9 +11,9 @@ from fractions import Fraction
 import pytest
 
 import brauer_kl
-from brauer_kl import kl, params, pipeline
+from brauer_kl import kl, params, pipeline, weights
 from brauer_kl.cli import main
-from brauer_kl.weights import context_of, enumerate_F
+from brauer_kl.weights import family_table
 
 
 def run(capsys, *argv):
@@ -195,6 +196,16 @@ def test_oracle_compare_over_budget_is_one_error_line(capsys):
     assert err == "error: r=5 exceeds the brute-force budget of 105 diagrams (r <= 4)\n"
 
 
+def test_oracle_compare_mismatch_names_weights_without_fraction_reprs(capsys):
+    # the direct convention's peel escapes the family: the weight it names
+    # is off the family, so it prints as a rational tuple
+    code, out, err = run(capsys, "oracle-compare", "--r", "4", "--delta=0")
+    assert code == 4
+    assert out == ""
+    assert "Fraction(" not in err
+    assert re.search(r"residual escapes the weight family at \(-?\d+(,-?[\d/]+)*\)'", err)
+
+
 def test_oracle_compare_malformed_delta(capsys):
     code, _, err = run(capsys, "oracle-compare", "--r", "2", "--delta", "x")
     assert code == 2
@@ -223,6 +234,19 @@ def test_kl_selftest_says_why_a_case_failed(capsys, monkeypatch):
     }
 
 
+def test_kl_selftest_checks_the_family_table(capsys, monkeypatch):
+    table = weights.family_table
+
+    def reversed_labels(cfg):
+        family = table(cfg)
+        return dataclasses.replace(family, labels=family.labels[::-1])
+
+    monkeypatch.setattr(weights, "family_table", reversed_labels)
+    code, out, _ = run(capsys, "kl-selftest")
+    assert code == 1
+    assert all(line.startswith("FAIL:") for line in out.strip().splitlines())
+
+
 @pytest.fixture
 def engines_built(monkeypatch):
     """Counts CanonicalBasisEngine constructions."""
@@ -245,7 +269,7 @@ def test_decompose_builds_each_block_engine_once(capsys, engines_built):
 
 def test_oracle_compare_builds_one_engine_per_block_and_convention(capsys, engines_built):
     cfg = params.build_config((params.u_from_delta(Fraction(1)),), 3)
-    blocks = kl.partition_into_blocks(enumerate_F(3, cfg), context_of(cfg))
+    blocks = kl.partition_into_blocks(family_table(cfg))
     non_singleton = sum(not b.is_singleton for b in blocks)
     code, _, _ = run(capsys, "oracle-compare", "--r", "3", "--delta", "1")
     assert code == 0

@@ -1,0 +1,186 @@
+"""The family table against the ``Fraction`` routines it replaces.
+
+The reference functions below are the weight-keyed forms the pipeline used
+before the family table: the linkage key on ``Fraction`` coordinates, the
+grouping of weights into blocks, the dominance test and sort key, and the
+two standard-flag routines.  The table's integer forms must group, order and
+count exactly as they do.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from brauer_kl import combinat, kl
+from brauer_kl.params import build_config
+from brauer_kl.weights import (
+    context_of,
+    delta,
+    dominance_leq,
+    dominance_sort_key,
+    enumerate_F,
+    family_table,
+    is_singular,
+    shift,
+    tilde,
+)
+
+F = Fraction
+
+
+def reference_canonical_form(x):
+    classes = {}
+    for a in x:
+        f = Fraction(abs(a))
+        classes.setdefault(f - f.__floor__(), []).append(a)
+    key = []
+    for res in sorted(classes):
+        members = classes[res]
+        abs_sorted = tuple(sorted(abs(a) for a in members))
+        if any(a == 0 for a in members):
+            parity = None
+        else:
+            parity = sum(1 for a in members if a < 0) % 2
+        key.append((res, abs_sorted, parity))
+    return tuple(key)
+
+
+def reference_sort_key(x):
+    prefix = Fraction(0)
+    key = []
+    for val in x:
+        prefix += val
+        key.append(prefix)
+    return tuple(key)
+
+
+def reference_blocks(family):
+    grouped = {}
+    for mu in family:
+        grouped.setdefault(reference_canonical_form(shift(mu)), []).append(mu)
+    return [tuple(sorted(set(members), key=reference_sort_key)) for members in grouped.values()]
+
+
+def reference_dominance_leq(lam, mu):
+    n = len(lam)
+    assert len(mu) == n
+    d = [m - l for l, m in zip(lam, mu)]
+    if any(x.denominator != 1 for x in d):
+        return False
+    d = [int(x) for x in d]
+    prefix = 0
+    prefixes = []
+    for x in d:
+        prefix += x
+        prefixes.append(prefix)
+    if any(p < 0 for p in prefixes[: n - 2]):
+        return False
+    if prefixes[-1] < 0 or prefixes[-1] % 2 != 0:
+        return False
+    return prefixes[-2] - d[-1] >= 0
+
+
+def reference_in_F_rk(mu, cfg):
+    try:
+        d = delta(mu, cfg)
+    except ValueError:
+        return False
+    total = 0
+    for start, end in context_of(cfg).blocks():
+        block = d[start:end]
+        if any(block[i] < block[i + 1] for i in range(len(block) - 1)):
+            return False
+        total += sum(abs(x) for x in block)
+    return all(x >= 0 for x in d) and total <= cfg.r and (cfg.r - total) % 2 == 0
+
+
+def reference_verma_flag(cfg):
+    table = combinat.updown_count_table(2 * cfg.k, cfg.r)
+    return {mu: table.get(tilde(mu, cfg).shape, 0) for mu in enumerate_F(cfg.r, cfg)}
+
+
+def reference_truncated_verma_flag(cfg):
+    table = combinat.updown_count_table(cfg.k, cfg.r)
+    return {
+        mu: table.get(tilde(mu, cfg).shape[: cfg.k], 0)
+        for mu in enumerate_F(cfg.r, cfg)
+        if reference_in_F_rk(mu, cfg)
+    }
+
+
+# residues 0, 1/2, 1/3, 2/3 and 1/6, with negative values, at k <= 3, r <= 4
+# (r <= 3 at k = 3)
+GRID = [
+    ((u,), r)
+    for u in ("0", "1/2", "1/3", "2/3", "1/6", "-1/2", "-4/3", "-5/6", "-2")
+    for r in (1, 2, 3, 4)
+] + [
+    (pair, r)
+    for pair in (("0", "1/2"), ("1/3", "-1/6"), ("2/3", "1/2"), ("-1/3", "0"), ("1/6", "-2/3"))
+    for r in (1, 2, 3, 4)
+] + [
+    (triple, r)
+    for triple in (("0", "1/3", "1/2"), ("-1/6", "2/3", "-2"))
+    for r in (1, 2, 3)
+]
+
+
+@pytest.fixture(params=GRID, ids=[f"{','.join(u)}-r{r}" for u, r in GRID])
+def cfg(request):
+    u, r = request.param
+    return build_config([F(x) for x in u], r)
+
+
+def test_table_rows_match_the_weights(cfg):
+    family = family_table(cfg)
+    weights = enumerate_F(cfg.r, cfg)
+    assert family.weights == tuple(weights)
+    assert list(family.labels) == [tilde(mu, cfg) for mu in weights]
+    assert list(family.shifts) == [delta(mu, cfg) for mu in weights]
+    for mu, nums in zip(weights, family.numerators):
+        assert nums == tuple(family.scale * a for a in shift(mu))
+        assert is_singular(nums) == is_singular(shift(mu))
+
+
+def test_integer_linkage_key_groups_as_the_fraction_key(cfg):
+    family = family_table(cfg)
+    blocks = kl.partition_into_blocks(family)
+    assert [b.weights for b in blocks] == reference_blocks(enumerate_F(cfg.r, cfg))
+    for b in blocks:
+        assert b.weights == tuple(family.weights[i] for i in b.positions)
+
+
+def test_integer_dominance_and_order_match_the_fraction_forms(cfg):
+    family = family_table(cfg)
+    shifts, weights = family.shifts, family.weights
+    n = len(family)
+    by_shift = sorted(range(n), key=lambda i: dominance_sort_key(shifts[i]))
+    assert by_shift == sorted(range(n), key=lambda i: reference_sort_key(weights[i]))
+    for i in range(0, n, max(1, n // 24)):  # all pairs up to 24 weights
+        for j in range(n):
+            expected = reference_dominance_leq(weights[i], weights[j])
+            assert dominance_leq(shifts[i], shifts[j]) == expected, (i, j)
+
+
+def test_table_flags_match_the_flag_routines(cfg):
+    family = family_table(cfg)
+    assert dict(zip(family.weights, family.flag)) == reference_verma_flag(cfg)
+    level = {family.weights[i]: m for i, m in family.level_flag.items()}
+    assert level == reference_truncated_verma_flag(cfg)
+    assert list(family.level_flag) == sorted(family.level_flag)  # family order
+
+
+def test_engine_accepts_exactly_its_block(cfg):
+    # the engine keys states with the same function, at its own scale
+    family = family_table(cfg)
+    blocks = kl.partition_into_blocks(family)
+    for block in blocks:
+        if block.is_singleton or is_singular(shift(block.weights[0])):
+            continue
+        engine = kl.CanonicalBasisEngine(block.ctx, block.weights[0])
+        for mu in block.weights:
+            engine._state_id(shift(mu))
+        for other in blocks[:12]:
+            if other is not block:
+                with pytest.raises(ValueError, match="off the linkage class"):
+                    engine._state_id(shift(other.weights[0]))

@@ -23,7 +23,7 @@ from brauer_kl.weights import (
     WeightContext,
     context_of,
     dominance_less,
-    enumerate_F,
+    family_table,
     lambda_c,
     rho,
     unshift,
@@ -280,19 +280,20 @@ def test_budget_violation_raises():
 
 def test_canonical_form_separates_parity_without_zero():
     # same |values|, opposite flip parity -> different linkage classes
-    plus = (F(7, 2), F(5, 2), F(3, 2), F(1, 2))
-    minus = (F(7, 2), F(5, 2), F(3, 2), F(-1, 2))
-    assert kl.canonical_form(plus) != kl.canonical_form(minus)
+    # (numerators over the common denominator 2)
+    plus = (7, 5, 3, 1)
+    minus = (7, 5, 3, -1)
+    assert kl.canonical_form(plus, 2) != kl.canonical_form(minus, 2)
     # with a zero token the parity is absorbed
-    a = (F(3), F(2), F(1), F(0))
-    b = (F(3), F(2), F(-1), F(0))
+    a = (3, 2, 1, 0)
+    b = (3, 2, -1, 0)
     b_sorted = tuple(sorted(b, reverse=True))
-    assert kl.canonical_form(a) == kl.canonical_form(b_sorted)
+    assert kl.canonical_form(a, 1) == kl.canonical_form(b_sorted, 1)
 
 
 def test_canonical_form_groups_by_residue_class():
-    x = (F(5, 2), F(2), F(1), F(1, 2))
-    key = kl.canonical_form(x)
+    x = (5, 4, 2, 1)  # (5/2, 2, 1, 1/2) over the denominator 2
+    key = kl.canonical_form(x, 2)
     assert len(key) == 2  # one integral class, one half-integral class
     residues = [res for res, _, _ in key]
     assert residues == sorted(residues)
@@ -329,23 +330,21 @@ def test_collapse_rejects_same_sign_merge():
 
 def test_partition_into_blocks_generic_is_singletons():
     cfg = build_config([F(1, 3)], 2)
-    ctx = context_of(cfg)
-    family = enumerate_F(2, cfg)
-    blocks = kl.partition_into_blocks(family, ctx)
+    family = family_table(cfg)
+    blocks = kl.partition_into_blocks(family)
     assert all(b.is_singleton for b in blocks)
     assert sum(len(b.weights) for b in blocks) == len(family)
 
 
 def test_partition_into_blocks_groups_linked_weights():
     cfg = build_config([F(0)], 3, q=[10])
-    ctx = context_of(cfg)
-    family = enumerate_F(3, cfg)
-    blocks = kl.partition_into_blocks(family, ctx)
+    family = family_table(cfg)
+    blocks = kl.partition_into_blocks(family)
     assert any(not b.is_singleton for b in blocks)
     for b in blocks:
-        r4 = rho(ctx.n)
-        keys = {kl.canonical_form(tuple(a + c for a, c in zip(mu, r4))) for mu in b.weights}
+        keys = {kl.canonical_form(family.numerators[i], family.scale) for i in b.positions}
         assert keys == {b.key}
+        assert b.weights == tuple(family.weights[i] for i in b.positions)
 
 
 def test_two_element_block_entry_is_v():
@@ -409,11 +408,10 @@ def test_singular_reduction_frozen_wall_block():
     # delta = -2, r = 3: the two-weight wall block {e1, e1+e2+e3}
     cfg = build_config([u_from_delta(F(-2))], 3, q=[16])
     ctx = context_of(cfg)
-    family = enumerate_F(3, cfg)
     r4 = rho(ctx.n)
     wall_blocks = [
         b
-        for b in kl.partition_into_blocks(family, ctx)
+        for b in kl.partition_into_blocks(family_table(cfg))
         if not b.is_singleton
         and kl.singular_pairs(tuple(a + c for a, c in zip(b.weights[0], r4)))
     ]

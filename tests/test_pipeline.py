@@ -1,6 +1,8 @@
 """Verma flags, content cross-check, tilting peel, and report assembly."""
 
+import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,10 +20,8 @@ from brauer_kl.pipeline import (
     report_to_csv,
     simple_dimensions,
     tilting_decomposition,
-    truncated_verma_flag,
-    verma_flag,
 )
-from brauer_kl.weights import in_F_rk, tilde
+from brauer_kl.weights import family_table, in_F_rk, tilde
 
 F = Fraction
 
@@ -44,24 +44,26 @@ FROZEN_FLAG_K1_R3 = {
 
 def test_verma_flag_frozen_k1_r3():
     cfg = build_config([F(0)], 3, q=[10])
-    flag = verma_flag(cfg)
-    labeled = {tuple(tilde(mu, cfg)): m for mu, m in flag.items()}
+    family = family_table(cfg)
+    labeled = {tuple(tilde(mu, cfg)): m for mu, m in zip(family.weights, family.flag)}
     assert labeled == FROZEN_FLAG_K1_R3
-    assert sorted(flag.values()) == [1, 1, 1, 1, 2, 2, 3, 3, 3, 3, 6, 6]
+    assert sorted(family.flag) == [1, 1, 1, 1, 2, 2, 3, 3, 3, 3, 6, 6]
 
 
 def test_flag_counts_walks_of_the_double_level():
     cfg = build_config([F(1, 3)], 2)
-    for mu, m in verma_flag(cfg).items():
+    family = family_table(cfg)
+    for mu, m in zip(family.weights, family.flag):
         idx = tilde(mu, cfg)
         assert m == updown_count(2, 2, idx.shape)
 
 
 def test_truncated_flag_equals_level_k_walk_counts():
     cfg = build_config([F(0)], 3, q=[10])
-    t = truncated_verma_flag(cfg)
-    assert set(t) == {mu for mu in verma_flag(cfg) if in_F_rk(mu, cfg)}
-    labeled = {tuple(tilde(mu, cfg)): m for mu, m in t.items()}
+    family = family_table(cfg)
+    t = family.level_flag
+    assert set(t) == {i for i, mu in enumerate(family.weights) if in_F_rk(mu, cfg)}
+    labeled = {tuple(tilde(family.weights[i], cfg)): m for i, m in t.items()}
     assert labeled == {
         (0, ((3,), ())): 1,
         (0, ((2, 1), ())): 2,
@@ -92,7 +94,7 @@ def test_generic_decomposition_is_the_flag():
     cfg = build_config([F(1, 3)], 2)
     res = tilting_decomposition(cfg)
     assert all(b.is_singleton for b in res.blocks)
-    assert res.multiplicities == {mu: m for mu, m in res.flag.items() if m}
+    assert res.multiplicities == {i: m for i, m in enumerate(res.family.flag) if m}
     assert set(res.multiplicities.values()) == {1, 2}  # walk counts at r = 2
 
 
@@ -100,9 +102,10 @@ def test_generic_k1_r2_simple_dimensions_are_ones():
     # semisimple case: the three level cells are the simples, each of walk
     # count one, so the solved dimensions come out all 1
     cfg = build_config([F(1, 3)], 2)
-    dims = simple_dimensions(tilting_decomposition(cfg))
+    res = tilting_decomposition(cfg)
+    dims = simple_dimensions(res)
     assert sorted(dims.values()) == [1, 1, 1]
-    assert set(dims) == {mu for mu in verma_flag(cfg) if in_F_rk(mu, cfg)}
+    assert set(dims) == {i for i, mu in enumerate(res.family.weights) if in_F_rk(mu, cfg)}
 
 
 def test_forward_peel_makes_no_dominance_scan(monkeypatch):
@@ -123,27 +126,28 @@ def test_peel_computes_each_sort_key_once(monkeypatch):
     # ties reversed, and each peel keys every weight it meets exactly once
     result = tilting_decomposition(build_config([u_from_delta(F(1))], 3))
     (block, *_) = [b for b in result.blocks if not b.is_singleton]
-    residual = {mu: result.flag.get(mu, 0) for mu in block.weights}
+    shifts = result.family.shifts
+    residual = {i: result.family.flag[i] for i in block.positions}
     keyed = []
     key = pipeline.dominance_sort_key
     monkeypatch.setattr(
-        pipeline, "dominance_sort_key", lambda w: keyed.append(w) or key(w)
+        pipeline, "dominance_sort_key", lambda d: keyed.append(d) or key(d)
     )
     for reverse_ties in (False, True):
         keyed.clear()
         peeled = pipeline._greedy_peel(
-            residual, result.columns.__getitem__, lambda w, m: None, reverse_ties
+            residual, result.columns.__getitem__, lambda i, m: None, shifts, reverse_ties
         )
-        met = set(residual).union(*(result.columns[w] for w in peeled))
+        met = set(residual).union(*(result.columns[i] for i in peeled))
         assert len(peeled) > 1
-        assert sorted(keyed) == sorted(met)
+        assert sorted(keyed) == sorted(shifts[i] for i in met)
     # generic parameters: the simple dimensions' one peel, 2 keys per weight
     # before, one now
     result = tilting_decomposition(build_config([F(1, 5), F(9, 7)], 2))
     keyed.clear()
     dims = simple_dimensions(result)
     assert len(dims) > 1
-    assert len(keyed) == len(set(keyed)) == len(truncated_verma_flag(result.cfg))
+    assert len(keyed) == len(set(keyed)) == len(result.family.level_flag)
 
 
 FROZEN_TILTING_DELTA1_R3 = {
@@ -165,7 +169,7 @@ FROZEN_TILTING_DELTA1_R3 = {
 def test_delta_one_r3_tilting_multiplicities_frozen():
     cfg = build_config([u_from_delta(F(1))], 3)
     res = tilting_decomposition(cfg)
-    labeled = {tuple(tilde(mu, cfg)): m for mu, m in res.multiplicities.items()}
+    labeled = {tuple(tilde(res.family.weights[i], cfg)): m for i, m in res.multiplicities.items()}
     assert labeled == FROZEN_TILTING_DELTA1_R3
 
 
@@ -196,6 +200,28 @@ def test_peel_order_disagreement_is_refused(monkeypatch):
         tilting_decomposition(build_config([u_from_delta(F(1))], 3))
 
 
+def test_peel_errors_name_family_weights_by_cell_label(monkeypatch):
+    # with no tilting columns the first weight peeled lacks its unit diagonal
+    monkeypatch.setattr(pipeline, "tilting_table", lambda block, convention: {})
+    with pytest.raises(NegativeResidual) as exc:
+        tilting_decomposition(build_config([u_from_delta(F(1))], 3))
+    assert re.fullmatch(r"tilting column at f\d+:[-\d,|]+ lacks a unit diagonal", str(exc.value))
+
+
+def test_peel_refuses_a_residual_outside_the_family(monkeypatch):
+    # a table row off the family takes the first id past its end; the peel
+    # meets it last, with a positive residual, and names it as a tuple
+    table = pipeline.tilting_table
+
+    def with_outside_row(block, convention):
+        top = block.weights[-1]
+        return {(tuple(a - 7 for a in top), top): -1, **table(block, convention)}
+
+    monkeypatch.setattr(pipeline, "tilting_table", with_outside_row)
+    with pytest.raises(NegativeResidual, match=r"escapes the weight family at \((-?[\d/]+,)+-?[\d/]+\)$"):
+        tilting_decomposition(build_config([u_from_delta(F(1))], 3))
+
+
 FROZEN_SIMPLE_DIMS = {
     # delta -> dims over level rows [f0:3, f0:2,1, f0:1,1,1, f1:1]
     F(1): [1, 2, 1, 1],
@@ -220,9 +246,10 @@ def test_simple_dimensions_match_oracle_gram_ranks(delta):
     from brauer_kl.oracle import CellModule, transpose_partition
 
     cfg = build_config([u_from_delta(delta)], 3)
-    dims = simple_dimensions(tilting_decomposition(cfg))
-    for mu, d in dims.items():
-        idx = tilde(mu, cfg)
+    res = tilting_decomposition(cfg)
+    dims = simple_dimensions(res)
+    for i, d in dims.items():
+        idx = tilde(res.family.weights[i], cfg)
         cell = CellModule(3, idx.f, transpose_partition(idx.shape[0]), delta)
         assert rank(cell.gram_matrix()) == d
 
@@ -230,8 +257,9 @@ def test_simple_dimensions_match_oracle_gram_ranks(delta):
 def test_matrix_entry_orientation():
     cfg = build_config([u_from_delta(F(1))], 3)
     res = tilting_decomposition(cfg)
-    lam = next(mu for mu in res.family if tilde(mu, cfg) == LambdaIndex(1, ((1,), ())))
-    mu_t = next(mu for mu in res.family if tilde(mu, cfg) == LambdaIndex(0, ((2, 1), ())))
+    weights = res.family.weights
+    lam = next(i for i, mu in enumerate(weights) if tilde(mu, cfg) == LambdaIndex(1, ((1,), ())))
+    mu_t = next(i for i, mu in enumerate(weights) if tilde(mu, cfg) == LambdaIndex(0, ((2, 1), ())))
     assert res.columns[mu_t][lam] == 1  # (T(2,1) : M(f=1, (1)))
     assert mu_t not in res.columns[lam]
     assert res.columns[lam][lam] == 1
@@ -261,11 +289,11 @@ def test_sparse_matrices_match_a_dense_probe(u, r):
     cfg = build_config(u, r)
     res = tilting_decomposition(cfg)
     rep = decomposition_report(cfg)
-    rows = list(res.family)
+    rows = list(range(len(res.family)))
     cols = list(res.support)
     assert rep["matrix_full"]["entries"] == _dense_entries(res, rows, cols)
-    rows = [mu for mu in rows if in_F_rk(mu, cfg)]
-    cols = [mu for mu in cols if in_F_rk(mu, cfg)]
+    rows = [i for i in rows if in_F_rk(res.family.weights[i], cfg)]
+    cols = [i for i in cols if in_F_rk(res.family.weights[i], cfg)]
     assert rep["matrix_level"]["entries"] == _dense_entries(res, rows, cols)
 
 
@@ -367,3 +395,27 @@ def test_report_to_csv_shape():
 def test_level_label_format():
     assert level_label(LambdaIndex(0, ((2, 1), ())), 1) == "f0:2,1"
     assert level_label(LambdaIndex(1, ((), ())), 1) == "f1:-"
+
+
+# sha256 of json.dumps(report, indent=2), params included, recorded before
+# the pipeline was keyed by family position: (u, r, assume_saturated)
+GOLDEN_REPORT_SHA256 = {
+    ("1/5,9/7", 5, False): "cd01d8b8d60539020632033ec19b9529d11a46e4d4ca35bad5a703ee5c0f7043",
+    ("1/5,9/7,2/11", 3, False): "45cc76583e736e45223c55db9deeae570dd21aaf5a211ae70495a7d331b932ea",
+    ("1/3", 6, False): "4bcbff5125bd86e3fecb4dd7a0bfe7613533e5043327cafc55f7e52300d1b3e3",
+    ("1/5,9/7", 4, False): "aaf984caed7e4d7e65011bdd52c0eabdf48ad333cfa7e58d182ff05d46425906",
+    ("3/2", 3, False): "3ea443b7d03fd66bc000c0484eda4456bfa5973bd73b3d7a7a0778346a1613e3",
+    ("0,1/3", 3, False): "6ed228896139cce03212356abe8c534685bc0d1e5f6dae137cc891fa4a52fb67",
+    ("0", 5, False): "1d6b4d5e2de68f92e4c1c6a325a5ccbeae1c12ee9b222ecae88c22ef77dd2613",
+    ("0,1/2", 3, False): "581da37c524727918bbbf77769802c8423fc4fe5d6adce944bff99d02677d308",
+    ("5,1", 2, True): "d7417781e4b81f8d9a24ffced018e4b2906194f5578708af787abf69a98bcd11",
+    ("1/2,-1/2", 1, True): "f52c92a7cbf33dceae7753a00f9255699d0d04c122688a483ee1b5ca17595d3a",
+}
+
+
+@pytest.mark.parametrize("u, r, assume_saturated", sorted(GOLDEN_REPORT_SHA256))
+def test_reports_are_byte_identical_to_the_golden_hashes(u, r, assume_saturated):
+    cfg = build_config([F(x) for x in u.split(",")], r)
+    report = decomposition_report(cfg, assume_saturated=assume_saturated)
+    digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+    assert digest == GOLDEN_REPORT_SHA256[(u, r, assume_saturated)]

@@ -1,10 +1,14 @@
 """Type-D weight combinatorics for the parabolic category."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import brauer_kl
 from brauer_kl.combinat import LambdaIndex, double_factorial, enumerate_lambda
 from brauer_kl.params import build_config
 from brauer_kl.weights import (
@@ -29,7 +33,6 @@ from brauer_kl.weights import (
     psi_sets,
     reflect,
     rho,
-    serialize_weight,
     tilde,
 )
 
@@ -228,15 +231,6 @@ def test_dominance_sort_key_is_linear_extension():
             assert not dominance_less(hi, lo)
 
 
-def test_serialize_weight_structure():
-    cfg = build_config([F(0)], 3, q=[10])
-    mu = hat(LambdaIndex(1, ((1,), ())), cfg)
-    data = serialize_weight(mu, cfg)
-    assert data["f"] == 1
-    assert data["shape"] == [[1], []]
-    assert data["delta"] == [[0, 1]]  # sparse: only the first coordinate shifts
-
-
 @settings(deadline=None, max_examples=20)
 @given(st.sampled_from([F(0), F(1, 3), F(5, 2)]), st.integers(min_value=1, max_value=3))
 def test_enumerate_F_members_pass_membership(u1, r):
@@ -246,3 +240,49 @@ def test_enumerate_F_members_pass_membership(u1, r):
         assert in_F_r(mu, cfg)
         x = tuple(a + b for a, b in zip(mu, rh))
         assert blockwise_decreasing(x, context_of(cfg))
+
+
+# each call breaks one guard: the checks are ValueErrors, not asserts
+GUARDED_CALLS = (
+    ("WeightContext(4, (0, 5))", "block boundaries"),
+    ("WeightContext(4, (0, 2, 2, 4))", "block boundaries"),
+    ("hat(LambdaIndex(0, ((2,),)), cfg)", "expected a level-2 multipartition"),
+    ("hat(LambdaIndex(0, ((1,), ())), cfg)", "does not have size r - 2f"),
+    ("enumerate_F(3, cfg)", "not the configuration's r=2"),
+    ("dominance_leq((F(1),), (F(1), F(0)))", "different lengths"),
+)
+
+
+@pytest.mark.parametrize("call, message", GUARDED_CALLS)
+def test_weight_guards_raise_value_errors(call, message):
+    cfg = build_config([F(1, 3)], 2)
+    scope = dict(globals(), cfg=cfg)
+    with pytest.raises(ValueError, match=message):
+        eval(call, scope)
+
+
+def test_weight_guards_survive_python_O():
+    src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
+    code = (
+        "from fractions import Fraction as F\n"
+        "from brauer_kl.combinat import LambdaIndex\n"
+        "from brauer_kl.params import build_config\n"
+        "from brauer_kl.weights import WeightContext, dominance_leq, enumerate_F, hat\n"
+        "cfg = build_config([F(1, 3)], 2)\n"
+        f"for call in {[call for call, _ in GUARDED_CALLS]!r}:\n"
+        "    try:\n"
+        "        eval(call)\n"
+        "    except ValueError as exc:\n"
+        "        print('refused:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(GUARDED_CALLS)
+    for line, (_, message) in zip(lines, GUARDED_CALLS):
+        assert line.startswith("refused: ") and message in line
