@@ -47,14 +47,9 @@ from .kl import (
     CanonicalBasisEngine,
     ClosedWorldViolation,
     ConventionUnpinned,
-    KLTable,
     UnsupportedBlock,
-    canonical_basis,
-    collapse_to_wall,
-    lift_from_wall,
     partition_into_blocks,
     resolve_convention,
-    singular_pairs,
     singular_reduction_table,
     tilting_table,
 )
@@ -66,12 +61,6 @@ from .pipeline import (
     simple_dimensions,
     tilting_decomposition,
 )
-from .oracle import (
-    DimensionTooLarge,
-    compare,
-    multiply,
-    oracle_decomposition_matrix,
-)
 
 __version__ = "0.1.0"
 
@@ -80,8 +69,6 @@ __all__ = [
     "CanonicalBasisEngine",
     "ClosedWorldViolation",
     "ConventionUnpinned",
-    "DimensionTooLarge",
-    "KLTable",
     "LambdaIndex",
     "NegativeResidual",
     "ParamConfig",
@@ -90,9 +77,6 @@ __all__ = [
     "UnsupportedBlock",
     "WeightContext",
     "build_config",
-    "canonical_basis",
-    "collapse_to_wall",
-    "compare",
     "conjugate",
     "content_consistency_check",
     "content_sequence",
@@ -105,10 +89,7 @@ __all__ = [
     "hat",
     "is_r_disjoint",
     "lambda_c",
-    "lift_from_wall",
-    "multiply",
     "omega_series",
-    "oracle_decomposition_matrix",
     "partition_into_blocks",
     "phiA_condition",
     "psi_sets",
@@ -118,7 +99,6 @@ __all__ = [
     "select_block_sizes",
     "simple_dimensions",
     "simple_param_condition",
-    "singular_pairs",
     "singular_reduction_table",
     "tilde",
     "tilting_decomposition",

@@ -3,7 +3,8 @@
 Subcommands: admissible | enumerate | decompose | oracle-compare | kl-selftest.
 All arithmetic is exact; rationals are written "p/q" on both input and
 output.  Exit codes: 0 success, 2 usage/parse error, 3 saturation not
-established (and not waived), 4 oracle mismatch, 5 unsupported linkage block.
+established (and not waived), 4 oracle mismatch, 5 unsupported linkage block,
+6 a tilting peel that fails (a negative or escaping residual).
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import combinat, oracle, params, pipeline, weights
+from . import combinat, params, pipeline, weights
 from .kl import UnsupportedBlock
-from .pipeline import SaturationNotEstablished
+from .pipeline import NegativeResidual, SaturationNotEstablished
 
 
 def _int_at_least(minimum: int):
@@ -122,6 +123,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     except UnsupportedBlock as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except NegativeResidual as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 6
     digest = hashlib.sha256(args.u.encode()).hexdigest()[:8]
     if args.format == "json":
         text = json.dumps(report, indent=2) + "\n"
@@ -134,6 +138,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_compare(args: argparse.Namespace) -> int:
+    from . import oracle  # only this command runs the diagram oracle
+
     if args.k != 1:
         print("error: the diagram oracle exists at k=1 only", file=sys.stderr)
         return 2

@@ -1,12 +1,15 @@
 """Exact antispherical Kazhdan-Lusztig engine for type D_n with type-A Levi.
 
 Basis symbols N_x are indexed by shifted weights x = mu + rho, strictly
-decreasing within every Levi block, but the recursion's state is not the
-weight: it is the placement of value tokens (the absolute values of the
-seed's coordinates, in falling order) into Levi blocks, each carrying a sign,
-stored as one small int per token and interned to an int id.  The Hecke
-generators act on tokens, not on coordinate positions (the action is right
-multiplication on Levi cosets, so it reads through the base point):
+decreasing within every Levi block.  Every weight here is the integer tuple
+scale * x over the weight family's common denominator, the same tuples as
+``Family.numerators``: blocks carry them, the engine takes and returns them
+and the tilting tables are keyed by them.  The recursion's state is not the
+weight, though: it is the placement of value tokens (the absolute values of
+the seed's numerators, in falling order) into Levi blocks, each carrying a
+sign, stored as one small int per token and interned to an int id.  The
+Hecke generators act on tokens, not on coordinate positions (the action is
+right multiplication on Levi cosets, so it reads through the base point):
 
 * a swap generator exchanges the placements of two magnitude-adjacent tokens
   in the same integrality class;
@@ -32,9 +35,16 @@ frozen against brute-forced W(D_4) and W(D_5) coset modules in the tests).
 
 One move table per engine holds, per state id and generator, the image id
 and the exponent, or "fixed"; each entry is filled once, on first use.  The
-exponent compares the two states' prefix sums, on tokens scaled to integers
-by their common denominator.  The recursion and its memos run on ids;
-``Fraction`` weights appear only where callers pass or read them.
+exponent compares the two states' prefix sums of numerators.  The recursion
+and its memos run on ids; one codec turns numerator tuples into ids and back.
+
+A wall block (one vanishing pairing x_i = -x_j = a) is read off the
+canonical basis of its regular companion, whose tokens split the doubled
+value into a+1 and a.  Each support entry folds onto the wall by the signs
+of those two tokens alone (:func:`singular_reduction_table`).  Blocks also
+carry their members as ``Fraction`` weights for their readers; the engine
+and the tables never read them and build ``Fraction`` values only for error
+messages.
 
 Blocks are linkage classes: weights sharing, per integrality class of the
 token values, the multiset of absolute values of x = mu + rho together with
@@ -44,11 +54,12 @@ the negative-entry parity when the class has no zero token.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from typing import Sequence
 
 from .laurent import LaurentPoly
+from .params import format_rational
 from .weights import (
     Family,
     Weight,
@@ -56,11 +67,16 @@ from .weights import (
     context_of,
     dominance_sort_key,
     is_singular,
-    shift,
-    unshift,
+    rho,
 )
 
-NVector = dict[Weight, LaurentPoly]
+Numerators = tuple[int, ...]  # scale * (mu + rho) over the family's denominator
+NVector = dict[Numerators, LaurentPoly]
+
+
+def _rationals(x: Sequence[int], scale: int) -> str:
+    """A shifted weight given by numerators over ``scale``, for messages."""
+    return "(" + ",".join(format_rational(Fraction(a, scale)) for a in x) + ")"
 
 
 class ClosedWorldViolation(Exception):
@@ -74,17 +90,25 @@ class ConventionUnpinned(Exception):
 class UnsupportedBlock(ValueError):
     """A singular linkage block that no table here can read.
 
-    Carries the offending ``weight`` and the ``reason`` it is refused; the
-    message names the weight by ``name`` if given.
+    Carries the offending ``weight`` (its numerators) and the ``reason`` it
+    is refused; the message names the weight by ``name``.
     """
 
-    def __init__(self, weight: Weight, reason: str, name: str | None = None):
-        super().__init__(f"{reason} at {weight if name is None else name}")
+    def __init__(self, weight: Numerators, reason: str, name: str):
+        super().__init__(f"{reason} at {name}")
         self.weight = weight
         self.reason = reason
 
 
+def _unsupported(x: Numerators, scale: int, reason: str) -> UnsupportedBlock:
+    """The refusal of the weight mu with numerators x = scale * (mu + rho),
+    naming mu as a tuple of rationals."""
+    mu = (Fraction(a, scale) - c for a, c in zip(x, rho(len(x))))
+    return UnsupportedBlock(x, reason, "(" + ",".join(map(format_rational, mu)) + ")")
+
+
 _TIED_COORDINATES = "the engine supports no weight with two equal coordinates"
+_NEGATIVE_FIRST = "wall reduction supports no wall pair with its negative member first"
 
 
 # Frozen by the level-one diagram-algebra cross-check (k = 1, r <= 3,
@@ -128,8 +152,9 @@ def canonical_form(x: Sequence[int], scale: int) -> tuple:
     return tuple(key)
 
 
-def singular_pairs(x: Weight) -> list[tuple[int, int]]:
-    """Coordinate pairs (i, j), i < j, with x_i = -x_j != 0.
+def singular_pairs(x: Sequence) -> list[tuple[int, int]]:
+    """Coordinate pairs (i, j), i < j, with x_i = -x_j != 0, on any shifted
+    weight (rationals, or numerators over a common denominator).
 
     Each pair is a reflection s_{e_i + e_j} fixing x; the pairing with that
     root is 0, hence integral, so any such pair makes x singular for the
@@ -146,68 +171,21 @@ def singular_pairs(x: Weight) -> list[tuple[int, int]]:
     ]
 
 
-def lift_from_wall(x: Weight, pair: tuple[int, int], upper: bool) -> Weight:
-    """One of the two regular weights translating onto the wall weight x.
-
-    x has x_i = -x_j = a > 0; the companion regular linkage class splits the
-    doubled |value| a into {a, a+1}, shifting every |value| > a up by one.
-    ``upper`` raises the positive member of the pair (giving the
-    dominance-higher lift); otherwise the negative member is lowered.
-    """
-    i, j = pair
-    a = x[i]
-    if not (a > 0 and x[j] == -a):
-        raise ValueError(f"not a wall pair: x[{i}] = {a}, x[{j}] = {x[j]}")
-    out = list(x)
-    for idx, c in enumerate(x):
-        if idx == i:
-            out[idx] = a + 1 if upper else a
-        elif idx == j:
-            out[idx] = -a if upper else -(a + 1)
-        elif c > a:
-            out[idx] = c + 1
-        elif c < -a:
-            out[idx] = c - 1
-    return tuple(out)
-
-
-def collapse_to_wall(x_reg: Weight, a) -> Weight | None:
-    """Inverse of :func:`lift_from_wall`: merge |values| {a, a+1} back to a.
-
-    Returns None when the two merged coordinates carry the same sign: such a
-    regular weight crosses a Levi wall under translation and contributes
-    nothing on the singular side.
-    """
-    merged_signs = [1 if c > 0 else -1 for c in x_reg if abs(c) in (a, a + 1)]
-    if len(merged_signs) != 2 or merged_signs[0] == merged_signs[1]:
-        return None
-    out = []
-    for c in x_reg:
-        if abs(c) in (a, a + 1):
-            out.append(a if c > 0 else -a)
-        elif c > a + 1:
-            out.append(c - 1)
-        elif c < -(a + 1):
-            out.append(c + 1)
-        else:
-            out.append(c)
-    return tuple(out)
-
-
 @dataclass
 class Block:
     """A linkage class of parabolically dominant weights.
 
-    ``weights`` holds the requested members sorted compatibly with dominance
-    and ``positions`` their places in the family table, when the block comes
-    from :func:`partition_into_blocks`; after a canonical-basis run,
-    ``extended`` holds every weight the recursion touched.
+    ``numerators`` holds the members as scale * (mu + rho), sorted
+    compatibly with dominance; ``weights`` the same members mu as
+    ``Fraction`` tuples, and ``positions`` their places in the family table
+    when the block comes from :func:`partition_into_blocks`.
     """
 
     ctx: WeightContext
     key: tuple
     weights: tuple[Weight, ...]
-    extended: tuple[Weight, ...] = ()
+    numerators: tuple[Numerators, ...]
+    scale: int
     positions: tuple[int, ...] = ()
 
     @property
@@ -226,7 +204,8 @@ def partition_into_blocks(family: Family) -> list[Block]:
     for key, members in grouped.items():
         members.sort(key=lambda i: dominance_sort_key(family.shifts[i]))
         weights = tuple(family.weights[i] for i in members)
-        blocks.append(Block(ctx, key, weights, positions=tuple(members)))
+        numerators = tuple(family.numerators[i] for i in members)
+        blocks.append(Block(ctx, key, weights, numerators, family.scale, tuple(members)))
     return blocks
 
 
@@ -255,23 +234,24 @@ class CanonicalBasisEngine:
 
     All weights handled by one engine must share a canonical form; the token
     set, integrality classes, and generator list are computed once from a
-    seed and reused.
+    seed and reused.  The seed and every weight passed in or out are
+    numerator tuples scale * (mu + rho) at the one ``scale`` given here.
     """
 
-    def __init__(self, ctx: WeightContext, seed: Weight, max_weights: int = 200_000):
+    def __init__(
+        self, ctx: WeightContext, seed: Numerators, scale: int, max_weights: int = 200_000
+    ):
         self.ctx = ctx
+        self.scale = scale
         self.max_weights = max_weights
-        seed_x = shift(seed)
-        if is_singular(seed_x):
-            raise ValueError(f"seed weight is singular (repeated |value|): {seed_x}")
-        tokens = sorted((abs(a) for a in seed_x), reverse=True)
-        self.tokens = tuple(tokens)
-        # tokens scaled to integers by their common denominator
-        self.scale = scale = lcm(*(t.denominator for t in tokens))
-        scaled = tuple(int(t * scale) for t in tokens)
-        self.key = canonical_form([int(a * scale) for a in seed_x], scale)
+        if is_singular(seed):
+            raise ValueError(
+                f"seed weight is singular (repeated |value|): {_rationals(seed, scale)}"
+            )
+        self.tokens = tokens = tuple(sorted((abs(a) for a in seed), reverse=True))
+        self.key = canonical_form(seed, scale)
         classes: dict[int, list[int]] = {}
-        for i, t in enumerate(scaled):  # descending
+        for i, t in enumerate(tokens):  # descending
             classes.setdefault(t % scale, []).append(i)
         # generators per integrality class: magnitude-adjacent swaps plus the
         # class's negating node on its two smallest tokens
@@ -283,9 +263,8 @@ class CanonicalBasisEngine:
         self.moves: tuple[TokenMove, ...] = tuple(moves)
         # the zero token's hidden sign completes its class to even flip parity
         self._zero_class = next((c for c in classes.values() if tokens[c[-1]] == 0), None)
-        self._index = {t: i for i, t in enumerate(scaled)}
-        self._signed = (self.tokens, tuple(-t for t in tokens))
-        self._signed_scaled = (scaled, tuple(-t for t in scaled))
+        self._index = {t: i for i, t in enumerate(tokens)}
+        self._signed_scaled = (tokens, tuple(-t for t in tokens))
         self._ids: dict[State, int] = {}
         self._states: list[State] = []
         self._prefix: list[tuple[int, ...]] = []  # dominance key per id
@@ -293,12 +272,13 @@ class CanonicalBasisEngine:
         self._b: dict[int, IdVector] = {}
         self._bar_n: dict[int, IdVector] = {}
 
-    # -- state codec (the Weight boundary) -----------------------------------
+    # -- state codec (the numerator boundary) ---------------------------------
 
-    def _coords(self, state: State, values: tuple, negated: tuple) -> list:
+    def _coords(self, state: State) -> list[int]:
         """Signed token values of a state, descending within each Levi block:
         its positive tokens by falling magnitude, then its negative ones by
         rising magnitude (tokens are indexed by falling magnitude)."""
+        values, negated = self._signed_scaled
         pos: list[list[int]] = [[] for _ in range(self.ctx.k)]
         neg: list[list[int]] = [[] for _ in range(self.ctx.k)]
         for i, code in enumerate(state):
@@ -314,31 +294,32 @@ class CanonicalBasisEngine:
         if sid is None:
             sid = self._ids[state] = len(self._states)
             self._states.append(state)
-            self._prefix.append(tuple(accumulate(self._coords(state, *self._signed_scaled))))
+            self._prefix.append(tuple(accumulate(self._coords(state))))
             self._table.append([_UNSET] * len(self.moves))
         return sid
 
-    def _state_id(self, x: Weight) -> int:
+    def _state_id(self, x: Numerators) -> int:
         """Intern a shifted weight of this linkage class, sorted within blocks."""
-        scaled = [a * self.scale for a in x]
-        nums = [a.numerator for a in scaled]
-        if any(a.denominator != 1 for a in scaled) or canonical_form(nums, self.scale) != self.key:
-            raise ValueError(f"state off the linkage class: {x}")
+        if canonical_form(x, self.scale) != self.key:
+            raise ValueError(f"state off the linkage class: {_rationals(x, self.scale)}")
         code = [0] * len(self.tokens)
         for bi, (start, end) in enumerate(self.ctx.blocks()):
-            if any(nums[i] <= nums[i + 1] for i in range(start, end - 1)):
-                raise ValueError(f"not sorted: {x}")
-            for c in nums[start:end]:
+            if any(x[i] <= x[i + 1] for i in range(start, end - 1)):
+                raise ValueError(f"not sorted: {_rationals(x, self.scale)}")
+            for c in x[start:end]:
                 code[self._index[abs(c)]] = 2 * bi + (c < 0)
         if self._zero_class is not None:
             code[self._zero_class[-1]] |= sum(code[i] & 1 for i in self._zero_class) % 2
         return self._intern(tuple(code))
 
-    def _weight(self, sid: int) -> Weight:
-        return tuple(self._coords(self._states[sid], *self._signed))
+    def _numerators(self, sid: int) -> Numerators:
+        return tuple(self._coords(self._states[sid]))
 
-    def _to_weights(self, vec: IdVector) -> NVector:
-        return {self._weight(z): p for z, p in vec.items()}
+    def _name(self, sid: int) -> str:
+        return _rationals(self._numerators(sid), self.scale)
+
+    def _read(self, vec: IdVector) -> NVector:
+        return {self._numerators(z): p for z, p in vec.items()}
 
     # -- move table -----------------------------------------------------------
 
@@ -366,7 +347,7 @@ class CanonicalBasisEngine:
             signs.discard(0)
             if len(signs) != 1:
                 raise AssertionError(
-                    f"incomparable wall neighbours {self._weight(s)}, {self._weight(t)}"
+                    f"incomparable wall neighbours {self._name(s)}, {self._name(t)}"
                 )
             entry = (t, signs.pop())
         self._table[s][g] = entry
@@ -400,7 +381,7 @@ class CanonicalBasisEngine:
                 return g, entry[0]
         return None
 
-    def ascent(self, x: Weight) -> tuple[TokenMove, Weight] | None:
+    def ascent(self, x: Numerators) -> tuple[TokenMove, Numerators] | None:
         """First generator whose image lies strictly above x.
 
         Returns None exactly at the dominance-maximal state of the orbit
@@ -408,7 +389,7 @@ class CanonicalBasisEngine:
         guarantees an ascent, which is what drives the recursion home.
         """
         asc = self._ascent(self._state_id(x))
-        return None if asc is None else (self.moves[asc[0]], self._weight(asc[1]))
+        return None if asc is None else (self.moves[asc[0]], self._numerators(asc[1]))
 
     def _check_budget(self) -> None:
         if len(self._b) + len(self._bar_n) > self.max_weights:
@@ -417,13 +398,13 @@ class CanonicalBasisEngine:
                 "the block enumeration is likely wrong"
             )
 
-    def basis_element(self, x: Weight) -> NVector:
+    def basis_element(self, x: Numerators) -> NVector:
         """The canonical basis element at x, as {z: coefficient of N_z}.
 
         Off-diagonal support sits strictly above x in the dominance order,
         with coefficients in v*Z[v].
         """
-        return self._to_weights(self._element(self._state_id(x)))
+        return self._read(self._element(self._state_id(x)))
 
     def _element(self, x: int) -> IdVector:
         cached = self._b.get(x)
@@ -447,12 +428,12 @@ class CanonicalBasisEngine:
             result = {z: p for z, p in vec.items() if p}
             if result.get(x) != LaurentPoly.one():
                 raise AssertionError(
-                    f"canonical basis element at {self._weight(x)} is not unitriangular"
+                    f"canonical basis element at {self._name(x)} is not unitriangular"
                 )
             for z, p in result.items():
                 if z != x and not p.in_positive_part():
                     raise AssertionError(
-                        f"off-diagonal entry {p} at {self._weight(z)} not in v*Z[v]"
+                        f"off-diagonal entry {p} at {self._name(z)} not in v*Z[v]"
                     )
         self._b[x] = result
         return result
@@ -485,68 +466,19 @@ class CanonicalBasisEngine:
         for x, p in vec.items():
             for w, q in self.bar_of_standard(self._state_id(x)).items():
                 out[w] = out.get(w, LaurentPoly.zero()) + p.bar() * q
-        return self._to_weights({z: p for z, p in out.items() if p})
+        return self._read({z: p for z, p in out.items() if p})
 
     def is_bar_invariant(self, vec: NVector) -> bool:
         return self.bar_vector(vec) == {z: p for z, p in vec.items() if p}
-
-
-@dataclass
-class KLTable:
-    """Unitriangular matrix of canonical-basis coefficients over one block.
-
-    ``weights`` is the dominance-sorted list of all weights the computation
-    touched (requested block members plus dynamic extensions); ``entry(mu,
-    lam)`` is the coefficient of N_lam in the canonical basis element at mu,
-    zero unless mu <= lam in the dominance order.
-    """
-
-    ctx: WeightContext
-    weights: tuple[Weight, ...]
-    polys: dict[tuple[Weight, Weight], LaurentPoly]
-
-    def entry(self, mu: Weight, lam: Weight) -> LaurentPoly:
-        return self.polys.get((mu, lam), LaurentPoly.zero())
-
-    def composition_multiplicity(self, mu: Weight, lam: Weight) -> int:
-        return self.entry(mu, lam).evaluate_at_one()
-
-
-def canonical_basis(block: Block, engine: CanonicalBasisEngine | None = None) -> KLTable:
-    """Compute the canonical basis table for every weight in a block.
-
-    The recursion may touch weights outside the requested list (always on the
-    dominant side); these are folded into the table and recorded on
-    ``block.extended``.  Invariants checked here: unitriangularity,
-    nonnegative coefficients, off-diagonal entries in v*Z[v], and exact
-    bar-invariance of every element.
-    """
-    ctx = block.ctx
-    if engine is None:
-        engine = CanonicalBasisEngine(ctx, block.weights[0])
-    polys: dict[tuple[Weight, Weight], LaurentPoly] = {}
-    touched: set[Weight] = set()
-    for mu in block.weights:
-        b = engine.basis_element(shift(mu))
-        if not engine.is_bar_invariant(b):
-            raise AssertionError(f"canonical basis element at {mu} is not bar-invariant")
-        touched.add(mu)
-        for z, p in b.items():
-            if not p.has_nonnegative_coeffs():
-                raise AssertionError(f"negative coefficient in {p} at {z}")
-            lam = unshift(z)
-            touched.add(lam)
-            polys[(mu, lam)] = p
-    block.extended = tuple(sorted(touched, key=dominance_sort_key))
-    return KLTable(ctx=ctx, weights=block.extended, polys=polys)
 
 
 def tilting_table(
     block: Block,
     convention: str | None = None,
     engine: CanonicalBasisEngine | None = None,
-) -> dict[tuple[Weight, Weight], int]:
-    """Tilting multiplicities keyed (lam, mu) = (T(mu) : M(lam)).
+) -> dict[tuple[Numerators, Numerators], int]:
+    """Tilting multiplicities keyed (lam, mu) = (T(mu) : M(lam)), both given
+    by their numerators at the block's scale.
 
     The ambient rank is even, so the longest-element twist in the Verma-flag
     character duality is plain negation and the only residual freedom is the
@@ -566,23 +498,20 @@ def tilting_table(
     convention = resolve_convention(convention)
     if convention not in ("direct", "mirror"):
         raise ValueError(f"unknown tilting convention: {convention!r}")
-    ctx = block.ctx
-    x0 = shift(block.weights[0])
+    x0 = block.numerators[0]
     if len(set(x0)) < len(x0):
-        raise UnsupportedBlock(block.weights[0], _TIED_COORDINATES)
+        raise _unsupported(x0, block.scale, _TIED_COORDINATES)
     if engine is None:
-        engine = CanonicalBasisEngine(ctx, block.weights[0])
-    out: dict[tuple[Weight, Weight], int] = {}
-    for w in block.weights:
-        b = engine.basis_element(shift(w))
-        for z, p in b.items():
-            other = unshift(z)
+        engine = CanonicalBasisEngine(block.ctx, x0, block.scale)
+    out: dict[tuple[Numerators, Numerators], int] = {}
+    for w in block.numerators:
+        for z, p in engine.basis_element(w).items():
             if convention == "direct":
                 # basis index w plays mu; support z plays lam
-                out[(other, w)] = p.evaluate_at_one()
+                out[(z, w)] = p.evaluate_at_one()
             else:
                 # basis index w plays lam; support z plays mu
-                out[(w, other)] = p.evaluate_at_one()
+                out[(w, z)] = p.evaluate_at_one()
     return out
 
 
@@ -590,81 +519,103 @@ def singular_reduction_table(
     block: Block,
     convention: str | None = None,
     engine: CanonicalBasisEngine | None = None,
-) -> dict[tuple[Weight, Weight], int]:
-    """Tilting multiplicities for a wall block, via its regular companion.
+) -> dict[tuple[Numerators, Numerators], int]:
+    """Tilting multiplicities for a wall block, via its regular companion,
+    keyed like :func:`tilting_table`.
 
     Every weight of the block is fixed by exactly one reflection
-    s_{e_i + e_j} (the shifted weight carries a pair x_i = -x_j = a > 0).
-    Translation onto/off that wall identifies the block with the regular
-    linkage class of :func:`lift_from_wall`.  Each wall weight has a
-    two-element stabilizer coset of regular companions; the multiplicity
-    dictionary reads the standard index at the minimal (dominance-lower)
-    representative and the tilting index at the maximal (dominance-higher)
-    one:
+    s_{e_i + e_j}: the shifted weight carries one pair x_i = -x_j = a > 0,
+    with the positive member first.  Translation onto/off that wall
+    identifies the block with a regular linkage class, the companion, whose
+    tokens are the wall tokens with the doubled value a split into a+1
+    (token t_hi) and a (token t_lo), every larger token raised by one.  A
+    wall weight has two companion lifts: the upper one puts the positive
+    member of the pair on t_hi, the lower one on t_lo.  The multiplicity
+    dictionary reads the standard index at the lower (dominance-lower) lift
+    and the tilting index at the upper one:
 
         (T(mu) : M(lam))  =  (T(lift_hi(mu)) : M(lift_lo(lam))).
 
     (The two-weight wall blocks reachable at r = 3 cannot tell this apart
     from the hi/hi reading; four-weight blocks at r = 4 pin it — the hi/hi
-    reading loses the corner entry the diagram oracle demands.)  Regular flag
-    weights landing on the wrong representative, or whose collapse crosses a
-    Levi wall, vanish under translation onto the wall and are dropped.
-    Supports collapsing to wall weights beyond the requested block are kept
-    (keys outside block.weights), so the caller's residual bookkeeping sees
-    every column the flags touch.
+    reading loses the corner entry the diagram oracle demands.)
+
+    Block members are interned at their lifts, and each support entry of a
+    companion element folds onto the wall by the signs of t_hi and t_lo
+    alone.  Equal signs cross a Levi wall and vanish under translation;
+    otherwise the sign of t_hi says which lift the entry is, and only the
+    representative the dictionary reads is kept.  The kept entry's wall
+    weight is the same placement read through the wall values: t_hi and t_lo
+    both read a, larger tokens drop by one.  Supports folding to wall weights
+    beyond the requested block are kept (keys outside the block), so the
+    caller's residual bookkeeping sees every column the flags touch.
     """
     convention = resolve_convention(convention)
     if convention not in ("direct", "mirror"):
         raise ValueError(f"unknown tilting convention: {convention!r}")
-    pairs_by_weight: dict[Weight, tuple[int, int]] = {}
-    for mu in block.weights:
-        x = shift(mu)
-        pairs = singular_pairs(x)
-        if len(pairs) != 1:
-            raise UnsupportedBlock(
-                mu, f"wall reduction supports exactly one vanishing pairing, found {len(pairs)}"
+    scale = block.scale
+    pairs: list[tuple[int, int]] = []
+    for x in block.numerators:
+        found = singular_pairs(x)
+        if len(found) != 1:
+            raise _unsupported(
+                x,
+                scale,
+                f"wall reduction supports exactly one vanishing pairing, found {len(found)}",
             )
         if len(set(x)) < len(x):
-            raise UnsupportedBlock(mu, _TIED_COORDINATES)
-        if x[pairs[0][0]] < 0:
-            raise UnsupportedBlock(
-                mu, "wall reduction supports no wall pair with its negative member first"
-            )
-        pairs_by_weight[mu] = pairs[0]
-    doubled = {abs(shift(mu)[i]) for mu, (i, _) in pairs_by_weight.items()}
+            raise _unsupported(x, scale, _TIED_COORDINATES)
+        if x[found[0][0]] < 0:
+            raise _unsupported(x, scale, _NEGATIVE_FIRST)
+        pairs.append(found[0])
+    doubled = {abs(x[i]) for x, (i, _) in zip(block.numerators, pairs)}
     if len(doubled) != 1:
-        raise ValueError(f"wall block mixes doubled values {sorted(doubled)}")
+        values = ", ".join(format_rational(Fraction(a, scale)) for a in sorted(doubled))
+        raise ValueError(f"wall block mixes doubled values [{values}]")
     a = doubled.pop()
+    hi, lo = a + scale, a  # the companion tokens t_hi and t_lo
 
     # the basis index plays the tilting role under "direct" (expand at the
-    # maximal lift, keep standard supports at minimal lifts) and the standard
-    # role under "mirror" (expand at the minimal lift, keep maximal supports)
+    # upper lift, keep supports at lower lifts) and the standard role under
+    # "mirror" (expand at the lower lift, keep supports at upper lifts)
     basis_upper = convention == "direct"
-    base_x = {
-        mu: lift_from_wall(shift(mu), pairs_by_weight[mu], basis_upper)
-        for mu in block.weights
-    }
+    lifts = []
+    for x, (i, j) in zip(block.numerators, pairs):
+        lift = [c + scale if c > a else c - scale if c < -a else c for c in x]
+        lift[i], lift[j] = (hi, -lo) if basis_upper else (lo, -hi)
+        lifts.append(tuple(lift))
     if engine is None:
-        engine = CanonicalBasisEngine(block.ctx, unshift(next(iter(base_x.values()))))
+        engine = CanonicalBasisEngine(block.ctx, lifts[0], scale)
+    # the wall value of each signed companion token; no companion token lies
+    # strictly between t_lo and t_hi, since the lift raises every larger one
+    wall_value = {}
+    for t in engine.tokens:
+        v = t - scale if t > hi else min(t, a)
+        wall_value[t], wall_value[-t] = v, -v
 
-    out: dict[tuple[Weight, Weight], int] = {}
-    for w0 in block.weights:
-        b = engine.basis_element(base_x[w0])
-        for z, p in b.items():
-            wall_x = collapse_to_wall(z, a)
-            if wall_x is None:
-                continue  # crosses a Levi wall: killed by translation
-            wall_pairs = singular_pairs(wall_x)
-            if len(wall_pairs) != 1:
-                raise AssertionError(f"collapsed support {wall_x} is not a simple wall weight")
-            if z != lift_from_wall(wall_x, wall_pairs[0], not basis_upper):
-                continue  # wrong representative: not part of the dictionary
-            wall = unshift(wall_x)
+    out: dict[tuple[Numerators, Numerators], int] = {}
+    for w, lift in zip(block.numerators, lifts):
+        for z, p in engine.basis_element(lift).items():
+            # every state places both tokens, each with one sign
+            hi_positive = hi in z
+            if hi_positive == (lo in z):
+                continue  # both on one side: crosses a Levi wall, killed by translation
+            positive, negative = (hi, -lo) if hi_positive else (lo, -hi)
+            if z.index(negative) < z.index(positive):
+                # within a Levi block the positive member comes first, so
+                # the negative one sits in an earlier Levi block
+                wall = tuple(map(wall_value.__getitem__, z))
+                raise _unsupported(wall, scale, _NEGATIVE_FIRST)
+            if hi_positive == basis_upper:
+                continue  # the other coset representative: not part of the dictionary
             val = p.evaluate_at_one()
             if not val:
                 continue
+            # the fold leaves exactly one vanishing pairing: the companion
+            # is regular, and only t_hi and t_lo share a wall value
+            wall = tuple(map(wall_value.__getitem__, z))
             if convention == "direct":
-                out[(wall, w0)] = val
+                out[(wall, w)] = val
             else:
-                out[(w0, wall)] = val
+                out[(w, wall)] = val
     return out

@@ -8,7 +8,7 @@ entries, so the work stays on machine-speed Python ints (Bareiss, Math.
 Comp. 22, 1968, for integer-preserving elimination).  ``Fraction``s are
 built once, for the returned reduced row-echelon form, which is unique, so
 the results are exact.  No floating point anywhere; the systems solved here
-(Gram matrices, trace forms, character systems) stay in the low hundreds.
+(Gram matrices, radical bases, character systems) stay in the low hundreds.
 
 >>> from fractions import Fraction as F
 >>> rank([[F(1), F(2)], [F(2), F(4)]])

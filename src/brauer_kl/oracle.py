@@ -9,9 +9,7 @@ matrix is computed from exact character identities: the character of each
 cell module and of each Gram-quotient simple is evaluated on every basis
 diagram, and the integer multiplicities solve the resulting linear system
 (characters of pairwise non-isomorphic simples are linearly independent in
-characteristic zero).  The regular-representation trace form and its radical
-are exposed separately so the semisimplicity bookkeeping can be audited
-against the same diagrams.
+characteristic zero).
 
 All of this is deliberately independent of the weight/KL machinery: nothing
 here imports from the canonical-basis side, so agreement between the two is
@@ -153,55 +151,6 @@ def multiply(d1: Diagram, d2: Diagram, delta: Fraction | None = None) -> tuple[D
             visited_mid[x - r] = True
             use_d1 = not use_d1
     return tuple(partner), loops
-
-
-AlgebraElement = dict[Diagram, Fraction]
-
-
-def multiply_elements(x: AlgebraElement, y: AlgebraElement, delta: Fraction) -> AlgebraElement:
-    out: AlgebraElement = {}
-    for d1, c1 in x.items():
-        for d2, c2 in y.items():
-            prod, loops = multiply(d1, d2)
-            coeff = c1 * c2 * delta**loops
-            if coeff:
-                out[prod] = out.get(prod, Fraction(0)) + coeff
-    return {d: c for d, c in out.items() if c}
-
-
-# -- regular representation and trace form (audit machinery) ---------------
-
-
-def trace_form_matrix(r: int, delta: Fraction) -> list[list[Fraction]]:
-    """Gram matrix of (a, b) -> trace of left multiplication by a*b."""
-    diagrams = all_diagrams(r)
-    index = {d: i for i, d in enumerate(diagrams)}
-    # regular-representation trace of a single diagram g
-    def reg_trace(g: Diagram) -> Fraction:
-        total = Fraction(0)
-        for e in diagrams:
-            prod, loops = multiply(g, e)
-            if prod == e:
-                total += delta**loops
-        return total
-
-    mat = []
-    for a in diagrams:
-        row = []
-        for b in diagrams:
-            prod, loops = multiply(a, b)
-            row.append(delta**loops * reg_trace(prod))
-        mat.append(row)
-    return mat
-
-
-def trace_radical(r: int, delta: Fraction) -> list[AlgebraElement]:
-    """Basis of the trace-form radical, as algebra elements."""
-    diagrams = all_diagrams(r)
-    vectors = nullspace(trace_form_matrix(r, delta))
-    return [
-        {d: c for d, c in zip(diagrams, vec) if c} for vec in vectors
-    ]
 
 
 # -- half-diagrams and cell modules -----------------------------------------

@@ -48,6 +48,7 @@ from .weights import (
     is_singular,
     lambda_c,
     phiA_condition,
+    unshift,
 )
 
 
@@ -200,14 +201,15 @@ def tilting_decomposition(
     of the corresponding tilting column.  The same table is then peeled again
     with incomparable ties broken the other way; the two peels must agree,
     or ``NegativeResidual`` is raised.  ``convention`` None uses the frozen
-    pin.  Only non-singleton blocks reach the engine; its ``Fraction``-keyed
-    tables are read back into ids here.
+    pin.  Only non-singleton blocks reach the engine; their tables, keyed by
+    the family's numerator tuples, are read back into ids through one dict.
     """
     convention = resolve_convention(convention)
     family = family_table(cfg)
     flag = family.flag
     size = len(family)
     blocks = partition_into_blocks(family)
+    ids = {x: i for i, x in enumerate(family.numerators)}
     shifts = list(family.shifts)  # per id: ids past the family's end append
     outside: list[Weight] = []  # the weight of id size + j
     chamber = lambda_c(cfg)
@@ -220,6 +222,16 @@ def tilting_decomposition(
         if i < size:
             return family_label(family.labels[i])
         return "(" + ",".join(format_rational(a) for a in outside[i - size]) + ")"
+
+    def id_of(x: tuple[int, ...]) -> int:
+        # table weights outside the family get ids past its end; only they
+        # get a Fraction weight and shift, built from their numerators
+        i = ids.get(x)
+        if i is None:
+            i = ids[x] = size + len(outside)
+            outside.append(unshift(tuple(Fraction(a, family.scale) for a in x)))
+            shifts.append(tuple(a - c for a, c in zip(outside[-1], chamber)))
+        return i
 
     def check(top: int, m: int) -> None:
         if top >= size:
@@ -239,18 +251,6 @@ def tilting_decomposition(
                 n_out[i] = flag[i]
             columns[i] = {i: 1}
             continue
-        # a table's weights share the block's linkage key, so any family
-        # member among them is a block member; the rest get ids past the end
-        ids = dict(zip(block.weights, block.positions))
-
-        def id_of(mu: Weight) -> int:
-            i = ids.get(mu)
-            if i is None:
-                i = ids[mu] = size + len(outside)
-                outside.append(mu)
-                shifts.append(tuple(a - c for a, c in zip(mu, chamber)))
-            return i
-
         try:
             if singular_pairs(family.numerators[block.positions[0]]):
                 table = singular_reduction_table(block, convention)

@@ -9,7 +9,10 @@ The weight family F_r of a configuration is one integer table,
 :class:`Family`, built once per command: per position a cell label, the
 integer shift from the chamber weight and the shifted weight over one common
 denominator, off which linkage keys, singularity, dominance and the flags are
-read.  ``Fraction`` weights remain only for the canonical-basis engine.
+read; the canonical-basis engine and its tables take those numerators as
+they are.  ``Fraction`` weights remain in the table's ``weights`` column
+(which linkage blocks carry for their readers) and in the per-weight
+routines here: :func:`hat`, :func:`tilde` and the root pairings.
 
 Conventions:
 

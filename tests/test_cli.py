@@ -142,6 +142,42 @@ def test_unsupported_block_exits_5_with_one_error_line(capsys, argv):
     assert len(err) < 200
 
 
+# argv -> its one error line; both residuals lie outside the weight family,
+# so the line names them as tuples of rationals
+FAILED_PEEL = {
+    ("decompose", "--k", "1", "--r", "4", "--u", "1/2", "--convention", "direct"):
+        "error: residual escapes the weight family at (0,0,0,0,0,-1,-1,-2)\n",
+    ("decompose", "--k", "2", "--r", "3", "--u", "0,1/3", "--convention", "direct"):
+        "error: residual escapes the weight family at "
+        "(-11/2,-11/2,-11/2,-11/2,-13/2,-15/2,1/6,1/6,1/6,1/6,1/6,1/6)\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(FAILED_PEEL))
+def test_failed_peel_exits_6_with_one_error_line(capsys, argv):
+    assert run(capsys, *argv) == (6, "", FAILED_PEEL[argv])
+
+
+def test_decompose_imports_no_oracle():
+    src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
+    code = (
+        "import sys\n"
+        "import brauer_kl.cli\n"
+        "code = brauer_kl.cli.main(['decompose', '--k', '1', '--r', '3', '--u', '3/2'])\n"
+        "loaded = [m for m in ('oracle', 'specht', 'linalg') if 'brauer_kl.' + m in sys.modules]\n"
+        "print(code, loaded, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "0 []\n"
+    assert json.loads(proc.stdout)["schema"] == "brauer-kl/1"
+
+
 def test_decompose_output_is_the_same_under_python_O():
     src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
     argv = ["-m", "brauer_kl.cli", "decompose", "--k", "1", "--r", "3", "--u", "3/2"]

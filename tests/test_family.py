@@ -175,12 +175,12 @@ def test_engine_accepts_exactly_its_block(cfg):
     family = family_table(cfg)
     blocks = kl.partition_into_blocks(family)
     for block in blocks:
-        if block.is_singleton or is_singular(shift(block.weights[0])):
+        if block.is_singleton or is_singular(block.numerators[0]):
             continue
-        engine = kl.CanonicalBasisEngine(block.ctx, block.weights[0])
-        for mu in block.weights:
-            engine._state_id(shift(mu))
+        engine = kl.CanonicalBasisEngine(block.ctx, block.numerators[0], block.scale)
+        for x in block.numerators:
+            engine._state_id(x)
         for other in blocks[:12]:
             if other is not block:
                 with pytest.raises(ValueError, match="off the linkage class"):
-                    engine._state_id(shift(other.weights[0]))
+                    engine._state_id(other.numerators[0])

@@ -214,8 +214,8 @@ def test_peel_refuses_a_residual_outside_the_family(monkeypatch):
     table = pipeline.tilting_table
 
     def with_outside_row(block, convention):
-        top = block.weights[-1]
-        return {(tuple(a - 7 for a in top), top): -1, **table(block, convention)}
+        top = block.numerators[-1]
+        return {(tuple(a - 7 * block.scale for a in top), top): -1, **table(block, convention)}
 
     monkeypatch.setattr(pipeline, "tilting_table", with_outside_row)
     with pytest.raises(NegativeResidual, match=r"escapes the weight family at \((-?[\d/]+,)+-?[\d/]+\)$"):
@@ -410,6 +410,12 @@ GOLDEN_REPORT_SHA256 = {
     ("0,1/2", 3, False): "581da37c524727918bbbf77769802c8423fc4fe5d6adce944bff99d02677d308",
     ("5,1", 2, True): "d7417781e4b81f8d9a24ffced018e4b2906194f5578708af787abf69a98bcd11",
     ("1/2,-1/2", 1, True): "f52c92a7cbf33dceae7753a00f9255699d0d04c122688a483ee1b5ca17595d3a",
+    # wall reports, recorded before the wall reduction ran on numerator tuples
+    ("3/2", 4, False): "48f61958c6991041bfbdab46f889af7e6635cbeb07057c72734ba13346bc9cd2",
+    ("3/2", 5, False): "ef000fcd6e41e23c4c412d8421d1c00eca55997572226542409e29411b7cca88",
+    ("3/2", 6, False): "a3205e2c4c538e61b78004f8303c1f903777566358b6a12de70a89edbef69354",
+    ("1/2", 5, False): "54838f516a8d2a7faffa177146603d1794658bafd0cb2837bfd16d2e3dd5b715",
+    ("0,1/2", 4, False): "862ad452a11f438a283b73bb778f09efa18dfac428feaa7448cf97e80529a8b7",
 }
 
 
