@@ -46,7 +46,6 @@ from .kl import (
     Block,
     CanonicalBasisEngine,
     ClosedWorldViolation,
-    ConventionUnpinned,
     UnsupportedBlock,
     partition_into_blocks,
     resolve_convention,
@@ -56,7 +55,7 @@ from .kl import (
 from .pipeline import (
     NegativeResidual,
     SaturationNotEstablished,
-    content_consistency_check,
+    content_mismatches,
     decomposition_report,
     simple_dimensions,
     tilting_decomposition,
@@ -68,7 +67,6 @@ __all__ = [
     "Block",
     "CanonicalBasisEngine",
     "ClosedWorldViolation",
-    "ConventionUnpinned",
     "LambdaIndex",
     "NegativeResidual",
     "ParamConfig",
@@ -78,7 +76,7 @@ __all__ = [
     "WeightContext",
     "build_config",
     "conjugate",
-    "content_consistency_check",
+    "content_mismatches",
     "content_sequence",
     "decomposition_report",
     "double_factorial",

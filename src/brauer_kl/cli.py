@@ -2,9 +2,14 @@
 
 Subcommands: admissible | enumerate | decompose | oracle-compare | kl-selftest.
 All arithmetic is exact; rationals are written "p/q" on both input and
-output.  Exit codes: 0 success, 2 usage/parse error, 3 saturation not
-established (and not waived), 4 oracle mismatch, 5 unsupported linkage block,
-6 a tilting peel that fails (a negative or escaping residual).
+output, and a negative one is passed with "=", as in ``--u=-1/2``.
+``decompose`` is a function of its parameters (k, r, u) alone: the block
+sizes are the first verified choice of ``params.select_block_sizes``, and
+the KL and conjugate conventions are the pins frozen in ``kl``; only
+``oracle-compare`` tries both KL readings.  Exit codes: 0 success, 2
+usage/parse error, 3 saturation not established (and not waived), 4 oracle
+mismatch, 5 unsupported linkage block, 6 a tilting peel that fails (a
+negative or escaping residual).
 """
 
 from __future__ import annotations
@@ -45,13 +50,6 @@ def _parse_rational(text: str) -> Fraction:
 
 def _parse_u(text: str) -> tuple[Fraction, ...]:
     return tuple(_parse_rational(part) for part in text.split(","))
-
-
-def _parse_q(text: str) -> tuple[int, ...]:
-    q = tuple(int(part) for part in text.split(","))
-    if any(qt < 1 for qt in q):
-        raise ValueError(f"block sizes must be positive, got {text}")
-    return q
 
 
 def _emit(text: str, out_path: str | None, default_name: str) -> None:
@@ -99,24 +97,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     try:
         u = _parse_u(args.u)
-        q = _parse_q(args.q) if args.q else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if len(u) != args.k:
         print(f"error: expected {args.k} rational(s), got {len(u)}", file=sys.stderr)
         return 2
-    if q is not None and len(q) != args.k:
-        print(f"error: expected {args.k} block size(s), got {len(q)}", file=sys.stderr)
-        return 2
-    cfg = params.build_config(u, args.r, q=q)
+    cfg = params.build_config(u, args.r)
     try:
-        report = pipeline.decomposition_report(
-            cfg,
-            convention=args.convention,
-            conjugate_convention=args.conjugate,
-            assume_saturated=args.assume_saturated,
-        )
+        report = pipeline.decomposition_report(cfg, assume_saturated=args.assume_saturated)
     except SaturationNotEstablished as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -161,9 +150,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
         # oracle's cells inside oracle.compare
         report = failure = None
         try:
-            report = pipeline.decomposition_report(
-                cfg, convention=kl_conv, conjugate_convention="identity"
-            )
+            report = pipeline.decomposition_report(cfg, convention=kl_conv)
         except UnsupportedBlock as exc:  # no convention can reconcile it
             print(f"error: {exc}", file=sys.stderr)
             return 5
@@ -184,40 +171,45 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
     return 4
 
 
+SELFTEST_BATTERY = [
+    ((Fraction(0),), 3),
+    ((Fraction(1, 3),), 2),
+    ((Fraction(3, 2),), 2),
+    ((Fraction(1, 5), Fraction(9, 7)), 2),
+]
+
+
 def cmd_kl_selftest(args: argparse.Namespace) -> int:
     """Built-in battery: bijections and the family table, content identity,
-    peel stability."""
-    battery = [
-        ((Fraction(0),), 3),
-        ((Fraction(1, 3),), 2),
-        ((Fraction(3, 2),), 2),
-        ((Fraction(1, 5), Fraction(9, 7)), 2),
-    ]
+    peel stability.  Each failed check prints one indented reason line."""
     failures = 0
-    for u, r in battery:
+    for u, r in SELFTEST_BATTERY:
         cfg = params.build_config(u, r)
-        ok = True
+        reasons = []
         family = weights.enumerate_F(r, cfg)
         table = weights.family_table(cfg)
         for i, mu in enumerate(family):
             idx = weights.tilde(mu, cfg)
+            label = pipeline.family_label(idx)
             if weights.hat(idx, cfg) != mu:
-                ok = False
+                reasons.append(f"hat(tilde) does not return the weight at position {i} ({label})")
+                break
             if (table.labels[i], table.weights[i]) != (idx, mu):
-                ok = False
-        if not pipeline.content_consistency_check(cfg):
-            ok = False
-        error = None
+                shown = pipeline.family_label(table.labels[i])
+                reasons.append(f"family table reads {shown} at position {i}, tilde gives {label}")
+                break
+        mismatches = pipeline.content_mismatches(cfg)
+        if mismatches:
+            reasons.append(f"{len(mismatches)} walk step(s) fail the content cross-check")
         try:
             pipeline.tilting_decomposition(cfg)  # raises if the tie order matters
         except Exception as exc:
-            ok, error = False, exc
-        tag = "ok" if ok else "FAIL"
-        failures += 0 if ok else 1
+            reasons.append(f"{type(exc).__name__}: {exc}")
+        failures += 1 if reasons else 0
         u_text = ",".join(params.format_rational(x) for x in u)
-        print(f"{tag}: u=({u_text}) r={r} family={len(family)}")
-        if error is not None:
-            print(f"  {type(error).__name__}: {error}")
+        print(f"{'FAIL' if reasons else 'ok'}: u=({u_text}) r={r} family={len(family)}")
+        for reason in reasons:
+            print(f"  {reason}")
     return 0 if failures == 0 else 1
 
 
@@ -244,19 +236,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--k", type=positive, required=True)
     p.add_argument("--r", type=positive, required=True)
     p.add_argument("--u", type=str, required=True)
-    p.add_argument("--q", type=str, default=None, help="override block sizes")
-    p.add_argument(
-        "--convention",
-        choices=["direct", "mirror"],
-        default=None,
-        help="tilting index order; default: the frozen oracle pin",
-    )
-    p.add_argument(
-        "--conjugate",
-        choices=["identity", "transpose"],
-        default=None,
-        help="cell-label conjugation; default: the frozen oracle pin",
-    )
     p.add_argument("--assume-saturated", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--matrix", choices=["level", "full"], default="level", help="csv payload")

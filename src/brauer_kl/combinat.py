@@ -103,21 +103,23 @@ def add_node(mp: Multipartition, node: Node) -> Multipartition:
     p = list(mp[comp - 1])
     if row == len(p) + 1:
         p.append(1)
-    else:
+    elif 1 <= row <= len(p):
         p[row - 1] += 1
-    assert p[row - 1] == col, f"node {node} is not addable to {mp}"
-    assert is_partition(tuple(p))
+    if not (1 <= row <= len(p) and p[row - 1] == col and is_partition(tuple(p))):
+        raise ValueError(f"node {node} is not addable to {mp}")
     return mp[: comp - 1] + (tuple(p),) + mp[comp:]
 
 
 def remove_node(mp: Multipartition, node: Node) -> Multipartition:
     row, col, comp = node
     p = list(mp[comp - 1])
-    assert 1 <= row <= len(p) and p[row - 1] == col, f"node {node} is not removable from {mp}"
+    if not (1 <= row <= len(p) and p[row - 1] == col):
+        raise ValueError(f"node {node} is not removable from {mp}")
     p[row - 1] -= 1
     while p and p[-1] == 0:
         p.pop()
-    assert is_partition(tuple(p))
+    if not is_partition(tuple(p)):
+        raise ValueError(f"node {node} is not removable from {mp}")
     return mp[: comp - 1] + (tuple(p),) + mp[comp:]
 
 

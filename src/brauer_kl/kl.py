@@ -83,10 +83,6 @@ class ClosedWorldViolation(Exception):
     """Dynamic block extension exceeded the configured weight bound."""
 
 
-class ConventionUnpinned(Exception):
-    """Strict-mode tilting query before the convention was pinned."""
-
-
 class UnsupportedBlock(ValueError):
     """A singular linkage block that no table here can read.
 
@@ -112,22 +108,19 @@ _NEGATIVE_FIRST = "wall reduction supports no wall pair with its negative member
 
 
 # Frozen by the level-one diagram-algebra cross-check (k = 1, r <= 3,
-# delta in {1, 2, -2}): the unique pair reconciling every run.  ``None``
-# here would mean the cross-check has not adjudicated yet, and pinned
-# lookups refuse with ConventionUnpinned.
-PINNED_KL_CONVENTION: str | None = "mirror"
-PINNED_CONJUGATE_CONVENTION: str | None = "transpose"
+# delta in {1, 2, -2}): the unique pair reconciling every run.
+PINNED_KL_CONVENTION = "mirror"
+PINNED_CONJUGATE_CONVENTION = "transpose"
 
 
 def resolve_convention(convention: str | None) -> str:
-    """Explicit convention name, or the frozen pin for ``None``."""
-    if convention is not None:
-        return convention
-    if PINNED_KL_CONVENTION is None:
-        raise ConventionUnpinned(
-            "no tilting convention pinned; run the oracle cross-check or pass one explicitly"
-        )
-    return PINNED_KL_CONVENTION
+    """The tilting convention: ``None`` reads the frozen pin at call time,
+    and anything but ``"direct"`` or ``"mirror"`` is a ``ValueError``."""
+    if convention is None:
+        convention = PINNED_KL_CONVENTION
+    if convention not in ("direct", "mirror"):
+        raise ValueError(f"unknown tilting convention: {convention!r}")
+    return convention
 
 
 def canonical_form(x: Sequence[int], scale: int) -> tuple:
@@ -496,8 +489,6 @@ def tilting_table(
     diagram-algebra cross-check and then frozen in configuration.
     """
     convention = resolve_convention(convention)
-    if convention not in ("direct", "mirror"):
-        raise ValueError(f"unknown tilting convention: {convention!r}")
     x0 = block.numerators[0]
     if len(set(x0)) < len(x0):
         raise _unsupported(x0, block.scale, _TIED_COORDINATES)
@@ -551,8 +542,6 @@ def singular_reduction_table(
     caller's residual bookkeeping sees every column the flags touch.
     """
     convention = resolve_convention(convention)
-    if convention not in ("direct", "mirror"):
-        raise ValueError(f"unknown tilting convention: {convention!r}")
     scale = block.scale
     pairs: list[tuple[int, int]] = []
     for x in block.numerators:

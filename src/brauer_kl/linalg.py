@@ -73,7 +73,11 @@ def rank(rows) -> int:
 
 
 def nullspace(rows) -> list[Vector]:
-    """A basis of the right null space {x : M x = 0}."""
+    """A basis of the right null space {x : M x = 0}.
+
+    One vector per free (non-pivot) column: it is 1 at its own free column,
+    which is its last nonzero entry, and 0 at every other free column.
+    """
     if not rows:
         return []
     ncols = len(rows[0])

@@ -411,15 +411,23 @@ def oracle_decomposition_matrix(r: int, delta: Fraction) -> OracleMatrix:
         if not rad:
             chi_D[lab] = chi_C[lab]
             continue
-        p = len(rad)
-        basis_matrix = [[rad[beta][i] for beta in range(p)] for i in range(cell.dim)]
+        # each nullspace vector is 1 at its own free column, its last
+        # nonzero entry, and 0 at the others: an image's coordinates in the
+        # radical basis are its entries there, checked by recombination
+        supports = [[(i, x) for i, x in enumerate(vec) if x] for vec in rad]
+        free = [support[-1][0] for support in supports]
         rad_char = []
         for d in diagrams:
             tr = Fraction(0)
-            for alpha in range(p):
-                image = cell.act(d, rad[alpha])
-                coords = solve(basis_matrix, image)
-                if coords is None:
+            for alpha, vec in enumerate(rad):
+                image = cell.act(d, vec)
+                coords = [image[c] for c in free]
+                span = [Fraction(0)] * cell.dim
+                for c, support in zip(coords, supports):
+                    if c:
+                        for i, x in support:
+                            span[i] += c * x
+                if span != image:
                     raise AssertionError("radical is not invariant under the algebra")
                 tr += coords[alpha]
             rad_char.append(tr)

@@ -29,7 +29,6 @@ from .combinat import LambdaIndex
 from .kl import (
     PINNED_CONJUGATE_CONVENTION,
     Block,
-    ConventionUnpinned,
     UnsupportedBlock,
     partition_into_blocks,
     resolve_convention,
@@ -115,11 +114,6 @@ def content_mismatches(cfg: ParamConfig, shapes: list | None = None) -> list[dic
                     )
                 nu[i0] += sigma
     return mismatches
-
-
-def content_consistency_check(cfg: ParamConfig) -> bool:
-    """True iff every step of every walk passes the content cross-check."""
-    return not content_mismatches(cfg)
 
 
 # -- tilting peel ---------------------------------------------------------
@@ -339,26 +333,20 @@ def _sparse_entries(
 def decomposition_report(
     cfg: ParamConfig,
     convention: str | None = None,
-    conjugate_convention: str | None = None,
     assume_saturated: bool = False,
 ) -> dict:
     """Full decomposition report as a JSON-serializable dictionary.
 
     Runs :func:`tilting_decomposition` once (its tie-order check included)
     and reads both matrices and the simple dimensions off that one result,
-    with every label read off the family table by position.  ``None``
-    conventions resolve through the frozen pins; ``conjugate_convention``
-    only labels the report.  Raises ``SaturationNotEstablished`` when the
-    chamber weight admits integral cross-block pairings and the caller did
-    not waive the check, and ``NegativeResidual`` when the peel fails.
+    with every label read off the family table by position.  ``convention``
+    None uses the frozen pin; the conjugate convention only labels the
+    report, which carries the frozen one.  Raises ``SaturationNotEstablished``
+    when the chamber weight admits integral cross-block pairings and the
+    caller did not waive the check, and ``NegativeResidual`` when the peel
+    fails.
     """
     convention = resolve_convention(convention)
-    if conjugate_convention is None:
-        if PINNED_CONJUGATE_CONVENTION is None:
-            raise ConventionUnpinned(
-                "no conjugate convention pinned; run the oracle cross-check or pass one explicitly"
-            )
-        conjugate_convention = PINNED_CONJUGATE_CONVENTION
     phi_ok = phiA_condition(lambda_c(cfg), context_of(cfg))
     if not phi_ok and not assume_saturated:
         raise SaturationNotEstablished(
@@ -402,7 +390,7 @@ def decomposition_report(
         "schema": "brauer-kl/1",
         "params": cfg.serialize(),
         "kl_convention": convention,
-        "conjugate_convention": conjugate_convention,
+        "conjugate_convention": PINNED_CONJUGATE_CONVENTION,
         "flags": flags,
         "family": names,
         "verma_flag": list(family.flag),

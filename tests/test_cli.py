@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 
 import brauer_kl
 from brauer_kl import kl, params, pipeline, weights
-from brauer_kl.cli import main
+from brauer_kl.cli import SELFTEST_BATTERY, main
 from brauer_kl.weights import family_table
 
 
@@ -142,19 +143,20 @@ def test_unsupported_block_exits_5_with_one_error_line(capsys, argv):
     assert len(err) < 200
 
 
-# argv -> its one error line; both residuals lie outside the weight family,
-# so the line names them as tuples of rationals
+# argv -> its one error line under the direct convention; both residuals lie
+# outside the weight family, so the line names them as tuples of rationals
 FAILED_PEEL = {
-    ("decompose", "--k", "1", "--r", "4", "--u", "1/2", "--convention", "direct"):
+    ("decompose", "--k", "1", "--r", "4", "--u", "1/2"):
         "error: residual escapes the weight family at (0,0,0,0,0,-1,-1,-2)\n",
-    ("decompose", "--k", "2", "--r", "3", "--u", "0,1/3", "--convention", "direct"):
+    ("decompose", "--k", "2", "--r", "3", "--u", "0,1/3"):
         "error: residual escapes the weight family at "
         "(-11/2,-11/2,-11/2,-11/2,-13/2,-15/2,1/6,1/6,1/6,1/6,1/6,1/6)\n",
 }
 
 
 @pytest.mark.parametrize("argv", list(FAILED_PEEL))
-def test_failed_peel_exits_6_with_one_error_line(capsys, argv):
+def test_failed_peel_exits_6_with_one_error_line(capsys, monkeypatch, argv):
+    monkeypatch.setattr(kl, "PINNED_KL_CONVENTION", "direct")
     assert run(capsys, *argv) == (6, "", FAILED_PEEL[argv])
 
 
@@ -280,7 +282,26 @@ def test_kl_selftest_checks_the_family_table(capsys, monkeypatch):
     monkeypatch.setattr(weights, "family_table", reversed_labels)
     code, out, _ = run(capsys, "kl-selftest")
     assert code == 1
-    assert all(line.startswith("FAIL:") for line in out.strip().splitlines())
+    lines = out.strip().splitlines()
+    assert len(lines) == 8
+    assert all(line.startswith("FAIL:") for line in lines[::2])
+    # each case's first mismatch is position 0, which now reads the last label
+    expected = []
+    for u, r in SELFTEST_BATTERY:
+        labels = table(params.build_config(u, r)).labels
+        first, last = (pipeline.family_label(labels[i]) for i in (0, -1))
+        expected.append(f"  family table reads {last} at position 0, tilde gives {first}")
+    assert lines[1::2] == expected
+
+
+def test_kl_selftest_counts_content_mismatches(capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "content_mismatches", lambda cfg: [{}, {}, {}])
+    code, out, _ = run(capsys, "kl-selftest")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert len(lines) == 8
+    assert all(line.startswith("FAIL:") for line in lines[::2])
+    assert set(lines[1::2]) == {"  3 walk step(s) fail the content cross-check"}
 
 
 @pytest.fixture
@@ -316,8 +337,6 @@ MALFORMED = [
     ("decompose", "--k", "1", "--r", "0", "--u", "1/3"),
     ("decompose", "--k", "1", "--r", "-1", "--u", "1/3"),
     ("decompose", "--k", "1", "--r", "2", "--u", "1/0"),
-    ("decompose", "--k", "1", "--r", "2", "--u", "1/3", "--q", "4,4"),
-    ("decompose", "--k", "1", "--r", "2", "--u", "1/3", "--q", "0"),
     ("enumerate", "--k", "0", "--r", "2"),
     ("admissible", "--k", "1", "--u", "1/0"),
     ("admissible", "--k", "1", "--u", "0", "--N", "-1"),
@@ -334,6 +353,28 @@ def test_malformed_input_exits_2_with_a_message(capsys, argv):
         code = exc.code
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+REMOVED_FLAGS = [("--q", "4"), ("--convention", "direct"), ("--conjugate", "identity")]
+
+
+@pytest.mark.parametrize("flag", REMOVED_FLAGS, ids=lambda flag: flag[0])
+def test_decompose_refuses_the_removed_overrides(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--k", "1", "--r", "3", "--u", "3/2", *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+def test_decompose_help_lists_no_override(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--assume-saturated" in out
+    assert all(flag not in out for flag, _ in REMOVED_FLAGS)
 
 
 def test_malformed_input_check_survives_python_O():
@@ -353,3 +394,14 @@ def test_unknown_command_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_readme_cli_block_runs(capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    text = open(readme, encoding="utf-8").read()
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("brauer-kl ")]
+    assert len(commands) == 7
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert (argv, code, err) == (argv, 0, "")

@@ -1,9 +1,14 @@
 """Multipartition combinatorics: shapes, walks, contents."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
+import brauer_kl
 from brauer_kl.combinat import (
     LambdaIndex,
     add_node,
@@ -71,6 +76,41 @@ def test_add_remove_node_roundtrip():
         assert remove_node(add_node(mp, node), node) == mp
     for node in boundary_nodes(mp, "remove"):
         assert add_node(remove_node(mp, node), node) == mp
+
+
+@pytest.mark.parametrize("node", [(1, 3, 1), (2, 2, 1), (3, 1, 1), (0, 1, 1)])
+def test_add_node_refuses_a_node_that_is_not_addable(node):
+    with pytest.raises(ValueError, match="is not addable to"):
+        add_node(((1,),), node)
+
+
+@pytest.mark.parametrize("node", [(1, 1, 1), (2, 2, 1), (3, 1, 1), (0, 2, 1)])
+def test_remove_node_refuses_a_node_that_is_not_removable(node):
+    with pytest.raises(ValueError, match="is not removable from"):
+        remove_node(((2, 1),), node)
+
+
+def test_node_checks_survive_python_O():
+    src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
+    code = (
+        "from brauer_kl.combinat import add_node, remove_node\n"
+        "for step, node in ((add_node, (2, 2, 1)), (remove_node, (1, 1, 1))):\n"
+        "    try:\n"
+        "        print('returned:', step(((2,),), node))\n"
+        "    except ValueError as exc:\n"
+        "        print('refused:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "refused: node (2, 2, 1) is not addable to ((2,),)\n"
+        "refused: node (1, 1, 1) is not removable from ((2,),)\n"
+    )
 
 
 def test_step_node_identifies_difference():

@@ -548,10 +548,12 @@ def test_kl_table_is_upper_unitriangular_in_dominance():
 def test_resolve_convention_pin_and_override(monkeypatch):
     assert kl.resolve_convention("direct") == "direct"
     assert kl.resolve_convention(None) == kl.PINNED_KL_CONVENTION
-    monkeypatch.setattr(kl, "PINNED_KL_CONVENTION", None)
-    with pytest.raises(kl.ConventionUnpinned):
-        kl.resolve_convention(None)
+    monkeypatch.setattr(kl, "PINNED_KL_CONVENTION", "direct")
+    assert kl.resolve_convention(None) == "direct"  # the pin is read at call time
     assert kl.resolve_convention("mirror") == "mirror"
+    for convention in ("transpose", "Mirror", ""):
+        with pytest.raises(ValueError, match="unknown tilting convention"):
+            kl.resolve_convention(convention)
 
 
 def test_pinned_conventions_are_frozen():

@@ -283,6 +283,33 @@ def test_span_check_survives_python_O():
     assert proc.stdout == "refused: cell character outside the simple-character span\n"
 
 
+def test_radical_invariance_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
+    code = (
+        "from fractions import Fraction as F\n"
+        "from brauer_kl import oracle\n"
+        "act = oracle.CellModule.act\n"
+        "def pushed(self, d, vec):  # add a vector the Gram form does not kill\n"
+        "    out = act(self, d, vec)\n"
+        "    gram = self.gram_matrix()\n"
+        "    out[next(j for j in range(self.dim) if any(row[j] for row in gram))] += 1\n"
+        "    return out\n"
+        "oracle.CellModule.act = pushed\n"
+        "try:\n"
+        "    oracle.oracle_decomposition_matrix(3, F(1))\n"
+        "except AssertionError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused: radical is not invariant under the algebra\n"
+
+
 def test_parse_level_label_roundtrip():
     for f, lam in cell_labels(4):
         text = f"f{f}:" + (",".join(str(c) for c in lam) or "-")

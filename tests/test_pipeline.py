@@ -13,7 +13,6 @@ from brauer_kl.params import build_config, u_from_delta
 from brauer_kl.pipeline import (
     NegativeResidual,
     SaturationNotEstablished,
-    content_consistency_check,
     content_mismatches,
     decomposition_report,
     level_label,
@@ -77,11 +76,11 @@ def test_truncated_flag_equals_level_k_walk_counts():
 
 @pytest.mark.parametrize("u, r", [([F(0)], 1), ([F(0)], 2), ([F(0)], 3), ([F(1, 3)], 3)])
 def test_content_consistency_level_one(u, r):
-    assert content_consistency_check(build_config(u, r)) is True
+    assert content_mismatches(build_config(u, r)) == []
 
 
 def test_content_consistency_level_two():
-    assert content_consistency_check(build_config([F(1, 3), F(7, 2)], 2)) is True
+    assert content_mismatches(build_config([F(1, 3), F(7, 2)], 2)) == []
 
 
 def test_content_mismatches_empty_means_consistent():
