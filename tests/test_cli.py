@@ -337,6 +337,9 @@ MALFORMED = [
     ("decompose", "--k", "1", "--r", "0", "--u", "1/3"),
     ("decompose", "--k", "1", "--r", "-1", "--u", "1/3"),
     ("decompose", "--k", "1", "--r", "2", "--u", "1/0"),
+    # --q is no longer an option of decompose: argparse refuses it
+    ("decompose", "--k", "1", "--r", "2", "--u", "1/3", "--q", "4,4"),
+    ("decompose", "--k", "1", "--r", "2", "--u", "1/3", "--q", "0"),
     ("enumerate", "--k", "0", "--r", "2"),
     ("admissible", "--k", "1", "--u", "1/0"),
     ("admissible", "--k", "1", "--u", "0", "--N", "-1"),
