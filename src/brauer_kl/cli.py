@@ -6,17 +6,20 @@ output, and a negative one is passed with "=", as in ``--u=-1/2``.
 ``decompose`` is a function of its parameters (k, r, u) alone: the block
 sizes are the first verified choice of ``params.select_block_sizes``, and
 the KL and conjugate conventions are the pins frozen in ``kl``; only
-``oracle-compare`` tries both KL readings.  Exit codes: 0 success, 2
-usage/parse error, 3 saturation not established (and not waived), 4 oracle
-mismatch, 5 unsupported linkage block, 6 a tilting peel that fails (a
-negative or escaping residual).
+``oracle-compare`` tries both KL readings.  ``decompose --out FILE`` writes
+the report to FILE; ``--out DIR`` writes it to
+``DIR/decomp_k{k}_r{r}_{h}.{json|csv}``, where h is the first 8 hex digits
+of the SHA-256 of the ``--u`` text as given.  A command imports only what it
+runs: ``hashlib`` only to name such a file, ``json`` only to write a JSON
+report, the diagram oracle only for ``oracle-compare``.  Exit codes: 0
+success, 2 usage/parse error, 3 saturation not established (and not waived),
+4 oracle mismatch, 5 unsupported linkage block, 6 a tilting peel that fails
+(a negative or escaping residual).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 from fractions import Fraction
@@ -50,17 +53,6 @@ def _parse_rational(text: str) -> Fraction:
 
 def _parse_u(text: str) -> tuple[Fraction, ...]:
     return tuple(_parse_rational(part) for part in text.split(","))
-
-
-def _emit(text: str, out_path: str | None, default_name: str) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    if os.path.isdir(out_path):
-        out_path = os.path.join(out_path, default_name)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(out_path)
 
 
 def cmd_admissible(args: argparse.Namespace) -> int:
@@ -115,14 +107,24 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     except NegativeResidual as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 6
-    digest = hashlib.sha256(args.u.encode()).hexdigest()[:8]
     if args.format == "json":
+        import json  # only a JSON report needs it
+
         text = json.dumps(report, indent=2) + "\n"
-        name = f"decomp_k{args.k}_r{args.r}_{digest}.json"
     else:
         text = pipeline.report_to_csv(report, which=args.matrix)
-        name = f"decomp_k{args.k}_r{args.r}_{digest}.csv"
-    _emit(text, args.out, name)
+    out_path = args.out
+    if out_path is None:
+        sys.stdout.write(text)
+        return 0
+    if os.path.isdir(out_path):
+        import hashlib  # only a file name needs it (OpenSSL costs MBs per process)
+
+        digest = hashlib.sha256(args.u.encode()).hexdigest()[:8]
+        out_path = os.path.join(out_path, f"decomp_k{args.k}_r{args.r}_{digest}.{args.format}")
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(out_path)
     return 0
 
 

@@ -53,10 +53,9 @@ the negative-entry parity when the class has no zero token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .laurent import LaurentPoly
 from .params import format_rational
@@ -164,8 +163,7 @@ def singular_pairs(x: Sequence) -> list[tuple[int, int]]:
     ]
 
 
-@dataclass
-class Block:
+class Block(NamedTuple):
     """A linkage class of parabolically dominant weights.
 
     ``numerators`` holds the members as scale * (mu + rho), sorted
@@ -202,8 +200,7 @@ def partition_into_blocks(family: Family) -> list[Block]:
     return blocks
 
 
-@dataclass(frozen=True)
-class TokenMove:
+class TokenMove(NamedTuple):
     """A simple generator in token form, on indices into the engine's tokens.
 
     ``negate`` False: exchange the placements (Levi block and sign) of the

@@ -93,23 +93,37 @@ def nullspace(rows) -> list[Vector]:
     return basis
 
 
-def solve(rows, rhs) -> Vector | None:
-    """One solution of M x = b, or None if the system is inconsistent.
+def solve(rows, columns) -> list[Vector | None]:
+    """One solution of M x = b for each right-hand side b in ``columns``,
+    or None for a b that makes the system inconsistent.
 
-    When the solution is not unique an arbitrary representative (free
-    variables set to zero) is returned.
+    One elimination of [M | b_1 ... b_m] serves every column.  The rows past
+    M's rank are zero on M, so a column is inconsistent exactly when one of
+    them is nonzero there.  A pivot that the elimination then takes in an
+    inconsistent column lies in one of those rows: it mixes them only among
+    themselves, and they are zero in every consistent column, so neither the
+    test nor a consistent column's reading changes.  When a solution is not
+    unique an arbitrary representative (free variables set to zero) is
+    returned.
+
+    >>> solve([[1, 1], [1, 1]], [[2, 2], [0, 1]])
+    [[Fraction(2, 1), Fraction(0, 1)], None]
     """
     if not rows:
-        return [] if all(x == 0 for x in rhs) else None
+        return [[] for _ in columns]
     ncols = len(rows[0])
-    aug = [[*row, bi] for row, bi in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:  # a pivot in the augmented column: inconsistent
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
+    red, pivots = rref([[*row, *rhs] for row, *rhs in zip(rows, *columns)])
+    system_rank = sum(1 for pc in pivots if pc < ncols)
+    solutions: list[Vector | None] = []
+    for j in range(ncols, ncols + len(columns)):
+        if any(red[r][j] for r in range(system_rank, len(red))):
+            solutions.append(None)
+            continue
+        x = [Fraction(0)] * ncols
+        for r in range(system_rank):
+            x[pivots[r]] = red[r][j]
+        solutions.append(x)
+    return solutions
 
 
 def mat_mul(a, b) -> Matrix:

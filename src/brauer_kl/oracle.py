@@ -18,10 +18,10 @@ meaningful evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from typing import NamedTuple
 
 from . import combinat
 from .linalg import nullspace, solve
@@ -356,9 +356,9 @@ class CellModule:
                     continue
                 loops, tau = glued
                 scale = self.delta**loops
-                for i in range(self.sdim):
-                    for j in range(self.sdim):
-                        moved = self.specht.act_tabloid_vector(tau, self.specht.basis[j])
+                for j in range(self.sdim):
+                    moved = self.specht.act_tabloid_vector(tau, self.specht.basis[j])
+                    for i in range(self.sdim):
                         val = scale * self.specht.pairing(self.specht.basis[i], moved)
                         G[ci * self.sdim + i][cj * self.sdim + j] = val
         return G
@@ -367,8 +367,7 @@ class CellModule:
 # -- decomposition matrix ----------------------------------------------------
 
 
-@dataclass
-class OracleMatrix:
+class OracleMatrix(NamedTuple):
     """Decomposition matrix of B_r(delta): rows all cells, columns simples."""
 
     r: int
@@ -435,8 +434,7 @@ def oracle_decomposition_matrix(r: int, delta: Fraction) -> OracleMatrix:
 
     system = [[chi_D[col][i] for col in cols] for i in range(len(diagrams))]
     entries: dict = {}
-    for lab in labels:
-        solution = solve(system, chi_C[lab])
+    for lab, solution in zip(labels, solve(system, [chi_C[lab] for lab in labels])):
         if solution is None:
             raise AssertionError("cell character outside the simple-character span")
         for col, val in zip(cols, solution):
@@ -456,7 +454,8 @@ def oracle_decomposition_matrix(r: int, delta: Fraction) -> OracleMatrix:
 def _parse_level_label(text: str) -> tuple[int, tuple[int, ...]]:
     """Inverse of the report's level-label format, e.g. 'f1:2,1' or 'f0:-'."""
     head, _, body = text.partition(":")
-    assert head.startswith("f")
+    if not head.startswith("f"):
+        raise ValueError(f"not a level label: {text!r}")
     f = int(head[1:])
     if body in ("", "-"):
         return f, ()
@@ -477,7 +476,8 @@ def compare(report: dict, oracle_matrix: OracleMatrix, conjugate_convention: str
     if conjugate_convention not in ("identity", "transpose"):
         raise ValueError(f"unknown conjugate convention: {conjugate_convention!r}")
     params = report["params"]
-    assert int(params["k"]) == 1, "oracle comparison is defined at level 1"
+    if int(params["k"]) != 1:
+        raise ValueError("oracle comparison is defined at level 1")
     delta = delta_from_u(params["u"][0])
     if delta != oracle_matrix.delta:
         return [{"kind": "delta-mismatch", "report": str(delta), "oracle": str(oracle_matrix.delta)}]

@@ -15,9 +15,8 @@ Everything is a :class:`fractions.Fraction`.  The module provides
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class RetryExhausted(Exception):
@@ -142,8 +141,7 @@ def simple_param_condition(u: Sequence[Fraction], k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParamConfig:
+class ParamConfig(NamedTuple):
     """Immutable bundle of a fully extended parameter choice.
 
     ``u`` are the k input parameters, ``q`` the block sizes, ``p`` the block

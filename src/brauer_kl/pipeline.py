@@ -20,9 +20,8 @@ opt in via ``assume_saturated`` or the report is refused with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import combinat
 from .combinat import LambdaIndex
@@ -119,8 +118,7 @@ def content_mismatches(cfg: ParamConfig, shapes: list | None = None) -> list[dic
 # -- tilting peel ---------------------------------------------------------
 
 
-@dataclass
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     """Peel output: tilting multiplicities and the supporting tables.
 
     Keys are ids: positions in the family table, or ids past its end for

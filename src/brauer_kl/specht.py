@@ -176,11 +176,12 @@ class SpechtModule:
             out[image] = out.get(image, Fraction(0)) + coeff
         return {tb: c for tb, c in out.items() if c}
 
-    def coordinates(self, vec: dict[Tabloid, Fraction]) -> list[Fraction]:
-        """Exact expansion of a Specht-span vector in the standard basis."""
-        rhs = [Fraction(vec.get(tb, 0)) for tb in self.tabloid_list]
+    def coordinates(self, vecs: list[dict[Tabloid, Fraction]]) -> list[list[Fraction]]:
+        """Exact expansions of Specht-span vectors in the standard basis, all
+        from one elimination."""
+        rhs = [[vec.get(tb, 0) for tb in self.tabloid_list] for vec in vecs]
         coords = solve(self._matrix, rhs)
-        if coords is None:
+        if any(c is None for c in coords):
             raise AssertionError("vector is not in the Specht span")
         return coords
 
@@ -191,7 +192,7 @@ class SpechtModule:
         """
         mat = self._action_memo.get(p)
         if mat is None:
-            cols = [self.coordinates(self.act_tabloid_vector(p, vec)) for vec in self.basis]
+            cols = self.coordinates([self.act_tabloid_vector(p, vec) for vec in self.basis])
             mat = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
             self._action_memo[p] = mat
         return mat

@@ -29,7 +29,6 @@ steps of 1, which is what ties block sizes to parameter disjointness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
@@ -49,17 +48,21 @@ class Root(NamedTuple):
     kind: Literal["plus", "minus"]
 
 
-@dataclass(frozen=True)
-class WeightContext:
-    """Rank n and block boundaries p_0 = 0 < p_1 < ... < p_k = n."""
-
+class _Boundaries(NamedTuple):
+    # WeightContext's fields: a NamedTuple cannot define __new__ itself
     n: int
     p: tuple[int, ...]
 
-    def __post_init__(self):
-        p = self.p
-        if not (p[0] == 0 and p[-1] == self.n and all(a < b for a, b in zip(p, p[1:]))):
-            raise ValueError(f"block boundaries {p} must rise strictly from 0 to n={self.n}")
+
+class WeightContext(_Boundaries):
+    """Rank n and block boundaries p_0 = 0 < p_1 < ... < p_k = n."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, p: tuple[int, ...]):
+        if not (p[0] == 0 and p[-1] == n and all(a < b for a, b in zip(p, p[1:]))):
+            raise ValueError(f"block boundaries {p} must rise strictly from 0 to n={n}")
+        return super().__new__(cls, n, p)
 
     @property
     def k(self) -> int:
@@ -268,7 +271,6 @@ def enumerate_F(r: int, cfg: ParamConfig) -> list[Weight]:
     return [hat(idx, cfg) for idx in combinat.enumerate_lambda(2 * cfg.k, r)]
 
 
-@dataclass(frozen=True)
 class Family:
     """The weight family F_r of one configuration, one row per position.
 
@@ -278,17 +280,26 @@ class Family:
     tuple, and the flag: the number of level-2k walks to the label's shape.
     ``level_flag`` maps the positions of F_{r,k} (empty tails), in order, to
     the truncated flag: the level-k walks to the head shape, since a walk
-    whose tails stay empty is a walk on the heads alone.
+    whose tails stay empty is a walk on the heads alone.  ``len()`` is the
+    family size, which is why this is not a ``NamedTuple``.
     """
 
-    cfg: ParamConfig
-    labels: tuple[LambdaIndex, ...]
-    shifts: tuple[tuple[int, ...], ...]
-    scale: int
-    numerators: tuple[tuple[int, ...], ...]
-    weights: tuple[Weight, ...]
-    flag: tuple[int, ...]
-    level_flag: dict[int, int]
+    __slots__ = ("cfg", "labels", "shifts", "scale", "numerators", "weights", "flag", "level_flag")
+
+    def __init__(
+        self,
+        cfg: ParamConfig,
+        labels: tuple[LambdaIndex, ...],
+        shifts: tuple[tuple[int, ...], ...],
+        scale: int,
+        numerators: tuple[tuple[int, ...], ...],
+        weights: tuple[Weight, ...],
+        flag: tuple[int, ...],
+        level_flag: dict[int, int],
+    ):
+        self.cfg, self.labels, self.shifts, self.scale = cfg, labels, shifts, scale
+        self.numerators, self.weights = numerators, weights
+        self.flag, self.level_flag = flag, level_flag
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -1,6 +1,6 @@
 """Exit codes and output formats of the command-line front end."""
 
-import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -93,13 +93,18 @@ def test_decompose_csv_format(capsys):
 
 
 def test_decompose_writes_named_file(capsys, tmp_path):
+    digest = hashlib.sha256(b"1/3").hexdigest()[:8]
     code, out, _ = run(capsys, "decompose", "--k", "1", "--r", "2", "--u", "1/3",
                        "--out", str(tmp_path))
     assert code == 0
     path = out.strip()
-    assert path.startswith(str(tmp_path))
+    assert path == os.path.join(str(tmp_path), f"decomp_k1_r2_{digest}.json")
     report = json.loads(open(path, encoding="utf-8").read())
     assert report["flags"]["generic"] is True
+    code, out, _ = run(capsys, "decompose", "--k", "1", "--r", "2", "--u", "1/3",
+                       "--format", "csv", "--out", str(tmp_path))
+    assert code == 0
+    assert out.strip() == os.path.join(str(tmp_path), f"decomp_k1_r2_{digest}.csv")
 
 
 def test_decompose_saturation_gate(capsys):
@@ -178,6 +183,39 @@ def test_decompose_imports_no_oracle():
     assert proc.returncode == 0
     assert proc.stderr == "0 []\n"
     assert json.loads(proc.stdout)["schema"] == "brauer-kl/1"
+
+
+# per command: modules it must not import; hashlib maps OpenSSL, dataclasses
+# pulls in inspect, and only a JSON report needs json
+FOOTPRINT = {
+    "decompose --k 1 --r 3 --u 3/2": ("hashlib", "_hashlib", "dataclasses", "inspect"),
+    "oracle-compare --r 3 --delta=1": ("hashlib", "_hashlib", "dataclasses", "inspect", "json"),
+    "--help": ("hashlib", "_hashlib", "dataclasses", "inspect"),
+}
+
+
+@pytest.mark.parametrize("command", list(FOOTPRINT))
+def test_command_imports_only_what_it_runs(command):
+    src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import brauer_kl.cli\n"
+        "try:\n"
+        f"    brauer_kl.cli.main({command.split()!r})\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        f"print(sorted(m for m in {FOOTPRINT[command]!r} if m in set(sys.modules) - before),\n"
+        "      file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
 
 
 def test_decompose_output_is_the_same_under_python_O():
@@ -276,8 +314,10 @@ def test_kl_selftest_checks_the_family_table(capsys, monkeypatch):
     table = weights.family_table
 
     def reversed_labels(cfg):
-        family = table(cfg)
-        return dataclasses.replace(family, labels=family.labels[::-1])
+        f = table(cfg)
+        return weights.Family(
+            f.cfg, f.labels[::-1], f.shifts, f.scale, f.numerators, f.weights, f.flag, f.level_flag
+        )
 
     monkeypatch.setattr(weights, "family_table", reversed_labels)
     code, out, _ = run(capsys, "kl-selftest")

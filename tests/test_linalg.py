@@ -44,7 +44,7 @@ def test_nullspace_dimension_and_membership():
 def test_solve_exact_solution():
     m = [[F(2), F(1)], [F(1), F(3)]]
     rhs = [F(5), F(10)]
-    x = solve(m, rhs)
+    (x,) = solve(m, [rhs])
     assert x is not None
     assert mat_vec(m, x) == rhs
     assert x == [F(1), F(3)]
@@ -52,7 +52,7 @@ def test_solve_exact_solution():
 
 def test_solve_inconsistent_returns_none():
     m = [[F(1), F(1)], [F(1), F(1)]]
-    assert solve(m, [F(0), F(1)]) is None
+    assert solve(m, [[F(0), F(1)]]) == [None]
 
 
 def test_mat_mul_known_product():
@@ -78,7 +78,7 @@ def test_nullspace_vectors_annihilate(m):
 
 @given(matrices_3, st.lists(entries, min_size=3, max_size=3))
 def test_solve_verifies_when_found(m, rhs):
-    x = solve(m, rhs)
+    (x,) = solve(m, [rhs])
     if x is not None:
         assert mat_vec(m, x) == rhs
 
@@ -147,10 +147,10 @@ mixed_entries = st.one_of(
 
 
 @st.composite
-def structured_systems(draw):
+def structured_systems(draw, min_columns=1, max_columns=1):
     """A matrix of ints and Fractions with planted zero rows and columns and
-    dependent rows, and a right-hand side that is consistent, perturbed off
-    the column space, or arbitrary."""
+    dependent rows, and right-hand sides, each consistent, perturbed off the
+    column space, or arbitrary."""
     nrows = draw(st.integers(min_value=0, max_value=5))
     ncols = draw(st.integers(min_value=0, max_value=5))
     m = [[draw(mixed_entries) for _ in range(ncols)] for _ in range(nrows)]
@@ -165,14 +165,17 @@ def structured_systems(draw):
         a, b, c = order[0], order[1 if nrows > 2 else 0], order[-1]
         s, t = draw(mixed_entries), draw(mixed_entries)
         m[c] = [s * x + t * y for x, y in zip(m[a], m[b])]
-    x = [draw(mixed_entries) for _ in range(ncols)]
-    rhs = [sum((Fraction(ai) * xi for ai, xi in zip(row, x)), Fraction(0)) for row in m]
-    mode = draw(st.sampled_from(["consistent", "perturbed", "arbitrary"]))
-    if mode == "perturbed" and nrows:
-        rhs[draw(st.integers(0, nrows - 1))] += draw(st.integers(1, 3))
-    elif mode == "arbitrary":
-        rhs = [draw(mixed_entries) for _ in range(nrows)]
-    return m, rhs
+    columns = []
+    for _ in range(draw(st.integers(min_columns, max_columns))):
+        x = [draw(mixed_entries) for _ in range(ncols)]
+        rhs = [sum((Fraction(ai) * xi for ai, xi in zip(row, x)), Fraction(0)) for row in m]
+        mode = draw(st.sampled_from(["consistent", "perturbed", "arbitrary"]))
+        if mode == "perturbed" and nrows:
+            rhs[draw(st.integers(0, nrows - 1))] += draw(st.integers(1, 3))
+        elif mode == "arbitrary":
+            rhs = [draw(mixed_entries) for _ in range(nrows)]
+        columns.append(rhs)
+    return m, columns
 
 
 def all_fractions(rows):
@@ -182,7 +185,7 @@ def all_fractions(rows):
 @settings(max_examples=150, deadline=None)
 @given(structured_systems())
 def test_integer_elimination_matches_fraction_gauss_jordan(system):
-    m, rhs = system
+    m, (rhs,) = system
     reduced, pivots = rref(m)
     assert (reduced, pivots) == reference_rref(m)
     assert all_fractions(reduced)
@@ -190,16 +193,30 @@ def test_integer_elimination_matches_fraction_gauss_jordan(system):
     basis = nullspace(m)
     assert basis == reference_nullspace(m)
     assert all_fractions(basis)
-    x = solve(m, rhs)
+    (x,) = solve(m, [rhs])
     assert x == reference_solve(m, rhs)
     if x is not None:
         assert all_fractions([x])
         assert mat_vec(m, x) == rhs
 
 
+@settings(max_examples=150, deadline=None)
+@given(structured_systems(min_columns=0, max_columns=5))
+def test_one_elimination_solves_every_column(system):
+    """Consistent and inconsistent right-hand sides mixed in one call read
+    as if each were solved alone."""
+    m, columns = system
+    solutions = solve(m, columns)
+    assert solutions == [reference_solve(m, rhs) for rhs in columns]
+    for x, rhs in zip(solutions, columns):
+        if x is not None:
+            assert all_fractions([x])
+            assert mat_vec(m, x) == rhs
+
+
 def test_integer_elimination_reads_ints_and_fractions_alike():
     ints = [[2, 4, 1], [1, 2, 0], [0, 0, 3]]
     mixed = [[F(2), 4, F(1)], [F(1, 2) * 2, 2, 0], [0, F(0), F(6, 2)]]
     assert rref(ints) == rref(mixed) == reference_rref(ints)
-    assert solve(ints, [1, 0, 3]) == [F(0), F(0), F(1)]
-    assert solve([[1, 1], [2, 2]], [1, 3]) is None
+    assert solve(ints, [[1, 0, 3]]) == [[F(0), F(0), F(1)]]
+    assert solve([[1, 1], [2, 2]], [[1, 3]]) == [None]

@@ -238,7 +238,7 @@ def act_by_tabloids(cell, d, vec):
         for j, cj in enumerate(vec[ci * sdim : (ci + 1) * sdim]):
             for tb, coeff in specht.basis[j].items():
                 tab[tb] = tab.get(tb, F(0)) + cj * coeff
-        coords = specht.coordinates(specht.act_tabloid_vector(perm, tab))
+        (coords,) = specht.coordinates([specht.act_tabloid_vector(perm, tab)])
         base = cell.caps.index(S2) * sdim
         for j, cj in enumerate(coords):
             out[base + j] += cell.delta**loops * cj
@@ -267,7 +267,7 @@ def test_span_check_survives_python_O():
     code = (
         "from fractions import Fraction as F\n"
         "from brauer_kl import oracle\n"
-        "oracle.solve = lambda system, rhs: None  # no cell character is in the span\n"
+        "oracle.solve = lambda system, columns: [None] * len(columns)  # none in the span\n"
         "try:\n"
         "    oracle.oracle_decomposition_matrix(2, F(1, 3))\n"
         "except AssertionError as exc:\n"
@@ -324,3 +324,34 @@ def test_transpose_partition():
 def test_compare_requires_known_convention():
     with pytest.raises(ValueError, match="conjugate"):
         compare({"params": {"k": 1, "u": ["0"]}}, oracle_decomposition_matrix(2, F(1)), "flip")
+
+
+def test_compare_guards_survive_python_O():
+    """A level-2 report and a label without its ``f`` head are refused with
+    ValueErrors, which ``python -O`` keeps."""
+    src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
+    code = (
+        "from fractions import Fraction as F\n"
+        "from brauer_kl import oracle\n"
+        "matrix = oracle.oracle_decomposition_matrix(2, F(1))\n"
+        "calls = (\n"
+        "    lambda: oracle.compare({'params': {'k': 2, 'u': ['0', '0']}}, matrix, 'identity'),\n"
+        "    lambda: oracle._parse_level_label('g1:2,1'),\n"
+        ")\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print('refused:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "refused: oracle comparison is defined at level 1\n"
+        "refused: not a level label: 'g1:2,1'\n"
+    )

@@ -133,7 +133,7 @@ def test_span_check_survives_python_O():
     src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
     code = (
         "from brauer_kl import specht\n"
-        "specht.solve = lambda matrix, rhs: None  # no vector is in the span\n"
+        "specht.solve = lambda matrix, columns: [None] * len(columns)  # none in the span\n"
         "try:\n"
         "    specht.specht_module((2, 1)).action_matrix((1, 0, 2))\n"
         "except AssertionError as exc:\n"
