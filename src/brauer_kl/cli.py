@@ -10,8 +10,9 @@ the KL and conjugate conventions are the pins frozen in ``kl``; only
 the report to FILE; ``--out DIR`` writes it to
 ``DIR/decomp_k{k}_r{r}_{h}.{json|csv}``, where h is the first 8 hex digits
 of the SHA-256 of the ``--u`` text as given.  A command imports only what it
-runs: ``hashlib`` only to name such a file, ``json`` only to write a JSON
-report, the diagram oracle only for ``oracle-compare``.  Exit codes: 0
+runs: the peel and the KL engine only for the commands that run or label
+with them, ``hashlib`` only to name such a file, ``json`` only to write a
+JSON report, the diagram oracle only for ``oracle-compare``.  Exit codes: 0
 success, 2 usage/parse error, 3 saturation not established (and not waived),
 4 oracle mismatch, 5 unsupported linkage block, 6 a tilting peel that fails
 (a negative or escaping residual).
@@ -24,9 +25,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import combinat, params, pipeline, weights
-from .kl import UnsupportedBlock
-from .pipeline import NegativeResidual, SaturationNotEstablished
+from . import combinat, params
 
 
 def _int_at_least(minimum: int):
@@ -74,6 +73,8 @@ def cmd_admissible(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from . import pipeline  # only for its label format
+
     labels = combinat.enumerate_lambda(args.k, args.r)
     table = combinat.updown_count_table(args.k, args.r)
     total = 0
@@ -87,6 +88,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    from . import pipeline
+    from .kl import UnsupportedBlock
+    from .pipeline import NegativeResidual, SaturationNotEstablished
+
     try:
         u = _parse_u(args.u)
     except ValueError as exc:
@@ -130,6 +135,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_oracle_compare(args: argparse.Namespace) -> int:
     from . import oracle  # only this command runs the diagram oracle
+    from . import pipeline
+    from .kl import UnsupportedBlock
 
     if args.k != 1:
         print("error: the diagram oracle exists at k=1 only", file=sys.stderr)
@@ -184,6 +191,8 @@ SELFTEST_BATTERY = [
 def cmd_kl_selftest(args: argparse.Namespace) -> int:
     """Built-in battery: bijections and the family table, content identity,
     peel stability.  Each failed check prints one indented reason line."""
+    from . import pipeline, weights
+
     failures = 0
     for u, r in SELFTEST_BATTERY:
         cfg = params.build_config(u, r)

@@ -35,16 +35,17 @@ frozen against brute-forced W(D_4) and W(D_5) coset modules in the tests).
 
 One move table per engine holds, per state id and generator, the image id
 and the exponent, or "fixed"; each entry is filled once, on first use.  The
-exponent compares the two states' prefix sums of numerators.  The recursion
-and its memos run on ids; one codec turns numerator tuples into ids and back.
+exponent compares the two states' dominance sort keys (prefix sums of
+numerators).  The recursion and its memos run on ids; one codec turns
+numerator tuples into ids and back.
 
 A wall block (one vanishing pairing x_i = -x_j = a) is read off the
 canonical basis of its regular companion, whose tokens split the doubled
 value into a+1 and a.  Each support entry folds onto the wall by the signs
 of those two tokens alone (:func:`singular_reduction_table`).  Blocks also
 carry their members as ``Fraction`` weights for their readers; the engine
-and the tables never read them and build ``Fraction`` values only for error
-messages.
+and the tables never read them, and a refusal names its weight through
+``weights.weight_name``.
 
 Blocks are linkage classes: weights sharing, per integrality class of the
 token values, the multiset of absolute values of x = mu + rho together with
@@ -54,22 +55,22 @@ the negative-entry parity when the class has no zero token.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .laurent import LaurentPoly
 from .params import format_rational
 from .weights import (
     Family,
+    Numerators,
     Weight,
     WeightContext,
+    blockwise_decreasing,
     context_of,
     dominance_sort_key,
     is_singular,
-    rho,
+    weight_name,
 )
 
-Numerators = tuple[int, ...]  # scale * (mu + rho) over the family's denominator
 NVector = dict[Numerators, LaurentPoly]
 
 
@@ -96,10 +97,8 @@ class UnsupportedBlock(ValueError):
 
 
 def _unsupported(x: Numerators, scale: int, reason: str) -> UnsupportedBlock:
-    """The refusal of the weight mu with numerators x = scale * (mu + rho),
-    naming mu as a tuple of rationals."""
-    mu = (Fraction(a, scale) - c for a, c in zip(x, rho(len(x))))
-    return UnsupportedBlock(x, reason, "(" + ",".join(map(format_rational, mu)) + ")")
+    """The refusal of the weight with numerators x, named by :func:`weight_name`."""
+    return UnsupportedBlock(x, reason, weight_name(x, scale))
 
 
 _TIED_COORDINATES = "the engine supports no weight with two equal coordinates"
@@ -193,7 +192,7 @@ def partition_into_blocks(family: Family) -> list[Block]:
     ctx = context_of(family.cfg)
     blocks = []
     for key, members in grouped.items():
-        members.sort(key=lambda i: dominance_sort_key(family.shifts[i]))
+        members.sort(key=lambda i: dominance_sort_key(family.numerators[i]))
         weights = tuple(family.weights[i] for i in members)
         numerators = tuple(family.numerators[i] for i in members)
         blocks.append(Block(ctx, key, weights, numerators, family.scale, tuple(members)))
@@ -284,7 +283,7 @@ class CanonicalBasisEngine:
         if sid is None:
             sid = self._ids[state] = len(self._states)
             self._states.append(state)
-            self._prefix.append(tuple(accumulate(self._coords(state))))
+            self._prefix.append(dominance_sort_key(self._coords(state)))
             self._table.append([_UNSET] * len(self.moves))
         return sid
 
@@ -292,10 +291,10 @@ class CanonicalBasisEngine:
         """Intern a shifted weight of this linkage class, sorted within blocks."""
         if canonical_form(x, self.scale) != self.key:
             raise ValueError(f"state off the linkage class: {_rationals(x, self.scale)}")
+        if not blockwise_decreasing(x, self.ctx):
+            raise ValueError(f"not sorted: {_rationals(x, self.scale)}")
         code = [0] * len(self.tokens)
         for bi, (start, end) in enumerate(self.ctx.blocks()):
-            if any(x[i] <= x[i + 1] for i in range(start, end - 1)):
-                raise ValueError(f"not sorted: {_rationals(x, self.scale)}")
             for c in x[start:end]:
                 code[self._index[abs(c)]] = 2 * bi + (c < 0)
         if self._zero_class is not None:

@@ -47,11 +47,6 @@ class LaurentPoly:
         """The monomial ``coeff * v**exp``."""
         return LaurentPoly({exp: coeff})
 
-    @staticmethod
-    def gauss() -> "LaurentPoly":
-        """The quantum integer ``v + 1/v``."""
-        return LaurentPoly({1: 1, -1: 1})
-
     # -- inspection ---------------------------------------------------
 
     def items(self) -> Iterator[tuple[int, int]]:
@@ -59,13 +54,6 @@ class LaurentPoly:
 
     def coeff(self, exp: int) -> int:
         return self._coeffs.get(exp, 0)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def min_exp(self) -> int:
-        """Minimal exponent present; raises on the zero polynomial."""
-        return next(iter(self._coeffs))
 
     def evaluate_at_one(self) -> int:
         return sum(self._coeffs.values())
@@ -143,7 +131,3 @@ class LaurentPoly:
                 else:
                     terms.append(f"{c}{base}")
         return " + ".join(terms).replace("+ -", "- ")
-
-    def to_pairs(self) -> list[list[int]]:
-        """JSON-friendly [exponent, coefficient] pairs, sorted by exponent."""
-        return [[e, c] for e, c in self._coeffs.items()]

@@ -1,7 +1,7 @@
 """End-to-end decomposition pipeline.
 
 The chain: pick block sizes for the given parameters, build the family table
-(labels, integer shifts and standard-flag multiplicities), run the
+(labels, integer numerators and standard-flag multiplicities), run the
 canonical-basis engine per non-singleton linkage class, peel the flagged
 module into indecomposable tilting summands, and assemble the decomposition
 matrices — the full one (rows the whole family) and the level-truncated one
@@ -35,10 +35,10 @@ from .kl import (
     singular_reduction_table,
     tilting_table,
 )
-from .params import ParamConfig, format_rational, simple_param_condition
+from .params import ParamConfig, simple_param_condition
 from .weights import (
     Family,
-    Weight,
+    Numerators,
     context_of,
     dominance_less,
     dominance_sort_key,
@@ -46,7 +46,7 @@ from .weights import (
     is_singular,
     lambda_c,
     phiA_condition,
-    unshift,
+    weight_name,
 )
 
 
@@ -121,12 +121,14 @@ def content_mismatches(cfg: ParamConfig, shapes: list | None = None) -> list[dic
 class DecompositionResult(NamedTuple):
     """Peel output: tilting multiplicities and the supporting tables.
 
-    Keys are ids: positions in the family table, or ids past its end for
-    weights a tilting table reaches outside the family, which no report
-    reads.  ``columns[mu][lam]`` is the nonzero cell (T(mu) : M(lam)), the
-    standard lam inside the tilting mu: one dict per matrix column.  Every
+    Keys are positions in the family table.  ``columns[mu][lam]`` is the
+    nonzero cell (T(mu) : M(lam)), the standard lam inside the tilting mu:
+    one dict per matrix column, stored only for a family position mu.  Every
     support position has a column with diagonal entry 1 (a singleton's is
-    {mu: 1}).
+    {mu: 1}).  Under the ``"direct"`` reading a column's rows may also hold
+    ids past the family's end, for weights a tilting table reaches outside
+    it, which no report reads; under the pinned ``"mirror"`` reading rows
+    are block members.
     """
 
     family: Family
@@ -142,22 +144,23 @@ def _greedy_peel(
     residual: dict[int, int],
     column: Callable[[int], dict[int, int]],
     check: Callable[[int, int], None],
-    shifts: Sequence[Sequence],
+    numerators: Sequence[Numerators],
+    scale: int,
     reverse_ties: bool = False,
 ) -> dict[int, int]:
     """Greedy descent shared by the tilting peel and the simple dimensions.
 
     Repeatedly take a dominance-maximal id with nonzero residual m, let
     ``check(id, m)`` refuse it, record m, and subtract m copies of
-    ``column(id)``.  ``shifts[id]`` is the id's shift from the chamber
-    weight; its sort key extends dominance linearly, so the live id with the
-    largest key is maximal; ``reverse_ties`` instead scans for the maximal
-    set and takes its smallest key, a different maximal element when
-    several are incomparable.  Each id's sort key is computed once.  Returns
-    the recorded multiplicities.
+    ``column(id)``.  ``numerators[id]`` is the id's weight as numerators
+    over ``scale``; its sort key extends dominance linearly, so the live id
+    with the largest key is maximal; ``reverse_ties`` instead scans for the
+    maximal set and takes its smallest key, a different maximal element
+    when several are incomparable.  Each id's sort key is computed once.
+    Returns the recorded multiplicities.
     """
     residual = dict(residual)
-    keys = {i: dominance_sort_key(shifts[i]) for i in residual}
+    keys = {i: dominance_sort_key(numerators[i]) for i in residual}
     out: dict[int, int] = {}
     while True:
         live = [i for i, val in residual.items() if val != 0]
@@ -167,7 +170,9 @@ def _greedy_peel(
             maximal = [
                 c
                 for c in live
-                if not any(dominance_less(shifts[c], shifts[d]) for d in live if d != c)
+                if not any(
+                    dominance_less(numerators[c], numerators[d], scale) for d in live if d != c
+                )
             ]
             top = min(maximal, key=keys.__getitem__)
         else:
@@ -178,7 +183,7 @@ def _greedy_peel(
         for i, val in column(top).items():
             if i not in residual:
                 residual[i] = 0
-                keys[i] = dominance_sort_key(shifts[i])
+                keys[i] = dominance_sort_key(numerators[i])
             residual[i] -= m * val
 
 
@@ -195,6 +200,8 @@ def tilting_decomposition(
     or ``NegativeResidual`` is raised.  ``convention`` None uses the frozen
     pin.  Only non-singleton blocks reach the engine; their tables, keyed by
     the family's numerator tuples, are read back into ids through one dict.
+    A table entry is stored only in a family position's column: the peel
+    reads no other.
     """
     convention = resolve_convention(convention)
     family = family_table(cfg)
@@ -202,9 +209,7 @@ def tilting_decomposition(
     size = len(family)
     blocks = partition_into_blocks(family)
     ids = {x: i for i, x in enumerate(family.numerators)}
-    shifts = list(family.shifts)  # per id: ids past the family's end append
-    outside: list[Weight] = []  # the weight of id size + j
-    chamber = lambda_c(cfg)
+    numerators = list(family.numerators)  # per id: ids past the family's end append
     n_out: dict[int, int] = {}
     columns: dict[int, dict[int, int]] = {}
     singular: list[int] = []
@@ -213,16 +218,14 @@ def tilting_decomposition(
     def name(i: int) -> str:
         if i < size:
             return family_label(family.labels[i])
-        return "(" + ",".join(format_rational(a) for a in outside[i - size]) + ")"
+        return weight_name(numerators[i], family.scale)
 
-    def id_of(x: tuple[int, ...]) -> int:
-        # table weights outside the family get ids past its end; only they
-        # get a Fraction weight and shift, built from their numerators
+    def id_of(x: Numerators) -> int:
+        # table weights outside the family get ids past its end
         i = ids.get(x)
         if i is None:
-            i = ids[x] = size + len(outside)
-            outside.append(unshift(tuple(Fraction(a, family.scale) for a in x)))
-            shifts.append(tuple(a - c for a, c in zip(outside[-1], chamber)))
+            i = ids[x] = len(numerators)
+            numerators.append(x)
         return i
 
     def check(top: int, m: int) -> None:
@@ -253,12 +256,14 @@ def tilting_decomposition(
             raise UnsupportedBlock(exc.weight, exc.reason, name(id_of(exc.weight))) from None
         # linkage blocks touch disjoint weights: their columns never collide
         for (lam, mu), val in table.items():
-            if val:
-                columns.setdefault(id_of(mu), {})[id_of(lam)] = val
+            j = ids.get(mu, size)
+            if val and j < size:
+                columns.setdefault(j, {})[id_of(lam)] = val
         residual = {i: flag[i] for i in block.positions}
         column = columns.__getitem__
-        peeled = _greedy_peel(residual, column, check, shifts)
-        if _greedy_peel(residual, column, check, shifts, reverse_ties=True) != peeled:
+        peel = (residual, column, check, numerators, family.scale)
+        peeled = _greedy_peel(*peel)
+        if _greedy_peel(*peel, reverse_ties=True) != peeled:
             raise NegativeResidual("peel order changed the tilting multiplicities")
         n_out.update(peeled)
     support = tuple(i for i in range(size) if n_out.get(i, 0) != 0)
@@ -296,7 +301,7 @@ def simple_dimensions(result: DecompositionResult) -> dict[int, int]:
     def column(top: int) -> dict[int, int]:
         return {i: v for i, v in result.columns[top].items() if i in flag}
 
-    return _greedy_peel(flag, column, check, family.shifts)
+    return _greedy_peel(flag, column, check, family.numerators, family.scale)
 
 
 # -- report assembly -------------------------------------------------------

@@ -6,13 +6,15 @@ p_0 < ... < p_k; the parabolic subsystem consists of the "minus" roots
 e_i - e_j inside a block.
 
 The weight family F_r of a configuration is one integer table,
-:class:`Family`, built once per command: per position a cell label, the
-integer shift from the chamber weight and the shifted weight over one common
+:class:`Family`, built once per command: per position a cell label and the
+numerators scale * (mu + rho) of the shifted weight over one common
 denominator, off which linkage keys, singularity, dominance and the flags are
-read; the canonical-basis engine and its tables take those numerators as
-they are.  ``Fraction`` weights remain in the table's ``weights`` column
-(which linkage blocks carry for their readers) and in the per-weight
-routines here: :func:`hat`, :func:`tilde` and the root pairings.
+read.  Those numerator tuples are the one weight form from the table through
+the canonical-basis engine, its tables and the peel; any weight reached
+there, in the family or not, is such a tuple, and :func:`weight_name` turns
+one back into mu for a message.  ``Fraction`` weights remain in the table's
+``weights`` column (which linkage blocks carry for their readers) and in the
+per-weight routines here: :func:`hat`, :func:`tilde` and the root pairings.
 
 Conventions:
 
@@ -33,13 +35,14 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import lcm
-from typing import Iterator, Literal, NamedTuple
+from typing import Iterator, Literal, NamedTuple, Sequence
 
 from . import combinat
 from .combinat import LambdaIndex, Multipartition, Partition
-from .params import ParamConfig
+from .params import ParamConfig, format_rational
 
 Weight = tuple[Fraction, ...]
+Numerators = tuple[int, ...]  # scale * (mu + rho) over the family's denominator
 
 
 class Root(NamedTuple):
@@ -99,9 +102,14 @@ def shift(mu: Weight) -> Weight:
     return tuple(a + b for a, b in zip(mu, rho(len(mu))))
 
 
-def unshift(x: Weight) -> Weight:
-    """Inverse of :func:`shift`: x - rho."""
-    return tuple(a - b for a, b in zip(x, rho(len(x))))
+def weight_name(x: Numerators, scale: int) -> str:
+    """The weight mu = x / scale - rho as a tuple of rationals, for messages.
+
+    >>> weight_name((5, 1, -1), 2)
+    '(1/2,-1/2,-1/2)'
+    """
+    mu = (Fraction(a, scale) - c for a, c in zip(x, rho(len(x))))
+    return "(" + ",".join(map(format_rational, mu)) + ")"
 
 
 def lambda_c(cfg: ParamConfig) -> Weight:
@@ -275,29 +283,27 @@ class Family:
     """The weight family F_r of one configuration, one row per position.
 
     Position i holds the i-th cell label of ``enumerate_lambda(2k, r)`` (the
-    order of :func:`enumerate_F`), the integer shift d = mu - lambda_c that
-    :func:`hat` adds, the integers scale * (mu + rho), mu as a ``Fraction``
-    tuple, and the flag: the number of level-2k walks to the label's shape.
-    ``level_flag`` maps the positions of F_{r,k} (empty tails), in order, to
-    the truncated flag: the level-k walks to the head shape, since a walk
-    whose tails stay empty is a walk on the heads alone.  ``len()`` is the
-    family size, which is why this is not a ``NamedTuple``.
+    order of :func:`enumerate_F`), the integers scale * (mu + rho), mu as a
+    ``Fraction`` tuple, and the flag: the number of level-2k walks to the
+    label's shape.  ``level_flag`` maps the positions of F_{r,k} (empty
+    tails), in order, to the truncated flag: the level-k walks to the head
+    shape, since a walk whose tails stay empty is a walk on the heads alone.
+    ``len()`` is the family size, which is why this is not a ``NamedTuple``.
     """
 
-    __slots__ = ("cfg", "labels", "shifts", "scale", "numerators", "weights", "flag", "level_flag")
+    __slots__ = ("cfg", "labels", "scale", "numerators", "weights", "flag", "level_flag")
 
     def __init__(
         self,
         cfg: ParamConfig,
         labels: tuple[LambdaIndex, ...],
-        shifts: tuple[tuple[int, ...], ...],
         scale: int,
-        numerators: tuple[tuple[int, ...], ...],
+        numerators: tuple[Numerators, ...],
         weights: tuple[Weight, ...],
         flag: tuple[int, ...],
         level_flag: dict[int, int],
     ):
-        self.cfg, self.labels, self.shifts, self.scale = cfg, labels, shifts, scale
+        self.cfg, self.labels, self.scale = cfg, labels, scale
         self.numerators, self.weights = numerators, weights
         self.flag, self.level_flag = flag, level_flag
 
@@ -310,7 +316,6 @@ def family_table(cfg: ParamConfig) -> Family:
     k, r = cfg.k, cfg.r
     weights = tuple(enumerate_F(r, cfg))
     labels = tuple(combinat.enumerate_lambda(2 * k, r))
-    shifts = tuple(_label_shift(idx, cfg) for idx in labels)
     scale = lcm(*(c.denominator for c in cfg.c))
     base = [(scale * (a + b)).numerator for a, b in zip(lambda_c(cfg), rho(cfg.n))]
     walks, heads = (combinat.updown_count_table(a, r) for a in (2 * k, k))
@@ -318,9 +323,10 @@ def family_table(cfg: ParamConfig) -> Family:
     return Family(
         cfg=cfg,
         labels=labels,
-        shifts=shifts,
         scale=scale,
-        numerators=tuple(tuple(b + scale * x for b, x in zip(base, d)) for d in shifts),
+        numerators=tuple(
+            tuple(b + scale * x for b, x in zip(base, _label_shift(idx, cfg))) for idx in labels
+        ),
         weights=weights,
         flag=tuple(walks.get(idx.shape, 0) for idx in labels),
         level_flag={i: heads.get(labels[i].shape[:k], 0) for i in level},
@@ -328,27 +334,32 @@ def family_table(cfg: ParamConfig) -> Family:
 
 
 # ---------------------------------------------------------------------------
-# dominance order (integral shifts only)
+# dominance order (on numerator tuples at one scale)
 # ---------------------------------------------------------------------------
 
 
-def dominance_leq(lam: Weight, mu: Weight) -> bool:
+def dominance_leq(lam: Numerators, mu: Numerators, scale: int) -> bool:
     """lam <= mu iff mu - lam is a nonnegative integer combination of the
-    simple roots of D_n.
+    simple roots of D_n, both weights given as numerators over ``scale``.
 
-    Only the difference counts, so shift vectors from one chamber weight
-    compare exactly as their weights do.  Solving for the coefficients: with
-    d = mu - lam and prefix sums P_j, the coefficients are c_j = P_j
-    (j <= n-2), c_n = P_n / 2 and c_{n-1} = (P_{n-1} - d_n) / 2, so the test
-    is: P_j >= 0 for j <= n-2, P_n >= 0 and even, and P_{n-1} - d_n >= 0.
+    Only the difference counts, so numerators of shifted weights compare
+    exactly as their weights do; a difference that ``scale`` does not
+    divide is not integral, hence incomparable.  Solving for the
+    coefficients: with d = (mu - lam) / scale and prefix sums P_j, the
+    coefficients are c_j = P_j (j <= n-2), c_n = P_n / 2 and
+    c_{n-1} = (P_{n-1} - d_n) / 2, so the test is: P_j >= 0 for j <= n-2,
+    P_n >= 0 and even, and P_{n-1} - d_n >= 0.
     """
     n = len(lam)
     if len(mu) != n:
         raise ValueError(f"weights of different lengths {n} and {len(mu)}")
-    d = [m - l for l, m in zip(lam, mu)]
-    if any(x.denominator != 1 for x in d):
-        return False
-    prefixes = list(accumulate(int(x) for x in d))
+    d = []
+    for l, m in zip(lam, mu):
+        steps, rest = divmod(m - l, scale)
+        if rest:
+            return False
+        d.append(steps)
+    prefixes = list(accumulate(d))
     return (
         all(p >= 0 for p in prefixes[: n - 2])
         and prefixes[-1] >= 0
@@ -357,14 +368,14 @@ def dominance_leq(lam: Weight, mu: Weight) -> bool:
     )
 
 
-def dominance_less(lam: Weight, mu: Weight) -> bool:
-    return lam != mu and dominance_leq(lam, mu)
+def dominance_less(lam: Numerators, mu: Numerators, scale: int) -> bool:
+    return lam != mu and dominance_leq(lam, mu, scale)
 
 
-def dominance_sort_key(x: Weight) -> tuple:
+def dominance_sort_key(x: Sequence) -> tuple:
     """A linear extension of dominance: lexicographic on prefix sums.
 
-    Shift vectors from one chamber weight sort as their weights do, since
-    the chamber weight adds the same prefix offset to every key.
+    Numerators of shifted weights at one scale sort as their weights do: the
+    scale is positive, and rho adds the same prefix offset to every key.
     """
     return tuple(accumulate(x))

@@ -186,11 +186,14 @@ def test_decompose_imports_no_oracle():
 
 
 # per command: modules it must not import; hashlib maps OpenSSL, dataclasses
-# pulls in inspect, and only a JSON report needs json
+# pulls in inspect, only a JSON report needs json, and only the commands that
+# peel (or label with the peel's format) need the KL engine
+ENGINE = ("brauer_kl.kl", "brauer_kl.pipeline", "brauer_kl.laurent")
 FOOTPRINT = {
     "decompose --k 1 --r 3 --u 3/2": ("hashlib", "_hashlib", "dataclasses", "inspect"),
     "oracle-compare --r 3 --delta=1": ("hashlib", "_hashlib", "dataclasses", "inspect", "json"),
-    "--help": ("hashlib", "_hashlib", "dataclasses", "inspect"),
+    "--help": ("hashlib", "_hashlib", "dataclasses", "inspect", *ENGINE),
+    "admissible --k 1 --u 1/3": ("hashlib", "_hashlib", "dataclasses", "inspect", *ENGINE),
 }
 
 
@@ -316,7 +319,7 @@ def test_kl_selftest_checks_the_family_table(capsys, monkeypatch):
     def reversed_labels(cfg):
         f = table(cfg)
         return weights.Family(
-            f.cfg, f.labels[::-1], f.shifts, f.scale, f.numerators, f.weights, f.flag, f.level_flag
+            f.cfg, f.labels[::-1], f.scale, f.numerators, f.weights, f.flag, f.level_flag
         )
 
     monkeypatch.setattr(weights, "family_table", reversed_labels)

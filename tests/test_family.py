@@ -21,6 +21,7 @@ from brauer_kl.weights import (
     enumerate_F,
     family_table,
     is_singular,
+    lambda_c,
     shift,
     tilde,
 )
@@ -136,9 +137,10 @@ def test_table_rows_match_the_weights(cfg):
     weights = enumerate_F(cfg.r, cfg)
     assert family.weights == tuple(weights)
     assert list(family.labels) == [tilde(mu, cfg) for mu in weights]
-    assert list(family.shifts) == [delta(mu, cfg) for mu in weights]
+    chamber = tuple(family.scale * a for a in shift(lambda_c(cfg)))
     for mu, nums in zip(weights, family.numerators):
         assert nums == tuple(family.scale * a for a in shift(mu))
+        assert [a - c for a, c in zip(nums, chamber)] == [family.scale * d for d in delta(mu, cfg)]
         assert is_singular(nums) == is_singular(shift(mu))
 
 
@@ -152,14 +154,14 @@ def test_integer_linkage_key_groups_as_the_fraction_key(cfg):
 
 def test_integer_dominance_and_order_match_the_fraction_forms(cfg):
     family = family_table(cfg)
-    shifts, weights = family.shifts, family.weights
+    nums, weights = family.numerators, family.weights
     n = len(family)
-    by_shift = sorted(range(n), key=lambda i: dominance_sort_key(shifts[i]))
-    assert by_shift == sorted(range(n), key=lambda i: reference_sort_key(weights[i]))
+    by_key = sorted(range(n), key=lambda i: dominance_sort_key(nums[i]))
+    assert by_key == sorted(range(n), key=lambda i: reference_sort_key(weights[i]))
     for i in range(0, n, max(1, n // 24)):  # all pairs up to 24 weights
         for j in range(n):
             expected = reference_dominance_leq(weights[i], weights[j])
-            assert dominance_leq(shifts[i], shifts[j]) == expected, (i, j)
+            assert dominance_leq(nums[i], nums[j], family.scale) == expected, (i, j)
 
 
 def test_table_flags_match_the_flag_routines(cfg):

@@ -114,7 +114,7 @@ def test_forward_peel_makes_no_dominance_scan(monkeypatch):
     calls = []
     less = pipeline.dominance_less
     monkeypatch.setattr(
-        pipeline, "dominance_less", lambda a, b: calls.append((a, b)) or less(a, b)
+        pipeline, "dominance_less", lambda *args: calls.append(args) or less(*args)
     )
     assert len(simple_dimensions(result)) > 1
     assert calls == []
@@ -125,7 +125,7 @@ def test_peel_computes_each_sort_key_once(monkeypatch):
     # ties reversed, and each peel keys every weight it meets exactly once
     result = tilting_decomposition(build_config([u_from_delta(F(1))], 3))
     (block, *_) = [b for b in result.blocks if not b.is_singleton]
-    shifts = result.family.shifts
+    nums, scale = result.family.numerators, result.family.scale
     residual = {i: result.family.flag[i] for i in block.positions}
     keyed = []
     key = pipeline.dominance_sort_key
@@ -135,11 +135,11 @@ def test_peel_computes_each_sort_key_once(monkeypatch):
     for reverse_ties in (False, True):
         keyed.clear()
         peeled = pipeline._greedy_peel(
-            residual, result.columns.__getitem__, lambda i, m: None, shifts, reverse_ties
+            residual, result.columns.__getitem__, lambda i, m: None, nums, scale, reverse_ties
         )
         met = set(residual).union(*(result.columns[i] for i in peeled))
         assert len(peeled) > 1
-        assert sorted(keyed) == sorted(shifts[i] for i in met)
+        assert sorted(keyed) == sorted(nums[i] for i in met)
     # generic parameters: the simple dimensions' one peel, 2 keys per weight
     # before, one now
     result = tilting_decomposition(build_config([F(1, 5), F(9, 7)], 2))
@@ -147,6 +147,37 @@ def test_peel_computes_each_sort_key_once(monkeypatch):
     dims = simple_dimensions(result)
     assert len(dims) > 1
     assert len(keyed) == len(set(keyed)) == len(result.family.level_flag)
+
+
+@pytest.mark.parametrize(
+    "u, r", [([F(3, 2)], 7), ([F(0), F(1, 3)], 3)], ids=["3/2-r7", "0,1/3-r3"]
+)
+def test_columns_hold_family_positions_only(u, r):
+    # the pinned reading keeps no column at a weight outside the family, and
+    # its rows are block members, so no id past the family's end is made
+    result = tilting_decomposition(build_config(u, r))
+    size = len(result.family)
+    assert result.reduced_blocks or any(not b.is_singleton for b in result.blocks)
+    assert all(mu < size for mu in result.columns)
+    assert all(lam < size for col in result.columns.values() for lam in col)
+
+
+@pytest.mark.parametrize(
+    "u, r", [([F(3, 2)], 3), ([F(0), F(1, 3)], 3)], ids=["3/2-r3", "0,1/3-r3"]
+)
+def test_successful_peel_names_no_weight(monkeypatch, u, r):
+    # the engine workload's two configurations: a weight is formatted only
+    # when an error names one outside the family
+    calls = []
+    name = pipeline.weight_name
+    monkeypatch.setattr(pipeline, "weight_name", lambda *args: calls.append(args) or name(*args))
+    result = tilting_decomposition(build_config(u, r))
+    assert any(not b.is_singleton for b in result.blocks)
+    assert calls == []
+    # a peel that escapes the family names the weight it escapes at
+    with pytest.raises(NegativeResidual, match="escapes the weight family"):
+        tilting_decomposition(build_config([F(1, 2)], 4), convention="direct")
+    assert len(calls) == 1
 
 
 FROZEN_TILTING_DELTA1_R3 = {

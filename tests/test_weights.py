@@ -22,6 +22,7 @@ from brauer_kl.weights import (
     dominance_less,
     dominance_sort_key,
     enumerate_F,
+    family_table,
     hat,
     in_F_r,
     in_F_rk,
@@ -203,32 +204,35 @@ def test_family_size_matches_index_count():
 
 
 def test_dominance_examples():
-    a = (F(2), F(1), F(0))
-    b = (F(1), F(1), F(1))
+    a = (2, 1, 0)
+    b = (1, 1, 1)
     # a - b = (1, 0, -1) = e1 - e3: a dominates b
-    assert dominance_leq(b, a)
-    assert not dominance_leq(a, b)
-    assert dominance_less(b, a)
-    assert not dominance_less(a, a)
-    assert dominance_leq(a, a)
+    assert dominance_leq(b, a, 1)
+    assert not dominance_leq(a, b, 1)
+    assert dominance_less(b, a, 1)
+    assert not dominance_less(a, a, 1)
+    assert dominance_leq(a, a, 1)
+    # over scale 2, (2, 0, -2) is e1 - e3 and (1, 0, -1) is not integral
+    assert dominance_less((0, 0, 0), (2, 0, -2), 2)
+    assert not dominance_leq((0, 0, 0), (1, 0, -1), 2)
+    assert not dominance_leq((1, 0, -1), (0, 0, 0), 2)
 
 
 def test_dominance_includes_sign_drops():
     # e_{n-1} + e_n is a positive root in type D: lowering both last entries
     # by 1/2 each... integral variant: mu - (0, 1, 1) <= mu
-    mu = (F(5), F(3), F(2))
-    lower = (F(5), F(2), F(1))
-    assert dominance_leq(lower, mu)
-    assert not dominance_leq(mu, lower)
+    mu = (5, 3, 2)
+    lower = (5, 2, 1)
+    assert dominance_leq(lower, mu, 1)
+    assert not dominance_leq(mu, lower, 1)
 
 
 def test_dominance_sort_key_is_linear_extension():
-    cfg = build_config([F(0)], 3, q=[10])
-    family = enumerate_F(3, cfg)
-    ordered = sorted(family, key=dominance_sort_key)
+    family = family_table(build_config([F(0)], 3, q=[10]))
+    ordered = sorted(family.numerators, key=dominance_sort_key)
     for i, lo in enumerate(ordered):
         for hi in ordered[i + 1 :]:
-            assert not dominance_less(hi, lo)
+            assert not dominance_less(hi, lo, family.scale)
 
 
 @settings(deadline=None, max_examples=20)
@@ -249,7 +253,7 @@ GUARDED_CALLS = (
     ("hat(LambdaIndex(0, ((2,),)), cfg)", "expected a level-2 multipartition"),
     ("hat(LambdaIndex(0, ((1,), ())), cfg)", "does not have size r - 2f"),
     ("enumerate_F(3, cfg)", "not the configuration's r=2"),
-    ("dominance_leq((F(1),), (F(1), F(0)))", "different lengths"),
+    ("dominance_leq((1,), (1, 0), 1)", "different lengths"),
 )
 
 
