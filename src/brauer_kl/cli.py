@@ -73,15 +73,13 @@ def cmd_admissible(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    from . import pipeline  # only for its label format
-
     labels = combinat.enumerate_lambda(args.k, args.r)
     table = combinat.updown_count_table(args.k, args.r)
     total = 0
     for idx in labels:
         count = table.get(idx.shape, 0)
         total += count * count
-        print(f"{pipeline.family_label(idx)}  walks={count}")
+        print(f"{combinat.family_label(idx)}  walks={count}")
     expected = args.k**args.r * combinat.double_factorial(2 * args.r - 1)
     print(f"labels={len(labels)} sum_of_squares={total} expected={expected}")
     return 0 if total == expected else 1
@@ -201,12 +199,12 @@ def cmd_kl_selftest(args: argparse.Namespace) -> int:
         table = weights.family_table(cfg)
         for i, mu in enumerate(family):
             idx = weights.tilde(mu, cfg)
-            label = pipeline.family_label(idx)
+            label = combinat.family_label(idx)
             if weights.hat(idx, cfg) != mu:
                 reasons.append(f"hat(tilde) does not return the weight at position {i} ({label})")
                 break
             if (table.labels[i], table.weights[i]) != (idx, mu):
-                shown = pipeline.family_label(table.labels[i])
+                shown = combinat.family_label(table.labels[i])
                 reasons.append(f"family table reads {shown} at position {i}, tilde gives {label}")
                 break
         mismatches = pipeline.content_mismatches(cfg)

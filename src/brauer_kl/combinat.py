@@ -37,6 +37,18 @@ class LambdaIndex(NamedTuple):
     shape: Multipartition
 
 
+def level_label(idx: LambdaIndex, k: int) -> str:
+    """Compact string form of a level-k cell label."""
+    parts = ["," .join(str(c) for c in comp) or "-" for comp in idx.shape[:k]]
+    return f"f{idx.f}:" + "|".join(parts)
+
+
+def family_label(idx: LambdaIndex) -> str:
+    """Compact string form of a full (doubled-level) cell label."""
+    parts = ["," .join(str(c) for c in comp) or "-" for comp in idx.shape]
+    return f"f{idx.f}:" + "|".join(parts)
+
+
 def is_partition(p) -> bool:
     return (
         isinstance(p, tuple)

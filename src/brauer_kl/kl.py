@@ -33,11 +33,15 @@ the type-D flip-parity invariant of the orbit, which is what makes the
 generator tables match honest signed-permutation bookkeeping (they were
 frozen against brute-forced W(D_4) and W(D_5) coset modules in the tests).
 
-One move table per engine holds, per state id and generator, the image id
-and the exponent, or "fixed"; each entry is filled once, on first use.  The
-exponent compares the two states' dominance sort keys (prefix sums of
-numerators).  The recursion and its memos run on ids; one codec turns
-numerator tuples into ids and back.
+The move table and the element memos read no token value (the translation
+principle: Cox-De Visscher-Martin, JPAA 215, 2011; Soergel, Represent.
+Theory 1, 1997), so engines of one Coxeter shape share one core, keyed by
+(context, generators, zero class): the interned states, the move table and
+the element memos, all on int ids.  A move-table entry, filled once on first
+use, is the image id and the exponent, or "fixed".  The exponent compares
+prefix sums of rank coordinates (each token replaced by its rank, a zero
+token kept at 0): adjacent states differ by a multiple of one root, so only
+the order of the signed token values decides it.
 
 A wall block (one vanishing pairing x_i = -x_j = a) is read off the
 canonical basis of its regular companion, whose tokens split the doubled
@@ -72,11 +76,6 @@ from .weights import (
 )
 
 NVector = dict[Numerators, LaurentPoly]
-
-
-def _rationals(x: Sequence[int], scale: int) -> str:
-    """A shifted weight given by numerators over ``scale``, for messages."""
-    return "(" + ",".join(format_rational(Fraction(a, scale)) for a in x) + ")"
 
 
 class ClosedWorldViolation(Exception):
@@ -225,17 +224,21 @@ class CanonicalBasisEngine:
     set, integrality classes, and generator list are computed once from a
     seed and reused.  The seed and every weight passed in or out are
     numerator tuples scale * (mu + rho) at the one ``scale`` given here.
+    The engine keeps that codec; its states, move table and memos are the
+    core its shape keys in the store ``cores`` (a private one when None),
+    and ``max_weights`` bounds the elements of the whole core.
     """
 
     def __init__(
-        self, ctx: WeightContext, seed: Numerators, scale: int, max_weights: int = 200_000
+        self, ctx: WeightContext, seed: Numerators, scale: int,
+        max_weights: int = 200_000, cores: dict | None = None,
     ):
         self.ctx = ctx
         self.scale = scale
         self.max_weights = max_weights
         if is_singular(seed):
             raise ValueError(
-                f"seed weight is singular (repeated |value|): {_rationals(seed, scale)}"
+                f"seed weight is singular (repeated |value|): {weight_name(seed, scale)}"
             )
         self.tokens = tokens = tuple(sorted((abs(a) for a in seed), reverse=True))
         self.key = canonical_form(seed, scale)
@@ -251,23 +254,27 @@ class CanonicalBasisEngine:
                 moves.append(TokenMove(cls[-2], cls[-1], True))
         self.moves: tuple[TokenMove, ...] = tuple(moves)
         # the zero token's hidden sign completes its class to even flip parity
-        self._zero_class = next((c for c in classes.values() if tokens[c[-1]] == 0), None)
+        zero = next((tuple(c) for c in classes.values() if tokens[c[-1]] == 0), None)
+        self._zero_class = zero
         self._index = {t: i for i, t in enumerate(tokens)}
         self._signed_scaled = (tokens, tuple(-t for t in tokens))
-        self._ids: dict[State, int] = {}
-        self._states: list[State] = []
-        self._prefix: list[tuple[int, ...]] = []  # dominance key per id
-        self._table: list[list] = []  # id -> per generator (image id, v-exponent) or None
-        self._b: dict[int, IdVector] = {}
-        self._bar_n: dict[int, IdVector] = {}
+        # the shape's core: signed token ranks (ordered as the values are; a
+        # zero token, which the shape records, stays 0), state -> id, and per
+        # id its state, rank dominance key, move-table row and element memos
+        ranks = tuple(len(tokens) - i if t else 0 for i, t in enumerate(tokens))
+        fresh = ((ranks, tuple(-t for t in ranks)), {}, [], [], [], {}, {})
+        core = fresh if cores is None else cores.setdefault((ctx, self.moves, zero), fresh)
+        self._signed_ranks, self._ids, self._states, self._prefix = core[:4]
+        self._table, self._b, self._bar_n = core[4:]
 
     # -- state codec (the numerator boundary) ---------------------------------
 
-    def _coords(self, state: State) -> list[int]:
+    def _coords(self, state: State, signed: tuple) -> list[int]:
         """Signed token values of a state, descending within each Levi block:
         its positive tokens by falling magnitude, then its negative ones by
-        rising magnitude (tokens are indexed by falling magnitude)."""
-        values, negated = self._signed_scaled
+        rising magnitude (tokens are indexed by falling magnitude).  The
+        values are ``signed``: scaled tokens or ranks, then their negatives."""
+        values, negated = signed
         pos: list[list[int]] = [[] for _ in range(self.ctx.k)]
         neg: list[list[int]] = [[] for _ in range(self.ctx.k)]
         for i, code in enumerate(state):
@@ -283,16 +290,16 @@ class CanonicalBasisEngine:
         if sid is None:
             sid = self._ids[state] = len(self._states)
             self._states.append(state)
-            self._prefix.append(dominance_sort_key(self._coords(state)))
+            self._prefix.append(dominance_sort_key(self._coords(state, self._signed_ranks)))
             self._table.append([_UNSET] * len(self.moves))
         return sid
 
     def _state_id(self, x: Numerators) -> int:
         """Intern a shifted weight of this linkage class, sorted within blocks."""
         if canonical_form(x, self.scale) != self.key:
-            raise ValueError(f"state off the linkage class: {_rationals(x, self.scale)}")
+            raise ValueError(f"state off the linkage class: {weight_name(x, self.scale)}")
         if not blockwise_decreasing(x, self.ctx):
-            raise ValueError(f"not sorted: {_rationals(x, self.scale)}")
+            raise ValueError(f"not sorted: {weight_name(x, self.scale)}")
         code = [0] * len(self.tokens)
         for bi, (start, end) in enumerate(self.ctx.blocks()):
             for c in x[start:end]:
@@ -302,10 +309,10 @@ class CanonicalBasisEngine:
         return self._intern(tuple(code))
 
     def _numerators(self, sid: int) -> Numerators:
-        return tuple(self._coords(self._states[sid]))
+        return tuple(self._coords(self._states[sid], self._signed_scaled))
 
     def _name(self, sid: int) -> str:
-        return _rationals(self._numerators(sid), self.scale)
+        return weight_name(self._numerators(sid), self.scale)
 
     def _read(self, vec: IdVector) -> NVector:
         return {self._numerators(z): p for z, p in vec.items()}
@@ -320,7 +327,9 @@ class CanonicalBasisEngine:
         exactly when the image is dominance-lower.  Adjacent states are
         always strictly comparable: all nonzero prefix sums of their
         difference carry one sign (sign flips change the total, so the total
-        is not required to vanish).
+        is not required to vanish).  The keys are rank coordinates, which
+        order the signed tokens as their values do, so every engine of the
+        core reads the same entry.
         """
         m = self.moves[g]
         state = self._states[s]
@@ -369,16 +378,6 @@ class CanonicalBasisEngine:
             if entry is not None and entry[1] < 0:
                 return g, entry[0]
         return None
-
-    def ascent(self, x: Numerators) -> tuple[TokenMove, Numerators] | None:
-        """First generator whose image lies strictly above x.
-
-        Returns None exactly at the dominance-maximal state of the orbit
-        (the identity coset); everywhere else the Coxeter geometry
-        guarantees an ascent, which is what drives the recursion home.
-        """
-        asc = self._ascent(self._state_id(x))
-        return None if asc is None else (self.moves[asc[0]], self._numerators(asc[1]))
 
     def _check_budget(self) -> None:
         if len(self._b) + len(self._bar_n) > self.max_weights:
@@ -464,10 +463,11 @@ class CanonicalBasisEngine:
 def tilting_table(
     block: Block,
     convention: str | None = None,
-    engine: CanonicalBasisEngine | None = None,
+    cores: dict | None = None,
 ) -> dict[tuple[Numerators, Numerators], int]:
     """Tilting multiplicities keyed (lam, mu) = (T(mu) : M(lam)), both given
-    by their numerators at the block's scale.
+    by their numerators at the block's scale.  The block's engine takes its
+    core from the store ``cores`` (a private one when None).
 
     The ambient rank is even, so the longest-element twist in the Verma-flag
     character duality is plain negation and the only residual freedom is the
@@ -488,8 +488,7 @@ def tilting_table(
     x0 = block.numerators[0]
     if len(set(x0)) < len(x0):
         raise _unsupported(x0, block.scale, _TIED_COORDINATES)
-    if engine is None:
-        engine = CanonicalBasisEngine(block.ctx, x0, block.scale)
+    engine = CanonicalBasisEngine(block.ctx, x0, block.scale, cores=cores)
     out: dict[tuple[Numerators, Numerators], int] = {}
     for w in block.numerators:
         for z, p in engine.basis_element(w).items():
@@ -505,10 +504,11 @@ def tilting_table(
 def singular_reduction_table(
     block: Block,
     convention: str | None = None,
-    engine: CanonicalBasisEngine | None = None,
+    cores: dict | None = None,
 ) -> dict[tuple[Numerators, Numerators], int]:
     """Tilting multiplicities for a wall block, via its regular companion,
-    keyed like :func:`tilting_table`.
+    keyed like :func:`tilting_table`, with the companion's engine on the
+    store ``cores``.
 
     Every weight of the block is fixed by exactly one reflection
     s_{e_i + e_j}: the shifted weight carries one pair x_i = -x_j = a > 0,
@@ -569,8 +569,7 @@ def singular_reduction_table(
         lift = [c + scale if c > a else c - scale if c < -a else c for c in x]
         lift[i], lift[j] = (hi, -lo) if basis_upper else (lo, -hi)
         lifts.append(tuple(lift))
-    if engine is None:
-        engine = CanonicalBasisEngine(block.ctx, lifts[0], scale)
+    engine = CanonicalBasisEngine(block.ctx, lifts[0], scale, cores=cores)
     # the wall value of each signed companion token; no companion token lies
     # strictly between t_lo and t_hi, since the lift raises every larger one
     wall_value = {}

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from . import combinat
-from .combinat import LambdaIndex
+from .combinat import family_label, level_label
 from .kl import (
     PINNED_CONJUGATE_CONVENTION,
     Block,
@@ -198,8 +198,9 @@ def tilting_decomposition(
     of the corresponding tilting column.  The same table is then peeled again
     with incomparable ties broken the other way; the two peels must agree,
     or ``NegativeResidual`` is raised.  ``convention`` None uses the frozen
-    pin.  Only non-singleton blocks reach the engine; their tables, keyed by
-    the family's numerator tuples, are read back into ids through one dict.
+    pin.  Only non-singleton blocks reach the engine, whose blocks of one
+    Coxeter shape share one core; their tables, keyed by the family's
+    numerator tuples, are read back into ids through one dict.
     A table entry is stored only in a family position's column: the peel
     reads no other.
     """
@@ -210,6 +211,7 @@ def tilting_decomposition(
     blocks = partition_into_blocks(family)
     ids = {x: i for i, x in enumerate(family.numerators)}
     numerators = list(family.numerators)  # per id: ids past the family's end append
+    cores: dict = {}  # the engine cores, one per Coxeter shape
     n_out: dict[int, int] = {}
     columns: dict[int, dict[int, int]] = {}
     singular: list[int] = []
@@ -248,10 +250,10 @@ def tilting_decomposition(
             continue
         try:
             if singular_pairs(family.numerators[block.positions[0]]):
-                table = singular_reduction_table(block, convention)
+                table = singular_reduction_table(block, convention, cores)
                 reduced.append(block.positions)
             else:
-                table = tilting_table(block, convention)
+                table = tilting_table(block, convention, cores)
         except UnsupportedBlock as exc:  # name the weight by its cell label
             raise UnsupportedBlock(exc.weight, exc.reason, name(id_of(exc.weight))) from None
         # linkage blocks touch disjoint weights: their columns never collide
@@ -305,18 +307,6 @@ def simple_dimensions(result: DecompositionResult) -> dict[int, int]:
 
 
 # -- report assembly -------------------------------------------------------
-
-
-def level_label(idx: LambdaIndex, k: int) -> str:
-    """Compact string form of a level-k cell label."""
-    parts = ["," .join(str(c) for c in comp) or "-" for comp in idx.shape[:k]]
-    return f"f{idx.f}:" + "|".join(parts)
-
-
-def family_label(idx: LambdaIndex) -> str:
-    """Compact string form of a full (doubled-level) cell label."""
-    parts = ["," .join(str(c) for c in comp) or "-" for comp in idx.shape]
-    return f"f{idx.f}:" + "|".join(parts)
 
 
 def _sparse_entries(

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import brauer_kl
-from brauer_kl import kl, params, pipeline, weights
+from brauer_kl import combinat, kl, params, pipeline, weights
 from brauer_kl.cli import SELFTEST_BATTERY, main
 from brauer_kl.weights import family_table
 
@@ -186,14 +186,15 @@ def test_decompose_imports_no_oracle():
 
 
 # per command: modules it must not import; hashlib maps OpenSSL, dataclasses
-# pulls in inspect, only a JSON report needs json, and only the commands that
-# peel (or label with the peel's format) need the KL engine
+# pulls in inspect, only a JSON report needs json, only the commands that
+# peel need the KL engine, and enumerate labels cells from combinat alone
 ENGINE = ("brauer_kl.kl", "brauer_kl.pipeline", "brauer_kl.laurent")
 FOOTPRINT = {
     "decompose --k 1 --r 3 --u 3/2": ("hashlib", "_hashlib", "dataclasses", "inspect"),
     "oracle-compare --r 3 --delta=1": ("hashlib", "_hashlib", "dataclasses", "inspect", "json"),
     "--help": ("hashlib", "_hashlib", "dataclasses", "inspect", *ENGINE),
     "admissible --k 1 --u 1/3": ("hashlib", "_hashlib", "dataclasses", "inspect", *ENGINE),
+    "enumerate --k 1 --r 2": (*ENGINE, "brauer_kl.weights"),
 }
 
 
@@ -332,7 +333,7 @@ def test_kl_selftest_checks_the_family_table(capsys, monkeypatch):
     expected = []
     for u, r in SELFTEST_BATTERY:
         labels = table(params.build_config(u, r)).labels
-        first, last = (pipeline.family_label(labels[i]) for i in (0, -1))
+        first, last = (combinat.family_label(labels[i]) for i in (0, -1))
         expected.append(f"  family table reads {last} at position 0, tilde gives {first}")
     assert lines[1::2] == expected
 

@@ -264,7 +264,7 @@ def test_bar_of_standard_is_an_involution(frozen_orbit):
 
 def test_ascent_vanishes_only_at_the_top(frozen_orbit):
     engine, table = frozen_orbit
-    tops = [x for x in table if engine.ascent(x) is None]
+    tops = [x for x in table if engine._ascent(engine._state_id(x)) is None]
     assert len(tops) == 1
     assert not table[tops[0]]  # the maximal state has a trivial element
 
@@ -290,6 +290,20 @@ def test_budget_violation_raises():
     engine.basis_element((3, 2, 1, 0))  # first element is free
     with pytest.raises(kl.ClosedWorldViolation):
         engine.basis_element((3, 2, 0, -1))
+
+
+def test_budget_counts_every_engine_of_a_shared_core():
+    # (5, 3, 1, 0) has the shape of (3, 2, 1, 0): one class with a zero token
+    cores = {}
+    first = kl.CanonicalBasisEngine(D4, (3, 2, 1, 0), 1, cores=cores)
+    for x in ((3, 2, 1, 0), (3, 2, 0, -1), (3, 1, 0, -2)):
+        first.basis_element(x)
+    second = kl.CanonicalBasisEngine(D4, (5, 3, 1, 0), 1, max_weights=2, cores=cores)
+    assert second._b is first._b
+    with pytest.raises(kl.ClosedWorldViolation):
+        second.basis_element((3, 1, 0, -5))  # three elements of the core are the first's
+    alone = kl.CanonicalBasisEngine(D4, (5, 3, 1, 0), 1, max_weights=2)
+    assert len(alone.basis_element((3, 1, 0, -5))) == 2
 
 
 def test_canonical_form_separates_parity_without_zero():
@@ -394,15 +408,15 @@ def test_collapse_rejects_same_sign_merge():
     assert collapse_to_wall((F(5), F(3), F(2), F(-1)), F(2)) is None
 
 
-def reference_wall_table(block, convention, drops):
+def reference_wall_table(block, convention, drops, cores):
     """The singular reduction by lift and collapse on Fraction weights.
 
-    Reads the same engine at the boundary (numerators in and out), counts
-    each dropped support entry in ``drops`` by its reason, and checks the
-    invariants that make two of the old checks impossible: every companion
-    state carries exactly two coordinates of |value| a or a+1, and every
-    collapsed support has exactly one vanishing pairing.  Returns the table
-    keyed by numerators and the engine, or raises the old refusals.
+    Reads an engine on the store ``cores`` at the boundary (numerators in
+    and out), counts each dropped support entry in ``drops`` by its reason,
+    and checks the invariants that make two of the old checks impossible:
+    every companion state carries exactly two coordinates of |value| a or
+    a+1, and every collapsed support has exactly one vanishing pairing.
+    Returns the table keyed by numerators, or raises the old refusals.
     """
     scale = block.scale
 
@@ -425,7 +439,7 @@ def reference_wall_table(block, convention, drops):
     a = doubled.pop()
     basis_upper = convention == "direct"
     lifts = [nums(lift_from_wall(shift(mu), pairs[mu], basis_upper)) for mu in block.weights]
-    engine = kl.CanonicalBasisEngine(block.ctx, lifts[0], scale)
+    engine = kl.CanonicalBasisEngine(block.ctx, lifts[0], scale, cores=cores)
     out = {}
     for w, lift in zip(block.numerators, lifts):
         for z, p in engine.basis_element(lift).items():
@@ -444,7 +458,7 @@ def reference_wall_table(block, convention, drops):
             if val:
                 key = (nums(wall_x), w) if convention == "direct" else (w, nums(wall_x))
                 out[key] = val
-    return out, engine
+    return out
 
 
 # k = 1 at five parameters and r <= 6, and a level-two half-integral pair
@@ -461,8 +475,9 @@ def test_wall_fold_matches_the_lift_collapse_reference(convention):
         for block in kl.partition_into_blocks(family):
             if block.is_singleton or not kl.singular_pairs(block.numerators[0]):
                 continue
+            cores = {}
             try:
-                expected, engine = reference_wall_table(block, convention, drops)
+                expected = reference_wall_table(block, convention, drops, cores)
             except kl.UnsupportedBlock as exc:
                 with pytest.raises(kl.UnsupportedBlock) as caught:
                     kl.singular_reduction_table(block, convention)
@@ -470,9 +485,9 @@ def test_wall_fold_matches_the_lift_collapse_reference(convention):
                 refused += 1
                 continue
             blocks += 1
-            table = kl.singular_reduction_table(block, convention, engine)
-            # same kept supports and wall weights, in the same order; the
-            # supports are the engine's, so the drops are the same too
+            table = kl.singular_reduction_table(block, convention, cores)
+            # same kept supports and wall weights, in the same order; both
+            # engines read one core, so the drops are the same too
             assert list(table.items()) == list(expected.items()), (u, r, block.key)
     assert blocks == 22 and refused == 13  # refused: two or more vanishing pairings
     # both kinds of drop occur (on this grid "mirror" meets no Levi crossing)
@@ -490,7 +505,7 @@ def test_fold_refuses_a_support_with_its_negative_member_first():
     block = kl.Block(ctx, (), (to_mu(x),), (x,), 1)
     for convention in ("mirror", "direct"):
         with pytest.raises(ValueError, match="not a wall pair"):
-            reference_wall_table(block, convention, Counter())
+            reference_wall_table(block, convention, Counter(), {})
         with pytest.raises(kl.UnsupportedBlock) as caught:
             kl.singular_reduction_table(block, convention)
         assert caught.value.reason == kl._NEGATIVE_FIRST
@@ -563,12 +578,13 @@ def test_pinned_conventions_are_frozen():
 
 
 def test_tilting_table_conventions_are_transposes():
-    engine = kl.CanonicalBasisEngine(D4, (3, 2, 1, 0), 1)
     _, orbit = numerate(D4_INTEGER_TABLE)
     xs = tuple(sorted(orbit, key=dominance_sort_key))
-    block = kl.Block(D4, engine.key, tuple(map(to_mu, xs)), xs, 1)
-    direct = kl.tilting_table(block, "direct", engine)
-    mirror = kl.tilting_table(block, "mirror", engine)
+    block = kl.Block(D4, kl.canonical_form(xs[0], 1), tuple(map(to_mu, xs)), xs, 1)
+    cores = {}
+    direct = kl.tilting_table(block, "direct", cores)
+    mirror = kl.tilting_table(block, "mirror", cores)
+    assert len(cores) == 1
     assert {(b, a): v for (a, b), v in direct.items()} == mirror
     # mirror keys (lam, mu) are supported on lam <= mu, as a Verma flag of a
     # tilting module must be
@@ -576,7 +592,7 @@ def test_tilting_table_conventions_are_transposes():
         if val and lam != mu:
             assert dominance_less(lam, mu, 1)
     with pytest.raises(ValueError, match="convention"):
-        kl.tilting_table(block, "sideways", engine)
+        kl.tilting_table(block, "sideways", cores)
 
 
 def test_singular_reduction_frozen_wall_block():
@@ -630,22 +646,32 @@ def test_move_table_matches_the_weight_level_moves(orbit):
     def nums(x):
         return tuple(int(c * scale) for c in x)
 
-    engine = kl.CanonicalBasisEngine(ctx, nums(next(iter(table))), scale)
-    for x in table:
-        sid = engine._state_id(nums(x))
-        # the dominance key is exact: prefix sums on integer-scaled tokens
-        assert engine._prefix[sid] == tuple(accumulate(nums(x)))
-        for gi, g in enumerate(engine.moves):
-            high, low = (F(engine.tokens[i], scale) for i in (g.high, g.low))
-            y = reference_move(ctx, x, high, low, g.negate)
-            entry = engine._move(sid, gi)
-            if y == x:
-                assert entry is None, (x, g)
-                continue
-            assert y in table  # the orbit is closed under the moves
-            assert engine._numerators(entry[0]) == nums(y), (x, g)
-            assert entry[1] == (1 if prefix_below(y, x) else -1), (x, g)
-            assert prefix_below(y, x) or prefix_below(x, y)  # strictly comparable
+    # the same shape at other values: the k-th smallest token of each class
+    # rises by k, which keeps the classes, the token order and a zero token
+    tokens = sorted({abs(c) for c in next(iter(table))})
+    rise = {t: sum(1 for u in tokens if u < t and (t - u).denominator == 1) for t in tokens}
+
+    def moved(x):
+        return tuple(c + rise[c] if c >= 0 else c - rise[-c] for c in x)
+
+    cores = {}
+    for orbit_table in (table, {moved(x): None for x in table}):
+        engine = kl.CanonicalBasisEngine(ctx, nums(next(iter(orbit_table))), scale, cores=cores)
+        for x in orbit_table:
+            sid = engine._state_id(nums(x))
+            for gi, g in enumerate(engine.moves):
+                high, low = (F(engine.tokens[i], scale) for i in (g.high, g.low))
+                y = reference_move(ctx, x, high, low, g.negate)
+                entry = engine._move(sid, gi)
+                if y == x:
+                    assert entry is None, (x, g)
+                    continue
+                assert y in orbit_table  # the orbit is closed under the moves
+                assert engine._numerators(entry[0]) == nums(y), (x, g)
+                # the exponent read off rank keys is the one the values give
+                assert entry[1] == (1 if prefix_below(y, x) else -1), (x, g)
+                assert prefix_below(y, x) or prefix_below(x, y)  # strictly comparable
+    assert len(cores) == 1  # both engines read one core
 
 
 def test_move_table_fills_each_entry_once(monkeypatch):
@@ -680,14 +706,69 @@ def test_move_table_fills_each_entry_once(monkeypatch):
     assert calls[0] == before
 
 
+# blocks of one Coxeter shape at many values: k = 1 at four parameters and
+# r <= 6, and two level-two parameter pairs
+SHARING_GRID = [((u,), r) for u in ("3/2", "0", "1/2", "5/2") for r in range(1, 7)] + [
+    *((("0", "1/2"), r) for r in range(1, 5)),
+    *((("0", "1/3"), r) for r in range(1, 4)),
+]
+
+
+def table_or_refusal(block, convention, cores):
+    wall = kl.singular_pairs(block.numerators[0])
+    read = kl.singular_reduction_table if wall else kl.tilting_table
+    try:
+        return list(read(block, convention, cores).items())
+    except kl.UnsupportedBlock as exc:
+        return exc.reason
+
+
+@pytest.mark.parametrize("convention", ["mirror", "direct"])
+def test_a_shared_core_gives_the_tables_of_private_ones(convention):
+    reused, refused = 0, 0
+    for u, r in SHARING_GRID:
+        family = family_table(build_config([F(x) for x in u], r))
+        cores = {}
+        blocks = [b for b in kl.partition_into_blocks(family) if not b.is_singleton]
+        for block in blocks:
+            shared = table_or_refusal(block, convention, cores)
+            assert shared == table_or_refusal(block, convention, {}), (u, r, block.key)
+            refused += isinstance(shared, str)
+        reused += len(blocks) - len(cores)
+    assert reused == 58 and refused == 13  # of 82 blocks
+
+
+def engines_and_cores(monkeypatch, u, r):
+    """The engines one decompose run builds, and its distinct cores."""
+    engines = []
+    init = kl.CanonicalBasisEngine.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(self)
+
+    monkeypatch.setattr(kl.CanonicalBasisEngine, "__init__", recording_init)
+    pipeline.decomposition_report(build_config([F(x) for x in u.split(",")], r))
+    cores = {id(engine._states): engine._states for engine in engines}
+    return engines, list(cores.values())
+
+
+def test_blocks_of_one_shape_build_one_core(monkeypatch):
+    engines, cores = engines_and_cores(monkeypatch, "3/2", 7)
+    assert len(engines) == 21
+    assert [len(states) for states in cores] == [1952]
+    engines, cores = engines_and_cores(monkeypatch, "0,1/2", 4)
+    assert len(cores) == 7
+
+
 def test_boundary_input_is_refused():
     engine = kl.CanonicalBasisEngine(D4, (3, 2, 1, 0), 1)
-    with pytest.raises(ValueError, match=r"off the linkage class: \(4,2,1,0\)$"):
+    with pytest.raises(ValueError, match=r"off the linkage class: \(1,0,0,0\)$"):
         engine.basis_element((4, 2, 1, 0))
     with pytest.raises(ValueError, match="not sorted"):
         engine.basis_element((2, 3, 1, 0))
     with pytest.raises(ValueError, match="off the linkage class"):
-        engine.ascent((7, 5, 3, 1))
+        engine.bar_vector({(7, 5, 3, 1): LaurentPoly.one()})
     with pytest.raises(ValueError, match="not a wall pair"):
         lift_from_wall((F(3), F(2), F(1), F(0)), (0, 3), True)
     # two wall weights doubling different values are not one linkage class

@@ -8,14 +8,13 @@ from fractions import Fraction
 import pytest
 
 from brauer_kl import pipeline
-from brauer_kl.combinat import LambdaIndex, enumerate_lambda, updown_count
+from brauer_kl.combinat import LambdaIndex, enumerate_lambda, level_label, updown_count
 from brauer_kl.params import build_config, u_from_delta
 from brauer_kl.pipeline import (
     NegativeResidual,
     SaturationNotEstablished,
     content_mismatches,
     decomposition_report,
-    level_label,
     report_to_csv,
     simple_dimensions,
     tilting_decomposition,
@@ -232,7 +231,7 @@ def test_peel_order_disagreement_is_refused(monkeypatch):
 
 def test_peel_errors_name_family_weights_by_cell_label(monkeypatch):
     # with no tilting columns the first weight peeled lacks its unit diagonal
-    monkeypatch.setattr(pipeline, "tilting_table", lambda block, convention: {})
+    monkeypatch.setattr(pipeline, "tilting_table", lambda block, convention, cores: {})
     with pytest.raises(NegativeResidual) as exc:
         tilting_decomposition(build_config([u_from_delta(F(1))], 3))
     assert re.fullmatch(r"tilting column at f\d+:[-\d,|]+ lacks a unit diagonal", str(exc.value))
@@ -243,9 +242,10 @@ def test_peel_refuses_a_residual_outside_the_family(monkeypatch):
     # meets it last, with a positive residual, and names it as a tuple
     table = pipeline.tilting_table
 
-    def with_outside_row(block, convention):
+    def with_outside_row(block, convention, cores):
         top = block.numerators[-1]
-        return {(tuple(a - 7 * block.scale for a in top), top): -1, **table(block, convention)}
+        outside = tuple(a - 7 * block.scale for a in top)
+        return {(outside, top): -1, **table(block, convention, cores)}
 
     monkeypatch.setattr(pipeline, "tilting_table", with_outside_row)
     with pytest.raises(NegativeResidual, match=r"escapes the weight family at \((-?[\d/]+,)+-?[\d/]+\)$"):
@@ -446,6 +446,11 @@ GOLDEN_REPORT_SHA256 = {
     ("3/2", 6, False): "a3205e2c4c538e61b78004f8303c1f903777566358b6a12de70a89edbef69354",
     ("1/2", 5, False): "54838f516a8d2a7faffa177146603d1794658bafd0cb2837bfd16d2e3dd5b715",
     ("0,1/2", 4, False): "862ad452a11f438a283b73bb778f09efa18dfac428feaa7448cf97e80529a8b7",
+    # many blocks of one Coxeter shape, recorded before those blocks shared
+    # one engine core
+    ("3/2", 7, False): "987d484702e7acf99f89bb550738afdef4ba0f78750b45c5316a39af543b6191",
+    ("3/2", 8, False): "621c0784171d9864d0c44f665058c06afa9444fb97fca37adf505348117a888a",
+    ("0", 8, False): "1bf38f458faa0bae50ea13fab4f523f74c502d30a3fd8d349776685e6cbed57a",
 }
 
 
