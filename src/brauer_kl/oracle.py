@@ -1,15 +1,18 @@
 """Brute-force Brauer diagram algebra over exact rationals.
 
-Ground truth for the single-parameter algebra B_r(delta) at r <= 4: diagrams
+Ground truth for the single-parameter algebra B_r(delta) at r <= 5: diagrams
 are perfect matchings on r top and r bottom points, multiplication is
 concatenation with closed loops traded for powers of delta, and cell modules
 are spanned by half-diagrams (f disjoint top arcs) tensored with Specht
 vectors of the symmetric group on the r - 2f free points.  The decomposition
 matrix is computed from exact character identities: the character of each
-cell module and of each Gram-quotient simple is evaluated on every basis
-diagram, and the integer multiplicities solve the resulting linear system
-(characters of pairwise non-isomorphic simples are linearly independent in
-characteristic zero).
+cell module and of each Gram-quotient simple is evaluated on one diagram per
+class under conjugation by the permutation diagrams (a character is a trace
+and those diagrams are units, so it is constant on each class), and the
+integer multiplicities solve the resulting linear system (characters of
+pairwise non-isomorphic simples are linearly independent in characteristic
+zero).  The Gram radical is checked to be invariant under the generators
+s_1, ..., s_{r-1} and e_1, which is invariance under the whole algebra.
 
 All of this is deliberately independent of the weight/KL machinery: nothing
 here imports from the canonical-basis side, so agreement between the two is
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from typing import NamedTuple
 
 from . import combinat
@@ -32,8 +34,11 @@ Diagram = tuple[int, ...]  # partner array on 2r points; involution, no fixed po
 Caps = tuple[tuple[int, int], ...]  # disjoint sorted arcs on the top points
 
 
+DIAGRAM_BUDGET = 945  # (2*5-1)!!: the brute force runs up to r = 5
+
+
 class DimensionTooLarge(Exception):
-    """Refuse brute-force runs beyond (2*4-1)!! = 105 diagrams."""
+    """Refuse brute-force runs on more than DIAGRAM_BUDGET diagrams."""
 
 
 # -- diagrams ---------------------------------------------------------------
@@ -73,20 +78,57 @@ def all_diagrams(r: int) -> tuple[Diagram, ...]:
     return tuple(out)
 
 
-def flip(d: Diagram) -> Diagram:
-    """Top-bottom reflection (the algebra's anti-automorphism).
+@cache
+def class_representatives(r: int) -> tuple[Diagram, ...]:
+    """One diagram per class under conjugation by the permutation diagrams.
 
-    >>> flip(identity_diagram(2)) == identity_diagram(2)
-    True
+    Conjugating by a permutation relabels the top and the bottom points
+    alike, so each class is closed up under relabelling the partner array by
+    the r - 1 adjacent transpositions.  A class is represented by its first
+    member in ``all_diagrams`` order.
+
+    >>> [len(class_representatives(r)) for r in (1, 2, 3, 4)]
+    [1, 3, 5, 12]
     """
-    r = len(d) // 2
+    relabellings = []
+    for i in range(r - 1):
+        sigma = list(range(2 * r))
+        sigma[i], sigma[i + 1], sigma[r + i], sigma[r + i + 1] = i + 1, i, r + i + 1, r + i
+        relabellings.append(sigma)
+    seen: set[Diagram] = set()
+    reps: list[Diagram] = []
+    for d in all_diagrams(r):
+        if d in seen:
+            continue
+        reps.append(d)
+        seen.add(d)
+        stack = [d]
+        while stack:
+            x = stack.pop()
+            for sigma in relabellings:  # each sigma is its own inverse
+                y = tuple(sigma[x[sigma[i]]] for i in range(2 * r))
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return tuple(reps)
 
-    def sw(i: int) -> int:
-        return i + r if i < r else i - r
 
-    out = [0] * (2 * r)
-    for i in range(2 * r):
-        out[sw(i)] = sw(d[i])
+def generators(r: int) -> tuple[Diagram, ...]:
+    """s_1, ..., s_{r-1} and, for r >= 2, e_1: they generate B_r(delta).
+
+    >>> generators(2)
+    ((3, 2, 1, 0), (1, 0, 3, 2))
+    """
+    ident = identity_diagram(r)
+    out = []
+    for i in range(r - 1):
+        s = list(ident)
+        s[i], s[i + 1], s[r + i], s[r + i + 1] = r + i + 1, r + i, i + 1, i
+        out.append(tuple(s))
+    if r >= 2:
+        e = list(ident)
+        e[0], e[1], e[r], e[r + 1] = 1, 0, r + 1, r
+        out.append(tuple(e))
     return tuple(out)
 
 
@@ -348,19 +390,25 @@ class CellModule:
         return total
 
     def gram_matrix(self) -> list[list[Fraction]]:
+        """The form on cap block pairs: delta^loops times the Specht block
+        <b_i, tau b_j> of their gluing permutation tau, one block per tau."""
+        specht, sdim = self.specht, self.sdim
         G = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        blocks: dict[tuple[int, ...], list[list[Fraction]]] = {}
         for ci, S in enumerate(self.caps):
             for cj, T in enumerate(self.caps):
                 glued = glue_caps(S, T, self.r)
                 if glued is None:
                     continue
                 loops, tau = glued
+                block = blocks.get(tau)
+                if block is None:
+                    moved = [specht.act_tabloid_vector(tau, b) for b in specht.basis]
+                    block = [[specht.pairing(a, b) for b in moved] for a in specht.basis]
+                    blocks[tau] = block
                 scale = self.delta**loops
-                for j in range(self.sdim):
-                    moved = self.specht.act_tabloid_vector(tau, self.specht.basis[j])
-                    for i in range(self.sdim):
-                        val = scale * self.specht.pairing(self.specht.basis[i], moved)
-                        G[ci * self.sdim + i][cj * self.sdim + j] = val
+                for i, row in enumerate(block):
+                    G[ci * sdim + i][cj * sdim : (cj + 1) * sdim] = [scale * x for x in row]
         return G
 
 
@@ -389,19 +437,46 @@ def cell_labels(r: int) -> list[tuple[int, tuple[int, ...]]]:
     return [(idx.f, idx.shape[0]) for idx in combinat.enumerate_lambda(1, r)]
 
 
+def _radical_coordinates(
+    cell: CellModule,
+    d: Diagram,
+    vec: list[Fraction],
+    supports: list[list[tuple[int, Fraction]]],
+    free: list[int],
+) -> list[Fraction]:
+    """Coordinates of d.vec in the radical basis, checked by recombination.
+
+    Each radical basis vector is 1 at its own free column, its last nonzero
+    entry, and 0 at the others: an image's coordinates in the basis are its
+    entries there, and they must rebuild the whole image.
+    """
+    image = cell.act(d, vec)
+    coords = [image[c] for c in free]
+    span = [Fraction(0)] * cell.dim
+    for c, support in zip(coords, supports):
+        if c:
+            for i, x in support:
+                span[i] += c * x
+    if span != image:
+        raise AssertionError("radical is not invariant under the algebra")
+    return coords
+
+
 def oracle_decomposition_matrix(r: int, delta: Fraction) -> OracleMatrix:
     """Exact decomposition matrix [C(f,lam) : D(f',mu)] for B_r(delta)."""
-    if r > 4:
-        raise DimensionTooLarge(f"r={r} exceeds the brute-force budget of 105 diagrams (r <= 4)")
+    if combinat.double_factorial(2 * r - 1) > DIAGRAM_BUDGET:
+        raise DimensionTooLarge(
+            f"r={r} exceeds the brute-force budget of {DIAGRAM_BUDGET} diagrams (r <= 5)"
+        )
     delta = Fraction(delta)
     labels = cell_labels(r)
-    diagrams = all_diagrams(r)
+    reps = class_representatives(r)
     cells = {lab: CellModule(r, lab[0], lab[1], delta) for lab in labels}
     grams = {lab: cells[lab].gram_matrix() for lab in labels}
     cols = [lab for lab in labels if any(any(row) for row in grams[lab])]
 
     chi_C: dict[tuple[int, tuple[int, ...]], list[Fraction]] = {
-        lab: [cells[lab].character(d) for d in diagrams] for lab in labels
+        lab: [cells[lab].character(d) for d in reps] for lab in labels
     }
     chi_D: dict[tuple[int, tuple[int, ...]], list[Fraction]] = {}
     for lab in cols:
@@ -410,29 +485,18 @@ def oracle_decomposition_matrix(r: int, delta: Fraction) -> OracleMatrix:
         if not rad:
             chi_D[lab] = chi_C[lab]
             continue
-        # each nullspace vector is 1 at its own free column, its last
-        # nonzero entry, and 0 at the others: an image's coordinates in the
-        # radical basis are its entries there, checked by recombination
         supports = [[(i, x) for i, x in enumerate(vec) if x] for vec in rad]
         free = [support[-1][0] for support in supports]
+        for g in generators(r):
+            for vec in rad:
+                _radical_coordinates(cell, g, vec, supports, free)
         rad_char = []
-        for d in diagrams:
-            tr = Fraction(0)
-            for alpha, vec in enumerate(rad):
-                image = cell.act(d, vec)
-                coords = [image[c] for c in free]
-                span = [Fraction(0)] * cell.dim
-                for c, support in zip(coords, supports):
-                    if c:
-                        for i, x in support:
-                            span[i] += c * x
-                if span != image:
-                    raise AssertionError("radical is not invariant under the algebra")
-                tr += coords[alpha]
-            rad_char.append(tr)
+        for d in reps:
+            coords = [_radical_coordinates(cell, d, vec, supports, free) for vec in rad]
+            rad_char.append(sum((c[alpha] for alpha, c in enumerate(coords)), Fraction(0)))
         chi_D[lab] = [a - b for a, b in zip(chi_C[lab], rad_char)]
 
-    system = [[chi_D[col][i] for col in cols] for i in range(len(diagrams))]
+    system = [[chi_D[col][i] for col in cols] for i in range(len(reps))]
     entries: dict = {}
     for lab, solution in zip(labels, solve(system, [chi_C[lab] for lab in labels])):
         if solution is None:
@@ -462,10 +526,6 @@ def _parse_level_label(text: str) -> tuple[int, tuple[int, ...]]:
     return f, tuple(int(c) for c in body.split(","))
 
 
-def transpose_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
-    return combinat.transpose(lam)
-
-
 def compare(report: dict, oracle_matrix: OracleMatrix, conjugate_convention: str) -> list[dict]:
     """Cell-for-cell diff between a level-truncated report and the oracle.
 
@@ -485,7 +545,7 @@ def compare(report: dict, oracle_matrix: OracleMatrix, conjugate_convention: str
     def convert(lab: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
         f, lam = lab
         if conjugate_convention == "transpose":
-            return f, transpose_partition(lam)
+            return f, combinat.transpose(lam)
         return f, lam
 
     level = report["matrix_level"]

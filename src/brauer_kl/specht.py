@@ -6,10 +6,11 @@ orthonormal basis, a polytabloid is the signed column-group sum of a tabloid,
 and the Specht module is spanned by the polytabloids of standard tableaux.
 Permutations act by relabeling tabloid entries; the action matrix on the
 standard-polytabloid basis is recovered by exact linear solves against the
-polytabloid columns, once per permutation.  The bilinear form is the
-tabloid inner product restricted to the Specht span — degenerate exactly
-where the classical theory says it should be, which is what the
-diagram-algebra oracle consumes.
+polytabloid columns, once per permutation.  Characters need no matrix: the
+Murnaghan–Nakayama rule gives them as integers, once per (shape, cycle
+type).  The bilinear form is the tabloid inner product restricted to the
+Specht span — degenerate exactly where the classical theory says it should
+be, which is what the diagram-algebra oracle consumes.
 
 Entries are 0-based throughout; a permutation is a tuple ``p`` with ``p[i]``
 the image of ``i``.
@@ -67,6 +68,35 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+@cache
+def murnaghan_nakayama(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """The irreducible character of ``shape`` on the class of cycle type ``cycles``.
+
+    Strips a rim hook of length ``cycles[0]`` in every possible way, with
+    sign (-1)^(its height), and recurses on the rest.  On the beta-set
+    {shape[i] + len(shape) - 1 - i} a rim hook of length k is a bead b with
+    b - k free: the bead moves down to b - k, and the beads it jumps over
+    count the height.
+
+    >>> [murnaghan_nakayama((2, 1), c) for c in ((1, 1, 1), (2, 1), (3,))]
+    [2, 0, -1]
+    """
+    if not cycles:
+        return 1  # shape is empty: the sizes agree
+    k, rest = cycles[0], cycles[1:]
+    n = len(shape)
+    beta = [part + n - 1 - i for i, part in enumerate(shape)]
+    total = 0
+    for b in beta:
+        if b < k or b - k in beta:
+            continue
+        height = sum(1 for c in beta if b - k < c < b)
+        moved = sorted((c if c != b else b - k for c in beta), reverse=True)
+        smaller = tuple(x - (n - 1 - i) for i, x in enumerate(moved))
+        total += (-1) ** height * murnaghan_nakayama(tuple(p for p in smaller if p), rest)
+    return total
 
 
 def canonical_tabloid(rows: Tableau) -> Tabloid:
@@ -164,7 +194,6 @@ class SpechtModule:
             [Fraction(self.basis[j].get(tb, 0)) for j in range(self.dim)]
             for tb in self.tabloid_list
         ]
-        self._char_memo: dict[tuple[int, ...], Fraction] = {}
         self._action_memo: dict[Perm, list[list[Fraction]]] = {}
 
     # -- vectors in the tabloid model ----------------------------------
@@ -197,25 +226,15 @@ class SpechtModule:
             self._action_memo[p] = mat
         return mat
 
-    def character(self, p: Perm) -> Fraction:
-        """Trace of the permutation on the module, memoized by cycle type."""
-        key = cycle_type(p)
-        cached = self._char_memo.get(key)
-        if cached is not None:
-            return cached
-        mat = self.action_matrix(p)
-        tr = sum((mat[i][i] for i in range(self.dim)), Fraction(0))
-        self._char_memo[key] = tr
-        return tr
+    def character(self, p: Perm) -> int:
+        """Trace of the permutation on the module, by Murnaghan–Nakayama."""
+        return murnaghan_nakayama(self.shape, cycle_type(p))
 
     def pairing(self, v1: dict[Tabloid, Fraction], v2: dict[Tabloid, Fraction]) -> Fraction:
         """Tabloid inner product (tabloids orthonormal)."""
         if len(v2) < len(v1):
             v1, v2 = v2, v1
         return sum((c * v2.get(tb, Fraction(0)) for tb, c in v1.items()), Fraction(0))
-
-    def form_matrix(self) -> list[list[Fraction]]:
-        return [[self.pairing(a, b) for b in self.basis] for a in self.basis]
 
 
 @cache

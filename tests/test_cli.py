@@ -264,16 +264,31 @@ def test_oracle_compare_rejects_level_two(capsys):
 
 
 def test_oracle_compare_rejects_large_r(capsys):
-    code, _, err = run(capsys, "oracle-compare", "--r", "5", "--delta", "1")
+    code, _, err = run(capsys, "oracle-compare", "--r", "6", "--delta", "1")
     assert code == 2
-    assert "r <= 4" in err
+    assert "r <= 5" in err
 
 
 def test_oracle_compare_over_budget_is_one_error_line(capsys):
-    code, out, err = run(capsys, "oracle-compare", "--r", "5", "--delta=1")
+    code, out, err = run(capsys, "oracle-compare", "--r", "6", "--delta=1")
     assert code == 2
     assert out == ""
-    assert err == "error: r=5 exceeds the brute-force budget of 105 diagrams (r <= 4)\n"
+    assert err == "error: r=6 exceeds the brute-force budget of 945 diagrams (r <= 5)\n"
+
+
+# delta -> the vanishing pairings its multi-wall block has at r = 5
+R5_MULTI_WALL = {"-4": 2, "-6": 3}
+
+
+@pytest.mark.parametrize("delta", [str(d) for d in range(-6, 7)] + ["1/2", "-1/2"])
+def test_oracle_compare_r5_sweep(capsys, delta):
+    code, out, err = run(capsys, "oracle-compare", "--r", "5", f"--delta={delta}")
+    if delta in R5_MULTI_WALL:
+        assert (code, out) == (5, "")
+        assert err.startswith(f"error: {MULTI_WALL}, found {R5_MULTI_WALL[delta]} at f")
+        return
+    assert (code, err) == (0, "")
+    assert "match: kl=mirror conjugate=transpose" in out.splitlines()
 
 
 def test_oracle_compare_mismatch_names_weights_without_fraction_reprs(capsys):

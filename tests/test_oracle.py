@@ -13,20 +13,21 @@ import brauer_kl
 from brauer_kl.oracle import (
     CellModule,
     DimensionTooLarge,
+    OracleMatrix,
     _parse_level_label,
     act_on_caps,
     all_diagrams,
     caps,
     cell_labels,
+    class_representatives,
     compare,
-    flip,
+    generators,
     identity_diagram,
     multiply,
     oracle_decomposition_matrix,
-    transpose_partition,
 )
 from brauer_kl.combinat import double_factorial
-from brauer_kl.linalg import rank
+from brauer_kl.linalg import nullspace, rank, solve
 
 F = Fraction
 
@@ -50,6 +51,20 @@ def test_all_diagrams_count(r):
 
 def test_all_diagrams_r4_has_105():
     assert len(all_diagrams(4)) == 105
+
+
+def flip(d):
+    """Top-bottom reflection (the algebra's anti-automorphism); on a
+    permutation diagram it is the inverse."""
+    r = len(d) // 2
+
+    def sw(i):
+        return i + r if i < r else i - r
+
+    out = [0] * (2 * r)
+    for i in range(2 * r):
+        out[sw(i)] = sw(d[i])
+    return tuple(out)
 
 
 def test_flip_is_an_involution():
@@ -257,9 +272,106 @@ def test_cell_action_matches_the_tabloid_route(r, delta):
                 assert cell.act(d, vec) == act_by_tabloids(cell, d, vec)
 
 
-def test_oracle_refuses_r5():
-    with pytest.raises(DimensionTooLarge):
-        oracle_decomposition_matrix(5, F(1))
+def test_oracle_refuses_r6():
+    with pytest.raises(DimensionTooLarge, match="budget of 945 diagrams"):
+        oracle_decomposition_matrix(6, F(1))
+
+
+def permutation_diagrams(r):
+    return [d for d in all_diagrams(r) if all(d[i] >= r for i in range(r))]
+
+
+def conjugate(sigma, d):
+    """sigma d sigma^-1 by diagram products; a permutation has no loops."""
+    return multiply(multiply(sigma, d)[0], flip(sigma))[0]
+
+
+def conjugacy_orbit(d, perms):
+    orbit, stack = {d}, [d]
+    while stack:
+        x = stack.pop()
+        for sigma in perms:
+            y = conjugate(sigma, x)
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return orbit
+
+
+@pytest.mark.parametrize("r, count", [(1, 1), (2, 3), (3, 5), (4, 12), (5, 20)])
+def test_class_representatives_split_the_diagrams_into_conjugacy_classes(r, count):
+    reps = class_representatives(r)
+    assert len(reps) == count
+    # orbits by products with s_1 ... s_{r-1}, independent of the relabelling
+    orbits = [conjugacy_orbit(d, generators(r)[: r - 1]) for d in reps]
+    assert sum(len(orbit) for orbit in orbits) == len(all_diagrams(r))
+    assert set().union(*orbits) == set(all_diagrams(r))
+    assert [d for d in all_diagrams(r) if d in reps] == list(reps)
+    if r <= 4:
+        perms = permutation_diagrams(r)
+        for orbit in orbits:
+            assert all(conjugate(sigma, d) in orbit for sigma in perms for d in orbit)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_products_of_the_generators_reach_every_diagram(r):
+    """Invariance under the generators is invariance under the algebra:
+    every diagram is a product of them, up to a power of delta."""
+    reached, frontier = {identity_diagram(r)}, [identity_diagram(r)]
+    while frontier:
+        d = frontier.pop()
+        for g in generators(r):
+            prod, _ = multiply(d, g)
+            if prod not in reached:
+                reached.add(prod)
+                frontier.append(prod)
+    assert reached == set(all_diagrams(r))
+
+
+def reference_decomposition_matrix(r, delta):
+    """The all-diagram route: characters and radical traces on every
+    diagram, and the radical's invariance checked on every diagram."""
+    delta = F(delta)
+    labels = cell_labels(r)
+    diagrams = all_diagrams(r)
+    cells = {lab: CellModule(r, lab[0], lab[1], delta) for lab in labels}
+    grams = {lab: cells[lab].gram_matrix() for lab in labels}
+    cols = [lab for lab in labels if any(any(row) for row in grams[lab])]
+    chi_C = {lab: [cells[lab].character(d) for d in diagrams] for lab in labels}
+    chi_D = {}
+    for lab in cols:
+        cell = cells[lab]
+        rad = nullspace(grams[lab])
+        trace = [F(0)] * len(diagrams)
+        if rad:
+            # the radical's coordinates of an image, by one solve; None
+            # when the image leaves the radical
+            for k, d in enumerate(diagrams):
+                images = [cell.act(d, vec) for vec in rad]
+                coords = solve([list(col) for col in zip(*rad)], images)
+                assert all(c is not None for c in coords), "radical is not invariant"
+                trace[k] = sum(c[alpha] for alpha, c in enumerate(coords))
+        chi_D[lab] = [a - b for a, b in zip(chi_C[lab], trace)]
+    system = [[chi_D[col][i] for col in cols] for i in range(len(diagrams))]
+    entries = {}
+    for lab, solution in zip(labels, solve(system, [chi_C[lab] for lab in labels])):
+        assert solution is not None
+        for col, val in zip(cols, solution):
+            assert val.denominator == 1 and val >= 0
+            if val:
+                entries[(lab, col)] = int(val)
+    return OracleMatrix(r=r, delta=delta, rows=labels, cols=cols, entries=entries)
+
+
+REFERENCE_GRID = [(r, F(k, 2)) for r in (1, 2, 3, 4) for k in range(-16, 17)] + [(5, F(1))]
+
+
+def test_class_route_matches_the_all_diagram_route():
+    for r, delta in REFERENCE_GRID:
+        assert oracle_decomposition_matrix(r, delta) == reference_decomposition_matrix(r, delta), (
+            r,
+            delta,
+        )
 
 
 def test_span_check_survives_python_O():
@@ -314,11 +426,6 @@ def test_parse_level_label_roundtrip():
     for f, lam in cell_labels(4):
         text = f"f{f}:" + (",".join(str(c) for c in lam) or "-")
         assert _parse_level_label(text) == (f, lam)
-
-
-def test_transpose_partition():
-    assert transpose_partition((3, 1)) == (2, 1, 1)
-    assert transpose_partition(()) == ()
 
 
 def test_compare_requires_known_convention():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from brauer_kl import pipeline
-from brauer_kl.combinat import LambdaIndex, enumerate_lambda, level_label, updown_count
+from brauer_kl.combinat import LambdaIndex, enumerate_lambda, level_label, transpose, updown_count
 from brauer_kl.params import build_config, u_from_delta
 from brauer_kl.pipeline import (
     NegativeResidual,
@@ -273,14 +273,14 @@ def test_simple_dimensions_match_oracle_gram_ranks(delta):
     # the simple of a cell module is the quotient by the Gram radical, so
     # its dimension is the rank of the Gram form
     from brauer_kl.linalg import rank
-    from brauer_kl.oracle import CellModule, transpose_partition
+    from brauer_kl.oracle import CellModule
 
     cfg = build_config([u_from_delta(delta)], 3)
     res = tilting_decomposition(cfg)
     dims = simple_dimensions(res)
     for i, d in dims.items():
         idx = tilde(res.family.weights[i], cfg)
-        cell = CellModule(3, idx.f, transpose_partition(idx.shape[0]), delta)
+        cell = CellModule(3, idx.f, transpose(idx.shape[0]), delta)
         assert rank(cell.gram_matrix()) == d
 
 

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 import brauer_kl
-from brauer_kl.linalg import mat_mul, rank
+from brauer_kl.combinat import partitions
+from brauer_kl.linalg import mat_mul, rank, trace
 from brauer_kl.specht import (
     cycle_type,
     perm_sign,
@@ -63,8 +64,6 @@ def test_polytabloid_of_column_shape_alternates():
 
 def test_sum_of_squares_is_group_order():
     m = 4
-    from brauer_kl.combinat import partitions
-
     assert sum(hook_length_dim(p) ** 2 for p in partitions(m)) == math.factorial(m)
     assert sum(specht_module(p).dim ** 2 for p in partitions(m)) == math.factorial(m)
 
@@ -106,10 +105,29 @@ def test_characters_of_s4_standard():
     }
 
 
+@pytest.mark.parametrize("m", range(7))
+def test_characters_are_traces_of_the_action(m):
+    """Murnaghan–Nakayama against the trace of the solved action matrix,
+    on one permutation of every cycle type."""
+    by_type = {}
+    for p in itertools.permutations(range(m)):
+        by_type.setdefault(cycle_type(p), p)
+    for shape in partitions(m):
+        sm = specht_module(shape)
+        for p in by_type.values():
+            value = sm.character(p)
+            assert type(value) is int
+            assert value == trace(sm.action_matrix(p)), (shape, p)
+
+
+def form_matrix(sm):
+    return [[sm.pairing(a, b) for b in sm.basis] for a in sm.basis]
+
+
 def test_form_matrix_is_symmetric_and_nondegenerate_over_q():
     for shape in [(2, 1), (2, 2), (3, 1)]:
         sm = specht_module(shape)
-        g = sm.form_matrix()
+        g = form_matrix(sm)
         assert g == [[g[j][i] for j in range(sm.dim)] for i in range(sm.dim)]
         assert rank(g) == sm.dim  # characteristic 0: the form never degenerates
 
