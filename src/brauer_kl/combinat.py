@@ -278,19 +278,3 @@ def transpose(p: Partition) -> Partition:
     if not p:
         return ()
     return tuple(sum(1 for x in p if x >= i) for i in range(1, p[0] + 1))
-
-
-def conjugate(mp: Multipartition, convention: str) -> Multipartition:
-    """Conjugate multipartition under one of two conventions.
-
-    ``"rev-transpose"`` reverses the component order and transposes each
-    component; ``"transpose"`` transposes componentwise only.
-
-    >>> conjugate(((2,), ()), "rev-transpose")
-    ((), (1, 1))
-    """
-    if convention == "rev-transpose":
-        return tuple(transpose(p) for p in reversed(mp))
-    if convention == "transpose":
-        return tuple(transpose(p) for p in mp)
-    raise ValueError(f"unknown conjugation convention: {convention!r}")

@@ -16,7 +16,7 @@ LaurentPoly({-1: 2, 0: 1})
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 class LaurentPoly:
@@ -48,9 +48,6 @@ class LaurentPoly:
         return LaurentPoly({exp: coeff})
 
     # -- inspection ---------------------------------------------------
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self._coeffs.items())
 
     def coeff(self, exp: int) -> int:
         return self._coeffs.get(exp, 0)

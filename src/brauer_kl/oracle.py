@@ -4,7 +4,11 @@ Ground truth for the single-parameter algebra B_r(delta) at r <= 5: diagrams
 are perfect matchings on r top and r bottom points, multiplication is
 concatenation with closed loops traded for powers of delta, and cell modules
 are spanned by half-diagrams (f disjoint top arcs) tensored with Specht
-vectors of the symmetric group on the r - 2f free points.  The decomposition
+vectors of the symmetric group on the r - 2f free points.  ``multiply`` is
+the one strand walker: a half-diagram is written as a diagram whose free
+points run straight to the other row, so the cell action is the product of a
+diagram over a half-diagram, and the Gram form's gluing of two half-diagrams
+is the product of one turned upside down over the other.  The decomposition
 matrix is computed from exact character identities: the character of each
 cell module and of each Gram-quotient simple is evaluated on one diagram per
 class under conjugation by the permutation diagrams (a character is a trace
@@ -132,11 +136,13 @@ def generators(r: int) -> tuple[Diagram, ...]:
     return tuple(out)
 
 
-def multiply(d1: Diagram, d2: Diagram, delta: Fraction | None = None) -> tuple[Diagram, int]:
+def multiply(d1: Diagram, d2: Diagram) -> tuple[Diagram, int]:
     """Concatenate d1 over d2; returns (product diagram, loop count).
 
-    The bottom points of d1 are glued to the top points of d2; closed loops
-    in the middle layer each contribute one power of the loop scalar.
+    The bottom points of d1 are glued to the top points of d2, the middle
+    row; each closed loop left in the middle row is one power of delta.  This
+    is the oracle's one strand walker: the cell action and the form are read
+    off products with half-diagrams.
 
     >>> e = (1, 0, 3, 2)  # r=2: top arc + bottom arc
     >>> multiply(e, e)
@@ -146,52 +152,30 @@ def multiply(d1: Diagram, d2: Diagram, delta: Fraction | None = None) -> tuple[D
     """
     r = len(d1) // 2
     assert len(d2) == len(d1), "diagrams must share r"
+    crossed = [False] * r  # middle points some strand has passed through
 
-    # node encoding: 0..r-1 top of d1; r..2r-1 middle; 2r..3r-1 bottom of d2
-    def d1_next(x: int) -> int:
-        return d1[x]
-
-    def d2_next(x: int) -> int:  # x is a middle or bottom node index
-        v = d2[x - r]
-        return v + r
+    def end_of(p: int) -> int:
+        lower = p >= r  # the strand is in d2
+        x = d2[p] if lower else d1[p]
+        while (x < r) == lower:  # x lies on the middle row: cross it
+            m = x if lower else x - r
+            crossed[m] = True
+            lower = not lower
+            x = d2[m] if lower else d1[r + m]
+        return x
 
     partner = [-1] * (2 * r)
-    visited_mid = [False] * r
-
-    def trace(start: int, via_d1: bool) -> int:
-        """Follow the strand from an outer node; return the outer node it ends at."""
-        x, use_d1 = start, via_d1
-        while True:
-            x = d1_next(x) if use_d1 else d2_next(x)
-            if use_d1 and x >= r:  # entered the middle from above
-                visited_mid[x - r] = True
-                use_d1 = False
-            elif not use_d1 and r <= x < 2 * r:  # entered the middle from below
-                visited_mid[x - r] = True
-                use_d1 = True
-            else:
-                return x
-
-    ends = list(range(r)) + list(range(2 * r, 3 * r))
-    for a in ends:
-        if (partner[a] if a < r else partner[a - r]) != -1:
-            continue
-        b = trace(a, via_d1=a < r)
-        ia = a if a < r else a - r
-        ib = b if b < r else b - r
-        partner[ia], partner[ib] = ib, ia
+    for p in range(2 * r):
+        if partner[p] == -1:
+            q = end_of(p)
+            partner[p], partner[q] = q, p
     loops = 0
     for m in range(r):
-        if visited_mid[m]:
-            continue
-        loops += 1
-        x, use_d1 = m + r, False
-        while True:
-            x = d1_next(x) if use_d1 else d2_next(x)
-            if visited_mid[x - r]:
-                break
-            visited_mid[x - r] = True
-            use_d1 = not use_d1
+        if not crossed[m]:
+            loops += 1
+            while not crossed[m]:
+                crossed[m] = crossed[d2[m]] = True
+                m = d1[r + d2[m]] - r
     return tuple(partner), loops
 
 
@@ -225,9 +209,27 @@ def caps(r: int, f: int) -> tuple[Caps, ...]:
     return tuple(sorted(set(out)))
 
 
-def free_points(r: int, S: Caps) -> tuple[int, ...]:
+def half_diagram(S: Caps, r: int, below: bool = False) -> Diagram:
+    """S written on the top row (the bottom row if ``below``): its i-th free
+    point is joined to point i of the other row, whose remaining points are
+    paired off in order.
+
+    >>> half_diagram(((0, 1),), 2)
+    (1, 0, 3, 2)
+    >>> half_diagram((), 2, below=True)
+    (2, 3, 0, 1)
+    """
+    row, other = (r, 0) if below else (0, r)
+    d = [-1] * (2 * r)
+    for a, b in S:
+        d[row + a], d[row + b] = row + b, row + a
     used = {p for arc in S for p in arc}
-    return tuple(p for p in range(r) if p not in used)
+    free = [p for p in range(r) if p not in used]
+    for i, p in enumerate(free):
+        d[row + p], d[other + i] = other + i, row + p
+    for i in range(len(free), r, 2):
+        d[other + i], d[other + i + 1] = other + i + 1, other + i
+    return tuple(d)
 
 
 @cache
@@ -238,110 +240,44 @@ def act_on_caps(d: Diagram, S: Caps) -> tuple[int, Caps, tuple[int, ...]] | None
     label i, or None if two free labels merge (the term falls into the
     higher-cap ideal).  Cached: every cell module with f = len(S) caps,
     and both its ``act`` and its ``character``, share one result.
+
+    >>> act_on_caps(identity_diagram(2), ())
+    (0, (), (0, 1))
+    >>> act_on_caps((1, 0, 3, 2), ()) is None  # e_1 joins the two free labels
+    True
     """
     r = len(d) // 2
-    arc_of = {}
-    for a, b in S:
-        arc_of[a], arc_of[b] = b, a
-    free = free_points(r, S)
-    label = {p: i for i, p in enumerate(free)}
-    visited_bottom: set[int] = set()
-    top_done: set[int] = set()
-    new_arcs: list[tuple[int, int]] = []
-    end_label: dict[int, int] = {}  # top point -> old label
-
-    for t in range(r):
-        if t in top_done:
-            continue
-        x = d[t]
-        while True:
-            if x < r:  # another top point
-                new_arcs.append((min(t, x), max(t, x)))
-                top_done.add(t)
-                top_done.add(x)
-                break
-            a = x - r  # a point of S
-            visited_bottom.add(a)
-            if a in label:
-                end_label[t] = label[a]
-                top_done.add(t)
-                break
-            b = arc_of[a]
-            visited_bottom.add(b)
-            x = d[b + r]
-    if len(end_label) < len(free):
-        return None  # some stub never reached the top: stub-stub join
-    loops = 0
-    for a in range(r):
-        if a in visited_bottom or a in label:
-            continue
-        loops += 1
-        x = a
-        while x not in visited_bottom:
-            visited_bottom.add(x)
-            y = arc_of[x]
-            visited_bottom.add(y)
-            x = d[y + r] - r
-    S2 = tuple(sorted(new_arcs))
-    new_free = free_points(r, S2)
-    position = {p: j for j, p in enumerate(new_free)}
-    perm = [0] * len(free)
-    for t, old in end_label.items():
-        perm[old] = position[t]
-    return loops, S2, tuple(perm)
+    prod, loops = multiply(d, half_diagram(S, r))
+    k = r - 2 * len(S)  # old label i is the product's bottom point r + i
+    if any(prod[r + i] >= r for i in range(k)):
+        return None
+    new_free = [t for t in range(r) if prod[t] >= r]
+    perm = [0] * k
+    for j, t in enumerate(new_free):
+        perm[prod[t] - r] = j
+    return loops, tuple((t, prod[t]) for t in range(r) if t < prod[t] < r), tuple(perm)
 
 
+@cache
 def glue_caps(S: Caps, T: Caps, r: int) -> tuple[int, tuple[int, ...]] | None:
     """Pair two half-diagrams on the same r points.
 
     Returns (loops, tau) with tau[j] = the S-side label identified with
     T-side label j, or None when two same-side labels meet (form value 0).
+    Cached: every cell module with f = len(S) caps pairs the same (S, T).
+
+    >>> glue_caps(((0, 1),), ((0, 1),), 2)
+    (1, ())
+    >>> glue_caps((), (), 2)
+    (0, (0, 1))
     """
-    s_arc, t_arc = {}, {}
-    for a, b in S:
-        s_arc[a], s_arc[b] = b, a
-    for a, b in T:
-        t_arc[a], t_arc[b] = b, a
-    s_free = free_points(r, S)
-    t_free = free_points(r, T)
-    if len(s_free) != len(t_free):
+    if len(S) != len(T):
         return None
-    s_label = {p: i for i, p in enumerate(s_free)}
-    t_label = {p: i for i, p in enumerate(t_free)}
-    tau = [-1] * len(t_free)
-    visited: set[int] = set()
-    for p0 in t_free:
-        # walk from the T-side stub, alternating S- and T-arcs
-        x = p0
-        visited.add(x)
-        side = "s"  # next edge to traverse
-        while True:
-            if side == "s":
-                if x in s_label:
-                    tau[t_label[p0]] = s_label[x]
-                    break
-                x = s_arc[x]
-                visited.add(x)
-                side = "t"
-            else:
-                if x in t_label:
-                    return None  # T-stub ran back into a T-stub
-                x = t_arc[x]
-                visited.add(x)
-                side = "s"
-    loops = 0
-    for a in range(r):
-        if a in visited or a in s_label or a in t_label:
-            continue
-        loops += 1
-        x, side = a, "s"
-        while True:
-            visited.add(x)
-            x = s_arc[x] if side == "s" else t_arc[x]
-            side = "t" if side == "s" else "s"
-            if x == a and side == "s":
-                break
-    return loops, tuple(tau)
+    prod, loops = multiply(half_diagram(S, r, below=True), half_diagram(T, r))
+    k = r - 2 * len(S)  # S label i is top point i, T label j bottom point r + j
+    if any(prod[i] < r for i in range(k)):
+        return None
+    return loops, tuple(prod[r + j] for j in range(k))
 
 
 class CellModule:

@@ -13,7 +13,6 @@ from brauer_kl.combinat import (
     LambdaIndex,
     add_node,
     boundary_nodes,
-    conjugate,
     content_sequence,
     double_factorial,
     enumerate_lambda,
@@ -186,23 +185,9 @@ def test_transpose_examples():
     assert transpose((3, 1)) == (2, 1, 1)
 
 
-def test_conjugate_conventions():
-    assert conjugate(((2,), ()), "rev-transpose") == ((), (1, 1))
-    assert conjugate(((2, 1),), "transpose") == ((2, 1),)
-    assert conjugate(((2, 1),), "rev-transpose") == ((2, 1),)
-
-
 @given(small_partitions())
 def test_transpose_involution(p):
     assert transpose(transpose(p)) == p
-
-
-@given(
-    st.lists(small_partitions(), min_size=1, max_size=3).map(tuple),
-    st.sampled_from(["rev-transpose", "transpose"]),
-)
-def test_conjugate_involution(mp, convention):
-    assert conjugate(conjugate(mp, convention), convention) == mp
 
 
 @given(st.integers(min_value=1, max_value=2), st.integers(min_value=0, max_value=4))

@@ -239,6 +239,10 @@ def test_oracle_matrix_r4_frozen(delta):
     assert m.entries == {**{(c, c): 1 for c in cols}, **off_diagonal}
 
 
+def basis_vectors(cell):
+    return [[F(int(i == j)) for i in range(cell.dim)] for j in range(cell.dim)]
+
+
 def act_by_tabloids(cell, d, vec):
     """The cell action the long way: expand each cap block into tabloids,
     move them, and solve for Specht coordinates."""
@@ -265,11 +269,42 @@ def act_by_tabloids(cell, d, vec):
 def test_cell_action_matches_the_tabloid_route(r, delta):
     for f, lam in cell_labels(r):
         cell = CellModule(r, f, lam, delta)
-        vectors = [[F(int(i == j)) for i in range(cell.dim)] for j in range(cell.dim)]
+        vectors = basis_vectors(cell)
         vectors.append([F(i + 1, 2 * i + 3) for i in range(cell.dim)])
         for d in all_diagrams(r):
             for vec in vectors:
                 assert cell.act(d, vec) == act_by_tabloids(cell, d, vec)
+
+
+@pytest.mark.parametrize("delta", [F(1), F(-2, 3)], ids=str)
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_cell_action_is_a_module_action(r, delta):
+    """d1.(d2.v) = delta^loops (d1 d2).v on every basis vector."""
+    for f, lam in cell_labels(r):
+        cell = CellModule(r, f, lam, delta)
+        for d1 in all_diagrams(r):
+            for d2 in all_diagrams(r):
+                prod, loops = multiply(d1, d2)
+                for v in basis_vectors(cell):
+                    expected = [delta**loops * x for x in cell.act(prod, v)]
+                    assert cell.act(d1, cell.act(d2, v)) == expected, (f, lam, d1, d2)
+
+
+@pytest.mark.parametrize("delta", [F(1), F(-2, 3)], ids=str)
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_gram_form_is_contravariant(r, delta):
+    """<d.x, y> = <x, flip(d).y> on every pair of basis vectors."""
+    for f, lam in cell_labels(r):
+        cell = CellModule(r, f, lam, delta)
+        G = cell.gram_matrix()
+        for d in all_diagrams(r):
+            moved = [cell.act(d, x) for x in basis_vectors(cell)]
+            flipped = [cell.act(flip(d), y) for y in basis_vectors(cell)]
+            for i, dx in enumerate(moved):
+                for j, fy in enumerate(flipped):
+                    left = sum((a * G[k][j] for k, a in enumerate(dx) if a), F(0))
+                    right = sum((G[i][k] * b for k, b in enumerate(fy) if b), F(0))
+                    assert left == right, (f, lam, d, i, j)
 
 
 def test_oracle_refuses_r6():
