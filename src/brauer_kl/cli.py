@@ -9,23 +9,22 @@ the KL and conjugate conventions are the pins frozen in ``kl``; only
 ``oracle-compare`` tries both KL readings.  ``decompose --out FILE`` writes
 the report to FILE; ``--out DIR`` writes it to
 ``DIR/decomp_k{k}_r{r}_{h}.{json|csv}``, where h is the first 8 hex digits
-of the SHA-256 of the ``--u`` text as given.  A command imports only what it
-runs: the peel and the KL engine only for the commands that run or label
-with them, ``hashlib`` only to name such a file, ``json`` only to write a
+of the SHA-256 of the ``--u`` text as given.  The module level imports only
+``argparse``, ``os`` and ``sys``, and a command imports what it runs:
+``--help`` loads nothing else of the package and neither ``fractions`` nor
+``decimal``; ``admissible`` loads ``params`` (and with it ``fractions``) but
+not ``combinat``; ``enumerate`` loads ``combinat`` alone, without
+``fractions``; the peel and the KL engine load only for the commands that
+run them, ``hashlib`` only to name such a file, ``json`` only to write a
 JSON report, the diagram oracle only for ``oracle-compare``.  Exit codes: 0
 success, 2 usage/parse error, 3 saturation not established (and not waived),
 4 oracle mismatch, 5 unsupported linkage block, 6 a tilting peel that fails
 (a negative or escaping residual).
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
-from fractions import Fraction
-
-from . import combinat, params
 
 
 def _int_at_least(minimum: int):
@@ -43,18 +42,24 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str):
+    """The exact rational ``text`` names, as a ``Fraction``."""
+    from . import params
+
     try:
         return params.parse_rational(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
-def _parse_u(text: str) -> tuple[Fraction, ...]:
+def _parse_u(text: str) -> tuple:
+    """A comma-separated list of rationals, as a tuple of ``Fraction``s."""
     return tuple(_parse_rational(part) for part in text.split(","))
 
 
 def cmd_admissible(args: argparse.Namespace) -> int:
+    from . import params
+
     try:
         u = _parse_u(args.u)
     except ValueError as exc:
@@ -73,6 +78,8 @@ def cmd_admissible(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from . import combinat
+
     labels = combinat.enumerate_lambda(args.k, args.r)
     table = combinat.updown_count_table(args.k, args.r)
     total = 0
@@ -86,7 +93,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    from . import pipeline
+    from . import params, pipeline
     from .kl import UnsupportedBlock
     from .pipeline import NegativeResidual, SaturationNotEstablished
 
@@ -133,7 +140,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_oracle_compare(args: argparse.Namespace) -> int:
     from . import oracle  # only this command runs the diagram oracle
-    from . import pipeline
+    from . import params, pipeline
     from .kl import UnsupportedBlock
 
     if args.k != 1:
@@ -178,21 +185,18 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
     return 4
 
 
-SELFTEST_BATTERY = [
-    ((Fraction(0),), 3),
-    ((Fraction(1, 3),), 2),
-    ((Fraction(3, 2),), 2),
-    ((Fraction(1, 5), Fraction(9, 7)), 2),
-]
+# (u as --u text, r): text, so that loading the CLI builds no Fraction
+SELFTEST_BATTERY = (("0", 3), ("1/3", 2), ("3/2", 2), ("1/5,9/7", 2))
 
 
 def cmd_kl_selftest(args: argparse.Namespace) -> int:
     """Built-in battery: bijections and the family table, content identity,
     peel stability.  Each failed check prints one indented reason line."""
-    from . import pipeline, weights
+    from . import combinat, params, pipeline, weights
 
     failures = 0
-    for u, r in SELFTEST_BATTERY:
+    for u_text, r in SELFTEST_BATTERY:
+        u = _parse_u(u_text)
         cfg = params.build_config(u, r)
         reasons = []
         family = weights.enumerate_F(r, cfg)
@@ -215,7 +219,6 @@ def cmd_kl_selftest(args: argparse.Namespace) -> int:
         except Exception as exc:
             reasons.append(f"{type(exc).__name__}: {exc}")
         failures += 1 if reasons else 0
-        u_text = ",".join(params.format_rational(x) for x in u)
         print(f"{'FAIL' if reasons else 'ok'}: u=({u_text}) r={r} family={len(family)}")
         for reason in reasons:
             print(f"  {reason}")

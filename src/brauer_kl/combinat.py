@@ -16,15 +16,15 @@ Encodings
 
 >>> boundary_nodes(((2, 1),), "add")
 [(1, 3, 1), (2, 2, 1), (3, 1, 1)]
->>> updown_count(1, 3, ((1,),))
-3
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import Iterator, Literal, NamedTuple
+from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -78,7 +78,8 @@ def partitions(m: int) -> Iterator[Partition]:
     >>> list(partitions(3))
     [(3,), (2, 1), (1, 1, 1)]
     """
-    assert m >= 0
+    if m < 0:
+        raise ValueError(f"no partitions of a negative size: {m}")
     if m == 0:
         yield ()
         return
@@ -95,7 +96,8 @@ def partitions(m: int) -> Iterator[Partition]:
 
 def multipartitions(a: int, m: int) -> Iterator[Multipartition]:
     """All level-``a`` multipartitions of total size ``m``, deterministic order."""
-    assert a >= 1 and m >= 0
+    if a < 1 or m < 0:
+        raise ValueError(f"need level a >= 1 and size m >= 0, got a={a}, m={m}")
     if a == 1:
         for p in partitions(m):
             yield (p,)
@@ -143,7 +145,8 @@ def boundary_nodes(mp: Multipartition, direction: Literal["add", "remove"]) -> l
     >>> boundary_nodes(((2, 1),), "remove")
     [(1, 2, 1), (2, 1, 1)]
     """
-    assert direction in ("add", "remove")
+    if direction not in ("add", "remove"):
+        raise ValueError(f"direction must be 'add' or 'remove', got {direction!r}")
     out: list[Node] = []
     for comp, p in enumerate(mp, start=1):
         if direction == "add":
@@ -167,7 +170,8 @@ def step_node(before: Multipartition, after: Multipartition) -> tuple[Node, int]
     ((1, 2, 1), 1)
     """
     diff = size(after) - size(before)
-    assert diff in (1, -1), "shapes must differ by exactly one box"
+    if diff not in (1, -1):
+        raise ValueError(f"{before} and {after} do not differ by one box")
     if diff == 1:
         for node in boundary_nodes(before, "add"):
             if add_node(before, node) == after:
@@ -185,7 +189,8 @@ def enumerate_lambda(a: int, r: int) -> list[LambdaIndex]:
     >>> [(f, s) for f, s in enumerate_lambda(1, 2)]
     [(0, ((2,),)), (0, ((1, 1),)), (1, ((),))]
     """
-    assert a >= 1 and r >= 0
+    if a < 1 or r < 0:
+        raise ValueError(f"need level a >= 1 and length r >= 0, got a={a}, r={r}")
     out = []
     for f in range(r // 2 + 1):
         for mp in multipartitions(a, r - 2 * f):
@@ -206,7 +211,8 @@ def updown_tableaux(a: int, r: int, shape: Multipartition) -> list[UpdownTableau
     >>> len(updown_tableaux(1, 3, ((1,),)))
     3
     """
-    assert len(shape) == a
+    if len(shape) != a:
+        raise ValueError(f"shape {shape} has {len(shape)} components, expected {a}")
     if (r - size(shape)) % 2 != 0 or size(shape) > r:
         raise ValueError(f"shape {shape} unreachable in {r} steps")
     empty: Multipartition = ((),) * a
@@ -248,13 +254,6 @@ def updown_count_table(a: int, r: int) -> dict[Multipartition, int]:
     return counts
 
 
-def updown_count(a: int, r: int, shape: Multipartition) -> int:
-    assert len(shape) == a
-    if (r - size(shape)) % 2 != 0 or size(shape) > r:
-        raise ValueError(f"shape {shape} unreachable in {r} steps")
-    return updown_count_table(a, r).get(shape, 0)
-
-
 def content_sequence(t: UpdownTableau, u) -> list[Fraction]:
     """Contents of the boxes touched along a walk.
 
@@ -265,8 +264,11 @@ def content_sequence(t: UpdownTableau, u) -> list[Fraction]:
     >>> content_sequence(((( ),), ((1,),), ((2,),)), [F(0)])
     [Fraction(0, 1), Fraction(1, 1)]
     """
+    from fractions import Fraction  # the one runtime use: enumerate loads no fractions
+
     u = [Fraction(x) for x in u]
-    assert t and len(t[0]) == len(u), "component count must match parameter count"
+    if not t or len(t[0]) != len(u):
+        raise ValueError("component count must match parameter count")
     out = []
     for before, after in itertools.pairwise(t):
         (l, h, comp), sign = step_node(before, after)

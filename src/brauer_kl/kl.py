@@ -33,11 +33,11 @@ the type-D flip-parity invariant of the orbit, which is what makes the
 generator tables match honest signed-permutation bookkeeping (they were
 frozen against brute-forced W(D_4) and W(D_5) coset modules in the tests).
 
-The move table and the element memos read no token value (the translation
+The move table and the element memo read no token value (the translation
 principle: Cox-De Visscher-Martin, JPAA 215, 2011; Soergel, Represent.
 Theory 1, 1997), so engines of one Coxeter shape share one core, keyed by
 (context, generators, zero class): the interned states, the move table and
-the element memos, all on int ids.  A move-table entry, filled once on first
+the element memo, all on int ids.  A move-table entry, filled once on first
 use, is the image id and the exponent, or "fixed".  The exponent compares
 prefix sums of rank coordinates (each token replaced by its rank, a zero
 token kept at 0): adjacent states differ by a multiple of one root, so only
@@ -224,9 +224,9 @@ class CanonicalBasisEngine:
     set, integrality classes, and generator list are computed once from a
     seed and reused.  The seed and every weight passed in or out are
     numerator tuples scale * (mu + rho) at the one ``scale`` given here.
-    The engine keeps that codec; its states, move table and memos are the
-    core its shape keys in the store ``cores`` (a private one when None),
-    and ``max_weights`` bounds the elements of the whole core.
+    The engine keeps that codec; its states, move table and element memo
+    are the core its shape keys in the store ``cores`` (a private one when
+    None), and ``max_weights`` bounds the elements of the whole core.
     """
 
     def __init__(
@@ -260,12 +260,12 @@ class CanonicalBasisEngine:
         self._signed_scaled = (tokens, tuple(-t for t in tokens))
         # the shape's core: signed token ranks (ordered as the values are; a
         # zero token, which the shape records, stays 0), state -> id, and per
-        # id its state, rank dominance key, move-table row and element memos
+        # id its state, rank dominance key, move-table row and element memo
         ranks = tuple(len(tokens) - i if t else 0 for i, t in enumerate(tokens))
-        fresh = ((ranks, tuple(-t for t in ranks)), {}, [], [], [], {}, {})
+        fresh = ((ranks, tuple(-t for t in ranks)), {}, [], [], [], {})
         core = fresh if cores is None else cores.setdefault((ctx, self.moves, zero), fresh)
         self._signed_ranks, self._ids, self._states, self._prefix = core[:4]
-        self._table, self._b, self._bar_n = core[4:]
+        self._table, self._b = core[4:]
 
     # -- state codec (the numerator boundary) ---------------------------------
 
@@ -380,7 +380,7 @@ class CanonicalBasisEngine:
         return None
 
     def _check_budget(self) -> None:
-        if len(self._b) + len(self._bar_n) > self.max_weights:
+        if len(self._b) > self.max_weights:
             raise ClosedWorldViolation(
                 f"canonical-basis recursion touched more than {self.max_weights} weights; "
                 "the block enumeration is likely wrong"
@@ -425,39 +425,6 @@ class CanonicalBasisEngine:
                     )
         self._b[x] = result
         return result
-
-    def bar_of_standard(self, x: int) -> IdVector:
-        """bar(N_x) expanded in the N basis (independent route, for checks).
-
-        From N_y C_g = N_x + v N_y at an ascent (g, y) of x:
-        bar(N_x) = bar(N_y) C_g - v^{-1} bar(N_y).
-        """
-        cached = self._bar_n.get(x)
-        if cached is not None:
-            return cached
-        self._check_budget()
-        asc = self._ascent(x)
-        if asc is None:
-            result: IdVector = {x: LaurentPoly.one()}
-        else:
-            g, y = asc
-            bar_y = self.bar_of_standard(y)
-            vec = self.generator_action(g, bar_y)
-            for z, p in bar_y.items():
-                vec[z] = vec.get(z, LaurentPoly.zero()) - _V[-1] * p
-            result = {z: p for z, p in vec.items() if p}
-        self._bar_n[x] = result
-        return result
-
-    def bar_vector(self, vec: NVector) -> NVector:
-        out: IdVector = {}
-        for x, p in vec.items():
-            for w, q in self.bar_of_standard(self._state_id(x)).items():
-                out[w] = out.get(w, LaurentPoly.zero()) + p.bar() * q
-        return self._read({z: p for z, p in out.items() if p})
-
-    def is_bar_invariant(self, vec: NVector) -> bool:
-        return self.bar_vector(vec) == {z: p for z, p in vec.items() if p}
 
 
 def tilting_table(

@@ -55,9 +55,6 @@ class LaurentPoly:
     def evaluate_at_one(self) -> int:
         return sum(self._coeffs.values())
 
-    def has_nonnegative_coeffs(self) -> bool:
-        return all(c >= 0 for c in self._coeffs.values())
-
     def in_positive_part(self) -> bool:
         """True iff every exponent is >= 1 (the polynomial lies in v*Z[v])."""
         return all(e >= 1 for e in self._coeffs)

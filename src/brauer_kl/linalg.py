@@ -126,19 +126,5 @@ def solve(rows, columns) -> list[Vector | None]:
     return solutions
 
 
-def mat_mul(a, b) -> Matrix:
-    if not a or not b:
-        return []
-    ncols_b = len(b[0])
-    return [
-        [sum((ar[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(ncols_b)]
-        for ar in a
-    ]
-
-
-def mat_vec(a, x) -> Vector:
-    return [sum((ai * xi for ai, xi in zip(row, x)), Fraction(0)) for row in a]
-
-
 def trace(rows) -> Fraction:
     return sum((rows[i][i] for i in range(len(rows))), Fraction(0))

@@ -151,7 +151,8 @@ def multiply(d1: Diagram, d2: Diagram) -> tuple[Diagram, int]:
     ((2, 3, 0, 1), 0)
     """
     r = len(d1) // 2
-    assert len(d2) == len(d1), "diagrams must share r"
+    if len(d2) != len(d1):
+        raise ValueError("diagrams must share r")
     crossed = [False] * r  # middle points some strand has passed through
 
     def end_of(p: int) -> int:
@@ -284,7 +285,8 @@ class CellModule:
     """One cell module C(f, lam) of B_r(delta), with exact Gram data."""
 
     def __init__(self, r: int, f: int, lam: tuple[int, ...], delta: Fraction):
-        assert 2 * f + sum(lam) == r, "caps and partition must fill r points"
+        if 2 * f + sum(lam) != r:
+            raise ValueError("caps and partition must fill r points")
         self.r, self.f, self.lam, self.delta = r, f, tuple(lam), delta
         self.caps = caps(r, f)
         self.specht: SpechtModule = specht_module(self.lam)

@@ -56,8 +56,10 @@ def omega_series(v: Sequence[Fraction], N: int) -> list[Fraction]:
     [Fraction(1, 1)]
     """
     v = [Fraction(x) for x in v]
-    assert v, "need at least one parameter"
-    assert N >= 0
+    if not v:
+        raise ValueError("need at least one parameter")
+    if N < 0:
+        raise ValueError(f"highest omega index must be >= 0, got {N}")
     k = len(v)
     e = Fraction((-1) ** k, 2)
     # truncated product of per-parameter series, degrees 0..N+1
@@ -89,7 +91,8 @@ def is_r_disjoint(a: Fraction, b: Fraction, r: int) -> bool:
     >>> is_r_disjoint(Fraction(2), Fraction(1), 3)
     False
     """
-    assert r >= 1
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     a, b = Fraction(a), Fraction(b)
     for val in (a + b, a - b):
         if val.denominator == 1 and abs(val) < r:
@@ -118,7 +121,8 @@ def simple_param_condition(u: Sequence[Fraction], k: int) -> bool:
     True
     """
     u = [Fraction(x) for x in u]
-    assert len(u) == k and k >= 1
+    if len(u) != k or k < 1:
+        raise ValueError(f"expected k = {k} >= 1 parameters, got {len(u)}")
     sign = (-1) ** k
     # polynomial route: (x - 1/2) prod (x - sign*u_i) vs (x - sign/2) prod (x + sign*u_i)
     lhs = [Fraction(-1, 2), Fraction(1)]
@@ -184,11 +188,11 @@ def extend_parameters(u: Sequence[Fraction], q: Sequence[int], p: Sequence[int],
     u = tuple(Fraction(x) for x in u)
     q = tuple(int(x) for x in q)
     k = len(u)
-    assert len(q) == k
-    assert all(qi > 0 for qi in q)
+    if len(q) != k or not all(qi > 0 for qi in q):
+        raise ValueError(f"q must be {k} positive block size(s), got {q}")
     p = tuple(int(x) for x in p)
-    assert len(p) == k + 1 and p[0] == 0
-    assert all(p[j] == p[j - 1] + q[j - 1] for j in range(1, k + 1)), "p must be the prefix sums of q"
+    if len(p) != k + 1 or p[0] != 0 or any(p[j] != p[j - 1] + q[j - 1] for j in range(1, k + 1)):
+        raise ValueError(f"p must be the prefix sums of q = {q}, got {p}")
     n = p[k]
     c = tuple(u[j] + p[j] - n + Fraction(1, 2) for j in range(k))
     u_ext = u + tuple(-c[2 * k - j] + p[2 * k - j + 1] - n + Fraction(1, 2) for j in range(k + 1, 2 * k + 1))
@@ -255,7 +259,8 @@ def select_block_sizes(u: Sequence[Fraction], k: int, r: int) -> tuple[list[int]
     from . import weights  # deferred: weights needs ParamConfig from this module
 
     u = [Fraction(x) for x in u]
-    assert len(u) == k and k >= 1 and r >= 1
+    if len(u) != k or k < 1 or r < 1:
+        raise ValueError(f"need k = {k} >= 1 parameters and r >= 1, got {len(u)} and r={r}")
     int_sum_bound = 0
     for s in range(k):
         for t in range(s, k):
@@ -302,7 +307,8 @@ def build_config(u: Sequence[Fraction], r: int, q: Sequence[int] | None = None) 
         q, p = select_block_sizes(u, k, r)
     else:
         q = [int(x) for x in q]
-        assert len(q) == k
+        if len(q) != k:
+            raise ValueError(f"expected {k} block size(s), got {len(q)}")
         p = [0] * (k + 1)
         for j in range(k):
             p[j + 1] = p[j] + q[j]

@@ -182,7 +182,8 @@ class SpechtModule:
     """The Specht module of one partition, with exact action and form."""
 
     def __init__(self, shape: tuple[int, ...]):
-        assert all(a > 0 for a in shape) and list(shape) == sorted(shape, reverse=True)
+        if not all(a > 0 for a in shape) or list(shape) != sorted(shape, reverse=True):
+            raise ValueError(f"not a partition: {shape}")
         self.shape = tuple(shape)
         self.m = sum(shape)
         self.tabloid_list = tabloids(self.shape)

@@ -206,20 +206,6 @@ def delta(mu: Weight, cfg: ParamConfig) -> tuple[int, ...]:
     return tuple(int(x) for x in d)
 
 
-def in_F_r(mu: Weight, cfg: ParamConfig) -> bool:
-    """Integral, blockwise weakly decreasing shift with |shift| of r-parity."""
-    try:
-        tilde(mu, cfg)
-    except ValueError:
-        return False
-    return True
-
-
-def in_F_rk(mu: Weight, cfg: ParamConfig) -> bool:
-    """Member of F_r with an entrywise nonnegative shift (empty tails)."""
-    return in_F_r(mu, cfg) and not any(tilde(mu, cfg).shape[cfg.k :])
-
-
 def _label_shift(idx: LambdaIndex, cfg: ParamConfig) -> tuple[int, ...]:
     """The integer shift from the chamber weight realizing a level-2k shape
     index: component j <= k is the head of block j, component j > k the tail

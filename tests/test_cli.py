@@ -187,14 +187,22 @@ def test_decompose_imports_no_oracle():
 
 # per command: modules it must not import; hashlib maps OpenSSL, dataclasses
 # pulls in inspect, only a JSON report needs json, only the commands that
-# peel need the KL engine, and enumerate labels cells from combinat alone
+# peel need the KL engine, enumerate labels cells from combinat alone, and
+# --help compiles the CLI module and nothing else of the package
 ENGINE = ("brauer_kl.kl", "brauer_kl.pipeline", "brauer_kl.laurent")
+PACKAGE_BUT_CLI = tuple(
+    "brauer_kl." + name[:-3]
+    for name in sorted(os.listdir(os.path.dirname(brauer_kl.__file__)))
+    if name.endswith(".py") and name not in ("__init__.py", "cli.py")
+)
 FOOTPRINT = {
     "decompose --k 1 --r 3 --u 3/2": ("hashlib", "_hashlib", "dataclasses", "inspect"),
     "oracle-compare --r 3 --delta=1": ("hashlib", "_hashlib", "dataclasses", "inspect", "json"),
-    "--help": ("hashlib", "_hashlib", "dataclasses", "inspect", *ENGINE),
-    "admissible --k 1 --u 1/3": ("hashlib", "_hashlib", "dataclasses", "inspect", *ENGINE),
-    "enumerate --k 1 --r 2": (*ENGINE, "brauer_kl.weights"),
+    "--help": ("hashlib", "_hashlib", "dataclasses", "inspect", "fractions", "decimal",
+               *PACKAGE_BUT_CLI),
+    "admissible --k 1 --u 1/3": ("hashlib", "_hashlib", "dataclasses", "inspect", *ENGINE,
+                                 "brauer_kl.combinat"),
+    "enumerate --k 1 --r 2": (*ENGINE, "brauer_kl.weights", "brauer_kl.params", "fractions"),
 }
 
 
@@ -347,7 +355,7 @@ def test_kl_selftest_checks_the_family_table(capsys, monkeypatch):
     # each case's first mismatch is position 0, which now reads the last label
     expected = []
     for u, r in SELFTEST_BATTERY:
-        labels = table(params.build_config(u, r)).labels
+        labels = table(params.build_config(u.split(","), r)).labels
         first, last = (combinat.family_label(labels[i]) for i in (0, -1))
         expected.append(f"  family table reads {last} at position 0, tilde gives {first}")
     assert lines[1::2] == expected

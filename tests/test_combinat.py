@@ -23,10 +23,10 @@ from brauer_kl.combinat import (
     size,
     step_node,
     transpose,
-    updown_count,
     updown_count_table,
     updown_tableaux,
 )
+from verify_routes import updown_count
 
 F = Fraction
 

@@ -165,8 +165,44 @@ def test_omega_zero_check_survives_python_O():
 
 
 def test_extend_parameters_rejects_bad_boundaries():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="p must be the prefix sums of q"):
         extend_parameters([F(0)], [4], [0, 6], 2)
+
+
+def test_guards_raise_value_error_under_python_O():
+    src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
+    code = (
+        "from fractions import Fraction as F\n"
+        "from brauer_kl import combinat, oracle, params, specht\n"
+        "guarded = [\n"
+        "    lambda: params.extend_parameters([F(0)], [4], [0, 6], 2),\n"
+        "    lambda: params.build_config([F(0)], 2, q=[4, 4]),\n"
+        "    lambda: combinat.step_node(((),), ((2,),)),\n"
+        "    lambda: combinat.content_sequence(((), ((1,),)), [F(0)]),\n"
+        "    lambda: oracle.multiply((1, 0, 3, 2), (1, 0)),\n"
+        "    lambda: specht.specht_module((1, 2)),\n"
+        "]\n"
+        "for call in guarded:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print('refused:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "refused: p must be the prefix sums of q = (4,), got (0, 6)",
+        "refused: expected 1 block size(s), got 2",
+        "refused: ((),) and ((2,),) do not differ by one box",
+        "refused: component count must match parameter count",
+        "refused: diagrams must share r",
+        "refused: not a partition: (1, 2)",
+    ]
 
 
 def test_serialize_is_json_ready():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from brauer_kl import pipeline
-from brauer_kl.combinat import LambdaIndex, enumerate_lambda, level_label, transpose, updown_count
+from brauer_kl.combinat import LambdaIndex, enumerate_lambda, level_label, transpose
 from brauer_kl.params import build_config, u_from_delta
 from brauer_kl.pipeline import (
     NegativeResidual,
@@ -19,7 +19,8 @@ from brauer_kl.pipeline import (
     simple_dimensions,
     tilting_decomposition,
 )
-from brauer_kl.weights import family_table, in_F_rk, tilde
+from brauer_kl.weights import family_table, tilde
+from verify_routes import in_F_rk, updown_count
 
 F = Fraction
 

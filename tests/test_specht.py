@@ -11,7 +11,7 @@ import pytest
 
 import brauer_kl
 from brauer_kl.combinat import partitions
-from brauer_kl.linalg import mat_mul, rank, trace
+from brauer_kl.linalg import rank, trace
 from brauer_kl.specht import (
     cycle_type,
     perm_sign,
@@ -20,6 +20,7 @@ from brauer_kl.specht import (
     standard_tableaux,
     tabloids,
 )
+from verify_routes import mat_mul
 
 
 def hook_length_dim(shape):

@@ -24,8 +24,6 @@ from brauer_kl.weights import (
     enumerate_F,
     family_table,
     hat,
-    in_F_r,
-    in_F_rk,
     is_singular,
     lambda_c,
     pairing,
@@ -36,6 +34,7 @@ from brauer_kl.weights import (
     rho,
     tilde,
 )
+from verify_routes import in_F_r, in_F_rk
 
 F = Fraction
 
