@@ -33,15 +33,19 @@ the type-D flip-parity invariant of the orbit, which is what makes the
 generator tables match honest signed-permutation bookkeeping (they were
 frozen against brute-forced W(D_4) and W(D_5) coset modules in the tests).
 
-The move table and the element memo read no token value (the translation
-principle: Cox-De Visscher-Martin, JPAA 215, 2011; Soergel, Represent.
-Theory 1, 1997), so engines of one Coxeter shape share one core, keyed by
-(context, generators, zero class): the interned states, the move table and
-the element memo, all on int ids.  A move-table entry, filled once on first
-use, is the image id and the exponent, or "fixed".  The exponent compares
-prefix sums of rank coordinates (each token replaced by its rank, a zero
-token kept at 0): adjacent states differ by a multiple of one root, so only
-the order of the signed token values decides it.
+The exponent is read off the codes of the two moved tokens alone: adjacent
+states differ by a multiple of one root, so their first differing
+coordinate decides.  It lies in the earlier Levi block of the two tokens
+(the higher token's when they share one), where the other token takes this
+"holder" token's place, and e = +1 exactly when the value there falls:
+when (holder positive) == (the move negates or the holder is the higher
+token), see :func:`_exponent`.  So the move table and the element memo read
+no token value (the translation principle: Cox-De Visscher-Martin, JPAA
+215, 2011; Soergel, Represent. Theory 1, 1997), and engines of one Coxeter
+shape share one core, keyed by (context, generators, zero class): the
+interned states, the move table and the element memo, all on int ids.  A
+move-table entry, filled once on first use, is the image id and the
+exponent, or "fixed".
 
 A wall block (one vanishing pairing x_i = -x_j = a) is read off the
 canonical basis of its regular companion, whose tokens split the doubled
@@ -217,6 +221,13 @@ _UNSET = object()  # move-table entry not yet computed
 _V = {1: LaurentPoly.v(1), -1: LaurentPoly.v(-1)}
 
 
+def _exponent(state: State, m: TokenMove) -> int:
+    """The exponent of a non-fixing move m at a state, read off its holder."""
+    high_holds = state[m.high] >> 1 <= state[m.low] >> 1
+    positive = not state[m.high if high_holds else m.low] & 1
+    return 1 if positive == (m.negate or high_holds) else -1
+
+
 class CanonicalBasisEngine:
     """Lazy, memoized canonical-basis computation on one linkage class.
 
@@ -226,7 +237,9 @@ class CanonicalBasisEngine:
     numerator tuples scale * (mu + rho) at the one ``scale`` given here.
     The engine keeps that codec; its states, move table and element memo
     are the core its shape keys in the store ``cores`` (a private one when
-    None), and ``max_weights`` bounds the elements of the whole core.
+    None), and ``max_weights`` bounds the elements of the whole core.  A
+    move's exponent is read off the moved tokens' codes (:func:`_exponent`),
+    so the core reads no token value and serves every engine of its shape.
     """
 
     def __init__(
@@ -257,40 +270,19 @@ class CanonicalBasisEngine:
         zero = next((tuple(c) for c in classes.values() if tokens[c[-1]] == 0), None)
         self._zero_class = zero
         self._index = {t: i for i, t in enumerate(tokens)}
-        self._signed_scaled = (tokens, tuple(-t for t in tokens))
-        # the shape's core: signed token ranks (ordered as the values are; a
-        # zero token, which the shape records, stays 0), state -> id, and per
-        # id its state, rank dominance key, move-table row and element memo
-        ranks = tuple(len(tokens) - i if t else 0 for i, t in enumerate(tokens))
-        fresh = ((ranks, tuple(-t for t in ranks)), {}, [], [], [], {})
+        # the shape's core: state -> id, and per id its state, move-table row
+        # and element memo
+        fresh = ({}, [], [], {})
         core = fresh if cores is None else cores.setdefault((ctx, self.moves, zero), fresh)
-        self._signed_ranks, self._ids, self._states, self._prefix = core[:4]
-        self._table, self._b = core[4:]
+        self._ids, self._states, self._table, self._b = core
 
     # -- state codec (the numerator boundary) ---------------------------------
-
-    def _coords(self, state: State, signed: tuple) -> list[int]:
-        """Signed token values of a state, descending within each Levi block:
-        its positive tokens by falling magnitude, then its negative ones by
-        rising magnitude (tokens are indexed by falling magnitude).  The
-        values are ``signed``: scaled tokens or ranks, then their negatives."""
-        values, negated = signed
-        pos: list[list[int]] = [[] for _ in range(self.ctx.k)]
-        neg: list[list[int]] = [[] for _ in range(self.ctx.k)]
-        for i, code in enumerate(state):
-            (neg if code & 1 else pos)[code >> 1].append(i)
-        out = []
-        for up, down in zip(pos, neg):
-            out.extend(values[i] for i in up)
-            out.extend(negated[i] for i in reversed(down))
-        return out
 
     def _intern(self, state: State) -> int:
         sid = self._ids.get(state)
         if sid is None:
             sid = self._ids[state] = len(self._states)
             self._states.append(state)
-            self._prefix.append(dominance_sort_key(self._coords(state, self._signed_ranks)))
             self._table.append([_UNSET] * len(self.moves))
         return sid
 
@@ -309,7 +301,19 @@ class CanonicalBasisEngine:
         return self._intern(tuple(code))
 
     def _numerators(self, sid: int) -> Numerators:
-        return tuple(self._coords(self._states[sid], self._signed_scaled))
+        """The numerators of a state, descending within each Levi block: its
+        positive tokens by falling magnitude, then its negative ones by
+        rising magnitude (tokens are indexed by falling magnitude)."""
+        tokens = self.tokens
+        pos: list[list[int]] = [[] for _ in range(self.ctx.k)]
+        neg: list[list[int]] = [[] for _ in range(self.ctx.k)]
+        for i, code in enumerate(self._states[sid]):
+            (neg if code & 1 else pos)[code >> 1].append(i)
+        out = []
+        for up, down in zip(pos, neg):
+            out.extend(tokens[i] for i in up)
+            out.extend(-tokens[i] for i in reversed(down))
+        return tuple(out)
 
     def _name(self, sid: int) -> str:
         return weight_name(self._numerators(sid), self.scale)
@@ -327,9 +331,8 @@ class CanonicalBasisEngine:
         exactly when the image is dominance-lower.  Adjacent states are
         always strictly comparable: all nonzero prefix sums of their
         difference carry one sign (sign flips change the total, so the total
-        is not required to vanish).  The keys are rank coordinates, which
-        order the signed tokens as their values do, so every engine of the
-        core reads the same entry.
+        is not required to vanish).  So e is read off the two moved tokens'
+        codes (:func:`_exponent`), which every engine of the core shares.
         """
         m = self.moves[g]
         state = self._states[s]
@@ -338,16 +341,8 @@ class CanonicalBasisEngine:
         if m.negate:
             hi, lo = hi ^ 1, lo ^ 1
         image[m.high], image[m.low] = lo, hi
-        entry = None
-        if tuple(image) != state:
-            t = self._intern(tuple(image))
-            signs = {(a > b) - (a < b) for a, b in zip(self._prefix[s], self._prefix[t])}
-            signs.discard(0)
-            if len(signs) != 1:
-                raise AssertionError(
-                    f"incomparable wall neighbours {self._name(s)}, {self._name(t)}"
-                )
-            entry = (t, signs.pop())
+        image = tuple(image)
+        entry = None if image == state else (self._intern(image), _exponent(state, m))
         self._table[s][g] = entry
         return entry
 

@@ -147,15 +147,6 @@ def is_singular(x: Weight) -> bool:
     return len({abs(a) for a in x}) != len(x)
 
 
-def blockwise_regular(x: Weight, ctx: WeightContext) -> bool:
-    """Pairwise-distinct entries within every block."""
-    for start, end in ctx.blocks():
-        seg = x[start:end]
-        if len(set(seg)) != len(seg):
-            return False
-    return True
-
-
 def blockwise_decreasing(x: Weight, ctx: WeightContext) -> bool:
     for start, end in ctx.blocks():
         if any(x[i] <= x[i + 1] for i in range(start, end - 1)):
@@ -168,18 +159,24 @@ def psi_sets(lam: Weight, ctx: WeightContext) -> tuple[set[Root], set[Root]]:
 
     The first set collects beta outside the Levi with <lam+rho, beta-coroot>
     a positive integer; the second keeps those whose reflection of lam+rho
-    still has pairwise-distinct entries within every block.
+    still has pairwise-distinct entries within every block.  lam + rho must
+    itself be regular within blocks, as a chamber weight's is: a reflection
+    moves coordinates i and j only, so only those two are checked.
     """
     x = shift(lam)
+    block = [ctx.block_of(i) for i in range(ctx.n)]
+    at = {(block[i], a): i for i, a in enumerate(x)}  # (block, value) -> coordinate
     psi: set[Root] = set()
     psi_pp: set[Root] = set()
     for beta in positive_roots(ctx.n):
-        if beta.kind == "minus" and ctx.block_of(beta.i) == ctx.block_of(beta.j):
+        if beta.kind == "minus" and block[beta.i] == block[beta.j]:
             continue  # Levi root
         val = pairing(x, beta)
         if val.denominator == 1 and val > 0:
             psi.add(beta)
-            if blockwise_regular(reflect(x, beta), ctx):
+            # a moved value collides only with an unmoved one of its block
+            y, moved = reflect(x, beta), (beta.i, beta.j)
+            if all(at.get((block[c], y[c]), c) in moved for c in moved):
                 psi_pp.add(beta)
     return psi, psi_pp
 

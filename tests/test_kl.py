@@ -11,6 +11,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from math import lcm
 
@@ -641,6 +642,24 @@ def test_singular_reduction_rejects_multi_wall_weights():
         kl.singular_reduction_table(block, "mirror")
 
 
+def exponents_checked(engine):
+    """Check every filled entry of the engine's core, decoded with the
+    engine's values: its exponent is the one the values give, between
+    strictly comparable states.  Returns the number of entries checked."""
+    numerators = [engine._numerators(sid) for sid in range(len(engine._states))]
+    checked = 0
+    for x, row in zip(numerators, engine._table):
+        for entry in row:
+            if entry is kl._UNSET or entry is None:
+                continue
+            y = numerators[entry[0]]
+            below = prefix_below(y, x)
+            assert entry[1] == (1 if below else -1), (x, y)
+            assert below or prefix_below(x, y)
+            checked += 1
+    return checked
+
+
 @pytest.mark.parametrize("orbit", list(ORBITS))
 def test_move_table_matches_the_weight_level_moves(orbit):
     ctx, table = ORBITS[orbit]
@@ -657,9 +676,10 @@ def test_move_table_matches_the_weight_level_moves(orbit):
     def moved(x):
         return tuple(c + rise[c] if c >= 0 else c - rise[-c] for c in x)
 
-    cores = {}
+    cores, engines = {}, []
     for orbit_table in (table, {moved(x): None for x in table}):
         engine = kl.CanonicalBasisEngine(ctx, nums(next(iter(orbit_table))), scale, cores=cores)
+        engines.append(engine)
         for x in orbit_table:
             sid = engine._state_id(nums(x))
             for gi, g in enumerate(engine.moves):
@@ -671,10 +691,47 @@ def test_move_table_matches_the_weight_level_moves(orbit):
                     continue
                 assert y in orbit_table  # the orbit is closed under the moves
                 assert engine._numerators(entry[0]) == nums(y), (x, g)
-                # the exponent read off rank keys is the one the values give
-                assert entry[1] == (1 if prefix_below(y, x) else -1), (x, g)
-                assert prefix_below(y, x) or prefix_below(x, y)  # strictly comparable
     assert len(cores) == 1  # both engines read one core
+    # the exponents read off the moved tokens' codes are the ones both
+    # engines' values give; the sharing grid widens this to every core
+    assert all(exponents_checked(engine) for engine in engines)
+
+
+@pytest.mark.parametrize("p, seed, scale", [
+    ((0, 2, 4), (3, 1, 2, 0), 1),
+    ((0, 2, 4), (4, 1, 3, 2), 1),
+    ((0, 2, 4), (7, 3, 5, 1), 2),
+    ((0, 2, 4), (6, 1, 3, 2), 2),
+    ((0, 2, 4, 5), (4, 1, 3, 0, 2), 1),
+    ((0, 2, 5), (4, 1, 3, 2, 0), 1),
+])
+def test_moves_across_levi_blocks_have_the_exponent_the_values_give(p, seed, scale):
+    # integrality classes spread over several Levi blocks, so moves carry
+    # tokens between blocks, which no family of the sharing grid does
+    ctx = WeightContext(p[-1], p)
+    engine = kl.CanonicalBasisEngine(ctx, seed, scale)
+    todo = [engine._state_id(seed)]
+    seen = set(todo)
+    while todo:
+        sid = todo.pop()
+        x = tuple(F(c, scale) for c in engine._numerators(sid))
+        for gi, g in enumerate(engine.moves):
+            high, low = (F(engine.tokens[i], scale) for i in (g.high, g.low))
+            y = reference_move(ctx, x, high, low, g.negate)
+            entry = engine._move(sid, gi)
+            assert (entry is None) == (y == x), (x, g)
+            if entry is not None:
+                assert engine._numerators(entry[0]) == tuple(int(c * scale) for c in y)
+                if entry[0] not in seen:
+                    seen.add(entry[0])
+                    todo.append(entry[0])
+    assert any(
+        engine._states[s][g.high] >> 1 != engine._states[s][g.low] >> 1
+        for s, row in enumerate(engine._table)
+        for g, entry in zip(engine.moves, row)
+        if entry is not None
+    )
+    assert exponents_checked(engine)
 
 
 def test_move_table_fills_each_entry_once(monkeypatch):
@@ -726,19 +783,47 @@ def table_or_refusal(block, convention, cores):
         return exc.reason
 
 
+@cache
+def shared_grid(convention):
+    """Per SHARING_GRID point its non-singleton blocks and their tables (or
+    refusals), read on one core store per point, the number of cores, and
+    every engine those reads built."""
+    engines, runs = [], []
+    init = kl.CanonicalBasisEngine.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kl.CanonicalBasisEngine, "__init__", recording_init)
+        for u, r in SHARING_GRID:
+            family = family_table(build_config([F(x) for x in u], r))
+            cores = {}
+            blocks = [b for b in kl.partition_into_blocks(family) if not b.is_singleton]
+            tables = [table_or_refusal(block, convention, cores) for block in blocks]
+            runs.append((u, r, blocks, tables, len(cores)))
+    return runs, engines
+
+
 @pytest.mark.parametrize("convention", ["mirror", "direct"])
 def test_a_shared_core_gives_the_tables_of_private_ones(convention):
     reused, refused = 0, 0
-    for u, r in SHARING_GRID:
-        family = family_table(build_config([F(x) for x in u], r))
-        cores = {}
-        blocks = [b for b in kl.partition_into_blocks(family) if not b.is_singleton]
-        for block in blocks:
-            shared = table_or_refusal(block, convention, cores)
+    runs, _ = shared_grid(convention)
+    for u, r, blocks, tables, cores in runs:
+        for block, shared in zip(blocks, tables):
             assert shared == table_or_refusal(block, convention, {}), (u, r, block.key)
             refused += isinstance(shared, str)
-        reused += len(blocks) - len(cores)
+        reused += len(blocks) - cores
     assert reused == 58 and refused == 13  # of 82 blocks
+
+
+@pytest.mark.parametrize("convention", ["mirror", "direct"])
+def test_every_shared_move_entry_has_the_exponent_the_values_give(convention):
+    # each engine decodes every filled entry of its core with its own values
+    _, engines = shared_grid(convention)
+    checked = sum(map(exponents_checked, engines))
+    assert len(engines) == 69 and checked > 80_000  # 28,000 distinct, on 24 cores
 
 
 def engines_and_cores(monkeypatch, u, r):

@@ -28,6 +28,7 @@ from brauer_kl.params import (
     verify_disjoint_extension,
 )
 from brauer_kl.pipeline import SaturationNotEstablished, decomposition_report
+from verify_routes import blockwise_regular
 
 F = Fraction
 
@@ -294,6 +295,27 @@ def test_reports_do_not_depend_on_the_block_sizes(u, r, assume_saturated):
     assert report_outcome(u, r, q, assume_saturated) == report_outcome(
         u, r, reference, assume_saturated
     )
+
+
+def test_psi_sets_agrees_with_the_whole_weight_check(monkeypatch):
+    # psi_sets checks only the two reflected coordinates; on every chamber
+    # weight the selection tries over the grid, the whole reflected weight
+    # is the reference
+    tried, psi_sets = [], weights.psi_sets
+    monkeypatch.setattr(
+        weights, "psi_sets", lambda lam, ctx: tried.append((lam, ctx)) or psi_sets(lam, ctx)
+    )
+    for u, r in dict.fromkeys((u, r) for u, r, _ in Q_INVARIANCE_GRID):
+        select_block_sizes([F(x) for x in u], len(u), r)
+    rejected = 0
+    for lam, ctx in tried:
+        x = weights.shift(lam)
+        psi, psi_pp = psi_sets(lam, ctx)
+        assert psi_pp == {
+            beta for beta in psi if blockwise_regular(weights.reflect(x, beta), ctx)
+        }
+        rejected += bool(psi_pp)
+    assert rejected > 0  # some candidates admit a doubly-regular reflection
 
 
 def test_delta_u_dictionary():

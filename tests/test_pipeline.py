@@ -452,6 +452,11 @@ GOLDEN_REPORT_SHA256 = {
     ("3/2", 7, False): "987d484702e7acf99f89bb550738afdef4ba0f78750b45c5316a39af543b6191",
     ("3/2", 8, False): "621c0784171d9864d0c44f665058c06afa9444fb97fca37adf505348117a888a",
     ("0", 8, False): "1bf38f458faa0bae50ea13fab4f523f74c502d30a3fd8d349776685e6cbed57a",
+    # a level-three report (15,525 moves) and block-size selection at a large
+    # integral u, both recorded while move exponents still compared rank-key
+    # prefix sums and psi_sets still checked every coordinate of a reflection
+    ("0,1/2,1/4", 3, False): "6bcacad5c0b296f39d7b2d455bee477db570290b0e64c9d20029faaeaedf7b47",
+    ("30", 3, False): "7591a1d067008702d2f435a5832289a31108432a6a9b611104483aeef373a3b2",
 }
 
 

@@ -15,7 +15,6 @@ from brauer_kl.weights import (
     Root,
     WeightContext,
     blockwise_decreasing,
-    blockwise_regular,
     context_of,
     delta,
     dominance_leq,
@@ -34,7 +33,7 @@ from brauer_kl.weights import (
     rho,
     tilde,
 )
-from verify_routes import in_F_r, in_F_rk
+from verify_routes import blockwise_regular, in_F_r, in_F_rk
 
 F = Fraction
 

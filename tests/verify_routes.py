@@ -7,6 +7,8 @@ to compile it:
 * ``updown_count``: one walk count, read off ``updown_count_table``;
 * ``in_F_r``/``in_F_rk``: membership of a ``Fraction`` weight in the family
   F_r and its level part, decided through ``tilde``;
+* ``blockwise_regular``: pairwise-distinct entries within every block, read
+  off the whole weight (``weights.psi_sets`` checks two coordinates);
 * ``mat_mul``/``mat_vec``: exact dense products;
 * ``has_nonnegative_coeffs``: a Laurent polynomial with no negative
   coefficient;
@@ -26,7 +28,7 @@ from brauer_kl.combinat import Multipartition, size, updown_count_table
 from brauer_kl.kl import CanonicalBasisEngine, IdVector, NVector
 from brauer_kl.laurent import LaurentPoly
 from brauer_kl.params import ParamConfig
-from brauer_kl.weights import Weight, tilde
+from brauer_kl.weights import Weight, WeightContext, tilde
 
 
 def updown_count(a: int, r: int, shape: Multipartition) -> int:
@@ -50,6 +52,11 @@ def in_F_r(mu: Weight, cfg: ParamConfig) -> bool:
 def in_F_rk(mu: Weight, cfg: ParamConfig) -> bool:
     """Member of F_r with an entrywise nonnegative shift (empty tails)."""
     return in_F_r(mu, cfg) and not any(tilde(mu, cfg).shape[cfg.k :])
+
+
+def blockwise_regular(x: Weight, ctx: WeightContext) -> bool:
+    """Pairwise-distinct entries within every block."""
+    return all(len(set(x[start:end])) == end - start for start, end in ctx.blocks())
 
 
 def mat_mul(a, b) -> list[list[Fraction]]:
