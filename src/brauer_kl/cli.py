@@ -18,8 +18,9 @@ not ``combinat``; ``enumerate`` loads ``combinat`` alone, without
 run them, ``hashlib`` only to name such a file, ``json`` only to write a
 JSON report, the diagram oracle only for ``oracle-compare``.  Exit codes: 0
 success, 2 usage/parse error, 3 saturation not established (and not waived),
-4 oracle mismatch, 5 unsupported linkage block, 6 a tilting peel that fails
-(a negative or escaping residual).
+4 oracle mismatch, 5 unsupported linkage block or a canonical-basis
+recursion past its weight bound, 6 a tilting peel that fails (a negative or
+escaping residual).
 """
 
 import argparse
@@ -94,7 +95,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     from . import params, pipeline
-    from .kl import UnsupportedBlock
+    from .kl import ClosedWorldViolation, UnsupportedBlock
     from .pipeline import NegativeResidual, SaturationNotEstablished
 
     try:
@@ -111,7 +112,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     except SaturationNotEstablished as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except UnsupportedBlock as exc:
+    except (UnsupportedBlock, ClosedWorldViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     except NegativeResidual as exc:
@@ -141,7 +142,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_oracle_compare(args: argparse.Namespace) -> int:
     from . import oracle  # only this command runs the diagram oracle
     from . import params, pipeline
-    from .kl import UnsupportedBlock
+    from .kl import ClosedWorldViolation, UnsupportedBlock
 
     if args.k != 1:
         print("error: the diagram oracle exists at k=1 only", file=sys.stderr)
@@ -165,7 +166,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
         report = failure = None
         try:
             report = pipeline.decomposition_report(cfg, convention=kl_conv)
-        except UnsupportedBlock as exc:  # no convention can reconcile it
+        except (UnsupportedBlock, ClosedWorldViolation) as exc:  # no convention can reconcile it
             print(f"error: {exc}", file=sys.stderr)
             return 5
         except Exception as exc:  # a wrong convention may fail structurally

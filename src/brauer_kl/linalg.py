@@ -11,8 +11,6 @@ the results are exact.  No floating point anywhere; the systems solved here
 (Gram matrices, radical bases, character systems) stay in the low hundreds.
 
 >>> from fractions import Fraction as F
->>> rank([[F(1), F(2)], [F(2), F(4)]])
-1
 >>> nullspace([[F(1), F(2)], [F(2), F(4)]])
 [[Fraction(-2, 1), Fraction(1, 1)]]
 """
@@ -68,10 +66,6 @@ def rref(rows) -> tuple[Matrix, list[int]]:
     return reduced, pivots
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[1])
-
-
 def nullspace(rows) -> list[Vector]:
     """A basis of the right null space {x : M x = 0}.
 
@@ -124,7 +118,3 @@ def solve(rows, columns) -> list[Vector | None]:
             x[pivots[r]] = red[r][j]
         solutions.append(x)
     return solutions
-
-
-def trace(rows) -> Fraction:
-    return sum((rows[i][i] for i in range(len(rows))), Fraction(0))

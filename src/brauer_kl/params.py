@@ -1,13 +1,15 @@
 """Exact parameter arithmetic for the cyclotomic Brauer algebra pipeline.
 
-Everything is a :class:`fractions.Fraction`.  The module provides
+Parameters are :class:`fractions.Fraction`s; block sizes are verified on
+integers.  The module provides
 
 * the admissibility generating series (``omega_series``),
-* the r-disjointness predicate on scalar pairs,
 * the "some low omega is nonzero" criterion (``simple_param_condition``),
   computed along two independent routes that are checked to agree,
-* deterministic block-size selection with post-hoc verification
-  (``select_block_sizes``), and
+* deterministic block-size selection (``select_block_sizes``): one loop over
+  the bases, each candidate verified on the integer numerators of the
+  shifted chamber weight (``weights.shifted_chamber``), so the loop runs no
+  ``Fraction`` arithmetic, and
 * the parameter extension u_1..u_k -> u_1..u_2k (``extend_parameters``),
   packaged into an immutable :class:`ParamConfig`.
 """
@@ -16,11 +18,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 
 class RetryExhausted(Exception):
-    """Block-size selection failed verification after bounded retries."""
+    """No base up to the one that always verifies gave verified block sizes."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -81,23 +84,6 @@ def omega_series(v: Sequence[Fraction], N: int) -> list[Fraction]:
             w += Fraction(1, 2)
         out.append(w)
     return out
-
-
-def is_r_disjoint(a: Fraction, b: Fraction, r: int) -> bool:
-    """True iff both a+b and a-b are non-integral or of absolute value >= r.
-
-    >>> is_r_disjoint(Fraction(5), Fraction(1), 3)
-    True
-    >>> is_r_disjoint(Fraction(2), Fraction(1), 3)
-    False
-    """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    a, b = Fraction(a), Fraction(b)
-    for val in (a + b, a - b):
-        if val.denominator == 1 and abs(val) < r:
-            return False
-    return True
 
 
 def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
@@ -178,37 +164,27 @@ class ParamConfig(NamedTuple):
         }
 
 
-def extend_parameters(u: Sequence[Fraction], q: Sequence[int], p: Sequence[int], r: int) -> ParamConfig:
-    """Fill in offsets c, the 2k extended parameters, and the omega series.
+def extend_parameters(u: Sequence[Fraction], q: Sequence[int], r: int) -> ParamConfig:
+    """Fill in boundaries p, offsets c, the 2k extended parameters, and the
+    omega series.
 
-    The extended parameters satisfy u_{k+m} = q_l - u_l with l = k - m + 1,
-    so the zeroth series coefficient of the extension is 2*sum(q) = 2n; this
-    invariant is checked.
+    p holds the prefix sums of q, and the extended parameters are u followed
+    by q_l - u_l for l = k-1, ..., 0, so the zeroth series coefficient of
+    the extension is 2*sum(q) = 2n; this invariant is checked.
     """
     u = tuple(Fraction(x) for x in u)
     q = tuple(int(x) for x in q)
     k = len(u)
     if len(q) != k or not all(qi > 0 for qi in q):
         raise ValueError(f"q must be {k} positive block size(s), got {q}")
-    p = tuple(int(x) for x in p)
-    if len(p) != k + 1 or p[0] != 0 or any(p[j] != p[j - 1] + q[j - 1] for j in range(1, k + 1)):
-        raise ValueError(f"p must be the prefix sums of q = {q}, got {p}")
+    p = tuple(accumulate(q, initial=0))
     n = p[k]
     c = tuple(u[j] + p[j] - n + Fraction(1, 2) for j in range(k))
-    u_ext = u + tuple(-c[2 * k - j] + p[2 * k - j + 1] - n + Fraction(1, 2) for j in range(k + 1, 2 * k + 1))
+    u_ext = u + tuple(q[l] - u[l] for l in reversed(range(k)))
     omega = tuple(omega_series(u_ext, 2 * k))
     if omega[0] != 2 * n:
         raise AssertionError(f"omega_0 = {omega[0]} != 2n = {2 * n}")
     return ParamConfig(k=k, r=int(r), u=u, q=q, p=p, n=n, c=c, u_ext=u_ext, omega=omega)
-
-
-def verify_disjoint_extension(cfg: ParamConfig) -> bool:
-    """Each extended parameter must be r-disjoint from all earlier ones."""
-    for j in range(cfg.k, 2 * cfg.k):
-        for i in range(j):
-            if not is_r_disjoint(cfg.u_ext[j], cfg.u_ext[i], cfg.r):
-                return False
-    return True
 
 
 def _even_ceil(x: Fraction) -> int:
@@ -236,65 +212,89 @@ def _linkage_classes(u: Sequence[Fraction]) -> list[list[int]]:
     return list(groups.values())
 
 
-def select_block_sizes(u: Sequence[Fraction], k: int, r: int) -> tuple[list[int], list[int]]:
-    """Deterministically choose block sizes q_1..q_k (and boundaries p).
+def verify_block_sizes(u: Sequence[Fraction], q: Sequence[int], r: int) -> bool:
+    """The post-hoc check on block sizes q, on integers only.
+
+    The shifted chamber weight x / scale must admit no doubly-regular
+    reflection (its psi-double-set is empty), and every extended parameter
+    must be r-disjoint from each earlier one: a sum or difference of the two
+    that is integral must be at least r in absolute value.  The extended
+    parameters are read off the ends of the chamber blocks, over 2 * scale:
+    u_l is 2 * x[p_l] + scale and q_l - u_l is scale - 2 * x[p_{l+1} - 1].
+    """
+    from . import weights  # deferred: weights needs ParamConfig from this module
+
+    p = tuple(accumulate(q, initial=0))
+    scale, x = weights.shifted_chamber(u, q)
+    ctx = weights.WeightContext(p[-1], p)
+    if any(regular for _, regular in weights.integral_reflections(scale, x, ctx)):
+        return False
+    k, unit = len(q), 2 * scale
+    ext = [2 * x[p[l]] + scale for l in range(k)]
+    ext += [scale - 2 * x[p[l + 1] - 1] for l in reversed(range(k))]
+    return all(
+        val % unit or abs(val) >= r * unit
+        for j in range(k, 2 * k)
+        for i in range(j)
+        for val in (ext[j] + ext[i], ext[j] - ext[i])
+    )
+
+
+def select_block_sizes(u: Sequence[Fraction], r: int) -> list[int]:
+    """Deterministically choose block sizes q_1..q_k.
 
     Rule: every q is even (so n = sum q is automatically even) and at least
     2r, so every shape fits (len(head) + len(tail) <= r).  Within each class
     of parameters linked by integral sums/differences the q's are staggered
-    (sorted by parameter value) above a common base so that differences of
-    extended parameters clear the +-r band.  Each choice is verified post
-    hoc — the constant chamber weight must admit no doubly-regular
-    reflection (its psi-double-set must be empty) and the extension must be
-    r-disjoint — and the first base that verifies wins.  The bases tried are
-    2r, 2r + 2, ... below 2r + 4 + 2 * (largest integral positive parameter
-    sum), then that base and at most 8 uniform inflations of base and
-    stagger; q never exceeds the first of these that verifies.
+    above a common base: sorted by (parameter value, index), each q exceeds
+    the one before by the even ceiling of the value gap + r + 2.  With M the
+    largest positive integral sum u_s + u_t (s = t allowed; 0 if none), the
+    bases 2r, 2r + 2, ..., base0 = 2r + 4 + 2M are tried in turn and the
+    first whose choice passes :func:`verify_block_sizes` wins.
 
-    >>> select_block_sizes([Fraction(0)], 1, 3)
-    ([6], [0, 6])
-    >>> select_block_sizes([Fraction(1, 3)], 1, 2)
-    ([4], [0, 4])
+    base0 always verifies, so the loop needs no retries.  Block j's shifted
+    chamber entries run from u_j - 1/2 down to u_j + 1/2 - q_j.
+
+    * A cross-block minus root e_i - e_j, i in block s and j in block t,
+      pairs integrally only when u_s - u_t is an integer, so within one
+      class.  Its reflection is doubly regular only when each swapped entry
+      leaves the other block's range, which with a positive pairing needs
+      u_s > u_t and q_s - q_t < u_s - u_t.  The stagger gives
+      q_s - q_t >= u_s - u_t + r + 2 instead, at every base.
+    * A cross-block plus root needs u_s + u_t > max(q_s, q_t) for that, and
+      a same-block one 2u_s > q_s; those sums are positive integers, at most
+      M, and every q at base0 exceeds M.
+    * The extension u, q_{k-1} - u_{k-1}, ..., q_0 - u_0 is r-disjoint by
+      the same two bounds.  An integral sum or difference is one of:
+      q_l; q_l - (u_l - u_m), which is at least q_l or, by the stagger,
+      q_m + r + 2; q_l - (u_l + u_m), at least q_l - M >= 2r + 4; a sum
+      q_l + q_m - (u_l + u_m) >= 4r; or (q_l - q_m) - (u_l - u_m), at least
+      r + 2 in absolute value by the stagger.
+
+    ``RetryExhausted`` after the loop would mean an implementation bug.
+
+    >>> select_block_sizes([Fraction(0)], 3)
+    [6]
+    >>> select_block_sizes([Fraction(1, 3)], 2)
+    [4]
     """
-    from . import weights  # deferred: weights needs ParamConfig from this module
-
     u = [Fraction(x) for x in u]
-    if len(u) != k or k < 1 or r < 1:
-        raise ValueError(f"need k = {k} >= 1 parameters and r >= 1, got {len(u)} and r={r}")
-    int_sum_bound = 0
-    for s in range(k):
-        for t in range(s, k):
-            tot = u[s] + u[t]
-            if tot.denominator == 1 and tot > 0:
-                int_sum_bound = max(int_sum_bound, int(tot))
-    classes = _linkage_classes(u)
+    if not u or r < 1:
+        raise ValueError(f"need at least one parameter and r >= 1, got {len(u)} and r={r}")
+    sums = [a + b for s, a in enumerate(u) for b in u[s:]]
+    int_sum_bound = max((int(x) for x in sums if x.denominator == 1 and x > 0), default=0)
+    offsets = [0] * len(u)
+    for group in _linkage_classes(u):
+        members = sorted(group, key=lambda i: (u[i], i))
+        for prev, idx in zip(members, members[1:]):
+            offsets[idx] = offsets[prev] + _even_ceil(u[idx] - u[prev] + r + 2)
     base0 = 2 * r + 4 + 2 * int_sum_bound
-    # (base, stagger inflation): the small bases first, then the retries
-    candidates = [(base, 0) for base in range(2 * r, base0, 2)]
-    candidates += [(base0 + 2 * a * (r + 2 + int_sum_bound), a) for a in range(9)]
-
-    for base, attempt in candidates:
-        q = [0] * k
-        for group in classes:
-            members = sorted(group, key=lambda i: (u[i], i))
-            offset = 0
-            for pos, idx in enumerate(members):
-                if pos > 0:
-                    prev = members[pos - 1]
-                    gap = u[idx] - u[prev]
-                    offset += _even_ceil(gap + r + 2 + 2 * attempt)
-                q[idx] = base + offset
-        p = [0] * (k + 1)
-        for j in range(k):
-            p[j + 1] = p[j] + q[j]
-        cfg = extend_parameters(u, q, p, r)
-        ctx = weights.WeightContext(cfg.n, tuple(p))
-        lam_c = weights.lambda_c(cfg)
-        _, psi_pp = weights.psi_sets(lam_c, ctx)
-        if not psi_pp and verify_disjoint_extension(cfg):
-            return q, p
+    for base in range(2 * r, base0 + 1, 2):
+        q = [base + offset for offset in offsets]
+        if verify_block_sizes(u, q, r):
+            return q
     raise RetryExhausted(
-        f"no verified block sizes for u={u}, r={r} after 8 inflation retries "
+        f"no verified block sizes for u={u}, r={r} up to base {base0} "
         "(this indicates an implementation bug, not a mathematical obstruction)"
     )
 
@@ -302,17 +302,11 @@ def select_block_sizes(u: Sequence[Fraction], k: int, r: int) -> tuple[list[int]
 def build_config(u: Sequence[Fraction], r: int, q: Sequence[int] | None = None) -> ParamConfig:
     """Convenience: select (or accept) block sizes and extend the parameters."""
     u = [Fraction(x) for x in u]
-    k = len(u)
     if q is None:
-        q, p = select_block_sizes(u, k, r)
-    else:
-        q = [int(x) for x in q]
-        if len(q) != k:
-            raise ValueError(f"expected {k} block size(s), got {len(q)}")
-        p = [0] * (k + 1)
-        for j in range(k):
-            p[j + 1] = p[j] + q[j]
-    return extend_parameters(u, q, p, r)
+        q = select_block_sizes(u, r)
+    elif len(q) != len(u):
+        raise ValueError(f"expected {len(u)} block size(s), got {len(q)}")
+    return extend_parameters(u, q, r)
 
 
 def delta_from_u(u1: Fraction) -> Fraction:

@@ -46,6 +46,7 @@ from .weights import (
     is_singular,
     lambda_c,
     phiA_condition,
+    shifted_chamber,
     weight_name,
 )
 
@@ -340,7 +341,7 @@ def decomposition_report(
     fails.
     """
     convention = resolve_convention(convention)
-    phi_ok = phiA_condition(lambda_c(cfg), context_of(cfg))
+    phi_ok = phiA_condition(*shifted_chamber(cfg.u, cfg.q), context_of(cfg))
     if not phi_ok and not assume_saturated:
         raise SaturationNotEstablished(
             "cross-block hyperplanes are integral for these parameters; "

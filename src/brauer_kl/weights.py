@@ -12,9 +12,12 @@ denominator, off which linkage keys, singularity, dominance and the flags are
 read.  Those numerator tuples are the one weight form from the table through
 the canonical-basis engine, its tables and the peel; any weight reached
 there, in the family or not, is such a tuple, and :func:`weight_name` turns
-one back into mu for a message.  ``Fraction`` weights remain in the table's
-``weights`` column (which linkage blocks carry for their readers) and in the
-per-weight routines here: :func:`hat`, :func:`tilde` and the root pairings.
+one back into mu for a message.  :func:`shifted_chamber` is the one place
+rho is added: the table's base, the block-size verdict and the saturation
+test (:func:`integral_reflections`, :func:`phiA_condition`) all read its
+numerators.  ``Fraction`` weights remain in the table's ``weights`` column
+(which linkage blocks carry for their readers) and in the per-weight
+routines here: :func:`hat`, :func:`tilde` and :func:`pairing`.
 
 Conventions:
 
@@ -26,15 +29,16 @@ Conventions:
   within every block are pairwise distinct.
 
 The shifted chamber weight has block-j entries running down from u_j - 1/2 in
-steps of 1, which is what ties block sizes to parameter disjointness.
+steps of 1, whatever the other blocks' sizes, which is what ties block sizes
+to parameter disjointness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
-from math import lcm
+from itertools import accumulate, combinations
+from math import gcd, lcm
 from typing import Iterator, Literal, NamedTuple, Sequence
 
 from . import combinat
@@ -97,11 +101,6 @@ def rho(n: int) -> Weight:
     return tuple(Fraction(n - 1 - i) for i in range(n))
 
 
-def shift(mu: Weight) -> Weight:
-    """The shifted weight mu + rho."""
-    return tuple(a + b for a, b in zip(mu, rho(len(mu))))
-
-
 def weight_name(x: Numerators, scale: int) -> str:
     """The weight mu = x / scale - rho as a tuple of rationals, for messages.
 
@@ -117,27 +116,11 @@ def lambda_c(cfg: ParamConfig) -> Weight:
     return tuple(c for c, q in zip(cfg.c, cfg.q) for _ in range(q))
 
 
-def reflect(x: Weight, beta: Root) -> Weight:
-    y = list(x)
-    if beta.kind == "minus":
-        y[beta.i], y[beta.j] = y[beta.j], y[beta.i]
-    else:
-        y[beta.i], y[beta.j] = -y[beta.j], -y[beta.i]
-    return tuple(y)
-
-
 def pairing(x: Weight, beta: Root) -> Fraction:
     """<x, beta-coroot>; all roots of D_n have squared length 2."""
     if beta.kind == "minus":
         return x[beta.i] - x[beta.j]
     return x[beta.i] + x[beta.j]
-
-
-def positive_roots(n: int) -> Iterator[Root]:
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield Root(i, j, "minus")
-            yield Root(i, j, "plus")
 
 
 def is_singular(x: Weight) -> bool:
@@ -154,40 +137,53 @@ def blockwise_decreasing(x: Weight, ctx: WeightContext) -> bool:
     return True
 
 
-def psi_sets(lam: Weight, ctx: WeightContext) -> tuple[set[Root], set[Root]]:
-    """The positively-paired non-Levi roots and their doubly-regular subset.
+def shifted_chamber(u: Sequence[Fraction], q: Sequence[int]) -> tuple[int, Numerators]:
+    """The shifted chamber weight lambda_c + rho as ``(scale, numerators)``.
 
-    The first set collects beta outside the Levi with <lam+rho, beta-coroot>
-    a positive integer; the second keeps those whose reflection of lam+rho
-    still has pairwise-distinct entries within every block.  lam + rho must
-    itself be regular within blocks, as a chamber weight's is: a reflection
-    moves coordinates i and j only, so only those two are checked.
+    The numerators are integers over ``scale``, the least common denominator
+    of the u_j - 1/2; block j's run down from scale * (u_j - 1/2) in steps
+    of ``scale``.  Computed on numerators and denominators alone, so it runs
+    no ``Fraction`` arithmetic.
+
+    >>> shifted_chamber([Fraction(1, 3)], [3])
+    (6, (-1, -7, -13))
     """
-    x = shift(lam)
+    tops = [(2 * a.numerator - a.denominator, 2 * a.denominator) for a in u]  # u_j - 1/2
+    scale = lcm(*(den // gcd(num, den) for num, den in tops))
+    return scale, tuple(
+        num * scale // den - scale * m for (num, den), size in zip(tops, q) for m in range(size)
+    )
+
+
+def integral_reflections(
+    scale: int, x: Numerators, ctx: WeightContext
+) -> Iterator[tuple[str, bool]]:
+    """``(kind, doubly regular)`` for each non-Levi root pairing positively
+    and integrally with the weight x / scale.
+
+    x must be regular within blocks, as a shifted chamber weight is.  A
+    pairing x_i -+ x_j is integral when ``scale`` divides it.  The reflection
+    in e_i - e_j swaps coordinates i and j, the one in e_i + e_j swaps them
+    and negates both; it is doubly regular when the entries within every
+    block stay distinct, and since it moves two coordinates only, a moved
+    value can collide only with an unmoved one of its block.
+    """
     block = [ctx.block_of(i) for i in range(ctx.n)]
-    at = {(block[i], a): i for i, a in enumerate(x)}  # (block, value) -> coordinate
-    psi: set[Root] = set()
-    psi_pp: set[Root] = set()
-    for beta in positive_roots(ctx.n):
-        if beta.kind == "minus" and block[beta.i] == block[beta.j]:
-            continue  # Levi root
-        val = pairing(x, beta)
-        if val.denominator == 1 and val > 0:
-            psi.add(beta)
-            # a moved value collides only with an unmoved one of its block
-            y, moved = reflect(x, beta), (beta.i, beta.j)
-            if all(at.get((block[c], y[c]), c) in moved for c in moved):
-                psi_pp.add(beta)
-    return psi, psi_pp
+    at = {(t, a): i for i, (t, a) in enumerate(zip(block, x))}  # (block, value) -> coordinate
+    for i, j in combinations(range(ctx.n), 2):
+        a, b, s, t = x[i], x[j], block[i], block[j]
+        for kind, val, yi, yj in (("minus", a - b, b, a), ("plus", a + b, -b, -a)):
+            if val > 0 and val % scale == 0 and (kind == "plus" or s != t):
+                yield kind, at.get((s, yi), i) in (i, j) and at.get((t, yj), j) in (i, j)
 
 
-def phiA_condition(lam_c_weight: Weight, ctx: WeightContext) -> bool:
-    """No cross-block "minus" root is positively paired with the chamber weight.
+def phiA_condition(scale: int, x: Numerators, ctx: WeightContext) -> bool:
+    """No cross-block "minus" root pairs positively and integrally with the
+    shifted chamber weight x / scale.
 
     For a single block this holds vacuously (all minus roots are Levi roots).
     """
-    psi, _ = psi_sets(lam_c_weight, ctx)
-    return not any(beta.kind == "minus" for beta in psi)
+    return not any(kind == "minus" for kind, _ in integral_reflections(scale, x, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +295,7 @@ def family_table(cfg: ParamConfig) -> Family:
     k, r = cfg.k, cfg.r
     weights = tuple(enumerate_F(r, cfg))
     labels = tuple(combinat.enumerate_lambda(2 * k, r))
-    scale = lcm(*(c.denominator for c in cfg.c))
-    base = [(scale * (a + b)).numerator for a, b in zip(lambda_c(cfg), rho(cfg.n))]
+    scale, base = shifted_chamber(cfg.u, cfg.q)
     walks, heads = (combinat.updown_count_table(a, r) for a in (2 * k, k))
     level = [i for i, idx in enumerate(labels) if not any(idx.shape[k:])]
     return Family(

@@ -21,7 +21,13 @@ import pytest
 
 from brauer_kl import combinat, oracle, params, pipeline, weights
 from brauer_kl.kl import CanonicalBasisEngine, partition_into_blocks, singular_pairs
-from verify_routes import BarInvolution, has_nonnegative_coeffs, in_F_rk
+from verify_routes import (
+    BarInvolution,
+    has_nonnegative_coeffs,
+    in_F_rk,
+    psi_sets,
+    verify_disjoint_extension,
+)
 
 F = Fraction
 
@@ -73,15 +79,15 @@ def _ac2_inputs():
 def test_ac2_parameter_pipeline(criterion):
     with criterion("AC-2", "block sizes, parity, omega_0=2n, disjointness, empty psi++ on 20 random inputs"):
         start = time.monotonic()
-        for u, k, r in _ac2_inputs():
-            q, p = params.select_block_sizes(u, k, r)
+        for u, _, r in _ac2_inputs():
+            q = params.select_block_sizes(u, r)
             assert all(qt >= 2 * r for qt in q), (u, r, q)
-            cfg = params.extend_parameters(u, q, p, r)
+            cfg = params.extend_parameters(u, q, r)
             assert cfg.n % 2 == 0
             assert cfg.omega[0] == 2 * cfg.n
-            assert params.verify_disjoint_extension(cfg)
+            assert verify_disjoint_extension(cfg)
             ctx = weights.context_of(cfg)
-            _, psi_pp = weights.psi_sets(weights.lambda_c(cfg), ctx)
+            _, psi_pp = psi_sets(weights.lambda_c(cfg), ctx)
             assert psi_pp == set(), (u, r)
         assert time.monotonic() - start < 10
 

@@ -165,6 +165,21 @@ def test_failed_peel_exits_6_with_one_error_line(capsys, monkeypatch, argv):
     assert run(capsys, *argv) == (6, "", FAILED_PEEL[argv])
 
 
+def over_the_weight_bound(*args):
+    raise kl.ClosedWorldViolation("canonical-basis recursion touched more than 9 weights")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("decompose", "--k", "1", "--r", "3", "--u", "0"), ("oracle-compare", "--r", "3", "--delta=1")],
+)
+def test_weight_bound_exits_5_with_one_error_line(capsys, monkeypatch, argv):
+    monkeypatch.setattr(pipeline, "tilting_table", over_the_weight_bound)
+    assert run(capsys, *argv) == (
+        5, "", "error: canonical-basis recursion touched more than 9 weights\n"
+    )
+
+
 def test_decompose_imports_no_oracle():
     src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
     code = (

@@ -22,9 +22,9 @@ from brauer_kl.weights import (
     family_table,
     is_singular,
     lambda_c,
-    shift,
     tilde,
 )
+from verify_routes import shift
 
 F = Fraction
 

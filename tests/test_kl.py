@@ -30,9 +30,8 @@ from brauer_kl.weights import (
     family_table,
     lambda_c,
     rho,
-    shift,
 )
-from verify_routes import BarInvolution
+from verify_routes import BarInvolution, shift
 
 F = Fraction
 

@@ -27,7 +27,8 @@ from brauer_kl.oracle import (
     oracle_decomposition_matrix,
 )
 from brauer_kl.combinat import double_factorial
-from brauer_kl.linalg import nullspace, rank, solve
+from brauer_kl.linalg import nullspace, solve
+from verify_routes import rank
 
 F = Fraction
 

@@ -3,7 +3,9 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,16 +21,15 @@ from brauer_kl.params import (
     delta_from_u,
     extend_parameters,
     format_rational,
-    is_r_disjoint,
     omega_series,
     parse_rational,
     select_block_sizes,
     simple_param_condition,
     u_from_delta,
-    verify_disjoint_extension,
+    verify_block_sizes,
 )
 from brauer_kl.pipeline import SaturationNotEstablished, decomposition_report
-from verify_routes import blockwise_regular
+from verify_routes import is_r_disjoint, psi_sets, shift, verify_disjoint_extension
 
 F = Fraction
 
@@ -37,36 +38,33 @@ rationals = st.fractions(
 )
 
 
-def reference_block_sizes(u, k, r):
-    """The block-size rule without the small-base sweep, kept as the
-    reference: base 2r + 4 + 2 * (largest integral positive parameter sum),
-    the same staggering and verification, inflated at most 8 times."""
+def fraction_route_verifies(u, q, r):
+    """The block-size check on Fraction weights: psi_sets over every root
+    and r-disjointness of the extended parameters."""
+    cfg = extend_parameters(u, q, r)
+    _, psi_pp = psi_sets(weights.lambda_c(cfg), weights.context_of(cfg))
+    return not psi_pp and verify_disjoint_extension(cfg)
+
+
+def reference_block_sizes(u, r):
+    """The block sizes at the largest base the selection tries, kept as the
+    reference: base 2r + 4 + 2 * (largest integral positive parameter sum)
+    with the same staggering, checked to verify on the Fraction route."""
     u = [F(x) for x in u]
+    k = len(u)
     int_sum_bound = max(
         [int(u[s] + u[t]) for s in range(k) for t in range(s, k)
          if (u[s] + u[t]).denominator == 1 and u[s] + u[t] > 0],
         default=0,
     )
-    for attempt in range(9):
-        base = 2 * r + 4 + 2 * int_sum_bound + 2 * attempt * (r + 2 + int_sum_bound)
-        q = [0] * k
-        for group in _linkage_classes(u):
-            members = sorted(group, key=lambda i: (u[i], i))
-            offset = 0
-            for pos, idx in enumerate(members):
-                if pos > 0:
-                    gap = u[idx] - u[members[pos - 1]]
-                    offset += _even_ceil(gap + r + 2 + 2 * attempt)
-                q[idx] = base + offset
-        p = [0]
-        for qi in q:
-            p.append(p[-1] + qi)
-        cfg = extend_parameters(u, q, p, r)
-        ctx = weights.WeightContext(cfg.n, tuple(p))
-        _, psi_pp = weights.psi_sets(weights.lambda_c(cfg), ctx)
-        if not psi_pp and verify_disjoint_extension(cfg):
-            return q, p
-    raise AssertionError(f"the reference rule found no block sizes for u={u}, r={r}")
+    q = [2 * r + 4 + 2 * int_sum_bound] * k
+    for group in _linkage_classes(u):
+        members = sorted(group, key=lambda i: (u[i], i))
+        for pos in range(1, len(members)):
+            idx, prev = members[pos], members[pos - 1]
+            q[idx] = q[prev] + _even_ceil(u[idx] - u[prev] + r + 2)
+    assert fraction_route_verifies(u, q, r), (u, q, r)
+    return q
 
 
 def test_parse_format_roundtrip():
@@ -124,8 +122,8 @@ def test_simple_param_condition_routes_agree(u1):
 
 
 def test_select_block_sizes_examples():
-    assert select_block_sizes([F(0)], 1, 3) == ([6], [0, 6])
-    assert select_block_sizes([F(1, 3)], 1, 2) == ([4], [0, 4])
+    assert select_block_sizes([F(0)], 3) == [6]
+    assert select_block_sizes([F(1, 3)], 2) == [4]
 
 
 def test_extend_parameters_examples():
@@ -151,7 +149,7 @@ def test_omega_zero_check_survives_python_O():
         "series = params.omega_series\n"
         "params.omega_series = lambda v, N: [w + 1 for w in series(v, N)]\n"
         "try:\n"
-        "    params.extend_parameters([F(0)], [4], [0, 4], 2)\n"
+        "    params.extend_parameters([F(0)], [4], 2)\n"
         "except AssertionError as exc:\n"
         "    print('refused:', exc)\n"
     )
@@ -166,8 +164,9 @@ def test_omega_zero_check_survives_python_O():
 
 
 def test_extend_parameters_rejects_bad_boundaries():
-    with pytest.raises(ValueError, match="p must be the prefix sums of q"):
-        extend_parameters([F(0)], [4], [0, 6], 2)
+    # the boundaries are the prefix sums of q: an empty block would repeat one
+    with pytest.raises(ValueError, match="q must be 1 positive block size"):
+        extend_parameters([F(0)], [0], 2)
 
 
 def test_guards_raise_value_error_under_python_O():
@@ -176,7 +175,7 @@ def test_guards_raise_value_error_under_python_O():
         "from fractions import Fraction as F\n"
         "from brauer_kl import combinat, oracle, params, specht\n"
         "guarded = [\n"
-        "    lambda: params.extend_parameters([F(0)], [4], [0, 6], 2),\n"
+        "    lambda: params.extend_parameters([F(0)], [0], 2),\n"
         "    lambda: params.build_config([F(0)], 2, q=[4, 4]),\n"
         "    lambda: combinat.step_node(((),), ((2,),)),\n"
         "    lambda: combinat.content_sequence(((), ((1,),)), [F(0)]),\n"
@@ -197,7 +196,7 @@ def test_guards_raise_value_error_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "refused: p must be the prefix sums of q = (4,), got (0, 6)",
+        "refused: q must be 1 positive block size(s), got (0,)",
         "refused: expected 1 block size(s), got 2",
         "refused: ((),) and ((2,),) do not differ by one box",
         "refused: component count must match parameter count",
@@ -228,10 +227,10 @@ def test_config_is_hashable_and_frozen():
 @settings(deadline=None)
 @given(rationals, st.integers(min_value=1, max_value=3))
 def test_selected_blocks_always_verify(u1, r):
-    q, p = select_block_sizes([u1], 1, r)
-    cfg = extend_parameters([u1], q, p, r)
+    q = select_block_sizes([u1], r)
+    cfg = extend_parameters([u1], q, r)
     assert q[0] >= 2 * r and q[0] % 2 == 0
-    assert q[0] <= reference_block_sizes([u1], 1, r)[0][0]
+    assert q[0] <= reference_block_sizes([u1], r)[0]
     assert cfg.n % 2 == 0
     assert cfg.omega[0] == 2 * cfg.n
     assert verify_disjoint_extension(cfg)
@@ -240,10 +239,10 @@ def test_selected_blocks_always_verify(u1, r):
 @settings(deadline=None, max_examples=25)
 @given(rationals, rationals, st.integers(min_value=1, max_value=2))
 def test_selected_blocks_verify_level_two(u1, u2, r):
-    q, p = select_block_sizes([u1, u2], 2, r)
-    cfg = extend_parameters([u1, u2], q, p, r)
+    q = select_block_sizes([u1, u2], r)
+    cfg = extend_parameters([u1, u2], q, r)
     assert all(qi >= 2 * r and qi % 2 == 0 for qi in q)
-    reference, _ = reference_block_sizes([u1, u2], 2, r)
+    reference = reference_block_sizes([u1, u2], r)
     assert all(qi <= ri for qi, ri in zip(q, reference))
     assert cfg.n % 2 == 0
     assert cfg.omega[0] == 2 * cfg.n
@@ -289,33 +288,78 @@ def report_outcome(u, r, q, assume_saturated):
 )
 def test_reports_do_not_depend_on_the_block_sizes(u, r, assume_saturated):
     u = [F(x) for x in u]
-    q, _ = select_block_sizes(u, len(u), r)
-    reference, _ = reference_block_sizes(u, len(u), r)
+    q = select_block_sizes(u, r)
+    reference = reference_block_sizes(u, r)
     assert all(qi <= ri for qi, ri in zip(q, reference))
     assert report_outcome(u, r, q, assume_saturated) == report_outcome(
         u, r, reference, assume_saturated
     )
 
 
-def test_psi_sets_agrees_with_the_whole_weight_check(monkeypatch):
-    # psi_sets checks only the two reflected coordinates; on every chamber
-    # weight the selection tries over the grid, the whole reflected weight
-    # is the reference
-    tried, psi_sets = [], weights.psi_sets
-    monkeypatch.setattr(
-        weights, "psi_sets", lambda lam, ctx: tried.append((lam, ctx)) or psi_sets(lam, ctx)
+# (u, r): level three, over linked and unlinked triples
+K3_SLICE = [
+    (triple, r)
+    for r in (1, 2, 3)
+    for triple in (
+        ("0", "1/2", "1/4"), ("0", "1/3", "2/3"), ("1", "2", "3"), ("5", "1", "0"),
+        ("1/2", "-1/2", "3/2"), ("2", "-1", "1/3"), ("1/5", "9/7", "2/11"),
     )
-    for u, r in dict.fromkeys((u, r) for u, r, _ in Q_INVARIANCE_GRID):
-        select_block_sizes([F(x) for x in u], len(u), r)
-    rejected = 0
-    for lam, ctx in tried:
-        x = weights.shift(lam)
-        psi, psi_pp = psi_sets(lam, ctx)
-        assert psi_pp == {
-            beta for beta in psi if blockwise_regular(weights.reflect(x, beta), ctx)
-        }
-        rejected += bool(psi_pp)
-    assert rejected > 0  # some candidates admit a doubly-regular reflection
+]
+SELECTION_GRID = list(dict.fromkeys([(u, r) for u, r, _ in Q_INVARIANCE_GRID] + K3_SLICE))
+
+
+@pytest.fixture(scope="module")
+def tried_candidates():
+    """Every (u, q, r) the selection checks over the selection grid."""
+    tried = []
+    check = verify_block_sizes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            brauer_kl.params, "verify_block_sizes",
+            lambda u, q, r: tried.append((u, q, r)) or check(u, q, r),
+        )
+        for u, r in SELECTION_GRID:
+            select_block_sizes([F(x) for x in u], r)
+    return tried
+
+
+def test_integer_verdict_matches_the_fraction_route(tried_candidates):
+    # on every candidate: the chamber numerators are scale * (lambda_c + rho),
+    # the integral reflections are psi with its doubly-regular subset, the
+    # saturation test reads the same roots, and the verdict is the
+    # Fraction route's
+    verdicts = Counter()
+    for u, q, r in tried_candidates:
+        cfg = extend_parameters(u, q, r)
+        ctx = weights.context_of(cfg)
+        scale, x = weights.shifted_chamber(u, q)
+        assert x == tuple(scale * a for a in shift(weights.lambda_c(cfg)))
+        assert scale == lcm(*(c.denominator for c in cfg.c))
+        psi, psi_pp = psi_sets(weights.lambda_c(cfg), ctx)
+        assert Counter(weights.integral_reflections(scale, x, ctx)) == Counter(
+            (beta.kind, beta in psi_pp) for beta in psi
+        )
+        assert weights.phiA_condition(scale, x, ctx) == all(b.kind == "plus" for b in psi)
+        verdict = verify_block_sizes(u, q, r)
+        assert verdict == fraction_route_verifies(u, q, r)
+        verdicts[verdict, bool(psi_pp)] += 1
+    # candidates fail both ways: a doubly-regular reflection, and
+    # parameters that are not r-disjoint
+    assert verdicts.keys() == {(True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize(
+    "u, r",
+    SELECTION_GRID + [(("30",), 3)],
+    ids=[f"{','.join(u)}-r{r}" for u, r in SELECTION_GRID + [(("30",), 3)]],
+)
+def test_the_largest_base_always_verifies(u, r):
+    # the reference rule asserts that its base verifies on the Fraction
+    # route; the selection stops there at the latest
+    u = [F(x) for x in u]
+    reference = reference_block_sizes(u, r)
+    assert verify_block_sizes(u, reference, r)
+    assert all(qi <= ri for qi, ri in zip(select_block_sizes(u, r), reference))
 
 
 def test_delta_u_dictionary():

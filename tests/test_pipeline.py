@@ -20,7 +20,7 @@ from brauer_kl.pipeline import (
     tilting_decomposition,
 )
 from brauer_kl.weights import family_table, tilde
-from verify_routes import in_F_rk, updown_count
+from verify_routes import in_F_rk, rank, updown_count
 
 F = Fraction
 
@@ -273,7 +273,6 @@ def test_simple_dimensions_frozen_r3(delta):
 def test_simple_dimensions_match_oracle_gram_ranks(delta):
     # the simple of a cell module is the quotient by the Gram radical, so
     # its dimension is the rank of the Gram form
-    from brauer_kl.linalg import rank
     from brauer_kl.oracle import CellModule
 
     cfg = build_config([u_from_delta(delta)], 3)
@@ -457,6 +456,9 @@ GOLDEN_REPORT_SHA256 = {
     # prefix sums and psi_sets still checked every coordinate of a reflection
     ("0,1/2,1/4", 3, False): "6bcacad5c0b296f39d7b2d455bee477db570290b0e64c9d20029faaeaedf7b47",
     ("30", 3, False): "7591a1d067008702d2f435a5832289a31108432a6a9b611104483aeef373a3b2",
+    # block-size selection at u = 100 (q = 204), recorded while the psi++
+    # verdict and the saturation test still paired Fraction weights
+    ("100", 3, False): "bbc9ef45121df2e7820abe9bbb9161ef6447f0b5b040e34450553eb150430723",
 }
 
 

@@ -23,17 +23,23 @@ from brauer_kl.weights import (
     enumerate_F,
     family_table,
     hat,
+    integral_reflections,
     is_singular,
     lambda_c,
     pairing,
     phiA_condition,
+    rho,
+    shifted_chamber,
+    tilde,
+)
+from verify_routes import (
+    blockwise_regular,
+    in_F_r,
+    in_F_rk,
     positive_roots,
     psi_sets,
     reflect,
-    rho,
-    tilde,
 )
-from verify_routes import blockwise_regular, in_F_r, in_F_rk
 
 F = Fraction
 
@@ -116,6 +122,7 @@ def test_psi_sets_empty_at_chamber_weight():
     ctx = context_of(cfg)
     psi, psi_pp = psi_sets(lambda_c(cfg), ctx)
     assert psi == set() and psi_pp == set()
+    assert list(integral_reflections(*shifted_chamber(cfg.u, cfg.q), ctx)) == []
 
 
 def test_psi_sets_positive_pairing_without_double_regularity():
@@ -131,11 +138,14 @@ def test_psi_sets_positive_pairing_without_double_regularity():
     assert beta in psi
     assert beta not in psi_pp
     assert psi_pp == set()
+    found = list(integral_reflections(*shifted_chamber(cfg.u, cfg.q), ctx))
+    assert ("plus", False) in found and len(found) == len(psi)
 
 
 def test_phiA_vacuous_at_level_one():
     cfg = build_config([F(5, 2)], 3)
-    assert phiA_condition(lambda_c(cfg), context_of(cfg)) is True
+    assert phiA_condition(*shifted_chamber(cfg.u, cfg.q), context_of(cfg)) is True
+
 
 
 def test_delta_of_chamber_weight_is_zero():

@@ -8,8 +8,17 @@ to compile it:
 * ``in_F_r``/``in_F_rk``: membership of a ``Fraction`` weight in the family
   F_r and its level part, decided through ``tilde``;
 * ``blockwise_regular``: pairwise-distinct entries within every block, read
-  off the whole weight (``weights.psi_sets`` checks two coordinates);
-* ``mat_mul``/``mat_vec``: exact dense products;
+  off the whole weight (``weights.integral_reflections`` checks the two
+  coordinates a reflection moves);
+* ``shift``, ``reflect``, ``positive_roots`` and ``psi_sets``: the
+  positively paired non-Levi roots of a ``Fraction`` weight and their
+  doubly-regular subset, root by root over all n(n-1) positive roots (the
+  package reads both verdicts off the integer numerators of
+  ``weights.shifted_chamber``);
+* ``is_r_disjoint``/``verify_disjoint_extension``: r-disjointness of the
+  extended parameters on ``Fraction``s (``params.verify_block_sizes`` reads
+  it off the chamber numerators);
+* ``mat_mul``/``mat_vec``: exact dense products; ``rank`` and ``trace``;
 * ``has_nonnegative_coeffs``: a Laurent polynomial with no negative
   coefficient;
 * ``BarInvolution``: the bar involution on a canonical-basis engine's
@@ -24,11 +33,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from typing import Iterator
+
 from brauer_kl.combinat import Multipartition, size, updown_count_table
 from brauer_kl.kl import CanonicalBasisEngine, IdVector, NVector
 from brauer_kl.laurent import LaurentPoly
+from brauer_kl.linalg import rref
 from brauer_kl.params import ParamConfig
-from brauer_kl.weights import Weight, WeightContext, tilde
+from brauer_kl.weights import Root, Weight, WeightContext, pairing, rho, tilde
 
 
 def updown_count(a: int, r: int, shape: Multipartition) -> int:
@@ -59,6 +71,72 @@ def blockwise_regular(x: Weight, ctx: WeightContext) -> bool:
     return all(len(set(x[start:end])) == end - start for start, end in ctx.blocks())
 
 
+def shift(mu: Weight) -> Weight:
+    """The shifted weight mu + rho."""
+    return tuple(a + b for a, b in zip(mu, rho(len(mu))))
+
+
+def reflect(x: Weight, beta: Root) -> Weight:
+    y = list(x)
+    if beta.kind == "minus":
+        y[beta.i], y[beta.j] = y[beta.j], y[beta.i]
+    else:
+        y[beta.i], y[beta.j] = -y[beta.j], -y[beta.i]
+    return tuple(y)
+
+
+def positive_roots(n: int) -> Iterator[Root]:
+    for i in range(n):
+        for j in range(i + 1, n):
+            yield Root(i, j, "minus")
+            yield Root(i, j, "plus")
+
+
+def psi_sets(lam: Weight, ctx: WeightContext) -> tuple[set[Root], set[Root]]:
+    """The positively-paired non-Levi roots and their doubly-regular subset.
+
+    The first set collects beta outside the Levi with <lam+rho, beta-coroot>
+    a positive integer; the second keeps those whose reflection of lam+rho
+    still has pairwise-distinct entries within every block, read off the
+    whole reflected weight.
+    """
+    x = shift(lam)
+    psi: set[Root] = set()
+    for beta in positive_roots(ctx.n):
+        if beta.kind == "minus" and ctx.block_of(beta.i) == ctx.block_of(beta.j):
+            continue  # Levi root
+        val = pairing(x, beta)
+        if val.denominator == 1 and val > 0:
+            psi.add(beta)
+    return psi, {beta for beta in psi if blockwise_regular(reflect(x, beta), ctx)}
+
+
+def is_r_disjoint(a: Fraction, b: Fraction, r: int) -> bool:
+    """True iff both a+b and a-b are non-integral or of absolute value >= r.
+
+    >>> is_r_disjoint(Fraction(5), Fraction(1), 3)
+    True
+    >>> is_r_disjoint(Fraction(2), Fraction(1), 3)
+    False
+    """
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    a, b = Fraction(a), Fraction(b)
+    for val in (a + b, a - b):
+        if val.denominator == 1 and abs(val) < r:
+            return False
+    return True
+
+
+def verify_disjoint_extension(cfg: ParamConfig) -> bool:
+    """Each extended parameter must be r-disjoint from all earlier ones."""
+    for j in range(cfg.k, 2 * cfg.k):
+        for i in range(j):
+            if not is_r_disjoint(cfg.u_ext[j], cfg.u_ext[i], cfg.r):
+                return False
+    return True
+
+
 def mat_mul(a, b) -> list[list[Fraction]]:
     if not a or not b:
         return []
@@ -71,6 +149,14 @@ def mat_mul(a, b) -> list[list[Fraction]]:
 
 def mat_vec(a, x) -> list[Fraction]:
     return [sum((ai * xi for ai, xi in zip(row, x)), Fraction(0)) for row in a]
+
+
+def rank(rows) -> int:
+    return len(rref(rows)[1])
+
+
+def trace(rows) -> Fraction:
+    return sum((rows[i][i] for i in range(len(rows))), Fraction(0))
 
 
 def has_nonnegative_coeffs(p: LaurentPoly) -> bool:
