@@ -133,8 +133,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
         digest = hashlib.sha256(args.u.encode()).hexdigest()[:8]
         out_path = os.path.join(out_path, f"decomp_k{args.k}_r{args.r}_{digest}.{args.format}")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
+        return 2
     print(out_path)
     return 0
 

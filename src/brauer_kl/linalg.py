@@ -7,8 +7,10 @@ eliminated as ``p*row - f*pivot_row`` and then divided by the gcd of its
 entries, so the work stays on machine-speed Python ints (Bareiss, Math.
 Comp. 22, 1968, for integer-preserving elimination).  ``Fraction``s are
 built once, for the returned reduced row-echelon form, which is unique, so
-the results are exact.  No floating point anywhere; the systems solved here
-(Gram matrices, radical bases, character systems) stay in the low hundreds.
+the results are exact.  No floating point anywhere.  Every system here is
+the diagram oracle's, and they stay in the low hundreds: ``nullspace`` takes
+each cell module's Gram radical, and ``solve`` the one character system per
+decomposition matrix.
 
 >>> from fractions import Fraction as F
 >>> nullspace([[F(1), F(2)], [F(2), F(4)]])

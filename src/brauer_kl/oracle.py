@@ -3,20 +3,23 @@
 Ground truth for the single-parameter algebra B_r(delta) at r <= 5: diagrams
 are perfect matchings on r top and r bottom points, multiplication is
 concatenation with closed loops traded for powers of delta, and cell modules
-are spanned by half-diagrams (f disjoint top arcs) tensored with Specht
-vectors of the symmetric group on the r - 2f free points.  ``multiply`` is
-the one strand walker: a half-diagram is written as a diagram whose free
-points run straight to the other row, so the cell action is the product of a
-diagram over a half-diagram, and the Gram form's gluing of two half-diagrams
-is the product of one turned upside down over the other.  The decomposition
-matrix is computed from exact character identities: the character of each
-cell module and of each Gram-quotient simple is evaluated on one diagram per
-class under conjugation by the permutation diagrams (a character is a trace
-and those diagrams are units, so it is constant on each class), and the
-integer multiplicities solve the resulting linear system (characters of
-pairwise non-isomorphic simples are linearly independent in characteristic
-zero).  The Gram radical is checked to be invariant under the generators
-s_1, ..., s_{r-1} and e_1, which is invariance under the whole algebra.
+are spanned by half-diagrams (f disjoint top arcs) tensored with the standard
+tableaux, Young's seminormal basis, of a Specht module of the symmetric group
+on the r - 2f free points.  ``multiply`` is the one strand walker: a
+half-diagram is written as a diagram whose free points run straight to the
+other row, so the cell action is the product of a diagram over a
+half-diagram, and the Gram form's gluing of two half-diagrams is the product
+of one turned upside down over the other; their gluing permutation tau enters
+the form as norm(T_i) times the (i, j) entry of tau's matrix, from the Specht
+module's diagonal invariant form.  The decomposition matrix is computed from
+exact character identities: the character of each cell module and of each
+Gram-quotient simple is evaluated on one diagram per class under conjugation
+by the permutation diagrams (a character is a trace and those diagrams are
+units, so it is constant on each class), and the integer multiplicities solve
+the resulting linear system (characters of pairwise non-isomorphic simples
+are linearly independent in characteristic zero).  The Gram radical is
+checked to be invariant under the generators s_1, ..., s_{r-1} and e_1, which
+is invariance under the whole algebra.
 
 All of this is deliberately independent of the weight/KL machinery: nothing
 here imports from the canonical-basis side, so agreement between the two is
@@ -329,23 +332,17 @@ class CellModule:
 
     def gram_matrix(self) -> list[list[Fraction]]:
         """The form on cap block pairs: delta^loops times the Specht block
-        <b_i, tau b_j> of their gluing permutation tau, one block per tau."""
-        specht, sdim = self.specht, self.sdim
+        <T_i, tau T_j> = norm(T_i) (A_tau)_ij of their gluing permutation tau."""
+        sdim = self.sdim
         G = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        blocks: dict[tuple[int, ...], list[list[Fraction]]] = {}
         for ci, S in enumerate(self.caps):
             for cj, T in enumerate(self.caps):
                 glued = glue_caps(S, T, self.r)
                 if glued is None:
                     continue
                 loops, tau = glued
-                block = blocks.get(tau)
-                if block is None:
-                    moved = [specht.act_tabloid_vector(tau, b) for b in specht.basis]
-                    block = [[specht.pairing(a, b) for b in moved] for a in specht.basis]
-                    blocks[tau] = block
                 scale = self.delta**loops
-                for i, row in enumerate(block):
+                for i, row in enumerate(self.specht.form_block(tau)):
                     G[ci * sdim + i][cj * sdim : (cj + 1) * sdim] = [scale * x for x in row]
         return G
 

@@ -1,16 +1,20 @@
-"""Exact Specht modules for small symmetric groups.
+"""Exact Specht modules for small symmetric groups, in Young's seminormal form.
 
-Everything is done over the rationals in the tabloid model: the permutation
-module M^shape has the row-equivalence classes of fillings (tabloids) as an
-orthonormal basis, a polytabloid is the signed column-group sum of a tabloid,
-and the Specht module is spanned by the polytabloids of standard tableaux.
-Permutations act by relabeling tabloid entries; the action matrix on the
-standard-polytabloid basis is recovered by exact linear solves against the
-polytabloid columns, once per permutation.  Characters need no matrix: the
-Murnaghan–Nakayama rule gives them as integers, once per (shape, cycle
-type).  The bilinear form is the tabloid inner product restricted to the
-Specht span — degenerate exactly where the classical theory says it should
-be, which is what the diagram-algebra oracle consumes.
+The basis is the standard tableaux of the shape.  The adjacent transposition
+s_e, swapping entries e and e + 1, acts from contents c(x) = column - row of
+x's box (James–Kerber, *The Representation Theory of the Symmetric Group*,
+1981; Okounkov–Vershik, Selecta Math. 2, 1996): it fixes T when e and e + 1
+share a row, negates it when they share a column, and otherwise, for the
+pair {T, T' = s_e T} with e in the higher row of T and d = c(e + 1) - c(e),
+
+    s_e T = (1/d) T + T',    s_e T' = (1 - 1/d^2) T - (1/d) T'.
+
+Every other permutation's matrix is a product of these along one descent.
+The invariant form is diagonal, norm(T') = (1 - 1/d^2) norm(T); such a form
+on an absolutely irreducible module is unique up to a scalar, so its Gram
+radicals are those of any other model, which is what the diagram-algebra
+oracle consumes.  Characters need no matrix: the Murnaghan–Nakayama rule
+gives them as integers, once per (shape, cycle type).
 
 Entries are 0-based throughout; a permutation is a tuple ``p`` with ``p[i]``
 the image of ``i``.
@@ -20,34 +24,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
 
-from .linalg import solve
-
-Tabloid = tuple[tuple[int, ...], ...]
 Tableau = tuple[tuple[int, ...], ...]
 Perm = tuple[int, ...]
-
-
-def perm_sign(p: Perm) -> int:
-    """Sign of a permutation given as an image tuple.
-
-    >>> perm_sign((1, 0, 2))
-    -1
-    """
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+Generator = tuple[list[int], list[Fraction], list[Fraction]]  # partner, diagonal, off
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
@@ -99,30 +79,6 @@ def murnaghan_nakayama(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     return total
 
 
-def canonical_tabloid(rows: Tableau) -> Tabloid:
-    return tuple(tuple(sorted(row)) for row in rows)
-
-
-def tabloids(shape: tuple[int, ...]) -> list[Tabloid]:
-    """All tabloids of the given shape on {0, ..., sum(shape)-1}.
-
-    >>> len(tabloids((2, 1)))
-    3
-    """
-    m = sum(shape)
-
-    def fill(remaining: frozenset[int], rows: tuple[tuple[int, ...], ...], level: int):
-        if level == len(shape):
-            yield rows
-            return
-        from itertools import combinations
-
-        for chosen in combinations(sorted(remaining), shape[level]):
-            yield from fill(remaining - set(chosen), rows + (chosen,), level + 1)
-
-    return list(fill(frozenset(range(m)), (), 0))
-
-
 def standard_tableaux(shape: tuple[int, ...]) -> list[Tableau]:
     """Row- and column-strict fillings with 0..m-1.
 
@@ -149,33 +105,28 @@ def standard_tableaux(shape: tuple[int, ...]) -> list[Tableau]:
     return out
 
 
-def polytabloid(t: Tableau) -> dict[Tabloid, int]:
-    """Signed column-group orbit sum of the tableau's tabloid."""
-    m = sum(len(row) for row in t)
-    ncols = max((len(row) for row in t), default=0)
-    columns = [
-        [t[i][j] for i in range(len(t)) if len(t[i]) > j] for j in range(ncols)
-    ]
-    out: dict[Tabloid, int] = {}
-    def sweep(col_idx: int, mapping: list[int], sign: int) -> None:
-        if col_idx == len(columns):
-            rows = tuple(tuple(mapping[e] for e in row) for row in t)
-            key = canonical_tabloid(rows)
-            out[key] = out.get(key, 0) + sign
-            if out[key] == 0:
-                del out[key]
-            return
-        col = columns[col_idx]
-        for images in permutations(col):
-            s = perm_sign(tuple(col.index(x) for x in images))
-            for src, dst in zip(col, images):
-                mapping[src] = dst
-            sweep(col_idx + 1, mapping, sign * s)
-        for x in col:
-            mapping[x] = x
+def seminormal_generator(standard: list[Tableau], e: int) -> Generator:
+    """Young's seminormal matrix of s_e on the ``standard`` basis, by columns.
 
-    sweep(0, list(range(m)), 1)
-    return out
+    Column j is s_e T_j = diagonal[j] T_j + off[j] T_partner[j], by the rule
+    above; partner[j] is j and off[j] is 0 when s_e only signs T_j.
+
+    >>> seminormal_generator(standard_tableaux((2, 1)), 1)
+    ([1, 0], [Fraction(-1, 2), Fraction(1, 2)], [Fraction(1, 1), Fraction(3, 4)])
+    """
+    index = {t: j for j, t in enumerate(standard)}
+    swap = {e: e + 1, e + 1: e}
+    columns = []
+    for j, t in enumerate(standard):
+        place = {x: (row, col) for row, entries in enumerate(t) for col, x in enumerate(entries)}
+        (ra, ca), (rb, cb) = place[e], place[e + 1]
+        if ra == rb or ca == cb:
+            columns.append((j, Fraction(1 if ra == rb else -1), Fraction(0)))
+            continue
+        d = Fraction(cb - rb - (ca - ra))  # c(e + 1) - c(e) in T_j
+        image = index[tuple(tuple(swap.get(x, x) for x in row) for row in t)]
+        columns.append((image, 1 / d, Fraction(1) if ra < rb else 1 - 1 / d**2))
+    return tuple(map(list, zip(*columns)))  # partner, diagonal, off
 
 
 class SpechtModule:
@@ -186,56 +137,59 @@ class SpechtModule:
             raise ValueError(f"not a partition: {shape}")
         self.shape = tuple(shape)
         self.m = sum(shape)
-        self.tabloid_list = tabloids(self.shape)
-        self.tabloid_index = {tb: i for i, tb in enumerate(self.tabloid_list)}
         self.standard = standard_tableaux(self.shape)
-        self.basis = [polytabloid(t) for t in self.standard]
-        self.dim = len(self.basis)
-        self._matrix = [
-            [Fraction(self.basis[j].get(tb, 0)) for j in range(self.dim)]
-            for tb in self.tabloid_list
-        ]
-        self._action_memo: dict[Perm, list[list[Fraction]]] = {}
+        self.dim = len(self.standard)
+        self.generators = [seminormal_generator(self.standard, e) for e in range(self.m - 1)]
+        self.norms = self._walk_norms()
+        identity = [[Fraction(int(i == j)) for j in range(self.dim)] for i in range(self.dim)]
+        self._action_memo: dict[Perm, list[list[Fraction]]] = {tuple(range(self.m)): identity}
 
-    # -- vectors in the tabloid model ----------------------------------
-
-    def act_tabloid_vector(self, p: Perm, vec: dict[Tabloid, Fraction]) -> dict[Tabloid, Fraction]:
-        out: dict[Tabloid, Fraction] = {}
-        for tb, coeff in vec.items():
-            image = canonical_tabloid(tuple(tuple(p[e] for e in row) for row in tb))
-            out[image] = out.get(image, Fraction(0)) + coeff
-        return {tb: c for tb, c in out.items() if c}
-
-    def coordinates(self, vecs: list[dict[Tabloid, Fraction]]) -> list[list[Fraction]]:
-        """Exact expansions of Specht-span vectors in the standard basis, all
-        from one elimination."""
-        rhs = [[vec.get(tb, 0) for tb in self.tabloid_list] for vec in vecs]
-        coords = solve(self._matrix, rhs)
-        if any(c is None for c in coords):
-            raise AssertionError("vector is not in the Specht span")
-        return coords
+    def _walk_norms(self) -> list[Fraction]:
+        """The diagonal invariant form, norm(T_i) G[i][j] = norm(T_j) G[j][i]
+        for every generator G, walked from norm 1 on the first tableau; a
+        tableau reached again along another path must get the same norm."""
+        norms: list[Fraction | None] = [Fraction(1)] + [None] * (self.dim - 1)
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for partner, _, off in self.generators:
+                j = partner[i]
+                if j == i:
+                    continue
+                value = norms[i] * off[j] / off[i]
+                if norms[j] is None:
+                    norms[j] = value
+                    stack.append(j)
+                elif norms[j] != value:
+                    raise AssertionError("the seminormal generators admit no invariant form")
+        return norms
 
     def action_matrix(self, p: Perm) -> list[list[Fraction]]:
-        """Matrix of p on the standard basis, memoized per permutation.
+        """Matrix of p on the standard basis, memoised per permutation and
+        shared between callers, who must not mutate it.
 
-        The result is shared between callers and must not be mutated.
+        At p's first descent e (p[e] > p[e + 1]), p = q s_e with q one
+        inversion shorter, so A_p = A_q A_{s_e}, one column pair at a time.
         """
         mat = self._action_memo.get(p)
         if mat is None:
-            cols = self.coordinates([self.act_tabloid_vector(p, vec) for vec in self.basis])
-            mat = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+            e = next(e for e in range(len(p) - 1) if p[e] > p[e + 1])
+            partner, diagonal, off = self.generators[e]
+            rows = self.action_matrix(p[:e] + (p[e + 1], p[e]) + p[e + 2 :])
+            mat = [
+                [row[j] * diagonal[j] + row[partner[j]] * off[j] for j in range(self.dim)]
+                for row in rows
+            ]
             self._action_memo[p] = mat
         return mat
+
+    def form_block(self, p: Perm) -> list[list[Fraction]]:
+        """<T_i, p T_j> for the invariant form: diag(norms) times A_p."""
+        return [[n * x for x in row] for n, row in zip(self.norms, self.action_matrix(p))]
 
     def character(self, p: Perm) -> int:
         """Trace of the permutation on the module, by Murnaghan–Nakayama."""
         return murnaghan_nakayama(self.shape, cycle_type(p))
-
-    def pairing(self, v1: dict[Tabloid, Fraction], v2: dict[Tabloid, Fraction]) -> Fraction:
-        """Tabloid inner product (tabloids orthonormal)."""
-        if len(v2) < len(v1):
-            v1, v2 = v2, v1
-        return sum((c * v2.get(tb, Fraction(0)) for tb, c in v1.items()), Fraction(0))
 
 
 @cache

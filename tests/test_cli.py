@@ -107,6 +107,14 @@ def test_decompose_writes_named_file(capsys, tmp_path):
     assert out.strip() == os.path.join(str(tmp_path), f"decomp_k1_r2_{digest}.csv")
 
 
+def test_decompose_unwritable_out_is_one_error_line(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "x.json")
+    code, out, err = run(capsys, "decompose", "--k", "1", "--r", "3", "--u", "3/2", "--out", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_decompose_saturation_gate(capsys):
     code, _, err = run(capsys, "decompose", "--k", "2", "--r", "2", "--u", "5,1")
     assert code == 3

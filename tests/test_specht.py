@@ -11,14 +11,7 @@ import pytest
 
 import brauer_kl
 from brauer_kl.combinat import partitions
-from brauer_kl.specht import (
-    cycle_type,
-    perm_sign,
-    polytabloid,
-    specht_module,
-    standard_tableaux,
-    tabloids,
-)
+from brauer_kl.specht import cycle_type, specht_module, standard_tableaux
 from verify_routes import mat_mul, rank, trace
 
 
@@ -33,33 +26,16 @@ def hook_length_dim(shape):
     return math.factorial(m) // prod
 
 
-def test_perm_sign():
-    assert perm_sign((0, 1, 2)) == 1
-    assert perm_sign((1, 0, 2)) == -1
-    assert perm_sign((1, 2, 0)) == 1
-
-
 def test_cycle_type():
     assert cycle_type((0, 1, 2)) == (1, 1, 1)
     assert cycle_type((1, 0, 2)) == (2, 1)
     assert cycle_type((1, 2, 0)) == (3,)
 
 
-def test_tabloid_count_is_multinomial():
-    assert len(tabloids((2, 1))) == 3
-    assert len(tabloids((2, 2))) == 6
-
-
 @pytest.mark.parametrize("shape", [(1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2), (2, 1, 1)])
 def test_dimension_matches_hook_length_formula(shape):
     assert len(standard_tableaux(shape)) == hook_length_dim(shape)
     assert specht_module(shape).dim == hook_length_dim(shape)
-
-
-def test_polytabloid_of_column_shape_alternates():
-    t = ((0,), (1,))
-    v = polytabloid(t)
-    assert sorted(v.values()) == [-1, 1]
 
 
 def test_sum_of_squares_is_group_order():
@@ -121,7 +97,7 @@ def test_characters_are_traces_of_the_action(m):
 
 
 def form_matrix(sm):
-    return [[sm.pairing(a, b) for b in sm.basis] for a in sm.basis]
+    return [[sm.norms[i] if i == j else Fraction(0) for j in range(sm.dim)] for i in range(sm.dim)]
 
 
 def test_form_matrix_is_symmetric_and_nondegenerate_over_q():
@@ -133,12 +109,15 @@ def test_form_matrix_is_symmetric_and_nondegenerate_over_q():
 
 
 def test_form_is_invariant_under_the_action():
-    sm = specht_module((2, 1))
-    p = (2, 0, 1)
-    for v1 in sm.basis:
-        for v2 in sm.basis:
-            lhs = sm.pairing(sm.act_tabloid_vector(p, v1), sm.act_tabloid_vector(p, v2))
-            assert lhs == sm.pairing(v1, v2)
+    """A_p^T D A_p = D, read as A_p^T form_block(p) = D, for every p at m <= 4."""
+    for m in range(5):
+        for shape in partitions(m):
+            sm = specht_module(shape)
+            assert all(sm.norms)
+            for p in itertools.permutations(range(m)):
+                a = sm.action_matrix(p)
+                transposed = [[a[j][i] for j in range(sm.dim)] for i in range(sm.dim)]
+                assert mat_mul(transposed, sm.form_block(p)) == form_matrix(sm), (shape, p)
 
 
 def test_action_matrix_is_memoised_per_permutation():
@@ -147,13 +126,22 @@ def test_action_matrix_is_memoised_per_permutation():
     assert sm.action_matrix(p) is sm.action_matrix(p)
 
 
-def test_span_check_survives_python_O():
+def test_norm_walk_check_survives_python_O():
+    """One corrupted coefficient of s_1 on (3, 2), whose tableau graph has a
+    square through that edge: the norm walk meets two values and refuses."""
     src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
     code = (
         "from brauer_kl import specht\n"
-        "specht.solve = lambda matrix, columns: [None] * len(columns)  # none in the span\n"
+        "exact = specht.seminormal_generator\n"
+        "def corrupted(standard, e):\n"
+        "    partner, diagonal, off = exact(standard, e)\n"
+        "    if e == 1:\n"
+        "        j = next(j for j, i in enumerate(partner) if i != j)\n"
+        "        off[j] *= 2\n"
+        "    return partner, diagonal, off\n"
+        "specht.seminormal_generator = corrupted\n"
         "try:\n"
-        "    specht.specht_module((2, 1)).action_matrix((1, 0, 2))\n"
+        "    specht.SpechtModule((3, 2))\n"
         "except AssertionError as exc:\n"
         "    print('refused:', exc)\n"
     )
@@ -164,4 +152,4 @@ def test_span_check_survives_python_O():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "refused: vector is not in the Specht span\n"
+    assert proc.stdout == "refused: the seminormal generators admit no invariant form\n"
