@@ -196,37 +196,43 @@ SELFTEST_BATTERY = (("0", 3), ("1/3", 2), ("3/2", 2), ("1/5,9/7", 2))
 
 def cmd_kl_selftest(args: argparse.Namespace) -> int:
     """Built-in battery: bijections and the family table, content identity,
-    peel stability.  Each failed check prints one indented reason line."""
+    peel stability.  Each failed or raising check prints one reason line."""
     from . import combinat, params, pipeline, weights
+
+    def bijection(cfg, family):
+        table = weights.family_table(cfg)
+        for i, x in enumerate(family):
+            idx = weights.tilde(x, cfg)
+            label = combinat.family_label(idx)
+            if weights.hat(idx, cfg) != x:
+                return f"hat(tilde) does not return the weight at position {i} ({label})"
+            if (table.labels[i], table.numerators[i]) != (idx, x):
+                shown = combinat.family_label(table.labels[i])
+                return f"family table reads {shown} at position {i}, tilde gives {label}"
+
+    def content(cfg, family):
+        mismatches = pipeline.content_mismatches(cfg)
+        if mismatches:
+            return f"{len(mismatches)} walk step(s) fail the content cross-check"
+
+    def peel(cfg, family):
+        pipeline.tilting_decomposition(cfg)  # raises if the tie order matters
 
     failures = 0
     for u_text, r in SELFTEST_BATTERY:
-        u = _parse_u(u_text)
-        cfg = params.build_config(u, r)
-        reasons = []
+        cfg = params.build_config(_parse_u(u_text), r)
         family = weights.enumerate_F(r, cfg)
-        table = weights.family_table(cfg)
-        for i, mu in enumerate(family):
-            idx = weights.tilde(mu, cfg)
-            label = combinat.family_label(idx)
-            if weights.hat(idx, cfg) != mu:
-                reasons.append(f"hat(tilde) does not return the weight at position {i} ({label})")
-                break
-            if (table.labels[i], table.weights[i]) != (idx, mu):
-                shown = combinat.family_label(table.labels[i])
-                reasons.append(f"family table reads {shown} at position {i}, tilde gives {label}")
-                break
-        mismatches = pipeline.content_mismatches(cfg)
-        if mismatches:
-            reasons.append(f"{len(mismatches)} walk step(s) fail the content cross-check")
-        try:
-            pipeline.tilting_decomposition(cfg)  # raises if the tie order matters
-        except Exception as exc:
-            reasons.append(f"{type(exc).__name__}: {exc}")
+        reasons = []
+        for check in (bijection, content, peel):
+            try:
+                reason = check(cfg, family)
+            except Exception as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+            if reason:
+                reasons.append(reason)
         failures += 1 if reasons else 0
-        print(f"{'FAIL' if reasons else 'ok'}: u=({u_text}) r={r} family={len(family)}")
-        for reason in reasons:
-            print(f"  {reason}")
+        head = f"{'FAIL' if reasons else 'ok'}: u=({u_text}) r={r} family={len(family)}"
+        print("\n".join([head, *(f"  {reason}" for reason in reasons)]))
     return 0 if failures == 0 else 1
 
 

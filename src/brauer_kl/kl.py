@@ -50,10 +50,8 @@ exponent, or "fixed".
 A wall block (one vanishing pairing x_i = -x_j = a) is read off the
 canonical basis of its regular companion, whose tokens split the doubled
 value into a+1 and a.  Each support entry folds onto the wall by the signs
-of those two tokens alone (:func:`singular_reduction_table`).  Blocks also
-carry their members as ``Fraction`` weights for their readers; the engine
-and the tables never read them, and a refusal names its weight through
-``weights.weight_name``.
+of those two tokens alone (:func:`singular_reduction_table`).  A refusal
+names its weight as mu through ``weights.weight_name``.
 
 Blocks are linkage classes: weights sharing, per integrality class of the
 token values, the multiset of absolute values of x = mu + rho together with
@@ -77,6 +75,7 @@ from .weights import (
     dominance_sort_key,
     is_singular,
     weight_name,
+    weight_of,
 )
 
 NVector = dict[Numerators, LaurentPoly]
@@ -152,10 +151,10 @@ def singular_pairs(x: Sequence) -> list[tuple[int, int]]:
 
     Each pair is a reflection s_{e_i + e_j} fixing x; the pairing with that
     root is 0, hence integral, so any such pair makes x singular for the
-    integral Weyl group.  (Equal coordinates cannot occur: weights here are
-    strictly decreasing within every context block, and cross-block integer
-    coincidences are excluded by the disjointness the parameter module
-    enforces.)
+    integral Weyl group.  Weights are strictly decreasing within every
+    context block, but two blocks may share a coordinate once saturation is
+    waived (``decompose --k 2 --u 0,0 --assume-saturated``); such ties are
+    not pairs here, and the tables refuse them (``_TIED_COORDINATES``).
     """
     return [
         (i, j)
@@ -169,21 +168,24 @@ class Block(NamedTuple):
     """A linkage class of parabolically dominant weights.
 
     ``numerators`` holds the members as scale * (mu + rho), sorted
-    compatibly with dominance; ``weights`` the same members mu as
-    ``Fraction`` tuples, and ``positions`` their places in the family table
-    when the block comes from :func:`partition_into_blocks`.
+    compatibly with dominance, and ``positions`` their places in the family
+    table when the block comes from :func:`partition_into_blocks`.
     """
 
     ctx: WeightContext
     key: tuple
-    weights: tuple[Weight, ...]
     numerators: tuple[Numerators, ...]
     scale: int
     positions: tuple[int, ...] = ()
 
     @property
+    def weights(self) -> tuple[Weight, ...]:
+        """The members mu, read off their numerators (for external readers)."""
+        return tuple(weight_of(x, self.scale) for x in self.numerators)
+
+    @property
     def is_singleton(self) -> bool:
-        return len(self.weights) == 1
+        return len(self.numerators) == 1
 
 
 def partition_into_blocks(family: Family) -> list[Block]:
@@ -196,9 +198,8 @@ def partition_into_blocks(family: Family) -> list[Block]:
     blocks = []
     for key, members in grouped.items():
         members.sort(key=lambda i: dominance_sort_key(family.numerators[i]))
-        weights = tuple(family.weights[i] for i in members)
         numerators = tuple(family.numerators[i] for i in members)
-        blocks.append(Block(ctx, key, weights, numerators, family.scale, tuple(members)))
+        blocks.append(Block(ctx, key, numerators, family.scale, tuple(members)))
     return blocks
 
 

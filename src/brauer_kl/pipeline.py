@@ -44,7 +44,6 @@ from .weights import (
     dominance_sort_key,
     family_table,
     is_singular,
-    lambda_c,
     phiA_condition,
     shifted_chamber,
     weight_name,
@@ -83,25 +82,26 @@ def content_mismatches(cfg: ParamConfig, shapes: list | None = None) -> list[dic
     """Compare multipartition contents against the weight-walk eigenvalues.
 
     For every walk, the content of the cell toggled at step m (with its sign)
-    must equal  sigma * nu_i + sigma * (n - i) + 1/2  computed from the weight
-    nu before the step, where i is the 1-based coordinate the step moves and
-    sigma the direction it moves in.  Returns a list of mismatch records;
-    empty means consistent.
+    must equal  sigma * x_i / scale + 1/2, where x = scale * (nu + rho) are
+    the numerators of the weight nu before the step (the walk starts at the
+    shifted chamber weight), i is the coordinate the step moves and sigma
+    the direction it moves in; the step then moves x_i by sigma * scale.
+    Returns a list of mismatch records; empty means consistent.
     """
     a = 2 * cfg.k
-    lc = lambda_c(cfg)
+    scale, chamber = shifted_chamber(cfg.u, cfg.q)
     mismatches: list[dict] = []
     if shapes is None:
         shapes = [idx.shape for idx in combinat.enumerate_lambda(a, cfg.r)]
     for shape in shapes:
         for t in combinat.updown_tableaux(a, cfg.r, shape):
             contents = combinat.content_sequence(t, cfg.u_ext)
-            nu = list(lc)
+            x = list(chamber)
             for m in range(cfg.r):
                 node, sign = combinat.step_node(t[m], t[m + 1])
                 i0, direction = _node_coordinate(node, cfg)
                 sigma = direction if sign > 0 else -direction
-                a_val = sigma * nu[i0] + sigma * (cfg.n - (i0 + 1)) + Fraction(1, 2)
+                a_val = Fraction(2 * sigma * x[i0] + scale, 2 * scale)
                 if a_val != contents[m]:
                     mismatches.append(
                         {
@@ -112,7 +112,7 @@ def content_mismatches(cfg: ParamConfig, shapes: list | None = None) -> list[dic
                             "weight_side": a_val,
                         }
                     )
-                nu[i0] += sigma
+                x[i0] += sigma * scale
     return mismatches
 
 

@@ -1,23 +1,21 @@
 """Type-D_n weight and root combinatorics with a type-A parabolic.
 
-A weight is a length-n tuple of ``Fraction`` coordinates on the standard
-basis.  A :class:`WeightContext` carries the block boundaries
-p_0 < ... < p_k; the parabolic subsystem consists of the "minus" roots
-e_i - e_j inside a block.
+A weight mu is a length-n point on the standard basis.  A
+:class:`WeightContext` carries the block boundaries p_0 < ... < p_k; the
+parabolic subsystem consists of the "minus" roots e_i - e_j inside a block.
 
-The weight family F_r of a configuration is one integer table,
-:class:`Family`, built once per command: per position a cell label and the
-numerators scale * (mu + rho) of the shifted weight over one common
-denominator, off which linkage keys, singularity, dominance and the flags are
-read.  Those numerator tuples are the one weight form from the table through
-the canonical-basis engine, its tables and the peel; any weight reached
-there, in the family or not, is such a tuple, and :func:`weight_name` turns
-one back into mu for a message.  :func:`shifted_chamber` is the one place
-rho is added: the table's base, the block-size verdict and the saturation
-test (:func:`integral_reflections`, :func:`phiA_condition`) all read its
-numerators.  ``Fraction`` weights remain in the table's ``weights`` column
-(which linkage blocks carry for their readers) and in the per-weight
-routines here: :func:`hat`, :func:`tilde` and :func:`pairing`.
+Every weight here is one integer tuple: the numerators scale * (mu + rho)
+of the shifted weight over the family's common denominator.
+:func:`shifted_chamber` is the one place rho is added: it gives the shifted
+chamber weight's numerators, which the family's rows (:func:`hat`,
+:func:`enumerate_F`), the block-size verdict and the saturation test
+(:func:`integral_reflections`, :func:`phiA_condition`) all read.  The weight
+family F_r of a configuration is one integer table, :class:`Family`, built
+once per command: per position a cell label, the numerators, off which
+linkage keys, singularity and dominance are read, and the flags.  The same
+tuples run through the canonical-basis engine, its tables and the peel; any
+weight reached there, in the family or not, is such a tuple, and
+:func:`weight_of` turns one back into mu (:func:`weight_name` for a message).
 
 Conventions:
 
@@ -42,7 +40,7 @@ from math import gcd, lcm
 from typing import Iterator, Literal, NamedTuple, Sequence
 
 from . import combinat
-from .combinat import LambdaIndex, Multipartition, Partition
+from .combinat import LambdaIndex
 from .params import ParamConfig, format_rational
 
 Weight = tuple[Fraction, ...]
@@ -101,19 +99,18 @@ def rho(n: int) -> Weight:
     return tuple(Fraction(n - 1 - i) for i in range(n))
 
 
+def weight_of(x: Numerators, scale: int) -> Weight:
+    """The weight mu = x / scale - rho read off its numerators."""
+    return tuple(Fraction(a, scale) - c for a, c in zip(x, rho(len(x))))
+
+
 def weight_name(x: Numerators, scale: int) -> str:
     """The weight mu = x / scale - rho as a tuple of rationals, for messages.
 
     >>> weight_name((5, 1, -1), 2)
     '(1/2,-1/2,-1/2)'
     """
-    mu = (Fraction(a, scale) - c for a, c in zip(x, rho(len(x))))
-    return "(" + ",".join(map(format_rational, mu)) + ")"
-
-
-def lambda_c(cfg: ParamConfig) -> Weight:
-    """The chamber weight: constant c_j on block j."""
-    return tuple(c for c, q in zip(cfg.c, cfg.q) for _ in range(q))
+    return "(" + ",".join(map(format_rational, weight_of(x, scale))) + ")"
 
 
 def pairing(x: Weight, beta: Root) -> Fraction:
@@ -123,14 +120,14 @@ def pairing(x: Weight, beta: Root) -> Fraction:
     return x[beta.i] + x[beta.j]
 
 
-def is_singular(x: Weight) -> bool:
+def is_singular(x: Sequence) -> bool:
     """Some root pairs to zero with x: two coordinates share an absolute
     value, since <x, e_i -+ e_j> = x_i -+ x_j.  A zero pairing is integral,
     so this is also singularity for the integral Weyl group."""
     return len({abs(a) for a in x}) != len(x)
 
 
-def blockwise_decreasing(x: Weight, ctx: WeightContext) -> bool:
+def blockwise_decreasing(x: Sequence, ctx: WeightContext) -> bool:
     for start, end in ctx.blocks():
         if any(x[i] <= x[i + 1] for i in range(start, end - 1)):
             return False
@@ -138,7 +135,7 @@ def blockwise_decreasing(x: Weight, ctx: WeightContext) -> bool:
 
 
 def shifted_chamber(u: Sequence[Fraction], q: Sequence[int]) -> tuple[int, Numerators]:
-    """The shifted chamber weight lambda_c + rho as ``(scale, numerators)``.
+    """The shifted chamber weight (c_j on block j) + rho as ``(scale, numerators)``.
 
     The numerators are integers over ``scale``, the least common denominator
     of the u_j - 1/2; block j's run down from scale * (u_j - 1/2) in steps
@@ -191,14 +188,6 @@ def phiA_condition(scale: int, x: Numerators, ctx: WeightContext) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def delta(mu: Weight, cfg: ParamConfig) -> tuple[int, ...]:
-    """mu - lambda_c as an integer vector; raises if not integral."""
-    d = [a - b for a, b in zip(mu, lambda_c(cfg))]
-    if any(x.denominator != 1 for x in d):
-        raise ValueError(f"weight is not an integral shift of the chamber weight: {mu}")
-    return tuple(int(x) for x in d)
-
-
 def _label_shift(idx: LambdaIndex, cfg: ParamConfig) -> tuple[int, ...]:
     """The integer shift from the chamber weight realizing a level-2k shape
     index: component j <= k is the head of block j, component j > k the tail
@@ -221,56 +210,66 @@ def _label_shift(idx: LambdaIndex, cfg: ParamConfig) -> tuple[int, ...]:
     return tuple(d)
 
 
-def hat(idx: LambdaIndex, cfg: ParamConfig) -> Weight:
-    """The weight whose shift realizes a level-2k shape index."""
-    return tuple(a + x if x else a for a, x in zip(lambda_c(cfg), _label_shift(idx, cfg)))
+def _row(idx: LambdaIndex, cfg: ParamConfig, scale: int, base: Numerators) -> Numerators:
+    """The label's numerators: ``base`` plus ``scale`` times its shift."""
+    return tuple(b + scale * d for b, d in zip(base, _label_shift(idx, cfg)))
 
 
-def tilde(mu: Weight, cfg: ParamConfig) -> LambdaIndex:
-    """The (f, shape) label of a weight in F_r; inverse of :func:`hat`.
+def hat(idx: LambdaIndex, cfg: ParamConfig) -> Numerators:
+    """The numerators of the weight whose shift realizes a level-2k shape index."""
+    return _row(idx, cfg, *shifted_chamber(cfg.u, cfg.q))
 
-    Per block, the shift's positive entries are the head and its negative
+
+def tilde(x: Numerators, cfg: ParamConfig) -> LambdaIndex:
+    """The (f, shape) label of the weight in F_r with numerators x; inverse
+    of :func:`hat`.
+
+    The shift is x minus the shifted chamber weight's numerators, over the
+    scale.  Per block, its positive entries are the head and its negative
     ones, reversed and negated, the tail."""
-    d = delta(mu, cfg)
-    heads: list[Partition] = []
-    tails: list[Partition] = []
-    for start, end in context_of(cfg).blocks():
-        block = d[start:end]
-        if any(block[i] < block[i + 1] for i in range(len(block) - 1)):
-            raise ValueError(f"weight is not in the r-shift family: {mu}")
-        heads.append(tuple(x for x in block if x > 0))
-        tails.append(tuple(-x for x in reversed(block) if x < 0))
-    total = sum(abs(x) for x in d)
-    if total > cfg.r or (cfg.r - total) % 2 != 0:
-        raise ValueError(f"weight is not in the r-shift family: {mu}")
-    shape: Multipartition = tuple(heads) + tuple(reversed(tails))
-    return LambdaIndex((cfg.r - total) // 2, shape)
+    scale, base = shifted_chamber(cfg.u, cfg.q)
+    steps = [a - b for a, b in zip(x, base)]
+    if any(s % scale for s in steps):
+        raise ValueError(
+            f"weight is not an integral shift of the chamber weight: {weight_name(x, scale)}"
+        )
+    d = [s // scale for s in steps]
+    blocks = [d[start:end] for start, end in context_of(cfg).blocks()]
+    total = sum(map(abs, d))
+    rising = any(block != sorted(block, reverse=True) for block in blocks)
+    if rising or len(x) != cfg.n or total > cfg.r or (cfg.r - total) % 2:
+        raise ValueError(f"weight is not in the r-shift family: {weight_name(x, scale)}")
+    heads = tuple(tuple(v for v in block if v > 0) for block in blocks)
+    tails = tuple(tuple(-v for v in reversed(block) if v < 0) for block in blocks)
+    return LambdaIndex((cfg.r - total) // 2, heads + tails[::-1])
 
 
-def enumerate_F(r: int, cfg: ParamConfig) -> list[Weight]:
-    """All weights with blockwise weakly decreasing integral shift of size
-    r, r-2, ... — enumerated per block as (head, tail) partition pairs.
+def enumerate_F(r: int, cfg: ParamConfig) -> list[Numerators]:
+    """The numerators of all weights with blockwise weakly decreasing
+    integral shift of size r, r-2, ... — enumerated per block as (head,
+    tail) partition pairs.
 
     Order matches ``enumerate_lambda(2k, r)`` through the labeling bijection.
     """
     if r != cfg.r:
         raise ValueError(f"r={r} is not the configuration's r={cfg.r}")
-    return [hat(idx, cfg) for idx in combinat.enumerate_lambda(2 * cfg.k, r)]
+    scale, base = shifted_chamber(cfg.u, cfg.q)
+    return [_row(idx, cfg, scale, base) for idx in combinat.enumerate_lambda(2 * cfg.k, r)]
 
 
 class Family:
     """The weight family F_r of one configuration, one row per position.
 
     Position i holds the i-th cell label of ``enumerate_lambda(2k, r)`` (the
-    order of :func:`enumerate_F`), the integers scale * (mu + rho), mu as a
-    ``Fraction`` tuple, and the flag: the number of level-2k walks to the
-    label's shape.  ``level_flag`` maps the positions of F_{r,k} (empty
-    tails), in order, to the truncated flag: the level-k walks to the head
-    shape, since a walk whose tails stay empty is a walk on the heads alone.
-    ``len()`` is the family size, which is why this is not a ``NamedTuple``.
+    order of :func:`enumerate_F`), the numerators scale * (mu + rho) of its
+    weight, and the flag: the number of level-2k walks to the label's shape.
+    ``level_flag`` maps the positions of F_{r,k} (empty tails), in order, to
+    the truncated flag: the level-k walks to the head shape, since a walk
+    whose tails stay empty is a walk on the heads alone.  ``len()`` is the
+    family size, which is why this is not a ``NamedTuple``.
     """
 
-    __slots__ = ("cfg", "labels", "scale", "numerators", "weights", "flag", "level_flag")
+    __slots__ = ("cfg", "labels", "scale", "numerators", "flag", "level_flag")
 
     def __init__(
         self,
@@ -278,12 +277,10 @@ class Family:
         labels: tuple[LambdaIndex, ...],
         scale: int,
         numerators: tuple[Numerators, ...],
-        weights: tuple[Weight, ...],
         flag: tuple[int, ...],
         level_flag: dict[int, int],
     ):
-        self.cfg, self.labels, self.scale = cfg, labels, scale
-        self.numerators, self.weights = numerators, weights
+        self.cfg, self.labels, self.scale, self.numerators = cfg, labels, scale, numerators
         self.flag, self.level_flag = flag, level_flag
 
     def __len__(self) -> int:
@@ -291,21 +288,16 @@ class Family:
 
 
 def family_table(cfg: ParamConfig) -> Family:
-    """The family table of ``cfg``, from one :func:`enumerate_F` call."""
+    """The family table of ``cfg``, its numerators from one :func:`enumerate_F` call."""
     k, r = cfg.k, cfg.r
-    weights = tuple(enumerate_F(r, cfg))
     labels = tuple(combinat.enumerate_lambda(2 * k, r))
-    scale, base = shifted_chamber(cfg.u, cfg.q)
     walks, heads = (combinat.updown_count_table(a, r) for a in (2 * k, k))
     level = [i for i, idx in enumerate(labels) if not any(idx.shape[k:])]
     return Family(
         cfg=cfg,
         labels=labels,
-        scale=scale,
-        numerators=tuple(
-            tuple(b + scale * x for b, x in zip(base, _label_shift(idx, cfg))) for idx in labels
-        ),
-        weights=weights,
+        scale=shifted_chamber(cfg.u, cfg.q)[0],
+        numerators=tuple(enumerate_F(r, cfg)),
         flag=tuple(walks.get(idx.shape, 0) for idx in labels),
         level_flag={i: heads.get(labels[i].shape[:k], 0) for i in level},
     )

@@ -360,14 +360,28 @@ def test_kl_selftest_says_why_a_case_failed(capsys, monkeypatch):
     }
 
 
+@pytest.mark.parametrize(
+    "module, name", [(weights, "tilde"), (weights, "family_table"), (pipeline, "content_mismatches")]
+)
+def test_kl_selftest_reports_a_check_that_raises(capsys, monkeypatch, module, name):
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(module, name, boom)
+    code, out, _ = run(capsys, "kl-selftest")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert len(lines) == 8
+    assert all(line.startswith("FAIL:") for line in lines[::2])
+    assert set(lines[1::2]) == {"  ValueError: boom"}
+
+
 def test_kl_selftest_checks_the_family_table(capsys, monkeypatch):
     table = weights.family_table
 
     def reversed_labels(cfg):
         f = table(cfg)
-        return weights.Family(
-            f.cfg, f.labels[::-1], f.scale, f.numerators, f.weights, f.flag, f.level_flag
-        )
+        return weights.Family(f.cfg, f.labels[::-1], f.scale, f.numerators, f.flag, f.level_flag)
 
     monkeypatch.setattr(weights, "family_table", reversed_labels)
     code, out, _ = run(capsys, "kl-selftest")
@@ -421,6 +435,43 @@ def test_oracle_compare_builds_one_engine_per_block_and_convention(capsys, engin
     code, _, _ = run(capsys, "oracle-compare", "--r", "3", "--delta", "1")
     assert code == 0
     assert 0 < engines_built[0] <= 2 * non_singleton
+
+
+# per command: the counters the benchmark tracer must read off it
+TRACED = {
+    ("decompose", "--k", "1", "--r", "3", "--u", "3/2"): {
+        "weights.family_size": 12, "kl.blocks.wall": 1, "kl.engines_built": 1,
+    },
+    ("oracle-compare", "--r", "3", "--delta=1"): {
+        "weights.family_size": 12, "kl.blocks.regular": 1, "kl.engines_built": 2,
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(TRACED), ids=[" ".join(argv) for argv in TRACED])
+def test_benchmark_tracer_runs_the_command(capsys, argv):
+    # perfbench/traced_cli.py wraps package functions by name: a rename
+    # that breaks it shows here, not only in the benchmark's own tests
+    src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
+    tracer = os.path.join(os.path.dirname(src), "perfbench", "traced_cli.py")
+    read_end, write_end = os.pipe()
+    try:
+        proc = subprocess.run(
+            [sys.executable, tracer, str(write_end), *argv],
+            capture_output=True,
+            text=True,
+            pass_fds=(write_end,),
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write_end)
+    with os.fdopen(read_end) as stats_file:
+        stats = json.loads(stats_file.read())
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and proc.stdout == out
+    counts = stats["counts"]
+    assert {name: counts.get(name) for name in TRACED[argv]} == TRACED[argv]
 
 
 MALFORMED = [

@@ -1,10 +1,13 @@
-"""The family table against the ``Fraction`` routines it replaces.
+"""The family table and its integer codec against the ``Fraction`` routines
+they replace.
 
 The reference functions below are the weight-keyed forms the pipeline used
 before the family table: the linkage key on ``Fraction`` coordinates, the
 grouping of weights into blocks, the dominance test and sort key, and the
-two standard-flag routines.  The table's integer forms must group, order and
-count exactly as they do.
+two standard-flag routines; the weights mu themselves come from the
+``Fraction`` codec in ``verify_routes`` (the chamber weight plus a label's
+shift).  The table's integer forms must name, group, order and count exactly
+as they do.
 """
 
 from fractions import Fraction
@@ -15,16 +18,26 @@ from brauer_kl import combinat, kl
 from brauer_kl.params import build_config
 from brauer_kl.weights import (
     context_of,
-    delta,
     dominance_leq,
     dominance_sort_key,
     enumerate_F,
     family_table,
+    hat,
     is_singular,
-    lambda_c,
+    shifted_chamber,
     tilde,
+    weight_name,
 )
-from verify_routes import shift
+from test_params import SELECTION_GRID
+from verify_routes import (
+    delta,
+    lambda_c,
+    numerators,
+    reference_family,
+    reference_hat,
+    reference_tilde,
+    shift,
+)
 
 F = Fraction
 
@@ -97,14 +110,14 @@ def reference_in_F_rk(mu, cfg):
 
 def reference_verma_flag(cfg):
     table = combinat.updown_count_table(2 * cfg.k, cfg.r)
-    return {mu: table.get(tilde(mu, cfg).shape, 0) for mu in enumerate_F(cfg.r, cfg)}
+    return {mu: table.get(reference_tilde(mu, cfg).shape, 0) for mu in reference_family(cfg)}
 
 
 def reference_truncated_verma_flag(cfg):
     table = combinat.updown_count_table(cfg.k, cfg.r)
     return {
-        mu: table.get(tilde(mu, cfg).shape[: cfg.k], 0)
-        for mu in enumerate_F(cfg.r, cfg)
+        mu: table.get(reference_tilde(mu, cfg).shape[: cfg.k], 0)
+        for mu in reference_family(cfg)
         if reference_in_F_rk(mu, cfg)
     }
 
@@ -134,27 +147,28 @@ def cfg(request):
 
 def test_table_rows_match_the_weights(cfg):
     family = family_table(cfg)
-    weights = enumerate_F(cfg.r, cfg)
-    assert family.weights == tuple(weights)
-    assert list(family.labels) == [tilde(mu, cfg) for mu in weights]
-    chamber = tuple(family.scale * a for a in shift(lambda_c(cfg)))
-    for mu, nums in zip(weights, family.numerators):
-        assert nums == tuple(family.scale * a for a in shift(mu))
+    weights = reference_family(cfg)
+    assert family.numerators == tuple(enumerate_F(cfg.r, cfg))
+    assert list(family.labels) == [reference_tilde(mu, cfg) for mu in weights]
+    chamber = numerators(lambda_c(cfg), family.scale)
+    for mu, nums in zip(weights, family.numerators, strict=True):
+        assert nums == numerators(mu, family.scale)
         assert [a - c for a, c in zip(nums, chamber)] == [family.scale * d for d in delta(mu, cfg)]
         assert is_singular(nums) == is_singular(shift(mu))
 
 
 def test_integer_linkage_key_groups_as_the_fraction_key(cfg):
     family = family_table(cfg)
+    weights = reference_family(cfg)
     blocks = kl.partition_into_blocks(family)
-    assert [b.weights for b in blocks] == reference_blocks(enumerate_F(cfg.r, cfg))
+    assert [b.weights for b in blocks] == reference_blocks(weights)
     for b in blocks:
-        assert b.weights == tuple(family.weights[i] for i in b.positions)
+        assert b.weights == tuple(weights[i] for i in b.positions)
 
 
 def test_integer_dominance_and_order_match_the_fraction_forms(cfg):
     family = family_table(cfg)
-    nums, weights = family.numerators, family.weights
+    nums, weights = family.numerators, reference_family(cfg)
     n = len(family)
     by_key = sorted(range(n), key=lambda i: dominance_sort_key(nums[i]))
     assert by_key == sorted(range(n), key=lambda i: reference_sort_key(weights[i]))
@@ -166,8 +180,9 @@ def test_integer_dominance_and_order_match_the_fraction_forms(cfg):
 
 def test_table_flags_match_the_flag_routines(cfg):
     family = family_table(cfg)
-    assert dict(zip(family.weights, family.flag)) == reference_verma_flag(cfg)
-    level = {family.weights[i]: m for i, m in family.level_flag.items()}
+    weights = reference_family(cfg)
+    assert dict(zip(weights, family.flag)) == reference_verma_flag(cfg)
+    level = {weights[i]: m for i, m in family.level_flag.items()}
     assert level == reference_truncated_verma_flag(cfg)
     assert list(family.level_flag) == sorted(family.level_flag)  # family order
 
@@ -186,3 +201,39 @@ def test_engine_accepts_exactly_its_block(cfg):
             if other is not block:
                 with pytest.raises(ValueError, match="off the linkage class"):
                     engine._state_id(other.numerators[0])
+
+
+# -- the integer codec: hat, tilde and enumerate_F on numerators ----------
+
+
+@pytest.mark.parametrize(
+    "u, r", SELECTION_GRID, ids=[f"{','.join(u)}-r{r}" for u, r in SELECTION_GRID]
+)
+def test_integer_codec_matches_the_fraction_route(u, r):
+    cfg = build_config([F(x) for x in u], r)
+    scale, _ = shifted_chamber(cfg.u, cfg.q)
+    labels = list(combinat.enumerate_lambda(2 * cfg.k, r))
+    rows = enumerate_F(r, cfg)
+    assert rows == [numerators(reference_hat(idx, cfg), scale) for idx in labels]
+    assert [hat(idx, cfg) for idx in labels] == rows
+    assert [tilde(x, cfg) for x in rows] == labels
+    assert tuple(rows) == family_table(cfg).numerators
+
+
+def test_tilde_refuses_with_the_weight_named():
+    cfg = build_config([F(1, 3)], 2)
+    scale, chamber = shifted_chamber(cfg.u, cfg.q)
+    assert scale == 6
+    off_grid = (chamber[0] + 3,) + chamber[1:]  # a shift of 1/2 in the first coordinate
+    with pytest.raises(ValueError) as exc:
+        tilde(off_grid, cfg)
+    assert str(exc.value) == (
+        "weight is not an integral shift of the chamber weight: " + weight_name(off_grid, scale)
+    )
+    rising = chamber[:-1] + (chamber[-1] + 2 * scale,)  # the last entry passes its neighbour
+    too_far = (chamber[0] + 3 * scale,) + chamber[1:]  # a shift of size 3 > r
+    for x in (rising, too_far, chamber[:-1]):
+        with pytest.raises(ValueError) as exc:
+            tilde(x, cfg)
+        assert str(exc.value) == "weight is not in the r-shift family: " + weight_name(x, scale)
+        assert "Fraction(" not in str(exc.value)

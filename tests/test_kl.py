@@ -24,23 +24,16 @@ from brauer_kl.params import build_config, u_from_delta
 from brauer_kl.weights import (
     WeightContext,
     context_of,
-    delta,
     dominance_less,
     dominance_sort_key,
     family_table,
-    lambda_c,
     rho,
 )
-from verify_routes import BarInvolution, shift
+from verify_routes import BarInvolution, delta, lambda_c, numerators, reference_family, shift
 
 F = Fraction
 
 D4 = WeightContext(4, (0, 4))
-RHO4 = rho(4)
-
-
-def to_mu(x):
-    return tuple(F(a) - b for a, b in zip(x, RHO4))
 
 
 def freeze(entries):
@@ -505,7 +498,7 @@ def test_fold_refuses_a_support_with_its_negative_member_first():
     # where the old route's lift failed with "not a wall pair"
     ctx = WeightContext(4, (0, 2, 4))
     x = (2, -2, 3, 1)
-    block = kl.Block(ctx, (), (to_mu(x),), (x,), 1)
+    block = kl.Block(ctx, (), (x,), 1)
     for convention in ("mirror", "direct"):
         with pytest.raises(ValueError, match="not a wall pair"):
             reference_wall_table(block, convention, Counter(), {})
@@ -532,7 +525,7 @@ def test_partition_into_blocks_groups_linked_weights():
     for b in blocks:
         keys = {kl.canonical_form(family.numerators[i], family.scale) for i in b.positions}
         assert keys == {b.key}
-        assert b.weights == tuple(family.weights[i] for i in b.positions)
+        assert b.weights == tuple(reference_family(cfg)[i] for i in b.positions)
         assert b.numerators == tuple(family.numerators[i] for i in b.positions)
         assert b.scale == family.scale
 
@@ -583,7 +576,7 @@ def test_pinned_conventions_are_frozen():
 def test_tilting_table_conventions_are_transposes():
     _, orbit = numerate(D4_INTEGER_TABLE)
     xs = tuple(sorted(orbit, key=dominance_sort_key))
-    block = kl.Block(D4, kl.canonical_form(xs[0], 1), tuple(map(to_mu, xs)), xs, 1)
+    block = kl.Block(D4, kl.canonical_form(xs[0], 1), xs, 1)
     cores = {}
     direct = kl.tilting_table(block, "direct", cores)
     mirror = kl.tilting_table(block, "mirror", cores)
@@ -614,7 +607,8 @@ def test_singular_reduction_frozen_wall_block():
     block = wall_blocks[0]
     assert len(block.weights) == 2
     # table keys are the members' numerators, looked up by their shifts
-    by_shift = {delta(family.weights[i], cfg): family.numerators[i] for i in block.positions}
+    weights = reference_family(cfg)
+    by_shift = {delta(weights[i], cfg): family.numerators[i] for i in block.positions}
     lam = by_shift[(1,) + (0,) * 15]
     mu = by_shift[(1, 1, 1) + (0,) * 13]
     table = kl.singular_reduction_table(block, "mirror")
@@ -636,7 +630,7 @@ def test_singular_reduction_rejects_multi_wall_weights():
     d = (2, 1) + (0,) * 14
     mu = tuple(a + s for a, s in zip(lc, d))
     scale = family_table(cfg).scale
-    block = kl.Block(ctx, (), (mu,), (tuple(int(a * scale) for a in shift(mu)),), scale)
+    block = kl.Block(ctx, (), (numerators(mu, scale),), scale)
     with pytest.raises(ValueError, match="exactly one"):
         kl.singular_reduction_table(block, "mirror")
 
@@ -860,7 +854,7 @@ def test_boundary_input_is_refused():
         lift_from_wall((F(3), F(2), F(1), F(0)), (0, 3), True)
     # two wall weights doubling different values are not one linkage class
     xs = ((3, 1, 0, -3), (2, 1, 0, -2))
-    block = kl.Block(D4, (), tuple(map(to_mu, xs)), xs, 1)
+    block = kl.Block(D4, (), xs, 1)
     with pytest.raises(ValueError, match=r"mixes doubled values \[2, 3\]"):
         kl.singular_reduction_table(block, "mirror")
 

@@ -29,7 +29,13 @@ from brauer_kl.params import (
     verify_block_sizes,
 )
 from brauer_kl.pipeline import SaturationNotEstablished, decomposition_report
-from verify_routes import is_r_disjoint, psi_sets, shift, verify_disjoint_extension
+from verify_routes import (
+    is_r_disjoint,
+    lambda_c,
+    numerators,
+    psi_sets,
+    verify_disjoint_extension,
+)
 
 F = Fraction
 
@@ -42,7 +48,7 @@ def fraction_route_verifies(u, q, r):
     """The block-size check on Fraction weights: psi_sets over every root
     and r-disjointness of the extended parameters."""
     cfg = extend_parameters(u, q, r)
-    _, psi_pp = psi_sets(weights.lambda_c(cfg), weights.context_of(cfg))
+    _, psi_pp = psi_sets(lambda_c(cfg), weights.context_of(cfg))
     return not psi_pp and verify_disjoint_extension(cfg)
 
 
@@ -333,9 +339,9 @@ def test_integer_verdict_matches_the_fraction_route(tried_candidates):
         cfg = extend_parameters(u, q, r)
         ctx = weights.context_of(cfg)
         scale, x = weights.shifted_chamber(u, q)
-        assert x == tuple(scale * a for a in shift(weights.lambda_c(cfg)))
+        assert x == numerators(lambda_c(cfg), scale)
         assert scale == lcm(*(c.denominator for c in cfg.c))
-        psi, psi_pp = psi_sets(weights.lambda_c(cfg), ctx)
+        psi, psi_pp = psi_sets(lambda_c(cfg), ctx)
         assert Counter(weights.integral_reflections(scale, x, ctx)) == Counter(
             (beta.kind, beta in psi_pp) for beta in psi
         )

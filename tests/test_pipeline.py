@@ -20,7 +20,7 @@ from brauer_kl.pipeline import (
     tilting_decomposition,
 )
 from brauer_kl.weights import family_table, tilde
-from verify_routes import in_F_rk, rank, updown_count
+from verify_routes import in_F_rk, rank, reference_family, updown_count
 
 F = Fraction
 
@@ -44,7 +44,7 @@ FROZEN_FLAG_K1_R3 = {
 def test_verma_flag_frozen_k1_r3():
     cfg = build_config([F(0)], 3, q=[10])
     family = family_table(cfg)
-    labeled = {tuple(tilde(mu, cfg)): m for mu, m in zip(family.weights, family.flag)}
+    labeled = {tuple(tilde(x, cfg)): m for x, m in zip(family.numerators, family.flag)}
     assert labeled == FROZEN_FLAG_K1_R3
     assert sorted(family.flag) == [1, 1, 1, 1, 2, 2, 3, 3, 3, 3, 6, 6]
 
@@ -52,8 +52,8 @@ def test_verma_flag_frozen_k1_r3():
 def test_flag_counts_walks_of_the_double_level():
     cfg = build_config([F(1, 3)], 2)
     family = family_table(cfg)
-    for mu, m in zip(family.weights, family.flag):
-        idx = tilde(mu, cfg)
+    for x, m in zip(family.numerators, family.flag):
+        idx = tilde(x, cfg)
         assert m == updown_count(2, 2, idx.shape)
 
 
@@ -61,8 +61,8 @@ def test_truncated_flag_equals_level_k_walk_counts():
     cfg = build_config([F(0)], 3, q=[10])
     family = family_table(cfg)
     t = family.level_flag
-    assert set(t) == {i for i, mu in enumerate(family.weights) if in_F_rk(mu, cfg)}
-    labeled = {tuple(tilde(family.weights[i], cfg)): m for i, m in t.items()}
+    assert set(t) == {i for i, mu in enumerate(reference_family(cfg)) if in_F_rk(mu, cfg)}
+    labeled = {tuple(tilde(family.numerators[i], cfg)): m for i, m in t.items()}
     assert labeled == {
         (0, ((3,), ())): 1,
         (0, ((2, 1), ())): 2,
@@ -104,7 +104,7 @@ def test_generic_k1_r2_simple_dimensions_are_ones():
     res = tilting_decomposition(cfg)
     dims = simple_dimensions(res)
     assert sorted(dims.values()) == [1, 1, 1]
-    assert set(dims) == {i for i, mu in enumerate(res.family.weights) if in_F_rk(mu, cfg)}
+    assert set(dims) == {i for i, mu in enumerate(reference_family(cfg)) if in_F_rk(mu, cfg)}
 
 
 def test_forward_peel_makes_no_dominance_scan(monkeypatch):
@@ -199,7 +199,7 @@ FROZEN_TILTING_DELTA1_R3 = {
 def test_delta_one_r3_tilting_multiplicities_frozen():
     cfg = build_config([u_from_delta(F(1))], 3)
     res = tilting_decomposition(cfg)
-    labeled = {tuple(tilde(res.family.weights[i], cfg)): m for i, m in res.multiplicities.items()}
+    labeled = {tuple(tilde(res.family.numerators[i], cfg)): m for i, m in res.multiplicities.items()}
     assert labeled == FROZEN_TILTING_DELTA1_R3
 
 
@@ -279,7 +279,7 @@ def test_simple_dimensions_match_oracle_gram_ranks(delta):
     res = tilting_decomposition(cfg)
     dims = simple_dimensions(res)
     for i, d in dims.items():
-        idx = tilde(res.family.weights[i], cfg)
+        idx = tilde(res.family.numerators[i], cfg)
         cell = CellModule(3, idx.f, transpose(idx.shape[0]), delta)
         assert rank(cell.gram_matrix()) == d
 
@@ -287,9 +287,9 @@ def test_simple_dimensions_match_oracle_gram_ranks(delta):
 def test_matrix_entry_orientation():
     cfg = build_config([u_from_delta(F(1))], 3)
     res = tilting_decomposition(cfg)
-    weights = res.family.weights
-    lam = next(i for i, mu in enumerate(weights) if tilde(mu, cfg) == LambdaIndex(1, ((1,), ())))
-    mu_t = next(i for i, mu in enumerate(weights) if tilde(mu, cfg) == LambdaIndex(0, ((2, 1), ())))
+    nums = res.family.numerators
+    lam = next(i for i, x in enumerate(nums) if tilde(x, cfg) == LambdaIndex(1, ((1,), ())))
+    mu_t = next(i for i, x in enumerate(nums) if tilde(x, cfg) == LambdaIndex(0, ((2, 1), ())))
     assert res.columns[mu_t][lam] == 1  # (T(2,1) : M(f=1, (1)))
     assert mu_t not in res.columns[lam]
     assert res.columns[lam][lam] == 1
@@ -322,8 +322,9 @@ def test_sparse_matrices_match_a_dense_probe(u, r):
     rows = list(range(len(res.family)))
     cols = list(res.support)
     assert rep["matrix_full"]["entries"] == _dense_entries(res, rows, cols)
-    rows = [i for i in rows if in_F_rk(res.family.weights[i], cfg)]
-    cols = [i for i in cols if in_F_rk(res.family.weights[i], cfg)]
+    weights = reference_family(cfg)
+    rows = [i for i in rows if in_F_rk(weights[i], cfg)]
+    cols = [i for i in cols if in_F_rk(weights[i], cfg)]
     assert rep["matrix_level"]["entries"] == _dense_entries(res, rows, cols)
 
 

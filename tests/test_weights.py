@@ -16,7 +16,6 @@ from brauer_kl.weights import (
     WeightContext,
     blockwise_decreasing,
     context_of,
-    delta,
     dominance_leq,
     dominance_less,
     dominance_sort_key,
@@ -25,20 +24,24 @@ from brauer_kl.weights import (
     hat,
     integral_reflections,
     is_singular,
-    lambda_c,
     pairing,
     phiA_condition,
     rho,
     shifted_chamber,
     tilde,
+    weight_of,
 )
 from verify_routes import (
     blockwise_regular,
+    delta,
     in_F_r,
     in_F_rk,
+    lambda_c,
+    numerators,
     positive_roots,
     psi_sets,
     reflect,
+    reference_tilde,
 )
 
 F = Fraction
@@ -155,12 +158,14 @@ def test_delta_of_chamber_weight_is_zero():
 
 def test_hat_tilde_examples():
     cfg = build_config([F(0)], 3, q=[10])
+    scale, _ = shifted_chamber(cfg.u, cfg.q)
     lc = lambda_c(cfg)
     mu = tuple(lc[i] + (1 if i < 3 else 0) for i in range(10))
-    assert tilde(mu, cfg) == LambdaIndex(0, ((1, 1, 1), ()))
-    assert hat(LambdaIndex(0, ((1, 1, 1), ())), cfg) == mu
+    assert tilde(numerators(mu, scale), cfg) == LambdaIndex(0, ((1, 1, 1), ()))
+    assert hat(LambdaIndex(0, ((1, 1, 1), ())), cfg) == numerators(mu, scale)
     nu = tuple(lc[i] + (1 if i == 0 else 0) - (1 if i >= 8 else 0) for i in range(10))
-    assert tilde(nu, cfg) == LambdaIndex(0, ((1,), (1, 1)))
+    assert tilde(numerators(nu, scale), cfg) == LambdaIndex(0, ((1,), (1, 1)))
+    assert reference_tilde(nu, cfg) == LambdaIndex(0, ((1,), (1, 1)))
 
 
 def test_hat_tilde_roundtrip_over_F():
@@ -179,7 +184,8 @@ def test_hat_tilde_roundtrip_level_two():
 
 def test_F_family_sizes_level_one():
     cfg = build_config([F(0)], 3, q=[10])
-    family = enumerate_F(3, cfg)
+    scale, _ = shifted_chamber(cfg.u, cfg.q)
+    family = [weight_of(x, scale) for x in enumerate_F(3, cfg)]
     assert len(family) == 12
     assert len(set(family)) == 12
     assert sum(1 for mu in family if in_F_rk(mu, cfg)) == 4
@@ -188,13 +194,14 @@ def test_F_family_sizes_level_one():
 
 def test_F_1_members():
     cfg = build_config([F(1, 3)], 1)
+    scale, _ = shifted_chamber(cfg.u, cfg.q)
     lc = lambda_c(cfg)
     family = set(enumerate_F(1, cfg))
     up = list(lc)
     up[0] += 1
     down = list(lc)
     down[-1] -= 1
-    assert family == {tuple(up), tuple(down)}
+    assert family == {numerators(tuple(up), scale), numerators(tuple(down), scale)}
     assert in_F_rk(tuple(up), cfg)
     assert not in_F_rk(tuple(down), cfg)
 
@@ -247,10 +254,9 @@ def test_dominance_sort_key_is_linear_extension():
 @given(st.sampled_from([F(0), F(1, 3), F(5, 2)]), st.integers(min_value=1, max_value=3))
 def test_enumerate_F_members_pass_membership(u1, r):
     cfg = build_config([u1], r)
-    rh = rho(cfg.n)
-    for mu in enumerate_F(r, cfg):
-        assert in_F_r(mu, cfg)
-        x = tuple(a + b for a, b in zip(mu, rh))
+    scale, _ = shifted_chamber(cfg.u, cfg.q)
+    for x in enumerate_F(r, cfg):
+        assert in_F_r(weight_of(x, scale), cfg)
         assert blockwise_decreasing(x, context_of(cfg))
 
 

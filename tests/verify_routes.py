@@ -5,8 +5,13 @@ it lives here rather than in ``brauer_kl``, where every command would have
 to compile it:
 
 * ``updown_count``: one walk count, read off ``updown_count_table``;
+* ``lambda_c``, ``delta``, ``reference_hat``, ``reference_tilde`` and
+  ``reference_family``: the ``Fraction`` codec of the weight family, the
+  chamber weight plus a label's integer shift (the package's ``hat``,
+  ``tilde`` and ``enumerate_F`` work on the numerators scale * (mu + rho)),
+  and ``numerators``, the map from the one form to the other;
 * ``in_F_r``/``in_F_rk``: membership of a ``Fraction`` weight in the family
-  F_r and its level part, decided through ``tilde``;
+  F_r and its level part, decided through ``reference_tilde``;
 * ``blockwise_regular``: pairwise-distinct entries within every block, read
   off the whole weight (``weights.integral_reflections`` checks the two
   coordinates a reflection moves);
@@ -35,12 +40,27 @@ from fractions import Fraction
 
 from typing import Iterator
 
-from brauer_kl.combinat import Multipartition, size, updown_count_table
+from brauer_kl.combinat import (
+    LambdaIndex,
+    Multipartition,
+    enumerate_lambda,
+    size,
+    updown_count_table,
+)
 from brauer_kl.kl import CanonicalBasisEngine, IdVector, NVector
 from brauer_kl.laurent import LaurentPoly
 from brauer_kl.linalg import rref
 from brauer_kl.params import ParamConfig
-from brauer_kl.weights import Root, Weight, WeightContext, pairing, rho, tilde
+from brauer_kl.weights import (
+    Numerators,
+    Root,
+    Weight,
+    WeightContext,
+    _label_shift,
+    context_of,
+    pairing,
+    rho,
+)
 
 
 def updown_count(a: int, r: int, shape: Multipartition) -> int:
@@ -52,10 +72,58 @@ def updown_count(a: int, r: int, shape: Multipartition) -> int:
     return updown_count_table(a, r).get(shape, 0)
 
 
+def lambda_c(cfg: ParamConfig) -> Weight:
+    """The chamber weight: constant c_j on block j."""
+    return tuple(c for c, q in zip(cfg.c, cfg.q) for _ in range(q))
+
+
+def delta(mu: Weight, cfg: ParamConfig) -> tuple[int, ...]:
+    """mu - lambda_c as an integer vector; raises if not integral."""
+    d = [a - b for a, b in zip(mu, lambda_c(cfg))]
+    if any(x.denominator != 1 for x in d):
+        raise ValueError(f"weight is not an integral shift of the chamber weight: {mu}")
+    return tuple(int(x) for x in d)
+
+
+def reference_hat(idx: LambdaIndex, cfg: ParamConfig) -> Weight:
+    """The weight mu whose shift from the chamber weight realizes a label."""
+    return tuple(a + x for a, x in zip(lambda_c(cfg), _label_shift(idx, cfg)))
+
+
+def reference_tilde(mu: Weight, cfg: ParamConfig) -> LambdaIndex:
+    """The (f, shape) label of a weight mu in F_r; inverse of ``reference_hat``."""
+    d = delta(mu, cfg)
+    heads: list[tuple[int, ...]] = []
+    tails: list[tuple[int, ...]] = []
+    for start, end in context_of(cfg).blocks():
+        block = d[start:end]
+        if any(block[i] < block[i + 1] for i in range(len(block) - 1)):
+            raise ValueError(f"weight is not in the r-shift family: {mu}")
+        heads.append(tuple(x for x in block if x > 0))
+        tails.append(tuple(-x for x in reversed(block) if x < 0))
+    total = sum(abs(x) for x in d)
+    if total > cfg.r or (cfg.r - total) % 2 != 0:
+        raise ValueError(f"weight is not in the r-shift family: {mu}")
+    return LambdaIndex((cfg.r - total) // 2, tuple(heads) + tuple(reversed(tails)))
+
+
+def reference_family(cfg: ParamConfig) -> list[Weight]:
+    """The weights mu of F_r in the order of ``enumerate_lambda(2k, r)``."""
+    return [reference_hat(idx, cfg) for idx in enumerate_lambda(2 * cfg.k, cfg.r)]
+
+
+def numerators(mu: Weight, scale: int) -> Numerators:
+    """scale * (mu + rho) as integers; raises if ``scale`` leaves a fraction."""
+    x = [scale * a for a in shift(mu)]
+    if any(a.denominator != 1 for a in x):
+        raise ValueError(f"scale {scale} does not clear the denominators of {mu}")
+    return tuple(int(a) for a in x)
+
+
 def in_F_r(mu: Weight, cfg: ParamConfig) -> bool:
     """Integral, blockwise weakly decreasing shift with |shift| of r-parity."""
     try:
-        tilde(mu, cfg)
+        reference_tilde(mu, cfg)
     except ValueError:
         return False
     return True
@@ -63,7 +131,7 @@ def in_F_r(mu: Weight, cfg: ParamConfig) -> bool:
 
 def in_F_rk(mu: Weight, cfg: ParamConfig) -> bool:
     """Member of F_r with an entrywise nonnegative shift (empty tails)."""
-    return in_F_r(mu, cfg) and not any(tilde(mu, cfg).shape[cfg.k :])
+    return in_F_r(mu, cfg) and not any(reference_tilde(mu, cfg).shape[cfg.k :])
 
 
 def blockwise_regular(x: Weight, ctx: WeightContext) -> bool:
