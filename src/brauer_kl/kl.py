@@ -4,8 +4,10 @@ Basis symbols N_x are indexed by shifted weights x = mu + rho, strictly
 decreasing within every Levi block.  Every weight here is the integer tuple
 scale * x over the weight family's common denominator, the same tuples as
 ``Family.numerators``: blocks carry them, the engine takes and returns them
-and the tilting tables are keyed by them.  The recursion's state is not the
-weight, though: it is the placement of value tokens (the absolute values of
+and the tilting tables are keyed by them, though the tables read the
+engine's interned state ids and decode a state only for a ``"direct"`` row
+outside the block or to name a refused weight.  The recursion's state is
+not the weight: it is the placement of value tokens (the absolute values of
 the seed's numerators, in falling order) into Levi blocks, each carrying a
 sign, stored as one small int per token and interned to an int id.  The
 Hecke generators act on tokens, not on coordinate positions (the action is
@@ -49,7 +51,7 @@ exponent, or "fixed".
 
 A wall block (one vanishing pairing x_i = -x_j = a) is read off the
 canonical basis of its regular companion, whose tokens split the doubled
-value into a+1 and a.  Each support entry folds onto the wall by the signs
+value into a+1 and a.  Each support entry folds onto the wall by the codes
 of those two tokens alone (:func:`singular_reduction_table`).  A refusal
 names its weight as mu through ``weights.weight_name``.
 
@@ -443,24 +445,27 @@ def tilting_table(
       the indices swapped, equivalently the direct reading conjugated by the
       negation twist on both arguments.
 
-    Under ``"mirror"`` the table is supported on lam <= mu, as a flag of
-    highest-weight modules must be; the choice is pinned empirically by the
-    diagram-algebra cross-check and then frozen in configuration.
+    Under ``"mirror"`` only member ids key an entry, supported on lam <= mu
+    as a flag of highest-weight modules must be; the choice is pinned by the
+    diagram-algebra cross-check and then frozen in configuration.  The
+    members are interned once and their elements read as state-id vectors;
+    a support is decoded only under ``"direct"``, as a row outside the
+    block, which the peel's escape check reads.
     """
     convention = resolve_convention(convention)
     x0 = block.numerators[0]
     if len(set(x0)) < len(x0):
         raise _unsupported(x0, block.scale, _TIED_COORDINATES)
     engine = CanonicalBasisEngine(block.ctx, x0, block.scale, cores=cores)
+    members = {engine._state_id(w): w for w in block.numerators}
     out: dict[tuple[Numerators, Numerators], int] = {}
-    for w in block.numerators:
-        for z, p in engine.basis_element(w).items():
-            if convention == "direct":
-                # basis index w plays mu; support z plays lam
-                out[(z, w)] = p.evaluate_at_one()
-            else:
-                # basis index w plays lam; support z plays mu
-                out[(w, z)] = p.evaluate_at_one()
+    for sid, w in members.items():
+        for z, p in engine._element(sid).items():
+            y = members.get(z)
+            if y is None and convention == "direct":
+                y = engine._numerators(z)  # a row outside the block
+            if y is not None:  # "direct": w plays mu, y lam; "mirror": the reverse
+                out[(y, w) if convention == "direct" else (w, y)] = p.evaluate_at_one()
     return out
 
 
@@ -490,15 +495,14 @@ def singular_reduction_table(
     from the hi/hi reading; four-weight blocks at r = 4 pin it — the hi/hi
     reading loses the corner entry the diagram oracle demands.)
 
-    Block members are interned at their lifts, and each support entry of a
-    companion element folds onto the wall by the signs of t_hi and t_lo
-    alone.  Equal signs cross a Levi wall and vanish under translation;
-    otherwise the sign of t_hi says which lift the entry is, and only the
-    representative the dictionary reads is kept.  The kept entry's wall
-    weight is the same placement read through the wall values: t_hi and t_lo
-    both read a, larger tokens drop by one.  Supports folding to wall weights
-    beyond the requested block are kept (keys outside the block), so the
-    caller's residual bookkeeping sees every column the flags touch.
+    Block members are interned at their basis and kept lifts, and each
+    support entry of a companion element folds onto the wall by the codes of
+    t_hi and t_lo alone.  Equal signs cross a Levi wall and vanish under
+    translation; otherwise the sign of t_hi says which lift the entry is,
+    only the representative the dictionary reads is kept, and a member's
+    kept lift keys that member.  Under ``"direct"`` a support folding beyond
+    the block is kept too, decoded (t_hi and t_lo both read a, larger tokens
+    drop by one) as a row for the peel's escape check.
     """
     convention = resolve_convention(convention)
     scale = block.scale
@@ -527,42 +531,39 @@ def singular_reduction_table(
     # upper lift, keep supports at lower lifts) and the standard role under
     # "mirror" (expand at the lower lift, keep supports at upper lifts)
     basis_upper = convention == "direct"
-    lifts = []
+    lifts = []  # per member: its basis lift, then its kept lift
     for x, (i, j) in zip(block.numerators, pairs):
         lift = [c + scale if c > a else c - scale if c < -a else c for c in x]
-        lift[i], lift[j] = (hi, -lo) if basis_upper else (lo, -hi)
-        lifts.append(tuple(lift))
+        for upper in (basis_upper, not basis_upper):
+            lift[i], lift[j] = (hi, -lo) if upper else (lo, -hi)
+            lifts.append(tuple(lift))
     engine = CanonicalBasisEngine(block.ctx, lifts[0], scale, cores=cores)
-    # the wall value of each signed companion token; no companion token lies
-    # strictly between t_lo and t_hi, since the lift raises every larger one
-    wall_value = {}
-    for t in engine.tokens:
-        v = t - scale if t > hi else min(t, a)
-        wall_value[t], wall_value[-t] = v, -v
+    ids = [engine._state_id(lift) for lift in lifts]
+    kept = dict(zip(ids[1::2], block.numerators))
+    t_hi, t_lo = engine._index[hi], engine._index[lo]
 
     out: dict[tuple[Numerators, Numerators], int] = {}
-    for w, lift in zip(block.numerators, lifts):
-        for z, p in engine.basis_element(lift).items():
-            # every state places both tokens, each with one sign
-            hi_positive = hi in z
-            if hi_positive == (lo in z):
+    for sid, w in zip(ids[::2], block.numerators):
+        for z, p in engine._element(sid).items():
+            # every state places both tokens, each with one sign (code & 1)
+            hi_code, lo_code = engine._states[z][t_hi], engine._states[z][t_lo]
+            if not (hi_code ^ lo_code) & 1:
                 continue  # both on one side: crosses a Levi wall, killed by translation
-            positive, negative = (hi, -lo) if hi_positive else (lo, -hi)
-            if z.index(negative) < z.index(positive):
-                # within a Levi block the positive member comes first, so
-                # the negative one sits in an earlier Levi block
-                wall = tuple(map(wall_value.__getitem__, z))
-                raise _unsupported(wall, scale, _NEGATIVE_FIRST)
-            if hi_positive == basis_upper:
+            hi_positive = not hi_code & 1
+            # a negative member first sits in an earlier Levi block (within
+            # one the positive comes first): its code 2 * block + 1 is smaller
+            refused = (lo_code < hi_code) == hi_positive
+            if not refused and hi_positive == basis_upper:
                 continue  # the other coset representative: not part of the dictionary
             val = p.evaluate_at_one()
-            if not val:
-                continue
-            # the fold leaves exactly one vanishing pairing: the companion
-            # is regular, and only t_hi and t_lo share a wall value
-            wall = tuple(map(wall_value.__getitem__, z))
-            if convention == "direct":
-                out[(wall, w)] = val
-            else:
-                out[(w, wall)] = val
+            y = kept.get(z)
+            if refused or (y is None and basis_upper and val):
+                # decoded to name a refusal or a direct row outside the block:
+                # the lift inverted (no companion token lies in (t_lo, t_hi))
+                y = engine._numerators(z)
+                y = tuple(c - scale if c > a else c + scale if c < -a else c for c in y)
+                if refused:
+                    raise _unsupported(y, scale, _NEGATIVE_FIRST)
+            if val and y is not None:
+                out[(y, w) if basis_upper else (w, y)] = val
     return out

@@ -126,10 +126,10 @@ class DecompositionResult(NamedTuple):
     nonzero cell (T(mu) : M(lam)), the standard lam inside the tilting mu:
     one dict per matrix column, stored only for a family position mu.  Every
     support position has a column with diagonal entry 1 (a singleton's is
-    {mu: 1}).  Under the ``"direct"`` reading a column's rows may also hold
-    ids past the family's end, for weights a tilting table reaches outside
-    it, which no report reads; under the pinned ``"mirror"`` reading rows
-    are block members.
+    {mu: 1}).  The tables decode a weight only for a ``"direct"`` row
+    outside the block (or to name a refusal): such rows get ids past the
+    family's end, which no report reads; under the pinned ``"mirror"``
+    reading rows are block members.
     """
 
     family: Family
@@ -201,9 +201,9 @@ def tilting_decomposition(
     or ``NegativeResidual`` is raised.  ``convention`` None uses the frozen
     pin.  Only non-singleton blocks reach the engine, whose blocks of one
     Coxeter shape share one core; their tables, keyed by the family's
-    numerator tuples, are read back into ids through one dict.
-    A table entry is stored only in a family position's column: the peel
-    reads no other.
+    numerator tuples, are read back into ids through one dict.  Every
+    table's mu is a block member, so every entry lands in a family
+    position's column.
     """
     convention = resolve_convention(convention)
     family = family_table(cfg)
@@ -259,9 +259,8 @@ def tilting_decomposition(
             raise UnsupportedBlock(exc.weight, exc.reason, name(id_of(exc.weight))) from None
         # linkage blocks touch disjoint weights: their columns never collide
         for (lam, mu), val in table.items():
-            j = ids.get(mu, size)
-            if val and j < size:
-                columns.setdefault(j, {})[id_of(lam)] = val
+            if val:
+                columns.setdefault(ids[mu], {})[id_of(lam)] = val
         residual = {i: flag[i] for i in block.positions}
         column = columns.__getitem__
         peel = (residual, column, check, numerators, family.scale)

@@ -6,6 +6,7 @@ type-A Levi, genuine bar involution, canonical basis by degree completion)
 and frozen here; the engine must reproduce them coefficient for coefficient.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import pytest
 
 import brauer_kl
 from brauer_kl import kl, pipeline
+from brauer_kl.cli import main
 from brauer_kl.laurent import LaurentPoly
 from brauer_kl.params import build_config, u_from_delta
 from brauer_kl.weights import (
@@ -482,6 +484,9 @@ def test_wall_fold_matches_the_lift_collapse_reference(convention):
                 continue
             blocks += 1
             table = kl.singular_reduction_table(block, convention, cores)
+            if convention == "mirror":  # only member keys: the peel reads no other
+                members = set(block.numerators)
+                expected = {key: v for key, v in expected.items() if key[1] in members}
             # same kept supports and wall weights, in the same order; both
             # engines read one core, so the drops are the same too
             assert list(table.items()) == list(expected.items()), (u, r, block.key)
@@ -589,6 +594,19 @@ def test_tilting_table_conventions_are_transposes():
             assert dominance_less(lam, mu, 1)
     with pytest.raises(ValueError, match="convention"):
         kl.tilting_table(block, "sideways", cores)
+    # regular family blocks whose supports leave the block: "direct" keeps
+    # the rows outside it, "mirror" keys members alone
+    for u, r in (("1/2", 5), ("0,1/2", 3)):
+        family = family_table(build_config([F(x) for x in u.split(",")], r))
+        blocks = [b for b in kl.partition_into_blocks(family) if not b.is_singleton]
+        assert blocks and not any(kl.singular_pairs(b.numerators[0]) for b in blocks)
+        for block in blocks:
+            direct = kl.tilting_table(block, "direct", cores)
+            mirror = kl.tilting_table(block, "mirror", cores)
+            members = set(block.numerators)
+            assert any(lam not in members for lam, _ in direct)
+            assert all(lam in members and mu in members for lam, mu in mirror)
+            assert {(b, a): v for (a, b), v in direct.items() if a in members} == mirror
 
 
 def test_singular_reduction_frozen_wall_block():
@@ -731,7 +749,7 @@ def test_move_table_fills_each_entry_once(monkeypatch):
     engines, asked, calls = [], [], [0]
     init = kl.CanonicalBasisEngine.__init__
     apply_move = kl.CanonicalBasisEngine.apply_move
-    basis_element = kl.CanonicalBasisEngine.basis_element
+    element = kl.CanonicalBasisEngine._element
 
     def recording_init(self, *args, **kwargs):
         engines.append(self)
@@ -741,22 +759,45 @@ def test_move_table_fills_each_entry_once(monkeypatch):
         calls[0] += 1
         return apply_move(self, s, g)
 
-    def recording_element(self, x):
-        asked.append(x)
-        return basis_element(self, x)
+    def recording_element(self, sid):
+        asked.append(sid)
+        return element(self, sid)
 
     monkeypatch.setattr(kl.CanonicalBasisEngine, "__init__", recording_init)
     monkeypatch.setattr(kl.CanonicalBasisEngine, "apply_move", counting_move)
-    monkeypatch.setattr(kl.CanonicalBasisEngine, "basis_element", recording_element)
-    # B_3(-2): one wall block
+    monkeypatch.setattr(kl.CanonicalBasisEngine, "_element", recording_element)
+    # B_3(-2): one wall block; the tables ask for elements by state id
     pipeline.decomposition_report(build_config([u_from_delta(F(-2))], 3))
     (engine,) = engines
     assert asked
     assert 0 < calls[0] <= len(engine._states) * len(engine.moves)
     before = calls[0]
-    for x in list(asked):
-        engine.basis_element(x)
+    for sid in list(asked):
+        engine._element(sid)
     assert calls[0] == before
+
+
+@pytest.mark.parametrize("argv", [
+    "--k 1 --r 6 --u 3/2",  # wall blocks
+    "--k 1 --r 6 --u 0",  # regular blocks
+    "--k 2 --r 3 --u 0,1/2",  # regular blocks of a two-Levi shape
+])
+def test_a_successful_decompose_decodes_no_state(monkeypatch, capsys, argv):
+    # the pinned reading keys the tables by member ids: a state is decoded
+    # only for a "direct" row outside the block or to name a refusal
+    calls = [0]
+    numerators = kl.CanonicalBasisEngine._numerators
+
+    def counting(self, sid):
+        calls[0] += 1
+        return numerators(self, sid)
+
+    monkeypatch.setattr(kl.CanonicalBasisEngine, "_numerators", counting)
+    assert main(["decompose", *argv.split()]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert not report["flags"]["generic"]
+    assert bool(report["flags"]["singular_reduced"]) == argv.endswith("3/2")
+    assert calls[0] == 0
 
 
 # blocks of one Coxeter shape at many values: k = 1 at four parameters and
