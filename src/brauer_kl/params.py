@@ -1,15 +1,15 @@
 """Exact parameter arithmetic for the cyclotomic Brauer algebra pipeline.
 
-Parameters are :class:`fractions.Fraction`s; block sizes are verified on
-integers.  The module provides
+Parameters are :class:`fractions.Fraction`s.  The module provides
 
-* the admissibility generating series (``omega_series``),
-* the "some low omega is nonzero" criterion (``simple_param_condition``),
-  computed along two independent routes that are checked to agree,
+* the admissibility generating series (``omega_series``) and the "some low
+  omega is nonzero" criterion read off it (``simple_param_condition``),
+* the block-size verdict and the saturation test, decided from u and q
+  alone by closed forms over pairs of parameters (``verify_block_sizes``,
+  ``phiA_condition``): each block of the shifted chamber weight is a
+  unit-step progression, so no weight is built and no root is scanned,
 * deterministic block-size selection (``select_block_sizes``): one loop over
-  the bases, each candidate verified on the integer numerators of the
-  shifted chamber weight (``weights.shifted_chamber``), so the loop runs no
-  ``Fraction`` arithmetic, and
+  the bases, each candidate decided in O(k^2), and
 * the parameter extension u_1..u_k -> u_1..u_2k (``extend_parameters``),
   packaged into an immutable :class:`ParamConfig`.
 """
@@ -86,20 +86,11 @@ def omega_series(v: Sequence[Fraction], N: int) -> list[Fraction]:
     return out
 
 
-def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 def simple_param_condition(u: Sequence[Fraction], k: int) -> bool:
     """True iff some omega_i with i < k is nonzero for the sign-twisted parameters.
 
-    Two independent routes are evaluated and checked to agree: a polynomial
-    identity in one variable must *fail*, equivalently the truncated series
-    omega_0..omega_{k-1} of the sign-twisted parameters has a nonzero entry.
+    The sign-twisted parameters are (-1)^k u_i, and the verdict reads the
+    truncated series omega_0..omega_{k-1} of :func:`omega_series`.
 
     >>> simple_param_condition([Fraction(1, 2)], 1)
     False
@@ -110,20 +101,7 @@ def simple_param_condition(u: Sequence[Fraction], k: int) -> bool:
     if len(u) != k or k < 1:
         raise ValueError(f"expected k = {k} >= 1 parameters, got {len(u)}")
     sign = (-1) ** k
-    # polynomial route: (x - 1/2) prod (x - sign*u_i) vs (x - sign/2) prod (x + sign*u_i)
-    lhs = [Fraction(-1, 2), Fraction(1)]
-    rhs = [Fraction(-sign, 2), Fraction(1)]
-    for ui in u:
-        lhs = _poly_mul(lhs, [-sign * ui, Fraction(1)])
-        rhs = _poly_mul(rhs, [sign * ui, Fraction(1)])
-    poly_route = lhs != rhs
-    # series route
-    series_route = any(w != 0 for w in omega_series([sign * ui for ui in u], k - 1))
-    if poly_route != series_route:
-        raise AssertionError(
-            f"internal inconsistency between the polynomial and series criteria at u={u}"
-        )
-    return series_route
+    return any(w != 0 for w in omega_series([sign * ui for ui in u], k - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -212,28 +190,69 @@ def _linkage_classes(u: Sequence[Fraction]) -> list[list[int]]:
     return list(groups.values())
 
 
-def verify_block_sizes(u: Sequence[Fraction], q: Sequence[int], r: int) -> bool:
-    """The post-hoc check on block sizes q, on integers only.
+def doubly_regular_reflection(u: Sequence[Fraction], q: Sequence[int]) -> bool:
+    """Some non-Levi root pairs positively and integrally with the shifted
+    chamber weight and reflects it to a weight whose entries stay distinct
+    within every block (its psi-double-set is nonempty).
 
-    The shifted chamber weight x / scale must admit no doubly-regular
-    reflection (its psi-double-set is empty), and every extended parameter
-    must be r-disjoint from each earlier one: a sum or difference of the two
-    that is integral must be at least r in absolute value.  The extended
-    parameters are read off the ends of the chamber blocks, over 2 * scale:
-    u_l is 2 * x[p_l] + scale and q_l - u_l is scale - 2 * x[p_{l+1} - 1].
+    Block s of the shifted chamber weight runs u_s - 1/2, u_s - 3/2, ...,
+    u_s + 1/2 - q_s, so each root kind is one closed form on a pair of
+    parameters, whose sigma or d must be an integer for the root to pair
+    integrally:
+
+    * a same-block plus root, sigma = 2u_s: iff q_s >= 2 and sigma >= q_s + 2,
+      or sigma = q_s + 1 with q_s even (the block holds 0, and the root joins
+      it to the top entry);
+    * a cross-block plus root, s < t, sigma = u_s + u_t: iff
+      sigma > max(q_s, q_t) (the two top entries, negated, leave both blocks);
+    * a cross-block minus root, s < t, d = u_s - u_t: iff d > 0 and
+      q_s - q_t < d (the top of block s and the bottom of block t).
     """
-    from . import weights  # deferred: weights needs ParamConfig from this module
+    for s, (us, qs) in enumerate(zip(u, q)):
+        sigma = 2 * us
+        if sigma.denominator == 1 and qs >= 2:
+            if sigma >= qs + 2 or sigma == qs + 1 and qs % 2 == 0:
+                return True
+        for ut, qt in zip(u[s + 1 :], q[s + 1 :]):
+            sigma, d = us + ut, us - ut
+            if sigma.denominator == 1 and sigma > max(qs, qt):
+                return True
+            if d.denominator == 1 and d > 0 and d > qs - qt:
+                return True
+    return False
 
-    p = tuple(accumulate(q, initial=0))
-    scale, x = weights.shifted_chamber(u, q)
-    ctx = weights.WeightContext(p[-1], p)
-    if any(regular for _, regular in weights.integral_reflections(scale, x, ctx)):
+
+def phiA_condition(u: Sequence[Fraction], q: Sequence[int]) -> bool:
+    """No cross-block "minus" root pairs positively and integrally with the
+    shifted chamber weight.
+
+    The largest such pairing between blocks s < t, the top of s against the
+    bottom of t, is d + q_t - 1 with d = u_s - u_t, integral exactly when d
+    is.  For a single block this holds vacuously (all minus roots are Levi
+    roots).
+    """
+    return not any(
+        (u[s] - u[t]).denominator == 1 and u[s] - u[t] + q[t] > 1
+        for s in range(len(u))
+        for t in range(s + 1, len(u))
+    )
+
+
+def verify_block_sizes(u: Sequence[Fraction], q: Sequence[int], r: int) -> bool:
+    """The post-hoc check on block sizes q, from u and q alone.
+
+    The shifted chamber weight must admit no doubly-regular reflection
+    (:func:`doubly_regular_reflection`), and every extended parameter must be
+    r-disjoint from each earlier one: a sum or difference of the two that
+    is integral must be at least r in absolute value.  The extended
+    parameters are u_0..u_{k-1} followed by q_l - u_l for l = k-1, ..., 0.
+    """
+    k = len(u)
+    if doubly_regular_reflection(u, q):
         return False
-    k, unit = len(q), 2 * scale
-    ext = [2 * x[p[l]] + scale for l in range(k)]
-    ext += [scale - 2 * x[p[l + 1] - 1] for l in reversed(range(k))]
+    ext = list(u) + [q[l] - u[l] for l in reversed(range(k))]
     return all(
-        val % unit or abs(val) >= r * unit
+        val.denominator != 1 or abs(val) >= r
         for j in range(k, 2 * k)
         for i in range(j)
         for val in (ext[j] + ext[i], ext[j] - ext[i])
@@ -252,20 +271,19 @@ def select_block_sizes(u: Sequence[Fraction], r: int) -> list[int]:
     bases 2r, 2r + 2, ..., base0 = 2r + 4 + 2M are tried in turn and the
     first whose choice passes :func:`verify_block_sizes` wins.
 
-    base0 always verifies, so the loop needs no retries.  Block j's shifted
-    chamber entries run from u_j - 1/2 down to u_j + 1/2 - q_j.
+    base0 always verifies, so the loop needs no retries.  Each bullet names
+    the closed form that checks it (:func:`doubly_regular_reflection`, then
+    the r-disjointness of :func:`verify_block_sizes`).
 
-    * A cross-block minus root e_i - e_j, i in block s and j in block t,
-      pairs integrally only when u_s - u_t is an integer, so within one
-      class.  Its reflection is doubly regular only when each swapped entry
-      leaves the other block's range, which with a positive pairing needs
-      u_s > u_t and q_s - q_t < u_s - u_t.  The stagger gives
-      q_s - q_t >= u_s - u_t + r + 2 instead, at every base.
-    * A cross-block plus root needs u_s + u_t > max(q_s, q_t) for that, and
-      a same-block one 2u_s > q_s; those sums are positive integers, at most
-      M, and every q at base0 exceeds M.
-    * The extension u, q_{k-1} - u_{k-1}, ..., q_0 - u_0 is r-disjoint by
-      the same two bounds.  An integral sum or difference is one of:
+    * The cross-block minus form, d = u_s - u_t > 0 with q_s - q_t < d: d is
+      an integer only within one class, and there the stagger gives
+      q_s - q_t >= d + r + 2 instead, at every base.
+    * The cross-block plus form, sigma = u_s + u_t > max(q_s, q_t), and the
+      same-block plus form, which needs sigma = 2u_s >= q_s + 1: each needs a
+      positive integral sum, at most M, to exceed a q, and every q at base0
+      exceeds M.
+    * r-disjointness of the extension u, q_{k-1} - u_{k-1}, ..., q_0 - u_0,
+      by the same two bounds.  An integral sum or difference is one of:
       q_l; q_l - (u_l - u_m), which is at least q_l or, by the stagger,
       q_m + r + 2; q_l - (u_l + u_m), at least q_l - M >= 2r + 4; a sum
       q_l + q_m - (u_l + u_m) >= 4r; or (q_l - q_m) - (u_l - u_m), at least

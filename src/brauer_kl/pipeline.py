@@ -35,16 +35,14 @@ from .kl import (
     singular_reduction_table,
     tilting_table,
 )
-from .params import ParamConfig, simple_param_condition
+from .params import ParamConfig, phiA_condition, simple_param_condition
 from .weights import (
     Family,
     Numerators,
-    context_of,
     dominance_less,
     dominance_sort_key,
     family_table,
     is_singular,
-    phiA_condition,
     shifted_chamber,
     weight_name,
 )
@@ -340,7 +338,7 @@ def decomposition_report(
     fails.
     """
     convention = resolve_convention(convention)
-    phi_ok = phiA_condition(*shifted_chamber(cfg.u, cfg.q), context_of(cfg))
+    phi_ok = phiA_condition(cfg.u, cfg.q)
     if not phi_ok and not assume_saturated:
         raise SaturationNotEstablished(
             "cross-block hyperplanes are integral for these parameters; "

@@ -8,8 +8,9 @@ Every weight here is one integer tuple: the numerators scale * (mu + rho)
 of the shifted weight over the family's common denominator.
 :func:`shifted_chamber` is the one place rho is added: it gives the shifted
 chamber weight's numerators, which the family's rows (:func:`hat`,
-:func:`enumerate_F`), the block-size verdict and the saturation test
-(:func:`integral_reflections`, :func:`phiA_condition`) all read.  The weight
+:func:`enumerate_F`) and the pipeline's content check read; the block-size
+verdict and the saturation test need no weight, since ``params`` decides
+them from u and q by closed forms over pairs of parameters.  The weight
 family F_r of a configuration is one integer table, :class:`Family`, built
 once per command: per position a cell label, the numerators, off which
 linkage keys, singularity and dominance are read, and the flags.  The same
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterator, Literal, NamedTuple, Sequence
 
@@ -77,12 +78,6 @@ class WeightContext(_Boundaries):
         """(start, end) half-open coordinate ranges of the blocks."""
         for t in range(self.k):
             yield self.p[t], self.p[t + 1]
-
-    def block_of(self, i: int) -> int:
-        for t in range(self.k):
-            if self.p[t] <= i < self.p[t + 1]:
-                return t
-        raise IndexError(i)
 
 
 def context_of(cfg: ParamConfig) -> WeightContext:
@@ -150,37 +145,6 @@ def shifted_chamber(u: Sequence[Fraction], q: Sequence[int]) -> tuple[int, Numer
     return scale, tuple(
         num * scale // den - scale * m for (num, den), size in zip(tops, q) for m in range(size)
     )
-
-
-def integral_reflections(
-    scale: int, x: Numerators, ctx: WeightContext
-) -> Iterator[tuple[str, bool]]:
-    """``(kind, doubly regular)`` for each non-Levi root pairing positively
-    and integrally with the weight x / scale.
-
-    x must be regular within blocks, as a shifted chamber weight is.  A
-    pairing x_i -+ x_j is integral when ``scale`` divides it.  The reflection
-    in e_i - e_j swaps coordinates i and j, the one in e_i + e_j swaps them
-    and negates both; it is doubly regular when the entries within every
-    block stay distinct, and since it moves two coordinates only, a moved
-    value can collide only with an unmoved one of its block.
-    """
-    block = [ctx.block_of(i) for i in range(ctx.n)]
-    at = {(t, a): i for i, (t, a) in enumerate(zip(block, x))}  # (block, value) -> coordinate
-    for i, j in combinations(range(ctx.n), 2):
-        a, b, s, t = x[i], x[j], block[i], block[j]
-        for kind, val, yi, yj in (("minus", a - b, b, a), ("plus", a + b, -b, -a)):
-            if val > 0 and val % scale == 0 and (kind == "plus" or s != t):
-                yield kind, at.get((s, yi), i) in (i, j) and at.get((t, yj), j) in (i, j)
-
-
-def phiA_condition(scale: int, x: Numerators, ctx: WeightContext) -> bool:
-    """No cross-block "minus" root pairs positively and integrally with the
-    shifted chamber weight x / scale.
-
-    For a single block this holds vacuously (all minus roots are Levi roots).
-    """
-    return not any(kind == "minus" for kind, _ in integral_reflections(scale, x, ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Parameter admissibility and the disjoint block-size extension."""
 
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -8,7 +9,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import brauer_kl
 from brauer_kl import weights
@@ -19,10 +20,12 @@ from brauer_kl.params import (
     _linkage_classes,
     build_config,
     delta_from_u,
+    doubly_regular_reflection,
     extend_parameters,
     format_rational,
     omega_series,
     parse_rational,
+    phiA_condition,
     select_block_sizes,
     simple_param_condition,
     u_from_delta,
@@ -33,6 +36,7 @@ from verify_routes import (
     is_r_disjoint,
     lambda_c,
     numerators,
+    polynomial_route,
     psi_sets,
     verify_disjoint_extension,
 )
@@ -121,10 +125,20 @@ def test_simple_param_condition_level_two():
     assert simple_param_condition([F(1, 3), F(7, 2)], 2) is True
 
 
-@given(rationals)
-def test_simple_param_condition_routes_agree(u1):
-    # the function asserts internally that both routes agree; just drive it
-    simple_param_condition([u1], 1)
+@given(st.lists(rationals, min_size=1, max_size=3))
+@example(["1/3", "7/2"])
+@example(["0", "1/2", "1/4"])
+@example(["0", "1/3", "2/3"])
+@example(["1", "2", "3"])
+@example(["5", "1", "0"])
+@example(["1/2", "-1/2", "3/2"])
+@example(["2", "-1", "1/3"])
+@example(["1/5", "9/7", "2/11"])
+def test_simple_param_condition_routes_agree(u):
+    # the omega series against the polynomial identity, at levels one to
+    # three; the examples are the level-two case above and K3_SLICE's triples
+    u = [F(x) for x in u]
+    assert simple_param_condition(u, len(u)) == polynomial_route(u, len(u))
 
 
 def test_select_block_sizes_examples():
@@ -331,27 +345,42 @@ def tried_candidates():
 
 def test_integer_verdict_matches_the_fraction_route(tried_candidates):
     # on every candidate: the chamber numerators are scale * (lambda_c + rho),
-    # the integral reflections are psi with its doubly-regular subset, the
-    # saturation test reads the same roots, and the verdict is the
+    # the closed forms give psi_sets' verdicts (a doubly-regular reflection,
+    # a positively paired cross-block minus root), and the verdict is the
     # Fraction route's
     verdicts = Counter()
     for u, q, r in tried_candidates:
         cfg = extend_parameters(u, q, r)
-        ctx = weights.context_of(cfg)
         scale, x = weights.shifted_chamber(u, q)
         assert x == numerators(lambda_c(cfg), scale)
         assert scale == lcm(*(c.denominator for c in cfg.c))
-        psi, psi_pp = psi_sets(lambda_c(cfg), ctx)
-        assert Counter(weights.integral_reflections(scale, x, ctx)) == Counter(
-            (beta.kind, beta in psi_pp) for beta in psi
-        )
-        assert weights.phiA_condition(scale, x, ctx) == all(b.kind == "plus" for b in psi)
+        psi, psi_pp = psi_sets(lambda_c(cfg), weights.context_of(cfg))
+        assert doubly_regular_reflection(u, q) == bool(psi_pp)
+        assert phiA_condition(u, q) == all(b.kind == "plus" for b in psi)
         verdict = verify_block_sizes(u, q, r)
         assert verdict == fraction_route_verifies(u, q, r)
         verdicts[verdict, bool(psi_pp)] += 1
     # candidates fail both ways: a doubly-regular reflection, and
     # parameters that are not r-disjoint
     assert verdicts.keys() == {(True, False), (False, True), (False, False)}
+
+
+def test_closed_forms_match_psi_sets_on_a_seeded_grid():
+    # 500 (u, q) with the seed fixed: k <= 4, u = a/b with b <= 6 and
+    # |u| <= 8, and any q_j in 1..12, staggered or not
+    rng = random.Random(22)
+    verdicts = Counter()
+    for _ in range(500):
+        k = rng.randint(1, 4)
+        u = [F(rng.randint(-8 * b, 8 * b), b) for b in (rng.randint(1, 6) for _ in range(k))]
+        q = [rng.randint(1, 12) for _ in range(k)]
+        cfg = extend_parameters(u, q, 1)
+        psi, psi_pp = psi_sets(lambda_c(cfg), weights.context_of(cfg))
+        regular, saturated = doubly_regular_reflection(u, q), phiA_condition(u, q)
+        assert regular == bool(psi_pp), (u, q)
+        assert saturated == all(b.kind == "plus" for b in psi), (u, q)
+        verdicts[regular, saturated] += 1
+    assert len(verdicts) == 4
 
 
 @pytest.mark.parametrize(

@@ -460,6 +460,11 @@ GOLDEN_REPORT_SHA256 = {
     # block-size selection at u = 100 (q = 204), recorded while the psi++
     # verdict and the saturation test still paired Fraction weights
     ("100", 3, False): "bbc9ef45121df2e7820abe9bbb9161ef6447f0b5b040e34450553eb150430723",
+    # block-size selection at u = 500 and 1000 (q = 1002 and 2002), recorded
+    # while each candidate base was decided by a scan over the chamber
+    # weight's roots
+    ("500", 2, False): "c74230e2563d4d4ab83d076c40500b6b53e246ca26cb31e636225cc4408a491e",
+    ("1000", 2, False): "3422d0c05484895306e501e865a1d0a36a46d26a6e74e7ef08ea0d48a84a253d",
 }
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import brauer_kl
 from brauer_kl.combinat import LambdaIndex, double_factorial, enumerate_lambda
-from brauer_kl.params import build_config
+from brauer_kl.params import build_config, doubly_regular_reflection, phiA_condition
 from brauer_kl.weights import (
     Root,
     WeightContext,
@@ -22,16 +22,15 @@ from brauer_kl.weights import (
     enumerate_F,
     family_table,
     hat,
-    integral_reflections,
     is_singular,
     pairing,
-    phiA_condition,
     rho,
     shifted_chamber,
     tilde,
     weight_of,
 )
 from verify_routes import (
+    block_of,
     blockwise_regular,
     delta,
     in_F_r,
@@ -96,7 +95,7 @@ def test_weight_context_blocks():
     ctx = WeightContext(10, (0, 4, 10))
     assert ctx.k == 2
     assert list(ctx.blocks()) == [(0, 4), (4, 10)]
-    assert ctx.block_of(0) == 0 and ctx.block_of(4) == 1 and ctx.block_of(9) == 1
+    assert block_of(ctx, 0) == 0 and block_of(ctx, 4) == 1 and block_of(ctx, 9) == 1
 
 
 def test_lambda_c_level_one_example():
@@ -125,7 +124,8 @@ def test_psi_sets_empty_at_chamber_weight():
     ctx = context_of(cfg)
     psi, psi_pp = psi_sets(lambda_c(cfg), ctx)
     assert psi == set() and psi_pp == set()
-    assert list(integral_reflections(*shifted_chamber(cfg.u, cfg.q), ctx)) == []
+    assert not doubly_regular_reflection(cfg.u, cfg.q)
+    assert phiA_condition(cfg.u, cfg.q)
 
 
 def test_psi_sets_positive_pairing_without_double_regularity():
@@ -141,14 +141,22 @@ def test_psi_sets_positive_pairing_without_double_regularity():
     assert beta in psi
     assert beta not in psi_pp
     assert psi_pp == set()
-    found = list(integral_reflections(*shifted_chamber(cfg.u, cfg.q), ctx))
-    assert ("plus", False) in found and len(found) == len(psi)
+    # the same-block plus form: sigma = 2u = 5 falls short of q + 1 = 9
+    assert cfg.q == (8,) and not doubly_regular_reflection(cfg.u, cfg.q)
+    # at q = 4, sigma = q + 1 with q even: the block holds 0, and the root
+    # joins it to the top entry 2
+    cfg = build_config([F(5, 2)], 3, q=[4])
+    assert psi_sets(lambda_c(cfg), context_of(cfg))[1] == {Root(0, 2, "plus")}
+    assert doubly_regular_reflection(cfg.u, cfg.q)
 
 
 def test_phiA_vacuous_at_level_one():
-    cfg = build_config([F(5, 2)], 3)
-    assert phiA_condition(*shifted_chamber(cfg.u, cfg.q), context_of(cfg)) is True
-
+    for u, q in ((F(5, 2), 8), (F(0), 2), (F(-3), 12)):
+        assert phiA_condition([u], [q]) is True
+    # two blocks, d = u_1 - u_2 = -1: the largest cross-block minus pairing
+    # d + q_2 - 1 is 0 at q_2 = 2 and 1 at q_2 = 3
+    assert phiA_condition([F(0), F(1)], [4, 2]) is True
+    assert phiA_condition([F(0), F(1)], [4, 3]) is False
 
 
 def test_delta_of_chamber_weight_is_zero():

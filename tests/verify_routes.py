@@ -13,16 +13,19 @@ to compile it:
 * ``in_F_r``/``in_F_rk``: membership of a ``Fraction`` weight in the family
   F_r and its level part, decided through ``reference_tilde``;
 * ``blockwise_regular``: pairwise-distinct entries within every block, read
-  off the whole weight (``weights.integral_reflections`` checks the two
-  coordinates a reflection moves);
-* ``shift``, ``reflect``, ``positive_roots`` and ``psi_sets``: the
-  positively paired non-Levi roots of a ``Fraction`` weight and their
+  off the whole weight;
+* ``shift``, ``reflect``, ``positive_roots``, ``block_of`` and ``psi_sets``:
+  the positively paired non-Levi roots of a ``Fraction`` weight and their
   doubly-regular subset, root by root over all n(n-1) positive roots (the
-  package reads both verdicts off the integer numerators of
-  ``weights.shifted_chamber``);
+  package decides both verdicts from u and q alone, by closed forms over
+  pairs of parameters: ``params.doubly_regular_reflection`` and
+  ``params.phiA_condition``);
 * ``is_r_disjoint``/``verify_disjoint_extension``: r-disjointness of the
-  extended parameters on ``Fraction``s (``params.verify_block_sizes`` reads
-  it off the chamber numerators);
+  extended parameters, pair by pair through ``cfg.u_ext``
+  (``params.verify_block_sizes`` builds the extension itself);
+* ``polynomial_route``: the "some low omega is nonzero" criterion as a
+  polynomial identity that must fail (``params.simple_param_condition``
+  reads the omega series);
 * ``mat_mul``/``mat_vec``: exact dense products; ``rank`` and ``trace``;
 * ``has_nonnegative_coeffs``: a Laurent polynomial with no negative
   coefficient;
@@ -160,6 +163,14 @@ def positive_roots(n: int) -> Iterator[Root]:
             yield Root(i, j, "plus")
 
 
+def block_of(ctx: WeightContext, i: int) -> int:
+    """The block holding coordinate i."""
+    for t in range(ctx.k):
+        if ctx.p[t] <= i < ctx.p[t + 1]:
+            return t
+    raise IndexError(i)
+
+
 def psi_sets(lam: Weight, ctx: WeightContext) -> tuple[set[Root], set[Root]]:
     """The positively-paired non-Levi roots and their doubly-regular subset.
 
@@ -171,7 +182,7 @@ def psi_sets(lam: Weight, ctx: WeightContext) -> tuple[set[Root], set[Root]]:
     x = shift(lam)
     psi: set[Root] = set()
     for beta in positive_roots(ctx.n):
-        if beta.kind == "minus" and ctx.block_of(beta.i) == ctx.block_of(beta.j):
+        if beta.kind == "minus" and block_of(ctx, beta.i) == block_of(ctx, beta.j):
             continue  # Levi root
         val = pairing(x, beta)
         if val.denominator == 1 and val > 0:
@@ -203,6 +214,30 @@ def verify_disjoint_extension(cfg: ParamConfig) -> bool:
             if not is_r_disjoint(cfg.u_ext[j], cfg.u_ext[i], cfg.r):
                 return False
     return True
+
+
+def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def polynomial_route(u: list[Fraction], k: int) -> bool:
+    """True iff (x - 1/2) prod (x - s u_i) != (x - s/2) prod (x + s u_i),
+    with s = (-1)^k: the polynomial form of ``params.simple_param_condition``.
+
+    >>> polynomial_route([Fraction(1, 2)], 1), polynomial_route([Fraction(0)], 1)
+    (False, True)
+    """
+    sign = (-1) ** k
+    lhs = [Fraction(-1, 2), Fraction(1)]
+    rhs = [Fraction(-sign, 2), Fraction(1)]
+    for ui in u:
+        lhs = _poly_mul(lhs, [-sign * ui, Fraction(1)])
+        rhs = _poly_mul(rhs, [sign * ui, Fraction(1)])
+    return lhs != rhs
 
 
 def mat_mul(a, b) -> list[list[Fraction]]:
