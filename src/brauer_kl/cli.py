@@ -6,7 +6,11 @@ output, and a negative one is passed with "=", as in ``--u=-1/2``.
 ``decompose`` is a function of its parameters (k, r, u) alone: the block
 sizes are the first verified choice of ``params.select_block_sizes``, and
 the KL and conjugate conventions are the pins frozen in ``kl``; only
-``oracle-compare`` tries both KL readings.  ``decompose --out FILE`` writes
+``oracle-compare`` tries both KL readings.  Each of the two builds one
+family table (``weights.family_table``); ``oracle-compare`` checks the
+diagram budget first, then builds the family, both readings' reports,
+which share the family's engine cores, and the oracle matrix last, so a
+refusal never pays for the oracle.  ``decompose --out FILE`` writes
 the report to FILE; ``--out DIR`` writes it to
 ``DIR/decomp_k{k}_r{r}_{h}.{json|csv}``, where h is the first 8 hex digits
 of the SHA-256 of the ``--u`` text as given.  The module level imports only
@@ -18,8 +22,9 @@ not ``combinat``; ``enumerate`` loads ``combinat`` alone, without
 run them, ``hashlib`` only to name such a file, ``json`` only to write a
 JSON report, the diagram oracle only for ``oracle-compare``.  Exit codes: 0
 success, 2 usage/parse error, 3 saturation not established (and not waived),
-4 oracle mismatch, 5 unsupported linkage block or a canonical-basis
-recursion past its weight bound, 6 a tilting peel that fails (a negative or
+4 oracle mismatch, 5 unsupported linkage block, a canonical-basis
+recursion past its weight bound or block sizes past
+``params.MAX_BLOCK_SIZE``, 6 a tilting peel that fails (a negative or
 escaping residual).
 """
 
@@ -94,7 +99,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    from . import params, pipeline
+    from . import params, pipeline, weights
     from .kl import ClosedWorldViolation, UnsupportedBlock
     from .pipeline import NegativeResidual, SaturationNotEstablished
 
@@ -106,13 +111,13 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if len(u) != args.k:
         print(f"error: expected {args.k} rational(s), got {len(u)}", file=sys.stderr)
         return 2
-    cfg = params.build_config(u, args.r)
     try:
-        report = pipeline.decomposition_report(cfg, assume_saturated=args.assume_saturated)
+        family = weights.family_table(params.build_config(u, args.r))
+        report = pipeline.decomposition_report(family, assume_saturated=args.assume_saturated)
     except SaturationNotEstablished as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UnsupportedBlock, ClosedWorldViolation) as exc:
+    except (params.BlockSizesTooLarge, UnsupportedBlock, ClosedWorldViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     except NegativeResidual as exc:
@@ -145,7 +150,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_oracle_compare(args: argparse.Namespace) -> int:
     from . import oracle  # only this command runs the diagram oracle
-    from . import params, pipeline
+    from . import params, pipeline, weights
     from .kl import ClosedWorldViolation, UnsupportedBlock
 
     if args.k != 1:
@@ -157,26 +162,32 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        matrix = oracle.oracle_decomposition_matrix(args.r, delta)
+        oracle.check_budget(args.r)
     except oracle.DimensionTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cfg = params.build_config((params.u_from_delta(delta),), args.r)
-    passing: list[tuple[str, str]] = []
-    diffs_by_pair = {}
+    try:
+        cfg = params.build_config((params.u_from_delta(delta),), args.r)
+    except params.BlockSizesTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
+    family = weights.family_table(cfg)  # both conventions' reports share its engine cores
+    reports: dict = {}  # per KL convention: its report, or its failure as a diff
     for kl_conv in ("direct", "mirror"):
-        # one report per KL convention: the conjugation only relabels the
-        # oracle's cells inside oracle.compare
-        report = failure = None
         try:
-            report = pipeline.decomposition_report(cfg, convention=kl_conv)
+            reports[kl_conv] = pipeline.decomposition_report(family, kl_conv)
         except (UnsupportedBlock, ClosedWorldViolation) as exc:  # no convention can reconcile it
             print(f"error: {exc}", file=sys.stderr)
             return 5
         except Exception as exc:  # a wrong convention may fail structurally
-            failure = [{"kind": "error", "detail": str(exc)}]
+            reports[kl_conv] = [{"kind": "error", "detail": str(exc)}]
+    matrix = oracle.oracle_decomposition_matrix(args.r, delta)  # last: a refusal skips it
+    passing: list[tuple[str, str]] = []
+    diffs_by_pair = {}
+    for kl_conv, report in reports.items():
+        # the conjugation only relabels the oracle's cells inside oracle.compare
         for conj_conv in ("identity", "transpose"):
-            diff = failure or oracle.compare(report, matrix, conj_conv)
+            diff = report if isinstance(report, list) else oracle.compare(report, matrix, conj_conv)
             diffs_by_pair[(kl_conv, conj_conv)] = diff
             if not diff:
                 passing.append((kl_conv, conj_conv))
@@ -216,7 +227,7 @@ def cmd_kl_selftest(args: argparse.Namespace) -> int:
             return f"{len(mismatches)} walk step(s) fail the content cross-check"
 
     def peel(cfg, family):
-        pipeline.tilting_decomposition(cfg)  # raises if the tie order matters
+        pipeline.tilting_decomposition(weights.family_table(cfg))  # raises if the tie order matters
 
     failures = 0
     for u_text, r in SELFTEST_BATTERY:

@@ -45,9 +45,11 @@ token), see :func:`_exponent`.  So the move table and the element memo read
 no token value (the translation principle: Cox-De Visscher-Martin, JPAA
 215, 2011; Soergel, Represent. Theory 1, 1997), and engines of one Coxeter
 shape share one core, keyed by (context, generators, zero class): the
-interned states, the move table and the element memo, all on int ids.  A
-move-table entry, filled once on first use, is the image id and the
-exponent, or "fixed".
+interned states, the move table and the element memo, all on int ids.  The
+pipeline keeps the cores in its family's store (``weights.Family.cores``),
+so every block of a command and both KL conventions read one core per
+shape, and no element is computed twice.  A move-table entry, filled once
+on first use, is the image id and the exponent, or "fixed".
 
 A wall block (one vanishing pairing x_i = -x_j = a) is read off the
 canonical basis of its regular companion, whose tokens split the doubled
@@ -432,7 +434,8 @@ def tilting_table(
 ) -> dict[tuple[Numerators, Numerators], int]:
     """Tilting multiplicities keyed (lam, mu) = (T(mu) : M(lam)), both given
     by their numerators at the block's scale.  The block's engine takes its
-    core from the store ``cores`` (a private one when None).
+    core from the store ``cores`` (a private one when None); the pipeline
+    passes its family's, ``weights.Family.cores``.
 
     The ambient rank is even, so the longest-element twist in the Verma-flag
     character duality is plain negation and the only residual freedom is the

@@ -397,12 +397,17 @@ def _radical_coordinates(
     return coords
 
 
-def oracle_decomposition_matrix(r: int, delta: Fraction) -> OracleMatrix:
-    """Exact decomposition matrix [C(f,lam) : D(f',mu)] for B_r(delta)."""
+def check_budget(r: int) -> None:
+    """Refuse an r whose B_r has more than ``DIAGRAM_BUDGET`` diagrams."""
     if combinat.double_factorial(2 * r - 1) > DIAGRAM_BUDGET:
         raise DimensionTooLarge(
             f"r={r} exceeds the brute-force budget of {DIAGRAM_BUDGET} diagrams (r <= 5)"
         )
+
+
+def oracle_decomposition_matrix(r: int, delta: Fraction) -> OracleMatrix:
+    """Exact decomposition matrix [C(f,lam) : D(f',mu)] for B_r(delta)."""
+    check_budget(r)
     delta = Fraction(delta)
     labels = cell_labels(r)
     reps = class_representatives(r)

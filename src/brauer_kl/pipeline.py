@@ -1,12 +1,15 @@
 """End-to-end decomposition pipeline.
 
-The chain: pick block sizes for the given parameters, build the family table
-(labels, integer numerators and standard-flag multiplicities), run the
-canonical-basis engine per non-singleton linkage class, peel the flagged
-module into indecomposable tilting summands, and assemble the decomposition
-matrices — the full one (rows the whole family) and the level-truncated one
-(rows and columns with empty tail parts).  The peel, the matrices and the
-report are keyed by family position; labels are read off the table.
+The chain starts from a family table (``weights.family_table``: labels,
+integer numerators, standard-flag multiplicities and the engine-core
+store), which the command builds once from its parameters: run the
+canonical-basis engine per non-singleton linkage class on the family's
+cores, peel the flagged module into indecomposable tilting summands, and
+assemble the decomposition matrices — the full one (rows the whole family)
+and the level-truncated one (rows and columns with empty tail parts).  The
+peel, the matrices and the report are keyed by family position; labels are
+read off the table.  Both KL conventions may read one family: their tables
+share its cores, so each canonical basis element is computed once.
 
 Exactness is enforced, not assumed: the peel keeps an integer residual ledger
 over every weight it touches and raises ``NegativeResidual`` the moment the
@@ -41,7 +44,6 @@ from .weights import (
     Numerators,
     dominance_less,
     dominance_sort_key,
-    family_table,
     is_singular,
     shifted_chamber,
     weight_name,
@@ -186,9 +188,7 @@ def _greedy_peel(
             residual[i] -= m * val
 
 
-def tilting_decomposition(
-    cfg: ParamConfig, convention: str | None = None
-) -> DecompositionResult:
+def tilting_decomposition(family: Family, convention: str | None = None) -> DecompositionResult:
     """Peel the standard-flagged module into indecomposable tilting summands.
 
     Each non-singleton linkage block's tilting table is built once and
@@ -198,19 +198,17 @@ def tilting_decomposition(
     with incomparable ties broken the other way; the two peels must agree,
     or ``NegativeResidual`` is raised.  ``convention`` None uses the frozen
     pin.  Only non-singleton blocks reach the engine, whose blocks of one
-    Coxeter shape share one core; their tables, keyed by the family's
-    numerator tuples, are read back into ids through one dict.  Every
-    table's mu is a block member, so every entry lands in a family
+    Coxeter shape share one core of ``family.cores``; their tables, keyed by
+    the family's numerator tuples, are read back into ids through one dict.
+    Every table's mu is a block member, so every entry lands in a family
     position's column.
     """
     convention = resolve_convention(convention)
-    family = family_table(cfg)
     flag = family.flag
     size = len(family)
     blocks = partition_into_blocks(family)
     ids = {x: i for i, x in enumerate(family.numerators)}
     numerators = list(family.numerators)  # per id: ids past the family's end append
-    cores: dict = {}  # the engine cores, one per Coxeter shape
     n_out: dict[int, int] = {}
     columns: dict[int, dict[int, int]] = {}
     singular: list[int] = []
@@ -249,10 +247,10 @@ def tilting_decomposition(
             continue
         try:
             if singular_pairs(family.numerators[block.positions[0]]):
-                table = singular_reduction_table(block, convention, cores)
+                table = singular_reduction_table(block, convention, family.cores)
                 reduced.append(block.positions)
             else:
-                table = tilting_table(block, convention, cores)
+                table = tilting_table(block, convention, family.cores)
         except UnsupportedBlock as exc:  # name the weight by its cell label
             raise UnsupportedBlock(exc.weight, exc.reason, name(id_of(exc.weight))) from None
         # linkage blocks touch disjoint weights: their columns never collide
@@ -322,11 +320,11 @@ def _sparse_entries(
 
 
 def decomposition_report(
-    cfg: ParamConfig,
+    family: Family,
     convention: str | None = None,
     assume_saturated: bool = False,
 ) -> dict:
-    """Full decomposition report as a JSON-serializable dictionary.
+    """Full decomposition report of a family table, as a JSON-serializable dict.
 
     Runs :func:`tilting_decomposition` once (its tie-order check included)
     and reads both matrices and the simple dimensions off that one result,
@@ -338,15 +336,14 @@ def decomposition_report(
     fails.
     """
     convention = resolve_convention(convention)
+    cfg = family.cfg
     phi_ok = phiA_condition(cfg.u, cfg.q)
     if not phi_ok and not assume_saturated:
         raise SaturationNotEstablished(
             "cross-block hyperplanes are integral for these parameters; "
             "pass assume_saturated to proceed"
         )
-    result = tilting_decomposition(cfg, convention=convention)
-
-    family = result.family
+    result = tilting_decomposition(family, convention)
     names = [family_label(idx) for idx in family.labels]
     rows_full = range(len(family))
     cols_full = result.support

@@ -12,8 +12,10 @@ chamber weight's numerators, which the family's rows (:func:`hat`,
 verdict and the saturation test need no weight, since ``params`` decides
 them from u and q by closed forms over pairs of parameters.  The weight
 family F_r of a configuration is one integer table, :class:`Family`, built
-once per command: per position a cell label, the numerators, off which
-linkage keys, singularity and dominance are read, and the flags.  The same
+once per ``decompose`` or ``oracle-compare`` command (``kl-selftest`` builds
+its check tables apart): per position a cell label, the numerators, off
+which linkage keys, singularity and dominance are read, the flags, and the
+engine-core store that both KL conventions' tables share.  The same
 tuples run through the canonical-basis engine, its tables and the peel; any
 weight reached there, in the family or not, is such a tuple, and
 :func:`weight_of` turns one back into mu (:func:`weight_name` for a message).
@@ -229,11 +231,13 @@ class Family:
     weight, and the flag: the number of level-2k walks to the label's shape.
     ``level_flag`` maps the positions of F_{r,k} (empty tails), in order, to
     the truncated flag: the level-k walks to the head shape, since a walk
-    whose tails stay empty is a walk on the heads alone.  ``len()`` is the
-    family size, which is why this is not a ``NamedTuple``.
+    whose tails stay empty is a walk on the heads alone.  ``cores`` is the
+    family's engine-core store, one core per Coxeter shape, which every
+    tilting table read off the family shares, under either KL convention.
+    ``len()`` is the family size, which is why this is not a ``NamedTuple``.
     """
 
-    __slots__ = ("cfg", "labels", "scale", "numerators", "flag", "level_flag")
+    __slots__ = ("cfg", "labels", "scale", "numerators", "flag", "level_flag", "cores")
 
     def __init__(
         self,
@@ -246,6 +250,7 @@ class Family:
     ):
         self.cfg, self.labels, self.scale, self.numerators = cfg, labels, scale, numerators
         self.flag, self.level_flag = flag, level_flag
+        self.cores: dict = {}
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -99,7 +99,7 @@ def test_ac3_generic_semisimplicity(criterion):
             k = len(u)
             for r in (1, 2, 3):
                 cfg = params.build_config(u, r)
-                rep = pipeline.decomposition_report(cfg)
+                rep = pipeline.decomposition_report(weights.family_table(cfg))
                 assert rep["flags"]["generic"] is True
                 size = len(combinat.enumerate_lambda(k, r))
                 assert len(rep["matrix_level"]["rows"]) == size
@@ -124,7 +124,7 @@ def test_ac4_oracle_pinning(criterion):
     with criterion("AC-4", "exactly one convention pair reconciles all six diagram-oracle runs"):
         surviving = set(CONVENTION_PAIRS)
         for r, delta in AC4_RUNS:
-            cfg = params.build_config((params.u_from_delta(delta),), r)
+            family = weights.family_table(params.build_config((params.u_from_delta(delta),), r))
             matrix = oracle.oracle_decomposition_matrix(r, delta)
             reports = {}  # one per KL convention: conjugation only relabels
             for pair in CONVENTION_PAIRS:
@@ -133,7 +133,7 @@ def test_ac4_oracle_pinning(criterion):
                 kl_conv, conj_conv = pair
                 try:
                     if kl_conv not in reports:
-                        reports[kl_conv] = pipeline.decomposition_report(cfg, convention=kl_conv)
+                        reports[kl_conv] = pipeline.decomposition_report(family, convention=kl_conv)
                     diff = oracle.compare(reports[kl_conv], matrix, conj_conv)
                 except Exception:
                     diff = [{"kind": "error"}]
@@ -149,7 +149,7 @@ def test_ac4_stretch_r4(criterion):
         start = time.monotonic()
         cfg = params.build_config((params.u_from_delta(F(1)),), 4)
         matrix = oracle.oracle_decomposition_matrix(4, F(1))
-        rep = pipeline.decomposition_report(cfg)
+        rep = pipeline.decomposition_report(weights.family_table(cfg))
         assert oracle.compare(rep, matrix, "transpose") == []
         assert time.monotonic() - start < 600
 
@@ -198,4 +198,4 @@ def test_ac7_canonical_basis_internals(criterion):
                         if z != x:
                             assert p.in_positive_part()  # off-diagonal in v*Z[v]
             # the peel runs both tie orders itself and raises if they disagree
-            pipeline.tilting_decomposition(cfg)
+            pipeline.tilting_decomposition(weights.family_table(cfg))

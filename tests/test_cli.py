@@ -188,6 +188,32 @@ def test_weight_bound_exits_5_with_one_error_line(capsys, monkeypatch, argv):
     )
 
 
+# parameters whose block-size search would reach past params.MAX_BLOCK_SIZE;
+# each used to run without end
+HUGE = [
+    ("decompose", "--k", "1", "--r", "2", "--u=1e400"),
+    ("oracle-compare", "--r", "2", "--delta=-1e400"),
+]
+
+
+@pytest.mark.parametrize("argv", HUGE, ids=" ".join)
+def test_huge_parameters_exit_5_with_one_error_line(argv):
+    # a subprocess with a timeout: a search that does not end fails here
+    src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "brauer_kl.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (5, "")
+    assert proc.stderr == (
+        "error: block-size selection at r=2 would try blocks past "
+        f"{params.MAX_BLOCK_SIZE} coordinates, the largest supported\n"
+    )
+
+
 def test_decompose_imports_no_oracle():
     src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
     code = (
@@ -370,10 +396,12 @@ def test_kl_selftest_reports_a_check_that_raises(capsys, monkeypatch, module, na
     monkeypatch.setattr(module, name, boom)
     code, out, _ = run(capsys, "kl-selftest")
     assert code == 1
+    # the bijection and the peel each build a family table: both fail
+    step = 3 if name == "family_table" else 2
     lines = out.strip().splitlines()
-    assert len(lines) == 8
-    assert all(line.startswith("FAIL:") for line in lines[::2])
-    assert set(lines[1::2]) == {"  ValueError: boom"}
+    assert len(lines) == 4 * step
+    assert all(line.startswith("FAIL:") for line in lines[::step])
+    assert set(lines) - set(lines[::step]) == {"  ValueError: boom"}
 
 
 def test_kl_selftest_checks_the_family_table(capsys, monkeypatch):
@@ -435,6 +463,28 @@ def test_oracle_compare_builds_one_engine_per_block_and_convention(capsys, engin
     code, _, _ = run(capsys, "oracle-compare", "--r", "3", "--delta", "1")
     assert code == 0
     assert 0 < engines_built[0] <= 2 * non_singleton
+
+
+# oracle-compare arguments -> the canonical basis elements the command computes
+ELEMENTS = {"--r 3 --delta=1": 16, "--r 4 --delta=1": 58, "--r 5 --delta=-2": 52,
+            "--r 5 --delta=0": 46}
+
+
+@pytest.mark.parametrize("argv", list(ELEMENTS))
+def test_oracle_compare_computes_each_element_once(capsys, monkeypatch, argv):
+    # both KL conventions read one family's cores; an element is keyed by its
+    # core's shape and its state, so a second core of one shape repeats it
+    computed = []
+    element = kl.CanonicalBasisEngine._element
+
+    def recording(self, sid):
+        if sid not in self._b:  # a memo miss
+            computed.append(((self.ctx, self.moves, self._zero_class), self._states[sid]))
+        return element(self, sid)
+
+    monkeypatch.setattr(kl.CanonicalBasisEngine, "_element", recording)
+    assert run(capsys, "oracle-compare", *argv.split())[0] == 0
+    assert len(set(computed)) == len(computed) == ELEMENTS[argv]
 
 
 # per command: the counters the benchmark tracer must read off it

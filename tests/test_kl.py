@@ -767,7 +767,7 @@ def test_move_table_fills_each_entry_once(monkeypatch):
     monkeypatch.setattr(kl.CanonicalBasisEngine, "apply_move", counting_move)
     monkeypatch.setattr(kl.CanonicalBasisEngine, "_element", recording_element)
     # B_3(-2): one wall block; the tables ask for elements by state id
-    pipeline.decomposition_report(build_config([u_from_delta(F(-2))], 3))
+    pipeline.decomposition_report(family_table(build_config([u_from_delta(F(-2))], 3)))
     (engine,) = engines
     assert asked
     assert 0 < calls[0] <= len(engine._states) * len(engine.moves)
@@ -801,11 +801,15 @@ def test_a_successful_decompose_decodes_no_state(monkeypatch, capsys, argv):
 
 
 # blocks of one Coxeter shape at many values: k = 1 at four parameters and
-# r <= 6, and two level-two parameter pairs
+# r <= 6, at two more and r <= 5, and two level-two parameter pairs; every
+# oracle-compare point at r <= 5 for delta in {1, 2, -2, 0, 1/2} is here
 SHARING_GRID = [((u,), r) for u in ("3/2", "0", "1/2", "5/2") for r in range(1, 7)] + [
     *((("0", "1/2"), r) for r in range(1, 5)),
     *((("0", "1/3"), r) for r in range(1, 4)),
+    *(((u,), r) for u in ("-1/2", "1/4") for r in range(1, 6)),
 ]
+# the convention that reads a store first -> the order both read it in
+ORDERS = {"mirror": ("mirror", "direct"), "direct": ("direct", "mirror")}
 
 
 def table_or_refusal(block, convention, cores):
@@ -817,11 +821,23 @@ def table_or_refusal(block, convention, cores):
         return exc.reason
 
 
+def grid_blocks(u, r):
+    family = family_table(build_config([F(x) for x in u], r))
+    return [b for b in kl.partition_into_blocks(family) if not b.is_singleton]
+
+
 @cache
-def shared_grid(convention):
-    """Per SHARING_GRID point its non-singleton blocks and their tables (or
-    refusals), read on one core store per point, the number of cores, and
-    every engine those reads built."""
+def private_tables(u, r, convention):
+    """The tables (or refusals) of a grid point's blocks, each on its own store."""
+    return [table_or_refusal(block, convention, {}) for block in grid_blocks(u, r)]
+
+
+@cache
+def shared_grid(first):
+    """Per SHARING_GRID point its non-singleton blocks and, per convention in
+    the order ``ORDERS[first]``, their tables (or refusals), all read on one
+    core store per point, as ``oracle-compare`` reads them; the number of
+    cores, and every engine those reads built."""
     engines, runs = [], []
     init = kl.CanonicalBasisEngine.__init__
 
@@ -832,32 +848,34 @@ def shared_grid(convention):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kl.CanonicalBasisEngine, "__init__", recording_init)
         for u, r in SHARING_GRID:
-            family = family_table(build_config([F(x) for x in u], r))
-            cores = {}
-            blocks = [b for b in kl.partition_into_blocks(family) if not b.is_singleton]
-            tables = [table_or_refusal(block, convention, cores) for block in blocks]
+            blocks, cores = grid_blocks(u, r), {}
+            tables = {
+                convention: [table_or_refusal(block, convention, cores) for block in blocks]
+                for convention in ORDERS[first]
+            }
             runs.append((u, r, blocks, tables, len(cores)))
     return runs, engines
 
 
-@pytest.mark.parametrize("convention", ["mirror", "direct"])
-def test_a_shared_core_gives_the_tables_of_private_ones(convention):
+@pytest.mark.parametrize("first", list(ORDERS))
+def test_a_shared_core_gives_the_tables_of_private_ones(first):
+    # the second convention reads the cores the first one filled
     reused, refused = 0, 0
-    runs, _ = shared_grid(convention)
+    runs, _ = shared_grid(first)
     for u, r, blocks, tables, cores in runs:
-        for block, shared in zip(blocks, tables):
-            assert shared == table_or_refusal(block, convention, {}), (u, r, block.key)
-            refused += isinstance(shared, str)
-        reused += len(blocks) - cores
-    assert reused == 58 and refused == 13  # of 82 blocks
+        for convention, shared in tables.items():
+            assert shared == private_tables(u, r, convention), (u, r, convention)
+            refused += sum(isinstance(table, str) for table in shared)
+        reused += 2 * len(blocks) - cores  # table reads that found their core built
+    assert reused == 148 and refused == 26  # of 88 blocks, each read twice
 
 
-@pytest.mark.parametrize("convention", ["mirror", "direct"])
-def test_every_shared_move_entry_has_the_exponent_the_values_give(convention):
+@pytest.mark.parametrize("first", list(ORDERS))
+def test_every_shared_move_entry_has_the_exponent_the_values_give(first):
     # each engine decodes every filled entry of its core with its own values
-    _, engines = shared_grid(convention)
+    _, engines = shared_grid(first)
     checked = sum(map(exponents_checked, engines))
-    assert len(engines) == 69 and checked > 80_000  # 28,000 distinct, on 24 cores
+    assert len(engines) == 150 and checked > 160_000  # on 28 cores
 
 
 def engines_and_cores(monkeypatch, u, r):
@@ -870,7 +888,7 @@ def engines_and_cores(monkeypatch, u, r):
         engines.append(self)
 
     monkeypatch.setattr(kl.CanonicalBasisEngine, "__init__", recording_init)
-    pipeline.decomposition_report(build_config([F(x) for x in u.split(",")], r))
+    pipeline.decomposition_report(family_table(build_config([F(x) for x in u.split(",")], r)))
     cores = {id(engine._states): engine._states for engine in engines}
     return engines, list(cores.values())
 

@@ -15,6 +15,8 @@ import brauer_kl
 from brauer_kl import weights
 from brauer_kl.kl import UnsupportedBlock
 from brauer_kl.params import (
+    MAX_BLOCK_SIZE,
+    BlockSizesTooLarge,
     ParamConfig,
     _even_ceil,
     _linkage_classes,
@@ -32,6 +34,7 @@ from brauer_kl.params import (
     verify_block_sizes,
 )
 from brauer_kl.pipeline import SaturationNotEstablished, decomposition_report
+from brauer_kl.weights import family_table
 from verify_routes import (
     is_r_disjoint,
     lambda_c,
@@ -144,6 +147,22 @@ def test_simple_param_condition_routes_agree(u):
 def test_select_block_sizes_examples():
     assert select_block_sizes([F(0)], 3) == [6]
     assert select_block_sizes([F(1, 3)], 2) == [4]
+
+
+# (u, r) whose block-size search reaches MAX_BLOCK_SIZE exactly -> one just past it
+AT_THE_BOUND = {
+    (("4998",), 2): (("4999",), 2),  # base0 = 2r + 4 + 2M, with M = 2u
+    (("0",), 9998): (("0",), 9999),
+    (("-19988", "0"), 2): (("-19989", "0"), 2),  # M = 0; u_2 is staggered by 19992
+}
+
+
+@pytest.mark.parametrize("at", list(AT_THE_BOUND), ids=str)
+def test_block_sizes_are_refused_just_past_the_bound(at):
+    (u, r), (past_u, past_r) = at, AT_THE_BOUND[at]
+    assert max(select_block_sizes([F(x) for x in u], r)) <= MAX_BLOCK_SIZE
+    with pytest.raises(BlockSizesTooLarge, match=f"past {MAX_BLOCK_SIZE} coordinates"):
+        select_block_sizes([F(x) for x in past_u], past_r)
 
 
 def test_extend_parameters_examples():
@@ -292,7 +311,7 @@ def report_outcome(u, r, q, assume_saturated):
     """The report without its ``params`` block, or the refusal it ends in."""
     cfg = build_config(u, r, q=q)
     try:
-        report = decomposition_report(cfg, assume_saturated=assume_saturated)
+        report = decomposition_report(family_table(cfg), assume_saturated=assume_saturated)
     except (SaturationNotEstablished, UnsupportedBlock) as exc:
         return type(exc).__name__, str(exc)
     except ValueError as exc:  # its message lists q-dependent coordinates

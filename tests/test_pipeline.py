@@ -91,7 +91,7 @@ def test_content_mismatches_empty_means_consistent():
 def test_generic_decomposition_is_the_flag():
     # all singleton blocks: every Verma is simple and tilting
     cfg = build_config([F(1, 3)], 2)
-    res = tilting_decomposition(cfg)
+    res = tilting_decomposition(family_table(cfg))
     assert all(b.is_singleton for b in res.blocks)
     assert res.multiplicities == {i: m for i, m in enumerate(res.family.flag) if m}
     assert set(res.multiplicities.values()) == {1, 2}  # walk counts at r = 2
@@ -101,7 +101,7 @@ def test_generic_k1_r2_simple_dimensions_are_ones():
     # semisimple case: the three level cells are the simples, each of walk
     # count one, so the solved dimensions come out all 1
     cfg = build_config([F(1, 3)], 2)
-    res = tilting_decomposition(cfg)
+    res = tilting_decomposition(family_table(cfg))
     dims = simple_dimensions(res)
     assert sorted(dims.values()) == [1, 1, 1]
     assert set(dims) == {i for i, mu in enumerate(reference_family(cfg)) if in_F_rk(mu, cfg)}
@@ -110,7 +110,7 @@ def test_generic_k1_r2_simple_dimensions_are_ones():
 def test_forward_peel_makes_no_dominance_scan(monkeypatch):
     # generic parameters: every block is a singleton, so only the simple
     # dimensions peel, forward only; the largest sort key is maximal
-    result = tilting_decomposition(build_config([F(1, 5), F(9, 7)], 2))
+    result = tilting_decomposition(family_table(build_config([F(1, 5), F(9, 7)], 2)))
     calls = []
     less = pipeline.dominance_less
     monkeypatch.setattr(
@@ -123,7 +123,7 @@ def test_forward_peel_makes_no_dominance_scan(monkeypatch):
 def test_peel_computes_each_sort_key_once(monkeypatch):
     # B_3(1) has non-singleton blocks; each block is peeled forward and with
     # ties reversed, and each peel keys every weight it meets exactly once
-    result = tilting_decomposition(build_config([u_from_delta(F(1))], 3))
+    result = tilting_decomposition(family_table(build_config([u_from_delta(F(1))], 3)))
     (block, *_) = [b for b in result.blocks if not b.is_singleton]
     nums, scale = result.family.numerators, result.family.scale
     residual = {i: result.family.flag[i] for i in block.positions}
@@ -142,7 +142,7 @@ def test_peel_computes_each_sort_key_once(monkeypatch):
         assert sorted(keyed) == sorted(nums[i] for i in met)
     # generic parameters: the simple dimensions' one peel, 2 keys per weight
     # before, one now
-    result = tilting_decomposition(build_config([F(1, 5), F(9, 7)], 2))
+    result = tilting_decomposition(family_table(build_config([F(1, 5), F(9, 7)], 2)))
     keyed.clear()
     dims = simple_dimensions(result)
     assert len(dims) > 1
@@ -155,7 +155,7 @@ def test_peel_computes_each_sort_key_once(monkeypatch):
 def test_columns_hold_family_positions_only(u, r):
     # the pinned reading keeps no column at a weight outside the family, and
     # its rows are block members, so no id past the family's end is made
-    result = tilting_decomposition(build_config(u, r))
+    result = tilting_decomposition(family_table(build_config(u, r)))
     size = len(result.family)
     assert result.reduced_blocks or any(not b.is_singleton for b in result.blocks)
     assert all(mu < size for mu in result.columns)
@@ -171,12 +171,12 @@ def test_successful_peel_names_no_weight(monkeypatch, u, r):
     calls = []
     name = pipeline.weight_name
     monkeypatch.setattr(pipeline, "weight_name", lambda *args: calls.append(args) or name(*args))
-    result = tilting_decomposition(build_config(u, r))
+    result = tilting_decomposition(family_table(build_config(u, r)))
     assert any(not b.is_singleton for b in result.blocks)
     assert calls == []
     # a peel that escapes the family names the weight it escapes at
     with pytest.raises(NegativeResidual, match="escapes the weight family"):
-        tilting_decomposition(build_config([F(1, 2)], 4), convention="direct")
+        tilting_decomposition(family_table(build_config([F(1, 2)], 4)), convention="direct")
     assert len(calls) == 1
 
 
@@ -198,7 +198,7 @@ FROZEN_TILTING_DELTA1_R3 = {
 
 def test_delta_one_r3_tilting_multiplicities_frozen():
     cfg = build_config([u_from_delta(F(1))], 3)
-    res = tilting_decomposition(cfg)
+    res = tilting_decomposition(family_table(cfg))
     labeled = {tuple(tilde(res.family.numerators[i], cfg)): m for i, m in res.multiplicities.items()}
     assert labeled == FROZEN_TILTING_DELTA1_R3
 
@@ -214,7 +214,7 @@ def test_peel_is_order_independent(monkeypatch):
         return out
 
     monkeypatch.setattr(pipeline, "_greedy_peel", recording)
-    tilting_decomposition(build_config([u_from_delta(F(1))], 3))
+    tilting_decomposition(family_table(build_config([u_from_delta(F(1))], 3)))
     assert peels[False] and peels[False] == peels[True]
 
 
@@ -227,14 +227,14 @@ def test_peel_order_disagreement_is_refused(monkeypatch):
 
     monkeypatch.setattr(pipeline, "_greedy_peel", skewed)
     with pytest.raises(NegativeResidual, match="peel order changed"):
-        tilting_decomposition(build_config([u_from_delta(F(1))], 3))
+        tilting_decomposition(family_table(build_config([u_from_delta(F(1))], 3)))
 
 
 def test_peel_errors_name_family_weights_by_cell_label(monkeypatch):
     # with no tilting columns the first weight peeled lacks its unit diagonal
     monkeypatch.setattr(pipeline, "tilting_table", lambda block, convention, cores: {})
     with pytest.raises(NegativeResidual) as exc:
-        tilting_decomposition(build_config([u_from_delta(F(1))], 3))
+        tilting_decomposition(family_table(build_config([u_from_delta(F(1))], 3)))
     assert re.fullmatch(r"tilting column at f\d+:[-\d,|]+ lacks a unit diagonal", str(exc.value))
 
 
@@ -250,7 +250,7 @@ def test_peel_refuses_a_residual_outside_the_family(monkeypatch):
 
     monkeypatch.setattr(pipeline, "tilting_table", with_outside_row)
     with pytest.raises(NegativeResidual, match=r"escapes the weight family at \((-?[\d/]+,)+-?[\d/]+\)$"):
-        tilting_decomposition(build_config([u_from_delta(F(1))], 3))
+        tilting_decomposition(family_table(build_config([u_from_delta(F(1))], 3)))
 
 
 FROZEN_SIMPLE_DIMS = {
@@ -264,7 +264,7 @@ FROZEN_SIMPLE_DIMS = {
 @pytest.mark.parametrize("delta", sorted(FROZEN_SIMPLE_DIMS))
 def test_simple_dimensions_frozen_r3(delta):
     cfg = build_config([u_from_delta(delta)], 3)
-    rep = decomposition_report(cfg)
+    rep = decomposition_report(family_table(cfg))
     assert rep["simple_dims"]["labels"] == ["f0:3", "f0:2,1", "f0:1,1,1", "f1:1"]
     assert rep["simple_dims"]["dims"] == FROZEN_SIMPLE_DIMS[delta]
 
@@ -276,7 +276,7 @@ def test_simple_dimensions_match_oracle_gram_ranks(delta):
     from brauer_kl.oracle import CellModule
 
     cfg = build_config([u_from_delta(delta)], 3)
-    res = tilting_decomposition(cfg)
+    res = tilting_decomposition(family_table(cfg))
     dims = simple_dimensions(res)
     for i, d in dims.items():
         idx = tilde(res.family.numerators[i], cfg)
@@ -286,7 +286,7 @@ def test_simple_dimensions_match_oracle_gram_ranks(delta):
 
 def test_matrix_entry_orientation():
     cfg = build_config([u_from_delta(F(1))], 3)
-    res = tilting_decomposition(cfg)
+    res = tilting_decomposition(family_table(cfg))
     nums = res.family.numerators
     lam = next(i for i, x in enumerate(nums) if tilde(x, cfg) == LambdaIndex(1, ((1,), ())))
     mu_t = next(i for i, x in enumerate(nums) if tilde(x, cfg) == LambdaIndex(0, ((2, 1), ())))
@@ -317,8 +317,8 @@ def _dense_entries(result, rows, cols):
 )
 def test_sparse_matrices_match_a_dense_probe(u, r):
     cfg = build_config(u, r)
-    res = tilting_decomposition(cfg)
-    rep = decomposition_report(cfg)
+    res = tilting_decomposition(family_table(cfg))
+    rep = decomposition_report(family_table(cfg))
     rows = list(range(len(res.family)))
     cols = list(res.support)
     assert rep["matrix_full"]["entries"] == _dense_entries(res, rows, cols)
@@ -330,7 +330,7 @@ def test_sparse_matrices_match_a_dense_probe(u, r):
 
 def test_report_structure_and_frozen_level_matrix():
     cfg = build_config([u_from_delta(F(1))], 3)
-    rep = decomposition_report(cfg)
+    rep = decomposition_report(family_table(cfg))
     assert rep["schema"] == "brauer-kl/1"
     assert rep["kl_convention"] == "mirror"
     assert rep["conjugate_convention"] == "transpose"
@@ -363,7 +363,7 @@ def _parse(label):
 
 def test_generic_report_matrix_is_identity():
     cfg = build_config([F(1, 3)], 2)
-    rep = decomposition_report(cfg)
+    rep = decomposition_report(family_table(cfg))
     assert rep["flags"]["generic"] is True
     n = len(rep["matrix_level"]["rows"])
     assert n == 3
@@ -372,7 +372,7 @@ def test_generic_report_matrix_is_identity():
 
 def test_level_matrix_is_a_submatrix_of_the_full_one():
     cfg = build_config([u_from_delta(F(1))], 3)
-    rep = decomposition_report(cfg)
+    rep = decomposition_report(family_table(cfg))
     full = rep["matrix_full"]
     level = rep["matrix_level"]
     full_dense = {(full["rows"][i], full["cols"][j]): v for i, j, v in full["entries"]}
@@ -384,14 +384,14 @@ def test_level_matrix_is_a_submatrix_of_the_full_one():
 
 def test_reports_are_deterministic():
     cfg = build_config([u_from_delta(F(1))], 3)
-    a = json.dumps(decomposition_report(cfg), sort_keys=True)
-    b = json.dumps(decomposition_report(cfg), sort_keys=True)
+    a = json.dumps(decomposition_report(family_table(cfg)), sort_keys=True)
+    b = json.dumps(decomposition_report(family_table(cfg)), sort_keys=True)
     assert a == b
 
 
 def test_singular_reduction_appears_at_delta_minus_two():
     cfg = build_config([u_from_delta(F(-2))], 3)
-    rep = decomposition_report(cfg)
+    rep = decomposition_report(family_table(cfg))
     assert rep["flags"]["singular_blocks"]  # wall weights exist
     assert any("reduced" in s for s in rep["flags"]["singular_reduced"])
 
@@ -400,8 +400,8 @@ def test_saturation_gate_level_two():
     # u_1 - u_2 integral: cross-block hyperplanes are integral, Phi_A fails
     cfg = build_config([F(5), F(1)], 2)
     with pytest.raises(SaturationNotEstablished):
-        decomposition_report(cfg)
-    rep = decomposition_report(cfg, assume_saturated=True)
+        decomposition_report(family_table(cfg))
+    rep = decomposition_report(family_table(cfg), assume_saturated=True)
     assert rep["flags"]["phiA_ok"] is False
     assert rep["flags"]["saturated"] is True
 
@@ -409,13 +409,13 @@ def test_saturation_gate_level_two():
 def test_level_one_never_needs_saturation_waiver():
     for delta in (F(1), F(2), F(-2)):
         cfg = build_config([u_from_delta(delta)], 2)
-        rep = decomposition_report(cfg)  # must not raise
+        rep = decomposition_report(family_table(cfg))  # must not raise
         assert rep["flags"]["phiA_ok"] is True
 
 
 def test_report_to_csv_shape():
     cfg = build_config([F(1, 3)], 2)
-    rep = decomposition_report(cfg)
+    rep = decomposition_report(family_table(cfg))
     text = report_to_csv(rep)
     lines = text.strip().split("\n")
     assert lines[0].startswith("cell\\tilting,")
@@ -471,6 +471,6 @@ GOLDEN_REPORT_SHA256 = {
 @pytest.mark.parametrize("u, r, assume_saturated", sorted(GOLDEN_REPORT_SHA256))
 def test_reports_are_byte_identical_to_the_golden_hashes(u, r, assume_saturated):
     cfg = build_config([F(x) for x in u.split(",")], r)
-    report = decomposition_report(cfg, assume_saturated=assume_saturated)
+    report = decomposition_report(family_table(cfg), assume_saturated=assume_saturated)
     digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
     assert digest == GOLDEN_REPORT_SHA256[(u, r, assume_saturated)]
