@@ -152,6 +152,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
     from . import oracle  # only this command runs the diagram oracle
     from . import params, pipeline, weights
     from .kl import ClosedWorldViolation, UnsupportedBlock
+    from .pipeline import NegativeResidual
 
     if args.k != 1:
         print("error: the diagram oracle exists at k=1 only", file=sys.stderr)
@@ -179,7 +180,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
         except (UnsupportedBlock, ClosedWorldViolation) as exc:  # no convention can reconcile it
             print(f"error: {exc}", file=sys.stderr)
             return 5
-        except Exception as exc:  # a wrong convention may fail structurally
+        except NegativeResidual as exc:  # a wrong convention may fail its peel
             reports[kl_conv] = [{"kind": "error", "detail": str(exc)}]
     matrix = oracle.oracle_decomposition_matrix(args.r, delta)  # last: a refusal skips it
     passing: list[tuple[str, str]] = []

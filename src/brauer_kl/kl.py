@@ -41,15 +41,15 @@ coordinate decides.  It lies in the earlier Levi block of the two tokens
 (the higher token's when they share one), where the other token takes this
 "holder" token's place, and e = +1 exactly when the value there falls:
 when (holder positive) == (the move negates or the holder is the higher
-token), see :func:`_exponent`.  So the move table and the element memo read
-no token value (the translation principle: Cox-De Visscher-Martin, JPAA
-215, 2011; Soergel, Represent. Theory 1, 1997), and engines of one Coxeter
+token), see :func:`_exponent`.  So moves and the element memo read no
+token value (the translation principle: Cox-De Visscher-Martin, JPAA 215,
+2011; Soergel, Represent. Theory 1, 1997), and engines of one Coxeter
 shape share one core, keyed by (context, generators, zero class): the
-interned states, the move table and the element memo, all on int ids.  The
-pipeline keeps the cores in its family's store (``weights.Family.cores``),
-so every block of a command and both KL conventions read one core per
-shape, and no element is computed twice.  A move-table entry, filled once
-on first use, is the image id and the exponent, or "fixed".
+interned states and the element memo, both on int ids.  The pipeline
+keeps the cores in its family's store (``weights.Family.cores``), so
+every block of a command and both KL conventions read one core per shape,
+and no element is computed twice.  A move is not stored: each request
+computes its image id and exponent, or "fixed", from the state's codes.
 
 A wall block (one vanishing pairing x_i = -x_j = a) is read off the
 canonical basis of its regular companion, whose tokens split the doubled
@@ -222,7 +222,6 @@ class TokenMove(NamedTuple):
 
 State = tuple[int, ...]  # per token: 2 * Levi block + (1 if negative)
 IdVector = dict[int, LaurentPoly]  # N-basis expansion over interned state ids
-_UNSET = object()  # move-table entry not yet computed
 _V = {1: LaurentPoly.v(1), -1: LaurentPoly.v(-1)}
 
 
@@ -240,11 +239,12 @@ class CanonicalBasisEngine:
     set, integrality classes, and generator list are computed once from a
     seed and reused.  The seed and every weight passed in or out are
     numerator tuples scale * (mu + rho) at the one ``scale`` given here.
-    The engine keeps that codec; its states, move table and element memo
-    are the core its shape keys in the store ``cores`` (a private one when
-    None), and ``max_weights`` bounds the elements of the whole core.  A
-    move's exponent is read off the moved tokens' codes (:func:`_exponent`),
-    so the core reads no token value and serves every engine of its shape.
+    The engine keeps that codec; its states and element memo are the core
+    its shape keys in the store ``cores`` (a private one when None), and
+    ``max_weights`` bounds the elements of the whole core.  A move is
+    computed from the moved tokens' codes on each request (:func:`_exponent`
+    gives its exponent), so the core reads no token value and serves every
+    engine of its shape.
     """
 
     def __init__(
@@ -275,11 +275,10 @@ class CanonicalBasisEngine:
         zero = next((tuple(c) for c in classes.values() if tokens[c[-1]] == 0), None)
         self._zero_class = zero
         self._index = {t: i for i, t in enumerate(tokens)}
-        # the shape's core: state -> id, and per id its state, move-table row
-        # and element memo
-        fresh = ({}, [], [], {})
+        # the shape's core: state -> id, per id its state, and the element memo
+        fresh = ({}, [], {})
         core = fresh if cores is None else cores.setdefault((ctx, self.moves, zero), fresh)
-        self._ids, self._states, self._table, self._b = core
+        self._ids, self._states, self._b = core
 
     # -- state codec (the numerator boundary) ---------------------------------
 
@@ -288,7 +287,6 @@ class CanonicalBasisEngine:
         if sid is None:
             sid = self._ids[state] = len(self._states)
             self._states.append(state)
-            self._table.append([_UNSET] * len(self.moves))
         return sid
 
     def _state_id(self, x: Numerators) -> int:
@@ -326,13 +324,13 @@ class CanonicalBasisEngine:
     def _read(self, vec: IdVector) -> NVector:
         return {self._numerators(z): p for z, p in vec.items()}
 
-    # -- move table -----------------------------------------------------------
+    # -- moves ----------------------------------------------------------------
 
     def apply_move(self, s: int, g: int):
-        """Fill the move-table entry of state id s under generator index g.
+        """The move of state id s under generator index g, computed afresh.
 
-        The entry is None when g fixes the state (a Levi move); otherwise
-        (image id, e) with N_s . C_g = N_image + v^e N_s, where e = +1
+        None when g fixes the state (a Levi move); otherwise (image id, e)
+        with N_s . C_g = N_image + v^e N_s, the image interned, where e = +1
         exactly when the image is dominance-lower.  Adjacent states are
         always strictly comparable: all nonzero prefix sums of their
         difference carry one sign (sign flips change the total, so the total
@@ -347,13 +345,7 @@ class CanonicalBasisEngine:
             hi, lo = hi ^ 1, lo ^ 1
         image[m.high], image[m.low] = lo, hi
         image = tuple(image)
-        entry = None if image == state else (self._intern(image), _exponent(state, m))
-        self._table[s][g] = entry
-        return entry
-
-    def _move(self, s: int, g: int):
-        entry = self._table[s][g]
-        return self.apply_move(s, g) if entry is _UNSET else entry
+        return None if image == state else (self._intern(image), _exponent(state, m))
 
     # -- module structure ---------------------------------------------------
 
@@ -361,7 +353,7 @@ class CanonicalBasisEngine:
         """Apply the generator element C_g to an N-basis expansion."""
         out: IdVector = {}
         for z, p in vec.items():
-            entry = self._move(z, g)
+            entry = self.apply_move(z, g)
             if entry is None:
                 continue
             y, e = entry
@@ -374,7 +366,7 @@ class CanonicalBasisEngine:
 
     def _ascent(self, s: int) -> tuple[int, int] | None:
         for g in range(len(self.moves)):
-            entry = self._move(s, g)
+            entry = self.apply_move(s, g)
             if entry is not None and entry[1] < 0:
                 return g, entry[0]
         return None

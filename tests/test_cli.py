@@ -358,6 +358,21 @@ def test_oracle_compare_mismatch_names_weights_without_fraction_reprs(capsys):
     assert re.search(r"residual escapes the weight family at \(-?\d+(,-?[\d/]+)*\)'", err)
 
 
+def test_oracle_compare_lets_a_program_fault_propagate(capsys, monkeypatch):
+    # only a failed peel is a convention's difference; any other error in a
+    # reading is a fault of the program, even when the other reading matches
+    report = pipeline.decomposition_report
+
+    def faulty(family, convention=None, **kwargs):
+        if convention == "direct":
+            raise RuntimeError("fault in the direct reading")
+        return report(family, convention, **kwargs)
+
+    monkeypatch.setattr(pipeline, "decomposition_report", faulty)
+    with pytest.raises(RuntimeError, match="fault in the direct reading"):
+        main(["oracle-compare", "--r", "3", "--delta=1"])
+
+
 def test_oracle_compare_malformed_delta(capsys):
     code, _, err = run(capsys, "oracle-compare", "--r", "2", "--delta", "x")
     assert code == 2

@@ -653,26 +653,49 @@ def test_singular_reduction_rejects_multi_wall_weights():
         kl.singular_reduction_table(block, "mirror")
 
 
-def exponents_checked(engine):
-    """Check every filled entry of the engine's core, decoded with the
-    engine's values: its exponent is the one the values give, between
-    strictly comparable states.  Returns the number of entries checked."""
-    numerators = [engine._numerators(sid) for sid in range(len(engine._states))]
+def recording_moves(patch):
+    """Wrap ``apply_move`` through ``patch``.  Returns, per core (keyed by
+    the id of its state list), the moves any of its engines was asked for:
+    {(state id, generator index): entry}."""
+    asked = {}
+    apply_move = kl.CanonicalBasisEngine.apply_move
+
+    def recording(self, s, g):
+        entry = apply_move(self, s, g)
+        asked.setdefault(id(self._states), {})[s, g] = entry
+        return entry
+
+    patch.setattr(kl.CanonicalBasisEngine, "apply_move", recording)
+    return asked
+
+
+def exponents_checked(engine, entries):
+    """Check every non-fixing move in ``entries`` (as ``recording_moves``
+    keeps them), decoded with the engine's values: its exponent is the one
+    the values give, between strictly comparable states.  Returns the number
+    of moves checked."""
+    numerators = {}
+
+    def decode(sid):
+        x = numerators.get(sid)
+        if x is None:
+            x = numerators[sid] = engine._numerators(sid)
+        return x
+
     checked = 0
-    for x, row in zip(numerators, engine._table):
-        for entry in row:
-            if entry is kl._UNSET or entry is None:
-                continue
-            y = numerators[entry[0]]
-            below = prefix_below(y, x)
-            assert entry[1] == (1 if below else -1), (x, y)
-            assert below or prefix_below(x, y)
-            checked += 1
+    for (s, _), entry in entries.items():
+        if entry is None:
+            continue
+        x, y = decode(s), decode(entry[0])
+        below = prefix_below(y, x)
+        assert entry[1] == (1 if below else -1), (x, y)
+        assert below or prefix_below(x, y)
+        checked += 1
     return checked
 
 
 @pytest.mark.parametrize("orbit", list(ORBITS))
-def test_move_table_matches_the_weight_level_moves(orbit):
+def test_move_table_matches_the_weight_level_moves(monkeypatch, orbit):
     ctx, table = ORBITS[orbit]
     scale, _ = numerate(table)
 
@@ -688,6 +711,7 @@ def test_move_table_matches_the_weight_level_moves(orbit):
         return tuple(c + rise[c] if c >= 0 else c - rise[-c] for c in x)
 
     cores, engines = {}, []
+    asked = recording_moves(monkeypatch)
     for orbit_table in (table, {moved(x): None for x in table}):
         engine = kl.CanonicalBasisEngine(ctx, nums(next(iter(orbit_table))), scale, cores=cores)
         engines.append(engine)
@@ -696,7 +720,11 @@ def test_move_table_matches_the_weight_level_moves(orbit):
             for gi, g in enumerate(engine.moves):
                 high, low = (F(engine.tokens[i], scale) for i in (g.high, g.low))
                 y = reference_move(ctx, x, high, low, g.negate)
-                entry = engine._move(sid, gi)
+                entry = engine.apply_move(sid, gi)
+                interned = len(engine._states)
+                # asked again: the same entry, and no state interned
+                assert engine.apply_move(sid, gi) == entry
+                assert len(engine._states) == interned
                 if y == x:
                     assert entry is None, (x, g)
                     continue
@@ -705,7 +733,7 @@ def test_move_table_matches_the_weight_level_moves(orbit):
     assert len(cores) == 1  # both engines read one core
     # the exponents read off the moved tokens' codes are the ones both
     # engines' values give; the sharing grid widens this to every core
-    assert all(exponents_checked(engine) for engine in engines)
+    assert all(exponents_checked(engine, asked[id(engine._states)]) for engine in engines)
 
 
 @pytest.mark.parametrize("p, seed, scale", [
@@ -716,11 +744,12 @@ def test_move_table_matches_the_weight_level_moves(orbit):
     ((0, 2, 4, 5), (4, 1, 3, 0, 2), 1),
     ((0, 2, 5), (4, 1, 3, 2, 0), 1),
 ])
-def test_moves_across_levi_blocks_have_the_exponent_the_values_give(p, seed, scale):
+def test_moves_across_levi_blocks_have_the_exponent_the_values_give(monkeypatch, p, seed, scale):
     # integrality classes spread over several Levi blocks, so moves carry
     # tokens between blocks, which no family of the sharing grid does
     ctx = WeightContext(p[-1], p)
     engine = kl.CanonicalBasisEngine(ctx, seed, scale)
+    entries = recording_moves(monkeypatch).setdefault(id(engine._states), {})
     todo = [engine._state_id(seed)]
     seen = set(todo)
     while todo:
@@ -729,23 +758,23 @@ def test_moves_across_levi_blocks_have_the_exponent_the_values_give(p, seed, sca
         for gi, g in enumerate(engine.moves):
             high, low = (F(engine.tokens[i], scale) for i in (g.high, g.low))
             y = reference_move(ctx, x, high, low, g.negate)
-            entry = engine._move(sid, gi)
+            entry = engine.apply_move(sid, gi)
             assert (entry is None) == (y == x), (x, g)
             if entry is not None:
                 assert engine._numerators(entry[0]) == tuple(int(c * scale) for c in y)
                 if entry[0] not in seen:
                     seen.add(entry[0])
                     todo.append(entry[0])
+    states, moves = engine._states, engine.moves
     assert any(
-        engine._states[s][g.high] >> 1 != engine._states[s][g.low] >> 1
-        for s, row in enumerate(engine._table)
-        for g, entry in zip(engine.moves, row)
+        states[s][moves[g].high] >> 1 != states[s][moves[g].low] >> 1
+        for (s, g), entry in entries.items()
         if entry is not None
     )
-    assert exponents_checked(engine)
+    assert exponents_checked(engine, entries)
 
 
-def test_move_table_fills_each_entry_once(monkeypatch):
+def test_memoised_elements_compute_no_move(monkeypatch):
     engines, asked, calls = [], [], [0]
     init = kl.CanonicalBasisEngine.__init__
     apply_move = kl.CanonicalBasisEngine.apply_move
@@ -769,8 +798,7 @@ def test_move_table_fills_each_entry_once(monkeypatch):
     # B_3(-2): one wall block; the tables ask for elements by state id
     pipeline.decomposition_report(family_table(build_config([u_from_delta(F(-2))], 3)))
     (engine,) = engines
-    assert asked
-    assert 0 < calls[0] <= len(engine._states) * len(engine.moves)
+    assert asked and calls[0]
     before = calls[0]
     for sid in list(asked):
         engine._element(sid)
@@ -837,7 +865,8 @@ def shared_grid(first):
     """Per SHARING_GRID point its non-singleton blocks and, per convention in
     the order ``ORDERS[first]``, their tables (or refusals), all read on one
     core store per point, as ``oracle-compare`` reads them; the number of
-    cores, and every engine those reads built."""
+    cores, every engine those reads built, and the moves asked of each core
+    (as ``recording_moves`` keeps them)."""
     engines, runs = [], []
     init = kl.CanonicalBasisEngine.__init__
 
@@ -847,6 +876,7 @@ def shared_grid(first):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kl.CanonicalBasisEngine, "__init__", recording_init)
+        asked = recording_moves(patch)
         for u, r in SHARING_GRID:
             blocks, cores = grid_blocks(u, r), {}
             tables = {
@@ -854,14 +884,14 @@ def shared_grid(first):
                 for convention in ORDERS[first]
             }
             runs.append((u, r, blocks, tables, len(cores)))
-    return runs, engines
+    return runs, engines, asked
 
 
 @pytest.mark.parametrize("first", list(ORDERS))
 def test_a_shared_core_gives_the_tables_of_private_ones(first):
     # the second convention reads the cores the first one filled
     reused, refused = 0, 0
-    runs, _ = shared_grid(first)
+    runs, _, _ = shared_grid(first)
     for u, r, blocks, tables, cores in runs:
         for convention, shared in tables.items():
             assert shared == private_tables(u, r, convention), (u, r, convention)
@@ -872,9 +902,9 @@ def test_a_shared_core_gives_the_tables_of_private_ones(first):
 
 @pytest.mark.parametrize("first", list(ORDERS))
 def test_every_shared_move_entry_has_the_exponent_the_values_give(first):
-    # each engine decodes every filled entry of its core with its own values
-    _, engines = shared_grid(first)
-    checked = sum(map(exponents_checked, engines))
+    # each engine decodes every move asked of its core with its own values
+    _, engines, asked = shared_grid(first)
+    checked = sum(exponents_checked(engine, asked[id(engine._states)]) for engine in engines)
     assert len(engines) == 150 and checked > 160_000  # on 28 cores
 
 
