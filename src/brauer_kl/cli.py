@@ -233,7 +233,7 @@ def cmd_kl_selftest(args: argparse.Namespace) -> int:
     failures = 0
     for u_text, r in SELFTEST_BATTERY:
         cfg = params.build_config(_parse_u(u_text), r)
-        family = weights.enumerate_F(r, cfg)
+        family = weights.enumerate_F(cfg)
         reasons = []
         for check in (bijection, content, peel):
             try:

@@ -1,4 +1,4 @@
-"""Partitions, multipartitions, updown tableaux, and content sequences.
+"""Partitions, multipartitions, and the walk graph of one-box steps.
 
 Encodings
 ---------
@@ -8,9 +8,12 @@ Encodings
 * A *node* is ``(row, col, comp)``, all 1-based; for an addable node ``col``
   is the length the row reaches after adding the box, for a removable node
   the current length of the row.
-* An *updown tableau* of length ``r`` is a tuple of ``r + 1`` multipartitions
-  starting at the empty one, consecutive entries differing by exactly one box
-  (added or removed).
+* An *updown tableau* of length ``r`` is a walk of ``r`` one-box steps
+  (each adds or removes a node) from the empty multipartition.  The *walk
+  graph* has the multipartitions as vertices and the steps as edges;
+  ``steps`` lists a shape's out-edges, ``updown_count_table`` counts walks
+  over them level by level, and ``pipeline.content_mismatches`` checks
+  contents on them edge by edge.
 * A *shape index* pairs ``f`` (the number of "removed pairs") with a
   multipartition of ``r - 2f``; ``enumerate_lambda`` lists them all.
 
@@ -20,16 +23,11 @@ Encodings
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Iterator, Literal, NamedTuple
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
 Node = tuple[int, int, int]
-UpdownTableau = tuple[Multipartition, ...]
 
 
 class LambdaIndex(NamedTuple):
@@ -163,26 +161,6 @@ def boundary_nodes(mp: Multipartition, direction: Literal["add", "remove"]) -> l
     return out
 
 
-def step_node(before: Multipartition, after: Multipartition) -> tuple[Node, int]:
-    """The single node by which two shapes differ, with sign +1 (added) or -1.
-
-    >>> step_node(((1,),), ((2,),))
-    ((1, 2, 1), 1)
-    """
-    diff = size(after) - size(before)
-    if diff not in (1, -1):
-        raise ValueError(f"{before} and {after} do not differ by one box")
-    if diff == 1:
-        for node in boundary_nodes(before, "add"):
-            if add_node(before, node) == after:
-                return node, 1
-    else:
-        for node in boundary_nodes(before, "remove"):
-            if remove_node(before, node) == after:
-                return node, -1
-    raise ValueError(f"{before} and {after} do not differ by one box")
-
-
 def enumerate_lambda(a: int, r: int) -> list[LambdaIndex]:
     """All pairs (f, shape) with |shape| = r - 2f, 0 <= f <= r//2.
 
@@ -198,42 +176,17 @@ def enumerate_lambda(a: int, r: int) -> list[LambdaIndex]:
     return out
 
 
-def _neighbours(mp: Multipartition) -> Iterator[Multipartition]:
-    for node in boundary_nodes(mp, "add"):
-        yield add_node(mp, node)
-    for node in boundary_nodes(mp, "remove"):
-        yield remove_node(mp, node)
+def steps(mp: Multipartition) -> Iterator[tuple[Node, int, Multipartition]]:
+    """The one-box steps out of ``mp``: ``(node, +1, shape)`` for each
+    addable node, then ``(node, -1, shape)`` for each removable one.
 
-
-def updown_tableaux(a: int, r: int, shape: Multipartition) -> list[UpdownTableau]:
-    """All length-``r`` one-box walks from the empty multipartition to ``shape``.
-
-    >>> len(updown_tableaux(1, 3, ((1,),)))
-    3
+    >>> list(steps(((1,),)))
+    [((1, 2, 1), 1, ((2,),)), ((2, 1, 1), 1, ((1, 1),)), ((1, 1, 1), -1, ((),))]
     """
-    if len(shape) != a:
-        raise ValueError(f"shape {shape} has {len(shape)} components, expected {a}")
-    if (r - size(shape)) % 2 != 0 or size(shape) > r:
-        raise ValueError(f"shape {shape} unreachable in {r} steps")
-    empty: Multipartition = ((),) * a
-    out: list[UpdownTableau] = []
-
-    def walk(path: list[Multipartition]) -> None:
-        steps_left = r - (len(path) - 1)
-        gap = size(path[-1]) - size(shape)
-        if abs(gap) > steps_left or (steps_left - gap) % 2 != 0:
-            return
-        if steps_left == 0:
-            if path[-1] == shape:
-                out.append(tuple(path))
-            return
-        for nxt in _neighbours(path[-1]):
-            path.append(nxt)
-            walk(path)
-            path.pop()
-
-    walk([empty])
-    return out
+    for node in boundary_nodes(mp, "add"):
+        yield node, 1, add_node(mp, node)
+    for node in boundary_nodes(mp, "remove"):
+        yield node, -1, remove_node(mp, node)
 
 
 def updown_count_table(a: int, r: int) -> dict[Multipartition, int]:
@@ -248,32 +201,10 @@ def updown_count_table(a: int, r: int) -> dict[Multipartition, int]:
     for _ in range(r):
         nxt: dict[Multipartition, int] = {}
         for mp, c in counts.items():
-            for nb in _neighbours(mp):
+            for _node, _sign, nb in steps(mp):
                 nxt[nb] = nxt.get(nb, 0) + c
         counts = nxt
     return counts
-
-
-def content_sequence(t: UpdownTableau, u) -> list[Fraction]:
-    """Contents of the boxes touched along a walk.
-
-    Adding the node ``(l, h, comp)`` contributes ``u[comp-1] + h - l``;
-    removing it contributes the negative.
-
-    >>> from fractions import Fraction as F
-    >>> content_sequence(((( ),), ((1,),), ((2,),)), [F(0)])
-    [Fraction(0, 1), Fraction(1, 1)]
-    """
-    from fractions import Fraction  # the one runtime use: enumerate loads no fractions
-
-    u = [Fraction(x) for x in u]
-    if not t or len(t[0]) != len(u):
-        raise ValueError("component count must match parameter count")
-    out = []
-    for before, after in itertools.pairwise(t):
-        (l, h, comp), sign = step_node(before, after)
-        out.append(sign * (u[comp - 1] + h - l))
-    return out
 
 
 def transpose(p: Partition) -> Partition:

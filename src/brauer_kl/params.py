@@ -182,23 +182,15 @@ def _even_ceil(x: Fraction) -> int:
 
 
 def _linkage_classes(u: Sequence[Fraction]) -> list[list[int]]:
-    """Group parameter indices whose sums or differences are integral."""
-    k = len(u)
-    parent = list(range(k))
+    """Group parameter indices whose sums or differences are integral.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for s in range(k):
-        for t in range(s + 1, k):
-            if (u[s] - u[t]).denominator == 1 or (u[s] + u[t]).denominator == 1:
-                parent[find(s)] = find(t)
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
+    u_s - u_t is integral iff frac(u_s) = frac(u_t), and u_s + u_t iff
+    frac(u_s) = frac(-u_t); so u_s and u_t are linked exactly when they
+    share the key min(frac(u), frac(-u)), and linkage is an equivalence.
+    """
+    groups: dict[Fraction, list[int]] = {}
+    for i, x in enumerate(u):
+        groups.setdefault(min(x % 1, -x % 1), []).append(i)
     return list(groups.values())
 
 
@@ -336,14 +328,10 @@ def select_block_sizes(u: Sequence[Fraction], r: int) -> list[int]:
     )
 
 
-def build_config(u: Sequence[Fraction], r: int, q: Sequence[int] | None = None) -> ParamConfig:
-    """Convenience: select (or accept) block sizes and extend the parameters."""
+def build_config(u: Sequence[Fraction], r: int) -> ParamConfig:
+    """Convenience: select block sizes and extend the parameters."""
     u = [Fraction(x) for x in u]
-    if q is None:
-        q = select_block_sizes(u, r)
-    elif len(q) != len(u):
-        raise ValueError(f"expected {len(u)} block size(s), got {len(q)}")
-    return extend_parameters(u, q, r)
+    return extend_parameters(u, select_block_sizes(u, r), r)
 
 
 def delta_from_u(u1: Fraction) -> Fraction:

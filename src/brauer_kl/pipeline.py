@@ -19,6 +19,10 @@ through cross-block hyperplanes) holds automatically when the chamber weight
 pairs non-integrally with all cross-block roots; otherwise the caller must
 opt in via ``assume_saturated`` or the report is refused with
 ``SaturationNotEstablished``.
+
+Off the report path, ``content_mismatches`` (run by ``kl-selftest``) checks
+that tableau contents equal the Casimir scalars of the weight walk, once per
+edge of the walk graph.
 """
 
 from __future__ import annotations
@@ -78,41 +82,51 @@ def _node_coordinate(node: tuple[int, int, int], cfg: ParamConfig) -> tuple[int,
     return i - 1, -1
 
 
-def content_mismatches(cfg: ParamConfig, shapes: list | None = None) -> list[dict]:
+def content_mismatches(cfg: ParamConfig) -> list[dict]:
     """Compare multipartition contents against the weight-walk eigenvalues.
 
-    For every walk, the content of the cell toggled at step m (with its sign)
-    must equal  sigma * x_i / scale + 1/2, where x = scale * (nu + rho) are
-    the numerators of the weight nu before the step (the walk starts at the
-    shifted chamber weight), i is the coordinate the step moves and sigma
-    the direction it moves in; the step then moves x_i by sigma * scale.
-    Returns a list of mismatch records; empty means consistent.
+    A walk starts at the shifted chamber weight, and each step toggles one
+    node.  The content of that node, with the step's sign, must equal
+    sigma * x_i / scale + 1/2, where x = scale * (nu + rho) are the
+    numerators of the weight nu before the step, i is the coordinate the
+    step moves and sigma the direction it moves in; the step then moves x_i
+    by sigma * scale.
+
+    The check reads only the shape a step leaves and the node it toggles,
+    so it runs once per edge of the walk graph, not once per walk.  The
+    steps of the length-r walks are exactly the steps out of the shapes of
+    size below r, so level m holds the shapes of size m, each with its
+    numerators, and every step out of them is checked, for m = 0, ..., r - 1.
+    A shape's numerators do not depend on the path that reaches it, since
+    removing a node undoes adding it; so the add steps alone carry them from
+    one level to the next.  Returns one record per failing edge (the shape
+    it leaves, its node, the content and the weight side); empty means
+    consistent.
     """
-    a = 2 * cfg.k
     scale, chamber = shifted_chamber(cfg.u, cfg.q)
     mismatches: list[dict] = []
-    if shapes is None:
-        shapes = [idx.shape for idx in combinat.enumerate_lambda(a, cfg.r)]
-    for shape in shapes:
-        for t in combinat.updown_tableaux(a, cfg.r, shape):
-            contents = combinat.content_sequence(t, cfg.u_ext)
-            x = list(chamber)
-            for m in range(cfg.r):
-                node, sign = combinat.step_node(t[m], t[m + 1])
+    level = {((),) * (2 * cfg.k): list(chamber)}
+    for _ in range(cfg.r):
+        nxt: dict = {}
+        for shape, x in level.items():
+            for node, sign, after in combinat.steps(shape):
+                l, h, comp = node
                 i0, direction = _node_coordinate(node, cfg)
-                sigma = direction if sign > 0 else -direction
-                a_val = Fraction(2 * sigma * x[i0] + scale, 2 * scale)
-                if a_val != contents[m]:
+                sigma = sign * direction
+                content = sign * (cfg.u_ext[comp - 1] + h - l)
+                weight_side = Fraction(2 * sigma * x[i0] + scale, 2 * scale)
+                if weight_side != content:
                     mismatches.append(
                         {
                             "shape": shape,
-                            "step": m,
                             "node": node,
-                            "content": contents[m],
-                            "weight_side": a_val,
+                            "content": content,
+                            "weight_side": weight_side,
                         }
                     )
-                x[i0] += sigma * scale
+                if sign > 0 and after not in nxt:
+                    nxt[after] = x[:i0] + [x[i0] + sigma * scale] + x[i0 + 1 :]
+        level = nxt
     return mismatches
 
 

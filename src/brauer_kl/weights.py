@@ -210,17 +210,15 @@ def tilde(x: Numerators, cfg: ParamConfig) -> LambdaIndex:
     return LambdaIndex((cfg.r - total) // 2, heads + tails[::-1])
 
 
-def enumerate_F(r: int, cfg: ParamConfig) -> list[Numerators]:
+def enumerate_F(cfg: ParamConfig) -> list[Numerators]:
     """The numerators of all weights with blockwise weakly decreasing
     integral shift of size r, r-2, ... — enumerated per block as (head,
     tail) partition pairs.
 
     Order matches ``enumerate_lambda(2k, r)`` through the labeling bijection.
     """
-    if r != cfg.r:
-        raise ValueError(f"r={r} is not the configuration's r={cfg.r}")
     scale, base = shifted_chamber(cfg.u, cfg.q)
-    return [_row(idx, cfg, scale, base) for idx in combinat.enumerate_lambda(2 * cfg.k, r)]
+    return [_row(idx, cfg, scale, base) for idx in combinat.enumerate_lambda(2 * cfg.k, cfg.r)]
 
 
 class Family:
@@ -266,7 +264,7 @@ def family_table(cfg: ParamConfig) -> Family:
         cfg=cfg,
         labels=labels,
         scale=shifted_chamber(cfg.u, cfg.q)[0],
-        numerators=tuple(enumerate_F(r, cfg)),
+        numerators=tuple(enumerate_F(cfg)),
         flag=tuple(walks.get(idx.shape, 0) for idx in labels),
         level_flag={i: heads.get(labels[i].shape[:k], 0) for i in level},
     )

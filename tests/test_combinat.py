@@ -13,7 +13,6 @@ from brauer_kl.combinat import (
     LambdaIndex,
     add_node,
     boundary_nodes,
-    content_sequence,
     double_factorial,
     enumerate_lambda,
     is_partition,
@@ -21,12 +20,11 @@ from brauer_kl.combinat import (
     partitions,
     remove_node,
     size,
-    step_node,
+    steps,
     transpose,
     updown_count_table,
-    updown_tableaux,
 )
-from verify_routes import updown_count
+from verify_routes import content_sequence, step_node, updown_count, updown_tableaux
 
 F = Fraction
 
@@ -115,6 +113,15 @@ def test_node_checks_survive_python_O():
 def test_step_node_identifies_difference():
     assert step_node(((1,),), ((2,),)) == ((1, 2, 1), 1)
     assert step_node(((2,),), ((1,),)) == ((1, 2, 1), -1)
+
+
+@pytest.mark.parametrize("mp", [((),), ((2, 1),), ((1,), ()), ((2,), (1, 1))])
+def test_steps_are_the_one_box_neighbours(mp):
+    out = list(steps(mp))
+    assert [sign for _, sign, _ in out] == sorted((sign for _, sign, _ in out), reverse=True)
+    assert len({after for _, _, after in out}) == len(out)
+    for node, sign, after in out:
+        assert step_node(mp, after) == (node, sign)
 
 
 def test_enumerate_lambda_examples():

@@ -148,7 +148,7 @@ def cfg(request):
 def test_table_rows_match_the_weights(cfg):
     family = family_table(cfg)
     weights = reference_family(cfg)
-    assert family.numerators == tuple(enumerate_F(cfg.r, cfg))
+    assert family.numerators == tuple(enumerate_F(cfg))
     assert list(family.labels) == [reference_tilde(mu, cfg) for mu in weights]
     chamber = numerators(lambda_c(cfg), family.scale)
     for mu, nums in zip(weights, family.numerators, strict=True):
@@ -213,7 +213,7 @@ def test_integer_codec_matches_the_fraction_route(u, r):
     cfg = build_config([F(x) for x in u], r)
     scale, _ = shifted_chamber(cfg.u, cfg.q)
     labels = list(combinat.enumerate_lambda(2 * cfg.k, r))
-    rows = enumerate_F(r, cfg)
+    rows = enumerate_F(cfg)
     assert rows == [numerators(reference_hat(idx, cfg), scale) for idx in labels]
     assert [hat(idx, cfg) for idx in labels] == rows
     assert [tilde(x, cfg) for x in rows] == labels

@@ -22,7 +22,7 @@ import brauer_kl
 from brauer_kl import kl, pipeline
 from brauer_kl.cli import main
 from brauer_kl.laurent import LaurentPoly
-from brauer_kl.params import build_config, u_from_delta
+from brauer_kl.params import build_config, extend_parameters, u_from_delta
 from brauer_kl.weights import (
     WeightContext,
     context_of,
@@ -523,7 +523,7 @@ def test_partition_into_blocks_generic_is_singletons():
 
 
 def test_partition_into_blocks_groups_linked_weights():
-    cfg = build_config([F(0)], 3, q=[10])
+    cfg = extend_parameters([F(0)], [10], 3)
     family = family_table(cfg)
     blocks = kl.partition_into_blocks(family)
     assert any(not b.is_singleton for b in blocks)
@@ -611,7 +611,7 @@ def test_tilting_table_conventions_are_transposes():
 
 def test_singular_reduction_frozen_wall_block():
     # delta = -2, r = 3: the two-weight wall block {e1, e1+e2+e3}
-    cfg = build_config([u_from_delta(F(-2))], 3, q=[16])
+    cfg = extend_parameters([u_from_delta(F(-2))], [16], 3)
     ctx = context_of(cfg)
     r4 = rho(ctx.n)
     family = family_table(cfg)
@@ -642,7 +642,7 @@ def test_singular_reduction_frozen_wall_block():
 
 def test_singular_reduction_rejects_multi_wall_weights():
     # a doubly-singular weight has no single companion class
-    cfg = build_config([u_from_delta(F(-2))], 3, q=[16])
+    cfg = extend_parameters([u_from_delta(F(-2))], [16], 3)
     ctx = context_of(cfg)
     lc = lambda_c(cfg)
     d = (2, 1) + (0,) * 14

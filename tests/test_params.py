@@ -80,6 +80,19 @@ def reference_block_sizes(u, r):
     return q
 
 
+@given(
+    st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=8), min_size=1, max_size=5)
+)
+@example([F(1, 3), F(2, 3), F(4, 3), F(1, 2)])
+def test_linkage_classes_link_integral_sums_and_differences(u):
+    cls = {i: n for n, group in enumerate(_linkage_classes(u)) for i in group}
+    assert sorted(cls) == list(range(len(u)))
+    for s in range(len(u)):
+        for t in range(s + 1, len(u)):
+            linked = (u[s] - u[t]).denominator == 1 or (u[s] + u[t]).denominator == 1
+            assert (cls[s] == cls[t]) == linked, (u, s, t)
+
+
 def test_parse_format_roundtrip():
     for text in ["0", "3", "-2", "1/3", "-19/2"]:
         assert format_rational(parse_rational(text)) == text
@@ -166,9 +179,9 @@ def test_block_sizes_are_refused_just_past_the_bound(at):
 
 
 def test_extend_parameters_examples():
-    cfg = build_config([F(1, 3)], 2, q=[8])
+    cfg = extend_parameters([F(1, 3)], [8], 2)
     assert cfg.u_ext == (F(1, 3), F(23, 3))
-    cfg = build_config([F(0)], 3, q=[10])
+    cfg = extend_parameters([F(0)], [10], 3)
     assert cfg.u_ext == (F(0), F(10))  # q_1 - u_1
 
 
@@ -212,12 +225,10 @@ def test_guards_raise_value_error_under_python_O():
     src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
     code = (
         "from fractions import Fraction as F\n"
-        "from brauer_kl import combinat, oracle, params, specht\n"
+        "from brauer_kl import oracle, params, specht\n"
         "guarded = [\n"
         "    lambda: params.extend_parameters([F(0)], [0], 2),\n"
-        "    lambda: params.build_config([F(0)], 2, q=[4, 4]),\n"
-        "    lambda: combinat.step_node(((),), ((2,),)),\n"
-        "    lambda: combinat.content_sequence(((), ((1,),)), [F(0)]),\n"
+        "    lambda: params.extend_parameters([F(0)], [4, 4], 2),\n"
         "    lambda: oracle.multiply((1, 0, 3, 2), (1, 0)),\n"
         "    lambda: specht.specht_module((1, 2)),\n"
         "]\n"
@@ -236,9 +247,7 @@ def test_guards_raise_value_error_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "refused: q must be 1 positive block size(s), got (0,)",
-        "refused: expected 1 block size(s), got 2",
-        "refused: ((),) and ((2,),) do not differ by one box",
-        "refused: component count must match parameter count",
+        "refused: q must be 1 positive block size(s), got (4, 4)",
         "refused: diagrams must share r",
         "refused: not a partition: (1, 2)",
     ]
@@ -309,7 +318,7 @@ Q_INVARIANCE_GRID = [
 
 def report_outcome(u, r, q, assume_saturated):
     """The report without its ``params`` block, or the refusal it ends in."""
-    cfg = build_config(u, r, q=q)
+    cfg = extend_parameters(u, q, r)
     try:
         report = decomposition_report(family_table(cfg), assume_saturated=assume_saturated)
     except (SaturationNotEstablished, UnsupportedBlock) as exc:

@@ -9,7 +9,7 @@ import pytest
 
 from brauer_kl import pipeline
 from brauer_kl.combinat import LambdaIndex, enumerate_lambda, level_label, transpose
-from brauer_kl.params import build_config, u_from_delta
+from brauer_kl.params import build_config, extend_parameters, u_from_delta
 from brauer_kl.pipeline import (
     NegativeResidual,
     SaturationNotEstablished,
@@ -20,7 +20,13 @@ from brauer_kl.pipeline import (
     tilting_decomposition,
 )
 from brauer_kl.weights import family_table, tilde
-from verify_routes import in_F_rk, rank, reference_family, updown_count
+from verify_routes import (
+    in_F_rk,
+    rank,
+    reference_family,
+    updown_count,
+    walk_content_mismatches,
+)
 
 F = Fraction
 
@@ -42,7 +48,7 @@ FROZEN_FLAG_K1_R3 = {
 
 
 def test_verma_flag_frozen_k1_r3():
-    cfg = build_config([F(0)], 3, q=[10])
+    cfg = extend_parameters([F(0)], [10], 3)
     family = family_table(cfg)
     labeled = {tuple(tilde(x, cfg)): m for x, m in zip(family.numerators, family.flag)}
     assert labeled == FROZEN_FLAG_K1_R3
@@ -58,7 +64,7 @@ def test_flag_counts_walks_of_the_double_level():
 
 
 def test_truncated_flag_equals_level_k_walk_counts():
-    cfg = build_config([F(0)], 3, q=[10])
+    cfg = extend_parameters([F(0)], [10], 3)
     family = family_table(cfg)
     t = family.level_flag
     assert set(t) == {i for i, mu in enumerate(reference_family(cfg)) if in_F_rk(mu, cfg)}
@@ -86,6 +92,69 @@ def test_content_consistency_level_two():
 def test_content_mismatches_empty_means_consistent():
     cfg = build_config([F(1, 3)], 2)
     assert content_mismatches(cfg) == []
+
+
+# (u, r) for the edge-versus-walk comparison: levels 1, 2 and 3
+EDGE_CHECK_CONFIGS = [
+    (("0",), 4), (("1/2",), 4), (("0", "1/2"), 3), (("1/5", "9/7"), 3), (("0", "1/2", "1/4"), 2),
+]
+
+
+def _row_two_off_by_one(coordinate):
+    """A faulty coordinate map: second-row nodes move the coordinate below."""
+
+    def faulty(node, cfg):
+        i, direction = coordinate(node, cfg)
+        return (i + 1, direction) if node[0] == 2 else (i, direction)
+
+    return faulty
+
+
+@pytest.mark.parametrize(
+    "u, r", EDGE_CHECK_CONFIGS, ids=[f"{','.join(u)}-r{r}" for u, r in EDGE_CHECK_CONFIGS]
+)
+@pytest.mark.parametrize(
+    "fault", ["first u_ext + 1", "last u_ext - 1/2", "u_ext reversed", "row 2 off by one"]
+)
+def test_edge_check_flags_the_walks_failing_edges(u, r, fault, monkeypatch):
+    cfg = build_config([F(x) for x in u], r)
+    ext = list(cfg.u_ext)
+    if fault == "first u_ext + 1":
+        ext[0] += 1
+    elif fault == "last u_ext - 1/2":
+        ext[-1] -= F(1, 2)
+    elif fault == "u_ext reversed":
+        ext.reverse()
+    else:
+        faulty = _row_two_off_by_one(pipeline._node_coordinate)
+        monkeypatch.setattr(pipeline, "_node_coordinate", faulty)
+    cfg = cfg._replace(u_ext=tuple(ext))
+    edges = content_mismatches(cfg)
+    walks = walk_content_mismatches(cfg)
+    assert walks, "the fault must show"
+    flagged = {(rec["shape"], rec["node"]): rec for rec in edges}
+    assert len(flagged) == len(edges)  # one record per edge
+    assert flagged.keys() == {(rec["shape"], rec["node"]) for rec in walks}
+    for rec in walks:
+        edge = flagged[rec["shape"], rec["node"]]
+        assert (edge["content"], edge["weight_side"]) == (rec["content"], rec["weight_side"])
+
+
+# (u, r range): 46 configurations, far past what the walk route can reach
+CONTENT_GRID = [
+    (u, r)
+    for u, top in [
+        (("0",), 11), (("1/2",), 11), (("3/2",), 11),
+        (("0", "1/2"), 5), (("1/5", "9/7"), 5), (("0", "1/2", "1/4"), 3),
+    ]
+    for r in range(1, top + 1)
+]
+
+
+def test_content_identity_holds_on_a_grid():
+    assert len(CONTENT_GRID) == 46
+    for u, r in CONTENT_GRID:
+        assert content_mismatches(build_config([F(x) for x in u], r)) == [], (u, r)
 
 
 def test_generic_decomposition_is_the_flag():

@@ -10,7 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import brauer_kl
 from brauer_kl.combinat import LambdaIndex, double_factorial, enumerate_lambda
-from brauer_kl.params import build_config, doubly_regular_reflection, phiA_condition
+from brauer_kl.params import (
+    build_config,
+    doubly_regular_reflection,
+    extend_parameters,
+    phiA_condition,
+)
 from brauer_kl.weights import (
     Root,
     WeightContext,
@@ -99,7 +104,7 @@ def test_weight_context_blocks():
 
 
 def test_lambda_c_level_one_example():
-    cfg = build_config([F(0)], 3, q=[10])
+    cfg = extend_parameters([F(0)], [10], 3)
     assert lambda_c(cfg) == (F(-19, 2),) * 10
 
 
@@ -120,7 +125,7 @@ def test_blockwise_predicates():
 
 
 def test_psi_sets_empty_at_chamber_weight():
-    cfg = build_config([F(0)], 3, q=[10])
+    cfg = extend_parameters([F(0)], [10], 3)
     ctx = context_of(cfg)
     psi, psi_pp = psi_sets(lambda_c(cfg), ctx)
     assert psi == set() and psi_pp == set()
@@ -145,7 +150,7 @@ def test_psi_sets_positive_pairing_without_double_regularity():
     assert cfg.q == (8,) and not doubly_regular_reflection(cfg.u, cfg.q)
     # at q = 4, sigma = q + 1 with q even: the block holds 0, and the root
     # joins it to the top entry 2
-    cfg = build_config([F(5, 2)], 3, q=[4])
+    cfg = extend_parameters([F(5, 2)], [4], 3)
     assert psi_sets(lambda_c(cfg), context_of(cfg))[1] == {Root(0, 2, "plus")}
     assert doubly_regular_reflection(cfg.u, cfg.q)
 
@@ -165,7 +170,7 @@ def test_delta_of_chamber_weight_is_zero():
 
 
 def test_hat_tilde_examples():
-    cfg = build_config([F(0)], 3, q=[10])
+    cfg = extend_parameters([F(0)], [10], 3)
     scale, _ = shifted_chamber(cfg.u, cfg.q)
     lc = lambda_c(cfg)
     mu = tuple(lc[i] + (1 if i < 3 else 0) for i in range(10))
@@ -180,7 +185,7 @@ def test_hat_tilde_roundtrip_over_F():
     cfg = build_config([F(1, 3)], 3)
     for idx in enumerate_lambda(2 * cfg.k, cfg.r):
         assert tilde(hat(idx, cfg), cfg) == idx
-    for mu in enumerate_F(cfg.r, cfg):
+    for mu in enumerate_F(cfg):
         assert hat(tilde(mu, cfg), cfg) == mu
 
 
@@ -191,9 +196,9 @@ def test_hat_tilde_roundtrip_level_two():
 
 
 def test_F_family_sizes_level_one():
-    cfg = build_config([F(0)], 3, q=[10])
+    cfg = extend_parameters([F(0)], [10], 3)
     scale, _ = shifted_chamber(cfg.u, cfg.q)
-    family = [weight_of(x, scale) for x in enumerate_F(3, cfg)]
+    family = [weight_of(x, scale) for x in enumerate_F(cfg)]
     assert len(family) == 12
     assert len(set(family)) == 12
     assert sum(1 for mu in family if in_F_rk(mu, cfg)) == 4
@@ -204,7 +209,7 @@ def test_F_1_members():
     cfg = build_config([F(1, 3)], 1)
     scale, _ = shifted_chamber(cfg.u, cfg.q)
     lc = lambda_c(cfg)
-    family = set(enumerate_F(1, cfg))
+    family = set(enumerate_F(cfg))
     up = list(lc)
     up[0] += 1
     down = list(lc)
@@ -223,7 +228,7 @@ def test_chamber_weight_in_F_iff_r_even():
 def test_family_size_matches_index_count():
     for k, u, r in [(1, [F(0)], 2), (1, [F(1, 3)], 3), (2, [F(1, 3), F(7, 2)], 2)]:
         cfg = build_config(u, r)
-        assert len(enumerate_F(r, cfg)) == len(enumerate_lambda(2 * k, r))
+        assert len(enumerate_F(cfg)) == len(enumerate_lambda(2 * k, r))
 
 
 def test_dominance_examples():
@@ -251,7 +256,7 @@ def test_dominance_includes_sign_drops():
 
 
 def test_dominance_sort_key_is_linear_extension():
-    family = family_table(build_config([F(0)], 3, q=[10]))
+    family = family_table(extend_parameters([F(0)], [10], 3))
     ordered = sorted(family.numerators, key=dominance_sort_key)
     for i, lo in enumerate(ordered):
         for hi in ordered[i + 1 :]:
@@ -263,7 +268,7 @@ def test_dominance_sort_key_is_linear_extension():
 def test_enumerate_F_members_pass_membership(u1, r):
     cfg = build_config([u1], r)
     scale, _ = shifted_chamber(cfg.u, cfg.q)
-    for x in enumerate_F(r, cfg):
+    for x in enumerate_F(cfg):
         assert in_F_r(weight_of(x, scale), cfg)
         assert blockwise_decreasing(x, context_of(cfg))
 
@@ -274,7 +279,6 @@ GUARDED_CALLS = (
     ("WeightContext(4, (0, 2, 2, 4))", "block boundaries"),
     ("hat(LambdaIndex(0, ((2,),)), cfg)", "expected a level-2 multipartition"),
     ("hat(LambdaIndex(0, ((1,), ())), cfg)", "does not have size r - 2f"),
-    ("enumerate_F(3, cfg)", "not the configuration's r=2"),
     ("dominance_leq((1,), (1, 0), 1)", "different lengths"),
 )
 
@@ -293,7 +297,7 @@ def test_weight_guards_survive_python_O():
         "from fractions import Fraction as F\n"
         "from brauer_kl.combinat import LambdaIndex\n"
         "from brauer_kl.params import build_config\n"
-        "from brauer_kl.weights import WeightContext, dominance_leq, enumerate_F, hat\n"
+        "from brauer_kl.weights import WeightContext, dominance_leq, hat\n"
         "cfg = build_config([F(1, 3)], 2)\n"
         f"for call in {[call for call, _ in GUARDED_CALLS]!r}:\n"
         "    try:\n"

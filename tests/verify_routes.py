@@ -5,6 +5,11 @@ it lives here rather than in ``brauer_kl``, where every command would have
 to compile it:
 
 * ``updown_count``: one walk count, read off ``updown_count_table``;
+* ``updown_tableaux``, ``step_node``, ``content_sequence`` and
+  ``walk_content_mismatches``: every up-down tableau of a shape as a list of
+  shapes, the node between two shapes, the contents along one walk, and the
+  content cross-check walk by walk, step by step (the package's
+  ``content_mismatches`` checks each edge of the walk graph once);
 * ``lambda_c``, ``delta``, ``reference_hat``, ``reference_tilde`` and
   ``reference_family``: the ``Fraction`` codec of the weight family, the
   chamber weight plus a label's integer shift (the package's ``hat``,
@@ -39,15 +44,21 @@ to compile it:
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-
 from typing import Iterator
 
+from brauer_kl import pipeline
 from brauer_kl.combinat import (
     LambdaIndex,
     Multipartition,
+    Node,
+    add_node,
+    boundary_nodes,
     enumerate_lambda,
+    remove_node,
     size,
+    steps,
     updown_count_table,
 )
 from brauer_kl.kl import CanonicalBasisEngine, IdVector, NVector
@@ -63,7 +74,10 @@ from brauer_kl.weights import (
     context_of,
     pairing,
     rho,
+    shifted_chamber,
 )
+
+UpdownTableau = tuple[Multipartition, ...]
 
 
 def updown_count(a: int, r: int, shape: Multipartition) -> int:
@@ -73,6 +87,104 @@ def updown_count(a: int, r: int, shape: Multipartition) -> int:
     if (r - size(shape)) % 2 != 0 or size(shape) > r:
         raise ValueError(f"shape {shape} unreachable in {r} steps")
     return updown_count_table(a, r).get(shape, 0)
+
+
+def updown_tableaux(a: int, r: int, shape: Multipartition) -> list[UpdownTableau]:
+    """All length-``r`` one-box walks from the empty multipartition to ``shape``.
+
+    >>> len(updown_tableaux(1, 3, ((1,),)))
+    3
+    """
+    if len(shape) != a:
+        raise ValueError(f"shape {shape} has {len(shape)} components, expected {a}")
+    if (r - size(shape)) % 2 != 0 or size(shape) > r:
+        raise ValueError(f"shape {shape} unreachable in {r} steps")
+    out: list[UpdownTableau] = []
+
+    def walk(path: list[Multipartition]) -> None:
+        steps_left = r - (len(path) - 1)
+        gap = size(path[-1]) - size(shape)
+        if abs(gap) > steps_left or (steps_left - gap) % 2 != 0:
+            return
+        if steps_left == 0:
+            if path[-1] == shape:
+                out.append(tuple(path))
+            return
+        for _node, _sign, nxt in steps(path[-1]):
+            path.append(nxt)
+            walk(path)
+            path.pop()
+
+    walk([((),) * a])
+    return out
+
+
+def step_node(before: Multipartition, after: Multipartition) -> tuple[Node, int]:
+    """The single node by which two shapes differ, with sign +1 (added) or -1.
+
+    >>> step_node(((1,),), ((2,),))
+    ((1, 2, 1), 1)
+    """
+    diff = size(after) - size(before)
+    if diff == 1:
+        for node in boundary_nodes(before, "add"):
+            if add_node(before, node) == after:
+                return node, 1
+    elif diff == -1:
+        for node in boundary_nodes(before, "remove"):
+            if remove_node(before, node) == after:
+                return node, -1
+    raise ValueError(f"{before} and {after} do not differ by one box")
+
+
+def content_sequence(t: UpdownTableau, u) -> list[Fraction]:
+    """Contents of the boxes touched along a walk.
+
+    Adding the node ``(l, h, comp)`` contributes ``u[comp-1] + h - l``;
+    removing it contributes the negative.
+
+    >>> content_sequence((((),), ((1,),), ((2,),)), [Fraction(0)])
+    [Fraction(0, 1), Fraction(1, 1)]
+    """
+    u = [Fraction(x) for x in u]
+    if not t or len(t[0]) != len(u):
+        raise ValueError("component count must match parameter count")
+    out = []
+    for before, after in itertools.pairwise(t):
+        (l, h, comp), sign = step_node(before, after)
+        out.append(sign * (u[comp - 1] + h - l))
+    return out
+
+
+def walk_content_mismatches(cfg: ParamConfig) -> list[dict]:
+    """The content cross-check of ``pipeline.content_mismatches``, walk by
+    walk: one record per failing step of every up-down tableau of every
+    shape, carrying the numerators along the walk itself.  Exponential in r.
+    """
+    a = 2 * cfg.k
+    scale, chamber = shifted_chamber(cfg.u, cfg.q)
+    mismatches: list[dict] = []
+    for idx in enumerate_lambda(a, cfg.r):
+        for t in updown_tableaux(a, cfg.r, idx.shape):
+            contents = content_sequence(t, cfg.u_ext)
+            x = list(chamber)
+            for m in range(cfg.r):
+                node, sign = step_node(t[m], t[m + 1])
+                i0, direction = pipeline._node_coordinate(node, cfg)
+                sigma = direction if sign > 0 else -direction
+                weight_side = Fraction(2 * sigma * x[i0] + scale, 2 * scale)
+                if weight_side != contents[m]:
+                    mismatches.append(
+                        {
+                            "shape": t[m],
+                            "step": m,
+                            "node": node,
+                            "content": contents[m],
+                            "weight_side": weight_side,
+                        }
+                    )
+                x[i0] += sigma * scale
+    return mismatches
 
 
 def lambda_c(cfg: ParamConfig) -> Weight:
