@@ -211,39 +211,38 @@ def cmd_kl_selftest(args: argparse.Namespace) -> int:
     peel stability.  Each failed or raising check prints one reason line."""
     from . import combinat, params, pipeline, weights
 
-    def bijection(cfg, family):
-        table = weights.family_table(cfg)
-        for i, x in enumerate(family):
+    def bijection(cfg, table):
+        for i, x in enumerate(table.numerators):
             idx = weights.tilde(x, cfg)
             label = combinat.family_label(idx)
             if weights.hat(idx, cfg) != x:
                 return f"hat(tilde) does not return the weight at position {i} ({label})"
-            if (table.labels[i], table.numerators[i]) != (idx, x):
+            if table.labels[i] != idx:
                 shown = combinat.family_label(table.labels[i])
                 return f"family table reads {shown} at position {i}, tilde gives {label}"
 
-    def content(cfg, family):
+    def content(cfg, table):
         mismatches = pipeline.content_mismatches(cfg)
         if mismatches:
             return f"{len(mismatches)} walk step(s) fail the content cross-check"
 
-    def peel(cfg, family):
-        pipeline.tilting_decomposition(weights.family_table(cfg))  # raises if the tie order matters
+    def peel(cfg, table):
+        pipeline.tilting_decomposition(table)  # raises if the tie order matters
 
     failures = 0
     for u_text, r in SELFTEST_BATTERY:
         cfg = params.build_config(_parse_u(u_text), r)
-        family = weights.enumerate_F(cfg)
+        table = weights.family_table(cfg)
         reasons = []
         for check in (bijection, content, peel):
             try:
-                reason = check(cfg, family)
+                reason = check(cfg, table)
             except Exception as exc:
                 reason = f"{type(exc).__name__}: {exc}"
             if reason:
                 reasons.append(reason)
         failures += 1 if reasons else 0
-        head = f"{'FAIL' if reasons else 'ok'}: u=({u_text}) r={r} family={len(family)}"
+        head = f"{'FAIL' if reasons else 'ok'}: u=({u_text}) r={r} family={len(table)}"
         print("\n".join([head, *(f"  {reason}" for reason in reasons)]))
     return 0 if failures == 0 else 1
 

@@ -9,8 +9,8 @@ Parameters are :class:`fractions.Fraction`s.  The module provides
   ``phiA_condition``): each block of the shifted chamber weight is a
   unit-step progression, so no weight is built and no root is scanned,
 * deterministic block-size selection (``select_block_sizes``): one loop over
-  the bases, each candidate decided in O(k^2), refused before it starts
-  when it would try a block past ``MAX_BLOCK_SIZE``, and
+  the bases from the even ceiling of r, each candidate decided in O(k^2),
+  refused before it starts when it would try a block past ``MAX_BLOCK_SIZE``, and
 * the parameter extension u_1..u_k -> u_1..u_2k (``extend_parameters``),
   packaged into an immutable :class:`ParamConfig`.
 """
@@ -181,19 +181,6 @@ def _even_ceil(x: Fraction) -> int:
     return 2 * math.ceil(Fraction(x) / 2)
 
 
-def _linkage_classes(u: Sequence[Fraction]) -> list[list[int]]:
-    """Group parameter indices whose sums or differences are integral.
-
-    u_s - u_t is integral iff frac(u_s) = frac(u_t), and u_s + u_t iff
-    frac(u_s) = frac(-u_t); so u_s and u_t are linked exactly when they
-    share the key min(frac(u), frac(-u)), and linkage is an equivalence.
-    """
-    groups: dict[Fraction, list[int]] = {}
-    for i, x in enumerate(u):
-        groups.setdefault(min(x % 1, -x % 1), []).append(i)
-    return list(groups.values())
-
-
 def doubly_regular_reflection(u: Sequence[Fraction], q: Sequence[int]) -> bool:
     """Some non-Levi root pairs positively and integrally with the shifted
     chamber weight and reflects it to a weight whose entries stay distinct
@@ -266,51 +253,59 @@ def verify_block_sizes(u: Sequence[Fraction], q: Sequence[int], r: int) -> bool:
 def select_block_sizes(u: Sequence[Fraction], r: int) -> list[int]:
     """Deterministically choose block sizes q_1..q_k.
 
-    Rule: every q is even (so n = sum q is automatically even) and at least
-    2r, so every shape fits (len(head) + len(tail) <= r).  Within each class
-    of parameters linked by integral sums/differences the q's are staggered
+    Rule: every q is even (so n = sum q is automatically even).  Parameters
+    with equal frac(u), that is with an integral difference, are staggered
     above a common base: sorted by (parameter value, index), each q exceeds
     the one before by the even ceiling of the value gap + r + 2.  With M the
     largest positive integral sum u_s + u_t (s = t allowed; 0 if none), the
-    bases 2r, 2r + 2, ..., base0 = 2r + 4 + 2M are tried in turn and the
-    first whose choice passes :func:`verify_block_sizes` wins.
+    bases from the even ceiling of r up to base0 = 2r + 4 + 2M are tried in
+    turn, two apart, and the first whose choice passes
+    :func:`verify_block_sizes` wins.
+
+    The walk starts where the verdict can first accept: q_l is the integral
+    sum of the extended parameters u_l and q_l - u_l, so r-disjointness needs
+    q_l >= r.  Every q >= r fits every shape, whose head and tail put
+    len(head) + len(tail) <= r entries in a block.
 
     base0 always verifies, so the loop needs no retries.  Each bullet names
     the closed form that checks it (:func:`doubly_regular_reflection`, then
     the r-disjointness of :func:`verify_block_sizes`).
 
     * The cross-block minus form, d = u_s - u_t > 0 with q_s - q_t < d: d is
-      an integer only within one class, and there the stagger gives
-      q_s - q_t >= d + r + 2 instead, at every base.
+      an integer only when frac(u_s) = frac(u_t), and there the stagger
+      gives q_s - q_t >= d + r + 2 instead, at every base.
     * The cross-block plus form, sigma = u_s + u_t > max(q_s, q_t), and the
       same-block plus form, which needs sigma = 2u_s >= q_s + 1: each needs a
       positive integral sum, at most M, to exceed a q, and every q at base0
       exceeds M.
     * r-disjointness of the extension u, q_{k-1} - u_{k-1}, ..., q_0 - u_0,
       by the same two bounds.  An integral sum or difference is one of:
-      q_l; q_l - (u_l - u_m), which is at least q_l or, by the stagger,
-      q_m + r + 2; q_l - (u_l + u_m), at least q_l - M >= 2r + 4; a sum
-      q_l + q_m - (u_l + u_m) >= 4r; or (q_l - q_m) - (u_l - u_m), at least
-      r + 2 in absolute value by the stagger.
+      q_l; q_l - (u_l - u_m), integral only for equal frac(u), so at least
+      q_l or, by the stagger, q_m + r + 2; q_l - (u_l + u_m), at least
+      q_l - M >= 2r + 4; a sum q_l + q_m - (u_l + u_m) >= 4r; or
+      (q_l - q_m) - (u_l - u_m), integral only for equal frac(u), so at
+      least r + 2 in absolute value by the stagger.
 
     ``RetryExhausted`` after the loop would mean an implementation bug.
     When base0 plus the largest stagger exceeds ``MAX_BLOCK_SIZE``, the
     walk is refused before it starts, with ``BlockSizesTooLarge``.
 
     >>> select_block_sizes([Fraction(0)], 3)
-    [6]
-    >>> select_block_sizes([Fraction(1, 3)], 2)
     [4]
+    >>> select_block_sizes([Fraction(1, 3)], 2)
+    [2]
+    >>> select_block_sizes([Fraction(4, 3), Fraction(-4, 3)], 4)
+    [4, 4]
     """
     u = [Fraction(x) for x in u]
     if not u or r < 1:
         raise ValueError(f"need at least one parameter and r >= 1, got {len(u)} and r={r}")
     sums = [a + b for s, a in enumerate(u) for b in u[s:]]
     int_sum_bound = max((int(x) for x in sums if x.denominator == 1 and x > 0), default=0)
+    order = sorted(range(len(u)), key=lambda i: (u[i] % 1, u[i], i))
     offsets = [0] * len(u)
-    for group in _linkage_classes(u):
-        members = sorted(group, key=lambda i: (u[i], i))
-        for prev, idx in zip(members, members[1:]):
+    for prev, idx in zip(order, order[1:]):
+        if u[idx] % 1 == u[prev] % 1:
             offsets[idx] = offsets[prev] + _even_ceil(u[idx] - u[prev] + r + 2)
     base0 = 2 * r + 4 + 2 * int_sum_bound
     if base0 + max(offsets) > MAX_BLOCK_SIZE:
@@ -318,7 +313,7 @@ def select_block_sizes(u: Sequence[Fraction], r: int) -> list[int]:
             f"block-size selection at r={r} would try blocks past {MAX_BLOCK_SIZE} "
             "coordinates, the largest supported"
         )
-    for base in range(2 * r, base0 + 1, 2):
+    for base in range(_even_ceil(r), base0 + 1, 2):
         q = [base + offset for offset in offsets]
         if verify_block_sizes(u, q, r):
             return q

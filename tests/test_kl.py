@@ -829,10 +829,12 @@ def test_a_successful_decompose_decodes_no_state(monkeypatch, capsys, argv):
 
 
 # blocks of one Coxeter shape at many values: k = 1 at four parameters and
-# r <= 6, at two more and r <= 5, and two level-two parameter pairs; every
-# oracle-compare point at r <= 5 for delta in {1, 2, -2, 0, 1/2} is here
+# r <= 6 (one of them to r = 8), at two more and r <= 5, and two level-two
+# parameter pairs; every oracle-compare point at r <= 5 for delta in
+# {1, 2, -2, 0, 1/2} is here
 SHARING_GRID = [((u,), r) for u in ("3/2", "0", "1/2", "5/2") for r in range(1, 7)] + [
-    *((("0", "1/2"), r) for r in range(1, 5)),
+    *((("3/2",), r) for r in (7, 8)),
+    *((("0", "1/2"), r) for r in range(1, 6)),
     *((("0", "1/3"), r) for r in range(1, 4)),
     *(((u,), r) for u in ("-1/2", "1/4") for r in range(1, 6)),
 ]
@@ -897,7 +899,7 @@ def test_a_shared_core_gives_the_tables_of_private_ones(first):
             assert shared == private_tables(u, r, convention), (u, r, convention)
             refused += sum(isinstance(table, str) for table in shared)
         reused += 2 * len(blocks) - cores  # table reads that found their core built
-    assert reused == 148 and refused == 26  # of 88 blocks, each read twice
+    assert reused == 300 and refused == 26  # of 173 blocks, each read twice
 
 
 @pytest.mark.parametrize("first", list(ORDERS))
@@ -905,7 +907,7 @@ def test_every_shared_move_entry_has_the_exponent_the_values_give(first):
     # each engine decodes every move asked of its core with its own values
     _, engines, asked = shared_grid(first)
     checked = sum(exponents_checked(engine, asked[id(engine._states)]) for engine in engines)
-    assert len(engines) == 150 and checked > 160_000  # on 28 cores
+    assert len(engines) == 320 and checked > 160_000  # on 46 cores
 
 
 def engines_and_cores(monkeypatch, u, r):
@@ -924,9 +926,9 @@ def engines_and_cores(monkeypatch, u, r):
 
 
 def test_blocks_of_one_shape_build_one_core(monkeypatch):
-    engines, cores = engines_and_cores(monkeypatch, "3/2", 7)
-    assert len(engines) == 21
-    assert [len(states) for states in cores] == [1952]
+    engines, cores = engines_and_cores(monkeypatch, "1", 11)
+    assert len(engines) == 117
+    assert [len(states) for states in cores] == [4548]
     engines, cores = engines_and_cores(monkeypatch, "0,1/2", 4)
     assert len(cores) == 7
 

@@ -19,7 +19,6 @@ from brauer_kl.params import (
     BlockSizesTooLarge,
     ParamConfig,
     _even_ceil,
-    _linkage_classes,
     build_config,
     delta_from_u,
     doubly_regular_reflection,
@@ -59,10 +58,26 @@ def fraction_route_verifies(u, q, r):
     return not psi_pp and verify_disjoint_extension(cfg)
 
 
+def linkage_classes(u):
+    """Group parameter indices whose sums or differences are integral.
+
+    u_s - u_t is integral iff frac(u_s) = frac(u_t), and u_s + u_t iff
+    frac(u_s) = frac(-u_t); so u_s and u_t are linked exactly when they
+    share the key min(frac(u), frac(-u)), and linkage is an equivalence.
+    """
+    groups = {}
+    for i, x in enumerate(u):
+        groups.setdefault(min(x % 1, -x % 1), []).append(i)
+    return list(groups.values())
+
+
 def reference_block_sizes(u, r):
-    """The block sizes at the largest base the selection tries, kept as the
-    reference: base 2r + 4 + 2 * (largest integral positive parameter sum)
-    with the same staggering, checked to verify on the Fraction route."""
+    """The block sizes at the largest base the selection tries, kept as an
+    independent reference: base 2r + 4 + 2 * (largest integral positive
+    parameter sum), staggered across each class of parameters linked by an
+    integral sum or difference (a coarser stagger than the selection's, which
+    links integral differences only), checked to verify on the Fraction
+    route."""
     u = [F(x) for x in u]
     k = len(u)
     int_sum_bound = max(
@@ -71,7 +86,7 @@ def reference_block_sizes(u, r):
         default=0,
     )
     q = [2 * r + 4 + 2 * int_sum_bound] * k
-    for group in _linkage_classes(u):
+    for group in linkage_classes(u):
         members = sorted(group, key=lambda i: (u[i], i))
         for pos in range(1, len(members)):
             idx, prev = members[pos], members[pos - 1]
@@ -85,7 +100,7 @@ def reference_block_sizes(u, r):
 )
 @example([F(1, 3), F(2, 3), F(4, 3), F(1, 2)])
 def test_linkage_classes_link_integral_sums_and_differences(u):
-    cls = {i: n for n, group in enumerate(_linkage_classes(u)) for i in group}
+    cls = {i: n for n, group in enumerate(linkage_classes(u)) for i in group}
     assert sorted(cls) == list(range(len(u)))
     for s in range(len(u)):
         for t in range(s + 1, len(u)):
@@ -158,8 +173,12 @@ def test_simple_param_condition_routes_agree(u):
 
 
 def test_select_block_sizes_examples():
-    assert select_block_sizes([F(0)], 3) == [6]
-    assert select_block_sizes([F(1, 3)], 2) == [4]
+    # the walk starts at the even ceiling of r, and only parameters with an
+    # integral difference are staggered
+    assert select_block_sizes([F(0)], 3) == [4]
+    assert select_block_sizes([F(1, 3)], 2) == [2]
+    assert select_block_sizes([F(4, 3), F(-4, 3)], 4) == [4, 4]  # an integral sum only
+    assert select_block_sizes([F(0), F(1)], 1) == [2, 6]  # u_2 - u_1 = 1: staggered by 4
 
 
 # (u, r) whose block-size search reaches MAX_BLOCK_SIZE exactly -> one just past it
@@ -187,9 +206,9 @@ def test_extend_parameters_examples():
 
 def test_extend_parameters_invariants():
     cfg = build_config([F(0)], 3)
-    assert cfg.n == 6 and cfg.p == (0, 6)
+    assert cfg.n == 4 and cfg.p == (0, 4)
     assert cfg.omega[0] == 2 * cfg.n
-    assert cfg.c == (F(-11, 2),)
+    assert cfg.c == (F(-7, 2),)
     assert verify_disjoint_extension(cfg)
 
 
@@ -258,8 +277,8 @@ def test_serialize_is_json_ready():
     data = cfg.serialize()
     assert data["k"] == 1 and data["r"] == 2
     assert data["u"] == ["1/3"]
-    assert data["q"] == [4] and data["p"] == [0, 4]
-    assert data["u_ext"] == ["1/3", "11/3"]
+    assert data["q"] == [2] and data["p"] == [0, 2]
+    assert data["u_ext"] == ["1/3", "5/3"]
     import json
 
     json.dumps(data)  # everything plain
@@ -277,11 +296,12 @@ def test_config_is_hashable_and_frozen():
 def test_selected_blocks_always_verify(u1, r):
     q = select_block_sizes([u1], r)
     cfg = extend_parameters([u1], q, r)
-    assert q[0] >= 2 * r and q[0] % 2 == 0
+    assert q[0] >= r and q[0] % 2 == 0
     assert q[0] <= reference_block_sizes([u1], r)[0]
     assert cfg.n % 2 == 0
     assert cfg.omega[0] == 2 * cfg.n
     assert verify_disjoint_extension(cfg)
+    family_table(cfg)  # every label fits its blocks
 
 
 @settings(deadline=None, max_examples=25)
@@ -289,17 +309,33 @@ def test_selected_blocks_always_verify(u1, r):
 def test_selected_blocks_verify_level_two(u1, u2, r):
     q = select_block_sizes([u1, u2], r)
     cfg = extend_parameters([u1, u2], q, r)
-    assert all(qi >= 2 * r and qi % 2 == 0 for qi in q)
+    assert all(qi >= r and qi % 2 == 0 for qi in q)
     reference = reference_block_sizes([u1, u2], r)
     assert all(qi <= ri for qi, ri in zip(q, reference))
     assert cfg.n % 2 == 0
     assert cfg.omega[0] == 2 * cfg.n
     assert verify_disjoint_extension(cfg)
+    family_table(cfg)  # every label fits its blocks
+
+
+@given(
+    st.lists(rationals, min_size=1, max_size=3),
+    st.integers(min_value=2, max_value=8),
+    st.data(),
+)
+def test_no_block_below_r_verifies(u, r, data):
+    # q_l is the integral sum of the extended parameters u_l and q_l - u_l,
+    # so a block smaller than r is never r-disjoint: the walk may start at r
+    q = data.draw(st.lists(st.integers(1, 3 * r), min_size=len(u), max_size=len(u)))
+    short = data.draw(st.integers(0, len(u) - 1))
+    q[short] = data.draw(st.integers(1, r - 1))
+    assert not verify_block_sizes(u, q, r)
 
 
 # (u, r, assume_saturated): level one over integers, half-integers and
 # thirds, with wall blocks, an unsupported block and cell-data-only cases;
-# level two over linked pairs, with and without the saturation waiver
+# level two over linked pairs, with and without the saturation waiver; and
+# levels two and three over parameters linked by an integral sum alone
 Q_INVARIANCE_GRID = [
     ((u,), r, False)
     for r in (1, 2, 3, 4)
@@ -313,7 +349,18 @@ Q_INVARIANCE_GRID = [
         ("0", "1/3"), ("3/2", "1/3"), ("1/5", "9/7"),
     )
     for saturated in (False, True)
-] + [(("1", "1/2"), 1, True), (("0", "1/2"), 2, True)]
+] + [(("1", "1/2"), 1, True), (("0", "1/2"), 2, True)] + [
+    (u, r, saturated)
+    for u, rs in (
+        # parameters linked by an integral sum alone, which the selection
+        # does not stagger; each at the r <= 2 where the reference runs in
+        # under 1 s (it takes 4.8 s for (4/3, -4/3) at r = 2)
+        (("1/3", "2/3"), (1, 2)), (("4/3", "-4/3"), (1,)), (("15/4", "-11/4"), (1, 2)),
+        (("18/5", "-18/5", "-7/3"), (1,)),
+    )
+    for r in rs
+    for saturated in (False, True)
+]
 
 
 def report_outcome(u, r, q, assume_saturated):
