@@ -17,13 +17,13 @@ Encodings
 * A *shape index* pairs ``f`` (the number of "removed pairs") with a
   multipartition of ``r - 2f``; ``enumerate_lambda`` lists them all.
 
->>> boundary_nodes(((2, 1),), "add")
-[(1, 3, 1), (2, 2, 1), (3, 1, 1)]
+>>> [(node, sign) for node, sign, _ in steps(((2, 1),))]
+[((1, 3, 1), 1), ((2, 2, 1), 1), ((3, 1, 1), 1), ((1, 2, 1), -1), ((2, 1, 1), -1)]
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Literal, NamedTuple
+from typing import Iterator, NamedTuple
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -45,14 +45,6 @@ def family_label(idx: LambdaIndex) -> str:
     """Compact string form of a full (doubled-level) cell label."""
     parts = ["," .join(str(c) for c in comp) or "-" for comp in idx.shape]
     return f"f{idx.f}:" + "|".join(parts)
-
-
-def is_partition(p) -> bool:
-    return (
-        isinstance(p, tuple)
-        and all(isinstance(x, int) and x > 0 for x in p)
-        and all(p[i] >= p[i + 1] for i in range(len(p) - 1))
-    )
 
 
 def double_factorial(m: int) -> int:
@@ -110,57 +102,6 @@ def size(mp: Multipartition) -> int:
     return sum(sum(p) for p in mp)
 
 
-def add_node(mp: Multipartition, node: Node) -> Multipartition:
-    row, col, comp = node
-    p = list(mp[comp - 1])
-    if row == len(p) + 1:
-        p.append(1)
-    elif 1 <= row <= len(p):
-        p[row - 1] += 1
-    if not (1 <= row <= len(p) and p[row - 1] == col and is_partition(tuple(p))):
-        raise ValueError(f"node {node} is not addable to {mp}")
-    return mp[: comp - 1] + (tuple(p),) + mp[comp:]
-
-
-def remove_node(mp: Multipartition, node: Node) -> Multipartition:
-    row, col, comp = node
-    p = list(mp[comp - 1])
-    if not (1 <= row <= len(p) and p[row - 1] == col):
-        raise ValueError(f"node {node} is not removable from {mp}")
-    p[row - 1] -= 1
-    while p and p[-1] == 0:
-        p.pop()
-    if not is_partition(tuple(p)):
-        raise ValueError(f"node {node} is not removable from {mp}")
-    return mp[: comp - 1] + (tuple(p),) + mp[comp:]
-
-
-def boundary_nodes(mp: Multipartition, direction: Literal["add", "remove"]) -> list[Node]:
-    """Addable or removable nodes of a multipartition, ordered by (comp, row).
-
-    >>> boundary_nodes(((), ()), "add")
-    [(1, 1, 1), (1, 1, 2)]
-    >>> boundary_nodes(((2, 1),), "remove")
-    [(1, 2, 1), (2, 1, 1)]
-    """
-    if direction not in ("add", "remove"):
-        raise ValueError(f"direction must be 'add' or 'remove', got {direction!r}")
-    out: list[Node] = []
-    for comp, p in enumerate(mp, start=1):
-        if direction == "add":
-            for row in range(1, len(p) + 2):
-                cur = p[row - 1] if row <= len(p) else 0
-                above = p[row - 2] if row >= 2 else None
-                if above is None or cur < above:
-                    out.append((row, cur + 1, comp))
-        else:
-            for row in range(1, len(p) + 1):
-                below = p[row] if row < len(p) else 0
-                if p[row - 1] > below:
-                    out.append((row, p[row - 1], comp))
-    return out
-
-
 def enumerate_lambda(a: int, r: int) -> list[LambdaIndex]:
     """All pairs (f, shape) with |shape| = r - 2f, 0 <= f <= r//2.
 
@@ -178,15 +119,27 @@ def enumerate_lambda(a: int, r: int) -> list[LambdaIndex]:
 
 def steps(mp: Multipartition) -> Iterator[tuple[Node, int, Multipartition]]:
     """The one-box steps out of ``mp``: ``(node, +1, shape)`` for each
-    addable node, then ``(node, -1, shape)`` for each removable one.
+    addable node, then ``(node, -1, shape)`` for each removable one, each
+    ordered by (comp, row).
+
+    One pass over each component's rows: row ``i`` takes a box when it is
+    the first row or shorter than the row above (the row one past the end
+    has length 0), and gives one up when it is longer than the row below.
 
     >>> list(steps(((1,),)))
     [((1, 2, 1), 1, ((2,),)), ((2, 1, 1), 1, ((1, 1),)), ((1, 1, 1), -1, ((),))]
     """
-    for node in boundary_nodes(mp, "add"):
-        yield node, 1, add_node(mp, node)
-    for node in boundary_nodes(mp, "remove"):
-        yield node, -1, remove_node(mp, node)
+    removals = []
+    for comp, p in enumerate(mp):
+        head, tail = mp[:comp], mp[comp + 1 :]
+        for i, cur in enumerate(p + (0,)):
+            if i == 0 or cur < p[i - 1]:
+                grown = p[:i] + (cur + 1,) + p[i + 1 :]
+                yield (i + 1, cur + 1, comp + 1), 1, head + (grown,) + tail
+            if cur and (i + 1 == len(p) or cur > p[i + 1]):
+                shrunk = p[:i] + ((cur - 1,) if cur > 1 else ()) + p[i + 1 :]
+                removals.append(((i + 1, cur, comp + 1), -1, head + (shrunk,) + tail))
+    yield from removals
 
 
 def updown_count_table(a: int, r: int) -> dict[Multipartition, int]:

@@ -10,7 +10,7 @@ Parameters are :class:`fractions.Fraction`s.  The module provides
   unit-step progression, so no weight is built and no root is scanned,
 * deterministic block-size selection (``select_block_sizes``): one loop over
   the bases from the even ceiling of r, each candidate decided in O(k^2),
-  refused before it starts when it would try a block past ``MAX_BLOCK_SIZE``, and
+  refused at the first candidate with a block past ``MAX_BLOCK_SIZE``, and
 * the parameter extension u_1..u_k -> u_1..u_2k (``extend_parameters``),
   packaged into an immutable :class:`ParamConfig`.
 """
@@ -28,13 +28,13 @@ class RetryExhausted(Exception):
 
 
 class BlockSizesTooLarge(Exception):
-    """The block-size search would try a block past ``MAX_BLOCK_SIZE``."""
+    """The block-size walk reached a candidate with a block past ``MAX_BLOCK_SIZE``."""
 
 
 # The largest block size the selection may try.  It bounds the walk over
 # bases, and with it the rank of every weight.  Cold ``decompose --k 1`` at
-# the bound took 0.14 s at r = 2 (u = 4998) and 0.36 s at r = 5 (u = 4990)
-# on a 2-core box, against 0.47 s at r = 2 and u = 50000.
+# the bound (q = 20000) took 0.26 s at r = 2 (u = 9999, 25 MB) and 0.76 s at
+# r = 5 (u = 9997, 82 MB) on a 2-core box.
 MAX_BLOCK_SIZE = 20_000
 
 
@@ -61,8 +61,9 @@ def omega_series(v: Sequence[Fraction], N: int) -> list[Fraction]:
         (u - e) * prod_i (u + v_i) / (u - v_i)  -  u  +  1/2,
 
     where e = 1/2 for an even number of parameters and -1/2 for an odd one.
-    Writing t = 1/u, each factor (u+v)/(u-v) = (1+vt)/(1-vt) contributes the
-    series 1 + 2vt + 2v^2 t^2 + ...; with P(t) the truncated product,
+    Writing t = 1/u, the product is P(t) = A(t) / B(t) with A(t) =
+    prod_i (1 + v_i t) and B(t) = prod_i (1 - v_i t), so its coefficients obey
+    the length-k recurrence p_m = a_m - (b_1 p_{m-1} + ... + b_k p_{m-k}), and
     omega_a = p_{a+1} - e*p_a (+ 1/2 when a = 0).
 
     >>> omega_series([Fraction(3, 2)], 0)
@@ -77,18 +78,15 @@ def omega_series(v: Sequence[Fraction], N: int) -> list[Fraction]:
         raise ValueError(f"highest omega index must be >= 0, got {N}")
     k = len(v)
     e = Fraction((-1) ** k, 2)
-    # truncated product of per-parameter series, degrees 0..N+1
-    prod = [Fraction(0)] * (N + 2)
-    prod[0] = Fraction(1)
+    num, den = [Fraction(1)], [Fraction(1)]
     for vi in v:
-        factor = [Fraction(1)] + [2 * vi**m for m in range(1, N + 2)]
-        new = [Fraction(0)] * (N + 2)
-        for a, pa in enumerate(prod):
-            if pa == 0:
-                continue
-            for b in range(N + 2 - a):
-                new[a + b] += pa * factor[b]
-        prod = new
+        num = [x + vi * y for x, y in zip(num + [0], [0] + num)]
+        den = [x - vi * y for x, y in zip(den + [0], [0] + den)]
+    # coefficients p_0..p_{N+1} of P(t)
+    prod: list[Fraction] = []
+    for m in range(N + 2):
+        head = num[m] if m <= k else 0
+        prod.append(head - sum(den[j] * prod[m - j] for j in range(1, min(m, k) + 1)))
     out = []
     for a in range(N + 1):
         w = prod[a + 1] - e * prod[a]
@@ -287,8 +285,10 @@ def select_block_sizes(u: Sequence[Fraction], r: int) -> list[int]:
       least r + 2 in absolute value by the stagger.
 
     ``RetryExhausted`` after the loop would mean an implementation bug.
-    When base0 plus the largest stagger exceeds ``MAX_BLOCK_SIZE``, the
-    walk is refused before it starts, with ``BlockSizesTooLarge``.
+    The walk stops with ``BlockSizesTooLarge`` at the first candidate whose
+    largest block exceeds ``MAX_BLOCK_SIZE``, so only an input whose first
+    verified choice would pass the bound is refused, after at most
+    ``MAX_BLOCK_SIZE / 2`` candidates.
 
     >>> select_block_sizes([Fraction(0)], 3)
     [4]
@@ -308,13 +308,13 @@ def select_block_sizes(u: Sequence[Fraction], r: int) -> list[int]:
         if u[idx] % 1 == u[prev] % 1:
             offsets[idx] = offsets[prev] + _even_ceil(u[idx] - u[prev] + r + 2)
     base0 = 2 * r + 4 + 2 * int_sum_bound
-    if base0 + max(offsets) > MAX_BLOCK_SIZE:
-        raise BlockSizesTooLarge(
-            f"block-size selection at r={r} would try blocks past {MAX_BLOCK_SIZE} "
-            "coordinates, the largest supported"
-        )
     for base in range(_even_ceil(r), base0 + 1, 2):
         q = [base + offset for offset in offsets]
+        if max(q) > MAX_BLOCK_SIZE:
+            raise BlockSizesTooLarge(
+                f"block-size selection at r={r} would try blocks past {MAX_BLOCK_SIZE} "
+                "coordinates, the largest supported"
+            )
         if verify_block_sizes(u, q, r):
             return q
     raise RetryExhausted(

@@ -1,30 +1,29 @@
 """Multipartition combinatorics: shapes, walks, contents."""
 
-import os
-import subprocess
-import sys
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-import brauer_kl
 from brauer_kl.combinat import (
     LambdaIndex,
-    add_node,
-    boundary_nodes,
     double_factorial,
     enumerate_lambda,
-    is_partition,
     multipartitions,
     partitions,
-    remove_node,
     size,
     steps,
     transpose,
     updown_count_table,
 )
-from verify_routes import content_sequence, step_node, updown_count, updown_tableaux
+from verify_routes import (
+    content_sequence,
+    is_partition,
+    step_node,
+    updown_count,
+    updown_tableaux,
+)
 
 F = Fraction
 
@@ -61,58 +60,48 @@ def test_multipartitions_count_is_convolution():
     assert all(size(mp) == 3 for mp in multipartitions(2, 3))
 
 
-def test_boundary_nodes_examples():
-    assert boundary_nodes(((), ()), "add") == [(1, 1, 1), (1, 1, 2)]
-    assert boundary_nodes(((2, 1),), "remove") == [(1, 2, 1), (2, 1, 1)]
-    assert boundary_nodes(((2, 1),), "add") == [(1, 3, 1), (2, 2, 1), (3, 1, 1)]
+def test_steps_examples():
+    def nodes(mp, sign):
+        return [node for node, step_sign, _ in steps(mp) if step_sign == sign]
+
+    assert nodes(((), ()), 1) == [(1, 1, 1), (1, 1, 2)]
+    assert nodes(((2, 1),), -1) == [(1, 2, 1), (2, 1, 1)]
+    assert nodes(((2, 1),), 1) == [(1, 3, 1), (2, 2, 1), (3, 1, 1)]
+    assert list(steps(((2,), (1, 1)))) == [
+        ((1, 3, 1), 1, ((3,), (1, 1))),
+        ((2, 1, 1), 1, ((2, 1), (1, 1))),
+        ((1, 2, 2), 1, ((2,), (2, 1))),
+        ((3, 1, 2), 1, ((2,), (1, 1, 1))),
+        ((1, 2, 1), -1, ((1,), (1, 1))),
+        ((2, 1, 2), -1, ((2,), (1,))),
+    ]
 
 
-def test_add_remove_node_roundtrip():
+def test_steps_roundtrip():
     mp = ((2, 1), (1,))
-    for node in boundary_nodes(mp, "add"):
-        assert remove_node(add_node(mp, node), node) == mp
-    for node in boundary_nodes(mp, "remove"):
-        assert add_node(remove_node(mp, node), node) == mp
-
-
-@pytest.mark.parametrize("node", [(1, 3, 1), (2, 2, 1), (3, 1, 1), (0, 1, 1)])
-def test_add_node_refuses_a_node_that_is_not_addable(node):
-    with pytest.raises(ValueError, match="is not addable to"):
-        add_node(((1,),), node)
-
-
-@pytest.mark.parametrize("node", [(1, 1, 1), (2, 2, 1), (3, 1, 1), (0, 2, 1)])
-def test_remove_node_refuses_a_node_that_is_not_removable(node):
-    with pytest.raises(ValueError, match="is not removable from"):
-        remove_node(((2, 1),), node)
-
-
-def test_node_checks_survive_python_O():
-    src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
-    code = (
-        "from brauer_kl.combinat import add_node, remove_node\n"
-        "for step, node in ((add_node, (2, 2, 1)), (remove_node, (1, 1, 1))):\n"
-        "    try:\n"
-        "        print('returned:', step(((2,),), node))\n"
-        "    except ValueError as exc:\n"
-        "        print('refused:', exc)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (
-        "refused: node (2, 2, 1) is not addable to ((2,),)\n"
-        "refused: node (1, 1, 1) is not removable from ((2,),)\n"
-    )
+    for node, sign, after in steps(mp):
+        assert (node, -sign, mp) in steps(after)
 
 
 def test_step_node_identifies_difference():
     assert step_node(((1,),), ((2,),)) == ((1, 2, 1), 1)
     assert step_node(((2,),), ((1,),)) == ((1, 2, 1), -1)
+    assert step_node(((1,), ()), ((1,), (1,))) == ((1, 1, 2), 1)
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        (((1,),), ((3,),)),  # one row, two boxes
+        (((1,),), ((2, 1),)),  # two rows
+        (((1, 1),), ((1, 2),)),  # not a partition
+        (((1,),), ((1,), (1,))),  # another level
+        (((1,), ()), ((), (1,))),  # a box moved between components
+    ],
+)
+def test_step_node_refuses_shapes_not_one_box_apart(before, after):
+    with pytest.raises(ValueError, match="do not differ by one box"):
+        step_node(before, after)
 
 
 @pytest.mark.parametrize("mp", [((),), ((2, 1),), ((1,), ()), ((2,), (1, 1))])
@@ -122,6 +111,68 @@ def test_steps_are_the_one_box_neighbours(mp):
     assert len({after for _, _, after in out}) == len(out)
     for node, sign, after in out:
         assert step_node(mp, after) == (node, sign)
+
+
+def boxes(mp):
+    return frozenset(
+        (comp, row, col) for comp, p in enumerate(mp) for row, length in enumerate(p)
+        for col in range(length)
+    )
+
+
+@pytest.fixture(scope="module")
+def brute_force_neighbours():
+    """Every shape of level a <= 4 and size <= 5, mapped to the shapes one box
+    away: those among all shapes one size up or down whose boxes hold its
+    own, or are held by them."""
+    out = {}
+    for a in range(1, 5):
+        by_size = [[(boxes(mp), mp) for mp in multipartitions(a, m)] for m in range(7)]
+        for m in range(6):
+            for mine, mp in by_size[m]:
+                up = {nb for theirs, nb in by_size[m + 1] if mine < theirs}
+                down = {nb for theirs, nb in by_size[m - 1] if theirs < mine} if m else set()
+                out[mp] = up | down
+    return out
+
+
+def test_steps_are_the_brute_force_neighbours(brute_force_neighbours):
+    for mp, expected in brute_force_neighbours.items():
+        out = list(steps(mp))
+        assert len(out) == len(expected)
+        assert {after for _, _, after in out} == expected
+        order = [(-sign, comp, row) for (row, _, comp), sign, _ in out]
+        assert order == sorted(order)
+        for node, sign, after in out:
+            assert all(map(is_partition, after))
+            assert step_node(mp, after) == (node, sign)
+
+
+# sha256 of repr([sorted(updown_count_table(a, r).items()) for r in 1..6]),
+# recorded from the tables of boundary-node steps that this one-pass version
+# replaced
+UPDOWN_DIGESTS = {
+    1: "d9315018de3ba815",
+    2: "5ef5c74e0dc1363b",
+    3: "57076f3e0e33c750",
+    4: "12f38c6c57fdd199",
+}
+
+
+@pytest.mark.parametrize("a", sorted(UPDOWN_DIGESTS))
+def test_updown_count_table_walks_the_brute_force_neighbours(a, brute_force_neighbours):
+    counts = {((),) * a: 1}
+    tables = []
+    for r in range(1, 7):
+        nxt = {}
+        for mp, c in counts.items():
+            for nb in brute_force_neighbours[mp]:
+                nxt[nb] = nxt.get(nb, 0) + c
+        counts = nxt
+        tables.append(updown_count_table(a, r))
+        assert tables[-1] == counts
+    text = repr([sorted(table.items()) for table in tables])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == UPDOWN_DIGESTS[a]
 
 
 def test_enumerate_lambda_examples():

@@ -38,6 +38,7 @@ from verify_routes import (
     is_r_disjoint,
     lambda_c,
     numerators,
+    omega_series_by_convolution,
     polynomial_route,
     psi_sets,
     verify_disjoint_extension,
@@ -134,6 +135,18 @@ def test_omega_series_depth_prefix_consistency():
     assert omega_series(v, 1) == omega_series(v, 4)[:2]
 
 
+@given(st.lists(rationals | st.just(F(0)), min_size=1, max_size=4), st.integers(0, 12))
+@example([F(1, 2), F(1, 3), F(7, 5)], 12)
+def test_omega_series_recurrence_matches_the_convolution(v, N):
+    assert omega_series(v, N) == omega_series_by_convolution(v, N)
+
+
+@pytest.mark.parametrize("v, N", [([], 2), ([F(1)], -1)])
+def test_omega_series_refuses_an_empty_list_or_negative_N(v, N):
+    with pytest.raises(ValueError):
+        omega_series(v, N)
+
+
 def test_is_r_disjoint_examples():
     assert is_r_disjoint(F(1, 3), F(1, 2), 5)
     assert is_r_disjoint(F(5), F(1), 3)
@@ -181,18 +194,24 @@ def test_select_block_sizes_examples():
     assert select_block_sizes([F(0), F(1)], 1) == [2, 6]  # u_2 - u_1 = 1: staggered by 4
 
 
-# (u, r) whose block-size search reaches MAX_BLOCK_SIZE exactly -> one just past it
+# (u, r) whose first verified choice has a block of MAX_BLOCK_SIZE exactly ->
+# one whose walk reaches a block past it first
 AT_THE_BOUND = {
-    (("4998",), 2): (("4999",), 2),  # base0 = 2r + 4 + 2M, with M = 2u
-    (("0",), 9998): (("0",), 9999),
-    (("-19988", "0"), 2): (("-19989", "0"), 2),  # M = 0; u_2 is staggered by 19992
+    (("9999",), 2): (("10000",), 2),  # an integer u first verifies at q = 2u + 2
+    (("0",), 20000): (("0",), 20001),  # the walk starts at the even ceiling of r
+    (("-19994", "0"), 2): (("-19995", "0"), 2),  # base 2; u_2 is staggered by 19998
 }
+
+
+def test_only_a_walk_that_passes_the_bound_is_refused():
+    # base0 = 2r + 4 + 2M = 20004 here, but the walk verifies long before it
+    assert select_block_sizes([F(4999)], 2) == [10000]
 
 
 @pytest.mark.parametrize("at", list(AT_THE_BOUND), ids=str)
 def test_block_sizes_are_refused_just_past_the_bound(at):
     (u, r), (past_u, past_r) = at, AT_THE_BOUND[at]
-    assert max(select_block_sizes([F(x) for x in u], r)) <= MAX_BLOCK_SIZE
+    assert max(select_block_sizes([F(x) for x in u], r)) == MAX_BLOCK_SIZE
     with pytest.raises(BlockSizesTooLarge, match=f"past {MAX_BLOCK_SIZE} coordinates"):
         select_block_sizes([F(x) for x in past_u], past_r)
 

@@ -5,9 +5,10 @@ it lives here rather than in ``brauer_kl``, where every command would have
 to compile it:
 
 * ``updown_count``: one walk count, read off ``updown_count_table``;
-* ``updown_tableaux``, ``step_node``, ``content_sequence`` and
-  ``walk_content_mismatches``: every up-down tableau of a shape as a list of
-  shapes, the node between two shapes, the contents along one walk, and the
+* ``updown_tableaux``, ``is_partition``, ``step_node``, ``content_sequence``
+  and ``walk_content_mismatches``: every up-down tableau of a shape as a list
+  of shapes, the partition test, the node between two shapes (found row by
+  row, without ``steps``), the contents along one walk, and the
   content cross-check walk by walk, step by step (the package's
   ``content_mismatches`` checks each edge of the walk graph once);
 * ``lambda_c``, ``delta``, ``reference_hat``, ``reference_tilde`` and
@@ -28,6 +29,8 @@ to compile it:
 * ``is_r_disjoint``/``verify_disjoint_extension``: r-disjointness of the
   extended parameters, pair by pair through ``cfg.u_ext``
   (``params.verify_block_sizes`` builds the extension itself);
+* ``omega_series_by_convolution``: the admissibility series as a product of
+  truncated power series (``params.omega_series`` runs a recurrence);
 * ``polynomial_route``: the "some low omega is nonzero" criterion as a
   polynomial identity that must fail (``params.simple_param_condition``
   reads the omega series);
@@ -53,10 +56,7 @@ from brauer_kl.combinat import (
     LambdaIndex,
     Multipartition,
     Node,
-    add_node,
-    boundary_nodes,
     enumerate_lambda,
-    remove_node,
     size,
     steps,
     updown_count_table,
@@ -119,21 +119,40 @@ def updown_tableaux(a: int, r: int, shape: Multipartition) -> list[UpdownTableau
     return out
 
 
+def is_partition(p) -> bool:
+    """A tuple of weakly decreasing positive integers.
+
+    >>> is_partition((3, 1, 1)), is_partition((1, 2)), is_partition((2, 0))
+    (True, False, False)
+    """
+    return (
+        isinstance(p, tuple)
+        and all(isinstance(x, int) and x > 0 for x in p)
+        and all(x >= y for x, y in itertools.pairwise(p))
+    )
+
+
 def step_node(before: Multipartition, after: Multipartition) -> tuple[Node, int]:
     """The single node by which two shapes differ, with sign +1 (added) or -1.
+
+    The shapes are compared row by row, a missing row reading 0: exactly one
+    row may differ, by one box, and both shapes must be multipartitions of
+    one level.
 
     >>> step_node(((1,),), ((2,),))
     ((1, 2, 1), 1)
     """
-    diff = size(after) - size(before)
-    if diff == 1:
-        for node in boundary_nodes(before, "add"):
-            if add_node(before, node) == after:
-                return node, 1
-    elif diff == -1:
-        for node in boundary_nodes(before, "remove"):
-            if remove_node(before, node) == after:
-                return node, -1
+    if len(before) == len(after) and all(map(is_partition, before + after)):
+        rows = [
+            (row, comp, x, y)
+            for comp, (p, s) in enumerate(zip(before, after), start=1)
+            for row, (x, y) in enumerate(itertools.zip_longest(p, s, fillvalue=0), start=1)
+            if x != y
+        ]
+        if len(rows) == 1:
+            row, comp, x, y = rows[0]
+            if abs(y - x) == 1:
+                return (row, max(x, y), comp), y - x
     raise ValueError(f"{before} and {after} do not differ by one box")
 
 
@@ -334,6 +353,26 @@ def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return out
+
+
+def omega_series_by_convolution(v: list[Fraction], N: int) -> list[Fraction]:
+    """``params.omega_series`` by multiplying out the truncated series
+    1 + 2vt + 2v^2 t^2 + ... of each factor (1 + vt) / (1 - vt), in
+    O(N^2 k) operations (the package runs a length-k recurrence instead).
+
+    >>> omega_series_by_convolution([Fraction(3, 2)], 0)
+    [Fraction(4, 1)]
+    """
+    e = Fraction((-1) ** len(v), 2)
+    prod = [Fraction(1)] + [Fraction(0)] * (N + 1)
+    for vi in v:
+        factor = [Fraction(1)] + [2 * vi**m for m in range(1, N + 2)]
+        new = [Fraction(0)] * (N + 2)
+        for a, pa in enumerate(prod):
+            for b in range(N + 2 - a):
+                new[a + b] += pa * factor[b]
+        prod = new
+    return [prod[a + 1] - e * prod[a] + (Fraction(1, 2) if a == 0 else 0) for a in range(N + 1)]
 
 
 def polynomial_route(u: list[Fraction], k: int) -> bool:
