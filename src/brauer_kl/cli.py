@@ -21,11 +21,13 @@ not ``combinat``; ``enumerate`` loads ``combinat`` alone, without
 ``fractions``; the peel and the KL engine load only for the commands that
 run them, ``hashlib`` only to name such a file, ``json`` only to write a
 JSON report, the diagram oracle only for ``oracle-compare``.  Exit codes: 0
-success, 2 usage/parse error, 3 saturation not established (and not waived),
-4 oracle mismatch, 5 unsupported linkage block, a canonical-basis
-recursion past its weight bound or block sizes past
-``params.MAX_BLOCK_SIZE``, 6 a tilting peel that fails (a negative or
-escaping residual).
+success, 1 a failed self-check (``kl-selftest`` with any ``FAIL`` line, or
+``enumerate`` when the sum of squared walk counts is not k^r (2r-1)!!; an
+uncaught exception's traceback also exits 1), 2 usage/parse error, 3
+saturation not established (and not waived), 4 oracle mismatch, 5
+unsupported linkage block, a canonical-basis recursion past its weight bound
+or block sizes past ``params.MAX_BLOCK_SIZE``, 6 a tilting peel that fails
+(a negative or escaping residual).
 """
 
 import argparse
@@ -86,11 +88,11 @@ def cmd_admissible(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     from . import combinat
 
-    labels = combinat.enumerate_lambda(args.k, args.r)
     table = combinat.updown_count_table(args.k, args.r)
+    labels = combinat.labels_of(table, args.r)
     total = 0
     for idx in labels:
-        count = table.get(idx.shape, 0)
+        count = table[idx.shape]
         total += count * count
         print(f"{combinat.family_label(idx)}  walks={count}")
     expected = args.k**args.r * combinat.double_factorial(2 * args.r - 1)

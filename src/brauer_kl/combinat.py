@@ -1,4 +1,5 @@
-"""Partitions, multipartitions, and the walk graph of one-box steps.
+"""Multipartitions, the walk graph of one-box steps, and the cell labels
+read off it.
 
 Encodings
 ---------
@@ -14,8 +15,10 @@ Encodings
   ``steps`` lists a shape's out-edges, ``updown_count_table`` counts walks
   over them level by level, and ``pipeline.content_mismatches`` checks
   contents on them edge by edge.
-* A *shape index* pairs ``f`` (the number of "removed pairs") with a
-  multipartition of ``r - 2f``; ``enumerate_lambda`` lists them all.
+* A *shape index* (cell label) pairs ``f`` (the number of "removed pairs")
+  with a multipartition of ``r - 2f``, a shape of the length-``r`` walk
+  table: ``labels_of`` reads the labels off a table, in label order, and
+  ``enumerate_lambda(a, r)`` is those of ``updown_count_table(a, r)``.
 
 >>> [(node, sign) for node, sign, _ in steps(((2, 1),))]
 [((1, 3, 1), 1), ((2, 2, 1), 1), ((3, 1, 1), 1), ((1, 2, 1), -1), ((2, 1, 1), -1)]
@@ -35,16 +38,15 @@ class LambdaIndex(NamedTuple):
     shape: Multipartition
 
 
-def level_label(idx: LambdaIndex, k: int) -> str:
-    """Compact string form of a level-k cell label."""
-    parts = ["," .join(str(c) for c in comp) or "-" for comp in idx.shape[:k]]
-    return f"f{idx.f}:" + "|".join(parts)
-
-
 def family_label(idx: LambdaIndex) -> str:
     """Compact string form of a full (doubled-level) cell label."""
     parts = ["," .join(str(c) for c in comp) or "-" for comp in idx.shape]
     return f"f{idx.f}:" + "|".join(parts)
+
+
+def level_label(idx: LambdaIndex, k: int) -> str:
+    """Compact string form of a level-k cell label: its first k components."""
+    return family_label(LambdaIndex(idx.f, idx.shape[:k]))
 
 
 def double_factorial(m: int) -> int:
@@ -62,59 +64,8 @@ def double_factorial(m: int) -> int:
     return out
 
 
-def partitions(m: int) -> Iterator[Partition]:
-    """All partitions of ``m`` in descending lexicographic order.
-
-    >>> list(partitions(3))
-    [(3,), (2, 1), (1, 1, 1)]
-    """
-    if m < 0:
-        raise ValueError(f"no partitions of a negative size: {m}")
-    if m == 0:
-        yield ()
-        return
-
-    def gen(remaining: int, largest: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            yield from gen(remaining - part, part, prefix + (part,))
-
-    yield from gen(m, m, ())
-
-
-def multipartitions(a: int, m: int) -> Iterator[Multipartition]:
-    """All level-``a`` multipartitions of total size ``m``, deterministic order."""
-    if a < 1 or m < 0:
-        raise ValueError(f"need level a >= 1 and size m >= 0, got a={a}, m={m}")
-    if a == 1:
-        for p in partitions(m):
-            yield (p,)
-        return
-    for first_size in range(m, -1, -1):
-        for p in partitions(first_size):
-            for rest in multipartitions(a - 1, m - first_size):
-                yield (p,) + rest
-
-
 def size(mp: Multipartition) -> int:
     return sum(sum(p) for p in mp)
-
-
-def enumerate_lambda(a: int, r: int) -> list[LambdaIndex]:
-    """All pairs (f, shape) with |shape| = r - 2f, 0 <= f <= r//2.
-
-    >>> [(f, s) for f, s in enumerate_lambda(1, 2)]
-    [(0, ((2,),)), (0, ((1, 1),)), (1, ((),))]
-    """
-    if a < 1 or r < 0:
-        raise ValueError(f"need level a >= 1 and length r >= 0, got a={a}, r={r}")
-    out = []
-    for f in range(r // 2 + 1):
-        for mp in multipartitions(a, r - 2 * f):
-            out.append(LambdaIndex(f, mp))
-    return out
 
 
 def steps(mp: Multipartition) -> Iterator[tuple[Node, int, Multipartition]]:
@@ -146,8 +97,8 @@ def updown_count_table(a: int, r: int) -> dict[Multipartition, int]:
     """Walk counts |{walks of length r from empty to shape}| for every shape.
 
     Dynamic programming over shapes per prefix length; the result covers all
-    shapes reachable in exactly ``r`` steps (i.e. every shape of any
-    ``enumerate_lambda(a, r)`` entry).
+    shapes reachable in exactly ``r`` steps, which are the level-``a``
+    multipartitions of sizes r, r - 2, ..., the shapes of the cell labels.
     """
     empty: Multipartition = ((),) * a
     counts: dict[Multipartition, int] = {empty: 1}
@@ -158,6 +109,24 @@ def updown_count_table(a: int, r: int) -> dict[Multipartition, int]:
                 nxt[nb] = nxt.get(nb, 0) + c
         counts = nxt
     return counts
+
+
+def labels_of(walks: dict[Multipartition, int], r: int) -> list[LambdaIndex]:
+    """The cell labels (f, shape) of a length-``r`` walk table, |shape| = r - 2f:
+    by f, then per component by size descending, parts descending lexicographically."""
+    labels = (LambdaIndex((r - size(mp)) // 2, mp) for mp in walks)
+    return sorted(labels, key=lambda idx: (idx.f, [(-sum(p), [-x for x in p]) for p in idx.shape]))
+
+
+def enumerate_lambda(a: int, r: int) -> list[LambdaIndex]:
+    """All pairs (f, shape) with |shape| = r - 2f: the labels of the walk table.
+
+    >>> [(f, s) for f, s in enumerate_lambda(1, 2)]
+    [(0, ((2,),)), (0, ((1, 1),)), (1, ((),))]
+    """
+    if a < 1 or r < 0:
+        raise ValueError(f"need level a >= 1 and length r >= 0, got a={a}, r={r}")
+    return labels_of(updown_count_table(a, r), r)
 
 
 def transpose(p: Partition) -> Partition:

@@ -86,7 +86,11 @@ NVector = dict[Numerators, LaurentPoly]
 
 
 class ClosedWorldViolation(Exception):
-    """Dynamic block extension exceeded the configured weight bound."""
+    """Dynamic block extension exceeded the weight bound ``MAX_WEIGHTS``."""
+
+
+# the elements one engine core may hold before its recursion is refused
+MAX_WEIGHTS = 200_000
 
 
 class UnsupportedBlock(ValueError):
@@ -241,19 +245,17 @@ class CanonicalBasisEngine:
     numerator tuples scale * (mu + rho) at the one ``scale`` given here.
     The engine keeps that codec; its states and element memo are the core
     its shape keys in the store ``cores`` (a private one when None), and
-    ``max_weights`` bounds the elements of the whole core.  A move is
+    ``MAX_WEIGHTS`` bounds the elements of the whole core.  A move is
     computed from the moved tokens' codes on each request (:func:`_exponent`
     gives its exponent), so the core reads no token value and serves every
     engine of its shape.
     """
 
     def __init__(
-        self, ctx: WeightContext, seed: Numerators, scale: int,
-        max_weights: int = 200_000, cores: dict | None = None,
+        self, ctx: WeightContext, seed: Numerators, scale: int, cores: dict | None = None
     ):
         self.ctx = ctx
         self.scale = scale
-        self.max_weights = max_weights
         if is_singular(seed):
             raise ValueError(
                 f"seed weight is singular (repeated |value|): {weight_name(seed, scale)}"
@@ -371,13 +373,6 @@ class CanonicalBasisEngine:
                 return g, entry[0]
         return None
 
-    def _check_budget(self) -> None:
-        if len(self._b) > self.max_weights:
-            raise ClosedWorldViolation(
-                f"canonical-basis recursion touched more than {self.max_weights} weights; "
-                "the block enumeration is likely wrong"
-            )
-
     def basis_element(self, x: Numerators) -> NVector:
         """The canonical basis element at x, as {z: coefficient of N_z}.
 
@@ -390,7 +385,11 @@ class CanonicalBasisEngine:
         cached = self._b.get(x)
         if cached is not None:
             return cached
-        self._check_budget()
+        if len(self._b) > MAX_WEIGHTS:
+            raise ClosedWorldViolation(
+                f"canonical-basis recursion touched more than {MAX_WEIGHTS} weights; "
+                "the block enumeration is likely wrong"
+            )
         asc = self._ascent(x)
         if asc is None:
             result: IdVector = {x: LaurentPoly.one()}

@@ -364,7 +364,7 @@ class OracleMatrix(NamedTuple):
 
 
 def cell_labels(r: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(f, partition) labels in enumeration order.
+    """(f, partition) labels in label order, read off the level-one walk table.
 
     >>> cell_labels(2)
     [(0, (2,)), (0, (1, 1)), (1, ())]

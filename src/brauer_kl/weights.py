@@ -13,12 +13,13 @@ verdict and the saturation test need no weight, since ``params`` decides
 them from u and q by closed forms over pairs of parameters.  The weight
 family F_r of a configuration is one integer table, :class:`Family`, built
 once per ``decompose`` or ``oracle-compare`` command (``kl-selftest`` builds
-its check tables apart): per position a cell label, the numerators, off
-which linkage keys, singularity and dominance are read, the flags, and the
-engine-core store that both KL conventions' tables share.  The same
-tuples run through the canonical-basis engine, its tables and the peel; any
-weight reached there, in the family or not, is such a tuple, and
-:func:`weight_of` turns one back into mu (:func:`weight_name` for a message).
+its check tables apart): per position a cell label and its flag, both read
+off one level-2k walk table, the numerators, off which linkage keys,
+singularity and dominance are read, and the engine-core store that both KL
+conventions' tables share.  The same tuples run through the canonical-basis
+engine, its tables and the peel; any weight reached there, in the family or
+not, is such a tuple, and :func:`weight_of` turns one back into mu
+(:func:`weight_name` for a message).
 
 Conventions:
 
@@ -210,29 +211,29 @@ def tilde(x: Numerators, cfg: ParamConfig) -> LambdaIndex:
     return LambdaIndex((cfg.r - total) // 2, heads + tails[::-1])
 
 
-def enumerate_F(cfg: ParamConfig) -> list[Numerators]:
-    """The numerators of all weights with blockwise weakly decreasing
-    integral shift of size r, r-2, ... — enumerated per block as (head,
-    tail) partition pairs.
-
-    Order matches ``enumerate_lambda(2k, r)`` through the labeling bijection.
+def enumerate_F(cfg: ParamConfig, labels: Sequence[LambdaIndex]) -> list[Numerators]:
+    """The numerators of the weights of F_r realizing ``labels``, level-2k
+    cell labels of size r, r-2, ..., in their order: per block, the head and
+    tail partitions make the blockwise weakly decreasing integral shift.
     """
     scale, base = shifted_chamber(cfg.u, cfg.q)
-    return [_row(idx, cfg, scale, base) for idx in combinat.enumerate_lambda(2 * cfg.k, cfg.r)]
+    return [_row(idx, cfg, scale, base) for idx in labels]
 
 
 class Family:
     """The weight family F_r of one configuration, one row per position.
 
-    Position i holds the i-th cell label of ``enumerate_lambda(2k, r)`` (the
-    order of :func:`enumerate_F`), the numerators scale * (mu + rho) of its
-    weight, and the flag: the number of level-2k walks to the label's shape.
-    ``level_flag`` maps the positions of F_{r,k} (empty tails), in order, to
-    the truncated flag: the level-k walks to the head shape, since a walk
-    whose tails stay empty is a walk on the heads alone.  ``cores`` is the
-    family's engine-core store, one core per Coxeter shape, which every
-    tilting table read off the family shares, under either KL convention.
-    ``len()`` is the family size, which is why this is not a ``NamedTuple``.
+    Position i holds the i-th cell label of the level-2k walk table in label
+    order (``combinat.labels_of``, the order of ``enumerate_lambda(2k, r)``),
+    the numerators scale * (mu + rho) of its weight (:func:`enumerate_F`),
+    and the flag: the number of level-2k walks to the label's shape, read
+    off the same table.  ``level_flag`` maps the positions of F_{r,k} (empty
+    tails), in order, to the truncated flag: the level-k walks to the head
+    shape, since a walk whose tails stay empty is a walk on the heads alone.
+    ``cores`` is the family's engine-core store, one core per Coxeter shape,
+    which every tilting table read off the family shares, under either KL
+    convention.  ``len()`` is the family size, which is why this is not a
+    ``NamedTuple``.
     """
 
     __slots__ = ("cfg", "labels", "scale", "numerators", "flag", "level_flag", "cores")
@@ -255,18 +256,19 @@ class Family:
 
 
 def family_table(cfg: ParamConfig) -> Family:
-    """The family table of ``cfg``, its numerators from one :func:`enumerate_F` call."""
+    """The family table of ``cfg``: one walk table per level, 2k and k, the
+    labels and flags read off the first, the numerators from one
+    :func:`enumerate_F` call on those labels."""
     k, r = cfg.k, cfg.r
-    labels = tuple(combinat.enumerate_lambda(2 * k, r))
     walks, heads = (combinat.updown_count_table(a, r) for a in (2 * k, k))
-    level = [i for i, idx in enumerate(labels) if not any(idx.shape[k:])]
+    labels = tuple(combinat.labels_of(walks, r))
     return Family(
         cfg=cfg,
         labels=labels,
         scale=shifted_chamber(cfg.u, cfg.q)[0],
-        numerators=tuple(enumerate_F(cfg)),
-        flag=tuple(walks.get(idx.shape, 0) for idx in labels),
-        level_flag={i: heads.get(labels[i].shape[:k], 0) for i in level},
+        numerators=tuple(enumerate_F(cfg, labels)),
+        flag=tuple(walks[idx.shape] for idx in labels),
+        level_flag={i: heads[s[:k]] for i, (_, s) in enumerate(labels) if not any(s[k:])},
     )
 
 

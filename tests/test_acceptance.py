@@ -161,14 +161,15 @@ def test_ac5_bijections_and_counting(criterion):
     with criterion("AC-5", "hat/tilde inverse, |F_{r,k}| = |Lambda_{k,r}|, truncated flag counts walks"):
         for u, k, r in _ac2_inputs():
             cfg = params.build_config(u, r)
-            family = weights.enumerate_F(cfg)
+            table = weights.family_table(cfg)
+            family = table.numerators
             for mu in family:
                 assert weights.hat(weights.tilde(mu, cfg), cfg) == mu
             level = [mu for mu in family if not any(weights.tilde(mu, cfg).shape[k:])]
             labels = combinat.enumerate_lambda(k, r)
             assert len(level) == len(labels)
             walk_table = combinat.updown_count_table(k, r)
-            flag = weights.family_table(cfg).level_flag
+            flag = table.level_flag
             assert sum(flag.values()) == sum(
                 walk_table.get(idx.shape, 0) for idx in labels
             )

@@ -65,6 +65,22 @@ def test_enumerate_square_sum(capsys):
     assert out.strip().splitlines()[-1] == "labels=6 sum_of_squares=12 expected=12"
 
 
+def test_enumerate_exits_1_when_the_square_sum_fails(capsys, monkeypatch):
+    # the labels and counts come off one walk table; doubling its counts
+    # breaks the identity sum walks^2 = k^r (2r-1)!!
+    walk = combinat.updown_count_table
+    walked = []
+
+    def doubled(a, r):
+        walked.append((a, r))
+        return {shape: 2 * count for shape, count in walk(a, r).items()}
+
+    monkeypatch.setattr(combinat, "updown_count_table", doubled)
+    code, out, err = run(capsys, "enumerate", "--k", "2", "--r", "2")
+    assert (code, err, walked) == (1, "", [(2, 2)])
+    assert out.strip().splitlines()[-1] == "labels=6 sum_of_squares=48 expected=12"
+
+
 def test_decompose_generic_identity(capsys):
     code, out, _ = run(capsys, "decompose", "--k", "1", "--r", "2", "--u", "1/3")
     assert code == 0

@@ -10,8 +10,6 @@ from brauer_kl.combinat import (
     LambdaIndex,
     double_factorial,
     enumerate_lambda,
-    multipartitions,
-    partitions,
     size,
     steps,
     transpose,
@@ -19,7 +17,10 @@ from brauer_kl.combinat import (
 )
 from verify_routes import (
     content_sequence,
+    enumerate_lambda_by_recursion,
     is_partition,
+    multipartitions,
+    partitions,
     step_node,
     updown_count,
     updown_tableaux,
@@ -186,6 +187,23 @@ def test_enumerate_lambda_examples():
         LambdaIndex(0, ((1,), ())),
         LambdaIndex(0, ((), (1,))),
     }
+
+
+# the largest r per level at which the walk table's labels are checked
+# against the recursive enumeration, for every smaller r too
+LABEL_GRID = {1: 14, 2: 12, 3: 8, 4: 7, 5: 8, 6: 8}
+
+
+@pytest.mark.parametrize("a", sorted(LABEL_GRID))
+def test_enumerate_lambda_is_the_recursive_enumeration(a):
+    for r in range(LABEL_GRID[a] + 1):
+        assert enumerate_lambda(a, r) == enumerate_lambda_by_recursion(a, r)
+
+
+@pytest.mark.parametrize("a, r", [(0, 2), (1, -1)])
+def test_enumerate_lambda_refuses_a_level_below_one_or_a_negative_length(a, r):
+    with pytest.raises(ValueError, match="need level a >= 1 and length r >= 0"):
+        enumerate_lambda(a, r)
 
 
 def test_updown_counts_level_one_r3():

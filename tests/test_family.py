@@ -31,6 +31,7 @@ from brauer_kl.weights import (
 from test_params import SELECTION_GRID
 from verify_routes import (
     delta,
+    enumerate_lambda_by_recursion as reference_enumerate_lambda,
     lambda_c,
     numerators,
     reference_family,
@@ -148,7 +149,7 @@ def cfg(request):
 def test_table_rows_match_the_weights(cfg):
     family = family_table(cfg)
     weights = reference_family(cfg)
-    assert family.numerators == tuple(enumerate_F(cfg))
+    assert family.numerators == tuple(enumerate_F(cfg, family.labels))
     assert list(family.labels) == [reference_tilde(mu, cfg) for mu in weights]
     chamber = numerators(lambda_c(cfg), family.scale)
     for mu, nums in zip(weights, family.numerators, strict=True):
@@ -203,6 +204,35 @@ def test_engine_accepts_exactly_its_block(cfg):
                     engine._state_id(other.numerators[0])
 
 
+@pytest.mark.parametrize("u, r", [(("1/3",), 4), (("0", "1/2"), 3), (("0", "1/3", "1/2"), 2)])
+def test_family_table_walks_each_level_once(monkeypatch, u, r):
+    # the labels and flags come off the level-2k walk table and the level
+    # flag off the level-k one; no other shape enumeration runs, and the
+    # numerators come from one enumerate_F call on the table's labels
+    cfg = build_config([F(x) for x in u], r)
+    walked, rows = [], []
+    walk = combinat.updown_count_table
+
+    def counted_walk(a, r):
+        walked.append((a, r))
+        return walk(a, r)
+
+    def counted_rows(cfg, labels):
+        rows.append(labels)
+        return enumerate_F(cfg, labels)
+
+    def refuse(*args):
+        raise AssertionError("a second shape enumeration")
+
+    monkeypatch.setattr(combinat, "updown_count_table", counted_walk)
+    monkeypatch.setattr(combinat, "enumerate_lambda", refuse)
+    monkeypatch.setattr("brauer_kl.weights.enumerate_F", counted_rows)
+    family = family_table(cfg)
+    assert walked == [(2 * cfg.k, r), (cfg.k, r)]
+    assert rows == [family.labels]
+    assert list(family.labels) == reference_enumerate_lambda(2 * cfg.k, r)
+
+
 # -- the integer codec: hat, tilde and enumerate_F on numerators ----------
 
 
@@ -213,7 +243,7 @@ def test_integer_codec_matches_the_fraction_route(u, r):
     cfg = build_config([F(x) for x in u], r)
     scale, _ = shifted_chamber(cfg.u, cfg.q)
     labels = list(combinat.enumerate_lambda(2 * cfg.k, r))
-    rows = enumerate_F(cfg)
+    rows = enumerate_F(cfg, labels)
     assert rows == [numerators(reference_hat(idx, cfg), scale) for idx in labels]
     assert [hat(idx, cfg) for idx in labels] == rows
     assert [tilde(x, cfg) for x in rows] == labels

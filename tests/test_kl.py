@@ -283,24 +283,27 @@ def test_engine_rejects_singular_seed():
         kl.CanonicalBasisEngine(D4, (3, 2, 1, -1), 1)
 
 
-def test_budget_violation_raises():
-    engine = kl.CanonicalBasisEngine(D4, (3, 2, 1, 0), 1, max_weights=0)
+def test_budget_violation_raises(monkeypatch):
+    monkeypatch.setattr(kl, "MAX_WEIGHTS", 0)
+    engine = kl.CanonicalBasisEngine(D4, (3, 2, 1, 0), 1)
     engine.basis_element((3, 2, 1, 0))  # first element is free
-    with pytest.raises(kl.ClosedWorldViolation):
+    text = "touched more than 0 weights; the block enumeration is likely wrong"
+    with pytest.raises(kl.ClosedWorldViolation, match=text):
         engine.basis_element((3, 2, 0, -1))
 
 
-def test_budget_counts_every_engine_of_a_shared_core():
+def test_budget_counts_every_engine_of_a_shared_core(monkeypatch):
     # (5, 3, 1, 0) has the shape of (3, 2, 1, 0): one class with a zero token
     cores = {}
     first = kl.CanonicalBasisEngine(D4, (3, 2, 1, 0), 1, cores=cores)
     for x in ((3, 2, 1, 0), (3, 2, 0, -1), (3, 1, 0, -2)):
         first.basis_element(x)
-    second = kl.CanonicalBasisEngine(D4, (5, 3, 1, 0), 1, max_weights=2, cores=cores)
+    monkeypatch.setattr(kl, "MAX_WEIGHTS", 2)
+    second = kl.CanonicalBasisEngine(D4, (5, 3, 1, 0), 1, cores=cores)
     assert second._b is first._b
-    with pytest.raises(kl.ClosedWorldViolation):
+    with pytest.raises(kl.ClosedWorldViolation, match="more than 2 weights"):
         second.basis_element((3, 1, 0, -5))  # three elements of the core are the first's
-    alone = kl.CanonicalBasisEngine(D4, (5, 3, 1, 0), 1, max_weights=2)
+    alone = kl.CanonicalBasisEngine(D4, (5, 3, 1, 0), 1)
     assert len(alone.basis_element((3, 1, 0, -5))) == 2
 
 

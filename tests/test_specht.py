@@ -10,9 +10,8 @@ from fractions import Fraction
 import pytest
 
 import brauer_kl
-from brauer_kl.combinat import partitions
 from brauer_kl.specht import cycle_type, specht_module, standard_tableaux
-from verify_routes import mat_mul, rank, trace
+from verify_routes import mat_mul, partitions, rank, trace
 
 
 def hook_length_dim(shape):

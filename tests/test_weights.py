@@ -181,11 +181,16 @@ def test_hat_tilde_examples():
     assert reference_tilde(nu, cfg) == LambdaIndex(0, ((1,), (1, 1)))
 
 
+def family_rows(cfg):
+    """The family's numerators in label order, by one ``enumerate_F`` call."""
+    return enumerate_F(cfg, enumerate_lambda(2 * cfg.k, cfg.r))
+
+
 def test_hat_tilde_roundtrip_over_F():
     cfg = build_config([F(1, 3)], 3)
     for idx in enumerate_lambda(2 * cfg.k, cfg.r):
         assert tilde(hat(idx, cfg), cfg) == idx
-    for mu in enumerate_F(cfg):
+    for mu in family_rows(cfg):
         assert hat(tilde(mu, cfg), cfg) == mu
 
 
@@ -198,7 +203,7 @@ def test_hat_tilde_roundtrip_level_two():
 def test_F_family_sizes_level_one():
     cfg = extend_parameters([F(0)], [10], 3)
     scale, _ = shifted_chamber(cfg.u, cfg.q)
-    family = [weight_of(x, scale) for x in enumerate_F(cfg)]
+    family = [weight_of(x, scale) for x in family_rows(cfg)]
     assert len(family) == 12
     assert len(set(family)) == 12
     assert sum(1 for mu in family if in_F_rk(mu, cfg)) == 4
@@ -209,7 +214,7 @@ def test_F_1_members():
     cfg = build_config([F(1, 3)], 1)
     scale, _ = shifted_chamber(cfg.u, cfg.q)
     lc = lambda_c(cfg)
-    family = set(enumerate_F(cfg))
+    family = set(family_rows(cfg))
     up = list(lc)
     up[0] += 1
     down = list(lc)
@@ -228,7 +233,7 @@ def test_chamber_weight_in_F_iff_r_even():
 def test_family_size_matches_index_count():
     for k, u, r in [(1, [F(0)], 2), (1, [F(1, 3)], 3), (2, [F(1, 3), F(7, 2)], 2)]:
         cfg = build_config(u, r)
-        assert len(enumerate_F(cfg)) == len(enumerate_lambda(2 * k, r))
+        assert len(family_table(cfg)) == len(enumerate_lambda(2 * k, r))
 
 
 def test_dominance_examples():
@@ -268,7 +273,7 @@ def test_dominance_sort_key_is_linear_extension():
 def test_enumerate_F_members_pass_membership(u1, r):
     cfg = build_config([u1], r)
     scale, _ = shifted_chamber(cfg.u, cfg.q)
-    for x in enumerate_F(cfg):
+    for x in family_rows(cfg):
         assert in_F_r(weight_of(x, scale), cfg)
         assert blockwise_decreasing(x, context_of(cfg))
 

@@ -5,6 +5,10 @@ it lives here rather than in ``brauer_kl``, where every command would have
 to compile it:
 
 * ``updown_count``: one walk count, read off ``updown_count_table``;
+* ``partitions``, ``multipartitions`` and ``enumerate_lambda_by_recursion``:
+  the shapes of a size and the cell labels by recursion over part sizes, the
+  order reference for the package's ``enumerate_lambda``, which reads the
+  labels off the walk table;
 * ``updown_tableaux``, ``is_partition``, ``step_node``, ``content_sequence``
   and ``walk_content_mismatches``: every up-down tableau of a shape as a list
   of shapes, the partition test, the node between two shapes (found row by
@@ -56,6 +60,7 @@ from brauer_kl.combinat import (
     LambdaIndex,
     Multipartition,
     Node,
+    Partition,
     enumerate_lambda,
     size,
     steps,
@@ -78,6 +83,54 @@ from brauer_kl.weights import (
 )
 
 UpdownTableau = tuple[Multipartition, ...]
+
+
+def partitions(m: int) -> Iterator[Partition]:
+    """All partitions of ``m`` in descending lexicographic order.
+
+    >>> list(partitions(3))
+    [(3,), (2, 1), (1, 1, 1)]
+    """
+    if m < 0:
+        raise ValueError(f"no partitions of a negative size: {m}")
+    if m == 0:
+        yield ()
+        return
+
+    def gen(remaining: int, largest: int, prefix: tuple[int, ...]):
+        if remaining == 0:
+            yield prefix
+            return
+        for part in range(min(remaining, largest), 0, -1):
+            yield from gen(remaining - part, part, prefix + (part,))
+
+    yield from gen(m, m, ())
+
+
+def multipartitions(a: int, m: int) -> Iterator[Multipartition]:
+    """All level-``a`` multipartitions of total size ``m``: the first
+    component's size descending, each component's partitions in descending
+    lexicographic order."""
+    if a < 1 or m < 0:
+        raise ValueError(f"need level a >= 1 and size m >= 0, got a={a}, m={m}")
+    if a == 1:
+        for p in partitions(m):
+            yield (p,)
+        return
+    for first_size in range(m, -1, -1):
+        for p in partitions(first_size):
+            for rest in multipartitions(a - 1, m - first_size):
+                yield (p,) + rest
+
+
+def enumerate_lambda_by_recursion(a: int, r: int) -> list[LambdaIndex]:
+    """All pairs (f, shape) with |shape| = r - 2f, 0 <= f <= r//2, f
+    ascending and each size's shapes in the order of ``multipartitions``.
+
+    >>> [(f, s) for f, s in enumerate_lambda_by_recursion(1, 2)]
+    [(0, ((2,),)), (0, ((1, 1),)), (1, ((),))]
+    """
+    return [LambdaIndex(f, mp) for f in range(r // 2 + 1) for mp in multipartitions(a, r - 2 * f)]
 
 
 def updown_count(a: int, r: int, shape: Multipartition) -> int:
