@@ -20,19 +20,35 @@ of the SHA-256 of the ``--u`` text as given.  The module level imports only
 not ``combinat``; ``enumerate`` loads ``combinat`` alone, without
 ``fractions``; the peel and the KL engine load only for the commands that
 run them, ``hashlib`` only to name such a file, ``json`` only to write a
-JSON report, the diagram oracle only for ``oracle-compare``.  Exit codes: 0
-success, 1 a failed self-check (``kl-selftest`` with any ``FAIL`` line, or
-``enumerate`` when the sum of squared walk counts is not k^r (2r-1)!!; an
-uncaught exception's traceback also exits 1), 2 usage/parse error, 3
-saturation not established (and not waived), 4 oracle mismatch, 5
-unsupported linkage block, a canonical-basis recursion past its weight bound
-or block sizes past ``params.MAX_BLOCK_SIZE``, 6 a tilting peel that fails
-(a negative or escaping residual).
+JSON report, the diagram oracle only for ``oracle-compare``.
+
+Exit codes: 0 success, 1 a failed self-check (``kl-selftest`` with any
+``FAIL`` line, or ``enumerate`` when the sum of squared walk counts is not
+k^r (2r-1)!!) or an exception without an exit code, whose traceback
+propagates, 4 an oracle mismatch (``oracle-compare`` lists the
+differences), and argparse's own usage errors exit 2.  Every other refusal
+is an exception that declares its ``exit_code``, and ``main`` is the one
+handler: it prints ``error: {exception}`` as one line and returns the code.
+
+* 2 ``UsageError`` (a zero denominator, a malformed rational, a count of
+  ``--u`` values other than ``--k``, ``oracle-compare --k`` other than 1,
+  an unwritable ``--out``) and ``oracle.DimensionTooLarge``;
+* 3 ``pipeline.SaturationNotEstablished`` (saturation not waived);
+* 5 ``kl.UnsupportedBlock``, ``kl.ClosedWorldViolation`` (a canonical-basis
+  recursion past its weight bound) and ``params.BlockSizesTooLarge``;
+* 6 ``pipeline.NegativeResidual`` (a tilting peel that fails), which
+  ``oracle-compare`` lists as a difference of its reading instead.
 """
 
 import argparse
 import os
 import sys
+
+
+class UsageError(Exception):
+    """Input that argparse accepts but the command cannot read."""
+
+    exit_code = 2
 
 
 def _int_at_least(minimum: int):
@@ -57,25 +73,23 @@ def _parse_rational(text: str):
     try:
         return params.parse_rational(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+        raise UsageError(f"zero denominator in {text.strip()!r}") from None
+    except ValueError as exc:
+        raise UsageError(exc) from None
 
 
-def _parse_u(text: str) -> tuple:
-    """A comma-separated list of rationals, as a tuple of ``Fraction``s."""
-    return tuple(_parse_rational(part) for part in text.split(","))
+def _parse_u(text: str, k: int) -> tuple:
+    """k comma-separated rationals, as a tuple of ``Fraction``s."""
+    u = tuple(_parse_rational(part) for part in text.split(","))
+    if len(u) != k:
+        raise UsageError(f"expected {k} rational(s), got {len(u)}")
+    return u
 
 
 def cmd_admissible(args: argparse.Namespace) -> int:
     from . import params
 
-    try:
-        u = _parse_u(args.u)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if len(u) != args.k:
-        print(f"error: expected {args.k} rational(s), got {len(u)}", file=sys.stderr)
-        return 2
+    u = _parse_u(args.u, args.k)
     N = args.N if args.N is not None else args.k
     series = params.omega_series(u, N)
     for a, value in enumerate(series):
@@ -102,29 +116,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     from . import params, pipeline, weights
-    from .kl import ClosedWorldViolation, UnsupportedBlock
-    from .pipeline import NegativeResidual, SaturationNotEstablished
 
-    try:
-        u = _parse_u(args.u)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if len(u) != args.k:
-        print(f"error: expected {args.k} rational(s), got {len(u)}", file=sys.stderr)
-        return 2
-    try:
-        family = weights.family_table(params.build_config(u, args.r))
-        report = pipeline.decomposition_report(family, assume_saturated=args.assume_saturated)
-    except SaturationNotEstablished as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (params.BlockSizesTooLarge, UnsupportedBlock, ClosedWorldViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except NegativeResidual as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
+    family = weights.family_table(params.build_config(_parse_u(args.u, args.k), args.r))
+    report = pipeline.decomposition_report(family, assume_saturated=args.assume_saturated)
     if args.format == "json":
         import json  # only a JSON report needs it
 
@@ -144,8 +138,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
     print(out_path)
     return 0
 
@@ -153,36 +146,18 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_oracle_compare(args: argparse.Namespace) -> int:
     from . import oracle  # only this command runs the diagram oracle
     from . import params, pipeline, weights
-    from .kl import ClosedWorldViolation, UnsupportedBlock
-    from .pipeline import NegativeResidual
 
     if args.k != 1:
-        print("error: the diagram oracle exists at k=1 only", file=sys.stderr)
-        return 2
-    try:
-        delta = _parse_rational(args.delta)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        oracle.check_budget(args.r)
-    except oracle.DimensionTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cfg = params.build_config((params.u_from_delta(delta),), args.r)
-    except params.BlockSizesTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        raise UsageError("the diagram oracle exists at k=1 only")
+    delta = _parse_rational(args.delta)
+    oracle.check_budget(args.r)
+    cfg = params.build_config((params.u_from_delta(delta),), args.r)
     family = weights.family_table(cfg)  # both conventions' reports share its engine cores
     reports: dict = {}  # per KL convention: its report, or its failure as a diff
     for kl_conv in ("direct", "mirror"):
         try:
             reports[kl_conv] = pipeline.decomposition_report(family, kl_conv)
-        except (UnsupportedBlock, ClosedWorldViolation) as exc:  # no convention can reconcile it
-            print(f"error: {exc}", file=sys.stderr)
-            return 5
-        except NegativeResidual as exc:  # a wrong convention may fail its peel
+        except pipeline.NegativeResidual as exc:  # a wrong convention may fail its peel
             reports[kl_conv] = [{"kind": "error", "detail": str(exc)}]
     matrix = oracle.oracle_decomposition_matrix(args.r, delta)  # last: a refusal skips it
     passing: list[tuple[str, str]] = []
@@ -233,7 +208,7 @@ def cmd_kl_selftest(args: argparse.Namespace) -> int:
 
     failures = 0
     for u_text, r in SELFTEST_BATTERY:
-        cfg = params.build_config(_parse_u(u_text), r)
+        cfg = params.build_config(tuple(map(params.parse_rational, u_text.split(","))), r)
         table = weights.family_table(cfg)
         reasons = []
         for check in (bijection, content, peel):
@@ -288,7 +263,13 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_kl_selftest)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        if not hasattr(exc, "exit_code"):
+            raise  # a fault of the program, not a refusal
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -88,6 +88,8 @@ NVector = dict[Numerators, LaurentPoly]
 class ClosedWorldViolation(Exception):
     """Dynamic block extension exceeded the weight bound ``MAX_WEIGHTS``."""
 
+    exit_code = 5
+
 
 # the elements one engine core may hold before its recursion is refused
 MAX_WEIGHTS = 200_000
@@ -99,6 +101,8 @@ class UnsupportedBlock(ValueError):
     Carries the offending ``weight`` (its numerators) and the ``reason`` it
     is refused; the message names the weight by ``name``.
     """
+
+    exit_code = 5
 
     def __init__(self, weight: Numerators, reason: str, name: str):
         super().__init__(f"{reason} at {name}")
@@ -177,14 +181,14 @@ class Block(NamedTuple):
 
     ``numerators`` holds the members as scale * (mu + rho), sorted
     compatibly with dominance, and ``positions`` their places in the family
-    table when the block comes from :func:`partition_into_blocks`.
+    table.
     """
 
     ctx: WeightContext
     key: tuple
     numerators: tuple[Numerators, ...]
     scale: int
-    positions: tuple[int, ...] = ()
+    positions: tuple[int, ...]
 
     @property
     def weights(self) -> tuple[Weight, ...]:
@@ -244,16 +248,14 @@ class CanonicalBasisEngine:
     seed and reused.  The seed and every weight passed in or out are
     numerator tuples scale * (mu + rho) at the one ``scale`` given here.
     The engine keeps that codec; its states and element memo are the core
-    its shape keys in the store ``cores`` (a private one when None), and
+    its shape keys in the store ``cores``, and
     ``MAX_WEIGHTS`` bounds the elements of the whole core.  A move is
     computed from the moved tokens' codes on each request (:func:`_exponent`
     gives its exponent), so the core reads no token value and serves every
     engine of its shape.
     """
 
-    def __init__(
-        self, ctx: WeightContext, seed: Numerators, scale: int, cores: dict | None = None
-    ):
+    def __init__(self, ctx: WeightContext, seed: Numerators, scale: int, cores: dict):
         self.ctx = ctx
         self.scale = scale
         if is_singular(seed):
@@ -278,9 +280,7 @@ class CanonicalBasisEngine:
         self._zero_class = zero
         self._index = {t: i for i, t in enumerate(tokens)}
         # the shape's core: state -> id, per id its state, and the element memo
-        fresh = ({}, [], {})
-        core = fresh if cores is None else cores.setdefault((ctx, self.moves, zero), fresh)
-        self._ids, self._states, self._b = core
+        self._ids, self._states, self._b = cores.setdefault((ctx, self.moves, zero), ({}, [], {}))
 
     # -- state codec (the numerator boundary) ---------------------------------
 
@@ -419,14 +419,12 @@ class CanonicalBasisEngine:
 
 
 def tilting_table(
-    block: Block,
-    convention: str | None = None,
-    cores: dict | None = None,
+    block: Block, convention: str | None, cores: dict
 ) -> dict[tuple[Numerators, Numerators], int]:
     """Tilting multiplicities keyed (lam, mu) = (T(mu) : M(lam)), both given
     by their numerators at the block's scale.  The block's engine takes its
-    core from the store ``cores`` (a private one when None); the pipeline
-    passes its family's, ``weights.Family.cores``.
+    core from the store ``cores``; the pipeline passes its family's,
+    ``weights.Family.cores``.
 
     The ambient rank is even, so the longest-element twist in the Verma-flag
     character duality is plain negation and the only residual freedom is the
@@ -450,7 +448,7 @@ def tilting_table(
     x0 = block.numerators[0]
     if len(set(x0)) < len(x0):
         raise _unsupported(x0, block.scale, _TIED_COORDINATES)
-    engine = CanonicalBasisEngine(block.ctx, x0, block.scale, cores=cores)
+    engine = CanonicalBasisEngine(block.ctx, x0, block.scale, cores)
     members = {engine._state_id(w): w for w in block.numerators}
     out: dict[tuple[Numerators, Numerators], int] = {}
     for sid, w in members.items():
@@ -464,9 +462,7 @@ def tilting_table(
 
 
 def singular_reduction_table(
-    block: Block,
-    convention: str | None = None,
-    cores: dict | None = None,
+    block: Block, convention: str | None, cores: dict
 ) -> dict[tuple[Numerators, Numerators], int]:
     """Tilting multiplicities for a wall block, via its regular companion,
     keyed like :func:`tilting_table`, with the companion's engine on the
@@ -531,7 +527,7 @@ def singular_reduction_table(
         for upper in (basis_upper, not basis_upper):
             lift[i], lift[j] = (hi, -lo) if upper else (lo, -hi)
             lifts.append(tuple(lift))
-    engine = CanonicalBasisEngine(block.ctx, lifts[0], scale, cores=cores)
+    engine = CanonicalBasisEngine(block.ctx, lifts[0], scale, cores)
     ids = [engine._state_id(lift) for lift in lifts]
     kept = dict(zip(ids[1::2], block.numerators))
     t_hi, t_lo = engine._index[hi], engine._index[lo]

@@ -47,6 +47,8 @@ DIAGRAM_BUDGET = 945  # (2*5-1)!!: the brute force runs up to r = 5
 class DimensionTooLarge(Exception):
     """Refuse brute-force runs on more than DIAGRAM_BUDGET diagrams."""
 
+    exit_code = 2
+
 
 # -- diagrams ---------------------------------------------------------------
 

@@ -30,6 +30,8 @@ class RetryExhausted(Exception):
 class BlockSizesTooLarge(Exception):
     """The block-size walk reached a candidate with a block past ``MAX_BLOCK_SIZE``."""
 
+    exit_code = 5
+
 
 # The largest block size the selection may try.  It bounds the walk over
 # bases, and with it the rank of every weight.  Cold ``decompose --k 1`` at

@@ -57,9 +57,13 @@ from .weights import (
 class NegativeResidual(Exception):
     """The tilting peel would need a negative multiplicity."""
 
+    exit_code = 6
+
 
 class SaturationNotEstablished(Exception):
     """Cross-block linkage cannot be ruled out and was not waived."""
+
+    exit_code = 3
 
 
 # -- content / Casimir cross-check ---------------------------------------

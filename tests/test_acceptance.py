@@ -192,7 +192,7 @@ def test_ac7_canonical_basis_internals(criterion):
                     continue
                 if singular_pairs(block.numerators[0]):
                     continue  # wall block: handled via the reduction dictionary
-                engine = CanonicalBasisEngine(ctx, block.numerators[0], block.scale)
+                engine = CanonicalBasisEngine(ctx, block.numerators[0], block.scale, {})
                 bar = BarInvolution(engine)
                 for x in block.numerators:
                     element = engine.basis_element(x)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import brauer_kl
-from brauer_kl import combinat, kl, params, pipeline, weights
+from brauer_kl import combinat, kl, oracle, params, pipeline, weights
 from brauer_kl.cli import SELFTEST_BATTERY, main
 from brauer_kl.weights import family_table
 
@@ -374,6 +374,21 @@ def test_oracle_compare_mismatch_names_weights_without_fraction_reprs(capsys):
     assert re.search(r"residual escapes the weight family at \(-?\d+(,-?[\d/]+)*\)'", err)
 
 
+# command -> the layer (module, name) it runs that a test makes raise
+LAYERS = {
+    ("decompose", "--k", "1", "--r", "3", "--u", "3/2"): (weights, "family_table"),
+    ("admissible", "--k", "1", "--u", "1/3"): (params, "omega_series"),
+    ("oracle-compare", "--r", "3", "--delta=1"): (oracle, "oracle_decomposition_matrix"),
+}
+
+
+def raising(exc):
+    def layer(*args, **kwargs):
+        raise exc
+
+    return layer
+
+
 def test_oracle_compare_lets_a_program_fault_propagate(capsys, monkeypatch):
     # only a failed peel is a convention's difference; any other error in a
     # reading is a fault of the program, even when the other reading matches
@@ -387,6 +402,29 @@ def test_oracle_compare_lets_a_program_fault_propagate(capsys, monkeypatch):
     monkeypatch.setattr(pipeline, "decomposition_report", faulty)
     with pytest.raises(RuntimeError, match="fault in the direct reading"):
         main(["oracle-compare", "--r", "3", "--delta=1"])
+    monkeypatch.undo()
+    # an exception without an exit code leaves every command's main as it is
+    for argv, (module, name) in LAYERS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, raising(RuntimeError(f"fault in {name}")))
+            with pytest.raises(RuntimeError, match=f"fault in {name}"):
+                main(list(argv))
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_refusal_raised_in_a_layer_is_one_error_line_with_its_code(capsys):
+    # cli.main reads the code off the exception, whichever layer raised it
+    refusals = [
+        params.BlockSizesTooLarge("too large"),
+        pipeline.SaturationNotEstablished("not saturated"),
+        pipeline.NegativeResidual("negative residual"),
+        oracle.DimensionTooLarge("too many diagrams"),
+    ]
+    for argv, (module, name) in LAYERS.items():
+        for exc in refusals:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(module, name, raising(exc))
+                assert run(capsys, *argv) == (exc.exit_code, "", f"error: {exc}\n")
 
 
 def test_oracle_compare_malformed_delta(capsys):

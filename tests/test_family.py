@@ -195,7 +195,7 @@ def test_engine_accepts_exactly_its_block(cfg):
     for block in blocks:
         if block.is_singleton or is_singular(block.numerators[0]):
             continue
-        engine = kl.CanonicalBasisEngine(block.ctx, block.numerators[0], block.scale)
+        engine = kl.CanonicalBasisEngine(block.ctx, block.numerators[0], block.scale, {})
         for x in block.numerators:
             engine._state_id(x)
         for other in blocks[:12]:

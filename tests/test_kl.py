@@ -234,7 +234,7 @@ def reference_move(ctx, x, high, low, negate):
 def frozen_orbit(request):
     ctx, table = ORBITS[request.param]
     scale, table = numerate(table)
-    return kl.CanonicalBasisEngine(ctx, next(iter(table)), scale), table
+    return kl.CanonicalBasisEngine(ctx, next(iter(table)), scale, {}), table
 
 
 def test_engine_matches_frozen_coxeter_tables(frozen_orbit):
@@ -280,12 +280,12 @@ def test_supports_climb_the_dominance_order(frozen_orbit):
 
 def test_engine_rejects_singular_seed():
     with pytest.raises(ValueError, match="singular"):
-        kl.CanonicalBasisEngine(D4, (3, 2, 1, -1), 1)
+        kl.CanonicalBasisEngine(D4, (3, 2, 1, -1), 1, {})
 
 
 def test_budget_violation_raises(monkeypatch):
     monkeypatch.setattr(kl, "MAX_WEIGHTS", 0)
-    engine = kl.CanonicalBasisEngine(D4, (3, 2, 1, 0), 1)
+    engine = kl.CanonicalBasisEngine(D4, (3, 2, 1, 0), 1, {})
     engine.basis_element((3, 2, 1, 0))  # first element is free
     text = "touched more than 0 weights; the block enumeration is likely wrong"
     with pytest.raises(kl.ClosedWorldViolation, match=text):
@@ -303,7 +303,7 @@ def test_budget_counts_every_engine_of_a_shared_core(monkeypatch):
     assert second._b is first._b
     with pytest.raises(kl.ClosedWorldViolation, match="more than 2 weights"):
         second.basis_element((3, 1, 0, -5))  # three elements of the core are the first's
-    alone = kl.CanonicalBasisEngine(D4, (5, 3, 1, 0), 1)
+    alone = kl.CanonicalBasisEngine(D4, (5, 3, 1, 0), 1, {})
     assert len(alone.basis_element((3, 1, 0, -5))) == 2
 
 
@@ -481,7 +481,7 @@ def test_wall_fold_matches_the_lift_collapse_reference(convention):
                 expected = reference_wall_table(block, convention, drops, cores)
             except kl.UnsupportedBlock as exc:
                 with pytest.raises(kl.UnsupportedBlock) as caught:
-                    kl.singular_reduction_table(block, convention)
+                    kl.singular_reduction_table(block, convention, {})
                 assert caught.value.reason.startswith(exc.reason)
                 refused += 1
                 continue
@@ -506,12 +506,12 @@ def test_fold_refuses_a_support_with_its_negative_member_first():
     # where the old route's lift failed with "not a wall pair"
     ctx = WeightContext(4, (0, 2, 4))
     x = (2, -2, 3, 1)
-    block = kl.Block(ctx, (), (x,), 1)
+    block = kl.Block(ctx, (), (x,), 1, (0,))
     for convention in ("mirror", "direct"):
         with pytest.raises(ValueError, match="not a wall pair"):
             reference_wall_table(block, convention, Counter(), {})
         with pytest.raises(kl.UnsupportedBlock) as caught:
-            kl.singular_reduction_table(block, convention)
+            kl.singular_reduction_table(block, convention, {})
         assert caught.value.reason == kl._NEGATIVE_FIRST
         assert caught.value.weight == (3, -2, 2, 1)
         assert str(caught.value).endswith(" at (0,-4,1,1)")
@@ -541,7 +541,7 @@ def test_partition_into_blocks_groups_linked_weights():
 def test_two_element_block_entry_is_v():
     # adjacent linked pair: the lower weight's element has coefficient v at
     # the higher weight
-    engine = kl.CanonicalBasisEngine(D4, (3, 2, 1, 0), 1)
+    engine = kl.CanonicalBasisEngine(D4, (3, 2, 1, 0), 1, {})
     lo, hi = (3, 2, 0, -1), (3, 2, 1, 0)
     b_lo, b_hi = engine.basis_element(lo), engine.basis_element(hi)
     assert b_lo[hi] == LaurentPoly.v()
@@ -551,7 +551,7 @@ def test_two_element_block_entry_is_v():
 
 
 def test_kl_table_is_upper_unitriangular_in_dominance():
-    engine = kl.CanonicalBasisEngine(D4, (3, 2, 1, 0), 1)
+    engine = kl.CanonicalBasisEngine(D4, (3, 2, 1, 0), 1, {})
     _, orbit = numerate(D4_INTEGER_TABLE)
     weights = tuple(sorted(orbit, key=dominance_sort_key))
     elements = {x: engine.basis_element(x) for x in weights}
@@ -584,7 +584,7 @@ def test_pinned_conventions_are_frozen():
 def test_tilting_table_conventions_are_transposes():
     _, orbit = numerate(D4_INTEGER_TABLE)
     xs = tuple(sorted(orbit, key=dominance_sort_key))
-    block = kl.Block(D4, kl.canonical_form(xs[0], 1), xs, 1)
+    block = kl.Block(D4, kl.canonical_form(xs[0], 1), xs, 1, tuple(range(len(xs))))
     cores = {}
     direct = kl.tilting_table(block, "direct", cores)
     mirror = kl.tilting_table(block, "mirror", cores)
@@ -632,13 +632,13 @@ def test_singular_reduction_frozen_wall_block():
     by_shift = {delta(weights[i], cfg): family.numerators[i] for i in block.positions}
     lam = by_shift[(1,) + (0,) * 15]
     mu = by_shift[(1, 1, 1) + (0,) * 13]
-    table = kl.singular_reduction_table(block, "mirror")
+    table = kl.singular_reduction_table(block, "mirror", {})
     assert table[(lam, lam)] == 1
     assert table[(mu, mu)] == 1
     assert table[(lam, mu)] == 1  # (T(e1+e2+e3) : M(e1)) = 1
     assert (mu, lam) not in table
     # the direct reading keys nothing inside the block: structurally unusable
-    direct = kl.singular_reduction_table(block, "direct")
+    direct = kl.singular_reduction_table(block, "direct", {})
     members = set(block.numerators)
     assert not any(a in members and b in members for (a, b) in direct)
 
@@ -651,9 +651,9 @@ def test_singular_reduction_rejects_multi_wall_weights():
     d = (2, 1) + (0,) * 14
     mu = tuple(a + s for a, s in zip(lc, d))
     scale = family_table(cfg).scale
-    block = kl.Block(ctx, (), (numerators(mu, scale),), scale)
+    block = kl.Block(ctx, (), (numerators(mu, scale),), scale, (0,))
     with pytest.raises(ValueError, match="exactly one"):
-        kl.singular_reduction_table(block, "mirror")
+        kl.singular_reduction_table(block, "mirror", {})
 
 
 def recording_moves(patch):
@@ -751,7 +751,7 @@ def test_moves_across_levi_blocks_have_the_exponent_the_values_give(monkeypatch,
     # integrality classes spread over several Levi blocks, so moves carry
     # tokens between blocks, which no family of the sharing grid does
     ctx = WeightContext(p[-1], p)
-    engine = kl.CanonicalBasisEngine(ctx, seed, scale)
+    engine = kl.CanonicalBasisEngine(ctx, seed, scale, {})
     entries = recording_moves(monkeypatch).setdefault(id(engine._states), {})
     todo = [engine._state_id(seed)]
     seen = set(todo)
@@ -937,7 +937,7 @@ def test_blocks_of_one_shape_build_one_core(monkeypatch):
 
 
 def test_boundary_input_is_refused():
-    engine = kl.CanonicalBasisEngine(D4, (3, 2, 1, 0), 1)
+    engine = kl.CanonicalBasisEngine(D4, (3, 2, 1, 0), 1, {})
     with pytest.raises(ValueError, match=r"off the linkage class: \(1,0,0,0\)$"):
         engine.basis_element((4, 2, 1, 0))
     with pytest.raises(ValueError, match="not sorted"):
@@ -948,9 +948,9 @@ def test_boundary_input_is_refused():
         lift_from_wall((F(3), F(2), F(1), F(0)), (0, 3), True)
     # two wall weights doubling different values are not one linkage class
     xs = ((3, 1, 0, -3), (2, 1, 0, -2))
-    block = kl.Block(D4, (), xs, 1)
+    block = kl.Block(D4, (), xs, 1, (0, 1))
     with pytest.raises(ValueError, match=r"mixes doubled values \[2, 3\]"):
-        kl.singular_reduction_table(block, "mirror")
+        kl.singular_reduction_table(block, "mirror", {})
 
 
 def test_off_class_state_is_refused_under_python_O():
@@ -958,7 +958,7 @@ def test_off_class_state_is_refused_under_python_O():
     code = (
         "from brauer_kl import kl\n"
         "from brauer_kl.weights import WeightContext\n"
-        "engine = kl.CanonicalBasisEngine(WeightContext(4, (0, 4)), (3, 2, 1, 0), 1)\n"
+        "engine = kl.CanonicalBasisEngine(WeightContext(4, (0, 4)), (3, 2, 1, 0), 1, {})\n"
         "try:\n"
         "    engine.basis_element((4, 2, 1, 0))\n"
         "except ValueError as exc:\n"

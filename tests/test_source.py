@@ -51,3 +51,36 @@ def test_every_top_level_name_has_a_reader():
     ]
     assert len(BENCHMARK) > 1
     assert orphans == []
+
+
+def leading_text(node: ast.AST) -> str:
+    """The text a string or f-string expression starts with ("" for any other)."""
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[0]
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+
+
+def test_cli_prints_an_error_line_from_one_statement():
+    # every refusal reaches the user through the one handler in cli.main
+    path = Path(brauer_kl.__file__).parent / "cli.py"
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        if any(leading_text(arg).startswith("error:") for arg in node.args)
+    ]
+    assert len(found) == 1
+
+
+def test_every_declared_exit_code_is_a_refusal_code():
+    # 0 is success, 1 a failed self-check or a traceback, 4 an oracle mismatch
+    declared = {
+        f"{path.name}:{node.lineno}": ast.literal_eval(node.value)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if getattr(target, "id", getattr(target, "attr", None)) == "exit_code"
+    }
+    assert len(declared) >= 7
+    assert {site: code for site, code in declared.items() if code not in (2, 3, 5, 6)} == {}
