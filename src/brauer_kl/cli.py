@@ -2,11 +2,13 @@
 
 Subcommands: admissible | enumerate | decompose | oracle-compare | kl-selftest.
 All arithmetic is exact; rationals are written "p/q" on both input and
-output, and a negative one is passed with "=", as in ``--u=-1/2``.
+output (``Fraction``'s own text form, read with ``Fraction`` and printed with
+``str``), and a negative one is passed with "=", as in ``--u=-1/2``.
 ``decompose`` is a function of its parameters (k, r, u) alone: the block
 sizes are the first verified choice of ``params.select_block_sizes``, and
 the KL and conjugate conventions are the pins frozen in ``kl``; only
-``oracle-compare`` tries both KL readings.  Each of the two builds one
+``oracle-compare`` tries both KL readings, and it takes no ``--k``: the
+diagram oracle exists at level one only.  Each of the two builds one
 family table (``weights.family_table``); ``oracle-compare`` checks the
 diagram budget first, then builds the family, both readings' reports,
 which share the family's engine cores, and the oracle matrix last, so a
@@ -31,8 +33,8 @@ is an exception that declares its ``exit_code``, and ``main`` is the one
 handler: it prints ``error: {exception}`` as one line and returns the code.
 
 * 2 ``UsageError`` (a zero denominator, a malformed rational, a count of
-  ``--u`` values other than ``--k``, ``oracle-compare --k`` other than 1,
-  an unwritable ``--out``) and ``oracle.DimensionTooLarge``;
+  ``--u`` values other than ``--k``, an unwritable ``--out``) and
+  ``oracle.DimensionTooLarge``;
 * 3 ``pipeline.SaturationNotEstablished`` (saturation not waived);
 * 5 ``kl.UnsupportedBlock``, ``kl.ClosedWorldViolation`` (a canonical-basis
   recursion past its weight bound) and ``params.BlockSizesTooLarge``;
@@ -68,10 +70,10 @@ def _int_at_least(minimum: int):
 
 def _parse_rational(text: str):
     """The exact rational ``text`` names, as a ``Fraction``."""
-    from . import params
+    from fractions import Fraction
 
     try:
-        return params.parse_rational(text)
+        return Fraction(text.strip())
     except ZeroDivisionError:
         raise UsageError(f"zero denominator in {text.strip()!r}") from None
     except ValueError as exc:
@@ -93,7 +95,7 @@ def cmd_admissible(args: argparse.Namespace) -> int:
     N = args.N if args.N is not None else args.k
     series = params.omega_series(u, N)
     for a, value in enumerate(series):
-        print(f"omega_{a} = {params.format_rational(value)}")
+        print(f"omega_{a} = {value}")
     verdict = params.simple_param_condition(u, args.k)
     print(f"simple_param_condition = {'true' if verdict else 'false'}")
     return 0
@@ -147,8 +149,6 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
     from . import oracle  # only this command runs the diagram oracle
     from . import params, pipeline, weights
 
-    if args.k != 1:
-        raise UsageError("the diagram oracle exists at k=1 only")
     delta = _parse_rational(args.delta)
     oracle.check_budget(args.r)
     cfg = params.build_config((params.u_from_delta(delta),), args.r)
@@ -208,7 +208,7 @@ def cmd_kl_selftest(args: argparse.Namespace) -> int:
 
     failures = 0
     for u_text, r in SELFTEST_BATTERY:
-        cfg = params.build_config(tuple(map(params.parse_rational, u_text.split(","))), r)
+        cfg = params.build_config(_parse_u(u_text, u_text.count(",") + 1), r)
         table = weights.family_table(cfg)
         reasons = []
         for check in (bijection, content, peel):
@@ -254,7 +254,6 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("oracle-compare", help="pin conventions against the diagram oracle")
-    p.add_argument("--k", type=positive, default=1)
     p.add_argument("--r", type=positive, required=True)
     p.add_argument("--delta", type=str, required=True, help='loop scalar, e.g. "1" or "-2"')
     p.set_defaults(func=cmd_oracle_compare)

@@ -68,7 +68,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .laurent import LaurentPoly
-from .params import format_rational
 from .weights import (
     Family,
     Numerators,
@@ -512,7 +511,7 @@ def singular_reduction_table(
         pairs.append(found[0])
     doubled = {abs(x[i]) for x, (i, _) in zip(block.numerators, pairs)}
     if len(doubled) != 1:
-        values = ", ".join(format_rational(Fraction(a, scale)) for a in sorted(doubled))
+        values = ", ".join(str(Fraction(a, scale)) for a in sorted(doubled))
         raise ValueError(f"wall block mixes doubled values [{values}]")
     a = doubled.pop()
     hi, lo = a + scale, a  # the companion tokens t_hi and t_lo

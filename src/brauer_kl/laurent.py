@@ -1,9 +1,10 @@
 """Integer-coefficient Laurent polynomials in a single variable ``v``.
 
 A polynomial is a mapping ``{exponent: coefficient}`` with no zero
-coefficients stored, wrapped in an immutable class.  This is all the
-canonical-basis machinery needs: addition, multiplication, the bar involution
-``v -> 1/v``, and evaluation at ``v = 1``.
+coefficients stored, wrapped in an immutable class.  Its int terms are kept
+as given; equality and the hash read their set, and printing sorts them.
+This is all the canonical-basis machinery needs: addition, multiplication,
+the bar involution ``v -> 1/v``, and evaluation at ``v = 1``.
 
 >>> p = LaurentPoly({0: 1, 1: 2})
 >>> p * LaurentPoly.v()
@@ -25,12 +26,7 @@ class LaurentPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        clean = {}
-        if coeffs:
-            for exp, c in coeffs.items():
-                if c != 0:
-                    clean[int(exp)] = int(c)
-        self._coeffs = dict(sorted(clean.items()))
+        self._coeffs = {e: c for e, c in coeffs.items() if c} if coeffs else {}
 
     # -- constructors -------------------------------------------------
 
@@ -101,19 +97,19 @@ class LaurentPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(tuple(self._coeffs.items()))
+        return hash(frozenset(self._coeffs.items()))
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self._coeffs!r})"
+        return f"LaurentPoly({dict(sorted(self._coeffs.items()))!r})"
 
     def __str__(self) -> str:
         if not self._coeffs:
             return "0"
         terms = []
-        for e, c in self._coeffs.items():
+        for e, c in sorted(self._coeffs.items()):
             if e == 0:
                 terms.append(f"{c}")
             else:

@@ -410,7 +410,6 @@ def check_budget(r: int) -> None:
 def oracle_decomposition_matrix(r: int, delta: Fraction) -> OracleMatrix:
     """Exact decomposition matrix [C(f,lam) : D(f',mu)] for B_r(delta)."""
     check_budget(r)
-    delta = Fraction(delta)
     labels = cell_labels(r)
     reps = class_representatives(r)
     cells = {lab: CellModule(r, lab[0], lab[1], delta) for lab in labels}
@@ -480,7 +479,7 @@ def compare(report: dict, oracle_matrix: OracleMatrix, conjugate_convention: str
     params = report["params"]
     if int(params["k"]) != 1:
         raise ValueError("oracle comparison is defined at level 1")
-    delta = delta_from_u(params["u"][0])
+    delta = delta_from_u(Fraction(params["u"][0]))
     if delta != oracle_matrix.delta:
         return [{"kind": "delta-mismatch", "report": str(delta), "oracle": str(oracle_matrix.delta)}]
 

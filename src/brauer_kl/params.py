@@ -1,6 +1,7 @@
 """Exact parameter arithmetic for the cyclotomic Brauer algebra pipeline.
 
-Parameters are :class:`fractions.Fraction`s.  The module provides
+Parameters are :class:`fractions.Fraction`s, block sizes and r ints, taken as
+given: no function coerces its arguments again.  The module provides
 
 * the admissibility generating series (``omega_series``) and the "some low
   omega is nonzero" criterion read off it (``simple_param_condition``),
@@ -17,7 +18,6 @@ Parameters are :class:`fractions.Fraction`s.  The module provides
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Sequence
@@ -38,16 +38,6 @@ class BlockSizesTooLarge(Exception):
 # the bound (q = 20000) took 0.26 s at r = 2 (u = 9999, 25 MB) and 0.76 s at
 # r = 5 (u = 9997, 82 MB) on a 2-core box.
 MAX_BLOCK_SIZE = 20_000
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
-    return Fraction(text.strip())
-
-
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +63,6 @@ def omega_series(v: Sequence[Fraction], N: int) -> list[Fraction]:
     >>> omega_series([Fraction(0)], 0)
     [Fraction(1, 1)]
     """
-    v = [Fraction(x) for x in v]
     if not v:
         raise ValueError("need at least one parameter")
     if N < 0:
@@ -109,7 +98,6 @@ def simple_param_condition(u: Sequence[Fraction], k: int) -> bool:
     >>> simple_param_condition([Fraction(0)], 1)
     True
     """
-    u = [Fraction(x) for x in u]
     if len(u) != k or k < 1:
         raise ValueError(f"expected k = {k} >= 1 parameters, got {len(u)}")
     sign = (-1) ** k
@@ -144,13 +132,13 @@ class ParamConfig(NamedTuple):
         return {
             "k": self.k,
             "r": self.r,
-            "u": [format_rational(x) for x in self.u],
+            "u": [str(x) for x in self.u],
             "q": list(self.q),
             "p": list(self.p),
             "n": self.n,
-            "c": [format_rational(x) for x in self.c],
-            "u_ext": [format_rational(x) for x in self.u_ext],
-            "omega": [format_rational(x) for x in self.omega],
+            "c": [str(x) for x in self.c],
+            "u_ext": [str(x) for x in self.u_ext],
+            "omega": [str(x) for x in self.omega],
         }
 
 
@@ -162,8 +150,7 @@ def extend_parameters(u: Sequence[Fraction], q: Sequence[int], r: int) -> ParamC
     by q_l - u_l for l = k-1, ..., 0, so the zeroth series coefficient of
     the extension is 2*sum(q) = 2n; this invariant is checked.
     """
-    u = tuple(Fraction(x) for x in u)
-    q = tuple(int(x) for x in q)
+    u, q = tuple(u), tuple(q)
     k = len(u)
     if len(q) != k or not all(qi > 0 for qi in q):
         raise ValueError(f"q must be {k} positive block size(s), got {q}")
@@ -174,11 +161,11 @@ def extend_parameters(u: Sequence[Fraction], q: Sequence[int], r: int) -> ParamC
     omega = tuple(omega_series(u_ext, 2 * k))
     if omega[0] != 2 * n:
         raise AssertionError(f"omega_0 = {omega[0]} != 2n = {2 * n}")
-    return ParamConfig(k=k, r=int(r), u=u, q=q, p=p, n=n, c=c, u_ext=u_ext, omega=omega)
+    return ParamConfig(k=k, r=r, u=u, q=q, p=p, n=n, c=c, u_ext=u_ext, omega=omega)
 
 
 def _even_ceil(x: Fraction) -> int:
-    return 2 * math.ceil(Fraction(x) / 2)
+    return 2 * -(-x // 2)
 
 
 def doubly_regular_reflection(u: Sequence[Fraction], q: Sequence[int]) -> bool:
@@ -299,7 +286,6 @@ def select_block_sizes(u: Sequence[Fraction], r: int) -> list[int]:
     >>> select_block_sizes([Fraction(4, 3), Fraction(-4, 3)], 4)
     [4, 4]
     """
-    u = [Fraction(x) for x in u]
     if not u or r < 1:
         raise ValueError(f"need at least one parameter and r >= 1, got {len(u)} and r={r}")
     sums = [a + b for s, a in enumerate(u) for b in u[s:]]
@@ -327,15 +313,14 @@ def select_block_sizes(u: Sequence[Fraction], r: int) -> list[int]:
 
 def build_config(u: Sequence[Fraction], r: int) -> ParamConfig:
     """Convenience: select block sizes and extend the parameters."""
-    u = [Fraction(x) for x in u]
     return extend_parameters(u, select_block_sizes(u, r), r)
 
 
 def delta_from_u(u1: Fraction) -> Fraction:
     """The level-one diagram-algebra loop parameter for a given u_1."""
-    return 1 - 2 * Fraction(u1)
+    return 1 - 2 * u1
 
 
 def u_from_delta(delta: Fraction) -> Fraction:
     """Inverse of :func:`delta_from_u`."""
-    return (1 - Fraction(delta)) / 2
+    return (1 - delta) / 2

@@ -359,7 +359,7 @@ def decomposition_report(
     if not phi_ok and not assume_saturated:
         raise SaturationNotEstablished(
             "cross-block hyperplanes are integral for these parameters; "
-            "pass assume_saturated to proceed"
+            "pass --assume-saturated to proceed"
         )
     result = tilting_decomposition(family, convention)
     names = [family_label(idx) for idx in family.labels]

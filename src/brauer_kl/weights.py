@@ -45,7 +45,7 @@ from typing import Iterator, Literal, NamedTuple, Sequence
 
 from . import combinat
 from .combinat import LambdaIndex
-from .params import ParamConfig, format_rational
+from .params import ParamConfig
 
 Weight = tuple[Fraction, ...]
 Numerators = tuple[int, ...]  # scale * (mu + rho) over the family's denominator
@@ -108,7 +108,7 @@ def weight_name(x: Numerators, scale: int) -> str:
     >>> weight_name((5, 1, -1), 2)
     '(1/2,-1/2,-1/2)'
     """
-    return "(" + ",".join(map(format_rational, weight_of(x, scale))) + ")"
+    return "(" + ",".join(map(str, weight_of(x, scale))) + ")"
 
 
 def pairing(x: Weight, beta: Root) -> Fraction:

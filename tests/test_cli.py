@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 import brauer_kl
 from brauer_kl import combinat, kl, oracle, params, pipeline, weights
-from brauer_kl.cli import SELFTEST_BATTERY, main
+from brauer_kl.cli import SELFTEST_BATTERY, _parse_rational, main
 from brauer_kl.weights import family_table
 
 
@@ -32,6 +33,13 @@ def test_admissible_level_one_chamber(capsys):
         "omega_2 = 0",
         "simple_param_condition = true",
     ]
+
+
+def test_rationals_print_as_the_cli_reads_them():
+    # Fraction's own text form is the one rationals are read and printed in
+    for text in ["0", "3", "-2", "1/3", "-19/2"]:
+        assert params.build_config((_parse_rational(text),), 2).serialize()["u"] == [text]
+    assert _parse_rational(" 2/4 ") == Fraction(1, 2)
 
 
 def test_admissible_half_is_excluded(capsys):
@@ -132,13 +140,25 @@ def test_decompose_unwritable_out_is_one_error_line(capsys, tmp_path):
 
 
 def test_decompose_saturation_gate(capsys):
-    code, _, err = run(capsys, "decompose", "--k", "2", "--r", "2", "--u", "5,1")
-    assert code == 3
-    assert "assume_saturated" in err
+    code, _, _ = run(capsys, "decompose", "--k", "2", "--r", "2", "--u", "5,1")
+    assert code == 3  # test_saturation_refusal_names_the_flag_to_pass pins its line
     code, out, _ = run(capsys, "decompose", "--k", "2", "--r", "2", "--u", "5,1",
                        "--assume-saturated")
     assert code == 0
     assert json.loads(out)["flags"]["phiA_ok"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--k", "2", "--r", "2", "--u", "5,1"),
+    ("decompose", "--k", "2", "--r", "1", "--u=1/2,1/2"),
+])
+def test_saturation_refusal_names_the_flag_to_pass(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: cross-block hyperplanes are integral for these parameters; "
+        "pass --assume-saturated to proceed\n"
+    )
 
 
 def test_decompose_malformed_u(capsys):
@@ -331,9 +351,13 @@ def test_oracle_compare_delta_minus_two_r3_pins_the_pair(capsys):
 
 
 def test_oracle_compare_rejects_level_two(capsys):
-    code, _, err = run(capsys, "oracle-compare", "--k", "2", "--r", "2", "--delta", "1")
-    assert code == 2
-    assert "k=1" in err
+    # the diagram oracle exists at level one only, so the command takes no --k
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-compare", "--k", "2", "--r", "2", "--delta", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --k 2" in captured.err
 
 
 def test_oracle_compare_rejects_large_r(capsys):
@@ -499,7 +523,7 @@ def test_kl_selftest_checks_the_family_table(capsys, monkeypatch):
     # each case's first mismatch is position 0, which now reads the last label
     expected = []
     for u, r in SELFTEST_BATTERY:
-        labels = table(params.build_config(u.split(","), r)).labels
+        labels = table(params.build_config([Fraction(x) for x in u.split(",")], r)).labels
         first, last = (combinat.family_label(labels[i]) for i in (0, -1))
         expected.append(f"  family table reads {last} at position 0, tilde gives {first}")
     assert lines[1::2] == expected
@@ -678,3 +702,41 @@ def test_readme_cli_block_runs(capsys):
     for argv in commands:
         code, _, err = run(capsys, *argv)
         assert (argv, code, err) == (argv, 0, "")
+
+
+# The seeded decompose sweep: 240 draws, fixed before the first run.  k is
+# drawn from 1..3, r from 1 up to SWEEP_MAX_R[k], each u_i = a/b with
+# 1 <= b <= 6 and |u_i| <= 4, and every second input waives saturation.
+SWEEP_SEED, SWEEP_SIZE = 30, 240
+SWEEP_MAX_R = {1: 6, 2: 4, 3: 3}
+
+
+def sweep_inputs() -> list[list[str]]:
+    rng = random.Random(SWEEP_SEED)
+    inputs = []
+    for i in range(SWEEP_SIZE):
+        k = rng.choice(sorted(SWEEP_MAX_R))
+        r = rng.randint(1, SWEEP_MAX_R[k])
+        u = []
+        for _ in range(k):
+            b = rng.randint(1, 6)
+            u.append(Fraction(rng.randint(-4 * b, 4 * b), b))
+        argv = ["decompose", "--k", str(k), "--r", str(r), "--u=" + ",".join(map(str, u))]
+        inputs.append(argv + ["--assume-saturated"] * (i % 2))
+    return inputs
+
+
+def test_seeded_decompose_sweep_ends_in_a_report_or_one_refusal_line(capsys):
+    # every input either writes its report with a silent stderr, or is
+    # refused with one error line: saturation (3) or an unsupported block (5)
+    faults = []
+    for argv in sweep_inputs():
+        try:
+            code = main(argv)
+        except Exception as exc:  # a traceback, which no input may end in
+            code = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        refused_once = err.startswith("error: ") and err.count("\n") == 1
+        if not (code == 0 and err == "" or code in (3, 5) and refused_once):
+            faults.append((argv, code, err))
+    assert faults == []

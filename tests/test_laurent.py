@@ -10,11 +10,12 @@ def poly(d):
     return LaurentPoly(d)
 
 
-small_polys = st.dictionaries(
+small_terms = st.dictionaries(
     st.integers(min_value=-4, max_value=4),
     st.integers(min_value=-9, max_value=9),
     max_size=5,
-).map(LaurentPoly)
+)
+small_polys = small_terms.map(LaurentPoly)
 
 
 def test_zero_one_v():
@@ -87,3 +88,17 @@ def test_bar_is_ring_automorphism(p, q):
 @given(small_polys)
 def test_evaluate_at_one_is_bar_stable(p):
     assert p.evaluate_at_one() == p.bar().evaluate_at_one()
+
+
+@given(small_terms, st.lists(st.integers(min_value=-6, max_value=6), max_size=3), st.data())
+def test_term_order_and_zero_terms_do_not_change_the_value(terms, zeros, data):
+    # a polynomial keeps its terms in the order given; its value, hash and
+    # printed forms must not depend on that order or on zero terms
+    items = list(terms.items())
+    shuffled = data.draw(st.permutations(items + [(e, 0) for e in zeros if e not in terms]))
+    p, q = LaurentPoly(dict(items)), LaurentPoly(dict(shuffled))
+    assert p == q
+    assert hash(p) == hash(q)
+    assert (repr(p), str(p)) == (repr(q), str(q))
+    nonzero = {e: c for e, c in sorted(items) if c}
+    assert repr(p) == f"LaurentPoly({nonzero!r})"

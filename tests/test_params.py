@@ -23,9 +23,7 @@ from brauer_kl.params import (
     delta_from_u,
     doubly_regular_reflection,
     extend_parameters,
-    format_rational,
     omega_series,
-    parse_rational,
     phiA_condition,
     select_block_sizes,
     simple_param_condition,
@@ -107,12 +105,6 @@ def test_linkage_classes_link_integral_sums_and_differences(u):
         for t in range(s + 1, len(u)):
             linked = (u[s] - u[t]).denominator == 1 or (u[s] + u[t]).denominator == 1
             assert (cls[s] == cls[t]) == linked, (u, s, t)
-
-
-def test_parse_format_roundtrip():
-    for text in ["0", "3", "-2", "1/3", "-19/2"]:
-        assert format_rational(parse_rational(text)) == text
-    assert parse_rational(" 2/4 ") == F(1, 2)
 
 
 def test_omega_series_single_parameter_examples():
@@ -493,7 +485,7 @@ def test_the_largest_base_always_verifies(u, r):
 
 def test_delta_u_dictionary():
     assert delta_from_u(F(0)) == 1
-    assert u_from_delta(1) == 0
-    assert u_from_delta(-2) == F(3, 2)
+    assert u_from_delta(F(1)) == 0
+    assert u_from_delta(F(-2)) == F(3, 2)
     for d in (F(1), F(2), F(-2), F(7, 3)):
         assert delta_from_u(u_from_delta(d)) == d

@@ -37,11 +37,25 @@ def names_used(tree: ast.AST) -> Counter:
     return out
 
 
+def parsed_with_readers() -> tuple[dict, Counter]:
+    """The syntax trees of the package and the benchmark, and how often each
+    name is used across them.  A string constant in the benchmark counts as
+    a use: its tracer wraps methods such as ``apply_move`` by name."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES + BENCHMARK}
+    uses = sum(map(names_used, trees.values()), Counter())
+    uses.update(
+        node.value
+        for path in BENCHMARK
+        for node in ast.walk(trees[path])
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+    return trees, uses
+
+
 def test_every_top_level_name_has_a_reader():
     # a function or class that only the tests reach belongs in
     # tests/verify_routes.py, where no command compiles it
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES + BENCHMARK}
-    uses = sum(map(names_used, trees.values()), Counter())
+    trees, uses = parsed_with_readers()
     orphans = [
         f"{path.name}:{node.name}"
         for path in MODULES
@@ -50,6 +64,23 @@ def test_every_top_level_name_has_a_reader():
         if uses[node.name] == names_used(node)[node.name]  # none outside its own body
     ]
     assert len(BENCHMARK) > 1
+    assert orphans == []
+
+
+def test_every_method_has_a_reader():
+    # the same for the methods and properties of src classes; a dunder
+    # method is read by the syntax that invokes it
+    trees, uses = parsed_with_readers()
+    orphans = [
+        f"{path.name}:{cls.name}.{node.name}"
+        for path in MODULES
+        for cls in trees[path].body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        if uses[node.name] == names_used(node)[node.name]
+    ]
     assert orphans == []
 
 
