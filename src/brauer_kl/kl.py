@@ -5,13 +5,15 @@ decreasing within every Levi block.  Every weight here is the integer tuple
 scale * x over the weight family's common denominator, the same tuples as
 ``Family.numerators``: blocks carry them, the engine takes and returns them
 and the tilting tables are keyed by them, though the tables read the
-engine's interned state ids and decode a state only for a ``"direct"`` row
+engine's packed states and decode a state only for a ``"direct"`` row
 outside the block or to name a refused weight.  The recursion's state is
 not the weight: it is the placement of value tokens (the absolute values of
 the seed's numerators, in falling order) into Levi blocks, each carrying a
-sign, stored as one small int per token and interned to an int id.  The
-Hecke generators act on tokens, not on coordinate positions (the action is
-right multiplication on Levi cosets, so it reads through the base point):
+sign.  Token i's code 2 * (Levi block) + sign fills bit field i of one int,
+(2k - 1).bit_length() bits wide, and that int is the state, the key of the
+element memo and the image a move returns.  The Hecke generators act on
+tokens, not on coordinate positions (the action is right multiplication on
+Levi cosets, so it reads through the base point):
 
 * a swap generator exchanges the placements of two magnitude-adjacent tokens
   in the same integrality class;
@@ -41,15 +43,15 @@ coordinate decides.  It lies in the earlier Levi block of the two tokens
 (the higher token's when they share one), where the other token takes this
 "holder" token's place, and e = +1 exactly when the value there falls:
 when (holder positive) == (the move negates or the holder is the higher
-token), see :func:`_exponent`.  So moves and the element memo read no
-token value (the translation principle: Cox-De Visscher-Martin, JPAA 215,
-2011; Soergel, Represent. Theory 1, 1997), and engines of one Coxeter
-shape share one core, keyed by (context, generators, zero class): the
-interned states and the element memo, both on int ids.  The pipeline
-keeps the cores in its family's store (``weights.Family.cores``), so
-every block of a command and both KL conventions read one core per shape,
-and no element is computed twice.  A move is not stored: each request
-computes its image id and exponent, or "fixed", from the state's codes.
+token).  So moves and the element memo read no token value (the
+translation principle: Cox-De Visscher-Martin, JPAA 215, 2011; Soergel,
+Represent. Theory 1, 1997), and engines of one Coxeter shape share one
+core, keyed by (context, generators, zero class): the element memo on
+packed states.  The pipeline keeps the cores in its family's store
+(``weights.Family.cores``), so every block of a command and both KL
+conventions read one core per shape, and no element is computed twice.  A
+move is not stored: each request computes its image and exponent, or
+"fixed", from the two moved fields.
 
 A wall block (one vanishing pairing x_i = -x_j = a) is read off the
 canonical basis of its regular companion, whose tokens split the doubled
@@ -227,16 +229,8 @@ class TokenMove(NamedTuple):
     negate: bool
 
 
-State = tuple[int, ...]  # per token: 2 * Levi block + (1 if negative)
-IdVector = dict[int, LaurentPoly]  # N-basis expansion over interned state ids
+StateVector = dict[int, LaurentPoly]  # N-basis expansion over packed states
 _V = {1: LaurentPoly.v(1), -1: LaurentPoly.v(-1)}
-
-
-def _exponent(state: State, m: TokenMove) -> int:
-    """The exponent of a non-fixing move m at a state, read off its holder."""
-    high_holds = state[m.high] >> 1 <= state[m.low] >> 1
-    positive = not state[m.high if high_holds else m.low] & 1
-    return 1 if positive == (m.negate or high_holds) else -1
 
 
 class CanonicalBasisEngine:
@@ -246,12 +240,10 @@ class CanonicalBasisEngine:
     set, integrality classes, and generator list are computed once from a
     seed and reused.  The seed and every weight passed in or out are
     numerator tuples scale * (mu + rho) at the one ``scale`` given here.
-    The engine keeps that codec; its states and element memo are the core
-    its shape keys in the store ``cores``, and
-    ``MAX_WEIGHTS`` bounds the elements of the whole core.  A move is
-    computed from the moved tokens' codes on each request (:func:`_exponent`
-    gives its exponent), so the core reads no token value and serves every
-    engine of its shape.
+    The engine keeps that codec to packed states; its element memo is the
+    core its shape keys in the store ``cores``, and ``MAX_WEIGHTS`` bounds
+    the elements of the whole core.  The core reads no token value, so it
+    serves every engine of its shape.
     """
 
     def __init__(self, ctx: WeightContext, seed: Numerators, scale: int, cores: dict):
@@ -278,20 +270,20 @@ class CanonicalBasisEngine:
         zero = next((tuple(c) for c in classes.values() if tokens[c[-1]] == 0), None)
         self._zero_class = zero
         self._index = {t: i for i, t in enumerate(tokens)}
-        # the shape's core: state -> id, per id its state, and the element memo
-        self._ids, self._states, self._b = cores.setdefault((ctx, self.moves, zero), ({}, [], {}))
+        # bits per token code, 2 * Levi block + sign <= 2k - 1
+        self._width = (2 * ctx.k - 1).bit_length()
+        self._mask = (1 << self._width) - 1
+        # the shape's core: the element memo, keyed by packed state
+        self._b = cores.setdefault((ctx, self.moves, zero), {})
 
     # -- state codec (the numerator boundary) ---------------------------------
 
-    def _intern(self, state: State) -> int:
-        sid = self._ids.get(state)
-        if sid is None:
-            sid = self._ids[state] = len(self._states)
-            self._states.append(state)
-        return sid
+    def _field(self, s: int, i: int) -> int:
+        """Token i's code in the packed state s."""
+        return s >> i * self._width & self._mask
 
     def _state_id(self, x: Numerators) -> int:
-        """Intern a shifted weight of this linkage class, sorted within blocks."""
+        """Pack a shifted weight of this linkage class, sorted within blocks."""
         if canonical_form(x, self.scale) != self.key:
             raise ValueError(f"state off the linkage class: {weight_name(x, self.scale)}")
         if not blockwise_decreasing(x, self.ctx):
@@ -302,16 +294,17 @@ class CanonicalBasisEngine:
                 code[self._index[abs(c)]] = 2 * bi + (c < 0)
         if self._zero_class is not None:
             code[self._zero_class[-1]] |= sum(code[i] & 1 for i in self._zero_class) % 2
-        return self._intern(tuple(code))
+        return sum(c << i * self._width for i, c in enumerate(code))
 
-    def _numerators(self, sid: int) -> Numerators:
+    def _numerators(self, s: int) -> Numerators:
         """The numerators of a state, descending within each Levi block: its
         positive tokens by falling magnitude, then its negative ones by
         rising magnitude (tokens are indexed by falling magnitude)."""
         tokens = self.tokens
         pos: list[list[int]] = [[] for _ in range(self.ctx.k)]
         neg: list[list[int]] = [[] for _ in range(self.ctx.k)]
-        for i, code in enumerate(self._states[sid]):
+        for i in range(len(tokens)):
+            code = self._field(s, i)
             (neg if code & 1 else pos)[code >> 1].append(i)
         out = []
         for up, down in zip(pos, neg):
@@ -319,40 +312,39 @@ class CanonicalBasisEngine:
             out.extend(-tokens[i] for i in reversed(down))
         return tuple(out)
 
-    def _name(self, sid: int) -> str:
-        return weight_name(self._numerators(sid), self.scale)
+    def _name(self, s: int) -> str:
+        return weight_name(self._numerators(s), self.scale)
 
-    def _read(self, vec: IdVector) -> NVector:
+    def _read(self, vec: StateVector) -> NVector:
         return {self._numerators(z): p for z, p in vec.items()}
 
     # -- moves ----------------------------------------------------------------
 
     def apply_move(self, s: int, g: int):
-        """The move of state id s under generator index g, computed afresh.
+        """The move of state s under generator index g, computed afresh.
 
-        None when g fixes the state (a Levi move); otherwise (image id, e)
-        with N_s . C_g = N_image + v^e N_s, the image interned, where e = +1
-        exactly when the image is dominance-lower.  Adjacent states are
-        always strictly comparable: all nonzero prefix sums of their
-        difference carry one sign (sign flips change the total, so the total
-        is not required to vanish).  So e is read off the two moved tokens'
-        codes (:func:`_exponent`), which every engine of the core shares.
+        None when g fixes the state (a Levi move); otherwise (image, e) with
+        N_s . C_g = N_image + v^e N_s.  The image swaps the two moved fields
+        (and flips both signs when g negates), and e = +1 exactly when the
+        image is dominance-lower, read off the two codes at their holder as
+        the module docstring says.
         """
         m = self.moves[g]
-        state = self._states[s]
-        image = list(state)
-        hi, lo = state[m.high], state[m.low]
-        if m.negate:
-            hi, lo = hi ^ 1, lo ^ 1
-        image[m.high], image[m.low] = lo, hi
-        image = tuple(image)
-        return None if image == state else (self._intern(image), _exponent(state, m))
+        shift_hi, shift_lo = m.high * self._width, m.low * self._width
+        hi, lo = s >> shift_hi & self._mask, s >> shift_lo & self._mask
+        flip = hi ^ lo ^ m.negate
+        if not flip:
+            return None
+        high_holds = hi >> 1 <= lo >> 1
+        positive = not (hi if high_holds else lo) & 1
+        e = 1 if positive == (m.negate or high_holds) else -1
+        return s ^ (flip << shift_hi | flip << shift_lo), e
 
     # -- module structure ---------------------------------------------------
 
-    def generator_action(self, g: int, vec: IdVector) -> IdVector:
+    def generator_action(self, g: int, vec: StateVector) -> StateVector:
         """Apply the generator element C_g to an N-basis expansion."""
-        out: IdVector = {}
+        out: StateVector = {}
         for z, p in vec.items():
             entry = self.apply_move(z, g)
             if entry is None:
@@ -380,7 +372,7 @@ class CanonicalBasisEngine:
         """
         return self._read(self._element(self._state_id(x)))
 
-    def _element(self, x: int) -> IdVector:
+    def _element(self, x: int) -> StateVector:
         cached = self._b.get(x)
         if cached is not None:
             return cached
@@ -391,7 +383,7 @@ class CanonicalBasisEngine:
             )
         asc = self._ascent(x)
         if asc is None:
-            result: IdVector = {x: LaurentPoly.one()}
+            result: StateVector = {x: LaurentPoly.one()}
         else:
             g, y = asc
             vec = self.generator_action(g, self._element(y))
@@ -439,9 +431,9 @@ def tilting_table(
     Under ``"mirror"`` only member ids key an entry, supported on lam <= mu
     as a flag of highest-weight modules must be; the choice is pinned by the
     diagram-algebra cross-check and then frozen in configuration.  The
-    members are interned once and their elements read as state-id vectors;
-    a support is decoded only under ``"direct"``, as a row outside the
-    block, which the peel's escape check reads.
+    members are packed once and their elements read as packed-state
+    vectors; a support is decoded only under ``"direct"``, as a row outside
+    the block, which the peel's escape check reads.
     """
     convention = resolve_convention(convention)
     x0 = block.numerators[0]
@@ -450,8 +442,8 @@ def tilting_table(
     engine = CanonicalBasisEngine(block.ctx, x0, block.scale, cores)
     members = {engine._state_id(w): w for w in block.numerators}
     out: dict[tuple[Numerators, Numerators], int] = {}
-    for sid, w in members.items():
-        for z, p in engine._element(sid).items():
+    for s, w in members.items():
+        for z, p in engine._element(s).items():
             y = members.get(z)
             if y is None and convention == "direct":
                 y = engine._numerators(z)  # a row outside the block
@@ -484,7 +476,7 @@ def singular_reduction_table(
     from the hi/hi reading; four-weight blocks at r = 4 pin it — the hi/hi
     reading loses the corner entry the diagram oracle demands.)
 
-    Block members are interned at their basis and kept lifts, and each
+    Block members are packed at their basis and kept lifts, and each
     support entry of a companion element folds onto the wall by the codes of
     t_hi and t_lo alone.  Equal signs cross a Levi wall and vanish under
     translation; otherwise the sign of t_hi says which lift the entry is,
@@ -527,15 +519,15 @@ def singular_reduction_table(
             lift[i], lift[j] = (hi, -lo) if upper else (lo, -hi)
             lifts.append(tuple(lift))
     engine = CanonicalBasisEngine(block.ctx, lifts[0], scale, cores)
-    ids = [engine._state_id(lift) for lift in lifts]
-    kept = dict(zip(ids[1::2], block.numerators))
+    packed = [engine._state_id(lift) for lift in lifts]
+    kept = dict(zip(packed[1::2], block.numerators))
     t_hi, t_lo = engine._index[hi], engine._index[lo]
 
     out: dict[tuple[Numerators, Numerators], int] = {}
-    for sid, w in zip(ids[::2], block.numerators):
-        for z, p in engine._element(sid).items():
+    for s, w in zip(packed[::2], block.numerators):
+        for z, p in engine._element(s).items():
             # every state places both tokens, each with one sign (code & 1)
-            hi_code, lo_code = engine._states[z][t_hi], engine._states[z][t_lo]
+            hi_code, lo_code = engine._field(z, t_hi), engine._field(z, t_lo)
             if not (hi_code ^ lo_code) & 1:
                 continue  # both on one side: crosses a Levi wall, killed by translation
             hi_positive = not hi_code & 1

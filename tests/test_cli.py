@@ -209,6 +209,14 @@ def test_failed_peel_exits_6_with_one_error_line(capsys, monkeypatch, argv):
     assert run(capsys, *argv) == (6, "", FAILED_PEEL[argv])
 
 
+def test_a_default_run_exits_6_at_a_negative_simple_dimension(capsys):
+    # B_12(1) under the pinned reading: the level-one KL matrix implies a
+    # negative simple dimension, which the descent refuses
+    assert run(capsys, "decompose", "--k", "1", "--r", "12", "--u", "0") == (
+        6, "", "error: negative simple dimension -32594 at f4:2,2|-\n"
+    )
+
+
 def over_the_weight_bound(*args):
     raise kl.ClosedWorldViolation("canonical-basis recursion touched more than 9 weights")
 
@@ -580,10 +588,10 @@ def test_oracle_compare_computes_each_element_once(capsys, monkeypatch, argv):
     computed = []
     element = kl.CanonicalBasisEngine._element
 
-    def recording(self, sid):
-        if sid not in self._b:  # a memo miss
-            computed.append(((self.ctx, self.moves, self._zero_class), self._states[sid]))
-        return element(self, sid)
+    def recording(self, s):
+        if s not in self._b:  # a memo miss
+            computed.append(((self.ctx, self.moves, self._zero_class), s))
+        return element(self, s)
 
     monkeypatch.setattr(kl.CanonicalBasisEngine, "_element", recording)
     assert run(capsys, "oracle-compare", *argv.split())[0] == 0

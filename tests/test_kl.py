@@ -658,14 +658,14 @@ def test_singular_reduction_rejects_multi_wall_weights():
 
 def recording_moves(patch):
     """Wrap ``apply_move`` through ``patch``.  Returns, per core (keyed by
-    the id of its state list), the moves any of its engines was asked for:
-    {(state id, generator index): entry}."""
+    the id of its element memo), the moves any of its engines was asked
+    for: {(packed state, generator index): entry}."""
     asked = {}
     apply_move = kl.CanonicalBasisEngine.apply_move
 
     def recording(self, s, g):
         entry = apply_move(self, s, g)
-        asked.setdefault(id(self._states), {})[s, g] = entry
+        asked.setdefault(id(self._b), {})[s, g] = entry
         return entry
 
     patch.setattr(kl.CanonicalBasisEngine, "apply_move", recording)
@@ -679,10 +679,10 @@ def exponents_checked(engine, entries):
     of moves checked."""
     numerators = {}
 
-    def decode(sid):
-        x = numerators.get(sid)
+    def decode(s):
+        x = numerators.get(s)
         if x is None:
-            x = numerators[sid] = engine._numerators(sid)
+            x = numerators[s] = engine._numerators(s)
         return x
 
     checked = 0
@@ -724,10 +724,8 @@ def test_move_table_matches_the_weight_level_moves(monkeypatch, orbit):
                 high, low = (F(engine.tokens[i], scale) for i in (g.high, g.low))
                 y = reference_move(ctx, x, high, low, g.negate)
                 entry = engine.apply_move(sid, gi)
-                interned = len(engine._states)
-                # asked again: the same entry, and no state interned
+                # asked again: the same entry
                 assert engine.apply_move(sid, gi) == entry
-                assert len(engine._states) == interned
                 if y == x:
                     assert entry is None, (x, g)
                     continue
@@ -736,7 +734,7 @@ def test_move_table_matches_the_weight_level_moves(monkeypatch, orbit):
     assert len(cores) == 1  # both engines read one core
     # the exponents read off the moved tokens' codes are the ones both
     # engines' values give; the sharing grid widens this to every core
-    assert all(exponents_checked(engine, asked[id(engine._states)]) for engine in engines)
+    assert all(exponents_checked(engine, asked[id(engine._b)]) for engine in engines)
 
 
 @pytest.mark.parametrize("p, seed, scale", [
@@ -752,7 +750,7 @@ def test_moves_across_levi_blocks_have_the_exponent_the_values_give(monkeypatch,
     # tokens between blocks, which no family of the sharing grid does
     ctx = WeightContext(p[-1], p)
     engine = kl.CanonicalBasisEngine(ctx, seed, scale, {})
-    entries = recording_moves(monkeypatch).setdefault(id(engine._states), {})
+    entries = recording_moves(monkeypatch).setdefault(id(engine._b), {})
     todo = [engine._state_id(seed)]
     seen = set(todo)
     while todo:
@@ -768,9 +766,9 @@ def test_moves_across_levi_blocks_have_the_exponent_the_values_give(monkeypatch,
                 if entry[0] not in seen:
                     seen.add(entry[0])
                     todo.append(entry[0])
-    states, moves = engine._states, engine.moves
+    moves = engine.moves
     assert any(
-        states[s][moves[g].high] >> 1 != states[s][moves[g].low] >> 1
+        engine._field(s, moves[g].high) >> 1 != engine._field(s, moves[g].low) >> 1
         for (s, g), entry in entries.items()
         if entry is not None
     )
@@ -798,7 +796,7 @@ def test_memoised_elements_compute_no_move(monkeypatch):
     monkeypatch.setattr(kl.CanonicalBasisEngine, "__init__", recording_init)
     monkeypatch.setattr(kl.CanonicalBasisEngine, "apply_move", counting_move)
     monkeypatch.setattr(kl.CanonicalBasisEngine, "_element", recording_element)
-    # B_3(-2): one wall block; the tables ask for elements by state id
+    # B_3(-2): one wall block; the tables ask for elements by packed state
     pipeline.decomposition_report(family_table(build_config([u_from_delta(F(-2))], 3)))
     (engine,) = engines
     assert asked and calls[0]
@@ -909,8 +907,72 @@ def test_a_shared_core_gives_the_tables_of_private_ones(first):
 def test_every_shared_move_entry_has_the_exponent_the_values_give(first):
     # each engine decodes every move asked of its core with its own values
     _, engines, asked = shared_grid(first)
-    checked = sum(exponents_checked(engine, asked[id(engine._states)]) for engine in engines)
+    checked = sum(exponents_checked(engine, asked[id(engine._b)]) for engine in engines)
     assert len(engines) == 320 and checked > 160_000  # on 46 cores
+
+
+def memo_keys_pack_back(engine) -> set:
+    """Check that every key of the engine's core whose decoding with the
+    engine's values lies in the engine's linkage class packs back to
+    itself.  Returns those keys."""
+    packed = set()
+    for s in engine._b:
+        x = engine._numerators(s)
+        if kl.canonical_form(x, engine.scale) == engine.key:
+            assert engine._state_id(x) == s, s
+            packed.add(s)
+    return packed
+
+
+def test_every_memo_key_of_the_sharing_grid_packs_back():
+    # a core serves engines of both flip parities, so a key lies in the
+    # linkage class of some of its engines; every key packs back through each
+    # of those, and each is packed back by at least one
+    _, engines, _ = shared_grid("mirror")
+    cores, packed = {}, {}
+    for engine in engines:
+        cores[id(engine._b)] = engine._b
+        packed.setdefault(id(engine._b), set()).update(memo_keys_pack_back(engine))
+    assert {core: set(memo) for core, memo in cores.items()} == packed
+    assert sum(map(len, cores.values())) > 1_900  # on 46 cores
+
+
+def orbit_elements(engine, seed):
+    """Compute the canonical basis element at every state of the seed's
+    orbit under the engine's moves."""
+    todo = [engine._state_id(seed)]
+    seen = set(todo)
+    while todo:
+        s = todo.pop()
+        engine._element(s)
+        for g in range(len(engine.moves)):
+            entry = engine.apply_move(s, g)
+            if entry is not None and entry[0] not in seen:
+                seen.add(entry[0])
+                todo.append(entry[0])
+    return seen
+
+
+def test_packed_states_at_three_bits_per_token_pack_back():
+    # four Levi blocks: codes 0..7, so a token's field is three bits wide
+    engine = kl.CanonicalBasisEngine(WeightContext(4, (0, 1, 2, 3, 4)), (3, 2, 1, 0), 1, {})
+    orbit = orbit_elements(engine, (3, 2, 1, 0))
+    assert memo_keys_pack_back(engine) == orbit and len(orbit) == 192  # W(D_4)
+    assert {engine._field(s, i) for s in orbit for i in range(4)} == set(range(8))
+
+
+def test_packed_states_past_one_machine_word_pack_back():
+    # 66 tokens at two bits each: 63 of them alone in their integrality
+    # class, so the orbit is W(D_3) acting on the class of 100, 200 and 300
+    tokens = sorted([101 * i for i in range(1, 64)] + [100, 200, 300], reverse=True)
+    blocks = ([], [])
+    for i, t in enumerate(tokens):
+        blocks[i % 2].append(-t if i % 3 == 0 else t)
+    seed = tuple(sorted(blocks[0], reverse=True) + sorted(blocks[1], reverse=True))
+    engine = kl.CanonicalBasisEngine(WeightContext(66, (0, 33, 66)), seed, 100, {})
+    orbit = orbit_elements(engine, seed)
+    assert memo_keys_pack_back(engine) == orbit and len(orbit) > 1
+    assert max(s.bit_length() for s in orbit) > 128
 
 
 def engines_and_cores(monkeypatch, u, r):
@@ -924,16 +986,17 @@ def engines_and_cores(monkeypatch, u, r):
 
     monkeypatch.setattr(kl.CanonicalBasisEngine, "__init__", recording_init)
     pipeline.decomposition_report(family_table(build_config([F(x) for x in u.split(",")], r)))
-    cores = {id(engine._states): engine._states for engine in engines}
+    cores = {id(engine._b): engine._b for engine in engines}
     return engines, list(cores.values())
 
 
 def test_blocks_of_one_shape_build_one_core(monkeypatch):
+    # each core's elements, as counted when a core also interned its states
     engines, cores = engines_and_cores(monkeypatch, "1", 11)
     assert len(engines) == 117
-    assert [len(states) for states in cores] == [4548]
+    assert [len(memo) for memo in cores] == [254]
     engines, cores = engines_and_cores(monkeypatch, "0,1/2", 4)
-    assert len(cores) == 7
+    assert [len(memo) for memo in cores] == [107, 31, 77, 46, 46, 31, 46]
 
 
 def test_boundary_input_is_refused():

@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import random
 import re
+from collections import Counter
 from fractions import Fraction
+from functools import cache
+from math import factorial
 
 import pytest
 
-from brauer_kl import pipeline
+from brauer_kl import kl, pipeline
 from brauer_kl.combinat import LambdaIndex, enumerate_lambda, level_label, transpose
-from brauer_kl.params import build_config, extend_parameters, u_from_delta
+from brauer_kl.params import build_config, extend_parameters, omega_series, u_from_delta
 from brauer_kl.pipeline import (
     NegativeResidual,
     SaturationNotEstablished,
@@ -545,3 +549,114 @@ def test_reports_are_byte_identical_to_the_golden_hashes(u, r, assume_saturated)
     report = decomposition_report(family_table(cfg), assume_saturated=assume_saturated)
     digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
     assert digest == GOLDEN_REPORT_SHA256[(u, r, assume_saturated)]
+
+
+@cache
+def report_or_refusal(u: tuple, r: int):
+    """The report of B_{k,r}(u) on a default run, or the name of its refusal."""
+    try:
+        return decomposition_report(family_table(build_config(list(u), r)))
+    except (kl.UnsupportedBlock, NegativeResidual, SaturationNotEstablished) as exc:
+        return type(exc).__name__
+
+
+def standard_tableaux(shape) -> int:
+    """f^shape, the number of standard tableaux, by the hook-length formula."""
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            below = sum(1 for lower in shape[i + 1:] if lower > j)
+            hooks *= row - j + below
+    return factorial(sum(shape)) // hooks
+
+
+def contains(outer, inner) -> bool:
+    """The Young diagram of each ``inner`` component lies inside ``outer``'s."""
+    return all(
+        len(b) <= len(a) and all(q <= p for p, q in zip(a, b)) for a, b in zip(outer, inner)
+    )
+
+
+# level one at r <= 10 and u in (1/2)Z with |u| <= 7/2
+LEVEL_ONE_GRID = [(F(a, 2), r) for a in range(-7, 8) for r in range(1, 11)]
+
+
+def test_level_one_reports_have_the_structural_properties():
+    # 0/1 entries, f = 0 simple dimensions f^mu (the f = 0 quotient is the
+    # group algebra of S_r), and every nonzero entry's row label inside its
+    # column label, on a seeded third of the grid
+    refused, reports, dimensioned = Counter(), 0, 0
+    for u, r in random.Random(32).sample(LEVEL_ONE_GRID, 50):
+        report = report_or_refusal((u,), r)
+        if isinstance(report, str):
+            refused[report] += 1
+            continue
+        reports += 1
+        level = report["matrix_level"]
+        for i, j, value in level["entries"]:
+            row, col = level["rows"][i], level["cols"][j]
+            assert value in (0, 1), (u, r, row, col)
+            assert contains(_parse(col)[1], _parse(row)[1]), (u, r, row, col)
+        if report["simple_dims"] is None:  # r even with every omega_i zero
+            continue
+        dims = dict(zip(report["simple_dims"]["labels"], report["simple_dims"]["dims"]))
+        for label in level["rows"]:
+            f, (shape,) = _parse(label)
+            if f == 0:
+                assert dims.get(label) == standard_tableaux(shape), (u, r, label)
+        dimensioned += 1
+    assert (reports, dimensioned, refused) == (45, 44, {"UnsupportedBlock": 5})
+
+
+def lowered(label: str) -> str:
+    """The label (f - 1, lambda) of a label (f, lambda) with f >= 1."""
+    head, _, body = label.partition(":")
+    return f"f{int(head[1:]) - 1}:{body}"
+
+
+def level_entries(report: dict) -> dict[tuple[str, str], int]:
+    level = report["matrix_level"]
+    return {(level["rows"][i], level["cols"][j]): v for i, j, v in level["entries"]}
+
+
+def stability_inputs() -> list[tuple[tuple, int]]:
+    """Level one at 3 <= r <= 7 and u in (1/2)Z with |u| <= 7/2, then seeded
+    draws at k = 2 (r <= 5) and k = 3 (r <= 4), whose parameters take
+    distinct residues mod 1 so that every draw is saturated.  Most seeds
+    draw a level-three input whose engine alone takes seconds (such as
+    u = (0, 3/2, 1/4) at r = 4); this one draws none."""
+    inputs = [((F(a, 2),), r) for a in range(-7, 8) for r in range(3, 8)]
+    rng = random.Random(40)
+    residues = (F(0), F(1, 2), F(1, 3), F(1, 4))
+    for k, max_r, draws in ((2, 5, 30), (3, 4, 12)):
+        for _ in range(draws):
+            u = tuple(rng.randint(-2, 2) + c for c in rng.sample(residues, k))
+            inputs.append((u, rng.randint(3, max_r)))
+    return inputs
+
+
+def test_f_positive_entries_are_the_entries_at_r_minus_2():
+    # for omega_0 != 0, e B_{k,r} e ~ B_{k,r-2} (Ariki-Mathas-Rui, Nagoya
+    # Math. J. 182, 2006): the f >= 1 block of matrix_level at r is the
+    # whole matrix at r - 2, one level of f down; omega_0 is read off the
+    # sign-twisted parameters, as simple_param_condition reads it
+    compared, off_diagonal, excluded, refused = Counter(), Counter(), 0, Counter()
+    for u, r in stability_inputs():
+        if omega_series([(-1) ** len(u) * x for x in u], 0)[0] == 0:
+            excluded += 1
+            continue
+        upper, lower = report_or_refusal(u, r), report_or_refusal(u, r - 2)
+        if isinstance(upper, str) or isinstance(lower, str):
+            refused[upper if isinstance(upper, str) else lower] += 1
+            continue
+        shifted = {
+            (lowered(row), lowered(col)): v
+            for (row, col), v in level_entries(upper).items()
+            if _parse(row)[0] and _parse(col)[0]
+        }
+        assert shifted == level_entries(lower), (u, r)
+        compared[len(u)] += 1
+        off_diagonal[len(u)] += any(row != col for row, col in shifted)
+    assert compared[1] >= 60 and compared[2] >= 25 and compared[3] >= 10
+    assert off_diagonal[1] >= 10 and off_diagonal[2] >= 3 and off_diagonal[3] >= 1
+    assert (excluded, refused) == (5, {"UnsupportedBlock": 11})  # u = 1/2: omega_0 = delta = 0

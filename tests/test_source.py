@@ -1,6 +1,7 @@
 """Checks on the package's source text itself."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -115,3 +116,23 @@ def test_every_declared_exit_code_is_a_refusal_code():
     }
     assert len(declared) >= 7
     assert {site: code for site, code in declared.items() if code not in (2, 3, 5, 6)} == {}
+
+
+def test_every_declared_exit_code_is_in_the_readme_table():
+    # each refusal class is one row of the README's exit-code table:
+    # | `code` | `module.Class` | raised for |
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {
+        name: int(code) for code, name in re.findall(r"^\| `(\d+)` \| `([\w.]+)` \|", readme, re.M)
+    }
+    declared = {
+        f"{path.stem}.{cls.name}": ast.literal_eval(node.value)
+        for path in MODULES
+        for cls in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.Assign)
+        if any(getattr(target, "id", None) == "exit_code" for target in node.targets)
+    }
+    assert len(declared) >= 7
+    assert {name: table.get(name) for name in declared} == declared

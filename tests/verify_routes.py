@@ -66,7 +66,7 @@ from brauer_kl.combinat import (
     steps,
     updown_count_table,
 )
-from brauer_kl.kl import CanonicalBasisEngine, IdVector, NVector
+from brauer_kl.kl import CanonicalBasisEngine, StateVector, NVector
 from brauer_kl.laurent import LaurentPoly
 from brauer_kl.linalg import rref
 from brauer_kl.params import ParamConfig
@@ -475,10 +475,10 @@ class BarInvolution:
 
     def __init__(self, engine: CanonicalBasisEngine):
         self.engine = engine
-        self._of_standard: dict[int, IdVector] = {}  # state id -> bar(N_id)
+        self._of_standard: dict[int, StateVector] = {}  # packed state -> bar(N_state)
 
-    def of_standard(self, x: int) -> IdVector:
-        """bar(N_x) expanded in the N basis, for the state id x.
+    def of_standard(self, x: int) -> StateVector:
+        """bar(N_x) expanded in the N basis, for the packed state x.
 
         From N_y C_g = N_x + v N_y at an ascent (g, y) of x:
         bar(N_x) = bar(N_y) C_g - v^{-1} bar(N_y).
@@ -488,7 +488,7 @@ class BarInvolution:
             return cached
         asc = self.engine._ascent(x)
         if asc is None:
-            result: IdVector = {x: LaurentPoly.one()}
+            result: StateVector = {x: LaurentPoly.one()}
         else:
             g, y = asc
             bar_y = self.of_standard(y)
@@ -501,7 +501,7 @@ class BarInvolution:
 
     def __call__(self, vec: NVector) -> NVector:
         """The bar of an N-basis expansion keyed by numerators."""
-        out: IdVector = {}
+        out: StateVector = {}
         for x, p in vec.items():
             for w, q in self.of_standard(self.engine._state_id(x)).items():
                 out[w] = out.get(w, LaurentPoly.zero()) + p.bar() * q
