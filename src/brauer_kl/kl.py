@@ -56,8 +56,9 @@ move is not stored: each request computes its image and exponent, or
 A wall block (one vanishing pairing x_i = -x_j = a) is read off the
 canonical basis of its regular companion, whose tokens split the doubled
 value into a+1 and a.  Each support entry folds onto the wall by the codes
-of those two tokens alone (:func:`singular_reduction_table`).  A refusal
-names its weight as mu through ``weights.weight_name``.
+of those two tokens alone (:func:`singular_reduction_table`), and
+:func:`tilting_table` is the one place that routes a block there.  A
+refusal names its weight as mu through ``weights.weight_name``.
 
 Blocks are linkage classes: weights sharing, per integrality class of the
 token values, the multiset of absolute values of x = mu + rho together with
@@ -390,7 +391,7 @@ class CanonicalBasisEngine:
             # strip degree-0 excesses; higher canonical elements have no
             # constant terms off their diagonal, so one pass suffices
             for z in [z for z in vec if z != x]:
-                m = vec.get(z, LaurentPoly.zero()).coeff(0)
+                m = vec[z].coeff(0)
                 if m == 0:
                     continue
                 for w, p in self._element(z).items():
@@ -410,17 +411,22 @@ class CanonicalBasisEngine:
 
 
 def tilting_table(
-    block: Block, convention: str | None, cores: dict
+    block: Block, convention: str, cores: dict
 ) -> dict[tuple[Numerators, Numerators], int]:
     """Tilting multiplicities keyed (lam, mu) = (T(mu) : M(lam)), both given
     by their numerators at the block's scale.  The block's engine takes its
     core from the store ``cores``; the pipeline passes its family's,
     ``weights.Family.cores``.
 
+    The one place a block is routed: its members share their absolute
+    values, so the first decides.  A wall pair (:func:`singular_pairs`)
+    sends the block to :func:`singular_reduction_table`; two equal
+    coordinates are refused; a regular block is read off its own engine.
+
     The ambient rank is even, so the longest-element twist in the Verma-flag
     character duality is plain negation and the only residual freedom is the
-    order of indices.  ``convention`` selects between the two readings
-    (``None`` uses the frozen pin):
+    order of indices.  ``convention``, as the caller resolved it
+    (:func:`resolve_convention`), selects between the two readings:
 
     * ``"direct"``: (T(mu) : M(lam)) = n[mu][lam](1) — expand the canonical
       basis element at mu and read the coefficient of N at lam;
@@ -435,8 +441,9 @@ def tilting_table(
     vectors; a support is decoded only under ``"direct"``, as a row outside
     the block, which the peel's escape check reads.
     """
-    convention = resolve_convention(convention)
     x0 = block.numerators[0]
+    if singular_pairs(x0):
+        return singular_reduction_table(block, convention, cores)
     if len(set(x0)) < len(x0):
         raise _unsupported(x0, block.scale, _TIED_COORDINATES)
     engine = CanonicalBasisEngine(block.ctx, x0, block.scale, cores)
@@ -453,11 +460,11 @@ def tilting_table(
 
 
 def singular_reduction_table(
-    block: Block, convention: str | None, cores: dict
+    block: Block, convention: str, cores: dict
 ) -> dict[tuple[Numerators, Numerators], int]:
     """Tilting multiplicities for a wall block, via its regular companion,
-    keyed like :func:`tilting_table`, with the companion's engine on the
-    store ``cores``.
+    keyed and read like :func:`tilting_table`, which routes wall blocks
+    here, with the companion's engine on the store ``cores``.
 
     Every weight of the block is fixed by exactly one reflection
     s_{e_i + e_j}: the shifted weight carries one pair x_i = -x_j = a > 0,
@@ -485,7 +492,6 @@ def singular_reduction_table(
     the block is kept too, decoded (t_hi and t_lo both read a, larger tokens
     drop by one) as a row for the peel's escape check.
     """
-    convention = resolve_convention(convention)
     scale = block.scale
     pairs: list[tuple[int, int]] = []
     for x in block.numerators:

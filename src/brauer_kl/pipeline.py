@@ -22,15 +22,17 @@ opt in via ``assume_saturated`` or the report is refused with
 
 Off the report path, ``content_mismatches`` (run by ``kl-selftest``) checks
 that tableau contents equal the Casimir scalars of the weight walk, once per
-edge of the walk graph.
+edge of the walk graph, on the cell layout the family's weights are built
+from (``weights.layout``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
-from . import combinat
+from . import combinat, weights
 from .combinat import family_label, level_label
 from .kl import (
     PINNED_CONJUGATE_CONVENTION,
@@ -38,8 +40,6 @@ from .kl import (
     UnsupportedBlock,
     partition_into_blocks,
     resolve_convention,
-    singular_pairs,
-    singular_reduction_table,
     tilting_table,
 )
 from .params import ParamConfig, phiA_condition, simple_param_condition
@@ -69,56 +69,39 @@ class SaturationNotEstablished(Exception):
 # -- content / Casimir cross-check ---------------------------------------
 
 
-def _node_coordinate(node: tuple[int, int, int], cfg: ParamConfig) -> tuple[int, int]:
-    """Map a cell (row, col, component) to (0-based weight coordinate, sign).
-
-    Components 1..k are head rows counted from the top of their block;
-    components k+1..2k are tail rows of the mirrored block, counted from the
-    bottom, and grow the weight downward.
-    """
-    l, _h, t = node
-    k = cfg.k
-    if t <= k:
-        i = cfg.p[t - 1] + l  # 1-based
-        return i - 1, +1
-    tp = 2 * k - t + 1
-    i = cfg.p[tp] - l + 1
-    return i - 1, -1
-
-
 def content_mismatches(cfg: ParamConfig) -> list[dict]:
     """Compare multipartition contents against the weight-walk eigenvalues.
 
-    A walk starts at the shifted chamber weight, and each step toggles one
-    node.  The content of that node, with the step's sign, must equal
-    sigma * x_i / scale + 1/2, where x = scale * (nu + rho) are the
-    numerators of the weight nu before the step, i is the coordinate the
-    step moves and sigma the direction it moves in; the step then moves x_i
-    by sigma * scale.
+    A shape's weight has the numerators x = chamber + scale * layout, with
+    its cells placed by ``weights.layout``, the layout the family's weights
+    are built from.  A step toggles one node, and the layouts of the shape
+    it leaves and the shape it reaches differ at one coordinate i, by sigma,
+    the direction the step moves x_i in.  The content of that node, with the
+    step's sign, must equal sigma * x_i / scale + 1/2.
 
-    The check reads only the shape a step leaves and the node it toggles,
+    The check reads only the shape a step leaves and the shape it reaches,
     so it runs once per edge of the walk graph, not once per walk.  The
     steps of the length-r walks are exactly the steps out of the shapes of
-    size below r, so level m holds the shapes of size m, each with its
-    numerators, and every step out of them is checked, for m = 0, ..., r - 1.
-    A shape's numerators do not depend on the path that reaches it, since
-    removing a node undoes adding it; so the add steps alone carry them from
-    one level to the next.  Returns one record per failing edge (the shape
-    it leaves, its node, the content and the weight side); empty means
-    consistent.
+    size below r, so level m holds the shapes of size m, and every step out
+    of them is checked, for m = 0, ..., r - 1; the add steps give the next
+    level.  Each shape is laid out once, and no numerators are carried.
+    Returns one record per failing edge (the shape it leaves, its node, the
+    content and the weight side); empty means consistent.
     """
     scale, chamber = shifted_chamber(cfg.u, cfg.q)
+    place = cache(lambda shape: weights.layout(shape, cfg))
     mismatches: list[dict] = []
-    level = {((),) * (2 * cfg.k): list(chamber)}
+    level: dict = {((),) * (2 * cfg.k): None}
     for _ in range(cfg.r):
         nxt: dict = {}
-        for shape, x in level.items():
+        for shape in level:
+            d = place(shape)
             for node, sign, after in combinat.steps(shape):
                 l, h, comp = node
-                i0, direction = _node_coordinate(node, cfg)
-                sigma = sign * direction
+                moved = [(i, b - a) for i, (a, b) in enumerate(zip(d, place(after))) if a != b]
+                ((i, sigma),) = moved  # one row gains or loses one cell
                 content = sign * (cfg.u_ext[comp - 1] + h - l)
-                weight_side = Fraction(2 * sigma * x[i0] + scale, 2 * scale)
+                weight_side = Fraction(2 * sigma * (chamber[i] + scale * d[i]) + scale, 2 * scale)
                 if weight_side != content:
                     mismatches.append(
                         {
@@ -128,8 +111,8 @@ def content_mismatches(cfg: ParamConfig) -> list[dict]:
                             "weight_side": weight_side,
                         }
                     )
-                if sign > 0 and after not in nxt:
-                    nxt[after] = x[:i0] + [x[i0] + sigma * scale] + x[i0 + 1 :]
+                if sign > 0:
+                    nxt[after] = None
         level = nxt
     return mismatches
 
@@ -215,11 +198,13 @@ def tilting_decomposition(family: Family, convention: str | None = None) -> Deco
     of the corresponding tilting column.  The same table is then peeled again
     with incomparable ties broken the other way; the two peels must agree,
     or ``NegativeResidual`` is raised.  ``convention`` None uses the frozen
-    pin.  Only non-singleton blocks reach the engine, whose blocks of one
-    Coxeter shape share one core of ``family.cores``; their tables, keyed by
-    the family's numerator tuples, are read back into ids through one dict.
-    Every table's mu is a block member, so every entry lands in a family
-    position's column.
+    pin, and a name other than ``"direct"`` or ``"mirror"`` is a
+    ``ValueError``; the tables take it as resolved here.  Only non-singleton
+    blocks reach ``kl.tilting_table``, which routes a wall block to its
+    regular companion; the engines of one Coxeter shape share one core of
+    ``family.cores``.  The tables, keyed by the family's numerator tuples,
+    are read back into ids through one dict.  Every table's mu is a block
+    member, so every entry lands in a family position's column.
     """
     convention = resolve_convention(convention)
     flag = family.flag
@@ -254,7 +239,9 @@ def tilting_decomposition(family: Family, convention: str | None = None) -> Deco
             raise NegativeResidual(f"tilting column at {name(top)} lacks a unit diagonal")
 
     for block in blocks:
-        singular.extend(i for i in block.positions if is_singular(family.numerators[i]))
+        singular_block = is_singular(block.numerators[0])  # members share their |values|
+        if singular_block:
+            singular.extend(block.positions)
         if block.is_singleton:
             (i,) = block.positions
             if flag[i] < 0:
@@ -264,13 +251,11 @@ def tilting_decomposition(family: Family, convention: str | None = None) -> Deco
             columns[i] = {i: 1}
             continue
         try:
-            if singular_pairs(family.numerators[block.positions[0]]):
-                table = singular_reduction_table(block, convention, family.cores)
-                reduced.append(block.positions)
-            else:
-                table = tilting_table(block, convention, family.cores)
+            table = tilting_table(block, convention, family.cores)
         except UnsupportedBlock as exc:  # name the weight by its cell label
             raise UnsupportedBlock(exc.weight, exc.reason, name(id_of(exc.weight))) from None
+        if singular_block:  # read off its regular companion: no other singular block has a table
+            reduced.append(block.positions)
         # linkage blocks touch disjoint weights: their columns never collide
         for (lam, mu), val in table.items():
             if val:

@@ -7,16 +7,16 @@ parabolic subsystem consists of the "minus" roots e_i - e_j inside a block.
 Every weight here is one integer tuple: the numerators scale * (mu + rho)
 of the shifted weight over the family's common denominator.
 :func:`shifted_chamber` is the one place rho is added: it gives the shifted
-chamber weight's numerators, which the family's rows (:func:`hat`,
-:func:`enumerate_F`) and the pipeline's content check read; the block-size
-verdict and the saturation test need no weight, since ``params`` decides
-them from u and q by closed forms over pairs of parameters.  The weight
-family F_r of a configuration is one integer table, :class:`Family`, built
-once per ``decompose`` or ``oracle-compare`` command (``kl-selftest`` builds
-its check tables apart): per position a cell label and its flag, both read
-off one level-2k walk table, the numerators, off which linkage keys,
-singularity and dominance are read, and the engine-core store that both KL
-conventions' tables share.  The same tuples run through the canonical-basis
+chamber weight's numerators, and :func:`layout` places a shape's cells on
+the coordinates; the family's rows (:func:`enumerate_F`) and the pipeline's
+content check read both.  The block-size verdict and the saturation test
+need no weight, since ``params`` decides them from u and q by closed forms
+over pairs of parameters.  The weight family F_r of a configuration is one
+integer table, :class:`Family`, built once per ``decompose`` or
+``oracle-compare`` command (``kl-selftest`` builds its check tables apart):
+per position a cell label and its flag, both read off one level-2k walk
+table, the numerators, off which linkage keys, singularity and dominance are
+read, and the engine-core store that both KL conventions' tables share.  The same tuples run through the canonical-basis
 engine, its tables and the peel; any weight reached there, in the family or
 not, is such a tuple, and :func:`weight_of` turns one back into mu
 (:func:`weight_name` for a message).
@@ -44,7 +44,7 @@ from math import gcd, lcm
 from typing import Iterator, Literal, NamedTuple, Sequence
 
 from . import combinat
-from .combinat import LambdaIndex
+from .combinat import LambdaIndex, Multipartition
 from .params import ParamConfig
 
 Weight = tuple[Fraction, ...]
@@ -155,16 +155,12 @@ def shifted_chamber(u: Sequence[Fraction], q: Sequence[int]) -> tuple[int, Numer
 # ---------------------------------------------------------------------------
 
 
-def _label_shift(idx: LambdaIndex, cfg: ParamConfig) -> tuple[int, ...]:
-    """The integer shift from the chamber weight realizing a level-2k shape
-    index: component j <= k is the head of block j, component j > k the tail
-    of block 2k - j + 1, reversed and negated."""
-    f, shape = idx
+def layout(shape: Multipartition, cfg: ParamConfig) -> tuple[int, ...]:
+    """The integer shift from the chamber weight that places the cells of a
+    level-2k shape of any size, one row per coordinate: component j <= k is
+    the head of block j, from the block's start, and component j > k the
+    tail of block 2k - j + 1, reversed and negated, from the block's end."""
     k = cfg.k
-    if len(shape) != 2 * k:
-        raise ValueError(f"expected a level-{2 * k} multipartition")
-    if combinat.size(shape) != cfg.r - 2 * f or f < 0:
-        raise ValueError(f"shape {shape} with f={f} does not have size r - 2f for r={cfg.r}")
     d = [0] * cfg.n
     for t in range(k):
         head = shape[t]
@@ -177,19 +173,9 @@ def _label_shift(idx: LambdaIndex, cfg: ParamConfig) -> tuple[int, ...]:
     return tuple(d)
 
 
-def _row(idx: LambdaIndex, cfg: ParamConfig, scale: int, base: Numerators) -> Numerators:
-    """The label's numerators: ``base`` plus ``scale`` times its shift."""
-    return tuple(b + scale * d for b, d in zip(base, _label_shift(idx, cfg)))
-
-
-def hat(idx: LambdaIndex, cfg: ParamConfig) -> Numerators:
-    """The numerators of the weight whose shift realizes a level-2k shape index."""
-    return _row(idx, cfg, *shifted_chamber(cfg.u, cfg.q))
-
-
 def tilde(x: Numerators, cfg: ParamConfig) -> LambdaIndex:
     """The (f, shape) label of the weight in F_r with numerators x; inverse
-    of :func:`hat`.
+    of :func:`enumerate_F` on one label.
 
     The shift is x minus the shifted chamber weight's numerators, over the
     scale.  Per block, its positive entries are the head and its negative
@@ -213,11 +199,19 @@ def tilde(x: Numerators, cfg: ParamConfig) -> LambdaIndex:
 
 def enumerate_F(cfg: ParamConfig, labels: Sequence[LambdaIndex]) -> list[Numerators]:
     """The numerators of the weights of F_r realizing ``labels``, level-2k
-    cell labels of size r, r-2, ..., in their order: per block, the head and
-    tail partitions make the blockwise weakly decreasing integral shift.
+    cell labels of size r, r-2, ..., in their order: the shifted chamber
+    weight's numerators plus ``scale`` times the label's :func:`layout`, the
+    blockwise weakly decreasing integral shift.
     """
     scale, base = shifted_chamber(cfg.u, cfg.q)
-    return [_row(idx, cfg, scale, base) for idx in labels]
+    rows = []
+    for f, shape in labels:
+        if len(shape) != 2 * cfg.k:
+            raise ValueError(f"expected a level-{2 * cfg.k} multipartition")
+        if combinat.size(shape) != cfg.r - 2 * f or f < 0:
+            raise ValueError(f"shape {shape} with f={f} does not have size r - 2f for r={cfg.r}")
+        rows.append(tuple(b + scale * d for b, d in zip(base, layout(shape, cfg))))
+    return rows
 
 
 class Family:

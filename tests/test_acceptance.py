@@ -158,13 +158,13 @@ def test_ac4_stretch_r4(criterion):
 
 
 def test_ac5_bijections_and_counting(criterion):
-    with criterion("AC-5", "hat/tilde inverse, |F_{r,k}| = |Lambda_{k,r}|, truncated flag counts walks"):
+    with criterion("AC-5", "tilde inverts enumerate_F, |F_{r,k}| = |Lambda_{k,r}|, truncated flag counts walks"):
         for u, k, r in _ac2_inputs():
             cfg = params.build_config(u, r)
             table = weights.family_table(cfg)
             family = table.numerators
             for mu in family:
-                assert weights.hat(weights.tilde(mu, cfg), cfg) == mu
+                assert weights.enumerate_F(cfg, [weights.tilde(mu, cfg)]) == [mu]
             level = [mu for mu in family if not any(weights.tilde(mu, cfg).shape[k:])]
             labels = combinat.enumerate_lambda(k, r)
             assert len(level) == len(labels)

@@ -480,13 +480,19 @@ def test_wall_fold_matches_the_lift_collapse_reference(convention):
             try:
                 expected = reference_wall_table(block, convention, drops, cores)
             except kl.UnsupportedBlock as exc:
-                with pytest.raises(kl.UnsupportedBlock) as caught:
-                    kl.singular_reduction_table(block, convention, {})
+                refusals = []
+                # tilting_table, the one table entry point, routes a wall block here
+                for read in (kl.singular_reduction_table, kl.tilting_table):
+                    with pytest.raises(kl.UnsupportedBlock) as caught:
+                        read(block, convention, {})
+                    refusals.append(str(caught.value))
                 assert caught.value.reason.startswith(exc.reason)
+                assert refusals[0] == refusals[1]
                 refused += 1
                 continue
             blocks += 1
             table = kl.singular_reduction_table(block, convention, cores)
+            assert list(kl.tilting_table(block, convention, cores).items()) == list(table.items())
             if convention == "mirror":  # only member keys: the peel reads no other
                 members = set(block.numerators)
                 expected = {key: v for key, v in expected.items() if key[1] in members}
@@ -497,6 +503,22 @@ def test_wall_fold_matches_the_lift_collapse_reference(convention):
     # both kinds of drop occur (on this grid "mirror" meets no Levi crossing)
     assert drops["coset"] > 0
     assert drops["levi"] > 0 or convention == "mirror"
+
+
+def test_tilting_table_refuses_tied_coordinates():
+    # decompose --k 2 --r 1 --u 0,0 --assume-saturated: the first member
+    # ties two coordinates, and its pair (-1, 1) puts the negative member
+    # first; the tie is the refusal
+    family = family_table(build_config([F(0), F(0)], 1))
+    (wall,) = [b for b in kl.partition_into_blocks(family) if not b.is_singleton]
+    # a tie across Levi blocks and no wall pair at all
+    tied = kl.Block(WeightContext(4, (0, 2, 4)), (), ((3, 1, 3, 2), (3, 2, 3, 1)), 1, (0, 1))
+    for block in (wall, tied):
+        for convention in ("mirror", "direct"):
+            with pytest.raises(kl.UnsupportedBlock) as caught:
+                kl.tilting_table(block, convention, {})
+            assert caught.value.reason == kl._TIED_COORDINATES
+            assert caught.value.weight == block.numerators[0]
 
 
 def test_fold_refuses_a_support_with_its_negative_member_first():
@@ -595,8 +617,6 @@ def test_tilting_table_conventions_are_transposes():
     for (lam, mu), val in mirror.items():
         if val and lam != mu:
             assert dominance_less(lam, mu, 1)
-    with pytest.raises(ValueError, match="convention"):
-        kl.tilting_table(block, "sideways", cores)
     # regular family blocks whose supports leave the block: "direct" keeps
     # the rows outside it, "mirror" keys members alone
     for u, r in (("1/2", 5), ("0,1/2", 3)):
@@ -610,6 +630,9 @@ def test_tilting_table_conventions_are_transposes():
             assert any(lam not in members for lam, _ in direct)
             assert all(lam in members and mu in members for lam, mu in mirror)
             assert {(b, a): v for (a, b), v in direct.items() if a in members} == mirror
+    # the pipeline resolves the reading once; the tables take it as given
+    with pytest.raises(ValueError, match="unknown tilting convention: 'sideways'"):
+        pipeline.tilting_decomposition(family, "sideways")
 
 
 def test_singular_reduction_frozen_wall_block():
@@ -844,10 +867,8 @@ ORDERS = {"mirror": ("mirror", "direct"), "direct": ("direct", "mirror")}
 
 
 def table_or_refusal(block, convention, cores):
-    wall = kl.singular_pairs(block.numerators[0])
-    read = kl.singular_reduction_table if wall else kl.tilting_table
     try:
-        return list(read(block, convention, cores).items())
+        return list(kl.tilting_table(block, convention, cores).items())
     except kl.UnsupportedBlock as exc:
         return exc.reason
 

@@ -7,11 +7,11 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
-from brauer_kl import kl, pipeline
+from brauer_kl import kl, pipeline, weights
 from brauer_kl.combinat import LambdaIndex, enumerate_lambda, level_label, transpose
 from brauer_kl.params import build_config, extend_parameters, omega_series, u_from_delta
 from brauer_kl.pipeline import (
@@ -104,12 +104,22 @@ EDGE_CHECK_CONFIGS = [
 ]
 
 
-def _row_two_off_by_one(coordinate):
-    """A faulty coordinate map: second-row nodes move the coordinate below."""
+def _row_two_off_by_one(layout):
+    """A faulty layout: each component's second row sits on the coordinate
+    below its own (a head's further from its block's start, a tail's nearer
+    its block's end)."""
 
-    def faulty(node, cfg):
-        i, direction = coordinate(node, cfg)
-        return (i + 1, direction) if node[0] == 2 else (i, direction)
+    def faulty(shape, cfg):
+        d = list(layout(shape, cfg))
+        for t, (start, end) in enumerate(zip(cfg.p, cfg.p[1:])):
+            head, tail = shape[t], shape[2 * cfg.k - t - 1]
+            if len(head) > 1:
+                d[start + 1] -= head[1]
+                d[start + 2] += head[1]
+            if len(tail) > 1:
+                d[end - 2] += tail[1]
+                d[end - 1] -= tail[1]
+        return tuple(d)
 
     return faulty
 
@@ -130,8 +140,8 @@ def test_edge_check_flags_the_walks_failing_edges(u, r, fault, monkeypatch):
     elif fault == "u_ext reversed":
         ext.reverse()
     else:
-        faulty = _row_two_off_by_one(pipeline._node_coordinate)
-        monkeypatch.setattr(pipeline, "_node_coordinate", faulty)
+        # both routes read weights.layout: the fault reaches each of them
+        monkeypatch.setattr(weights, "layout", _row_two_off_by_one(weights.layout))
     cfg = cfg._replace(u_ext=tuple(ext))
     edges = content_mismatches(cfg)
     walks = walk_content_mismatches(cfg)
@@ -606,6 +616,51 @@ def test_level_one_reports_have_the_structural_properties():
                 assert dims.get(label) == standard_tableaux(shape), (u, r, label)
         dimensioned += 1
     assert (reports, dimensioned, refused) == (45, 44, {"UnsupportedBlock": 5})
+
+
+def specht_dimension(shape) -> int:
+    """r! / prod |lambda^(i)|! * prod f^lambda^(i): the dimension of the
+    Specht module of a multipartition over a semisimple Hecke algebra."""
+    sizes = [sum(part) for part in shape]
+    return (
+        factorial(sum(sizes))
+        // prod(map(factorial, sizes))
+        * prod(map(standard_tableaux, shape))
+    )
+
+
+def test_f_zero_block_is_the_identity_at_non_integral_differences():
+    # the f = 0 quotient is the degenerate cyclotomic Hecke algebra H_{k,r}(u)
+    # (Ariki-Mathas-Rui, Nagoya Math. J. 182, 2006), which is semisimple
+    # when no two u_i differ by an integer: the f = 0 rows and columns of
+    # matrix_level form the identity, and each f = 0 simple module is a
+    # Specht module; the draws take distinct residues mod 1
+    rng = random.Random(33)
+    residues = (F(0), F(1, 2), F(1, 3), F(1, 4), F(1, 5))
+    reports, dimensioned, refused = 0, 0, Counter()
+    for k, max_r, draws in ((2, 5, 40), (3, 4, 20)):
+        for _ in range(draws):
+            u = tuple(rng.randint(-2, 2) + c for c in rng.sample(residues, k))
+            r = rng.randint(1, max_r)
+            report = report_or_refusal(u, r)
+            if isinstance(report, str):
+                refused[report] += 1
+                continue
+            reports += 1
+            level = report["matrix_level"]
+            rows = [i for i, label in enumerate(level["rows"]) if _parse(label)[0] == 0]
+            cols = [j for j, label in enumerate(level["cols"]) if _parse(label)[0] == 0]
+            assert [level["rows"][i] for i in rows] == [level["cols"][j] for j in cols], (u, r)
+            block = {(i, j): v for i, j, v in level["entries"] if i in rows and j in cols}
+            assert block == {(i, j): 1 for i, j in zip(rows, cols)}, (u, r)
+            if report["simple_dims"] is None:  # r even with every omega_i zero
+                continue
+            dims = dict(zip(report["simple_dims"]["labels"], report["simple_dims"]["dims"]))
+            for i in rows:
+                label = level["rows"][i]
+                assert dims.get(label) == specht_dimension(_parse(label)[1]), (u, r, label)
+                dimensioned += 1
+    assert (reports, dimensioned, refused) == (58, 951, {"UnsupportedBlock": 2})
 
 
 def lowered(label: str) -> str:

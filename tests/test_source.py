@@ -85,6 +85,44 @@ def test_every_method_has_a_reader():
     assert orphans == []
 
 
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_reads(tree: ast.AST) -> list[str]:
+    """Each underscore name that ``tree`` imports from a package module
+    (``from .x import _y``) or reads off one it imports (``x._y``)."""
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "brauer_kl"):
+            for alias in node.names:
+                if private(alias.name):
+                    found.append(f"{node.lineno}: from {node.module or '.'} import {alias.name}")
+                if node.module in (None, "brauer_kl"):  # ``from . import x`` binds module x
+                    modules.add(alias.asname or alias.name)
+    found += [
+        f"{node.lineno}: {node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        if node.value.id in modules and private(node.attr)
+    ]
+    return found
+
+
+def test_no_module_reads_a_private_name_of_another():
+    # a decision two modules share is read through a public name
+    found = {
+        path.name: reads
+        for path in MODULES
+        if (reads := private_reads(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert private_reads(ast.parse("from . import weights\nweights._row\nfrom .kl import _V")) == [
+        "3: from kl import _V",
+        "2: weights._row",
+    ]
+    assert found == {}
+
+
 def leading_text(node: ast.AST) -> str:
     """The text a string or f-string expression starts with ("" for any other)."""
     if isinstance(node, ast.JoinedStr) and node.values:

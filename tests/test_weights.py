@@ -26,7 +26,6 @@ from brauer_kl.weights import (
     dominance_sort_key,
     enumerate_F,
     family_table,
-    hat,
     is_singular,
     pairing,
     rho,
@@ -175,7 +174,7 @@ def test_hat_tilde_examples():
     lc = lambda_c(cfg)
     mu = tuple(lc[i] + (1 if i < 3 else 0) for i in range(10))
     assert tilde(numerators(mu, scale), cfg) == LambdaIndex(0, ((1, 1, 1), ()))
-    assert hat(LambdaIndex(0, ((1, 1, 1), ())), cfg) == numerators(mu, scale)
+    assert enumerate_F(cfg, [LambdaIndex(0, ((1, 1, 1), ()))]) == [numerators(mu, scale)]
     nu = tuple(lc[i] + (1 if i == 0 else 0) - (1 if i >= 8 else 0) for i in range(10))
     assert tilde(numerators(nu, scale), cfg) == LambdaIndex(0, ((1,), (1, 1)))
     assert reference_tilde(nu, cfg) == LambdaIndex(0, ((1,), (1, 1)))
@@ -189,15 +188,15 @@ def family_rows(cfg):
 def test_hat_tilde_roundtrip_over_F():
     cfg = build_config([F(1, 3)], 3)
     for idx in enumerate_lambda(2 * cfg.k, cfg.r):
-        assert tilde(hat(idx, cfg), cfg) == idx
+        assert tilde(enumerate_F(cfg, [idx])[0], cfg) == idx
     for mu in family_rows(cfg):
-        assert hat(tilde(mu, cfg), cfg) == mu
+        assert enumerate_F(cfg, [tilde(mu, cfg)]) == [mu]
 
 
 def test_hat_tilde_roundtrip_level_two():
     cfg = build_config([F(1, 3), F(7, 2)], 2)
     for idx in enumerate_lambda(2 * cfg.k, cfg.r):
-        assert tilde(hat(idx, cfg), cfg) == idx
+        assert tilde(enumerate_F(cfg, [idx])[0], cfg) == idx
 
 
 def test_F_family_sizes_level_one():
@@ -282,8 +281,8 @@ def test_enumerate_F_members_pass_membership(u1, r):
 GUARDED_CALLS = (
     ("WeightContext(4, (0, 5))", "block boundaries"),
     ("WeightContext(4, (0, 2, 2, 4))", "block boundaries"),
-    ("hat(LambdaIndex(0, ((2,),)), cfg)", "expected a level-2 multipartition"),
-    ("hat(LambdaIndex(0, ((1,), ())), cfg)", "does not have size r - 2f"),
+    ("enumerate_F(cfg, [LambdaIndex(0, ((2,),))])", "expected a level-2 multipartition"),
+    ("enumerate_F(cfg, [LambdaIndex(0, ((1,), ()))])", "does not have size r - 2f"),
     ("dominance_leq((1,), (1, 0), 1)", "different lengths"),
 )
 
@@ -302,7 +301,7 @@ def test_weight_guards_survive_python_O():
         "from fractions import Fraction as F\n"
         "from brauer_kl.combinat import LambdaIndex\n"
         "from brauer_kl.params import build_config\n"
-        "from brauer_kl.weights import WeightContext, dominance_leq, hat\n"
+        "from brauer_kl.weights import WeightContext, dominance_leq, enumerate_F\n"
         "cfg = build_config([F(1, 3)], 2)\n"
         f"for call in {[call for call, _ in GUARDED_CALLS]!r}:\n"
         "    try:\n"

@@ -17,9 +17,10 @@ to compile it:
   ``content_mismatches`` checks each edge of the walk graph once);
 * ``lambda_c``, ``delta``, ``reference_hat``, ``reference_tilde`` and
   ``reference_family``: the ``Fraction`` codec of the weight family, the
-  chamber weight plus a label's integer shift (the package's ``hat``,
-  ``tilde`` and ``enumerate_F`` work on the numerators scale * (mu + rho)),
-  and ``numerators``, the map from the one form to the other;
+  chamber weight plus a label's integer shift, ``weights.layout`` (the
+  package's ``enumerate_F`` and ``tilde`` work on the numerators
+  scale * (mu + rho)), and ``numerators``, the map from the one form to the
+  other;
 * ``in_F_r``/``in_F_rk``: membership of a ``Fraction`` weight in the family
   F_r and its level part, decided through ``reference_tilde``;
 * ``blockwise_regular``: pairwise-distinct entries within every block, read
@@ -55,7 +56,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterator
 
-from brauer_kl import pipeline
+from brauer_kl import weights
 from brauer_kl.combinat import (
     LambdaIndex,
     Multipartition,
@@ -75,7 +76,6 @@ from brauer_kl.weights import (
     Root,
     Weight,
     WeightContext,
-    _label_shift,
     context_of,
     pairing,
     rho,
@@ -231,7 +231,9 @@ def content_sequence(t: UpdownTableau, u) -> list[Fraction]:
 def walk_content_mismatches(cfg: ParamConfig) -> list[dict]:
     """The content cross-check of ``pipeline.content_mismatches``, walk by
     walk: one record per failing step of every up-down tableau of every
-    shape, carrying the numerators along the walk itself.  Exponential in r.
+    shape, carrying the numerators along the walk itself.  Each step moves
+    the one coordinate where the ``weights.layout`` of its two shapes
+    differ, the layout the edge route reads too.  Exponential in r.
     """
     a = 2 * cfg.k
     scale, chamber = shifted_chamber(cfg.u, cfg.q)
@@ -241,9 +243,10 @@ def walk_content_mismatches(cfg: ParamConfig) -> list[dict]:
             contents = content_sequence(t, cfg.u_ext)
             x = list(chamber)
             for m in range(cfg.r):
-                node, sign = step_node(t[m], t[m + 1])
-                i0, direction = pipeline._node_coordinate(node, cfg)
-                sigma = direction if sign > 0 else -direction
+                node, _ = step_node(t[m], t[m + 1])
+                before, after = (weights.layout(shape, cfg) for shape in t[m : m + 2])
+                moved = [(i, b - a) for i, (a, b) in enumerate(zip(before, after)) if a != b]
+                ((i0, sigma),) = moved
                 weight_side = Fraction(2 * sigma * x[i0] + scale, 2 * scale)
                 if weight_side != contents[m]:
                     mismatches.append(
@@ -274,7 +277,7 @@ def delta(mu: Weight, cfg: ParamConfig) -> tuple[int, ...]:
 
 def reference_hat(idx: LambdaIndex, cfg: ParamConfig) -> Weight:
     """The weight mu whose shift from the chamber weight realizes a label."""
-    return tuple(a + x for a, x in zip(lambda_c(cfg), _label_shift(idx, cfg)))
+    return tuple(a + x for a, x in zip(lambda_c(cfg), weights.layout(idx.shape, cfg)))
 
 
 def reference_tilde(mu: Weight, cfg: ParamConfig) -> LambdaIndex:
