@@ -153,19 +153,19 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
     oracle.check_budget(args.r)
     cfg = params.build_config((params.u_from_delta(delta),), args.r)
     family = weights.family_table(cfg)  # both conventions' reports share its engine cores
-    reports: dict = {}  # per KL convention: its report, or its failure as a diff
+    levels: dict = {}  # per KL convention: its report's level matrix, or its failure as a diff
     for kl_conv in ("direct", "mirror"):
         try:
-            reports[kl_conv] = pipeline.decomposition_report(family, kl_conv)
+            levels[kl_conv] = pipeline.decomposition_report(family, kl_conv)["matrix_level"]
         except pipeline.NegativeResidual as exc:  # a wrong convention may fail its peel
-            reports[kl_conv] = [{"kind": "error", "detail": str(exc)}]
+            levels[kl_conv] = [{"kind": "error", "detail": str(exc)}]
     matrix = oracle.oracle_decomposition_matrix(args.r, delta)  # last: a refusal skips it
     passing: list[tuple[str, str]] = []
     diffs_by_pair = {}
-    for kl_conv, report in reports.items():
+    for kl_conv, level in levels.items():
         # the conjugation only relabels the oracle's cells inside oracle.compare
         for conj_conv in ("identity", "transpose"):
-            diff = report if isinstance(report, list) else oracle.compare(report, matrix, conj_conv)
+            diff = level if isinstance(level, list) else oracle.compare(level, matrix, conj_conv)
             diffs_by_pair[(kl_conv, conj_conv)] = diff
             if not diff:
                 passing.append((kl_conv, conj_conv))

@@ -21,9 +21,9 @@ are linearly independent in characteristic zero).  The Gram radical is
 checked to be invariant under the generators s_1, ..., s_{r-1} and e_1, which
 is invariance under the whole algebra.
 
-All of this is deliberately independent of the weight/KL machinery: nothing
-here imports from the canonical-basis side, so agreement between the two is
-meaningful evidence.
+All of this is deliberately independent of the weight/KL machinery: it
+imports no package module but ``combinat`` (the cell labels and their text),
+``linalg`` and ``specht``, so agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import NamedTuple
 
 from . import combinat
 from .linalg import nullspace, solve
-from .params import delta_from_u
 from .specht import SpechtModule, specht_module
 
 Diagram = tuple[int, ...]  # partner array on 2r points; involution, no fixed point
@@ -456,67 +455,46 @@ def oracle_decomposition_matrix(r: int, delta: Fraction) -> OracleMatrix:
 # -- comparison with the pipeline -------------------------------------------
 
 
-def _parse_level_label(text: str) -> tuple[int, tuple[int, ...]]:
-    """Inverse of the report's level-label format, e.g. 'f1:2,1' or 'f0:-'."""
-    head, _, body = text.partition(":")
-    if not head.startswith("f"):
-        raise ValueError(f"not a level label: {text!r}")
-    f = int(head[1:])
-    if body in ("", "-"):
-        return f, ()
-    return f, tuple(int(c) for c in body.split(","))
+def compare(level: dict, oracle_matrix: OracleMatrix, conjugate_convention: str) -> list[dict]:
+    """Cell-for-cell diff between a report's ``matrix_level`` and the oracle.
 
-
-def compare(report: dict, oracle_matrix: OracleMatrix, conjugate_convention: str) -> list[dict]:
-    """Cell-for-cell diff between a level-truncated report and the oracle.
-
-    ``conjugate_convention`` maps oracle cell labels into report labels:
-    ``"identity"`` keeps the partition, ``"transpose"`` transposes it.
-    Returns a list of discrepancy records; empty means exact agreement.
+    The report is read as printed: each oracle cell label is written once in
+    the report's label text (``combinat.level_label``), its partition kept
+    under ``"identity"`` and transposed under ``"transpose"``, and the label
+    sets and the cells are compared in that text.  Returns a list of
+    discrepancy records, labels written as the report writes them; empty
+    means exact agreement.
     """
     if conjugate_convention not in ("identity", "transpose"):
         raise ValueError(f"unknown conjugate convention: {conjugate_convention!r}")
-    params = report["params"]
-    if int(params["k"]) != 1:
-        raise ValueError("oracle comparison is defined at level 1")
-    delta = delta_from_u(Fraction(params["u"][0]))
-    if delta != oracle_matrix.delta:
-        return [{"kind": "delta-mismatch", "report": str(delta), "oracle": str(oracle_matrix.delta)}]
-
-    def convert(lab: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
-        f, lam = lab
-        if conjugate_convention == "transpose":
-            return f, combinat.transpose(lam)
-        return f, lam
-
-    level = report["matrix_level"]
-    pipe_rows = [_parse_level_label(t) for t in level["rows"]]
-    pipe_cols = [_parse_level_label(t) for t in level["cols"]]
+    transpose = conjugate_convention == "transpose"
+    text = {
+        (f, lam): combinat.level_label(
+            combinat.LambdaIndex(f, (combinat.transpose(lam) if transpose else lam,)), 1
+        )
+        for f, lam in oracle_matrix.rows
+    }
+    rows = [text[lab] for lab in oracle_matrix.rows]
+    cols = [text[lab] for lab in oracle_matrix.cols]
     diffs: list[dict] = []
-    mapped_rows = [convert(lab) for lab in oracle_matrix.rows]
-    mapped_cols = [convert(lab) for lab in oracle_matrix.cols]
-    if sorted(mapped_rows) != sorted(pipe_rows):
-        diffs.append({"kind": "row-labels", "oracle": mapped_rows, "report": pipe_rows})
-    if sorted(mapped_cols) != sorted(pipe_cols):
-        diffs.append({"kind": "col-labels", "oracle": mapped_cols, "report": pipe_cols})
+    if sorted(rows) != sorted(level["rows"]):
+        diffs.append({"kind": "row-labels", "oracle": rows, "report": level["rows"]})
+    if sorted(cols) != sorted(level["cols"]):
+        diffs.append({"kind": "col-labels", "oracle": cols, "report": level["cols"]})
     if diffs:
         return diffs
 
-    dense = {(i, j): v for i, j, v in level["entries"]}
-    pipe_entry = {}
-    for i, row in enumerate(pipe_rows):
-        for j, col in enumerate(pipe_cols):
-            pipe_entry[(row, col)] = dense.get((i, j), 0)
+    cells = {(level["rows"][i], level["cols"][j]): v for i, j, v in level["entries"]}
     for orow in oracle_matrix.rows:
         for ocol in oracle_matrix.cols:
             expected = oracle_matrix.entry(orow, ocol)
-            got = pipe_entry[(convert(orow), convert(ocol))]
+            got = cells.get((text[orow], text[ocol]), 0)
             if expected != got:
                 diffs.append(
                     {
                         "kind": "cell",
-                        "row": convert(orow),
-                        "col": convert(ocol),
+                        "row": text[orow],
+                        "col": text[ocol],
                         "oracle": expected,
                         "report": got,
                     }

@@ -316,11 +316,6 @@ def build_config(u: Sequence[Fraction], r: int) -> ParamConfig:
     return extend_parameters(u, select_block_sizes(u, r), r)
 
 
-def delta_from_u(u1: Fraction) -> Fraction:
-    """The level-one diagram-algebra loop parameter for a given u_1."""
-    return 1 - 2 * u1
-
-
 def u_from_delta(delta: Fraction) -> Fraction:
-    """Inverse of :func:`delta_from_u`."""
+    """The u_1 whose level-one diagram algebra has loop parameter delta = 1 - 2 u_1."""
     return (1 - delta) / 2

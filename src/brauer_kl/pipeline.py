@@ -123,14 +123,10 @@ def content_mismatches(cfg: ParamConfig) -> list[dict]:
 class DecompositionResult(NamedTuple):
     """Peel output: tilting multiplicities and the supporting tables.
 
-    Keys are positions in the family table.  ``columns[mu][lam]`` is the
-    nonzero cell (T(mu) : M(lam)), the standard lam inside the tilting mu:
-    one dict per matrix column, stored only for a family position mu.  Every
-    support position has a column with diagonal entry 1 (a singleton's is
-    {mu: 1}).  The tables decode a weight only for a ``"direct"`` row
-    outside the block (or to name a refusal): such rows get ids past the
-    family's end, which no report reads; under the pinned ``"mirror"``
-    reading rows are block members.
+    Keys are family positions: ``columns[mu][lam]`` is the nonzero cell
+    (T(mu) : M(lam)), the standard lam inside the tilting mu, one dict per
+    matrix column.  Every support position has a column with diagonal entry
+    1 (a singleton's is {mu: 1}).  No key lies past the family's end.
     """
 
     family: Family
@@ -154,10 +150,11 @@ def _greedy_peel(
 
     Repeatedly take a dominance-maximal id with nonzero residual m, let
     ``check(id, m)`` refuse it, record m, and subtract m copies of
-    ``column(id)``.  ``numerators[id]`` is the id's weight as numerators
-    over ``scale``; its sort key extends dominance linearly, so the live id
-    with the largest key is maximal; ``reverse_ties`` instead scans for the
-    maximal set and takes its smallest key, a different maximal element
+    ``column(id)``.  An id is a family position, ``numerators[id]`` its
+    weight as numerators over ``scale``, and every row of a column is an id
+    of ``residual``.  The sort key extends dominance linearly, so the live
+    id with the largest key is maximal; ``reverse_ties`` instead scans for
+    the maximal set and takes its smallest key, a different maximal element
     when several are incomparable.  Each id's sort key is computed once.
     Returns the recorded multiplicities.
     """
@@ -183,9 +180,6 @@ def _greedy_peel(
         check(top, m)
         out[top] = m
         for i, val in column(top).items():
-            if i not in residual:
-                residual[i] = 0
-                keys[i] = dominance_sort_key(numerators[i])
             residual[i] -= m * val
 
 
@@ -202,37 +196,24 @@ def tilting_decomposition(family: Family, convention: str | None = None) -> Deco
     ``ValueError``; the tables take it as resolved here.  Only non-singleton
     blocks reach ``kl.tilting_table``, which routes a wall block to its
     regular companion; the engines of one Coxeter shape share one core of
-    ``family.cores``.  The tables, keyed by the family's numerator tuples,
-    are read back into ids through one dict.  Every table's mu is a block
-    member, so every entry lands in a family position's column.
+    ``family.cores``.  A block's table, keyed by numerators, is read into
+    family positions through one block-local dict, and a nonzero entry whose
+    row is not a member is refused as it is read: only a ``"direct"`` table
+    has one, and its entries are positive (antispherical KL polynomials have
+    nonnegative coefficients), so no peel could cancel it.
     """
     convention = resolve_convention(convention)
     flag = family.flag
-    size = len(family)
     blocks = partition_into_blocks(family)
-    ids = {x: i for i, x in enumerate(family.numerators)}
-    numerators = list(family.numerators)  # per id: ids past the family's end append
     n_out: dict[int, int] = {}
     columns: dict[int, dict[int, int]] = {}
     singular: list[int] = []
     reduced: list[tuple[int, ...]] = []
 
     def name(i: int) -> str:
-        if i < size:
-            return family_label(family.labels[i])
-        return weight_name(numerators[i], family.scale)
-
-    def id_of(x: Numerators) -> int:
-        # table weights outside the family get ids past its end
-        i = ids.get(x)
-        if i is None:
-            i = ids[x] = len(numerators)
-            numerators.append(x)
-        return i
+        return family_label(family.labels[i])
 
     def check(top: int, m: int) -> None:
-        if top >= size:
-            raise NegativeResidual(f"residual escapes the weight family at {name(top)}")
         if m < 0:
             raise NegativeResidual(f"negative residual {m} at {name(top)}")
         if columns.get(top, {}).get(top) != 1:
@@ -250,24 +231,31 @@ def tilting_decomposition(family: Family, convention: str | None = None) -> Deco
                 n_out[i] = flag[i]
             columns[i] = {i: 1}
             continue
+        position = dict(zip(block.numerators, block.positions))
         try:
             table = tilting_table(block, convention, family.cores)
-        except UnsupportedBlock as exc:  # name the weight by its cell label
-            raise UnsupportedBlock(exc.weight, exc.reason, name(id_of(exc.weight))) from None
+        except UnsupportedBlock as exc:  # name a member by its cell label
+            if exc.weight not in position:
+                raise  # kl named the weight by its numerators
+            raise UnsupportedBlock(exc.weight, exc.reason, name(position[exc.weight])) from None
         if singular_block:  # read off its regular companion: no other singular block has a table
             reduced.append(block.positions)
         # linkage blocks touch disjoint weights: their columns never collide
         for (lam, mu), val in table.items():
-            if val:
-                columns.setdefault(ids[mu], {})[id_of(lam)] = val
+            if not val:
+                continue
+            if lam not in position:
+                where = weight_name(lam, family.scale)
+                raise NegativeResidual(f"residual escapes the weight family at {where}")
+            columns.setdefault(position[mu], {})[position[lam]] = val
         residual = {i: flag[i] for i in block.positions}
         column = columns.__getitem__
-        peel = (residual, column, check, numerators, family.scale)
+        peel = (residual, column, check, family.numerators, family.scale)
         peeled = _greedy_peel(*peel)
         if _greedy_peel(*peel, reverse_ties=True) != peeled:
             raise NegativeResidual("peel order changed the tilting multiplicities")
         n_out.update(peeled)
-    support = tuple(i for i in range(size) if n_out.get(i, 0) != 0)
+    support = tuple(i for i in range(len(family)) if n_out.get(i, 0) != 0)
     return DecompositionResult(
         family=family,
         multiplicities={i: n_out[i] for i in support},

@@ -192,14 +192,15 @@ def test_unsupported_block_exits_5_with_one_error_line(capsys, argv):
     assert len(err) < 200
 
 
-# argv -> its one error line under the direct convention; both residuals lie
-# outside the weight family, so the line names them as tuples of rationals
+# argv -> its one error line under the direct convention: the first table
+# row outside its block, refused as it is read; it lies outside the weight
+# family, so the line names it as a tuple of rationals
 FAILED_PEEL = {
     ("decompose", "--k", "1", "--r", "4", "--u", "1/2"):
-        "error: residual escapes the weight family at (0,0,0,-1,-1,-2)\n",
+        "error: residual escapes the weight family at (-2,-2,-2,-2,-5,-5)\n",
     ("decompose", "--k", "2", "--r", "3", "--u", "0,1/3"):
         "error: residual escapes the weight family at "
-        "(-7/2,-7/2,-9/2,-11/2,1/6,1/6,1/6,1/6)\n",
+        "(-7/2,-7/2,-7/2,-9/2,-19/6,-19/6,-19/6,-19/6)\n",
 }
 
 
@@ -396,14 +397,56 @@ def test_oracle_compare_r5_sweep(capsys, delta):
     assert "match: kl=mirror conjugate=transpose" in out.splitlines()
 
 
+def matches(*pairs):
+    return "".join(f"match: kl={kl_conv} conjugate={conj}\n" for kl_conv, conj in pairs)
+
+
+EVERY_PAIR = matches(*[(k, c) for k in ("direct", "mirror") for c in ("identity", "transpose")])
+PIN = matches(("mirror", "transpose"))
+BOTH_MIRROR = matches(("mirror", "identity"), ("mirror", "transpose"))
+# (r, delta) -> (exit code, stdout) wherever oracle-compare does not match
+# all four convention pairs; frozen from the run before compare read the
+# report's label text
+VERDICT_EXCEPTIONS = {
+    (2, "0"): (4, ""),
+    (3, "-2"): (0, PIN),
+    (3, "0"): (0, BOTH_MIRROR),
+    (3, "1"): (0, BOTH_MIRROR),
+    (4, "-4"): (5, ""),
+    (4, "-2"): (0, PIN),
+    (4, "0"): (4, ""),
+    (4, "1"): (0, BOTH_MIRROR),
+    (4, "2"): (0, PIN),
+    (5, "-6"): (5, ""),
+    (5, "-4"): (5, ""),
+    (5, "-2"): (0, PIN),
+    (5, "-1"): (0, PIN),
+    (5, "0"): (0, BOTH_MIRROR),
+    (5, "1"): (0, BOTH_MIRROR),
+    (5, "2"): (0, PIN),
+    (5, "3"): (0, PIN),
+}
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_oracle_compare_verdicts_are_frozen(capsys, r):
+    # every delta in Z/2 with |delta| <= 12: 49 points per r, 245 in all
+    for twice in range(-24, 25):
+        delta = str(Fraction(twice, 2))
+        code, out, _ = run(capsys, "oracle-compare", "--r", str(r), f"--delta={delta}")
+        assert (code, out) == VERDICT_EXCEPTIONS.get((r, delta), (0, EVERY_PAIR)), delta
+
+
 def test_oracle_compare_mismatch_names_weights_without_fraction_reprs(capsys):
     # the direct convention's peel escapes the family: the weight it names
-    # is off the family, so it prints as a rational tuple
+    # is off the family, so it prints as a rational tuple; the other
+    # records write cell labels as the report does
     code, out, err = run(capsys, "oracle-compare", "--r", "4", "--delta=0")
     assert code == 4
     assert out == ""
     assert "Fraction(" not in err
     assert re.search(r"residual escapes the weight family at \(-?\d+(,-?[\d/]+)*\)'", err)
+    assert "'kind': 'col-labels', 'oracle': ['f0:4', " in err
 
 
 # command -> the layer (module, name) it runs that a test makes raise

@@ -505,6 +505,40 @@ def test_wall_fold_matches_the_lift_collapse_reference(convention):
     assert drops["levi"] > 0 or convention == "mirror"
 
 
+# every level-one point oracle-compare can run: r <= 5, delta in Z/2, |delta| <= 12
+DELTA_SWEEP = [((u_from_delta(F(twice, 2)),), r) for r in range(1, 6) for twice in range(-24, 25)]
+
+
+@pytest.mark.parametrize(
+    "grid, tables, refused",
+    [
+        (DELTA_SWEEP, 72, 10),
+        ([(tuple(F(x) for x in u), r) for u, r in WALL_GRID], 146, 26),
+    ],
+    ids=["delta-sweep", "wall-grid"],
+)
+def test_tilting_table_values_are_positive(grid, tables, refused):
+    # antispherical KL polynomials have nonnegative coefficients, so every
+    # nonzero entry of either reading is at least 1: a "direct" row outside
+    # its block can never be cancelled, and the peel refuses it as it reads it
+    counts, values = Counter(), Counter()
+    for u, r in grid:
+        family = family_table(build_config(u, r))
+        for block in kl.partition_into_blocks(family):
+            if block.is_singleton:
+                continue
+            for convention in ("direct", "mirror"):
+                try:
+                    table = kl.tilting_table(block, convention, family.cores)
+                except kl.UnsupportedBlock:
+                    counts["refused"] += 1
+                    continue
+                counts["tables"] += 1
+                values.update(v for v in table.values() if v)
+    assert (counts["tables"], counts["refused"]) == (tables, refused)
+    assert values and min(values) >= 1
+
+
 def test_tilting_table_refuses_tied_coordinates():
     # decompose --k 2 --r 1 --u 0,0 --assume-saturated: the first member
     # ties two coordinates, and its pair (-1, 1) puts the negative member

@@ -14,7 +14,6 @@ from brauer_kl.oracle import (
     CellModule,
     DimensionTooLarge,
     OracleMatrix,
-    _parse_level_label,
     act_on_caps,
     all_diagrams,
     caps,
@@ -436,34 +435,23 @@ def test_radical_invariance_check_survives_python_O():
     assert proc.stdout == "refused: radical is not invariant under the algebra\n"
 
 
-def test_parse_level_label_roundtrip():
-    for f, lam in cell_labels(4):
-        text = f"f{f}:" + (",".join(str(c) for c in lam) or "-")
-        assert _parse_level_label(text) == (f, lam)
-
-
 def test_compare_requires_known_convention():
     with pytest.raises(ValueError, match="conjugate"):
-        compare({"params": {"k": 1, "u": ["0"]}}, oracle_decomposition_matrix(2, F(1)), "flip")
+        compare({"rows": [], "cols": [], "entries": []}, oracle_decomposition_matrix(2, F(1)), "x")
 
 
 def test_compare_guards_survive_python_O():
-    """A level-2 report and a label without its ``f`` head are refused with
-    ValueErrors, which ``python -O`` keeps."""
+    """An unknown conjugate convention is refused with a ValueError, which
+    ``python -O`` keeps."""
     src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
     code = (
         "from fractions import Fraction as F\n"
         "from brauer_kl import oracle\n"
         "matrix = oracle.oracle_decomposition_matrix(2, F(1))\n"
-        "calls = (\n"
-        "    lambda: oracle.compare({'params': {'k': 2, 'u': ['0', '0']}}, matrix, 'identity'),\n"
-        "    lambda: oracle._parse_level_label('g1:2,1'),\n"
-        ")\n"
-        "for call in calls:\n"
-        "    try:\n"
-        "        call()\n"
-        "    except ValueError as exc:\n"
-        "        print('refused:', exc)\n"
+        "try:\n"
+        "    oracle.compare({'rows': [], 'cols': [], 'entries': []}, matrix, 'flip')\n"
+        "except ValueError as exc:\n"
+        "    print('refused:', exc)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -472,7 +460,4 @@ def test_compare_guards_survive_python_O():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (
-        "refused: oracle comparison is defined at level 1\n"
-        "refused: not a level label: 'g1:2,1'\n"
-    )
+    assert proc.stdout == "refused: unknown conjugate convention: 'flip'\n"

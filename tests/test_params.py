@@ -20,7 +20,6 @@ from brauer_kl.params import (
     ParamConfig,
     _even_ceil,
     build_config,
-    delta_from_u,
     doubly_regular_reflection,
     extend_parameters,
     omega_series,
@@ -484,8 +483,7 @@ def test_the_largest_base_always_verifies(u, r):
 
 
 def test_delta_u_dictionary():
-    assert delta_from_u(F(0)) == 1
     assert u_from_delta(F(1)) == 0
     assert u_from_delta(F(-2)) == F(3, 2)
     for d in (F(1), F(2), F(-2), F(7, 3)):
-        assert delta_from_u(u_from_delta(d)) == d
+        assert 1 - 2 * u_from_delta(d) == d  # delta = 1 - 2 u_1

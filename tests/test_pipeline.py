@@ -236,8 +236,7 @@ def test_peel_computes_each_sort_key_once(monkeypatch):
     "u, r", [([F(3, 2)], 7), ([F(0), F(1, 3)], 3)], ids=["3/2-r7", "0,1/3-r3"]
 )
 def test_columns_hold_family_positions_only(u, r):
-    # the pinned reading keeps no column at a weight outside the family, and
-    # its rows are block members, so no id past the family's end is made
+    # every column and every row of the peel is a family position
     result = tilting_decomposition(family_table(build_config(u, r)))
     size = len(result.family)
     assert result.reduced_blocks or any(not b.is_singleton for b in result.blocks)
@@ -322,8 +321,8 @@ def test_peel_errors_name_family_weights_by_cell_label(monkeypatch):
 
 
 def test_peel_refuses_a_residual_outside_the_family(monkeypatch):
-    # a table row off the family takes the first id past its end; the peel
-    # meets it last, with a positive residual, and names it as a tuple
+    # a nonzero table row off the block is refused as soon as the table is
+    # read, and named as a tuple of rationals
     table = pipeline.tilting_table
 
     def with_outside_row(block, convention, cores):
@@ -334,6 +333,23 @@ def test_peel_refuses_a_residual_outside_the_family(monkeypatch):
     monkeypatch.setattr(pipeline, "tilting_table", with_outside_row)
     with pytest.raises(NegativeResidual, match=r"escapes the weight family at \((-?[\d/]+,)+-?[\d/]+\)$"):
         tilting_decomposition(family_table(build_config([u_from_delta(F(1))], 3)))
+
+
+@pytest.mark.parametrize("member", [True, False], ids=["member", "outside"])
+def test_unsupported_block_names_a_member_by_its_cell_label(monkeypatch, member):
+    # the wall fold may refuse a support outside the block
+    # (test_kl::test_fold_refuses_a_support_with_its_negative_member_first):
+    # kl's own name for it stands, and only a member is renamed
+    def refuse(block, convention, cores):
+        top = block.numerators[-1]
+        weight = top if member else tuple(a - 7 * block.scale for a in top)
+        raise kl.UnsupportedBlock(weight, "refused", "(kl's name)")
+
+    monkeypatch.setattr(pipeline, "tilting_table", refuse)
+    with pytest.raises(kl.UnsupportedBlock) as caught:
+        tilting_decomposition(family_table(build_config([u_from_delta(F(1))], 3)))
+    named = r"refused at f\d+:[-\d,|]+" if member else r"refused at \(kl's name\)"
+    assert re.fullmatch(named, str(caught.value))
 
 
 FROZEN_SIMPLE_DIMS = {

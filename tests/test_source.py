@@ -174,3 +174,34 @@ def test_every_declared_exit_code_is_in_the_readme_table():
     }
     assert len(declared) >= 7
     assert {name: table.get(name) for name in declared} == declared
+
+
+def package_imports(tree: ast.AST) -> set[str]:
+    """The package modules that ``tree`` imports (``from .x import y`` or
+    ``from . import x``), at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "brauer_kl"):
+            if node.module in (None, "brauer_kl"):  # ``from . import x`` imports module x
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.rpartition(".")[2])
+    return found
+
+
+def test_the_oracle_side_imports_no_kl_side_module():
+    # the diagram oracle referees the KL route, so it shares nothing with it
+    # but the cell labels: oracle, specht and linalg read only each other and
+    # combinat
+    oracle_side = {"oracle", "specht", "linalg"}
+    sample = "from . import kl\ndef f():\n    from .params import x\n"
+    assert package_imports(ast.parse(sample)) == {"kl", "params"}
+    found = {
+        path.stem: package_imports(ast.parse(path.read_text(), filename=str(path)))
+        for path in MODULES
+        if path.stem in oracle_side
+    }
+    assert set(found) == oracle_side
+    assert {name: mods - oracle_side - {"combinat"} for name, mods in found.items()} == {
+        name: set() for name in oracle_side
+    }
