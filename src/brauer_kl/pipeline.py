@@ -125,17 +125,16 @@ class DecompositionResult(NamedTuple):
 
     Keys are family positions: ``columns[mu][lam]`` is the nonzero cell
     (T(mu) : M(lam)), the standard lam inside the tilting mu, one dict per
-    matrix column.  Every support position has a column with diagonal entry
-    1 (a singleton's is {mu: 1}).  No key lies past the family's end.
+    matrix column.  ``multiplicities`` holds the nonzero multiplicities in
+    position order; its keys are the support, and each has a column with
+    diagonal entry 1 (a singleton's is {mu: 1}).  No key lies past the
+    family's end.
     """
 
     family: Family
     multiplicities: dict[int, int]
-    support: tuple[int, ...]
     columns: dict[int, dict[int, int]]
     blocks: list[Block]
-    singular: tuple[int, ...]
-    reduced_blocks: tuple[tuple[int, ...], ...]
 
 
 def _greedy_peel(
@@ -207,8 +206,6 @@ def tilting_decomposition(family: Family, convention: str | None = None) -> Deco
     blocks = partition_into_blocks(family)
     n_out: dict[int, int] = {}
     columns: dict[int, dict[int, int]] = {}
-    singular: list[int] = []
-    reduced: list[tuple[int, ...]] = []
 
     def name(i: int) -> str:
         return family_label(family.labels[i])
@@ -220,9 +217,6 @@ def tilting_decomposition(family: Family, convention: str | None = None) -> Deco
             raise NegativeResidual(f"tilting column at {name(top)} lacks a unit diagonal")
 
     for block in blocks:
-        singular_block = is_singular(block.numerators[0])  # members share their |values|
-        if singular_block:
-            singular.extend(block.positions)
         if block.is_singleton:
             (i,) = block.positions
             if flag[i] < 0:
@@ -238,8 +232,6 @@ def tilting_decomposition(family: Family, convention: str | None = None) -> Deco
             if exc.weight not in position:
                 raise  # kl named the weight by its numerators
             raise UnsupportedBlock(exc.weight, exc.reason, name(position[exc.weight])) from None
-        if singular_block:  # read off its regular companion: no other singular block has a table
-            reduced.append(block.positions)
         # linkage blocks touch disjoint weights: their columns never collide
         for (lam, mu), val in table.items():
             if not val:
@@ -255,15 +247,11 @@ def tilting_decomposition(family: Family, convention: str | None = None) -> Deco
         if _greedy_peel(*peel, reverse_ties=True) != peeled:
             raise NegativeResidual("peel order changed the tilting multiplicities")
         n_out.update(peeled)
-    support = tuple(i for i in range(len(family)) if n_out.get(i, 0) != 0)
     return DecompositionResult(
         family=family,
-        multiplicities={i: n_out[i] for i in support},
-        support=support,
+        multiplicities={i: n_out[i] for i in sorted(n_out) if n_out[i]},
         columns=columns,
         blocks=blocks,
-        singular=tuple(singular),
-        reduced_blocks=tuple(reduced),
     )
 
 
@@ -335,9 +323,11 @@ def decomposition_report(
             "pass --assume-saturated to proceed"
         )
     result = tilting_decomposition(family, convention)
+    # members of a block share their |values|: one test per block
+    singular = [b for b in result.blocks if is_singular(b.numerators[0])]
     names = [family_label(idx) for idx in family.labels]
     rows_full = range(len(family))
-    cols_full = result.support
+    cols_full = list(result.multiplicities)
     levels = {i: level_label(family.labels[i], cfg.k) for i in family.level_flag}
     rows_level = list(levels)
     cols_level = [i for i in cols_full if i in levels]
@@ -349,10 +339,11 @@ def decomposition_report(
         "r_parity": cfg.r % 2,
         "saturated": phi_ok or assume_saturated,
         "generic": all(b.is_singleton for b in result.blocks),
-        "singular_blocks": [names[i] for i in result.singular],
+        "singular_blocks": [names[i] for b in singular for i in b.positions],
         "singular_reduced": [
-            "singular: reduced " + "+".join(names[i] for i in blk)
-            for blk in result.reduced_blocks
+            "singular: reduced " + "+".join(names[i] for i in b.positions)
+            for b in singular
+            if not b.is_singleton  # only these reach kl.tilting_table's wall reduction
         ],
         "cell_data_only": cfg.r % 2 == 0 and not omega_ok,
     }

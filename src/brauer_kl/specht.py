@@ -13,8 +13,7 @@ Every other permutation's matrix is a product of these along one descent.
 The invariant form is diagonal, norm(T') = (1 - 1/d^2) norm(T); such a form
 on an absolutely irreducible module is unique up to a scalar, so its Gram
 radicals are those of any other model, which is what the diagram-algebra
-oracle consumes.  Characters need no matrix: the Murnaghan–Nakayama rule
-gives them as integers, once per (shape, cycle type).
+oracle consumes.  A character is the trace of the same matrix.
 
 Entries are 0-based throughout; a permutation is a tuple ``p`` with ``p[i]``
 the image of ``i``.
@@ -28,55 +27,6 @@ from functools import cache
 Tableau = tuple[tuple[int, ...], ...]
 Perm = tuple[int, ...]
 Generator = tuple[list[int], list[Fraction], list[Fraction]]  # partner, diagonal, off
-
-
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Descending cycle lengths, the conjugacy-class invariant.
-
-    >>> cycle_type((1, 0, 2, 3))
-    (2, 1, 1)
-    """
-    seen = [False] * len(p)
-    lengths = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
-@cache
-def murnaghan_nakayama(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    """The irreducible character of ``shape`` on the class of cycle type ``cycles``.
-
-    Strips a rim hook of length ``cycles[0]`` in every possible way, with
-    sign (-1)^(its height), and recurses on the rest.  On the beta-set
-    {shape[i] + len(shape) - 1 - i} a rim hook of length k is a bead b with
-    b - k free: the bead moves down to b - k, and the beads it jumps over
-    count the height.
-
-    >>> [murnaghan_nakayama((2, 1), c) for c in ((1, 1, 1), (2, 1), (3,))]
-    [2, 0, -1]
-    """
-    if not cycles:
-        return 1  # shape is empty: the sizes agree
-    k, rest = cycles[0], cycles[1:]
-    n = len(shape)
-    beta = [part + n - 1 - i for i, part in enumerate(shape)]
-    total = 0
-    for b in beta:
-        if b < k or b - k in beta:
-            continue
-        height = sum(1 for c in beta if b - k < c < b)
-        moved = sorted((c if c != b else b - k for c in beta), reverse=True)
-        smaller = tuple(x - (n - 1 - i) for i, x in enumerate(moved))
-        total += (-1) ** height * murnaghan_nakayama(tuple(p for p in smaller if p), rest)
-    return total
 
 
 def standard_tableaux(shape: tuple[int, ...]) -> list[Tableau]:
@@ -187,9 +137,9 @@ class SpechtModule:
         """<T_i, p T_j> for the invariant form: diag(norms) times A_p."""
         return [[n * x for x in row] for n, row in zip(self.norms, self.action_matrix(p))]
 
-    def character(self, p: Perm) -> int:
-        """Trace of the permutation on the module, by Murnaghan–Nakayama."""
-        return murnaghan_nakayama(self.shape, cycle_type(p))
+    def character(self, p: Perm) -> Fraction:
+        """Trace of the permutation on the module, an integer as a Fraction."""
+        return sum((row[i] for i, row in enumerate(self.action_matrix(p))), Fraction(0))
 
 
 @cache

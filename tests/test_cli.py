@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,10 @@ import brauer_kl
 from brauer_kl import combinat, kl, oracle, params, pipeline, weights
 from brauer_kl.cli import SELFTEST_BATTERY, _parse_rational, main
 from brauer_kl.weights import family_table
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import run as bench  # noqa: E402  the benchmark's case grid and reference check
 
 
 def run(capsys, *argv):
@@ -676,6 +681,17 @@ def test_benchmark_tracer_runs_the_command(capsys, argv):
     assert code == 0 and proc.stdout == out
     counts = stats["counts"]
     assert {name: counts.get(name) for name in TRACED[argv]} == TRACED[argv]
+
+
+@pytest.mark.parametrize(
+    "case", [c for cases in bench.WORKLOADS.values() for c in cases], ids=lambda c: c.name
+)
+def test_benchmark_case_matches_its_reference(capsys, case):
+    # the benchmark refuses a run whose output differs from its reference;
+    # that refusal shows here first
+    code, out, err = run(capsys, *case.argv)
+    assert code == 0, err
+    assert bench.output_mismatch(case, out.encode()) is None
 
 
 MALFORMED = [

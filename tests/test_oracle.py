@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import brauer_kl
+from brauer_kl import oracle
 from brauer_kl.oracle import (
     CellModule,
     DimensionTooLarge,
@@ -239,6 +240,31 @@ def test_oracle_matrix_r4_frozen(delta):
     assert m.entries == {**{(c, c): 1 for c in cols}, **off_diagonal}
 
 
+# off-diagonal entries of B_6(delta), frozen while the cell characters came
+# from the Murnaghan–Nakayama rule, a route independent of the seminormal
+# matrices; every cell is a column there, with a unit diagonal
+FROZEN_R6 = {
+    F(1): {((1, (2, 2)), (0, (3, 2, 1))): 1, ((3, ()), (1, (2, 2))): 1},
+    F(-2): {
+        ((1, (1, 1, 1, 1)), (0, (3, 1, 1, 1))): 1,
+        ((1, (3, 1)), (0, (4, 2))): 1,
+        ((1, (4,)), (0, (5, 1))): 1,
+        ((2, (1, 1)), (1, (3, 1))): 1,
+        ((3, ()), (1, (4,))): 1,
+    },
+    F(1, 2): {},
+}
+
+
+@pytest.mark.parametrize("delta", list(FROZEN_R6), ids=str)
+def test_oracle_matrix_r6_frozen(delta, monkeypatch):
+    """The referee past its budget: B_6 has (2*6-1)!! = 10,395 diagrams."""
+    monkeypatch.setattr(oracle, "DIAGRAM_BUDGET", double_factorial(11))
+    m = oracle_decomposition_matrix(6, delta)
+    assert m.rows == m.cols == cell_labels(6)
+    assert m.entries == {**{(c, c): 1 for c in m.cols}, **FROZEN_R6[delta]}
+
+
 def basis_vectors(cell):
     return [[F(int(i == j)) for i in range(cell.dim)] for j in range(cell.dim)]
 
@@ -246,7 +272,8 @@ def basis_vectors(cell):
 @pytest.mark.parametrize("delta", [F(1), F(-2, 3)], ids=str)
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_cell_action_traces_are_the_characters(r, delta):
-    """The trace of d on the basis is the Murnaghan–Nakayama character."""
+    """The trace of d on the basis is the cell character, which sums the
+    Specht characters over the caps that d fixes."""
     for f, lam in cell_labels(r):
         cell = CellModule(r, f, lam, delta)
         for d in all_diagrams(r):
