@@ -56,9 +56,9 @@ move is not stored: each request computes its image and exponent, or
 A wall block (one vanishing pairing x_i = -x_j = a) is read off the
 canonical basis of its regular companion, whose tokens split the doubled
 value into a+1 and a.  Each support entry folds onto the wall by the codes
-of those two tokens alone (:func:`singular_reduction_table`), and
-:func:`tilting_table` is the one place that routes a block there.  A
-refusal names its weight as mu through ``weights.weight_name``.
+of those two tokens alone.  :func:`tilting_table` reads every non-singleton
+block along that one path: a regular block is its own companion, read with
+no fold.  A refusal names its weight as mu through ``weights.weight_name``.
 
 Blocks are linkage classes: weights sharing, per integrality class of the
 token values, the multiset of absolute values of x = mu + rho together with
@@ -414,14 +414,9 @@ def tilting_table(
     block: Block, convention: str, cores: dict
 ) -> dict[tuple[Numerators, Numerators], int]:
     """Tilting multiplicities keyed (lam, mu) = (T(mu) : M(lam)), both given
-    by their numerators at the block's scale.  The block's engine takes its
-    core from the store ``cores``; the pipeline passes its family's,
-    ``weights.Family.cores``.
-
-    The one place a block is routed: its members share their absolute
-    values, so the first decides.  A wall pair (:func:`singular_pairs`)
-    sends the block to :func:`singular_reduction_table`; two equal
-    coordinates are refused; a regular block is read off its own engine.
+    by their numerators at the block's scale, nonzero values only.  The
+    block's engine takes its core from the store ``cores``; the pipeline
+    passes its family's, ``weights.Family.cores``.
 
     The ambient rank is even, so the longest-element twist in the Verma-flag
     character duality is plain negation and the only residual freedom is the
@@ -436,46 +431,27 @@ def tilting_table(
 
     Under ``"mirror"`` only member ids key an entry, supported on lam <= mu
     as a flag of highest-weight modules must be; the choice is pinned by the
-    diagram-algebra cross-check and then frozen in configuration.  The
-    members are packed once and their elements read as packed-state
-    vectors; a support is decoded only under ``"direct"``, as a row outside
-    the block, which the peel's escape check reads.
-    """
-    x0 = block.numerators[0]
-    if singular_pairs(x0):
-        return singular_reduction_table(block, convention, cores)
-    if len(set(x0)) < len(x0):
-        raise _unsupported(x0, block.scale, _TIED_COORDINATES)
-    engine = CanonicalBasisEngine(block.ctx, x0, block.scale, cores)
-    members = {engine._state_id(w): w for w in block.numerators}
-    out: dict[tuple[Numerators, Numerators], int] = {}
-    for s, w in members.items():
-        for z, p in engine._element(s).items():
-            y = members.get(z)
-            if y is None and convention == "direct":
-                y = engine._numerators(z)  # a row outside the block
-            if y is not None:  # "direct": w plays mu, y lam; "mirror": the reverse
-                out[(y, w) if convention == "direct" else (w, y)] = p.evaluate_at_one()
-    return out
+    diagram-algebra cross-check and then frozen in configuration.  Under
+    ``"direct"`` a support outside the block is kept too, decoded as a row
+    for the peel's escape check.
 
+    Every non-singleton block is read along one path: its members share
+    their absolute values, so the first routes it.  Each member is packed at
+    a basis state, whose element is expanded, and a kept state, which keys
+    the member in those elements' supports.  A regular block is its own
+    companion: both states are the member itself, and nothing folds.  Two
+    equal coordinates are refused.
 
-def singular_reduction_table(
-    block: Block, convention: str, cores: dict
-) -> dict[tuple[Numerators, Numerators], int]:
-    """Tilting multiplicities for a wall block, via its regular companion,
-    keyed and read like :func:`tilting_table`, which routes wall blocks
-    here, with the companion's engine on the store ``cores``.
-
-    Every weight of the block is fixed by exactly one reflection
-    s_{e_i + e_j}: the shifted weight carries one pair x_i = -x_j = a > 0,
-    with the positive member first.  Translation onto/off that wall
-    identifies the block with a regular linkage class, the companion, whose
-    tokens are the wall tokens with the doubled value a split into a+1
-    (token t_hi) and a (token t_lo), every larger token raised by one.  A
-    wall weight has two companion lifts: the upper one puts the positive
-    member of the pair on t_hi, the lower one on t_lo.  The multiplicity
-    dictionary reads the standard index at the lower (dominance-lower) lift
-    and the tilting index at the upper one:
+    A wall block is read off its regular companion.  Every weight of it is
+    fixed by exactly one reflection s_{e_i + e_j}: the shifted weight
+    carries one pair x_i = -x_j = a > 0, with the positive member first.
+    Translation onto/off that wall identifies the block with a regular
+    linkage class, the companion, whose tokens are the wall tokens with the
+    doubled value a split into a+1 (token t_hi) and a (token t_lo), every
+    larger token raised by one.  A wall weight has two companion lifts: the
+    upper one puts the positive member of the pair on t_hi, the lower one on
+    t_lo.  The multiplicity dictionary reads the standard index at the lower
+    (dominance-lower) lift and the tilting index at the upper one:
 
         (T(mu) : M(lam))  =  (T(lift_hi(mu)) : M(lift_lo(lam))).
 
@@ -483,74 +459,80 @@ def singular_reduction_table(
     from the hi/hi reading; four-weight blocks at r = 4 pin it — the hi/hi
     reading loses the corner entry the diagram oracle demands.)
 
-    Block members are packed at their basis and kept lifts, and each
-    support entry of a companion element folds onto the wall by the codes of
-    t_hi and t_lo alone.  Equal signs cross a Levi wall and vanish under
-    translation; otherwise the sign of t_hi says which lift the entry is,
-    only the representative the dictionary reads is kept, and a member's
-    kept lift keys that member.  Under ``"direct"`` a support folding beyond
-    the block is kept too, decoded (t_hi and t_lo both read a, larger tokens
-    drop by one) as a row for the peel's escape check.
+    So the basis and kept states are a member's two lifts, and each support
+    entry folds onto the wall by the codes of t_hi and t_lo alone.  Equal
+    signs cross a Levi wall and vanish under translation; otherwise the sign
+    of t_hi says which lift the entry is, and only the representative the
+    dictionary reads is kept.  A support decoded off the wall inverts the
+    lift: t_hi and t_lo both read a, larger tokens drop by one.
     """
     scale = block.scale
-    pairs: list[tuple[int, int]] = []
-    for x in block.numerators:
-        found = singular_pairs(x)
-        if len(found) != 1:
-            raise _unsupported(
-                x,
-                scale,
-                f"wall reduction supports exactly one vanishing pairing, found {len(found)}",
-            )
-        if len(set(x)) < len(x):
-            raise _unsupported(x, scale, _TIED_COORDINATES)
-        if x[found[0][0]] < 0:
-            raise _unsupported(x, scale, _NEGATIVE_FIRST)
-        pairs.append(found[0])
-    doubled = {abs(x[i]) for x, (i, _) in zip(block.numerators, pairs)}
-    if len(doubled) != 1:
-        values = ", ".join(str(Fraction(a, scale)) for a in sorted(doubled))
-        raise ValueError(f"wall block mixes doubled values [{values}]")
-    a = doubled.pop()
-    hi, lo = a + scale, a  # the companion tokens t_hi and t_lo
-
+    x0 = block.numerators[0]
     # the basis index plays the tilting role under "direct" (expand at the
     # upper lift, keep supports at lower lifts) and the standard role under
     # "mirror" (expand at the lower lift, keep supports at upper lifts)
     basis_upper = convention == "direct"
-    lifts = []  # per member: its basis lift, then its kept lift
-    for x, (i, j) in zip(block.numerators, pairs):
-        lift = [c + scale if c > a else c - scale if c < -a else c for c in x]
-        for upper in (basis_upper, not basis_upper):
-            lift[i], lift[j] = (hi, -lo) if upper else (lo, -hi)
-            lifts.append(tuple(lift))
+    wall = singular_pairs(x0)
+    lifts = []  # per member: its basis lift, then its kept lift (itself when regular)
+    if not wall:
+        if len(set(x0)) < len(x0):
+            raise _unsupported(x0, scale, _TIED_COORDINATES)
+        for x in block.numerators:
+            lifts += (x, x)
+    else:
+        a = abs(x0[wall[0][0]])
+        hi, lo = a + scale, a  # the companion tokens t_hi and t_lo
+        for x in block.numerators:
+            found = singular_pairs(x)
+            if len(found) != 1:
+                reason = "wall reduction supports exactly one vanishing pairing"
+                raise _unsupported(x, scale, f"{reason}, found {len(found)}")
+            if len(set(x)) < len(x):
+                raise _unsupported(x, scale, _TIED_COORDINATES)
+            ((i, j),) = found
+            if x[i] < 0:
+                raise _unsupported(x, scale, _NEGATIVE_FIRST)
+            if x[i] != a:
+                values = ", ".join(str(Fraction(b, scale)) for b in sorted((a, x[i])))
+                raise ValueError(f"wall block mixes doubled values [{values}]")
+            lift = [c + scale if c > a else c - scale if c < -a else c for c in x]
+            for upper in (basis_upper, not basis_upper):
+                lift[i], lift[j] = (hi, -lo) if upper else (lo, -hi)
+                lifts.append(tuple(lift))
     engine = CanonicalBasisEngine(block.ctx, lifts[0], scale, cores)
     packed = [engine._state_id(lift) for lift in lifts]
     kept = dict(zip(packed[1::2], block.numerators))
-    t_hi, t_lo = engine._index[hi], engine._index[lo]
+    if wall:
+        t_hi, t_lo = engine._index[hi], engine._index[lo]
 
     out: dict[tuple[Numerators, Numerators], int] = {}
     for s, w in zip(packed[::2], block.numerators):
         for z, p in engine._element(s).items():
-            # every state places both tokens, each with one sign (code & 1)
-            hi_code, lo_code = engine._field(z, t_hi), engine._field(z, t_lo)
-            if not (hi_code ^ lo_code) & 1:
-                continue  # both on one side: crosses a Levi wall, killed by translation
-            hi_positive = not hi_code & 1
-            # a negative member first sits in an earlier Levi block (within
-            # one the positive comes first): its code 2 * block + 1 is smaller
-            refused = (lo_code < hi_code) == hi_positive
-            if not refused and hi_positive == basis_upper:
-                continue  # the other coset representative: not part of the dictionary
+            refused = False
+            if wall:
+                # every state places both tokens, each with one sign (code & 1)
+                hi_code, lo_code = engine._field(z, t_hi), engine._field(z, t_lo)
+                if not (hi_code ^ lo_code) & 1:
+                    continue  # both on one side: crosses a Levi wall, killed by translation
+                hi_positive = not hi_code & 1
+                # a negative member first sits in an earlier Levi block (within
+                # one the positive comes first): its code 2 * block + 1 is smaller
+                refused = (lo_code < hi_code) == hi_positive
+                if not refused and hi_positive == basis_upper:
+                    continue  # the other coset representative: not part of the dictionary
             val = p.evaluate_at_one()
             y = kept.get(z)
             if refused or (y is None and basis_upper and val):
-                # decoded to name a refusal or a direct row outside the block:
-                # the lift inverted (no companion token lies in (t_lo, t_hi))
+                # decoded to name a refusal or a direct row outside the block
                 y = engine._numerators(z)
-                y = tuple(c - scale if c > a else c + scale if c < -a else c for c in y)
+                if wall:  # the lift inverted (no companion token lies in (t_lo, t_hi))
+                    y = tuple(c - scale if c > a else c + scale if c < -a else c for c in y)
                 if refused:
                     raise _unsupported(y, scale, _NEGATIVE_FIRST)
-            if val and y is not None:
+            if val and y is not None:  # "direct": w plays mu, y lam; "mirror": the reverse
                 out[(y, w) if basis_upper else (w, y)] = val
     return out
+
+
+# perfbench/traced_cli.py rebinds this name, so it stays bound to the one table function
+singular_reduction_table = tilting_table

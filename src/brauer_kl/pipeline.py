@@ -193,13 +193,14 @@ def tilting_decomposition(family: Family, convention: str | None = None) -> Deco
     or ``NegativeResidual`` is raised.  ``convention`` None uses the frozen
     pin, and a name other than ``"direct"`` or ``"mirror"`` is a
     ``ValueError``; the tables take it as resolved here.  Only non-singleton
-    blocks reach ``kl.tilting_table``, which routes a wall block to its
+    blocks reach ``kl.tilting_table``, which reads a wall block off its
     regular companion; the engines of one Coxeter shape share one core of
-    ``family.cores``.  A block's table, keyed by numerators, is read into
-    family positions through one block-local dict, and a nonzero entry whose
-    row is not a member is refused as it is read: only a ``"direct"`` table
-    has one, and its entries are positive (antispherical KL polynomials have
-    nonnegative coefficients), so no peel could cancel it.
+    ``family.cores``.  A block's table, keyed by numerators and holding
+    nonzero values only, is read into family positions through one
+    block-local dict, and an entry whose row is not a member is refused as
+    it is read: only a ``"direct"`` table has one, and its entries are
+    positive (antispherical KL polynomials have nonnegative coefficients),
+    so no peel could cancel it.
     """
     convention = resolve_convention(convention)
     flag = family.flag
@@ -234,8 +235,6 @@ def tilting_decomposition(family: Family, convention: str | None = None) -> Deco
             raise UnsupportedBlock(exc.weight, exc.reason, name(position[exc.weight])) from None
         # linkage blocks touch disjoint weights: their columns never collide
         for (lam, mu), val in table.items():
-            if not val:
-                continue
             if lam not in position:
                 where = weight_name(lam, family.scale)
                 raise NegativeResidual(f"residual escapes the weight family at {where}")

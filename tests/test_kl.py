@@ -518,9 +518,10 @@ DELTA_SWEEP = [((u_from_delta(F(twice, 2)),), r) for r in range(1, 6) for twice 
     ids=["delta-sweep", "wall-grid"],
 )
 def test_tilting_table_values_are_positive(grid, tables, refused):
-    # antispherical KL polynomials have nonnegative coefficients, so every
-    # nonzero entry of either reading is at least 1: a "direct" row outside
-    # its block can never be cancelled, and the peel refuses it as it reads it
+    # a table stores nonzero values only, and antispherical KL polynomials
+    # have nonnegative coefficients, so every entry of either reading is at
+    # least 1: a "direct" row outside its block can never be cancelled, and
+    # the peel refuses it as it reads it
     counts, values = Counter(), Counter()
     for u, r in grid:
         family = family_table(build_config(u, r))
@@ -534,7 +535,7 @@ def test_tilting_table_values_are_positive(grid, tables, refused):
                     counts["refused"] += 1
                     continue
                 counts["tables"] += 1
-                values.update(v for v in table.values() if v)
+                values.update(table.values())
     assert (counts["tables"], counts["refused"]) == (tables, refused)
     assert values and min(values) >= 1
 

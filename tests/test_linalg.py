@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from brauer_kl.linalg import nullspace, rref, solve
-from verify_routes import mat_mul, mat_vec, rank, trace
+from verify_routes import mat_mul, mat_vec, rank
 
 F = Fraction
 
@@ -60,10 +60,6 @@ def test_mat_mul_known_product():
     a = [[F(1), F(2)], [F(3), F(4)]]
     b = [[F(0), F(1)], [F(1), F(0)]]
     assert mat_mul(a, b) == [[F(2), F(1)], [F(4), F(3)]]
-
-
-def test_trace():
-    assert trace([[F(1, 2), F(9)], [F(0), F(3, 2)]]) == F(2)
 
 
 @given(matrices_3)

@@ -205,3 +205,30 @@ def test_the_oracle_side_imports_no_kl_side_module():
     assert {name: mods - oracle_side - {"combinat"} for name, mods in found.items()} == {
         name: set() for name in oracle_side
     }
+
+
+def element_reads(tree: ast.AST) -> list[int]:
+    """The lines of ``tree`` that call an ``_element`` method, outside the
+    class ``CanonicalBasisEngine`` that defines it."""
+    inside = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "CanonicalBasisEngine"
+        for node in ast.walk(cls)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in inside
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "_element"
+    ]
+
+
+def test_kl_reads_elements_for_tables_at_one_site():
+    # a regular block is the wall fold with no wall: every tilting table is
+    # built by one loop over canonical-basis elements
+    sample = "class CanonicalBasisEngine:\n    def f(self):\n        self._element(0)\n"
+    sample += "engine._element(1)\n"
+    assert element_reads(ast.parse(sample)) == [4]
+    path = Path(brauer_kl.__file__).parent / "kl.py"
+    assert len(element_reads(ast.parse(path.read_text(), filename=str(path)))) == 1

@@ -39,7 +39,7 @@ to compile it:
 * ``polynomial_route``: the "some low omega is nonzero" criterion as a
   polynomial identity that must fail (``params.simple_param_condition``
   reads the omega series);
-* ``mat_mul``/``mat_vec``: exact dense products; ``rank`` and ``trace``;
+* ``mat_mul``/``mat_vec``: exact dense products; ``rank``;
 * ``has_nonnegative_coeffs``: a Laurent polynomial with no negative
   coefficient;
 * ``BarInvolution``: the bar involution on a canonical-basis engine's
@@ -463,10 +463,6 @@ def mat_vec(a, x) -> list[Fraction]:
 
 def rank(rows) -> int:
     return len(rref(rows)[1])
-
-
-def trace(rows) -> Fraction:
-    return sum((rows[i][i] for i in range(len(rows))), Fraction(0))
 
 
 def has_nonnegative_coeffs(p: LaurentPoly) -> bool:
