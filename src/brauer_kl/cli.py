@@ -6,7 +6,7 @@ output (``Fraction``'s own text form, read with ``Fraction`` and printed with
 ``str``), and a negative one is passed with "=", as in ``--u=-1/2``.
 ``decompose`` is a function of its parameters (k, r, u) alone: the block
 sizes are the first verified choice of ``params.select_block_sizes``, and
-the KL and conjugate conventions are the pins frozen in ``kl``; only
+the KL and conjugate conventions are the pins frozen in ``pipeline``; only
 ``oracle-compare`` tries both KL readings, and it takes no ``--k``: the
 diagram oracle exists at level one only.  Each of the two builds one
 family table (``weights.family_table``); ``oracle-compare`` checks the
@@ -20,9 +20,10 @@ of the SHA-256 of the ``--u`` text as given.  The module level imports only
 ``--help`` loads nothing else of the package and neither ``fractions`` nor
 ``decimal``; ``admissible`` loads ``params`` (and with it ``fractions``) but
 not ``combinat``; ``enumerate`` loads ``combinat`` alone, without
-``fractions``; the peel and the KL engine load only for the commands that
-run them, ``hashlib`` only to name such a file, ``json`` only to write a
-JSON report, the diagram oracle only for ``oracle-compare``.
+``fractions``; the peel loads only for the commands that run it, the KL
+engine and ``laurent`` only for a family with a block of two or more weights,
+``hashlib`` only to name such a file, ``json`` only for a JSON report, the
+diagram oracle only for ``oracle-compare``.
 
 Exit codes: 0 success, 1 a failed self-check (``kl-selftest`` with any
 ``FAIL`` line, or ``enumerate`` when the sum of squared walk counts is not

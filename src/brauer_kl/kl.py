@@ -60,9 +60,9 @@ of those two tokens alone.  :func:`tilting_table` reads every non-singleton
 block along that one path: a regular block is its own companion, read with
 no fold.  A refusal names its weight as mu through ``weights.weight_name``.
 
-Blocks are linkage classes: weights sharing, per integrality class of the
-token values, the multiset of absolute values of x = mu + rho together with
-the negative-entry parity when the class has no zero token.
+The linkage blocks come from ``weights.partition_into_blocks`` and the
+convention pins from ``pipeline``: the peel imports this module only for a
+block of two or more weights, so a generic family never loads it.
 """
 
 from __future__ import annotations
@@ -72,16 +72,14 @@ from typing import NamedTuple, Sequence
 
 from .laurent import LaurentPoly
 from .weights import (
-    Family,
+    Block,
     Numerators,
-    Weight,
     WeightContext,
     blockwise_decreasing,
-    context_of,
-    dominance_sort_key,
+    canonical_form,
     is_singular,
+    partition_into_blocks,  # perfbench/traced_cli.py looks it up as kl.partition_into_blocks
     weight_name,
-    weight_of,
 )
 
 NVector = dict[Numerators, LaurentPoly]
@@ -121,44 +119,6 @@ _TIED_COORDINATES = "the engine supports no weight with two equal coordinates"
 _NEGATIVE_FIRST = "wall reduction supports no wall pair with its negative member first"
 
 
-# Frozen by the level-one diagram-algebra cross-check (k = 1, r <= 3,
-# delta in {1, 2, -2}): the unique pair reconciling every run.
-PINNED_KL_CONVENTION = "mirror"
-PINNED_CONJUGATE_CONVENTION = "transpose"
-
-
-def resolve_convention(convention: str | None) -> str:
-    """The tilting convention: ``None`` reads the frozen pin at call time,
-    and anything but ``"direct"`` or ``"mirror"`` is a ``ValueError``."""
-    if convention is None:
-        convention = PINNED_KL_CONVENTION
-    if convention not in ("direct", "mirror"):
-        raise ValueError(f"unknown tilting convention: {convention!r}")
-    return convention
-
-
-def canonical_form(x: Sequence[int], scale: int) -> tuple:
-    """Linkage invariant of a shifted weight x = mu + rho, given as integer
-    numerators over a common denominator ``scale``.
-
-    Per integrality class (coordinates congruent mod 1 in absolute value,
-    i.e. numerators congruent mod ``scale``): the sorted absolute values,
-    plus the parity of the class's negative-entry count when the class
-    contains no zero (flip parity is a type-D invariant of each integral
-    factor; a zero coordinate absorbs it).  Keys taken at one scale compare.
-    """
-    classes: dict[int, list[int]] = {}
-    for a in x:
-        classes.setdefault(abs(a) % scale, []).append(a)
-    key = []
-    for res in sorted(classes):
-        members = classes[res]
-        abs_sorted = tuple(sorted(abs(a) for a in members))
-        parity = None if 0 in members else sum(1 for a in members if a < 0) % 2
-        key.append((res, abs_sorted, parity))
-    return tuple(key)
-
-
 def singular_pairs(x: Sequence) -> list[tuple[int, int]]:
     """Coordinate pairs (i, j), i < j, with x_i = -x_j != 0, on any shifted
     weight (rationals, or numerators over a common denominator).
@@ -176,45 +136,6 @@ def singular_pairs(x: Sequence) -> list[tuple[int, int]]:
         for j in range(i + 1, len(x))
         if x[i] != 0 and x[i] == -x[j]
     ]
-
-
-class Block(NamedTuple):
-    """A linkage class of parabolically dominant weights.
-
-    ``numerators`` holds the members as scale * (mu + rho), sorted
-    compatibly with dominance, and ``positions`` their places in the family
-    table.
-    """
-
-    ctx: WeightContext
-    key: tuple
-    numerators: tuple[Numerators, ...]
-    scale: int
-    positions: tuple[int, ...]
-
-    @property
-    def weights(self) -> tuple[Weight, ...]:
-        """The members mu, read off their numerators (for external readers)."""
-        return tuple(weight_of(x, self.scale) for x in self.numerators)
-
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.numerators) == 1
-
-
-def partition_into_blocks(family: Family) -> list[Block]:
-    """Group family positions by linkage key, blocks in order of first
-    appearance and members dominance-sorted within."""
-    grouped: dict[tuple, list[int]] = {}
-    for i, x in enumerate(family.numerators):
-        grouped.setdefault(canonical_form(x, family.scale), []).append(i)
-    ctx = context_of(family.cfg)
-    blocks = []
-    for key, members in grouped.items():
-        members.sort(key=lambda i: dominance_sort_key(family.numerators[i]))
-        numerators = tuple(family.numerators[i] for i in members)
-        blocks.append(Block(ctx, key, numerators, family.scale, tuple(members)))
-    return blocks
 
 
 class TokenMove(NamedTuple):
@@ -421,7 +342,7 @@ def tilting_table(
     The ambient rank is even, so the longest-element twist in the Verma-flag
     character duality is plain negation and the only residual freedom is the
     order of indices.  ``convention``, as the caller resolved it
-    (:func:`resolve_convention`), selects between the two readings:
+    (``pipeline.resolve_convention``), selects between the two readings:
 
     * ``"direct"``: (T(mu) : M(lam)) = n[mu][lam](1) — expand the canonical
       basis element at mu and read the coefficient of N at lam;

@@ -9,7 +9,8 @@ assemble the decomposition matrices — the full one (rows the whole family)
 and the level-truncated one (rows and columns with empty tail parts).  The
 peel, the matrices and the report are keyed by family position; labels are
 read off the table.  Both KL conventions may read one family: their tables
-share its cores, so each canonical basis element is computed once.
+share its cores, so each canonical basis element is computed once.  The
+convention pins live here; only a block of two or more weights imports ``kl``.
 
 Exactness is enforced, not assumed: the peel keeps an integer residual ledger
 over every weight it touches and raises ``NegativeResidual`` the moment the
@@ -34,24 +35,34 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import combinat, weights
 from .combinat import family_label, level_label
-from .kl import (
-    PINNED_CONJUGATE_CONVENTION,
-    Block,
-    UnsupportedBlock,
-    partition_into_blocks,
-    resolve_convention,
-    tilting_table,
-)
 from .params import ParamConfig, phiA_condition, simple_param_condition
 from .weights import (
+    Block,
     Family,
     Numerators,
     dominance_less,
     dominance_sort_key,
     is_singular,
+    partition_into_blocks,
     shifted_chamber,
     weight_name,
 )
+
+
+# Frozen by the level-one diagram-algebra cross-check (k = 1, r <= 3,
+# delta in {1, 2, -2}): the unique pair reconciling every run.
+PINNED_KL_CONVENTION = "mirror"
+PINNED_CONJUGATE_CONVENTION = "transpose"
+
+
+def resolve_convention(convention: str | None) -> str:
+    """The tilting convention: ``None`` reads the frozen pin at call time,
+    and anything but ``"direct"`` or ``"mirror"`` is a ``ValueError``."""
+    if convention is None:
+        convention = PINNED_KL_CONVENTION
+    if convention not in ("direct", "mirror"):
+        raise ValueError(f"unknown tilting convention: {convention!r}")
+    return convention
 
 
 class NegativeResidual(Exception):
@@ -226,6 +237,8 @@ def tilting_decomposition(family: Family, convention: str | None = None) -> Deco
                 n_out[i] = flag[i]
             columns[i] = {i: 1}
             continue
+        from .kl import UnsupportedBlock, tilting_table  # only a linked block loads the engine
+
         position = dict(zip(block.numerators, block.positions))
         try:
             table = tilting_table(block, convention, family.cores)

@@ -14,12 +14,12 @@ need no weight, since ``params`` decides them from u and q by closed forms
 over pairs of parameters.  The weight family F_r of a configuration is one
 integer table, :class:`Family`, built once per ``decompose`` or
 ``oracle-compare`` command (``kl-selftest`` builds its check tables apart):
-per position a cell label and its flag, both read off one level-2k walk
-table, the numerators, off which linkage keys, singularity and dominance are
-read, and the engine-core store that both KL conventions' tables share.  The same tuples run through the canonical-basis
-engine, its tables and the peel; any weight reached there, in the family or
-not, is such a tuple, and :func:`weight_of` turns one back into mu
-(:func:`weight_name` for a message).
+per position a cell label and its flag, both read off one level-2k walk table,
+the numerators, off which linkage blocks, singularity and dominance are read,
+and the engine-core store that both KL conventions' tables share.  The same
+tuples run through the canonical-basis engine, its tables and the peel; any
+weight reached there, in the family or not, is such a tuple, and
+:func:`weight_of` turns one back into mu (:func:`weight_name` for a message).
 
 Conventions:
 
@@ -33,6 +33,11 @@ Conventions:
 The shifted chamber weight has block-j entries running down from u_j - 1/2 in
 steps of 1, whatever the other blocks' sizes, which is what ties block sizes
 to parameter disjointness.
+
+Blocks are linkage classes: weights sharing, per integrality class of the
+token values, the multiset of absolute values of x = mu + rho together with
+the negative-entry parity when the class has no zero token
+(:func:`canonical_form`); only a block of two or more weights reaches ``kl``.
 """
 
 from __future__ import annotations
@@ -267,7 +272,7 @@ def family_table(cfg: ParamConfig) -> Family:
 
 
 # ---------------------------------------------------------------------------
-# dominance order (on numerator tuples at one scale)
+# dominance order and linkage blocks (on numerator tuples at one scale)
 # ---------------------------------------------------------------------------
 
 
@@ -312,3 +317,64 @@ def dominance_sort_key(x: Sequence) -> tuple:
     scale is positive, and rho adds the same prefix offset to every key.
     """
     return tuple(accumulate(x))
+
+
+def canonical_form(x: Sequence[int], scale: int) -> tuple:
+    """Linkage invariant of a shifted weight x = mu + rho, given as integer
+    numerators over a common denominator ``scale``.
+
+    Per integrality class (coordinates congruent mod 1 in absolute value,
+    i.e. numerators congruent mod ``scale``): the sorted absolute values,
+    plus the parity of the class's negative-entry count when the class
+    contains no zero (flip parity is a type-D invariant of each integral
+    factor; a zero coordinate absorbs it).  Keys taken at one scale compare.
+    """
+    classes: dict[int, list[int]] = {}
+    for a in x:
+        classes.setdefault(abs(a) % scale, []).append(a)
+    key = []
+    for res in sorted(classes):
+        members = classes[res]
+        abs_sorted = tuple(sorted(abs(a) for a in members))
+        parity = None if 0 in members else sum(1 for a in members if a < 0) % 2
+        key.append((res, abs_sorted, parity))
+    return tuple(key)
+
+
+class Block(NamedTuple):
+    """A linkage class of parabolically dominant weights.
+
+    ``numerators`` holds the members as scale * (mu + rho), sorted
+    compatibly with dominance, and ``positions`` their places in the family
+    table.
+    """
+
+    ctx: WeightContext
+    key: tuple
+    numerators: tuple[Numerators, ...]
+    scale: int
+    positions: tuple[int, ...]
+
+    @property
+    def weights(self) -> tuple[Weight, ...]:
+        """The members mu, read off their numerators (for external readers)."""
+        return tuple(weight_of(x, self.scale) for x in self.numerators)
+
+    @property
+    def is_singleton(self) -> bool:
+        return len(self.numerators) == 1
+
+
+def partition_into_blocks(family: Family) -> list[Block]:
+    """Group family positions by linkage key, blocks in order of first
+    appearance and members dominance-sorted within."""
+    grouped: dict[tuple, list[int]] = {}
+    for i, x in enumerate(family.numerators):
+        grouped.setdefault(canonical_form(x, family.scale), []).append(i)
+    ctx = context_of(family.cfg)
+    blocks = []
+    for key, members in grouped.items():
+        members.sort(key=lambda i: dominance_sort_key(family.numerators[i]))
+        numerators = tuple(family.numerators[i] for i in members)
+        blocks.append(Block(ctx, key, numerators, family.scale, tuple(members)))
+    return blocks

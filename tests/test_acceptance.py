@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from brauer_kl import combinat, oracle, params, pipeline, weights
-from brauer_kl.kl import CanonicalBasisEngine, partition_into_blocks, singular_pairs
+from brauer_kl.kl import CanonicalBasisEngine, singular_pairs
 from verify_routes import (
     BarInvolution,
     has_nonnegative_coeffs,
@@ -187,7 +187,7 @@ def test_ac7_canonical_basis_internals(criterion):
         for r, delta in AC4_RUNS:
             cfg = params.build_config((params.u_from_delta(delta),), r)
             ctx = weights.context_of(cfg)
-            for block in partition_into_blocks(weights.family_table(cfg)):
+            for block in weights.partition_into_blocks(weights.family_table(cfg)):
                 if block.is_singleton:
                     continue
                 if singular_pairs(block.numerators[0]):

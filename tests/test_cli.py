@@ -211,7 +211,7 @@ FAILED_PEEL = {
 
 @pytest.mark.parametrize("argv", list(FAILED_PEEL))
 def test_failed_peel_exits_6_with_one_error_line(capsys, monkeypatch, argv):
-    monkeypatch.setattr(kl, "PINNED_KL_CONVENTION", "direct")
+    monkeypatch.setattr(pipeline, "PINNED_KL_CONVENTION", "direct")
     assert run(capsys, *argv) == (6, "", FAILED_PEEL[argv])
 
 
@@ -232,7 +232,7 @@ def over_the_weight_bound(*args):
     [("decompose", "--k", "1", "--r", "3", "--u", "0"), ("oracle-compare", "--r", "3", "--delta=1")],
 )
 def test_weight_bound_exits_5_with_one_error_line(capsys, monkeypatch, argv):
-    monkeypatch.setattr(pipeline, "tilting_table", over_the_weight_bound)
+    monkeypatch.setattr(kl, "tilting_table", over_the_weight_bound)
     assert run(capsys, *argv) == (
         5, "", "error: canonical-basis recursion touched more than 9 weights\n"
     )
@@ -286,9 +286,11 @@ def test_decompose_imports_no_oracle():
 
 # per command: modules it must not import; hashlib maps OpenSSL, dataclasses
 # pulls in inspect, only a JSON report needs json, only the commands that
-# peel need the KL engine, enumerate labels cells from combinat alone, and
-# --help compiles the CLI module and nothing else of the package
-ENGINE = ("brauer_kl.kl", "brauer_kl.pipeline", "brauer_kl.laurent")
+# peel need the pipeline, only a family with a block of two or more weights
+# needs the KL engine, enumerate labels cells from combinat alone, and --help
+# compiles the CLI module and nothing else of the package
+KL = ("brauer_kl.kl", "brauer_kl.laurent")
+ENGINE = ("brauer_kl.pipeline", *KL)
 PACKAGE_BUT_CLI = tuple(
     "brauer_kl." + name[:-3]
     for name in sorted(os.listdir(os.path.dirname(brauer_kl.__file__)))
@@ -302,11 +304,15 @@ FOOTPRINT = {
     "admissible --k 1 --u 1/3": ("hashlib", "_hashlib", "dataclasses", "inspect", *ENGINE,
                                  "brauer_kl.combinat"),
     "enumerate --k 1 --r 2": (*ENGINE, "brauer_kl.weights", "brauer_kl.params", "fractions"),
+    # generic parameters: every linkage block a singleton, so no engine
+    "decompose --k 1 --r 6 --u 1/3": KL,
+    "oracle-compare --r 4 --delta=3": KL,
 }
 
 
-@pytest.mark.parametrize("command", list(FOOTPRINT))
-def test_command_imports_only_what_it_runs(command):
+def loaded_by(command: str, modules: tuple) -> str:
+    """The stderr of a fresh interpreter that runs ``command`` through
+    ``cli.main``: the sorted list of ``modules`` the command loaded."""
     src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
     code = (
         "import sys\n"
@@ -316,7 +322,7 @@ def test_command_imports_only_what_it_runs(command):
         f"    brauer_kl.cli.main({command.split()!r})\n"
         "except SystemExit:\n"
         "    pass\n"
-        f"print(sorted(m for m in {FOOTPRINT[command]!r} if m in set(sys.modules) - before),\n"
+        f"print(sorted(m for m in {modules!r} if m in set(sys.modules) - before),\n"
         "      file=sys.stderr)\n"
     )
     proc = subprocess.run(
@@ -326,7 +332,17 @@ def test_command_imports_only_what_it_runs(command):
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "[]\n"
+    return proc.stderr
+
+
+@pytest.mark.parametrize("command", list(FOOTPRINT))
+def test_command_imports_only_what_it_runs(command):
+    assert loaded_by(command, FOOTPRINT[command]) == "[]\n"
+
+
+def test_a_linked_block_loads_the_kl_engine():
+    # the peel's import of kl inside its non-singleton branch is reached
+    assert loaded_by("decompose --k 1 --r 3 --u 3/2", KL) == f"{sorted(KL)}\n"
 
 
 def test_decompose_output_is_the_same_under_python_O():
@@ -617,7 +633,7 @@ def test_decompose_builds_each_block_engine_once(capsys, engines_built):
 
 def test_oracle_compare_builds_one_engine_per_block_and_convention(capsys, engines_built):
     cfg = params.build_config((params.u_from_delta(Fraction(1)),), 3)
-    blocks = kl.partition_into_blocks(family_table(cfg))
+    blocks = weights.partition_into_blocks(family_table(cfg))
     non_singleton = sum(not b.is_singleton for b in blocks)
     code, _, _ = run(capsys, "oracle-compare", "--r", "3", "--delta", "1")
     assert code == 0

@@ -23,6 +23,7 @@ from brauer_kl.weights import (
     enumerate_F,
     family_table,
     is_singular,
+    partition_into_blocks,
     shifted_chamber,
     tilde,
     weight_name,
@@ -160,7 +161,7 @@ def test_table_rows_match_the_weights(cfg):
 def test_integer_linkage_key_groups_as_the_fraction_key(cfg):
     family = family_table(cfg)
     weights = reference_family(cfg)
-    blocks = kl.partition_into_blocks(family)
+    blocks = partition_into_blocks(family)
     assert [b.weights for b in blocks] == reference_blocks(weights)
     for b in blocks:
         assert b.weights == tuple(weights[i] for i in b.positions)
@@ -190,7 +191,7 @@ def test_table_flags_match_the_flag_routines(cfg):
 def test_engine_accepts_exactly_its_block(cfg):
     # the engine keys states with the same function, at its own scale
     family = family_table(cfg)
-    blocks = kl.partition_into_blocks(family)
+    blocks = partition_into_blocks(family)
     for block in blocks:
         if block.is_singleton or is_singular(block.numerators[0]):
             continue

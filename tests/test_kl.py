@@ -24,11 +24,14 @@ from brauer_kl.cli import main
 from brauer_kl.laurent import LaurentPoly
 from brauer_kl.params import build_config, extend_parameters, u_from_delta
 from brauer_kl.weights import (
+    Block,
     WeightContext,
+    canonical_form,
     context_of,
     dominance_less,
     dominance_sort_key,
     family_table,
+    partition_into_blocks,
     rho,
 )
 from verify_routes import BarInvolution, delta, lambda_c, numerators, reference_family, shift
@@ -312,17 +315,17 @@ def test_canonical_form_separates_parity_without_zero():
     # (numerators over the common denominator 2)
     plus = (7, 5, 3, 1)
     minus = (7, 5, 3, -1)
-    assert kl.canonical_form(plus, 2) != kl.canonical_form(minus, 2)
+    assert canonical_form(plus, 2) != canonical_form(minus, 2)
     # with a zero token the parity is absorbed
     a = (3, 2, 1, 0)
     b = (3, 2, -1, 0)
     b_sorted = tuple(sorted(b, reverse=True))
-    assert kl.canonical_form(a, 1) == kl.canonical_form(b_sorted, 1)
+    assert canonical_form(a, 1) == canonical_form(b_sorted, 1)
 
 
 def test_canonical_form_groups_by_residue_class():
     x = (5, 4, 2, 1)  # (5/2, 2, 1, 1/2) over the denominator 2
-    key = kl.canonical_form(x, 2)
+    key = canonical_form(x, 2)
     assert len(key) == 2  # one integral class, one half-integral class
     residues = [res for res, _, _ in key]
     assert residues == sorted(residues)
@@ -473,7 +476,7 @@ def test_wall_fold_matches_the_lift_collapse_reference(convention):
     drops, blocks, refused = Counter(), 0, 0
     for u, r in WALL_GRID:
         family = family_table(build_config([F(x) for x in u], r))
-        for block in kl.partition_into_blocks(family):
+        for block in partition_into_blocks(family):
             if block.is_singleton or not kl.singular_pairs(block.numerators[0]):
                 continue
             cores = {}
@@ -525,7 +528,7 @@ def test_tilting_table_values_are_positive(grid, tables, refused):
     counts, values = Counter(), Counter()
     for u, r in grid:
         family = family_table(build_config(u, r))
-        for block in kl.partition_into_blocks(family):
+        for block in partition_into_blocks(family):
             if block.is_singleton:
                 continue
             for convention in ("direct", "mirror"):
@@ -545,9 +548,9 @@ def test_tilting_table_refuses_tied_coordinates():
     # ties two coordinates, and its pair (-1, 1) puts the negative member
     # first; the tie is the refusal
     family = family_table(build_config([F(0), F(0)], 1))
-    (wall,) = [b for b in kl.partition_into_blocks(family) if not b.is_singleton]
+    (wall,) = [b for b in partition_into_blocks(family) if not b.is_singleton]
     # a tie across Levi blocks and no wall pair at all
-    tied = kl.Block(WeightContext(4, (0, 2, 4)), (), ((3, 1, 3, 2), (3, 2, 3, 1)), 1, (0, 1))
+    tied = Block(WeightContext(4, (0, 2, 4)), (), ((3, 1, 3, 2), (3, 2, 3, 1)), 1, (0, 1))
     for block in (wall, tied):
         for convention in ("mirror", "direct"):
             with pytest.raises(kl.UnsupportedBlock) as caught:
@@ -563,7 +566,7 @@ def test_fold_refuses_a_support_with_its_negative_member_first():
     # where the old route's lift failed with "not a wall pair"
     ctx = WeightContext(4, (0, 2, 4))
     x = (2, -2, 3, 1)
-    block = kl.Block(ctx, (), (x,), 1, (0,))
+    block = Block(ctx, (), (x,), 1, (0,))
     for convention in ("mirror", "direct"):
         with pytest.raises(ValueError, match="not a wall pair"):
             reference_wall_table(block, convention, Counter(), {})
@@ -577,7 +580,7 @@ def test_fold_refuses_a_support_with_its_negative_member_first():
 def test_partition_into_blocks_generic_is_singletons():
     cfg = build_config([F(1, 3)], 2)
     family = family_table(cfg)
-    blocks = kl.partition_into_blocks(family)
+    blocks = partition_into_blocks(family)
     assert all(b.is_singleton for b in blocks)
     assert sum(len(b.weights) for b in blocks) == len(family)
 
@@ -585,10 +588,10 @@ def test_partition_into_blocks_generic_is_singletons():
 def test_partition_into_blocks_groups_linked_weights():
     cfg = extend_parameters([F(0)], [10], 3)
     family = family_table(cfg)
-    blocks = kl.partition_into_blocks(family)
+    blocks = partition_into_blocks(family)
     assert any(not b.is_singleton for b in blocks)
     for b in blocks:
-        keys = {kl.canonical_form(family.numerators[i], family.scale) for i in b.positions}
+        keys = {canonical_form(family.numerators[i], family.scale) for i in b.positions}
         assert keys == {b.key}
         assert b.weights == tuple(reference_family(cfg)[i] for i in b.positions)
         assert b.numerators == tuple(family.numerators[i] for i in b.positions)
@@ -623,25 +626,25 @@ def test_kl_table_is_upper_unitriangular_in_dominance():
 
 
 def test_resolve_convention_pin_and_override(monkeypatch):
-    assert kl.resolve_convention("direct") == "direct"
-    assert kl.resolve_convention(None) == kl.PINNED_KL_CONVENTION
-    monkeypatch.setattr(kl, "PINNED_KL_CONVENTION", "direct")
-    assert kl.resolve_convention(None) == "direct"  # the pin is read at call time
-    assert kl.resolve_convention("mirror") == "mirror"
+    assert pipeline.resolve_convention("direct") == "direct"
+    assert pipeline.resolve_convention(None) == pipeline.PINNED_KL_CONVENTION
+    monkeypatch.setattr(pipeline, "PINNED_KL_CONVENTION", "direct")
+    assert pipeline.resolve_convention(None) == "direct"  # the pin is read at call time
+    assert pipeline.resolve_convention("mirror") == "mirror"
     for convention in ("transpose", "Mirror", ""):
         with pytest.raises(ValueError, match="unknown tilting convention"):
-            kl.resolve_convention(convention)
+            pipeline.resolve_convention(convention)
 
 
 def test_pinned_conventions_are_frozen():
-    assert kl.PINNED_KL_CONVENTION == "mirror"
-    assert kl.PINNED_CONJUGATE_CONVENTION == "transpose"
+    assert pipeline.PINNED_KL_CONVENTION == "mirror"
+    assert pipeline.PINNED_CONJUGATE_CONVENTION == "transpose"
 
 
 def test_tilting_table_conventions_are_transposes():
     _, orbit = numerate(D4_INTEGER_TABLE)
     xs = tuple(sorted(orbit, key=dominance_sort_key))
-    block = kl.Block(D4, kl.canonical_form(xs[0], 1), xs, 1, tuple(range(len(xs))))
+    block = Block(D4, canonical_form(xs[0], 1), xs, 1, tuple(range(len(xs))))
     cores = {}
     direct = kl.tilting_table(block, "direct", cores)
     mirror = kl.tilting_table(block, "mirror", cores)
@@ -656,7 +659,7 @@ def test_tilting_table_conventions_are_transposes():
     # the rows outside it, "mirror" keys members alone
     for u, r in (("1/2", 5), ("0,1/2", 3)):
         family = family_table(build_config([F(x) for x in u.split(",")], r))
-        blocks = [b for b in kl.partition_into_blocks(family) if not b.is_singleton]
+        blocks = [b for b in partition_into_blocks(family) if not b.is_singleton]
         assert blocks and not any(kl.singular_pairs(b.numerators[0]) for b in blocks)
         for block in blocks:
             direct = kl.tilting_table(block, "direct", cores)
@@ -678,7 +681,7 @@ def test_singular_reduction_frozen_wall_block():
     family = family_table(cfg)
     wall_blocks = [
         b
-        for b in kl.partition_into_blocks(family)
+        for b in partition_into_blocks(family)
         if not b.is_singleton
         and kl.singular_pairs(tuple(a + c for a, c in zip(b.weights[0], r4)))
     ]
@@ -709,7 +712,7 @@ def test_singular_reduction_rejects_multi_wall_weights():
     d = (2, 1) + (0,) * 14
     mu = tuple(a + s for a, s in zip(lc, d))
     scale = family_table(cfg).scale
-    block = kl.Block(ctx, (), (numerators(mu, scale),), scale, (0,))
+    block = Block(ctx, (), (numerators(mu, scale),), scale, (0,))
     with pytest.raises(ValueError, match="exactly one"):
         kl.singular_reduction_table(block, "mirror", {})
 
@@ -910,7 +913,7 @@ def table_or_refusal(block, convention, cores):
 
 def grid_blocks(u, r):
     family = family_table(build_config([F(x) for x in u], r))
-    return [b for b in kl.partition_into_blocks(family) if not b.is_singleton]
+    return [b for b in partition_into_blocks(family) if not b.is_singleton]
 
 
 @cache
@@ -974,7 +977,7 @@ def memo_keys_pack_back(engine) -> set:
     packed = set()
     for s in engine._b:
         x = engine._numerators(s)
-        if kl.canonical_form(x, engine.scale) == engine.key:
+        if canonical_form(x, engine.scale) == engine.key:
             assert engine._state_id(x) == s, s
             packed.add(s)
     return packed
@@ -1067,7 +1070,7 @@ def test_boundary_input_is_refused():
         lift_from_wall((F(3), F(2), F(1), F(0)), (0, 3), True)
     # two wall weights doubling different values are not one linkage class
     xs = ((3, 1, 0, -3), (2, 1, 0, -2))
-    block = kl.Block(D4, (), xs, 1, (0, 1))
+    block = Block(D4, (), xs, 1, (0, 1))
     with pytest.raises(ValueError, match=r"mixes doubled values \[2, 3\]"):
         kl.singular_reduction_table(block, "mirror", {})
 

@@ -314,7 +314,7 @@ def test_peel_order_disagreement_is_refused(monkeypatch):
 
 def test_peel_errors_name_family_weights_by_cell_label(monkeypatch):
     # with no tilting columns the first weight peeled lacks its unit diagonal
-    monkeypatch.setattr(pipeline, "tilting_table", lambda block, convention, cores: {})
+    monkeypatch.setattr(kl, "tilting_table", lambda block, convention, cores: {})
     with pytest.raises(NegativeResidual) as exc:
         tilting_decomposition(family_table(build_config([u_from_delta(F(1))], 3)))
     assert re.fullmatch(r"tilting column at f\d+:[-\d,|]+ lacks a unit diagonal", str(exc.value))
@@ -323,14 +323,14 @@ def test_peel_errors_name_family_weights_by_cell_label(monkeypatch):
 def test_peel_refuses_a_residual_outside_the_family(monkeypatch):
     # a nonzero table row off the block is refused as soon as the table is
     # read, and named as a tuple of rationals
-    table = pipeline.tilting_table
+    table = kl.tilting_table
 
     def with_outside_row(block, convention, cores):
         top = block.numerators[-1]
         outside = tuple(a - 7 * block.scale for a in top)
         return {(outside, top): -1, **table(block, convention, cores)}
 
-    monkeypatch.setattr(pipeline, "tilting_table", with_outside_row)
+    monkeypatch.setattr(kl, "tilting_table", with_outside_row)
     with pytest.raises(NegativeResidual, match=r"escapes the weight family at \((-?[\d/]+,)+-?[\d/]+\)$"):
         tilting_decomposition(family_table(build_config([u_from_delta(F(1))], 3)))
 
@@ -345,7 +345,7 @@ def test_unsupported_block_names_a_member_by_its_cell_label(monkeypatch, member)
         weight = top if member else tuple(a - 7 * block.scale for a in top)
         raise kl.UnsupportedBlock(weight, "refused", "(kl's name)")
 
-    monkeypatch.setattr(pipeline, "tilting_table", refuse)
+    monkeypatch.setattr(kl, "tilting_table", refuse)
     with pytest.raises(kl.UnsupportedBlock) as caught:
         tilting_decomposition(family_table(build_config([u_from_delta(F(1))], 3)))
     named = r"refused at f\d+:[-\d,|]+" if member else r"refused at \(kl's name\)"

@@ -207,6 +207,25 @@ def test_the_oracle_side_imports_no_kl_side_module():
     }
 
 
+def module_level_imports(tree: ast.Module) -> set[str]:
+    """The package modules that the module body of ``tree`` imports, not
+    counting an import inside a function or class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    top = [node for node in tree.body if not isinstance(node, defs)]
+    return set().union(*map(package_imports, top))
+
+
+def test_pipeline_imports_kl_only_inside_a_function():
+    # every command that peels imports pipeline; the engine loads only for
+    # a family with a block of two or more weights
+    sample = "from .weights import x\ndef f():\n    from .kl import y\n"
+    assert module_level_imports(ast.parse(sample)) == {"weights"}
+    path = Path(brauer_kl.__file__).parent / "pipeline.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "kl" in package_imports(tree)
+    assert "kl" not in module_level_imports(tree)
+
+
 def element_reads(tree: ast.AST) -> list[int]:
     """The lines of ``tree`` that call an ``_element`` method, outside the
     class ``CanonicalBasisEngine`` that defines it."""
