@@ -203,7 +203,7 @@ def cmd_kl_selftest(args: argparse.Namespace) -> int:
             return f"{len(mismatches)} walk step(s) fail the content cross-check"
 
     def peel(cfg, table):
-        pipeline.tilting_decomposition(table)  # raises if the tie order matters
+        pipeline.tilting_decomposition(table)  # raises if a column reaches above its weight
 
     failures = 0
     for u_text, r in SELFTEST_BATTERY:

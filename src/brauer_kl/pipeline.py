@@ -12,14 +12,14 @@ read off the table.  Both KL conventions may read one family: their tables
 share its cores, so each canonical basis element is computed once.  The
 convention pins live here; only a block of two or more weights imports ``kl``.
 
-Exactness is enforced, not assumed: the peel keeps an integer residual ledger
-over every weight it touches and raises ``NegativeResidual`` the moment the
-bookkeeping would need a negative multiplicity, and the final residual must
-vanish identically.  Saturation of the weight family (no linkage escaping
-through cross-block hyperplanes) holds automatically when the chamber weight
-pairs non-integrally with all cross-block roots; otherwise the caller must
-opt in via ``assume_saturated`` or the report is refused with
-``SaturationNotEstablished``.
+Exactness is enforced, not assumed: the peel passes once down each block's
+member order over an integer residual ledger and raises ``NegativeResidual``
+the moment the bookkeeping would need a negative multiplicity; a table entry
+above its column is refused first, so the residual ends at zero.  Saturation
+of the weight family (no linkage escaping through cross-block hyperplanes)
+holds automatically when the chamber weight pairs non-integrally with all
+cross-block roots; otherwise the caller must opt in via ``assume_saturated``
+or the report is refused with ``SaturationNotEstablished``.
 
 Off the report path, ``content_mismatches`` (run by ``kl-selftest``) checks
 that tableau contents equal the Casimir scalars of the weight walk, once per
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import combinat, weights
 from .combinat import family_label, level_label
@@ -39,8 +39,6 @@ from .params import ParamConfig, phiA_condition, simple_param_condition
 from .weights import (
     Block,
     Family,
-    Numerators,
-    dominance_less,
     dominance_sort_key,
     is_singular,
     partition_into_blocks,
@@ -148,70 +146,52 @@ class DecompositionResult(NamedTuple):
     blocks: list[Block]
 
 
-def _greedy_peel(
+def _peel(
     residual: dict[int, int],
+    order: Iterable[int],
     column: Callable[[int], dict[int, int]],
     check: Callable[[int, int], None],
-    numerators: Sequence[Numerators],
-    scale: int,
-    reverse_ties: bool = False,
 ) -> dict[int, int]:
-    """Greedy descent shared by the tilting peel and the simple dimensions.
+    """One pass down a unitriangular system: the tilting peel and the
+    simple dimensions.
 
-    Repeatedly take a dominance-maximal id with nonzero residual m, let
-    ``check(id, m)`` refuse it, record m, and subtract m copies of
-    ``column(id)``.  An id is a family position, ``numerators[id]`` its
-    weight as numerators over ``scale``, and every row of a column is an id
-    of ``residual``.  The sort key extends dominance linearly, so the live
-    id with the largest key is maximal; ``reverse_ties`` instead scans for
-    the maximal set and takes its smallest key, a different maximal element
-    when several are incomparable.  Each id's sort key is computed once.
-    Returns the recorded multiplicities.
+    At each id of ``order`` with nonzero residual m, let ``check(id, m)``
+    refuse it, record m, and subtract m copies of ``column(id)``.  An id is
+    a family position, ``order`` runs down a linear extension of dominance,
+    and each column is 1 at its own id and 0 above it, so no visited id is
+    touched again and the residual ends at zero.  Returns the recorded
+    multiplicities.
     """
     residual = dict(residual)
-    keys = {i: dominance_sort_key(numerators[i]) for i in residual}
     out: dict[int, int] = {}
-    while True:
-        live = [i for i, val in residual.items() if val != 0]
-        if not live:
-            return out
-        if reverse_ties:
-            maximal = [
-                c
-                for c in live
-                if not any(
-                    dominance_less(numerators[c], numerators[d], scale) for d in live if d != c
-                )
-            ]
-            top = min(maximal, key=keys.__getitem__)
-        else:
-            top = max(live, key=keys.__getitem__)
+    for top in order:
         m = residual[top]
-        check(top, m)
-        out[top] = m
-        for i, val in column(top).items():
-            residual[i] -= m * val
+        if m:
+            check(top, m)
+            out[top] = m
+            for i, val in column(top).items():
+                residual[i] -= m * val
+    return out
 
 
 def tilting_decomposition(family: Family, convention: str | None = None) -> DecompositionResult:
     """Peel the standard-flagged module into indecomposable tilting summands.
 
     Each non-singleton linkage block's tilting table is built once and
-    peeled by greedy descent: repeatedly take a dominance-maximal weight with
-    nonzero residual, record its multiplicity, and subtract that many copies
-    of the corresponding tilting column.  The same table is then peeled again
-    with incomparable ties broken the other way; the two peels must agree,
-    or ``NegativeResidual`` is raised.  ``convention`` None uses the frozen
-    pin, and a name other than ``"direct"`` or ``"mirror"`` is a
-    ``ValueError``; the tables take it as resolved here.  Only non-singleton
-    blocks reach ``kl.tilting_table``, which reads a wall block off its
-    regular companion; the engines of one Coxeter shape share one core of
-    ``family.cores``.  A block's table, keyed by numerators and holding
-    nonzero values only, is read into family positions through one
-    block-local dict, and an entry whose row is not a member is refused as
-    it is read: only a ``"direct"`` table has one, and its entries are
-    positive (antispherical KL polynomials have nonnegative coefficients),
-    so no peel could cancel it.
+    peeled by one pass of ``_peel`` down the block's member order, from the
+    top.  A canonical basis element is unitriangular, so each column is 1 on
+    its own weight and 0 above it, and the pass has one result.
+    ``convention`` None uses the frozen pin, and a name other than
+    ``"direct"`` or ``"mirror"`` is a ``ValueError``; the tables take it as
+    resolved here.  Only non-singleton blocks reach ``kl.tilting_table``,
+    which reads a wall block off its regular companion; the engines of one
+    Coxeter shape share one core of ``family.cores``.  A block's table,
+    keyed by numerators and holding nonzero values only, is read into family
+    positions through one block-local dict.  A row that is not a member is
+    refused as it is read: only a ``"direct"`` table has one, and its
+    entries are positive (antispherical KL polynomials have nonnegative
+    coefficients), so no peel could cancel it.  Once every row is read, a
+    row above its column in the member order is refused.
     """
     convention = resolve_convention(convention)
     flag = family.flag
@@ -252,16 +232,16 @@ def tilting_decomposition(family: Family, convention: str | None = None) -> Deco
                 where = weight_name(lam, family.scale)
                 raise NegativeResidual(f"residual escapes the weight family at {where}")
             columns.setdefault(position[mu], {})[position[lam]] = val
+        rank = {x: j for j, x in enumerate(block.numerators)}
+        for lam, mu in table:
+            if rank[lam] > rank[mu]:
+                where = f"{name(position[mu])} reaches above it at {name(position[lam])}"
+                raise NegativeResidual(f"tilting column at {where}")
         residual = {i: flag[i] for i in block.positions}
-        column = columns.__getitem__
-        peel = (residual, column, check, family.numerators, family.scale)
-        peeled = _greedy_peel(*peel)
-        if _greedy_peel(*peel, reverse_ties=True) != peeled:
-            raise NegativeResidual("peel order changed the tilting multiplicities")
-        n_out.update(peeled)
+        n_out.update(_peel(residual, reversed(block.positions), columns.__getitem__, check))
     return DecompositionResult(
         family=family,
-        multiplicities={i: n_out[i] for i in sorted(n_out) if n_out[i]},
+        multiplicities={i: n_out[i] for i in sorted(n_out)},
         columns=columns,
         blocks=blocks,
     )
@@ -273,9 +253,11 @@ def simple_dimensions(result: DecompositionResult) -> dict[int, int]:
     The level-k cell module at a tail-free weight has dimension equal to the
     level-k walk count, and its composition factors are counted by the
     level-truncated decomposition matrix, so the simple dimensions solve
-    ``truncated_flag = matrix_level * dims`` by the same greedy descent as
-    the tilting peel.  Only meaningful when ``r`` is odd or some ``omega_i``
-    is nonzero; the report suppresses this block otherwise.
+    ``truncated_flag = matrix_level * dims`` by the tilting peel's one pass,
+    run down all level positions sorted by ``dominance_sort_key`` from the
+    top, so a negative dimension is named at the largest key first.  Only
+    meaningful when ``r`` is odd or some ``omega_i`` is nonzero; the report
+    suppresses this block otherwise.
     """
     family = result.family
     flag = family.level_flag
@@ -290,7 +272,8 @@ def simple_dimensions(result: DecompositionResult) -> dict[int, int]:
     def column(top: int) -> dict[int, int]:
         return {i: v for i, v in result.columns[top].items() if i in flag}
 
-    return _greedy_peel(flag, column, check, family.numerators, family.scale)
+    order = sorted(flag, key=lambda i: dominance_sort_key(family.numerators[i]), reverse=True)
+    return _peel(flag, order, column, check)
 
 
 # -- report assembly -------------------------------------------------------
@@ -317,14 +300,13 @@ def decomposition_report(
 ) -> dict:
     """Full decomposition report of a family table, as a JSON-serializable dict.
 
-    Runs :func:`tilting_decomposition` once (its tie-order check included)
-    and reads both matrices and the simple dimensions off that one result,
-    with every label read off the family table by position.  ``convention``
-    None uses the frozen pin; the conjugate convention only labels the
-    report, which carries the frozen one.  Raises ``SaturationNotEstablished``
-    when the chamber weight admits integral cross-block pairings and the
-    caller did not waive the check, and ``NegativeResidual`` when the peel
-    fails.
+    Runs :func:`tilting_decomposition` once and reads both matrices and the
+    simple dimensions off that one result, with every label read off the
+    family table by position.  ``convention`` None uses the frozen pin; the
+    conjugate convention only labels the report, which carries the frozen
+    one.  Raises ``SaturationNotEstablished`` when the chamber weight admits
+    integral cross-block pairings and the caller did not waive the check,
+    and ``NegativeResidual`` when the peel fails.
     """
     convention = resolve_convention(convention)
     cfg = family.cfg

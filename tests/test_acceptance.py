@@ -11,7 +11,7 @@ terminal (capture is bypassed) so the verdict is visible in any pytest mode:
   AC-4  oracle pinning: a unique convention pair reconciles every diagram run
   AC-5  bijections and the truncated-flag count identity
   AC-6  content consistency per walk-graph edge (tableau contents = Casimir scalars)
-  AC-7  canonical-basis internals: bar-invariance, positivity, stable peel
+  AC-7  canonical-basis internals: bar-invariance, positivity, unitriangular peel
 """
 
 import random
@@ -183,7 +183,7 @@ def test_ac6_content_consistency(criterion):
 
 
 def test_ac7_canonical_basis_internals(criterion):
-    with criterion("AC-7", "bar-invariant nonnegative canonical bases and an order-independent peel"):
+    with criterion("AC-7", "bar-invariant nonnegative canonical bases and a unitriangular peel"):
         for r, delta in AC4_RUNS:
             cfg = params.build_config((params.u_from_delta(delta),), r)
             ctx = weights.context_of(cfg)
@@ -201,5 +201,5 @@ def test_ac7_canonical_basis_internals(criterion):
                         assert has_nonnegative_coeffs(p)
                         if z != x:
                             assert p.in_positive_part()  # off-diagonal in v*Z[v]
-            # the peel runs both tie orders itself and raises if they disagree
+            # the peel refuses a tilting column that reaches above its weight
             pipeline.tilting_decomposition(weights.family_table(cfg))

@@ -12,7 +12,7 @@ from math import factorial, prod
 import pytest
 
 from brauer_kl import kl, pipeline, weights
-from brauer_kl.combinat import LambdaIndex, enumerate_lambda, level_label, transpose
+from brauer_kl.combinat import LambdaIndex, enumerate_lambda, family_label, level_label, transpose
 from brauer_kl.params import build_config, extend_parameters, omega_series, u_from_delta
 from brauer_kl.pipeline import (
     NegativeResidual,
@@ -190,46 +190,22 @@ def test_generic_k1_r2_simple_dimensions_are_ones():
     assert set(dims) == {i for i, mu in enumerate(reference_family(cfg)) if in_F_rk(mu, cfg)}
 
 
-def test_forward_peel_makes_no_dominance_scan(monkeypatch):
-    # generic parameters: every block is a singleton, so only the simple
-    # dimensions peel, forward only; the largest sort key is maximal
-    result = tilting_decomposition(family_table(build_config([F(1, 5), F(9, 7)], 2)))
-    calls = []
-    less = pipeline.dominance_less
-    monkeypatch.setattr(
-        pipeline, "dominance_less", lambda *args: calls.append(args) or less(*args)
-    )
-    assert len(simple_dimensions(result)) > 1
-    assert calls == []
-
-
 def test_peel_computes_each_sort_key_once(monkeypatch):
-    # B_3(1) has non-singleton blocks; each block is peeled forward and with
-    # ties reversed, and each peel keys every weight it meets exactly once
-    result = tilting_decomposition(family_table(build_config([u_from_delta(F(1))], 3)))
-    (block, *_) = [b for b in result.blocks if not b.is_singleton]
-    nums, scale = result.family.numerators, result.family.scale
-    residual = {i: result.family.flag[i] for i in block.positions}
+    # the tilting peel passes down each block's member order, which
+    # partition_into_blocks sorted, so it keys no weight; the simple
+    # dimensions sort the level positions once, one key per position
     keyed = []
     key = pipeline.dominance_sort_key
     monkeypatch.setattr(
         pipeline, "dominance_sort_key", lambda d: keyed.append(d) or key(d)
     )
-    for reverse_ties in (False, True):
+    for u in ([u_from_delta(F(1))], [F(1, 5), F(9, 7)]):  # linked blocks; generic
         keyed.clear()
-        peeled = pipeline._greedy_peel(
-            residual, result.columns.__getitem__, lambda i, m: None, nums, scale, reverse_ties
-        )
-        met = set(residual).union(*(result.columns[i] for i in peeled))
-        assert len(peeled) > 1
-        assert sorted(keyed) == sorted(nums[i] for i in met)
-    # generic parameters: the simple dimensions' one peel, 2 keys per weight
-    # before, one now
-    result = tilting_decomposition(family_table(build_config([F(1, 5), F(9, 7)], 2)))
-    keyed.clear()
-    dims = simple_dimensions(result)
-    assert len(dims) > 1
-    assert len(keyed) == len(set(keyed)) == len(result.family.level_flag)
+        result = tilting_decomposition(family_table(build_config(u, 3)))
+        assert keyed == []
+        assert len(simple_dimensions(result)) > 1
+        level = [result.family.numerators[i] for i in result.family.level_flag]
+        assert sorted(keyed) == sorted(level)
 
 
 @pytest.mark.parametrize(
@@ -285,33 +261,6 @@ def test_delta_one_r3_tilting_multiplicities_frozen():
     assert labeled == FROZEN_TILTING_DELTA1_R3
 
 
-def test_peel_is_order_independent(monkeypatch):
-    # one call peels every non-singleton block's table with both tie orders
-    peel = pipeline._greedy_peel
-    peels = {False: [], True: []}
-
-    def recording(*args, reverse_ties=False):
-        out = peel(*args, reverse_ties=reverse_ties)
-        peels[reverse_ties].append(out)
-        return out
-
-    monkeypatch.setattr(pipeline, "_greedy_peel", recording)
-    tilting_decomposition(family_table(build_config([u_from_delta(F(1))], 3)))
-    assert peels[False] and peels[False] == peels[True]
-
-
-def test_peel_order_disagreement_is_refused(monkeypatch):
-    peel = pipeline._greedy_peel
-
-    def skewed(*args, reverse_ties=False):
-        out = peel(*args, reverse_ties=reverse_ties)
-        return {mu: m + 1 for mu, m in out.items()} if reverse_ties else out
-
-    monkeypatch.setattr(pipeline, "_greedy_peel", skewed)
-    with pytest.raises(NegativeResidual, match="peel order changed"):
-        tilting_decomposition(family_table(build_config([u_from_delta(F(1))], 3)))
-
-
 def test_peel_errors_name_family_weights_by_cell_label(monkeypatch):
     # with no tilting columns the first weight peeled lacks its unit diagonal
     monkeypatch.setattr(kl, "tilting_table", lambda block, convention, cores: {})
@@ -333,6 +282,32 @@ def test_peel_refuses_a_residual_outside_the_family(monkeypatch):
     monkeypatch.setattr(kl, "tilting_table", with_outside_row)
     with pytest.raises(NegativeResidual, match=r"escapes the weight family at \((-?[\d/]+,)+-?[\d/]+\)$"):
         tilting_decomposition(family_table(build_config([u_from_delta(F(1))], 3)))
+
+
+def test_a_column_reaching_above_its_weight_is_refused(monkeypatch):
+    # a column at a block's lowest member with a row at its top member
+    # breaks the unitriangular shape the one-pass peel relies on
+    table = kl.tilting_table
+
+    def with_row_above(escape):
+        def tilting(block, convention, cores):
+            low, top = block.numerators[0], block.numerators[-1]
+            rows = {(tuple(a - 7 * block.scale for a in top), top): -1} if escape else {}
+            return {(top, low): 1, **table(block, convention, cores), **rows}
+
+        return tilting
+
+    monkeypatch.setattr(kl, "tilting_table", with_row_above(False))
+    family = family_table(build_config([u_from_delta(F(1))], 3))
+    (block, *_) = [b for b in weights.partition_into_blocks(family) if not b.is_singleton]
+    low, top = (family_label(family.labels[i]) for i in (block.positions[0], block.positions[-1]))
+    with pytest.raises(NegativeResidual) as exc:
+        tilting_decomposition(family)
+    assert str(exc.value) == f"tilting column at {low} reaches above it at {top}"
+    # a row outside the block is refused first, even one read after it
+    monkeypatch.setattr(kl, "tilting_table", with_row_above(True))
+    with pytest.raises(NegativeResidual, match="^residual escapes the weight family at"):
+        tilting_decomposition(family)
 
 
 @pytest.mark.parametrize("member", [True, False], ids=["member", "outside"])

@@ -251,3 +251,32 @@ def test_kl_reads_elements_for_tables_at_one_site():
     assert element_reads(ast.parse(sample)) == [4]
     path = Path(brauer_kl.__file__).parent / "kl.py"
     assert len(element_reads(ast.parse(path.read_text(), filename=str(path)))) == 1
+
+
+def peeling_functions(tree: ast.Module) -> list[str]:
+    """The top-level functions of ``tree`` that subtract in place from an
+    item (``x[i] -= ...``), the step of a peel."""
+    return [
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        if any(
+            isinstance(node, ast.AugAssign)
+            and isinstance(node.op, ast.Sub)
+            and isinstance(node.target, ast.Subscript)
+            for node in ast.walk(fn)
+        )
+    ]
+
+
+def test_pipeline_peels_in_one_function_with_no_dominance_test():
+    # each tilting column is unitriangular in its block's member order, so
+    # one pass down that order peels it: no dominance scan, one routine
+    sample = "def f(r):\n    r[0] -= 1\ndef g(r):\n    r -= 1\n    r[0] += 1\n"
+    assert peeling_functions(ast.parse(sample)) == ["f"]
+    path = Path(brauer_kl.__file__).parent / "pipeline.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = names_used(tree)
+    assert (used["dominance_less"], used["dominance_leq"]) == (0, 0)
+    assert used["dominance_sort_key"] > 0
+    assert peeling_functions(tree) == ["_peel"]
