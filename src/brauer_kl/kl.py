@@ -60,9 +60,10 @@ of those two tokens alone.  :func:`tilting_table` reads every non-singleton
 block along that one path: a regular block is its own companion, read with
 no fold.  A refusal names its weight as mu through ``weights.weight_name``.
 
-The linkage blocks come from ``weights.partition_into_blocks`` and the
-convention pins from ``pipeline``: the peel imports this module only for a
-block of two or more weights, so a generic family never loads it.
+The linkage blocks come from the family (``weights.Family.blocks``), each
+engine's integrality classes from its linkage key (``weights.canonical_form``)
+and the convention pins from ``pipeline``: the peel imports this module only
+for a block of two or more weights, so a generic family never loads it.
 """
 
 from __future__ import annotations
@@ -159,9 +160,10 @@ class CanonicalBasisEngine:
     """Lazy, memoized canonical-basis computation on one linkage class.
 
     All weights handled by one engine must share a canonical form; the token
-    set, integrality classes, and generator list are computed once from a
-    seed and reused.  The seed and every weight passed in or out are
-    numerator tuples scale * (mu + rho) at the one ``scale`` given here.
+    set and generator list are computed once from a seed and reused, the
+    integrality classes read off the seed's key (``weights.canonical_form``).
+    The seed and every weight passed in or out are numerator tuples
+    scale * (mu + rho) at the one ``scale`` given here.
     The engine keeps that codec to packed states; its element memo is the
     core its shape keys in the store ``cores``, and ``MAX_WEIGHTS`` bounds
     the elements of the whole core.  The core reads no token value, so it
@@ -176,22 +178,21 @@ class CanonicalBasisEngine:
                 f"seed weight is singular (repeated |value|): {weight_name(seed, scale)}"
             )
         self.tokens = tokens = tuple(sorted((abs(a) for a in seed), reverse=True))
+        self._index = index = {t: i for i, t in enumerate(tokens)}
         self.key = canonical_form(seed, scale)
-        classes: dict[int, list[int]] = {}
-        for i, t in enumerate(tokens):  # descending
-            classes.setdefault(t % scale, []).append(i)
+        # the key's integrality classes, as falling token indices, largest first
+        classes = sorted([index[t] for t in reversed(values)] for _, values, _ in self.key)
         # generators per integrality class: magnitude-adjacent swaps plus the
         # class's negating node on its two smallest tokens
         moves = []
-        for cls in classes.values():
+        for cls in classes:
             moves.extend(TokenMove(hi, lo, False) for hi, lo in zip(cls, cls[1:]))
             if len(cls) >= 2:
                 moves.append(TokenMove(cls[-2], cls[-1], True))
         self.moves: tuple[TokenMove, ...] = tuple(moves)
         # the zero token's hidden sign completes its class to even flip parity
-        zero = next((tuple(c) for c in classes.values() if tokens[c[-1]] == 0), None)
+        zero = next((tuple(c) for c in classes if tokens[c[-1]] == 0), None)
         self._zero_class = zero
-        self._index = {t: i for i, t in enumerate(tokens)}
         # bits per token code, 2 * Levi block + sign <= 2k - 1
         self._width = (2 * ctx.k - 1).bit_length()
         self._mask = (1 << self._width) - 1

@@ -422,9 +422,6 @@ def oracle_decomposition_matrix(r: int, delta: Fraction) -> OracleMatrix:
     for lab in cols:
         cell = cells[lab]
         rad = nullspace(grams[lab])
-        if not rad:
-            chi_D[lab] = chi_C[lab]
-            continue
         supports = [[(i, x) for i, x in enumerate(vec) if x] for vec in rad]
         free = [support[-1][0] for support in supports]
         for g in generators(r):

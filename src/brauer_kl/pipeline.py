@@ -1,16 +1,18 @@
 """End-to-end decomposition pipeline.
 
 The chain starts from a family table (``weights.family_table``: labels,
-integer numerators, standard-flag multiplicities and the engine-core
-store), which the command builds once from its parameters: run the
-canonical-basis engine per non-singleton linkage class on the family's
-cores, peel the flagged module into indecomposable tilting summands, and
-assemble the decomposition matrices — the full one (rows the whole family)
-and the level-truncated one (rows and columns with empty tail parts).  The
-peel, the matrices and the report are keyed by family position; labels are
-read off the table.  Both KL conventions may read one family: their tables
-share its cores, so each canonical basis element is computed once.  The
-convention pins live here; only a block of two or more weights imports ``kl``.
+integer numerators, standard-flag multiplicities, the linkage blocks,
+partitioned once, and the engine-core store), which the command builds
+once from its parameters: run the canonical-basis engine per non-singleton
+block on the family's cores, peel every block, along one path, into
+indecomposable tilting summands, and assemble the decomposition matrices —
+the full one (rows the whole family) and the level-truncated one (rows and
+columns with empty tail parts).  The peel, the matrices and the report
+are keyed by family position; labels are read off the table.  Both KL
+conventions may read one family: they share its blocks and cores, so the
+family is partitioned once and each canonical basis element is computed
+once.  The convention pins live here; only a block of two or more weights
+imports ``kl``.
 
 Exactness is enforced, not assumed: the peel passes once down each block's
 member order over an integer residual ledger and raises ``NegativeResidual``
@@ -36,15 +38,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from . import combinat, weights
 from .combinat import family_label, level_label
 from .params import ParamConfig, phiA_condition, simple_param_condition
-from .weights import (
-    Block,
-    Family,
-    dominance_sort_key,
-    is_singular,
-    partition_into_blocks,
-    shifted_chamber,
-    weight_name,
-)
+from .weights import Family, dominance_sort_key, is_singular, shifted_chamber, weight_name
 
 
 # Frozen by the level-one diagram-algebra cross-check (k = 1, r <= 3,
@@ -137,13 +131,12 @@ class DecompositionResult(NamedTuple):
     matrix column.  ``multiplicities`` holds the nonzero multiplicities in
     position order; its keys are the support, and each has a column with
     diagonal entry 1 (a singleton's is {mu: 1}).  No key lies past the
-    family's end.
+    family's end.  The linkage blocks are the family's (``Family.blocks``).
     """
 
     family: Family
     multiplicities: dict[int, int]
     columns: dict[int, dict[int, int]]
-    blocks: list[Block]
 
 
 def _peel(
@@ -177,10 +170,12 @@ def _peel(
 def tilting_decomposition(family: Family, convention: str | None = None) -> DecompositionResult:
     """Peel the standard-flagged module into indecomposable tilting summands.
 
-    Each non-singleton linkage block's tilting table is built once and
-    peeled by one pass of ``_peel`` down the block's member order, from the
-    top.  A canonical basis element is unitriangular, so each column is 1 on
-    its own weight and 0 above it, and the pass has one result.
+    Every linkage block of ``family.blocks`` is peeled by one pass of
+    ``_peel`` down its member order, from the top, block by block: a
+    singleton's column is {i: 1}, and a linked block's tilting table is
+    built once, read and checked before its peel.  A canonical basis element
+    is unitriangular, so each column is 1 on its own weight and 0 above it,
+    and the pass has one result.
     ``convention`` None uses the frozen pin, and a name other than
     ``"direct"`` or ``"mirror"`` is a ``ValueError``; the tables take it as
     resolved here.  Only non-singleton blocks reach ``kl.tilting_table``,
@@ -195,7 +190,6 @@ def tilting_decomposition(family: Family, convention: str | None = None) -> Deco
     """
     convention = resolve_convention(convention)
     flag = family.flag
-    blocks = partition_into_blocks(family)
     n_out: dict[int, int] = {}
     columns: dict[int, dict[int, int]] = {}
 
@@ -208,42 +202,37 @@ def tilting_decomposition(family: Family, convention: str | None = None) -> Deco
         if columns.get(top, {}).get(top) != 1:
             raise NegativeResidual(f"tilting column at {name(top)} lacks a unit diagonal")
 
-    for block in blocks:
+    for block in family.blocks:
         if block.is_singleton:
             (i,) = block.positions
-            if flag[i] < 0:
-                raise NegativeResidual(f"negative flag multiplicity at {name(i)}")
-            if flag[i]:
-                n_out[i] = flag[i]
             columns[i] = {i: 1}
-            continue
-        from .kl import UnsupportedBlock, tilting_table  # only a linked block loads the engine
+        else:
+            from .kl import UnsupportedBlock, tilting_table  # only a linked block loads the engine
 
-        position = dict(zip(block.numerators, block.positions))
-        try:
-            table = tilting_table(block, convention, family.cores)
-        except UnsupportedBlock as exc:  # name a member by its cell label
-            if exc.weight not in position:
-                raise  # kl named the weight by its numerators
-            raise UnsupportedBlock(exc.weight, exc.reason, name(position[exc.weight])) from None
-        # linkage blocks touch disjoint weights: their columns never collide
-        for (lam, mu), val in table.items():
-            if lam not in position:
-                where = weight_name(lam, family.scale)
-                raise NegativeResidual(f"residual escapes the weight family at {where}")
-            columns.setdefault(position[mu], {})[position[lam]] = val
-        rank = {x: j for j, x in enumerate(block.numerators)}
-        for lam, mu in table:
-            if rank[lam] > rank[mu]:
-                where = f"{name(position[mu])} reaches above it at {name(position[lam])}"
-                raise NegativeResidual(f"tilting column at {where}")
+            position = dict(zip(block.numerators, block.positions))
+            try:
+                table = tilting_table(block, convention, family.cores)
+            except UnsupportedBlock as exc:  # name a member by its cell label
+                if exc.weight not in position:
+                    raise  # kl named the weight by its numerators
+                raise UnsupportedBlock(exc.weight, exc.reason, name(position[exc.weight])) from None
+            # linkage blocks touch disjoint weights: their columns never collide
+            for (lam, mu), val in table.items():
+                if lam not in position:
+                    where = weight_name(lam, family.scale)
+                    raise NegativeResidual(f"residual escapes the weight family at {where}")
+                columns.setdefault(position[mu], {})[position[lam]] = val
+            rank = {x: j for j, x in enumerate(block.numerators)}
+            for lam, mu in table:
+                if rank[lam] > rank[mu]:
+                    where = f"{name(position[mu])} reaches above it at {name(position[lam])}"
+                    raise NegativeResidual(f"tilting column at {where}")
         residual = {i: flag[i] for i in block.positions}
         n_out.update(_peel(residual, reversed(block.positions), columns.__getitem__, check))
     return DecompositionResult(
         family=family,
         multiplicities={i: n_out[i] for i in sorted(n_out)},
         columns=columns,
-        blocks=blocks,
     )
 
 
@@ -318,7 +307,7 @@ def decomposition_report(
         )
     result = tilting_decomposition(family, convention)
     # members of a block share their |values|: one test per block
-    singular = [b for b in result.blocks if is_singular(b.numerators[0])]
+    singular = [b for b in family.blocks if is_singular(b.numerators[0])]
     names = [family_label(idx) for idx in family.labels]
     rows_full = range(len(family))
     cols_full = list(result.multiplicities)
@@ -332,7 +321,7 @@ def decomposition_report(
         "phiA_ok": phi_ok,
         "r_parity": cfg.r % 2,
         "saturated": phi_ok or assume_saturated,
-        "generic": all(b.is_singleton for b in result.blocks),
+        "generic": all(b.is_singleton for b in family.blocks),
         "singular_blocks": [names[i] for b in singular for i in b.positions],
         "singular_reduced": [
             "singular: reduced " + "+".join(names[i] for i in b.positions)

@@ -15,11 +15,12 @@ over pairs of parameters.  The weight family F_r of a configuration is one
 integer table, :class:`Family`, built once per ``decompose`` or
 ``oracle-compare`` command (``kl-selftest`` builds its check tables apart):
 per position a cell label and its flag, both read off one level-2k walk table,
-the numerators, off which linkage blocks, singularity and dominance are read,
-and the engine-core store that both KL conventions' tables share.  The same
-tuples run through the canonical-basis engine, its tables and the peel; any
-weight reached there, in the family or not, is such a tuple, and
-:func:`weight_of` turns one back into mu (:func:`weight_name` for a message).
+the numerators, off which singularity and dominance are read, the linkage
+blocks, partitioned once when the table is built, and the engine-core store
+that both KL conventions' tables share.  The same tuples run through the
+canonical-basis engine, its tables and the peel; any weight reached there,
+in the family or not, is such a tuple, and :func:`weight_of` turns one back
+into mu (:func:`weight_name` for a message).
 
 Conventions:
 
@@ -37,7 +38,8 @@ to parameter disjointness.
 Blocks are linkage classes: weights sharing, per integrality class of the
 token values, the multiset of absolute values of x = mu + rho together with
 the negative-entry parity when the class has no zero token
-(:func:`canonical_form`); only a block of two or more weights reaches ``kl``.
+(:func:`canonical_form`, the one such grouping: the engine reads its classes
+off this key); only a block of two or more weights reaches ``kl``.
 """
 
 from __future__ import annotations
@@ -229,13 +231,14 @@ class Family:
     off the same table.  ``level_flag`` maps the positions of F_{r,k} (empty
     tails), in order, to the truncated flag: the level-k walks to the head
     shape, since a walk whose tails stay empty is a walk on the heads alone.
-    ``cores`` is the family's engine-core store, one core per Coxeter shape,
-    which every tilting table read off the family shares, under either KL
-    convention.  ``len()`` is the family size, which is why this is not a
-    ``NamedTuple``.
+    ``blocks`` is its linkage blocks, partitioned once, on construction
+    (:func:`partition_into_blocks`).  ``cores`` is the family's engine-core
+    store, one core per Coxeter shape, which every tilting table read off
+    the family shares, under either KL convention.  ``len()`` is the family
+    size, which is why this is not a ``NamedTuple``.
     """
 
-    __slots__ = ("cfg", "labels", "scale", "numerators", "flag", "level_flag", "cores")
+    __slots__ = ("cfg", "labels", "scale", "numerators", "flag", "level_flag", "blocks", "cores")
 
     def __init__(
         self,
@@ -248,6 +251,7 @@ class Family:
     ):
         self.cfg, self.labels, self.scale, self.numerators = cfg, labels, scale, numerators
         self.flag, self.level_flag = flag, level_flag
+        self.blocks = partition_into_blocks(self)
         self.cores: dict = {}
 
     def __len__(self) -> int:

@@ -640,6 +640,27 @@ def test_oracle_compare_builds_one_engine_per_block_and_convention(capsys, engin
     assert 0 < engines_built[0] <= 2 * non_singleton
 
 
+@pytest.mark.parametrize(
+    "argv", ["oracle-compare --r 4 --delta=1", "decompose --k 1 --r 3 --u 3/2"]
+)
+def test_a_command_partitions_its_family_once(capsys, monkeypatch, argv):
+    # both KL readings of oracle-compare read the one family's blocks; every
+    # module binding of the function is counted, as the benchmark tracer does
+    partitioned = []
+    partition = weights.partition_into_blocks
+
+    def counting(family):
+        partitioned.append(len(family))
+        return partition(family)
+
+    for module in (weights, pipeline, kl):
+        for name, obj in list(vars(module).items()):
+            if obj is partition:
+                monkeypatch.setattr(module, name, counting)
+    assert run(capsys, *argv.split())[0] == 0
+    assert len(partitioned) == 1
+
+
 # oracle-compare arguments -> the canonical basis elements the command computes
 ELEMENTS = {"--r 3 --delta=1": 7, "--r 4 --delta=1": 14, "--r 5 --delta=-2": 33,
             "--r 5 --delta=0": 16}

@@ -1094,3 +1094,40 @@ def test_off_class_state_is_refused_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("refused: state off the linkage class")
+
+
+# the engine workload's linkage blocks -> the generators of their engines, in
+# the order the engine builds them: per integrality class, classes in order
+# of their largest token
+WORKLOAD_MOVES = {
+    "--k 1 --r 3 --u 3/2": [
+        (0, 1, False), (1, 2, False), (2, 3, False), (3, 4, False), (4, 5, False), (4, 5, True),
+    ],
+    "--k 2 --r 3 --u 0,1/3": [
+        (0, 2, False), (2, 4, False), (4, 6, False), (4, 6, True),
+        (1, 3, False), (3, 5, False), (5, 7, False), (5, 7, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(WORKLOAD_MOVES))
+def test_engine_workload_generators_are_frozen(monkeypatch, argv):
+    *_, r, _, u = argv.split()
+    engines, _ = engines_and_cores(monkeypatch, u, int(r))
+    assert [engine.moves for engine in engines] == [tuple(WORKLOAD_MOVES[argv])]
+
+
+def test_engine_generators_follow_the_linkage_key(monkeypatch):
+    # merge the key's two integrality classes: the engine's generators must
+    # follow, since weights.canonical_form is the one grouping of the values
+    family = family_table(build_config([F(0), F(1, 3)], 3))
+    (block,) = [b for b in partition_into_blocks(family) if not b.is_singleton]
+    assert len(block.key) == 2
+
+    def merged(x, scale):
+        (res, values, parity), (_, more, _) = canonical_form(x, scale)
+        return ((res, tuple(sorted(values + more)), parity),)
+
+    monkeypatch.setattr(kl, "canonical_form", merged)
+    engine = kl.CanonicalBasisEngine(block.ctx, block.numerators[0], block.scale, {})
+    assert engine.moves == (*[(i, i + 1, False) for i in range(7)], (6, 7, True))

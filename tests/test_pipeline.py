@@ -175,7 +175,7 @@ def test_generic_decomposition_is_the_flag():
     # all singleton blocks: every Verma is simple and tilting
     cfg = build_config([F(1, 3)], 2)
     res = tilting_decomposition(family_table(cfg))
-    assert all(b.is_singleton for b in res.blocks)
+    assert all(b.is_singleton for b in res.family.blocks)
     assert res.multiplicities == {i: m for i, m in enumerate(res.family.flag) if m}
     assert set(res.multiplicities.values()) == {1, 2}  # walk counts at r = 2
 
@@ -215,7 +215,7 @@ def test_columns_hold_family_positions_only(u, r):
     # every column and every row of the peel is a family position
     result = tilting_decomposition(family_table(build_config(u, r)))
     size = len(result.family)
-    assert any(not b.is_singleton for b in result.blocks)
+    assert any(not b.is_singleton for b in result.family.blocks)
     assert all(mu < size for mu in result.columns)
     assert all(lam < size for col in result.columns.values() for lam in col)
 
@@ -230,7 +230,7 @@ def test_successful_peel_names_no_weight(monkeypatch, u, r):
     name = pipeline.weight_name
     monkeypatch.setattr(pipeline, "weight_name", lambda *args: calls.append(args) or name(*args))
     result = tilting_decomposition(family_table(build_config(u, r)))
-    assert any(not b.is_singleton for b in result.blocks)
+    assert any(not b.is_singleton for b in result.family.blocks)
     assert calls == []
     # a peel that escapes the family names the weight it escapes at
     with pytest.raises(NegativeResidual, match="escapes the weight family"):

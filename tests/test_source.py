@@ -53,16 +53,37 @@ def parsed_with_readers() -> tuple[dict, Counter]:
     return trees, uses
 
 
+def dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement binds: a function's or a class's,
+    or the targets of an assignment, dunders (``__version__``) exempt."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [
+            name.id
+            for target in targets
+            for name in ast.walk(target)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+            if not dunder(name.id)
+        ]
+    return []
+
+
 def test_every_top_level_name_has_a_reader():
-    # a function or class that only the tests reach belongs in
+    # a function, class or constant that only the tests reach belongs in
     # tests/verify_routes.py, where no command compiles it
     trees, uses = parsed_with_readers()
     orphans = [
-        f"{path.name}:{node.name}"
+        f"{path.name}:{name}"
         for path in MODULES
         for node in trees[path].body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        if uses[node.name] == names_used(node)[node.name]  # none outside its own body
+        for name in defined_names(node)
+        if uses[name] == names_used(node)[name]  # none outside its own statement
     ]
     assert len(BENCHMARK) > 1
     assert orphans == []
@@ -79,7 +100,7 @@ def test_every_method_has_a_reader():
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        if not (node.name.startswith("__") and node.name.endswith("__"))
+        if not dunder(node.name)
         if uses[node.name] == names_used(node)[node.name]
     ]
     assert orphans == []
