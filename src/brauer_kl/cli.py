@@ -15,15 +15,24 @@ which share the family's engine cores, and the oracle matrix last, so a
 refusal never pays for the oracle.  ``decompose --out FILE`` writes
 the report to FILE; ``--out DIR`` writes it to
 ``DIR/decomp_k{k}_r{r}_{h}.{json|csv}``, where h is the first 8 hex digits
-of the SHA-256 of the ``--u`` text as given.  The module level imports only
-``argparse``, ``os`` and ``sys``, and a command imports what it runs:
-``--help`` loads nothing else of the package and neither ``fractions`` nor
-``decimal``; ``admissible`` loads ``params`` (and with it ``fractions``) but
-not ``combinat``; ``enumerate`` loads ``combinat`` alone, without
-``fractions``; the peel loads only for the commands that run it, the KL
-engine and ``laurent`` only for a family with a block of two or more weights,
-``hashlib`` only to name such a file, ``json`` only for a JSON report, the
-diagram oracle only for ``oracle-compare``.
+of the SHA-256 of the ``--u`` text as given.
+
+Every option is declared once, in ``COMMANDS``.  ``main`` reads a
+well-formed command line straight off that table, without importing
+``argparse``; anything the table parse cannot decide exactly as argparse
+would (``-h``/``--help``, an empty argv, an unknown, abbreviated or repeated
+option, ``--``, a separate value that starts with "-", a switch given a
+value, a failed minimum or choice, a missing required option) goes to an
+argparse parser built from the same table, which renders help and usage
+errors.  The module level imports only ``os``, ``sys`` and ``types``, and
+a command imports what it runs: ``--help`` loads nothing else of the
+package and neither ``fractions`` nor ``decimal``; ``admissible`` loads
+``params`` (and with it ``fractions``) but not ``combinat``; ``enumerate``
+loads ``combinat`` alone, without ``fractions``; the peel loads only for
+the commands that run it, the KL engine and ``laurent`` only for a family
+with a block of two or more weights, ``hashlib`` only to name such a file,
+``json`` only for a JSON report, the diagram oracle only for
+``oracle-compare``.
 
 Exit codes: 0 success, 1 a failed self-check (``kl-selftest`` with any
 ``FAIL`` line, or ``enumerate`` when the sum of squared walk counts is not
@@ -43,9 +52,9 @@ handler: it prints ``error: {exception}`` as one line and returns the code.
   ``oracle-compare`` lists as a difference of its reading instead.
 """
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 
 class UsageError(Exception):
@@ -56,14 +65,15 @@ class UsageError(Exception):
 
 def _int_at_least(minimum: int):
     """argparse type: an integer no smaller than ``minimum``."""
+    from argparse import ArgumentTypeError  # only argparse calls this, so it is loaded
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+            raise ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+            raise ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
 
     return parse
@@ -89,7 +99,7 @@ def _parse_u(text: str, k: int) -> tuple:
     return u
 
 
-def cmd_admissible(args: argparse.Namespace) -> int:
+def cmd_admissible(args: SimpleNamespace) -> int:
     from . import params
 
     u = _parse_u(args.u, args.k)
@@ -102,7 +112,7 @@ def cmd_admissible(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: SimpleNamespace) -> int:
     from . import combinat
 
     table = combinat.updown_count_table(args.k, args.r)
@@ -117,7 +127,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0 if total == expected else 1
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
+def cmd_decompose(args: SimpleNamespace) -> int:
     from . import params, pipeline, weights
 
     family = weights.family_table(params.build_config(_parse_u(args.u, args.k), args.r))
@@ -146,7 +156,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_oracle_compare(args: argparse.Namespace) -> int:
+def cmd_oracle_compare(args: SimpleNamespace) -> int:
     from . import oracle  # only this command runs the diagram oracle
     from . import params, pipeline, weights
 
@@ -184,7 +194,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
 SELFTEST_BATTERY = (("0", 3), ("1/3", 2), ("3/2", 2), ("1/5,9/7", 2))
 
 
-def cmd_kl_selftest(args: argparse.Namespace) -> int:
+def cmd_kl_selftest(args: SimpleNamespace) -> int:
     """Built-in battery: bijections and the family table, content identity,
     peel stability.  Each failed or raising check prints one reason line."""
     from . import combinat, params, pipeline, weights
@@ -223,44 +233,116 @@ def cmd_kl_selftest(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+class Option:
+    """One option of a subcommand, as the table parse reads it and argparse
+    declares it: an integer when ``minimum`` is set, a switch when
+    ``switch``, and otherwise text, checked against ``choices`` if given."""
+
+    def __init__(self, flag, *, minimum=None, choices=None, required=False, default=None,
+                 switch=False, help=None):
+        self.flag, self.dest = flag, flag[2:].replace("-", "_")
+        self.minimum, self.choices, self.required, self.help = minimum, choices, required, help
+        self.switch, self.default = switch, False if switch else default
+
+    def read(self, text: str):
+        """The value argparse stores for ``text``; ValueError where it refuses it."""
+        if self.choices is not None and text not in self.choices:
+            raise ValueError(text)
+        if self.minimum is None:
+            return text
+        value = int(text)
+        if value < self.minimum:
+            raise ValueError(text)
+        return value
+
+
+# name: (help, handler, options); the one declaration of every option
+COMMANDS = {
+    "admissible": ("print the omega series and the parameter condition", cmd_admissible, (
+        Option("--k", minimum=1, required=True),
+        Option("--u", required=True, help='comma-separated rationals, e.g. "1/2,-3"'),
+        Option("--N", minimum=0, help="highest omega index to print"),
+    )),
+    "enumerate": ("list cell labels with walk counts", cmd_enumerate, (
+        Option("--k", minimum=1, required=True),
+        Option("--r", minimum=0, required=True),
+    )),
+    "decompose": ("write a decomposition report", cmd_decompose, (
+        Option("--k", minimum=1, required=True),
+        Option("--r", minimum=1, required=True),
+        Option("--u", required=True),
+        Option("--assume-saturated", switch=True),
+        Option("--format", choices=("json", "csv"), default="json"),
+        Option("--matrix", choices=("level", "full"), default="level", help="csv payload"),
+        Option("--out"),
+    )),
+    "oracle-compare": ("pin conventions against the diagram oracle", cmd_oracle_compare, (
+        Option("--r", minimum=1, required=True),
+        Option("--delta", required=True, help='loop scalar, e.g. "1" or "-2"'),
+    )),
+    "kl-selftest": ("run the built-in consistency battery", cmd_kl_selftest, ()),
+}
+
+
+def _parse_by_table(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of a well-formed ``argv``, read off
+    ``COMMANDS``; None for any argv whose reading argparse must decide."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    by_flag = {option.flag: option for option in options}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        option = by_flag.get(flag)  # None for -h, --help, --, an abbreviation or junk
+        if option is None or option.dest in given or option.switch and eq:
+            return None
+        if option.switch:
+            given[option.dest] = True
+            continue
+        if not eq:
+            text = next(tokens, "-")  # a missing value reads as one that starts with "-"
+            if text.startswith("-"):
+                return None
+        try:
+            given[option.dest] = option.read(text)
+        except ValueError:
+            return None
+    if any(option.required and option.dest not in given for option in options):
+        return None
+    values = {option.dest: given.get(option.dest, option.default) for option in options}
+    return SimpleNamespace(command=argv[0], **values, func=func)
+
+
+def _argparse_parser():
+    """argparse's parser for ``COMMANDS``: it renders help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="brauer-kl",
         description="Exact decomposition matrices for cyclotomic Brauer algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            spec = {"required": option.required, "default": option.default, "help": option.help}
+            if option.switch:
+                spec["action"] = "store_true"
+            elif option.minimum is not None:
+                spec["type"] = _int_at_least(option.minimum)
+            elif option.choices is not None:
+                spec["choices"] = option.choices
+            p.add_argument(option.flag, **spec)
+        p.set_defaults(func=func)
+    return parser
 
-    positive = _int_at_least(1)
-    p = sub.add_parser("admissible", help="print the omega series and the parameter condition")
-    p.add_argument("--k", type=positive, required=True)
-    p.add_argument("--u", type=str, required=True, help='comma-separated rationals, e.g. "1/2,-3"')
-    p.add_argument("--N", type=_int_at_least(0), default=None, help="highest omega index to print")
-    p.set_defaults(func=cmd_admissible)
 
-    p = sub.add_parser("enumerate", help="list cell labels with walk counts")
-    p.add_argument("--k", type=positive, required=True)
-    p.add_argument("--r", type=_int_at_least(0), required=True)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("decompose", help="write a decomposition report")
-    p.add_argument("--k", type=positive, required=True)
-    p.add_argument("--r", type=positive, required=True)
-    p.add_argument("--u", type=str, required=True)
-    p.add_argument("--assume-saturated", action="store_true")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--matrix", choices=["level", "full"], default="level", help="csv payload")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("oracle-compare", help="pin conventions against the diagram oracle")
-    p.add_argument("--r", type=positive, required=True)
-    p.add_argument("--delta", type=str, required=True, help='loop scalar, e.g. "1" or "-2"')
-    p.set_defaults(func=cmd_oracle_compare)
-
-    p = sub.add_parser("kl-selftest", help="run the built-in consistency battery")
-    p.set_defaults(func=cmd_kl_selftest)
-
-    args = parser.parse_args(argv)
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_by_table(argv) or SimpleNamespace(**vars(_argparse_parser().parse_args(argv)))
     try:
         return args.func(args)
     except Exception as exc:

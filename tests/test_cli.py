@@ -1,6 +1,9 @@
 """Exit codes and output formats of the command-line front end."""
 
+import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -10,11 +13,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import brauer_kl
-from brauer_kl import combinat, kl, oracle, params, pipeline, weights
+from brauer_kl import cli, combinat, kl, oracle, params, pipeline, weights
 from brauer_kl.cli import SELFTEST_BATTERY, _parse_rational, main
 from brauer_kl.weights import family_table
 
@@ -287,42 +292,61 @@ def test_decompose_imports_no_oracle():
 # per command: modules it must not import; hashlib maps OpenSSL, dataclasses
 # pulls in inspect, only a JSON report needs json, only the commands that
 # peel need the pipeline, only a family with a block of two or more weights
-# needs the KL engine, enumerate labels cells from combinat alone, and --help
-# compiles the CLI module and nothing else of the package
+# needs the KL engine, enumerate labels cells from combinat alone, --help
+# compiles the CLI module and nothing else of the package, and a well-formed
+# command line is read off the option table, so argparse (with gettext and
+# locale) loads only for help and usage errors
 KL = ("brauer_kl.kl", "brauer_kl.laurent")
 ENGINE = ("brauer_kl.pipeline", *KL)
+ARGPARSE = ("argparse", "gettext", "locale")
 PACKAGE_BUT_CLI = tuple(
     "brauer_kl." + name[:-3]
     for name in sorted(os.listdir(os.path.dirname(brauer_kl.__file__)))
     if name.endswith(".py") and name not in ("__init__.py", "cli.py")
 )
 FOOTPRINT = {
-    "decompose --k 1 --r 3 --u 3/2": ("hashlib", "_hashlib", "dataclasses", "inspect"),
-    "oracle-compare --r 3 --delta=1": ("hashlib", "_hashlib", "dataclasses", "inspect", "json"),
+    "decompose --k 1 --r 3 --u 3/2": ("hashlib", "_hashlib", "dataclasses", "inspect", *ARGPARSE),
+    "decompose --k 2 --r 4 --u 1/5,9/7 --format csv --matrix full": (
+        "hashlib", "_hashlib", "dataclasses", "inspect", "json", *KL, *ARGPARSE),
+    # {tmp} is a fresh directory: the report is named by a hash of --u
+    "decompose --k 1 --r 3 --u 3/2 --out {tmp}": ("dataclasses", "inspect", "brauer_kl.oracle",
+                                                  *ARGPARSE),
+    "oracle-compare --r 3 --delta=1": ("hashlib", "_hashlib", "dataclasses", "inspect", "json",
+                                       *ARGPARSE),
     "--help": ("hashlib", "_hashlib", "dataclasses", "inspect", "fractions", "decimal",
                *PACKAGE_BUT_CLI),
     "admissible --k 1 --u 1/3": ("hashlib", "_hashlib", "dataclasses", "inspect", *ENGINE,
-                                 "brauer_kl.combinat"),
-    "enumerate --k 1 --r 2": (*ENGINE, "brauer_kl.weights", "brauer_kl.params", "fractions"),
+                                 "brauer_kl.combinat", *ARGPARSE),
+    "enumerate --k 1 --r 2": (*ENGINE, "brauer_kl.weights", "brauer_kl.params", "fractions",
+                              *ARGPARSE),
+    "kl-selftest": ("hashlib", "_hashlib", "dataclasses", "inspect", "json", "brauer_kl.oracle",
+                    *ARGPARSE),
     # generic parameters: every linkage block a singleton, so no engine
-    "decompose --k 1 --r 6 --u 1/3": KL,
-    "oracle-compare --r 4 --delta=3": KL,
+    "decompose --k 1 --r 6 --u 1/3": (*KL, *ARGPARSE),
+    "oracle-compare --r 4 --delta=3": (*KL, *ARGPARSE),
 }
 
 
-def loaded_by(command: str, modules: tuple) -> str:
-    """The stderr of a fresh interpreter that runs ``command`` through
-    ``cli.main``: the sorted list of ``modules`` the command loaded."""
+def loaded_by(command: str, modules: tuple, as_module: bool = False) -> tuple[int, list[str]]:
+    """The exit code of a fresh interpreter that runs ``command`` through
+    ``cli.main``, and the sorted list of ``modules`` the command loaded.
+    With ``as_module`` the child runs the CLI as ``python -m brauer_kl.cli``
+    does: through ``runpy``, under the name ``__main__``."""
     src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
+    argv = command.split()
+    entry = (
+        f"sys.argv[1:] = {argv!r}; runpy.run_module('brauer_kl.cli', run_name='__main__')"
+        if as_module
+        else f"import brauer_kl.cli; code = brauer_kl.cli.main({argv!r})"
+    )
     code = (
-        "import sys\n"
+        "import runpy, sys\n"
         "before = set(sys.modules)\n"
-        "import brauer_kl.cli\n"
         "try:\n"
-        f"    brauer_kl.cli.main({command.split()!r})\n"
-        "except SystemExit:\n"
-        "    pass\n"
-        f"print(sorted(m for m in {modules!r} if m in set(sys.modules) - before),\n"
+        f"    {entry}\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        f"print(code, sorted(m for m in {modules!r} if m in set(sys.modules) - before),\n"
         "      file=sys.stderr)\n"
     )
     proc = subprocess.run(
@@ -332,17 +356,33 @@ def loaded_by(command: str, modules: tuple) -> str:
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stderr
+    exit_code, loaded = proc.stderr.splitlines()[-1].split(" ", 1)
+    return int(exit_code), ast.literal_eval(loaded)
 
 
 @pytest.mark.parametrize("command", list(FOOTPRINT))
-def test_command_imports_only_what_it_runs(command):
-    assert loaded_by(command, FOOTPRINT[command]) == "[]\n"
+def test_command_imports_only_what_it_runs(command, tmp_path):
+    assert loaded_by(command.format(tmp=tmp_path), FOOTPRINT[command]) == (0, [])
+
+
+def test_the_module_entry_point_reads_a_command_without_argparse():
+    command = "decompose --k 1 --r 3 --u 3/2"
+    assert loaded_by(command, FOOTPRINT[command], as_module=True) == (0, [])
+
+
+@pytest.mark.parametrize(
+    "command, exit_code",
+    [("--help", 0), ("", 2), ("decompose --k 1 --r 0 --u 1/3", 2)],
+    ids=["help", "empty", "malformed"],
+)
+@pytest.mark.parametrize("as_module", [False, True], ids=["main", "module"])
+def test_help_and_usage_errors_go_through_argparse(command, exit_code, as_module):
+    assert loaded_by(command, ARGPARSE, as_module) == (exit_code, sorted(ARGPARSE))
 
 
 def test_a_linked_block_loads_the_kl_engine():
     # the peel's import of kl inside its non-singleton branch is reached
-    assert loaded_by("decompose --k 1 --r 3 --u 3/2", KL) == f"{sorted(KL)}\n"
+    assert loaded_by("decompose --k 1 --r 3 --u 3/2", KL) == (0, sorted(KL))
 
 
 def test_decompose_output_is_the_same_under_python_O():
@@ -795,6 +835,139 @@ def test_unknown_command_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# argparse's texts as the argparse-only parser printed them before the option
+# table, at 80 columns: the help of the program and of each command, and the
+# stderr and exit code of every usage error above, an unknown command and an
+# empty argv
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+def test_the_recorded_texts_cover_help_and_every_usage_error():
+    removed = [["decompose", "--k", "1", "--r", "3", "--u", "3/2", *f] for f in REMOVED_FLAGS]
+    assert [case["argv"] for case in GOLDEN] == [
+        ["--help"],
+        *([name, "--help"] for name in cli.COMMANDS),
+        *map(list, MALFORMED),
+        *removed,
+        ["frobnicate"],
+        [],
+    ]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]) or "(empty)")
+def test_help_and_usage_errors_print_the_recorded_text(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_the_benchmark_and_readme_commands_are_read_off_the_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("brauer-kl ")]
+    argvs += [list(case.argv) for cases in bench.WORKLOADS.values() for case in cases]
+    assert [argv for argv in argvs if cli._parse_by_table(argv) is None] == []
+
+
+# The table parse against argparse, on command lines drawn from the option
+# vocabulary: exact and abbreviated names, "--opt=value" and separate values
+# (some starting with "-"), repeats, switches given "=value", "--", -h and junk.
+FLAGS = sorted({option.flag for _, _, options in cli.COMMANDS.values() for option in options})
+NAMES = [*FLAGS, *sorted({flag[:n] for flag in FLAGS for n in (3, 4, 5) if n < len(flag)}),
+         "-h", "--help", "--", "-k", "--q", "x", ""]
+VALUES = ["0", "1", "2", "-1", " 3", "1_0", "x", "", "1/3", "-1/2", "json", "csv", "full", "--k",
+          "-h"]
+TAKES_VALUE = ["separate", "equals"]
+
+
+def option_tokens(flag: str, value: str, form: str) -> list[str]:
+    return {"bare": [flag], "separate": [flag, value], "equals": [f"{flag}={value}"]}[form]
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A command's options with plausible values in any order (a required
+    one dropped at times), plus up to three groups from the vocabulary."""
+    command = draw(st.sampled_from([*cli.COMMANDS, *cli.COMMANDS, "frobnicate", "-h", "--help"]))
+    options = cli.COMMANDS.get(command, (None, None, ()))[2]
+    groups = []
+    for option in options:
+        if draw(st.booleans()) or option.required and draw(st.booleans()):
+            if option.switch:
+                groups.append([option.flag])
+                continue
+            plausible = option.choices or (["1", "2", " 3", "+2"] if option.minimum is not None
+                                           else ["1/3", "0,1/2", "-1/2", "", "x y"])
+            value, form = draw(st.sampled_from(plausible)), draw(st.sampled_from(TAKES_VALUE))
+            groups.append(option_tokens(option.flag, value, form))
+    own = [option.flag for option in options]
+    names = st.sampled_from(NAMES) | st.sampled_from(own or NAMES)  # half from this command
+    values, forms = st.sampled_from(VALUES), st.sampled_from(["bare", *TAKES_VALUE])
+    groups += draw(st.lists(st.builds(option_tokens, names, values, forms), max_size=3))
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+def outcome(call) -> tuple:
+    """The exit code, stdout and stderr of ``call()``, which may exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def echo(name: str):
+    """A stand-in handler: it prints what it was given instead of running."""
+
+    def handler(args) -> int:
+        print(name, sorted((key, value) for key, value in vars(args).items() if key != "func"))
+        return 0
+
+    return handler
+
+
+ECHOES = {name: (text, echo(name), options) for name, (text, _, options) in cli.COMMANDS.items()}
+
+
+DECOMPOSE = ["decompose", "--k", "1", "--r", "2", "--u", "1/3"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=command_lines())
+@example(argv=[])
+@example(argv=[*DECOMPOSE, "-h"])
+@example(argv=[*DECOMPOSE, "--form", "csv"])  # abbreviated
+@example(argv=[*DECOMPOSE, "--out", "a", "--out", "b"])  # repeated
+@example(argv=[*DECOMPOSE, "--", "--out", "a"])
+@example(argv=[*DECOMPOSE, "--out", "-"])  # a separate value that starts with "-"
+@example(argv=["decompose", "--k", "1", "--r", "2", "--u", "-1"])
+@example(argv=[*DECOMPOSE, "--assume-saturated=1"])  # a switch given a value
+@example(argv=[*DECOMPOSE, "--format", "xml"])  # a failed choice
+@example(argv=["decompose", "--k", "1", "--r", "0", "--u", "1/3"])  # a failed minimum
+@example(argv=["decompose", "--k", "1", "--u", "1/3"])  # a missing required option
+def test_the_table_parse_reads_what_argparse_reads(argv):
+    # where the table reads argv, it reads argparse's namespace; where it
+    # declines, main's output and exit code are argparse's
+    with mock.patch.dict(cli.COMMANDS, ECHOES):
+        parser = cli._argparse_parser()
+        table = cli._parse_by_table(argv)
+        if table is not None:
+            assert vars(table) == vars(parser.parse_args(argv))
+        else:
+
+            def by_argparse():
+                args = parser.parse_args(argv)
+                return args.func(args)
+
+            assert outcome(lambda: main(argv)) == outcome(by_argparse)
 
 
 def test_readme_cli_block_runs(capsys):

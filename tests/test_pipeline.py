@@ -26,8 +26,10 @@ from brauer_kl.pipeline import (
 from brauer_kl.weights import family_table, tilde
 from verify_routes import (
     in_F_rk,
+    level_one_matrix,
     rank,
     reference_family,
+    restricted_simples,
     updown_count,
     walk_content_mismatches,
 )
@@ -706,3 +708,47 @@ def test_f_positive_entries_are_the_entries_at_r_minus_2():
     assert compared[1] >= 60 and compared[2] >= 25 and compared[3] >= 10
     assert off_diagonal[1] >= 10 and off_diagonal[2] >= 3 and off_diagonal[3] >= 1
     assert (excluded, refused) == (5, {"UnsupportedBlock": 11})  # u = 1/2: omega_0 = delta = 0
+
+
+def negative_restrictions(upper: dict, lower: dict) -> dict[str, dict[str, int]]:
+    """The simples whose restriction holds a negative coefficient, with those."""
+    restricted = restricted_simples(upper, lower)
+    negative = {mu: {k: c for k, c in row.items() if c < 0} for mu, row in restricted.items()}
+    return {mu: row for mu, row in negative.items() if row}
+
+
+# delta -> the ranks r at which every Res L_r(mu) is a nonnegative integer
+# combination of the L_{r-1} today: below 2 delta + 8 for delta > 0, and up to
+# the last rank with a report (multi-wall refusals past it) for delta < 0
+BRANCHING_RANKS = {1: range(2, 10), 2: range(2, 12), -1: range(2, 13), -2: range(2, 10)}
+
+
+@pytest.mark.parametrize("delta", list(BRANCHING_RANKS))
+def test_restricting_a_level_one_simple_gives_a_module(delta):
+    ranks = BRANCHING_RANKS[delta]
+    matrices = {r: level_one_matrix(delta, r) for r in range(ranks.start - 1, ranks.stop)}
+    failures = {r: negative_restrictions(matrices[r], matrices[r - 1]) for r in ranks}
+    assert {r: negative for r, negative in failures.items() if negative} == {}
+
+
+def test_branching_fails_at_delta_one_rank_ten():
+    # the known defect of the level-one reading (ROADMAP direction 3): at
+    # r = 2 delta + 8 the restriction of L(delta + 1, delta + 1), f = 3, holds
+    # -1 L(kappa); a fix of the reading changes this on purpose
+    negative = negative_restrictions(level_one_matrix(1, 10), level_one_matrix(1, 9))
+    assert negative == {
+        "f3:2,2": {"f0:3,3,2,1": -1, "f0:4,2,2,1": -1, "f0:4,3,1,1": -1, "f0:4,3,2": -1}
+    }
+
+
+def test_the_branching_check_sees_a_dropped_entry():
+    # dropping one off-diagonal entry of matrix_level at delta = 1, r = 8 is
+    # caught for 3 of its 4 entries
+    upper, lower = level_one_matrix(1, 8), level_one_matrix(1, 7)
+    caught = []
+    for lam, row in upper.items():
+        for mu in row:
+            if mu != lam:
+                dropped = {**upper, lam: {m: v for m, v in row.items() if m != mu}}
+                caught.append(bool(negative_restrictions(dropped, lower)))
+    assert sorted(caught) == [False, True, True, True]

@@ -44,7 +44,11 @@ to compile it:
   coefficient;
 * ``BarInvolution``: the bar involution on a canonical-basis engine's
   module, by its own recursion (bar of each standard basis element, of an
-  expansion, and the invariance test).
+  expansion, and the invariance test);
+* ``level_one_matrix``, ``branches`` and ``restricted_simples``: the
+  branching referee, which reads two consecutive level-one ``matrix_level``
+  reports and writes each restricted simple Res L_r(mu) in the simples
+  L_{r-1}, whose coefficients must be nonnegative integers.
 
 >>> updown_count(1, 3, ((1,),))
 3
@@ -56,13 +60,14 @@ import itertools
 from fractions import Fraction
 from typing import Iterator
 
-from brauer_kl import weights
+from brauer_kl import params, pipeline, weights
 from brauer_kl.combinat import (
     LambdaIndex,
     Multipartition,
     Node,
     Partition,
     enumerate_lambda,
+    family_label,
     size,
     steps,
     updown_count_table,
@@ -508,3 +513,70 @@ class BarInvolution:
 
     def is_invariant(self, vec: NVector) -> bool:
         return self(vec) == {z: p for z, p in vec.items() if p}
+
+
+def level_one_matrix(delta: Fraction, r: int) -> dict[str, dict[str, int]]:
+    """``matrix_level`` of the level-one report at loop parameter ``delta``
+    and rank ``r``, as {row label of Delta(lambda): {column label of
+    L(mu): entry}}."""
+    cfg = params.build_config((params.u_from_delta(Fraction(delta)),), r)
+    level = pipeline.decomposition_report(weights.family_table(cfg))["matrix_level"]
+    rows: dict[str, dict[str, int]] = {label: {} for label in level["rows"]}
+    for i, j, value in level["entries"]:
+        rows[level["rows"][i]][level["cols"][j]] = value
+    return rows
+
+
+def branches(label: str) -> list[str]:
+    """The labels nu ~ lambda one rank down: lambda with a box removed and,
+    when f >= 1, with a box added at f - 1."""
+    f_text, _, parts = label[1:].partition(":")
+    f, lam = int(f_text), tuple(int(p) for p in parts.split(",") if p != "-")
+    shapes = [
+        (f, lam[:i] + (lam[i] - 1,) + lam[i + 1 :])
+        for i in range(len(lam))
+        if i + 1 == len(lam) or lam[i] > lam[i + 1]
+    ]
+    if f:
+        ext = lam + (0,)
+        shapes += [
+            (f - 1, ext[:i] + (ext[i] + 1,) + ext[i + 1 :])
+            for i in range(len(ext))
+            if i == 0 or ext[i - 1] > ext[i]
+        ]
+    return [family_label(LambdaIndex(g, (tuple(p for p in nu if p),))) for g, nu in shapes]
+
+
+def restricted_simples(
+    upper: dict[str, dict[str, int]], lower: dict[str, dict[str, int]]
+) -> dict[str, dict[str, int]]:
+    """Res L_r(mu) in the simples L_{r-1}(kappa), for every column mu of
+    ``upper`` (``level_one_matrix`` at r), with ``lower`` the one at r - 1.
+
+    Restriction sends the cell module Delta_r(lambda) to a module filtered by
+    the Delta_{r-1}(nu), nu ~ lambda (Doran-Wales-Hanlon, J. Algebra 211,
+    1999; Cox-De Visscher-Martin, Represent. Theory 13, 2009), so
+    Res L(mu) = sum_lambda D_r^-1[mu, lambda] sum_{nu ~ lambda}
+    sum_kappa D_{r-1}[nu, kappa] L(kappa).  D_r is unitriangular, so row
+    lambda of D_r^-1 B is B's row less D_r's other entries of that row times
+    their rows, each solved first; a cycle or a diagonal other than 1 raises.
+    """
+    solved: dict[str, dict[str, int]] = {}
+
+    def solve(lam: str, pending: frozenset) -> dict[str, int]:
+        if lam in solved:
+            return solved[lam]
+        if upper[lam].get(lam) != 1 or lam in pending:
+            raise ValueError(f"matrix_level is not unitriangular at {lam}")
+        row: dict[str, int] = {}
+        for nu in branches(lam):
+            for kappa, value in lower[nu].items():
+                row[kappa] = row.get(kappa, 0) + value
+        for mu, value in upper[lam].items():
+            if mu != lam:
+                for kappa, c in solve(mu, pending | {lam}).items():
+                    row[kappa] = row.get(kappa, 0) - value * c
+        solved[lam] = {kappa: c for kappa, c in row.items() if c}
+        return solved[lam]
+
+    return {mu: solve(mu, frozenset()) for mu in upper}
