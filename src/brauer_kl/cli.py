@@ -32,7 +32,8 @@ loads ``combinat`` alone, without ``fractions``; the peel loads only for
 the commands that run it, the KL engine and ``laurent`` only for a family
 with a block of two or more weights, ``hashlib`` only to name such a file,
 ``json`` only for a JSON report, the diagram oracle only for
-``oracle-compare``.
+``oracle-compare``, and the self-check battery (``selftest``) only for
+``kl-selftest``.
 
 Exit codes: 0 success, 1 a failed self-check (``kl-selftest`` with any
 ``FAIL`` line, or ``enumerate`` when the sum of squared walk counts is not
@@ -190,47 +191,10 @@ def cmd_oracle_compare(args: SimpleNamespace) -> int:
     return 4
 
 
-# (u as --u text, r): text, so that loading the CLI builds no Fraction
-SELFTEST_BATTERY = (("0", 3), ("1/3", 2), ("3/2", 2), ("1/5,9/7", 2))
-
-
 def cmd_kl_selftest(args: SimpleNamespace) -> int:
-    """Built-in battery: bijections and the family table, content identity,
-    peel stability.  Each failed or raising check prints one reason line."""
-    from . import combinat, params, pipeline, weights
+    from . import selftest  # only this command compiles the battery
 
-    def bijection(cfg, table):
-        # row i is enumerate_F of labels[i], so tilde inverts it where they agree
-        for i, x in enumerate(table.numerators):
-            idx = weights.tilde(x, cfg)
-            if table.labels[i] != idx:
-                shown, label = (combinat.family_label(j) for j in (table.labels[i], idx))
-                return f"family table reads {shown} at position {i}, tilde gives {label}"
-
-    def content(cfg, table):
-        mismatches = pipeline.content_mismatches(cfg)
-        if mismatches:
-            return f"{len(mismatches)} walk step(s) fail the content cross-check"
-
-    def peel(cfg, table):
-        pipeline.tilting_decomposition(table)  # raises if a column reaches above its weight
-
-    failures = 0
-    for u_text, r in SELFTEST_BATTERY:
-        cfg = params.build_config(_parse_u(u_text, u_text.count(",") + 1), r)
-        table = weights.family_table(cfg)
-        reasons = []
-        for check in (bijection, content, peel):
-            try:
-                reason = check(cfg, table)
-            except Exception as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-            if reason:
-                reasons.append(reason)
-        failures += 1 if reasons else 0
-        head = f"{'FAIL' if reasons else 'ok'}: u=({u_text}) r={r} family={len(table)}"
-        print("\n".join([head, *(f"  {reason}" for reason in reasons)]))
-    return 0 if failures == 0 else 1
+    return selftest.run_battery()
 
 
 class Option:

@@ -13,7 +13,7 @@ Encodings
   (each adds or removes a node) from the empty multipartition.  The *walk
   graph* has the multipartitions as vertices and the steps as edges;
   ``steps`` lists a shape's out-edges, ``updown_count_table`` counts walks
-  over them level by level, and ``pipeline.content_mismatches`` checks
+  over them level by level, and ``selftest.content_mismatches`` checks
   contents on them edge by edge.
 * A *shape index* (cell label) pairs ``f`` (the number of "removed pairs")
   with a multipartition of ``r - 2f``, a shape of the length-``r`` walk

@@ -11,7 +11,11 @@ other row, so the cell action is the product of a diagram over a
 half-diagram, and the Gram form's gluing of two half-diagrams is the product
 of one turned upside down over the other; their gluing permutation tau enters
 the form as norm(T_i) times the (i, j) entry of tau's matrix, from the Specht
-module's diagonal invariant form.  The decomposition matrix is computed from
+module's diagonal invariant form.  Every cell's Gram matrix and radical
+come first: when every form is nonzero and every radical is empty, B_r(delta)
+is semisimple (a cellular algebra with nondegenerate cell forms;
+Graham--Lehrer, Thm 3.8) and the decomposition matrix is the identity, read
+off the forms with no character evaluated.  Otherwise it is computed from
 exact character identities: the character of each cell module and of each
 Gram-quotient simple is evaluated on one diagram per class under conjugation
 by the permutation diagrams (a character is a trace and those diagrams are
@@ -407,21 +411,46 @@ def check_budget(r: int) -> None:
 
 
 def oracle_decomposition_matrix(r: int, delta: Fraction) -> OracleMatrix:
-    """Exact decomposition matrix [C(f,lam) : D(f',mu)] for B_r(delta)."""
+    """Exact decomposition matrix [C(f,lam) : D(f',mu)] for B_r(delta).
+
+    Every cell's Gram matrix and radical come first.  B_r(delta) is cellular,
+    and a cellular algebra whose cell forms are all nondegenerate is
+    semisimple, with the cell modules as its simple modules (Graham--Lehrer,
+    Invent. Math. 123 (1996), Thm 3.8): when every label's form is nonzero
+    and every radical is empty, the matrix is the identity on the labels and
+    no character is evaluated.  Otherwise the columns are the labels with a
+    nonzero form and the matrix is solved from the characters.
+    """
     check_budget(r)
     labels = cell_labels(r)
-    reps = class_representatives(r)
     cells = {lab: CellModule(r, lab[0], lab[1], delta) for lab in labels}
     grams = {lab: cells[lab].gram_matrix() for lab in labels}
     cols = [lab for lab in labels if any(any(row) for row in grams[lab])]
+    radicals = {lab: nullspace(grams[lab]) for lab in cols}
+    if cols == labels and not any(radicals.values()):
+        entries = {(lab, lab): 1 for lab in labels}
+        return OracleMatrix(r=r, delta=delta, rows=labels, cols=cols, entries=entries)
+    return _decomposition_by_characters(r, delta, cells, radicals)
 
+
+def _decomposition_by_characters(
+    r: int, delta: Fraction, cells: dict, radicals: dict
+) -> OracleMatrix:
+    """The decomposition matrix solved from characters on the class
+    representatives.  ``cells`` maps every label, in label order, to its
+    cell module, and ``radicals`` maps each column (a label with a nonzero
+    form), in label order, to its Gram radical basis.  Each radical is
+    checked invariant under the generators, and the solution is checked to
+    exist and to be integral, nonnegative and unitriangular."""
+    labels, cols = list(cells), list(radicals)
+    reps = class_representatives(r)
     chi_C: dict[tuple[int, tuple[int, ...]], list[Fraction]] = {
         lab: [cells[lab].character(d) for d in reps] for lab in labels
     }
     chi_D: dict[tuple[int, tuple[int, ...]], list[Fraction]] = {}
     for lab in cols:
         cell = cells[lab]
-        rad = nullspace(grams[lab])
+        rad = radicals[lab]
         supports = [[(i, x) for i, x in enumerate(vec) if x] for vec in rad]
         free = [support[-1][0] for support in supports]
         for g in generators(r):

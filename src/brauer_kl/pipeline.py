@@ -23,22 +23,18 @@ holds automatically when the chamber weight pairs non-integrally with all
 cross-block roots; otherwise the caller must opt in via ``assume_saturated``
 or the report is refused with ``SaturationNotEstablished``.
 
-Off the report path, ``content_mismatches`` (run by ``kl-selftest``) checks
-that tableau contents equal the Casimir scalars of the weight walk, once per
-edge of the walk graph, on the cell layout the family's weights are built
-from (``weights.layout``).
+Off the report path, the ``kl-selftest`` battery and its content check
+(``content_mismatches``) live in ``selftest``, which no report command
+imports, so every report run compiles only the peel and the report.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from . import combinat, weights
 from .combinat import family_label, level_label
-from .params import ParamConfig, phiA_condition, simple_param_condition
-from .weights import Family, dominance_sort_key, is_singular, shifted_chamber, weight_name
+from .params import phiA_condition, simple_param_condition
+from .weights import Family, dominance_sort_key, is_singular, weight_name
 
 
 # Frozen by the level-one diagram-algebra cross-check (k = 1, r <= 3,
@@ -67,57 +63,6 @@ class SaturationNotEstablished(Exception):
     """Cross-block linkage cannot be ruled out and was not waived."""
 
     exit_code = 3
-
-
-# -- content / Casimir cross-check ---------------------------------------
-
-
-def content_mismatches(cfg: ParamConfig) -> list[dict]:
-    """Compare multipartition contents against the weight-walk eigenvalues.
-
-    A shape's weight has the numerators x = chamber + scale * layout, with
-    its cells placed by ``weights.layout``, the layout the family's weights
-    are built from.  A step toggles one node, and the layouts of the shape
-    it leaves and the shape it reaches differ at one coordinate i, by sigma,
-    the direction the step moves x_i in.  The content of that node, with the
-    step's sign, must equal sigma * x_i / scale + 1/2.
-
-    The check reads only the shape a step leaves and the shape it reaches,
-    so it runs once per edge of the walk graph, not once per walk.  The
-    steps of the length-r walks are exactly the steps out of the shapes of
-    size below r, so level m holds the shapes of size m, and every step out
-    of them is checked, for m = 0, ..., r - 1; the add steps give the next
-    level.  Each shape is laid out once, and no numerators are carried.
-    Returns one record per failing edge (the shape it leaves, its node, the
-    content and the weight side); empty means consistent.
-    """
-    scale, chamber = shifted_chamber(cfg.u, cfg.q)
-    place = cache(lambda shape: weights.layout(shape, cfg))
-    mismatches: list[dict] = []
-    level: dict = {((),) * (2 * cfg.k): None}
-    for _ in range(cfg.r):
-        nxt: dict = {}
-        for shape in level:
-            d = place(shape)
-            for node, sign, after in combinat.steps(shape):
-                l, h, comp = node
-                moved = [(i, b - a) for i, (a, b) in enumerate(zip(d, place(after))) if a != b]
-                ((i, sigma),) = moved  # one row gains or loses one cell
-                content = sign * (cfg.u_ext[comp - 1] + h - l)
-                weight_side = Fraction(2 * sigma * (chamber[i] + scale * d[i]) + scale, 2 * scale)
-                if weight_side != content:
-                    mismatches.append(
-                        {
-                            "shape": shape,
-                            "node": node,
-                            "content": content,
-                            "weight_side": weight_side,
-                        }
-                    )
-                if sign > 0:
-                    nxt[after] = None
-        level = nxt
-    return mismatches
 
 
 # -- tilting peel ---------------------------------------------------------

@@ -8,10 +8,10 @@ Every weight here is one integer tuple: the numerators scale * (mu + rho)
 of the shifted weight over the family's common denominator.
 :func:`shifted_chamber` is the one place rho is added: it gives the shifted
 chamber weight's numerators, and :func:`layout` places a shape's cells on
-the coordinates; the family's rows (:func:`enumerate_F`) and the pipeline's
-content check read both.  The block-size verdict and the saturation test
-need no weight, since ``params`` decides them from u and q by closed forms
-over pairs of parameters.  The weight family F_r of a configuration is one
+the coordinates; the family's rows (:func:`enumerate_F`) and the content
+check of ``selftest`` read both.  The block-size verdict and the saturation
+test need no weight, since ``params`` decides them from u and q by closed
+forms over pairs of parameters.  The weight family F_r of a configuration is one
 integer table, :class:`Family`, built once per ``decompose`` or
 ``oracle-compare`` command (``kl-selftest`` builds its check tables apart):
 per position a cell label and its flag, both read off one level-2k walk table,

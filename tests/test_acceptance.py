@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from brauer_kl import combinat, oracle, params, pipeline, weights
+from brauer_kl import combinat, oracle, params, pipeline, selftest, weights
 from brauer_kl.kl import CanonicalBasisEngine, singular_pairs
 from verify_routes import (
     BarInvolution,
@@ -179,7 +179,7 @@ def test_ac6_content_consistency(criterion):
     with criterion("AC-6", "tableau contents match the Casimir scalars per walk-graph edge on all AC-2 configs"):
         for u, k, r in _ac2_inputs():
             cfg = params.build_config(u, r)
-            assert pipeline.content_mismatches(cfg) == [], (u, r)
+            assert selftest.content_mismatches(cfg) == [], (u, r)
 
 
 def test_ac7_canonical_basis_internals(criterion):

@@ -19,8 +19,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brauer_kl
-from brauer_kl import cli, combinat, kl, oracle, params, pipeline, weights
-from brauer_kl.cli import SELFTEST_BATTERY, _parse_rational, main
+from brauer_kl import cli, combinat, kl, oracle, params, pipeline, selftest, weights
+from brauer_kl.cli import _parse_rational, main
+from brauer_kl.selftest import SELFTEST_BATTERY
 from brauer_kl.weights import family_table
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -293,26 +294,29 @@ def test_decompose_imports_no_oracle():
 # pulls in inspect, only a JSON report needs json, only the commands that
 # peel need the pipeline, only a family with a block of two or more weights
 # needs the KL engine, enumerate labels cells from combinat alone, --help
-# compiles the CLI module and nothing else of the package, and a well-formed
-# command line is read off the option table, so argparse (with gettext and
-# locale) loads only for help and usage errors
+# compiles the CLI module and nothing else of the package, no report command
+# compiles the self-check battery, and a well-formed command line is read off
+# the option table, so argparse (with gettext and locale) loads only for help
+# and usage errors
 KL = ("brauer_kl.kl", "brauer_kl.laurent")
 ENGINE = ("brauer_kl.pipeline", *KL)
 ARGPARSE = ("argparse", "gettext", "locale")
+SELFTEST = "brauer_kl.selftest"
 PACKAGE_BUT_CLI = tuple(
     "brauer_kl." + name[:-3]
     for name in sorted(os.listdir(os.path.dirname(brauer_kl.__file__)))
     if name.endswith(".py") and name not in ("__init__.py", "cli.py")
 )
 FOOTPRINT = {
-    "decompose --k 1 --r 3 --u 3/2": ("hashlib", "_hashlib", "dataclasses", "inspect", *ARGPARSE),
+    "decompose --k 1 --r 3 --u 3/2": ("hashlib", "_hashlib", "dataclasses", "inspect", SELFTEST,
+                                      *ARGPARSE),
     "decompose --k 2 --r 4 --u 1/5,9/7 --format csv --matrix full": (
-        "hashlib", "_hashlib", "dataclasses", "inspect", "json", *KL, *ARGPARSE),
+        "hashlib", "_hashlib", "dataclasses", "inspect", "json", *KL, SELFTEST, *ARGPARSE),
     # {tmp} is a fresh directory: the report is named by a hash of --u
     "decompose --k 1 --r 3 --u 3/2 --out {tmp}": ("dataclasses", "inspect", "brauer_kl.oracle",
-                                                  *ARGPARSE),
+                                                  SELFTEST, *ARGPARSE),
     "oracle-compare --r 3 --delta=1": ("hashlib", "_hashlib", "dataclasses", "inspect", "json",
-                                       *ARGPARSE),
+                                       SELFTEST, *ARGPARSE),
     "--help": ("hashlib", "_hashlib", "dataclasses", "inspect", "fractions", "decimal",
                *PACKAGE_BUT_CLI),
     "admissible --k 1 --u 1/3": ("hashlib", "_hashlib", "dataclasses", "inspect", *ENGINE,
@@ -322,8 +326,8 @@ FOOTPRINT = {
     "kl-selftest": ("hashlib", "_hashlib", "dataclasses", "inspect", "json", "brauer_kl.oracle",
                     *ARGPARSE),
     # generic parameters: every linkage block a singleton, so no engine
-    "decompose --k 1 --r 6 --u 1/3": (*KL, *ARGPARSE),
-    "oracle-compare --r 4 --delta=3": (*KL, *ARGPARSE),
+    "decompose --k 1 --r 6 --u 1/3": (*KL, SELFTEST, *ARGPARSE),
+    "oracle-compare --r 4 --delta=3": (*KL, SELFTEST, *ARGPARSE),
 }
 
 
@@ -385,6 +389,12 @@ def test_a_linked_block_loads_the_kl_engine():
     assert loaded_by("decompose --k 1 --r 3 --u 3/2", KL) == (0, sorted(KL))
 
 
+def test_kl_selftest_loads_the_battery():
+    # the handler's import of selftest is reached, and --help lists its module
+    assert SELFTEST in PACKAGE_BUT_CLI
+    assert loaded_by("kl-selftest", (SELFTEST,)) == (0, [SELFTEST])
+
+
 def test_decompose_output_is_the_same_under_python_O():
     src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
     argv = ["-m", "brauer_kl.cli", "decompose", "--k", "1", "--r", "3", "--u", "3/2"]
@@ -404,6 +414,21 @@ def test_oracle_compare_generic_r2(capsys):
     code, out, _ = run(capsys, "oracle-compare", "--r", "2", "--delta", "1/3")
     assert code == 0
     assert "match: kl=mirror conjugate=transpose" in out
+
+
+@pytest.mark.parametrize("delta, evaluated", [("3", False), ("1", True)])
+def test_oracle_compare_evaluates_characters_only_off_a_semisimple_point(
+    capsys, monkeypatch, delta, evaluated
+):
+    # B_4(3) has nondegenerate cell forms, so its matrix is read off them;
+    # B_4(1) has a radical, so its matrix is solved from characters
+    calls = []
+    character = oracle.CellModule.character
+    monkeypatch.setattr(
+        oracle.CellModule, "character", lambda self, d: calls.append(d) or character(self, d)
+    )
+    assert run(capsys, "oracle-compare", "--r", "4", f"--delta={delta}")[0] == 0
+    assert bool(calls) is evaluated
 
 
 def test_oracle_compare_delta_one_r3(capsys):
@@ -595,7 +620,7 @@ def boom(*args):
     raise ValueError("boom")
 
 
-@pytest.mark.parametrize("module, name", [(weights, "tilde"), (pipeline, "content_mismatches")])
+@pytest.mark.parametrize("module, name", [(weights, "tilde"), (selftest, "content_mismatches")])
 def test_kl_selftest_reports_a_check_that_raises(capsys, monkeypatch, module, name):
     monkeypatch.setattr(module, name, boom)
     code, out, _ = run(capsys, "kl-selftest")
@@ -642,7 +667,7 @@ def test_kl_selftest_checks_the_family_table(capsys, monkeypatch):
 
 
 def test_kl_selftest_counts_content_mismatches(capsys, monkeypatch):
-    monkeypatch.setattr(pipeline, "content_mismatches", lambda cfg: [{}, {}, {}])
+    monkeypatch.setattr(selftest, "content_mismatches", lambda cfg: [{}, {}, {}])
     code, out, _ = run(capsys, "kl-selftest")
     assert code == 1
     lines = out.strip().splitlines()

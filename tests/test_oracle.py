@@ -403,7 +403,8 @@ def reference_decomposition_matrix(r, delta):
     return OracleMatrix(r=r, delta=delta, rows=labels, cols=cols, entries=entries)
 
 
-REFERENCE_GRID = [(r, F(k, 2)) for r in (1, 2, 3, 4) for k in range(-16, 17)] + [(5, F(1))]
+HALF_INTEGERS = [F(k, 2) for k in range(-16, 17)]  # |delta| <= 8
+REFERENCE_GRID = [(r, delta) for r in (1, 2, 3, 4) for delta in HALF_INTEGERS] + [(5, F(1))]
 
 
 def test_class_route_matches_the_all_diagram_route():
@@ -414,6 +415,25 @@ def test_class_route_matches_the_all_diagram_route():
         )
 
 
+def test_a_semisimple_point_reads_the_identity_off_the_forms():
+    """At every point with all cell forms nonzero and nondegenerate the
+    shortcut's identity is what the character route solves for."""
+    semisimple = 0
+    for r, delta in itertools.product((1, 2, 3, 4), HALF_INTEGERS):
+        labels = cell_labels(r)
+        cells = {lab: CellModule(r, lab[0], lab[1], delta) for lab in labels}
+        radicals = {lab: nullspace(cells[lab].gram_matrix()) for lab in labels}
+        if any(radicals.values()):
+            continue
+        semisimple += 1
+        m = oracle_decomposition_matrix(r, delta)
+        assert m.cols == labels and m.entries == {(c, c): 1 for c in labels}, (r, delta)
+        assert m == oracle._decomposition_by_characters(r, delta, cells, radicals), (r, delta)
+    # 132 points less delta = 0 at r = 2, delta in {-2, 1} at r = 3 and
+    # delta in {-4, -2, 0, 1, 2} at r = 4
+    assert semisimple == 124
+
+
 def test_span_check_survives_python_O():
     src = os.path.dirname(os.path.dirname(brauer_kl.__file__))
     code = (
@@ -421,7 +441,7 @@ def test_span_check_survives_python_O():
         "from brauer_kl import oracle\n"
         "oracle.solve = lambda system, columns: [None] * len(columns)  # none in the span\n"
         "try:\n"
-        "    oracle.oracle_decomposition_matrix(2, F(1, 3))\n"
+        "    oracle.oracle_decomposition_matrix(2, F(0))  # (1, ()) has a zero form\n"
         "except AssertionError as exc:\n"
         "    print('refused:', exc)\n"
     )

@@ -17,12 +17,12 @@ from brauer_kl.params import build_config, extend_parameters, omega_series, u_fr
 from brauer_kl.pipeline import (
     NegativeResidual,
     SaturationNotEstablished,
-    content_mismatches,
     decomposition_report,
     report_to_csv,
     simple_dimensions,
     tilting_decomposition,
 )
+from brauer_kl.selftest import content_mismatches
 from brauer_kl.weights import family_table, tilde
 from verify_routes import (
     in_F_rk,
@@ -720,7 +720,14 @@ def negative_restrictions(upper: dict, lower: dict) -> dict[str, dict[str, int]]
 # delta -> the ranks r at which every Res L_r(mu) is a nonnegative integer
 # combination of the L_{r-1} today: below 2 delta + 8 for delta > 0, and up to
 # the last rank with a report (multi-wall refusals past it) for delta < 0
-BRANCHING_RANKS = {1: range(2, 10), 2: range(2, 12), -1: range(2, 13), -2: range(2, 10)}
+BRANCHING_RANKS = {
+    1: range(2, 10),
+    2: range(2, 12),
+    3: range(2, 14),
+    -1: range(2, 13),
+    -2: range(2, 10),
+    -3: range(2, 7),
+}
 
 
 @pytest.mark.parametrize("delta", list(BRANCHING_RANKS))
@@ -738,6 +745,16 @@ def test_branching_fails_at_delta_one_rank_ten():
     negative = negative_restrictions(level_one_matrix(1, 10), level_one_matrix(1, 9))
     assert negative == {
         "f3:2,2": {"f0:3,3,2,1": -1, "f0:4,2,2,1": -1, "f0:4,3,1,1": -1, "f0:4,3,2": -1}
+    }
+
+
+def test_branching_fails_at_delta_two_rank_twelve():
+    # the same defect at r = 2 delta + 8 for delta = 2, in three simples
+    negative = negative_restrictions(level_one_matrix(2, 12), level_one_matrix(2, 11))
+    assert negative == {
+        "f3:3,3": {"f0:4,4,2,1": -1, "f0:5,3,2,1": -1, "f0:5,4,1,1": -1, "f0:5,4,2": -1},
+        "f3:2,2,1,1": {"f0:3,3,3,2": -1, "f0:4,3,2,2": -1, "f0:4,3,3,1": -1},
+        "f4:2,2": {"f0:4,3,3,1": -1, "f0:5,3,2,1": -1, "f0:5,3,3": -1},
     }
 
 

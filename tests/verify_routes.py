@@ -234,7 +234,7 @@ def content_sequence(t: UpdownTableau, u) -> list[Fraction]:
 
 
 def walk_content_mismatches(cfg: ParamConfig) -> list[dict]:
-    """The content cross-check of ``pipeline.content_mismatches``, walk by
+    """The content cross-check of ``selftest.content_mismatches``, walk by
     walk: one record per failing step of every up-down tableau of every
     shape, carrying the numerators along the walk itself.  Each step moves
     the one coordinate where the ``weights.layout`` of its two shapes
