@@ -11,8 +11,9 @@ the KL and conjugate conventions are the pins frozen in ``pipeline``; only
 diagram oracle exists at level one only.  Each of the two builds one
 family table (``weights.family_table``); ``oracle-compare`` checks the
 diagram budget first, then builds the family, both readings' reports,
-which share the family's engine cores, and the oracle matrix last, so a
-refusal never pays for the oracle.  ``decompose --out FILE`` writes
+which share the family's engine cores (one report serves both when every
+linkage block is a singleton), and the oracle matrix last, so a refusal
+never pays for the oracle.  ``decompose --out FILE`` writes
 the report to FILE; ``--out DIR`` writes it to
 ``DIR/decomp_k{k}_r{r}_{h}.{json|csv}``, where h is the first 8 hex digits
 of the SHA-256 of the ``--u`` text as given.
@@ -166,11 +167,14 @@ def cmd_oracle_compare(args: SimpleNamespace) -> int:
     cfg = params.build_config((params.u_from_delta(delta),), args.r)
     family = weights.family_table(cfg)  # both conventions' reports share its engine cores
     levels: dict = {}  # per KL convention: its report's level matrix, or its failure as a diff
-    for kl_conv in ("direct", "mirror"):
+    # only a block of two or more weights reads the convention, in its tilting table
+    linked = any(not b.is_singleton for b in family.blocks)
+    for kl_conv in ("direct", "mirror") if linked else ("direct",):
         try:
             levels[kl_conv] = pipeline.decomposition_report(family, kl_conv)["matrix_level"]
         except pipeline.NegativeResidual as exc:  # a wrong convention may fail its peel
             levels[kl_conv] = [{"kind": "error", "detail": str(exc)}]
+    levels.setdefault("mirror", levels["direct"])
     matrix = oracle.oracle_decomposition_matrix(args.r, delta)  # last: a refusal skips it
     passing: list[tuple[str, str]] = []
     diffs_by_pair = {}

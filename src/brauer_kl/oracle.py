@@ -1,7 +1,8 @@
 """Brute-force Brauer diagram algebra over exact rationals.
 
 Ground truth for the single-parameter algebra B_r(delta) at r <= 5: diagrams
-are perfect matchings on r top and r bottom points, multiplication is
+are perfect matchings on r top and r bottom points, read off one arc-set
+enumerator, ``arc_sets``, that also lists the cap sets, multiplication is
 concatenation with closed loops traded for powers of delta, and cell modules
 are spanned by half-diagrams (f disjoint top arcs) tensored with the standard
 tableaux, Young's seminormal basis, of a Specht module of the symmetric group
@@ -32,6 +33,7 @@ imports no package module but ``combinat`` (the cell labels and their text),
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
@@ -41,7 +43,7 @@ from .linalg import nullspace, solve
 from .specht import SpechtModule, specht_module
 
 Diagram = tuple[int, ...]  # partner array on 2r points; involution, no fixed point
-Caps = tuple[tuple[int, int], ...]  # disjoint sorted arcs on the top points
+Caps = tuple[tuple[int, int], ...]  # disjoint sorted arcs; on the top points, a cap set
 
 
 DIAGRAM_BUDGET = 945  # (2*5-1)!!: the brute force runs up to r = 5
@@ -56,37 +58,42 @@ class DimensionTooLarge(Exception):
 # -- diagrams ---------------------------------------------------------------
 
 
-def identity_diagram(r: int) -> Diagram:
-    """The matching joining top i to bottom i.
+def arc_sets(points: tuple[int, ...], arcs: int) -> Iterator[Caps]:
+    """Every set of ``arcs`` disjoint arcs on ``points``, in lexicographic
+    order: the first point pairs with each later point in turn, then stays
+    free.  Each arc is written (lower, higher), and the arcs by lower point.
 
-    >>> identity_diagram(2)
-    (2, 3, 0, 1)
+    >>> list(arc_sets((0, 1, 2, 3), 1))
+    [((0, 1),), ((0, 2),), ((0, 3),), ((1, 2),), ((1, 3),), ((2, 3),)]
+    >>> list(arc_sets((0, 1, 2, 3), 2))
+    [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
     """
-    return tuple(list(range(r, 2 * r)) + list(range(r)))
+    if not arcs:
+        yield ()
+        return
+    if len(points) < 2 * arcs:
+        return
+    a, rest = points[0], points[1:]
+    for i, b in enumerate(rest):
+        for tail in arc_sets(rest[:i] + rest[i + 1 :], arcs - 1):
+            yield ((a, b), *tail)
+    yield from arc_sets(rest, arcs)
 
 
 @cache
 def all_diagrams(r: int) -> tuple[Diagram, ...]:
-    """All perfect matchings on 2r points; (2r-1)!! of them.
+    """All perfect matchings on 2r points, (2r-1)!! of them, as partner
+    arrays in ``arc_sets`` order.
 
     >>> len(all_diagrams(3))
     15
     """
-    out: list[Diagram] = []
-
-    def build(partner: list[int]) -> None:
-        try:
-            i = partner.index(-1)
-        except ValueError:
-            out.append(tuple(partner))
-            return
-        for j in range(i + 1, len(partner)):
-            if partner[j] == -1:
-                partner[i], partner[j] = j, i
-                build(partner)
-                partner[i] = partner[j] = -1
-
-    build([-1] * (2 * r))
+    out = []
+    for arcs in arc_sets(tuple(range(2 * r)), r):
+        partner = [0] * (2 * r)
+        for a, b in arcs:
+            partner[a], partner[b] = b, a
+        out.append(tuple(partner))
     return tuple(out)
 
 
@@ -131,7 +138,7 @@ def generators(r: int) -> tuple[Diagram, ...]:
     >>> generators(2)
     ((3, 2, 1, 0), (1, 0, 3, 2))
     """
-    ident = identity_diagram(r)
+    ident = half_diagram((), r)
     out = []
     for i in range(r - 1):
         s = list(ident)
@@ -155,7 +162,7 @@ def multiply(d1: Diagram, d2: Diagram) -> tuple[Diagram, int]:
     >>> e = (1, 0, 3, 2)  # r=2: top arc + bottom arc
     >>> multiply(e, e)
     ((1, 0, 3, 2), 1)
-    >>> multiply(identity_diagram(2), identity_diagram(2))
+    >>> multiply(half_diagram((), 2), half_diagram((), 2))
     ((2, 3, 0, 1), 0)
     """
     r = len(d1) // 2
@@ -193,29 +200,13 @@ def multiply(d1: Diagram, d2: Diagram) -> tuple[Diagram, int]:
 
 @cache
 def caps(r: int, f: int) -> tuple[Caps, ...]:
-    """All placements of f disjoint arcs on the r top points.
+    """All placements of f disjoint arcs on the r top points, in
+    ``arc_sets`` order.
 
     >>> caps(4, 1)
     (((0, 1),), ((0, 2),), ((0, 3),), ((1, 2),), ((1, 3),), ((2, 3),))
     """
-    out: list[Caps] = []
-
-    def build(points: tuple[int, ...], chosen: Caps) -> None:
-        if len(chosen) == f:
-            out.append(tuple(sorted(chosen)))
-            return
-        if len(points) < 2 * (f - len(chosen)):
-            return
-        a = points[0]
-        rest = points[1:]
-        # a stays free
-        build(rest, chosen)
-        # or a pairs with a later point
-        for b in rest:
-            build(tuple(p for p in rest if p != b), chosen + ((a, b),))
-
-    build(tuple(range(r)), ())
-    return tuple(sorted(set(out)))
+    return tuple(arc_sets(tuple(range(r)), f))
 
 
 def half_diagram(S: Caps, r: int, below: bool = False) -> Diagram:
@@ -250,7 +241,7 @@ def act_on_caps(d: Diagram, S: Caps) -> tuple[int, Caps, tuple[int, ...]] | None
     higher-cap ideal).  Cached: every cell module with f = len(S) caps,
     and both its ``act`` and its ``character``, share one result.
 
-    >>> act_on_caps(identity_diagram(2), ())
+    >>> act_on_caps(half_diagram((), 2), ())
     (0, (), (0, 1))
     >>> act_on_caps((1, 0, 3, 2), ()) is None  # e_1 joins the two free labels
     True

@@ -523,6 +523,23 @@ def test_oracle_compare_verdicts_are_frozen(capsys, r):
         assert (code, out) == VERDICT_EXCEPTIONS.get((r, delta), (0, EVERY_PAIR)), delta
 
 
+@pytest.mark.parametrize(
+    "delta, reports, out", [("3", 1, EVERY_PAIR), ("1", 2, BOTH_MIRROR)], ids=["3", "1"]
+)
+def test_oracle_compare_builds_one_report_when_no_block_is_linked(
+    capsys, monkeypatch, delta, reports, out
+):
+    # every block of B_4(3)'s family is a singleton, whose peel never reads
+    # the KL convention; B_4(1)'s family has a linked block
+    calls = []
+    report = pipeline.decomposition_report
+    monkeypatch.setattr(
+        pipeline, "decomposition_report", lambda *a, **kw: calls.append(a) or report(*a, **kw)
+    )
+    assert run(capsys, "oracle-compare", "--r", "4", f"--delta={delta}") == (0, out, "")
+    assert len(calls) == reports
+
+
 def test_oracle_compare_mismatch_names_weights_without_fraction_reprs(capsys):
     # the direct convention's peel escapes the family: the weight it names
     # is off the family, so it prints as a rational tuple; the other

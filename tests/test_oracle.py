@@ -22,7 +22,7 @@ from brauer_kl.oracle import (
     class_representatives,
     compare,
     generators,
-    identity_diagram,
+    half_diagram,
     multiply,
     oracle_decomposition_matrix,
 )
@@ -37,8 +37,9 @@ S2 = (3, 2, 1, 0)  # r = 2: the crossing
 
 
 def test_identity_diagram():
-    assert identity_diagram(2) == (2, 3, 0, 1)
-    assert identity_diagram(3) == (3, 4, 5, 0, 1, 2)
+    # the half-diagram with no caps joins top i to bottom i
+    assert half_diagram((), 2) == (2, 3, 0, 1)
+    assert half_diagram((), 3) == (3, 4, 5, 0, 1, 2)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -71,11 +72,11 @@ def flip(d):
 def test_flip_is_an_involution():
     for d in all_diagrams(3):
         assert flip(flip(d)) == d
-    assert flip(identity_diagram(3)) == identity_diagram(3)
+    assert flip(half_diagram((), 3)) == half_diagram((), 3)
 
 
 def test_multiply_identity():
-    ident = identity_diagram(2)
+    ident = half_diagram((), 2)
     assert multiply(ident, ident) == (ident, 0)
     for d in all_diagrams(2):
         assert multiply(ident, d) == (d, 0)
@@ -87,7 +88,7 @@ def test_multiply_e_squared_makes_one_loop():
 
 
 def test_multiply_s_squared_is_identity():
-    assert multiply(S2, S2) == (identity_diagram(2), 0)
+    assert multiply(S2, S2) == (half_diagram((), 2), 0)
 
 
 def test_multiply_braid_and_tangle_relations_r3():
@@ -141,6 +142,30 @@ def test_caps_counts():
     assert caps(2, 1) == (((0, 1),),)
 
 
+def disjoint_arc_sets(n, arcs):
+    """Every set of ``arcs`` disjoint arcs (a, b), a < b, on n points, each
+    written in increasing arc order, sorted; read off itertools alone."""
+    pairs = itertools.combinations(range(n), 2)
+    return sorted(
+        c for c in itertools.combinations(pairs, arcs) if len(set(itertools.chain(*c))) == 2 * arcs
+    )
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_diagrams_and_caps_come_in_lexicographic_order(r):
+    # the class representatives (first in all_diagrams order) and the cell
+    # bases (cap blocks in caps order) read these orders
+    for f in range(r // 2 + 1):
+        assert caps(r, f) == tuple(disjoint_arc_sets(r, f))
+    partners = []
+    for arcs in disjoint_arc_sets(2 * r, r):
+        partner = [0] * (2 * r)
+        for a, b in arcs:
+            partner[a], partner[b] = b, a
+        partners.append(tuple(partner))
+    assert all_diagrams(r) == tuple(sorted(partners))
+
+
 def test_cell_labels_example():
     assert cell_labels(2) == [(0, (2,)), (0, (1, 1)), (1, ())]
 
@@ -155,7 +180,7 @@ def test_cell_module_dimensions_square_to_algebra_dimension():
 def test_cell_module_character_at_identity_is_dimension():
     for f, lam in cell_labels(3):
         cm = CellModule(3, f, lam, F(1, 3))
-        assert cm.character(identity_diagram(3)) == cm.dim
+        assert cm.character(half_diagram((), 3)) == cm.dim
 
 
 def test_gram_matrices_full_rank_at_generic_delta():
@@ -357,7 +382,7 @@ def test_class_representatives_split_the_diagrams_into_conjugacy_classes(r, coun
 def test_products_of_the_generators_reach_every_diagram(r):
     """Invariance under the generators is invariance under the algebra:
     every diagram is a product of them, up to a power of delta."""
-    reached, frontier = {identity_diagram(r)}, [identity_diagram(r)]
+    reached, frontier = {half_diagram((), r)}, [half_diagram((), r)]
     while frontier:
         d = frontier.pop()
         for g in generators(r):
